@@ -7,8 +7,9 @@ own append file.  This benchmark builds a ~1M-entry store across many
 targets, times the operations the service actually performs — cold
 load + single-target lookup, cold append, flat->sharded migration —
 and asserts the headline speedup (>= 5x on cold load).  The figures
-are written to ``BENCH_store.json`` in the working directory so CI can
-upload them as an artifact.
+are written to ``BENCH_store.json`` in the test's temporary directory,
+or to the path named by ``REPRO_BENCH_STORE_OUT`` (CI sets it to upload
+them as an artifact), so a test run writes no tracked file.
 
 Entry count: ``REPRO_BENCH_STORE_ENTRIES`` when set, else 1M with
 timing enabled and 20k in smoke runs (``--benchmark-disable``), which
@@ -186,7 +187,8 @@ def test_store_sharded_vs_flat_at_scale(benchmark, tmp_path):
         "timing_enabled": not benchmark.disabled,
     }
     benchmark.extra_info.update(figures)
-    Path("BENCH_store.json").write_text(
+    out = os.environ.get("REPRO_BENCH_STORE_OUT") or tmp_path / "BENCH_store.json"
+    Path(out).write_text(
         json.dumps(figures, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 

@@ -61,6 +61,40 @@ class MeasurementError(ValueError):
     """Raised when a measurement is structurally invalid."""
 
 
+def check_measurement(
+    layer_name: str,
+    out_channels: int,
+    median_time_ms: float,
+    min_time_ms: float,
+    max_time_ms: float,
+    runs: int,
+) -> None:
+    """Raise :class:`MeasurementError` unless the fields form a valid measurement.
+
+    The one copy of the rules: :class:`Measurement` construction and the
+    profile store's line parser (which fills columns without building
+    objects) both call it.
+    """
+
+    if runs < 1:
+        raise MeasurementError(
+            f"{layer_name}: a measurement needs at least one run, got {runs}"
+        )
+    if min_time_ms <= 0:
+        # A zero-time run would make ``spread`` infinite and poison
+        # every downstream stability report; reject it at the source.
+        raise MeasurementError(
+            f"{layer_name} at {out_channels} channels: non-positive "
+            f"minimum run time {min_time_ms} ms"
+        )
+    if not min_time_ms <= median_time_ms <= max_time_ms:
+        raise MeasurementError(
+            f"{layer_name} at {out_channels} channels: inconsistent "
+            f"run times (min={min_time_ms}, median={median_time_ms}, "
+            f"max={max_time_ms})"
+        )
+
+
 @dataclass(frozen=True)
 class Measurement:
     """Median latency of one measured layer configuration."""
@@ -76,23 +110,10 @@ class Measurement:
     job_count: int
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise MeasurementError(
-                f"{self.layer_name}: a measurement needs at least one run, got {self.runs}"
-            )
-        if self.min_time_ms <= 0:
-            # A zero-time run would make ``spread`` infinite and poison
-            # every downstream stability report; reject it at the source.
-            raise MeasurementError(
-                f"{self.layer_name} at {self.out_channels} channels: non-positive "
-                f"minimum run time {self.min_time_ms} ms"
-            )
-        if not self.min_time_ms <= self.median_time_ms <= self.max_time_ms:
-            raise MeasurementError(
-                f"{self.layer_name} at {self.out_channels} channels: inconsistent "
-                f"run times (min={self.min_time_ms}, median={self.median_time_ms}, "
-                f"max={self.max_time_ms})"
-            )
+        check_measurement(
+            self.layer_name, self.out_channels, self.median_time_ms,
+            self.min_time_ms, self.max_time_ms, self.runs,
+        )
 
     @property
     def spread(self) -> float:

@@ -40,6 +40,26 @@ the global lock, appends land on the shard's own file (writers on
 different targets no longer contend on one ``flock``/inode), and
 ``compact()`` rewrites each shard independently.
 
+Resident index
+--------------
+A store object is meant to live long (the service keeps one for all of
+its jobs), so after the first load it never re-parses a shard.  Each
+loaded shard keeps a cursor ``(st_dev, st_ino, bytes consumed)``; every
+lookup ``fstat``s the shard file and parses only the complete lines
+appended since, by this object or any other process.  A new inode or a
+shorter file means a compaction or migration happened elsewhere, and the
+shard's index is rebuilt from scratch.  A final line still missing its
+newline (an append in flight, or a crash mid-append) is left for a later
+lookup.  So a long-lived object sees every complete line on disk at each
+lookup, exactly like a freshly opened one.
+
+The index is columnar to keep memory flat: per group one ``count -> row``
+dict plus ``array`` columns for the median/min/max times and job counts,
+about a third of what resident :class:`Measurement` objects would cost.
+Lines are parsed straight into the columns, checked exactly as
+``Measurement(**entry)`` would check them, and :meth:`ProfileStore.lookup`
+builds :class:`Measurement` objects only for the counts it serves.
+
 Migration
 ---------
 ``compact(shard=True)`` on a flat store is the migration hook: it reads
@@ -71,8 +91,9 @@ sweep under its grouping key::
   the measurement-noise stream seed (absent means 0, the historical
   stream), so differently-seeded sessions sharing one file never serve
   each other's perturbations.
-* Lines that fail to parse are ignored (a truncated final line from a
-  killed process does not poison the store).
+* Lines that fail to parse are skipped and counted (a truncated final
+  line from a killed process does not poison the store; the next append
+  starts on a fresh line instead of being glued onto it).
 
 Multi-thread and multi-process safety
 -------------------------------------
@@ -96,23 +117,27 @@ dropping superseded duplicates.
 Observability
 -------------
 The module-level metrics (``repro_store_appends_total``,
-``repro_store_reloads_total``, ``repro_store_compactions_total`` and
-the ``repro_store_file_bytes`` gauge) are labeled by ``store`` (the
-store path) and ``shard``, so several store objects in one process —
-the service's per-job sessions, autoscaled worker stores, parallel
-tests — report into distinct series instead of clobbering one
-process-wide value.
+``repro_store_reloads_total``, ``repro_store_skipped_lines_total``,
+``repro_store_compactions_total`` and the ``repro_store_file_bytes``
+gauge) are labeled by ``store`` (the store path) and ``shard``, so
+several store objects in one process — autoscaled worker stores,
+parallel tests — report into distinct series instead of clobbering one
+process-wide value.  ``repro_store_reloads_total`` counts full parses
+of a shard (first touch, or a rebuild after a foreign compaction);
+catching up on appended lines does not count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import re
 import shutil
 import tempfile
 import threading
+from array import array
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -123,7 +148,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
-from .runner import Measurement
+from .runner import Measurement, check_measurement
 
 _STORE_APPENDS = default_registry().counter(
     "repro_store_appends_total",
@@ -133,6 +158,11 @@ _STORE_APPENDS = default_registry().counter(
 _STORE_RELOADS = default_registry().counter(
     "repro_store_reloads_total",
     "Shard loads into a store's in-memory read-through index.",
+    labelnames=("store", "shard"),
+)
+_STORE_SKIPPED = default_registry().counter(
+    "repro_store_skipped_lines_total",
+    "Unreadable, torn or other-version lines skipped while loading a shard.",
     labelnames=("store", "shard"),
 )
 _STORE_COMPACTIONS = default_registry().counter(
@@ -197,6 +227,166 @@ def shard_id_for(device: str, library: str) -> str:
     return f"{device_slug}__{library_slug}--{digest}"
 
 
+#: A measurement entry's fields, in :class:`Measurement` order.
+_FIELDS = tuple(Measurement.__dataclass_fields__)
+_FIELD_SET = frozenset(_FIELDS)
+_entry_values = operator.itemgetter(*_FIELDS)
+
+#: What a line that is not a valid record raises while being parsed.
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, List[dict]]:
+    """One store line as (payload, group key, its measurement entries).
+
+    Raises one of :data:`_UNREADABLE` for a line to skip: not JSON, not
+    a record, another ``STORE_VERSION``, or any entry that
+    ``Measurement(**entry)`` would reject (a wrong field set, or
+    :func:`~repro.profiling.runner.check_measurement`).  One bad entry
+    skips its whole line.
+    """
+
+    payload = json.loads(line)
+    if payload.get("v") != STORE_VERSION:
+        raise ValueError("incompatible store version")
+    key = (
+        payload["device"],
+        payload["library"],
+        int(payload["runs"]),
+        int(payload.get("seed", 0)),
+        payload["spec_hash"],
+    )
+    entries = payload["measurements"]
+    for entry in entries:
+        if entry.keys() != _FIELD_SET:
+            raise TypeError(f"measurement fields {sorted(entry)}")
+        layer, count, _, _, median, low, high, runs, _ = _entry_values(entry)
+        check_measurement(layer, count, median, low, high, runs)
+    return payload, key, entries
+
+
+class _Group:
+    """One group's measurements as columns, keyed by channel count.
+
+    The group constants come from its first entry.  An entry whose
+    constants or value types differ (never written by this package, but
+    valid) is kept whole as a ``stray`` :class:`Measurement`, so every
+    lookup returns exactly what ``Measurement(**entry)`` would have.
+    """
+
+    __slots__ = (
+        "layer_name", "device_name", "library_name", "runs",
+        "rows", "median", "minimum", "maximum", "job_count", "strays",
+    )
+
+    def __init__(
+        self, layer_name: str, device_name: str, library_name: str, runs: int
+    ) -> None:
+        self.layer_name = layer_name
+        self.device_name = device_name
+        self.library_name = library_name
+        self.runs = runs
+        self.rows: Dict[int, int] = {}
+        self.median = array("d")
+        self.minimum = array("d")
+        self.maximum = array("d")
+        self.job_count = array("q")
+        self.strays: Dict[Any, Measurement] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows) + len(self.strays)  # disjoint by construction
+
+    def counts(self) -> List[Any]:
+        return [*self.rows, *self.strays]
+
+    def fill(self, entries: List[dict]) -> int:
+        """Store checked entries, last writer wins; returns new counts."""
+
+        rows, strays = self.rows, self.strays
+        median, minimum, maximum, job_count = (
+            self.median, self.minimum, self.maximum, self.job_count
+        )
+        constants = (self.layer_name, self.device_name, self.library_name, self.runs)
+        added = 0
+        for entry in entries:
+            layer, count, device, library, mid, low, high, runs, jobs = _entry_values(entry)
+            if (
+                type(count) is int and type(mid) is float and type(low) is float
+                and type(high) is float and type(jobs) is int
+                and (layer, device, library, runs) == constants
+            ):
+                row = rows.get(count)
+                if row is None:
+                    if not strays or strays.pop(count, None) is None:
+                        added += 1
+                    rows[count] = len(median)
+                    median.append(mid)
+                    minimum.append(low)
+                    maximum.append(high)
+                    job_count.append(jobs)
+                else:
+                    median[row] = mid
+                    minimum[row] = low
+                    maximum[row] = high
+                    job_count[row] = jobs
+            else:
+                if rows.pop(count, None) is None and count not in strays:
+                    added += 1
+                strays[count] = Measurement(**entry)
+        return added
+
+    def split(self, counts: Iterable[int]) -> Tuple[Dict[int, Measurement], List[int]]:
+        """(stored measurements, counts not stored) for the requested counts."""
+
+        rows, strays = self.rows, self.strays
+        median, minimum, maximum, job_count = (
+            self.median, self.minimum, self.maximum, self.job_count
+        )
+        layer, device, library, runs = (
+            self.layer_name, self.device_name, self.library_name, self.runs
+        )
+        found: Dict[int, Measurement] = {}
+        missing: List[int] = []
+        for count in counts:
+            row = rows.get(count)
+            if row is not None:
+                # Every column value passed check_measurement when it was
+                # stored, so fill the fields directly, as unpickling does,
+                # instead of paying __init__'s re-check per served entry.
+                measurement = object.__new__(Measurement)
+                fields = measurement.__dict__
+                fields["layer_name"] = layer
+                fields["out_channels"] = int(count)  # the stored key's type
+                fields["device_name"] = device
+                fields["library_name"] = library
+                fields["median_time_ms"] = median[row]
+                fields["min_time_ms"] = minimum[row]
+                fields["max_time_ms"] = maximum[row]
+                fields["runs"] = runs
+                fields["job_count"] = job_count[row]
+                found[count] = measurement
+            elif count in strays:
+                found[count] = strays[count]
+            else:
+                missing.append(count)
+        return found, missing
+
+
+_Index = Dict[_GroupKey, _Group]
+
+
+def _fill(index: _Index, key: _GroupKey, entries: List[dict]) -> int:
+    """Store one record's checked entries under ``key``; returns new counts."""
+
+    if not entries:
+        return 0
+    group = index.get(key)
+    if group is None:
+        layer, _, device, library, _, _, _, runs, _ = _entry_values(entries[0])
+        group = index[key] = _Group(layer, device, library, runs)
+    return group.fill(entries)
+
+
 class ProfileStore:
     """Append-only JSONL store of measurements, indexed in memory.
 
@@ -206,11 +396,15 @@ class ProfileStore:
     new sharded store at a fresh path (the directory and its
     ``_store.json`` marker are created eagerly).
 
-    Each shard's file is read once, lazily, on the first lookup that
-    touches its ``(device, library)`` target; records appended through
-    :meth:`record` update both the shard file and the index.  ``hits``
-    / ``misses`` count per-configuration lookups, ``writes`` counts
-    appended measurements.
+    A shard's file is parsed on the first lookup that touches its
+    ``(device, library)`` target; every later lookup first catches up
+    on the complete lines appended since (by any process), and rebuilds
+    the shard only if another object compacted or migrated it.  So one
+    long-lived object serves as fresh an answer as a newly opened one,
+    without re-parsing.  Records appended through :meth:`record` update
+    both the shard file and the index.  ``hits`` / ``misses`` count
+    per-configuration lookups, ``writes`` counts appended measurements,
+    ``skipped_lines`` the unreadable lines met while loading.
     """
 
     def __init__(self, path: Union[str, Path], layout: str = "auto") -> None:
@@ -221,13 +415,15 @@ class ProfileStore:
         self.path = Path(path)
         self._layout = self._resolve_layout(layout)
         self._store_label = str(self.path)
-        #: shard id -> group key -> out_channels -> Measurement, loaded
-        #: lazily one shard at a time.
-        self._indexes: Dict[str, Dict[_GroupKey, Dict[int, Measurement]]] = {}
+        #: shard id -> group key -> columnar group, loaded lazily one
+        #: shard at a time.
+        self._indexes: Dict[str, _Index] = {}
+        #: shard id -> (st_dev, st_ino, bytes parsed) of its file: where
+        #: the next catch-up resumes.
+        self._cursors: Dict[str, Tuple[int, int, int]] = {}
         #: Running count of entries across *loaded* shards, so ``len``
-        #: and ``stats()`` are O(1) instead of a full-index scan.
+        #: and ``stats()`` never re-sum the index.
         self._entry_count = 0
-        self._all_loaded = False
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -299,7 +495,7 @@ class ProfileStore:
         A concurrent ``compact(shard=True)`` atomically replaces the
         flat file with a store directory; a flat store object noticing
         the marker flips itself to sharded mode and drops its indexes
-        (they reload per shard on demand).
+        and cursors (they reload per shard on demand).
         """
 
         if self._layout != "flat":
@@ -307,35 +503,12 @@ class ProfileStore:
         if self.path.is_dir() and (self.path / STORE_MARKER).exists():
             self._layout = "sharded"
             self._indexes = {}
+            self._cursors = {}
             self._entry_count = 0
-            self._all_loaded = False
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def _parse_line(self, line: str) -> Optional[Tuple[_GroupKey, List[Measurement], dict]]:
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            payload = json.loads(line)
-            if payload.get("v") != STORE_VERSION:
-                raise ValueError("incompatible store version")
-            key = (
-                payload["device"],
-                payload["library"],
-                int(payload["runs"]),
-                int(payload.get("seed", 0)),
-                payload["spec_hash"],
-            )
-            measurements = [
-                Measurement(**entry) for entry in payload["measurements"]
-            ]
-        except (ValueError, KeyError, TypeError):
-            self.skipped_lines += 1
-            return None
-        return key, measurements, payload
-
     def _shard_id(self, device: str, library: str) -> str:
         if self._layout == "flat":
             return LEGACY_SHARD
@@ -353,46 +526,79 @@ class ProfileStore:
             return []
         return sorted(entry.stem for entry in self.path.glob("*.jsonl"))
 
-    def _load_shard(self, shard: str) -> Dict[_GroupKey, Dict[int, Measurement]]:
-        """The in-memory index of one shard, parsed from disk on first use."""
+    def _skip_line(self, shard: str) -> None:
+        self.skipped_lines += 1
+        _STORE_SKIPPED.inc(store=self._store_label, shard=shard)
+
+    def _load_shard(self, shard: str) -> _Index:
+        """One shard's index, caught up with every complete line on disk.
+
+        The first call parses the whole file; later calls resume at the
+        shard's cursor and parse only lines appended since.  A different
+        inode or a shorter file (a compaction or migration by another
+        object) rebuilds the index from scratch; so does a file that
+        vanished.  A final line without its newline is not consumed.
+        """
 
         index = self._indexes.get(shard)
-        if index is not None:
-            return index
-        index = {}
-        path = self._shard_path(shard)
-        if path.exists() and path.is_file():
-            with path.open("r", encoding="utf-8") as handle:
+        cursor = self._cursors.get(shard)
+        try:
+            handle = self._shard_path(shard).open("rb")
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            if index is None or cursor is not None:
+                self._reset_shard(shard)
+            return self._indexes[shard]
+        with handle:
+            held = os.fstat(handle.fileno())
+            if index is None or (
+                cursor is not None
+                and (cursor[:2] != (held.st_dev, held.st_ino) or cursor[2] > held.st_size)
+            ):
+                index = self._reset_shard(shard)
+                offset = 0
+            else:
+                offset = cursor[2] if cursor is not None else 0
+            if held.st_size > offset:
+                handle.seek(offset)
+                added = 0
                 for line in handle:
-                    parsed = self._parse_line(line)
-                    if parsed is None:
+                    if not line.endswith(b"\n"):
+                        break  # an append still in flight, or torn
+                    offset += len(line)
+                    if not line.strip():
                         continue
-                    key, measurements, _ = parsed
-                    group = index.setdefault(key, {})
-                    for measurement in measurements:
-                        group[measurement.out_channels] = measurement
-        self._indexes[shard] = index
-        self._entry_count += sum(len(group) for group in index.values())
-        _STORE_RELOADS.inc(store=self._store_label, shard=shard)
+                    try:
+                        _, key, entries = _parse_line(line)
+                    except _UNREADABLE:
+                        self._skip_line(shard)
+                        continue
+                    added += _fill(index, key, entries)
+                self._entry_count += added
+            self._cursors[shard] = (held.st_dev, held.st_ino, offset)
         return index
 
-    def _load_all(self) -> None:
-        if self._all_loaded:
-            return
-        for shard in self._shard_ids_on_disk():
-            self._load_shard(shard)
-        self._all_loaded = True
+    def _reset_shard(self, shard: str) -> _Index:
+        """Drop a shard's index and cursor for a parse from scratch."""
+
+        old = self._indexes.get(shard)
+        if old is not None:
+            self._entry_count -= sum(len(group) for group in old.values())
+        self._cursors.pop(shard, None)
+        index = self._indexes[shard] = {}
+        _STORE_RELOADS.inc(store=self._store_label, shard=shard)
+        return index
 
     def __len__(self) -> int:
         """Number of stored (configuration -> measurement) entries.
 
-        O(1) after the first call: a running count is maintained on
-        load, record and compaction instead of re-summing every group.
+        Catches every shard on disk up first, so it counts entries
+        appended by other processes too.
         """
 
         with self._lock:
             self._check_migrated()
-            self._load_all()
+            for shard in self._shard_ids_on_disk():
+                self._load_shard(shard)
             return self._entry_count
 
     # ------------------------------------------------------------------
@@ -417,21 +623,18 @@ class ProfileStore:
 
         Only the ``(device, library)`` shard is loaded — a cold
         single-target lookup against a million-entry sharded store
-        parses one shard, not the whole store.
+        parses one shard, not the whole store — and a warm one parses
+        only the lines appended to that shard since the last lookup.
         """
 
         with self._lock:
             self._check_migrated()
             index = self._load_shard(self._shard_id(device, library))
-            group = index.get(self._key(device, library, runs, spec, seed), {})
-            found: Dict[int, Measurement] = {}
-            missing: List[int] = []
-            for count in channel_counts:
-                measurement = group.get(count)
-                if measurement is None:
-                    missing.append(count)
-                else:
-                    found[count] = measurement
+            group = index.get(self._key(device, library, runs, spec, seed))
+            if group is None:
+                found, missing = {}, list(channel_counts)
+            else:
+                found, missing = group.split(channel_counts)
             self.hits += len(found)
             self.misses += len(missing)
             return found, missing
@@ -450,7 +653,9 @@ class ProfileStore:
         The whole record is written as a single line in one ``write``
         call under an advisory lock, so concurrent writers sharing the
         shard cannot interleave partial lines.  Writers on different
-        targets append to different shard files and never contend.
+        targets append to different shard files and never contend.  If
+        the shard ends in a torn line (a writer died mid-append), the
+        record starts with a newline so it is not glued onto it.
         """
 
         measurements = list(measurements)
@@ -468,7 +673,7 @@ class ProfileStore:
             "sweep": [measurement.out_channels for measurement in measurements],
             "measurements": [measurement.as_dict() for measurement in measurements],
         }
-        line = json.dumps(payload) + "\n"
+        data = (json.dumps(payload) + "\n").encode("utf-8")
         with self._lock:
             self._check_migrated()
             while True:
@@ -491,25 +696,40 @@ class ProfileStore:
                     continue
                 break
             try:
-                handle.write(line)
+                held = os.fstat(handle.fileno())
+                if held.st_size:
+                    handle.seek(held.st_size - 1)
+                    if handle.read(1) != b"\n":
+                        data = b"\n" + data
+                handle.write(data)
                 handle.flush()
-                _STORE_FILE_BYTES.set(
-                    handle.tell(), store=self._store_label, shard=shard
-                )
+                end = handle.tell()
             finally:
                 self._unlock_and_close(handle)
+            _STORE_FILE_BYTES.set(end, store=self._store_label, shard=shard)
             _STORE_APPENDS.inc(store=self._store_label, shard=shard)
-            group = self._load_shard(shard).setdefault(key, {})
-            for measurement in measurements:
-                if measurement.out_channels not in group:
-                    self._entry_count += 1
-                group[measurement.out_channels] = measurement
+            index = self._indexes.get(shard)
+            cursor = self._cursors.get(shard)
+            start = end - len(data)
+            at_cursor = cursor == (held.st_dev, held.st_ino, start) or (
+                cursor is None and start == 0
+            )
+            if index is not None and at_cursor:
+                # The line landed exactly at the cursor: index it without
+                # reading it back, and move the cursor past it.
+                self._entry_count += _fill(index, key, payload["measurements"])
+                self._cursors[shard] = (held.st_dev, held.st_ino, end)
+            else:
+                self._load_shard(shard)  # catches up through this line
             self.writes += len(measurements)
 
     def _open_append(self, path: Path):
-        """Open one shard for appending (a seam the race tests hook)."""
+        """Open one shard for appending (a seam the race tests hook).
 
-        return path.open("a", encoding="utf-8")
+        Readable too, so :meth:`record` can check the last byte.
+        """
+
+        return path.open("ab+")
 
     def _open_locked_for_append(self, path: Path):
         """Open a shard for appending under an advisory exclusive lock.
@@ -554,7 +774,7 @@ class ProfileStore:
 
         Each shard file is re-read from disk under the advisory lock
         (picking up records appended by other processes since this
-        store's lazy load), deduplicated with last-writer-wins
+        store's last catch-up), deduplicated with last-writer-wins
         semantics, written to a temporary file in the same directory
         and atomically swapped in with :func:`os.replace`.  Returns the
         number of superseded or unreadable measurement entries dropped.
@@ -573,13 +793,11 @@ class ProfileStore:
                 dropped = 0
                 for shard_id in self._shard_ids_on_disk():
                     dropped += self._compact_shard_locked(shard_id)
-                self._all_loaded = True
                 self._recount_locked()
                 return dropped
             if shard:
                 return self._migrate_locked()
             dropped = self._compact_shard_locked(LEGACY_SHARD)
-            self._all_loaded = True
             self._recount_locked()
             return dropped
 
@@ -591,51 +809,60 @@ class ProfileStore:
         )
 
     def _read_groups_locked(
-        self, path: Path
-    ) -> Tuple[Dict[_GroupKey, Dict[int, Measurement]], Dict[_GroupKey, dict], int]:
+        self, path: Path, shard: str
+    ) -> Tuple[_Index, Dict[_GroupKey, dict], int]:
         """Parse one shard file into (index, last payload per key, raw entries)."""
 
-        index: Dict[_GroupKey, Dict[int, Measurement]] = {}
+        index: _Index = {}
         payloads: Dict[_GroupKey, dict] = {}
         total_entries = 0
-        with path.open("r", encoding="utf-8") as handle:
+        with path.open("rb") as handle:
             for line in handle:
-                if line.strip():
-                    total_entries += 1  # count unreadable lines too
-                parsed = self._parse_line(line)
-                if parsed is None:
+                if not line.strip():
                     continue
-                key, measurements, payload = parsed
-                total_entries += len(measurements) - 1
-                group = index.setdefault(key, {})
-                for measurement in measurements:
-                    group[measurement.out_channels] = measurement
+                try:
+                    payload, key, entries = _parse_line(line)
+                except _UNREADABLE:
+                    total_entries += 1  # an unreadable line is dropped too
+                    self._skip_line(shard)
+                    continue
+                total_entries += len(entries)
+                _fill(index, key, entries)
                 payloads[key] = payload
         return index, payloads, total_entries
 
     @staticmethod
-    def _group_line(payload: dict, group: Dict[int, Measurement]) -> str:
-        merged = dict(payload)
-        counts = sorted(group)
-        merged["sweep"] = counts
-        merged["measurements"] = [group[count].as_dict() for count in counts]
-        return json.dumps(merged) + "\n"
+    def _write_groups(
+        handle, index: _Index, payloads: Dict[_GroupKey, dict]
+    ) -> Tuple[int, int, int]:
+        """Write one line per group; returns the file's new cursor."""
+
+        for key, group in index.items():
+            merged = dict(payloads[key])
+            counts = sorted(group.counts())
+            found, _ = group.split(counts)
+            merged["sweep"] = counts
+            merged["measurements"] = [found[count].as_dict() for count in counts]
+            handle.write(json.dumps(merged) + "\n")
+        handle.flush()
+        written = os.fstat(handle.fileno())
+        return written.st_dev, written.st_ino, written.st_size
 
     def _compact_shard_locked(self, shard: str) -> int:
         path = self._shard_path(shard)
         if not path.exists():
             self._indexes[shard] = {}
+            self._cursors.pop(shard, None)
             return 0
         lock_handle = self._open_locked_for_append(path)
         try:
-            index, payloads, total_entries = self._read_groups_locked(path)
+            index, payloads, total_entries = self._read_groups_locked(path, shard)
             fd, tmp_name = tempfile.mkstemp(
                 prefix=path.name + ".", suffix=".compact", dir=str(path.parent),
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as tmp:
-                    for key, group in index.items():
-                        tmp.write(self._group_line(payloads[key], group))
+                    cursor = self._write_groups(tmp, index, payloads)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -646,6 +873,7 @@ class ProfileStore:
         finally:
             self._unlock_and_close(lock_handle)
         self._indexes[shard] = index
+        self._cursors[shard] = cursor
         _STORE_COMPACTIONS.inc(store=self._store_label, shard=shard)
         _STORE_FILE_BYTES.set(
             path.stat().st_size, store=self._store_label, shard=shard
@@ -661,13 +889,16 @@ class ProfileStore:
             self._layout = "sharded"
             self._ensure_sharded_dir()
             self._indexes = {}
+            self._cursors = {}
             self._entry_count = 0
-            self._all_loaded = True
             return 0
         lock_handle = self._open_locked_for_append(self.path)
         try:
-            index, payloads, total_entries = self._read_groups_locked(self.path)
-            by_shard: Dict[str, Dict[_GroupKey, Dict[int, Measurement]]] = {}
+            index, payloads, total_entries = self._read_groups_locked(
+                self.path, LEGACY_SHARD
+            )
+            by_shard: Dict[str, _Index] = {}
+            cursors: Dict[str, Tuple[int, int, int]] = {}
             for key, group in index.items():
                 shard = shard_id_for(key[0], key[1])
                 by_shard.setdefault(shard, {})[key] = group
@@ -684,11 +915,14 @@ class ProfileStore:
                 )
                 (tmp_dir / STORE_MARKER).write_text(marker + "\n", encoding="utf-8")
                 for shard in sorted(by_shard):
+                    # Renaming the directory keeps each file's inode, so
+                    # these cursors stay valid at the final path.
                     with (tmp_dir / (shard + ".jsonl")).open(
                         "w", encoding="utf-8"
                     ) as out:
-                        for key, group in by_shard[shard].items():
-                            out.write(self._group_line(payloads[key], group))
+                        cursors[shard] = self._write_groups(
+                            out, by_shard[shard], payloads
+                        )
                 # The swap: park the legacy file inside the temporary
                 # directory, then rename the directory over the path.
                 # The advisory lock stays held on the legacy inode
@@ -707,7 +941,7 @@ class ProfileStore:
             self._unlock_and_close(lock_handle)
         self._layout = "sharded"
         self._indexes = by_shard
-        self._all_loaded = True
+        self._cursors = cursors
         self._recount_locked()
         for shard in sorted(by_shard):
             shard_path = self._shard_path(shard)
@@ -744,7 +978,6 @@ class ProfileStore:
                 "entries": 0, "superseded": 0, "bytes": 0,
                 "by_target": {}, "shards": {},
             }
-            skipped_before = self.skipped_lines
             for shard in self._shard_ids_on_disk():
                 path = self._shard_path(shard)
                 if not path.exists() or not path.is_file():
@@ -754,30 +987,29 @@ class ProfileStore:
                     "lines": 0, "unreadable": 0, "measurements": 0,
                     "entries": 0, "superseded": 0,
                 }
-                index: Dict[_GroupKey, Dict[int, Measurement]] = {}
-                with path.open("r", encoding="utf-8") as handle:
+                counts: Dict[_GroupKey, set] = {}
+                with path.open("rb") as handle:
                     for line in handle:
                         if not line.strip():
                             continue
                         per_shard["lines"] += 1
-                        parsed = self._parse_line(line)
-                        if parsed is None:
+                        try:
+                            _, key, entries = _parse_line(line)
+                        except _UNREADABLE:
                             per_shard["unreadable"] += 1
                             continue
-                        key, measurements, _ = parsed
-                        per_shard["measurements"] += len(measurements)
+                        per_shard["measurements"] += len(entries)
                         target = f"{key[1]}@{key[0]}"  # library@device
                         per_target = stats["by_target"].setdefault(
                             target, {"entries": 0, "measurements": 0}
                         )
-                        per_target["measurements"] += len(measurements)
-                        group = index.setdefault(key, {})
-                        for measurement in measurements:
-                            group[measurement.out_channels] = measurement
-                for key in index:
-                    entries = len(index[key])
-                    per_shard["entries"] += entries
-                    stats["by_target"][f"{key[1]}@{key[0]}"]["entries"] += entries
+                        per_target["measurements"] += len(entries)
+                        counts.setdefault(key, set()).update(
+                            entry["out_channels"] for entry in entries
+                        )
+                for key, group in counts.items():
+                    per_shard["entries"] += len(group)
+                    stats["by_target"][f"{key[1]}@{key[0]}"]["entries"] += len(group)
                 per_shard["superseded"] = (
                     per_shard["measurements"] + per_shard["unreadable"]
                     - per_shard["entries"]
@@ -786,7 +1018,6 @@ class ProfileStore:
                                "entries", "superseded", "bytes"):
                     stats[figure] += per_shard[figure]
                 stats["shards"][shard] = per_shard
-            self.skipped_lines = skipped_before
             return stats
 
     # ------------------------------------------------------------------

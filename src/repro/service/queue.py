@@ -1,8 +1,8 @@
 """The :class:`JobQueue`: worker threads draining the job store.
 
 Each worker pulls a queued job id, builds a **fresh**
-:class:`~repro.api.Session` for it (sharing only the on-disk profile
-store with every other job) and executes the plan one step at a time —
+:class:`~repro.api.Session` for it (sharing only the queue's resident
+profile store with every other job) and executes the plan one step at a time —
 in dependency-scheduled wavefront order (see
 :mod:`repro.api.scheduler`) — through :meth:`Session.execute` under the
 job's executor backend.  Per step granularity is what gives the service
@@ -42,6 +42,7 @@ from ..api.session import Session
 from ..obs.metrics import default_registry
 from ..obs.rollup import RollupStore
 from ..obs.trace import SpanContext, TraceWriter, Tracer
+from ..profiling.store import ProfileStore
 from .fleet.leases import DEFAULT_LEASE_TTL, LeaseManager, LeaseWaitAborted
 from .jobs import Job, JobStore
 from .results import step_result_payload
@@ -81,12 +82,15 @@ class JobQueue:
     profile_store:
         Optional path to the shared measurement
         :class:`~repro.profiling.store.ProfileStore` — a legacy flat
-        JSONL file or a sharded store directory (auto-detected).  Every
-        job session opens its own store object on this path (the shard
-        files are flock-safe), so a re-submitted plan replays
-        measurements instead of re-simulating them, and jobs writing to
-        different targets append to different shards without contending
-        on one inode.
+        JSONL file or a sharded store directory (auto-detected).  The
+        queue opens one store object on it and hands it to every job's
+        (otherwise fresh) session.  The object stays resident: each
+        lookup parses only the shard lines appended since the last one,
+        by any job or any other process, instead of every job re-parsing
+        whole shards.  So a re-submitted plan replays measurements
+        instead of re-simulating them, and jobs writing to different
+        targets append to different shards without contending on one
+        inode.
     executor / jobs:
         Default :data:`~repro.api.executor.EXECUTORS` backend name and
         worker bound applied to submissions that do not choose their own.
@@ -126,6 +130,9 @@ class JobQueue:
 
         self.store = store if store is not None else JobStore()
         self.profile_store = str(profile_store) if profile_store is not None else None
+        self._profiles = (
+            ProfileStore(self.profile_store) if self.profile_store is not None else None
+        )
         self.default_executor = EXECUTORS.canonical(executor)
         self.default_jobs = self._validate_jobs(jobs)
         # One lease manager per queue: jobs running under the ``remote``
@@ -322,7 +329,7 @@ class JobQueue:
         # executor wave/step span — and, through lease stamping, every
         # fleet worker's measurement span.
         tracer = Tracer(writer=self.trace_writer)
-        session = Session(store=self.profile_store, seed=job.seed, tracer=tracer)
+        session = Session(store=self._profiles, seed=job.seed, tracer=tracer)
         executor, cleanup = self._build_executor(job)
         try:
             with tracer.adopt(SpanContext.parse(job.trace)):

@@ -16,7 +16,14 @@ replaces it:
   lost records;
 * the store-labeled metrics (no cross-store clobbering) and the
   non-POSIX inode re-check that closes the append-vs-compact race when
-  ``fcntl`` is unavailable.
+  ``fcntl`` is unavailable;
+* the resident store: one long-lived object catches up on foreign
+  appends line by line, rebuilds after a foreign compaction or
+  migration, leaves a half-written last line alone, and always answers
+  like a freshly opened store (a hypothesis property);
+* torn-line handling: an append after a crash mid-append starts on a
+  fresh line, and every skipped line is counted in
+  ``repro_store_skipped_lines_total``.
 """
 
 import json
@@ -32,7 +39,10 @@ from repro.profiling import Measurement, ProfileStore, ProfileStoreError
 from repro.profiling.store import (
     LEGACY_SHARD,
     STORE_MARKER,
+    STORE_VERSION,
     _STORE_FILE_BYTES,
+    _STORE_RELOADS,
+    _STORE_SKIPPED,
     shard_id_for,
 )
 
@@ -436,3 +446,211 @@ class TestNonPosixInodeRecheck:
         fresh = ProfileStore(path)
         found, missing = fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [8, 16])
         assert missing == [], "append was lost on the orphaned inode"
+
+
+def _append_counts(path, device, library, counts):
+    """Foreign-process body: append one record from its own store object."""
+
+    record_counts(ProfileStore(path), device, library, counts)
+
+
+def _served(store, device="mali-g72", library="acl-gemm", counts=range(1, 25),
+            runs=3, seed=0):
+    found, missing = store.lookup(device, library, runs, LAYER, counts, seed=seed)
+    return {c: m.as_dict() for c, m in found.items()}, missing
+
+
+def _reloads(store, shard):
+    return _STORE_RELOADS.value(store=str(store.path), shard=shard)
+
+
+class TestResidentStore:
+    """One long-lived store object stays as fresh as a newly opened one."""
+
+    def test_foreign_append_from_another_object_is_served(self, tmp_path):
+        resident = ProfileStore(tmp_path / "store", layout="sharded")
+        record_counts(resident, "mali-g72", "acl-gemm", [4])
+        assert _served(resident, counts=[4, 8])[1] == [8]
+        shard = shard_id_for("mali-g72", "acl-gemm")
+
+        record_counts(ProfileStore(tmp_path / "store"), "mali-g72", "acl-gemm", [8])
+        reloads = _reloads(resident, shard)  # the series is per path
+        found, missing = _served(resident, counts=[4, 8])
+        assert missing == [] and set(found) == {4, 8}
+        assert _reloads(resident, shard) == reloads  # caught up, not reloaded
+        assert len(resident) == 2
+
+    def test_foreign_append_from_a_spawned_process_is_served(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        resident = ProfileStore(path)
+        record_counts(resident, "mali-g72", "acl-gemm", [4])
+        assert _served(resident, counts=[16])[1] == [16]
+
+        context = multiprocessing.get_context("spawn")
+        writer = context.Process(
+            target=_append_counts,
+            args=(str(path), "mali-g72", "acl-gemm", [16]),
+        )
+        writer.start()
+        writer.join(timeout=60.0)
+        assert writer.exitcode == 0
+        found, missing = _served(resident, counts=[4, 16])
+        assert missing == [] and set(found) == {4, 16}
+
+    def test_own_record_is_not_parsed_back(self, tmp_path, monkeypatch):
+        from repro.profiling import store as store_module
+
+        resident = ProfileStore(tmp_path / "store", layout="sharded")
+        record_counts(resident, "mali-g72", "acl-gemm", [4])
+        assert _served(resident, counts=[4])[1] == []
+        parsed = []
+        real = store_module._parse_line
+        monkeypatch.setattr(
+            store_module, "_parse_line", lambda line: parsed.append(line) or real(line)
+        )
+        record_counts(resident, "mali-g72", "acl-gemm", [8], median=3.0)
+        found, missing = _served(resident, counts=[4, 8])
+        assert missing == [] and found[8]["median_time_ms"] == 3.0
+        assert parsed == []  # the cursor moved past the store's own line
+
+    def test_foreign_compact_forces_an_identical_rebuild(self, tmp_path):
+        path = tmp_path / "store"
+        resident = ProfileStore(path, layout="sharded")
+        record_counts(resident, "mali-g72", "acl-gemm", [4, 8])
+        record_counts(resident, "mali-g72", "acl-gemm", [8, 12], median=9.0)
+        before = _served(resident)
+        shard = shard_id_for("mali-g72", "acl-gemm")
+
+        assert ProfileStore(path).compact() == 1
+        reloads = _reloads(resident, shard)
+        assert _served(resident) == before
+        assert _reloads(resident, shard) == reloads + 1
+        assert _served(ProfileStore(path)) == before
+        assert len(resident) == 3
+
+    def test_a_replaced_file_that_outgrew_the_cursor_is_rebuilt(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        resident = ProfileStore(path)
+        record_counts(resident, "mali-g72", "acl-gemm", [4, 8])
+        record_counts(resident, "mali-g72", "acl-gemm", [4, 8], median=3.0)
+        assert _served(resident, counts=[4, 8])[0][4]["median_time_ms"] == 3.0
+        cursor_size = path.stat().st_size
+
+        other = ProfileStore(path)
+        other.compact()  # shrinks the file under a new inode ...
+        while path.stat().st_size <= cursor_size:  # ... which then outgrows it
+            record_counts(other, "mali-g72", "acl-gemm", [12, 16], median=5.0)
+        assert _served(resident) == _served(ProfileStore(path))
+
+    def test_foreign_migration_forces_an_identical_rebuild(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        resident = ProfileStore(path)
+        for device, library in TARGETS:
+            record_counts(resident, device, library, [4, 8])
+        before = {target: _served(resident, *target) for target in TARGETS}
+
+        ProfileStore(path).compact(shard=True)
+        after = {target: _served(resident, *target) for target in TARGETS}
+        assert resident.layout == "sharded"
+        assert after == before
+        assert len(resident) == 2 * len(TARGETS)
+
+    def test_a_half_written_line_waits_for_its_newline(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        resident = ProfileStore(path)
+        record_counts(resident, "mali-g72", "acl-gemm", [4])
+        writer = ProfileStore(tmp_path / "scratch.jsonl")
+        record_counts(writer, "mali-g72", "acl-gemm", [8])
+        line = writer.path.read_bytes()
+        half = len(line) // 2
+
+        with path.open("ab") as handle:
+            handle.write(line[:half])
+        assert _served(resident, counts=[4, 8])[1] == [8]
+        with path.open("ab") as handle:
+            handle.write(line[half:])
+        found, missing = _served(resident, counts=[4, 8])
+        assert missing == [] and set(found) == {4, 8}
+        assert resident.skipped_lines == 0
+
+    operations = st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["record", "foreign"]),
+                st.integers(min_value=0, max_value=1),              # target
+                st.lists(st.integers(min_value=1, max_value=12),    # counts
+                         min_size=1, max_size=3, unique=True),
+                st.floats(min_value=0.5, max_value=50.0,            # median
+                          allow_nan=False, allow_infinity=False),
+            ),
+            st.tuples(st.sampled_from(["compact", "foreign-compact"])),
+        ),
+        min_size=1, max_size=10,
+    )
+
+    @given(operations=operations)
+    @settings(max_examples=25, deadline=None)
+    def test_resident_lookups_equal_a_fresh_store(self, tmp_path_factory, operations):
+        path = tmp_path_factory.mktemp("resident") / "store"
+        resident = ProfileStore(path, layout="sharded")
+        for operation in operations:
+            if operation[0] == "compact":
+                resident.compact()
+            elif operation[0] == "foreign-compact":
+                ProfileStore(path).compact()
+            else:
+                kind, target_index, counts, median = operation
+                writer = resident if kind == "record" else ProfileStore(path)
+                device, library = TARGETS[target_index]
+                record_counts(writer, device, library, counts, median=median)
+            fresh = ProfileStore(path)
+            for device, library in TARGETS[:2]:
+                assert _served(resident, device, library, range(1, 13)) == _served(
+                    fresh, device, library, range(1, 13)
+                )
+            assert len(resident) == len(fresh)
+
+
+class TestTornLines:
+    def test_an_append_after_a_torn_line_is_not_lost(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [1])
+        with path.open("ab") as handle:
+            handle.write(b'{"v": 1, "device": "mali-g72", "libr')  # crash mid-append
+        record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [2])
+
+        third = ProfileStore(path)
+        found, missing = third.lookup("mali-g72", "acl-gemm", 3, LAYER, [1, 2])
+        assert missing == [] and set(found) == {1, 2}
+        assert third.skipped_lines == 1  # the torn line, on a line of its own
+
+    def test_skipped_lines_are_counted_per_shard(self, tmp_path):
+        path = tmp_path / "store"
+        store = ProfileStore(path, layout="sharded")
+        record_counts(store, "mali-g72", "acl-gemm", [4, 8])
+        expected = _served(ProfileStore(path), counts=[4, 8])
+        shard = shard_id_for("mali-g72", "acl-gemm")
+        shard_path = path / (shard + ".jsonl")
+        stale = json.loads(shard_path.read_text(encoding="utf-8"))
+        stale["v"] = STORE_VERSION + 1
+        with shard_path.open("a", encoding="utf-8") as handle:
+            handle.write("{garbage\n")
+            handle.write(json.dumps(stale) + "\n")
+
+        reader = ProfileStore(path)
+        before = _STORE_SKIPPED.value(store=str(path), shard=shard)
+        assert _served(reader, counts=[4, 8]) == expected  # results unchanged
+        assert reader.skipped_lines == 2
+        assert _STORE_SKIPPED.value(store=str(path), shard=shard) == before + 2
+        # Lines parsed once are never counted again by later catch-ups.
+        _served(reader, counts=[4, 8])
+        assert _STORE_SKIPPED.value(store=str(path), shard=shard) == before + 2
+
+    def test_a_non_object_line_is_skipped(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [4])
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("42\n[1, 2]\n")
+        reader = ProfileStore(path)
+        assert _served(reader, counts=[4])[1] == []
+        assert reader.skipped_lines == 2

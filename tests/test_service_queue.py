@@ -139,6 +139,46 @@ class TestExecution:
         assert base.steps[0].result != forked.steps[0].result
 
 
+class TestResidentProfileStore:
+    """One store object serves every job, caught up instead of reloaded."""
+
+    def test_sequential_jobs_load_a_shard_once(self, tmp_path):
+        from repro.profiling.store import LEGACY_SHARD, _STORE_RELOADS
+
+        path = tmp_path / "profiles.jsonl"
+        reloads = lambda: _STORE_RELOADS.value(store=str(path), shard=LEGACY_SHARD)
+        before = reloads()
+        with JobQueue(profile_store=path) as queue:
+            first = wait_done(queue, queue.submit(sweep_plan()).id)
+            repeats = [
+                wait_done(queue, queue.submit(sweep_plan(sweep_step)).id)
+                for sweep_step in (8, 4, 8)
+            ]
+        assert first.simulations > 0
+        # The finer sweep appends its new counts; the last job replays them.
+        assert [job.simulations > 0 for job in repeats] == [False, True, False]
+        assert all(job.status == "succeeded" for job in repeats)
+        assert repeats[0].steps[0].result == first.steps[0].result
+        assert reloads() == before + 1
+
+    def test_an_unusable_store_path_fails_at_construction(self, tmp_path):
+        from repro.profiling.store import ProfileStoreError
+
+        (tmp_path / "notes.txt").write_text("not a store", encoding="utf-8")
+        with pytest.raises(ProfileStoreError):
+            JobQueue(profile_store=tmp_path)  # a directory without a marker
+
+    def test_a_foreign_append_is_served_to_the_next_job(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        with JobQueue(profile_store=path) as queue:
+            wait_done(queue, queue.submit(sweep_plan(8)).id)  # loads the shard
+            # Another process (here: another session) fills in the rest.
+            Session(store=str(path)).execute(sweep_plan(4))
+            replay = wait_done(queue, queue.submit(sweep_plan(4)).id)
+        assert replay.status == "succeeded"
+        assert replay.simulations == 0
+
+
 class TestFailureIsolation:
     def test_failing_step_marks_job_failed_and_worker_survives(self):
         """Regression: a crashing step must not take the worker down."""
