@@ -19,11 +19,11 @@ its inputs — not the whole plan's measurement pool — are ready.
     :class:`~repro.api.Session` always did.
 
 ``batched``
-    Per wavefront, the whole wave's measurement workload is planned up
-    front and pushed through one cross-layer
-    :meth:`~repro.profiling.runner.ProfileRunner.prefetch` /
-    :func:`~repro.gpusim.batch.simulate_batch` pass per target before
-    the wave's steps run against warm caches.
+    Per wavefront, the whole wave's measurement workload is collected
+    up front and measured through
+    :meth:`~repro.profiling.runner.ProfileRunner.prefetch` per target
+    (one vectorized batch per layer sweep) before the wave's steps run
+    against warm caches.
 
 ``process``
     Per wavefront, the wave's deduplicated measurement workload is
@@ -295,8 +295,8 @@ class SerialExecutor:
 
 @EXECUTORS.register("batched")
 class BatchedExecutor:
-    """One cross-layer simulator batch per (wavefront, target) before the
-    wave's step logic runs against a warm cache."""
+    """Measure each (wavefront, target) workload up front, one batch per
+    layer sweep, before the wave's step logic runs against a warm cache."""
 
     name = "batched"
 

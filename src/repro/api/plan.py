@@ -4,7 +4,7 @@ A :class:`Plan` is a small job graph: :class:`Step` nodes — ``profile``,
 ``sweep``, ``prune``, ``compare`` and ``figure`` jobs — connected by
 explicit dependencies.  The plan says *what* to run; an
 :class:`~repro.api.executor.Executor` backend decides *how* (serially,
-through one cross-layer simulator batch, or fanned out across worker
+measured up front per wavefront, or fanned out across worker
 processes).  Like :class:`~repro.api.pipeline.PruningRequest`, a plan
 round-trips through plain JSON (``to_json``/``from_json``) so jobs can
 be shipped to the ``repro-experiments run-plan`` CLI, a queue or another

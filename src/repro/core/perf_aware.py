@@ -31,7 +31,7 @@ from ..profiling.runner import ProfileRunner
 from .accuracy_model import AccuracyModel, default_accuracy_model
 from .criteria import ImportanceCriterion, SequentialCriterion
 from .pruner import ChannelPruner, PruningPlan
-from .staircase import StaircaseAnalysis, analyze_table, optimal_pruning_levels
+from .staircase import StaircaseAnalysis, analyze_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.target import Target
@@ -58,7 +58,7 @@ class LayerProfile:
     def optimal_channel_counts(self) -> List[int]:
         """Channel counts on the right edge of each plateau (ascending)."""
 
-        return optimal_pruning_levels(self.table, max_channels=self.spec.out_channels)
+        return self.analysis.pruning_levels(self.spec.out_channels)
 
     def time_at(self, channels: int) -> float:
         return self.table.time_ms(channels)

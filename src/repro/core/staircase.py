@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..profiling.latency_table import LatencyTable
 
 #: Relative latency change between neighbouring channel counts that
@@ -98,10 +100,30 @@ class StaircaseAnalysis:
             return 1.0
         return max(max(step.ratio, 1.0 / step.ratio) for step in self.steps)
 
+    def pruning_levels(self, max_channels: int) -> List[int]:
+        """Plateau right edges at or below ``max_channels``, plus that count.
+
+        Every other channel count wastes either latency (same time, fewer
+        channels) or accuracy potential (more time for no extra channels).
+        """
+
+        candidates = {count for count in self.optimal_channel_counts if count <= max_channels}
+        candidates.add(max_channels)
+        return sorted(candidates)
+
     def has_downward_steps(self) -> bool:
         """True when *adding* channels can reduce latency (parallel staircases)."""
 
         return any(not step.is_upward for step in self.steps)
+
+
+def _breaks(times_ms: Sequence[float], threshold: float) -> np.ndarray:
+    """Indices ``i >= 1`` where latency changes by more than ``threshold``
+    relative to entry ``i - 1``."""
+
+    times = np.asarray(times_ms, dtype=np.float64)
+    change = np.abs(np.diff(times)) / times[:-1]
+    return np.flatnonzero(change > threshold) + 1
 
 
 def detect_steps(
@@ -113,22 +135,19 @@ def detect_steps(
 
     if len(channel_counts) != len(times_ms):
         raise ValueError("channel_counts and times_ms must have the same length")
-    steps = []
-    for index in range(1, len(channel_counts)):
-        before, after = times_ms[index - 1], times_ms[index]
-        if before <= 0 or after <= 0:
-            raise ValueError("latencies must be positive")
-        change = abs(after - before) / before
-        if change > threshold:
-            steps.append(
-                Step(
-                    channels_before=channel_counts[index - 1],
-                    channels_after=channel_counts[index],
-                    time_before_ms=before,
-                    time_after_ms=after,
-                )
-            )
-    return steps
+    if len(times_ms) < 2:
+        return []
+    if min(times_ms) <= 0:
+        raise ValueError("latencies must be positive")
+    return [
+        Step(
+            channels_before=channel_counts[index - 1],
+            channels_after=channel_counts[index],
+            time_before_ms=times_ms[index - 1],
+            time_after_ms=times_ms[index],
+        )
+        for index in _breaks(times_ms, threshold).tolist()
+    ]
 
 
 def detect_plateaus(
@@ -140,22 +159,17 @@ def detect_plateaus(
 
     if not channel_counts:
         return []
-    plateaus: List[Plateau] = []
-    run_start = 0
-    for index in range(1, len(channel_counts) + 1):
-        is_break = index == len(channel_counts) or (
-            abs(times_ms[index] - times_ms[index - 1]) / times_ms[index - 1] > threshold
-        )
-        if is_break:
-            run_times = times_ms[run_start:index]
-            plateaus.append(
-                Plateau(
-                    min_channels=channel_counts[run_start],
-                    max_channels=channel_counts[index - 1],
-                    mean_time_ms=sum(run_times) / len(run_times),
-                )
+    bounds = [0] + _breaks(times_ms, threshold).tolist() + [len(channel_counts)]
+    plateaus = []
+    for start, end in zip(bounds, bounds[1:]):
+        run_times = times_ms[start:end]
+        plateaus.append(
+            Plateau(
+                min_channels=channel_counts[start],
+                max_channels=channel_counts[end - 1],
+                mean_time_ms=sum(run_times) / len(run_times),
             )
-            run_start = index
+        )
     return plateaus
 
 
@@ -164,19 +178,39 @@ def cluster_levels(
 ) -> List[float]:
     """Cluster latencies into distinct levels (for the "parallel staircase" check).
 
-    Returns the representative (mean) time of each level, ascending.
+    Returns the representative (mean) time of each level, ascending.  One
+    pass over the sorted times: each joins the first level whose mean is
+    within tolerance (or opens a new one), and a level's mean is
+    recomputed only when it grows.
     """
 
     levels: List[List[float]] = []
+    centres: List[float] = []
+    # Levels a later time may still join, in creation order.  A level whose
+    # mean a time already exceeds by more than the tolerance is out of
+    # reach for good: later times are larger and its mean cannot move.
+    reachable: List[int] = []
     for time in sorted(times_ms):
-        for level in levels:
-            centre = sum(level) / len(level)
-            if abs(time - centre) / centre <= relative_tolerance:
-                level.append(time)
-                break
-        else:
-            levels.append([time])
-    return [sum(level) / len(level) for level in levels]
+        match = None
+        kept = []
+        for index in reachable:
+            centre = centres[index]
+            if match is None:
+                if abs(time - centre) / centre <= relative_tolerance:
+                    match = index
+                elif time > centre:
+                    continue
+            kept.append(index)
+        if match is None:
+            match = len(levels)
+            levels.append([])
+            centres.append(time)
+            kept.append(match)
+        reachable = kept
+        level = levels[match]
+        level.append(time)
+        centres[match] = sum(level) / len(level)
+    return centres
 
 
 def analyze_table(
@@ -204,14 +238,9 @@ def optimal_pruning_levels(
     """Channel counts worth considering when pruning this layer.
 
     These are the right edges of the latency plateaus at or below
-    ``max_channels`` (default: the layer's original size): every other
-    channel count wastes either latency (same time, fewer channels) or
-    accuracy potential (more time for no extra channels).
+    ``max_channels`` (default: the layer's original size); see
+    :meth:`StaircaseAnalysis.pruning_levels`.
     """
 
-    analysis = analyze_table(table, threshold)
     upper = table.max_channels if max_channels is None else max_channels
-    candidates = [count for count in analysis.optimal_channel_counts if count <= upper]
-    if upper not in candidates:
-        candidates.append(upper)
-    return sorted(set(candidates))
+    return analyze_table(table, threshold).pruning_levels(upper)

@@ -16,7 +16,13 @@ from .device import (
     available_devices,
     get_device,
 )
-from .batch import BatchSimulationResult, simulate_batch
+from .batch import (
+    BatchSimulationResult,
+    KernelBatch,
+    KernelColumn,
+    KernelKind,
+    simulate_batch,
+)
 from .kernel import Kernel, KernelPlan, KernelPlanError, WorkgroupSize
 from .metrics import (
     KernelInstructionRow,
@@ -44,8 +50,11 @@ __all__ = [
     "DeviceSpec",
     "GpuSimulator",
     "Kernel",
+    "KernelBatch",
+    "KernelColumn",
     "KernelExecution",
     "KernelInstructionRow",
+    "KernelKind",
     "KernelPlan",
     "KernelPlanError",
     "RelativeSystemCounters",

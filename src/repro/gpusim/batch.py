@@ -1,59 +1,226 @@
-"""Vectorized batch simulation of many kernel plans at once.
+"""Vectorized batch simulation of many planned configurations at once.
 
 The scalar :class:`~repro.gpusim.simulator.GpuSimulator` walks one
 :class:`~repro.gpusim.kernel.KernelPlan` at a time, building a Python
 object per kernel execution.  The experiment suite, however, almost
 never needs a single point: the staircase figures profile *every*
 channel count of a layer and the heatmaps every pruning distance of
-every layer — thousands of plans whose cost model is pure arithmetic.
+every layer — thousands of configurations whose cost model is pure
+arithmetic.
 
-:func:`simulate_batch` flattens the kernels of a whole sequence of plans
-into NumPy arrays and evaluates the identical roofline/utilisation/
-overhead model in a handful of vectorized operations.  Per-plan
-aggregates (kernel time, dispatch time, total time) come out as arrays
-aligned with the input plans, computed with segment reductions over the
-flat kernel arrays.
+A :class:`KernelBatch` holds the kernels of many configurations as flat
+NumPy arrays (struct of arrays).  The libraries build one directly over
+a vector of channel counts (``plan_counts``), without a
+:class:`~repro.gpusim.kernel.Kernel` object per kernel;
+:meth:`KernelBatch.from_plans` flattens plans a caller already holds.
+:func:`simulate_batch` evaluates the identical roofline/utilisation/
+overhead model over the whole batch in a handful of vectorized
+operations; per-configuration aggregates (kernel time, dispatch time,
+total time) are segment reductions over the flat kernel arrays.
 
 The arithmetic matches :class:`GpuSimulator` operation for operation
 (same formulas, same evaluation order), so per-kernel times are bitwise
-identical to the scalar simulator; per-plan totals may differ only in
-floating-point summation order.
+identical to the scalar simulator; per-configuration totals may differ
+only in floating-point summation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .device import DeviceSpec
-from .kernel import KernelPlan
+from .kernel import Kernel, KernelPlan, WorkgroupSize
 from .simulator import _MIN_UTILIZATION
+
+#: A per-configuration value: one scalar for every count, or an array.
+ColumnValue = Union[int, float, np.ndarray]
+
+
+@dataclass(frozen=True)
+class KernelKind:
+    """The labels a batch keeps per kernel instead of arrays."""
+
+    name: str
+    workgroup: WorkgroupSize
+    dispatches_job: bool
+    tag: str
+
+
+@dataclass(frozen=True)
+class KernelColumn:
+    """One kernel position of a library's plan over a vector of counts.
+
+    Every value is either a scalar (the same at every count) or an array
+    with one entry per count.  ``kind`` indexes the library's kind table;
+    ``present`` masks the counts whose plan dispatches this kernel
+    (``None``: all of them).
+    """
+
+    kind: ColumnValue
+    arithmetic_instructions: ColumnValue
+    memory_instructions: ColumnValue
+    work_items: ColumnValue
+    vector_efficiency: ColumnValue = 1.0
+    memory_locality: ColumnValue = 1.0
+    present: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class KernelBatch:
+    """The kernels of many planned configurations as flat arrays.
+
+    Kernel ``i`` of configuration ``c`` lives at flat index
+    ``offsets[c] + i``: configurations in order, each one's kernels in
+    dispatch order.  Instruction counts and work items are int64,
+    efficiencies float64; ``kinds`` indexes ``kind_table``.  ``notes``
+    is each configuration's :attr:`KernelPlan.notes` string.
+    """
+
+    offsets: np.ndarray
+    arithmetic_instructions: np.ndarray
+    memory_instructions: np.ndarray
+    work_items: np.ndarray
+    vector_efficiency: np.ndarray
+    memory_locality: np.ndarray
+    kinds: np.ndarray
+    kind_table: Tuple[KernelKind, ...]
+    #: GPU jobs dispatched per configuration.
+    job_counts: np.ndarray
+    notes: Tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.notes)
+
+    @classmethod
+    def assemble(
+        cls,
+        kind_table: Sequence[KernelKind],
+        columns: Sequence[KernelColumn],
+        notes: Sequence[str],
+    ) -> "KernelBatch":
+        """Flatten per-count kernel columns into configuration-major arrays."""
+
+        count = len(notes)
+        present = np.ones((count, len(columns)), dtype=bool)
+        for index, column in enumerate(columns):
+            if column.present is not None:
+                present[:, index] = column.present
+
+        def table(field: str, dtype) -> np.ndarray:
+            values = np.empty((count, len(columns)), dtype=dtype)
+            for index, column in enumerate(columns):
+                values[:, index] = getattr(column, field)
+            return values
+
+        kinds = table("kind", np.intp)
+        dispatches = np.array([kind.dispatches_job for kind in kind_table], dtype=bool)
+        return cls(
+            offsets=np.concatenate(([0], np.cumsum(present.sum(axis=1)))),
+            arithmetic_instructions=table("arithmetic_instructions", np.int64)[present],
+            memory_instructions=table("memory_instructions", np.int64)[present],
+            work_items=table("work_items", np.int64)[present],
+            vector_efficiency=table("vector_efficiency", np.float64)[present],
+            memory_locality=table("memory_locality", np.float64)[present],
+            kinds=kinds[present],
+            kind_table=tuple(kind_table),
+            job_counts=(dispatches[kinds] & present).sum(axis=1),
+            notes=tuple(notes),
+        )
+
+    @classmethod
+    def from_plans(cls, plans: Iterable[KernelPlan]) -> "KernelBatch":
+        """The batch of plans a caller already holds, one configuration each."""
+
+        plans = tuple(plans)
+        kernels = [kernel for plan in plans for kernel in plan]
+        table: Dict[KernelKind, int] = {}
+        kinds = [
+            table.setdefault(
+                KernelKind(k.name, k.workgroup, k.dispatches_job, k.tag), len(table)
+            )
+            for k in kernels
+        ]
+        return cls(
+            offsets=np.cumsum([0] + [len(plan) for plan in plans]),
+            arithmetic_instructions=np.array(
+                [k.arithmetic_instructions for k in kernels], dtype=np.int64
+            ),
+            memory_instructions=np.array(
+                [k.memory_instructions for k in kernels], dtype=np.int64
+            ),
+            work_items=np.array([k.work_items for k in kernels], dtype=np.int64),
+            vector_efficiency=np.array(
+                [k.vector_efficiency for k in kernels], dtype=np.float64
+            ),
+            memory_locality=np.array([k.memory_locality for k in kernels], dtype=np.float64),
+            kinds=np.array(kinds, dtype=np.intp),
+            kind_table=tuple(table),
+            job_counts=np.array([plan.job_count for plan in plans], dtype=np.int64),
+            notes=tuple(plan.notes for plan in plans),
+        )
+
+    def plan(self, index: int, library: str, layer_name: str) -> KernelPlan:
+        """Configuration ``index`` as a :class:`KernelPlan` of plain Python values."""
+
+        rows = slice(self.offsets[index], self.offsets[index + 1])
+        kernels = tuple(
+            Kernel(
+                name=kind.name,
+                arithmetic_instructions=arith,
+                memory_instructions=mem,
+                work_items=work_items,
+                workgroup=kind.workgroup,
+                vector_efficiency=efficiency,
+                memory_locality=locality,
+                dispatches_job=kind.dispatches_job,
+                tag=kind.tag,
+            )
+            for kind, arith, mem, work_items, efficiency, locality in zip(
+                [self.kind_table[k] for k in self.kinds[rows].tolist()],
+                self.arithmetic_instructions[rows].tolist(),
+                self.memory_instructions[rows].tolist(),
+                self.work_items[rows].tolist(),
+                self.vector_efficiency[rows].tolist(),
+                self.memory_locality[rows].tolist(),
+            )
+        )
+        return KernelPlan(
+            library=library, layer_name=layer_name, kernels=kernels, notes=self.notes[index]
+        )
 
 
 @dataclass(frozen=True)
 class BatchSimulationResult:
-    """Vectorized simulation of a sequence of kernel plans on one device.
+    """Vectorized simulation of a :class:`KernelBatch` on one device.
 
-    Per-kernel quantities are flat arrays over the concatenated kernels
-    of all plans; kernel ``i`` of plan ``p`` lives at flat index
-    ``offsets[p] + i``.  Per-plan aggregates are arrays of length
-    ``len(plans)``.
+    Per-kernel quantities are flat arrays aligned with the batch's
+    kernels; per-configuration aggregates are arrays of length
+    ``len(batch)``.
     """
 
     device: DeviceSpec
-    plans: Tuple[KernelPlan, ...]
-    #: Segment boundaries: plan ``p`` owns kernels ``offsets[p]:offsets[p+1]``.
-    offsets: np.ndarray
+    batch: KernelBatch
     arithmetic_time_s: np.ndarray
     memory_time_s: np.ndarray
     utilization: np.ndarray
-    #: GPU jobs dispatched per plan (drives the dispatch-overhead term).
-    job_counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.plans)
+        return len(self.batch)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Segment boundaries: configuration ``c`` owns kernels ``offsets[c]:offsets[c+1]``."""
+
+        return self.batch.offsets
+
+    @property
+    def job_counts(self) -> np.ndarray:
+        """GPU jobs dispatched per configuration (drives the dispatch-overhead term)."""
+
+        return self.batch.job_counts
 
     # ------------------------------------------------------------------
     # Per-kernel quantities
@@ -69,23 +236,23 @@ class BatchSimulationResult:
         return np.diff(self.offsets)
 
     # ------------------------------------------------------------------
-    # Per-plan aggregates
+    # Per-configuration aggregates
     # ------------------------------------------------------------------
     def _segment_sum(self, values: np.ndarray) -> np.ndarray:
-        if not self.plans:
+        if not len(self):
             return np.zeros(0)
         return np.add.reduceat(values, self.offsets[:-1])
 
     @property
     def kernel_time_s(self) -> np.ndarray:
-        """Per-plan time spent in kernels (compute + launch overhead)."""
+        """Per-configuration time spent in kernels (compute + launch overhead)."""
 
         launch = self.device.kernel_launch_overhead_s
         return self._segment_sum(self.compute_time_s) + self.kernel_counts * launch
 
     @property
     def job_dispatch_time_s(self) -> np.ndarray:
-        """Per-plan time spent creating and dispatching GPU jobs."""
+        """Per-configuration time spent creating and dispatching GPU jobs."""
 
         return self.job_counts * self.device.job_dispatch_overhead_s
 
@@ -98,40 +265,33 @@ class BatchSimulationResult:
         return self.total_time_s * 1e3
 
 
-def simulate_batch(plans: Iterable[KernelPlan], device: DeviceSpec) -> BatchSimulationResult:
-    """Simulate a whole sequence of kernel plans in one vectorized pass.
+def simulate_batch(batch: KernelBatch, device: DeviceSpec) -> BatchSimulationResult:
+    """Simulate every configuration of a kernel batch in one vectorized pass.
 
     Equivalent to ``[GpuSimulator(device).simulate(plan) for plan in
-    plans]`` but orders of magnitude cheaper for large batches: no
-    per-kernel Python objects are created, and the cost model runs as a
-    few NumPy array operations over all kernels of all plans at once.
+    plans]`` for ``batch = KernelBatch.from_plans(plans)``, but orders of
+    magnitude cheaper for large batches: the cost model runs as a few
+    NumPy array operations over all kernels of all configurations.
     """
 
-    plans = tuple(plans)
-    kernels = [kernel for plan in plans for kernel in plan]
-    offsets = np.cumsum([0] + [len(plan) for plan in plans])
-
-    arith_instr = np.array([k.arithmetic_instructions for k in kernels], dtype=np.float64)
-    mem_instr = np.array([k.memory_instructions for k in kernels], dtype=np.float64)
-    work_items = np.array([k.work_items for k in kernels], dtype=np.float64)
-    vector_eff = np.array([k.vector_efficiency for k in kernels], dtype=np.float64)
-    mem_locality = np.array([k.memory_locality for k in kernels], dtype=np.float64)
+    arith_instr = batch.arithmetic_instructions.astype(np.float64)
+    mem_instr = batch.memory_instructions.astype(np.float64)
+    work_items = batch.work_items.astype(np.float64)
 
     floor = max(_MIN_UTILIZATION, 1.0 / device.compute_units)
     utilization = np.maximum(
         floor, np.minimum(1.0, work_items / device.full_utilization_work_items)
     )
-    arith_throughput = device.peak_arith_instructions_per_second * vector_eff * utilization
-    memory_throughput = device.peak_memory_instructions_per_second * mem_locality * utilization
-    arithmetic_time = arith_instr / arith_throughput
-    memory_time = mem_instr / memory_throughput
-
+    arith_throughput = (
+        device.peak_arith_instructions_per_second * batch.vector_efficiency * utilization
+    )
+    memory_throughput = (
+        device.peak_memory_instructions_per_second * batch.memory_locality * utilization
+    )
     return BatchSimulationResult(
         device=device,
-        plans=plans,
-        offsets=offsets,
-        arithmetic_time_s=arithmetic_time,
-        memory_time_s=memory_time,
+        batch=batch,
+        arithmetic_time_s=arith_instr / arith_throughput,
+        memory_time_s=mem_instr / memory_throughput,
         utilization=utilization,
-        job_counts=np.array([plan.job_count for plan in plans], dtype=np.int64),
     )

@@ -27,8 +27,11 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
+from ..gpusim.batch import KernelBatch, KernelColumn, KernelKind
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
+from ..gpusim.kernel import WorkgroupSize
 from ..models.layers import ConvLayerSpec
 from .base import ConvolutionLibrary, register_library
 
@@ -65,14 +68,13 @@ _LOCALITY_NARROW_LARGE_MAP = 0.35
 _LARGE_MAP_THRESHOLD = 56
 
 
-def channel_divisibility(out_channels: int) -> int:
-    """Largest supported vector width (4, 2 or 1) dividing the channels."""
+def channel_divisibility(out_channels):
+    """Largest supported vector width (4, 2 or 1) dividing the channels.
 
-    if out_channels % 4 == 0:
-        return 4
-    if out_channels % 2 == 0:
-        return 2
-    return 1
+    Elementwise over an array of channel counts.
+    """
+
+    return np.gcd(out_channels, 4)
 
 
 def select_workgroup(layer: ConvLayerSpec) -> WorkgroupSize:
@@ -81,23 +83,35 @@ def select_workgroup(layer: ConvLayerSpec) -> WorkgroupSize:
     return WORKGROUP_BY_DIVISIBILITY[channel_divisibility(layer.out_channels)]
 
 
+#: The supported divisibilities, in the order of the kernel kind table.
+_DIVISIBILITIES = tuple(sorted(WORKGROUP_BY_DIVISIBILITY))
+
+
+def _divisibility_index(counts):
+    """Position of each count's divisibility in :data:`_DIVISIBILITIES`."""
+
+    return np.searchsorted(_DIVISIBILITIES, channel_divisibility(counts))
+
+
+def _efficiencies(layer: ConvLayerSpec, counts) -> Tuple:
+    """(vector_efficiency, memory_locality) of the kernel at each count."""
+
+    index = _divisibility_index(counts)
+    vector_table = _POINTWISE_EFFICIENCY if layer.kernel_size == 1 else _SPATIAL_EFFICIENCY
+    vector_efficiency = np.array([vector_table[d] for d in _DIVISIBILITIES])[index]
+    wide = np.array([WORKGROUP_BY_DIVISIBILITY[d].x >= 2 for d in _DIVISIBILITIES])[index]
+    if layer.input_hw >= _LARGE_MAP_THRESHOLD:
+        narrow = _LOCALITY_NARROW_LARGE_MAP
+    else:
+        narrow = _LOCALITY_NARROW_SMALL_MAP
+    return vector_efficiency, np.where(wide, _LOCALITY_WIDE, narrow)
+
+
 def kernel_efficiency(layer: ConvLayerSpec) -> Tuple[float, float]:
     """(vector_efficiency, memory_locality) of the direct kernel."""
 
-    divisibility = channel_divisibility(layer.out_channels)
-    if layer.kernel_size == 1:
-        vector_efficiency = _POINTWISE_EFFICIENCY[divisibility]
-    else:
-        vector_efficiency = _SPATIAL_EFFICIENCY[divisibility]
-
-    workgroup = select_workgroup(layer)
-    if workgroup.x >= 2:
-        locality = _LOCALITY_WIDE
-    elif layer.input_hw >= _LARGE_MAP_THRESHOLD:
-        locality = _LOCALITY_NARROW_LARGE_MAP
-    else:
-        locality = _LOCALITY_NARROW_SMALL_MAP
-    return vector_efficiency, locality
+    vector_efficiency, locality = _efficiencies(layer, layer.out_channels)
+    return float(vector_efficiency), float(locality)
 
 
 @register_library
@@ -108,35 +122,31 @@ class AclDirectLibrary(ConvolutionLibrary):
     api = "opencl"
     version = "v19.02"
 
-    def instructions(self, layer: ConvLayerSpec) -> Tuple[int, int]:
-        """(arithmetic, memory) executed instructions of the kernel."""
-
-        arith = (
-            DIRECT_ARITH_PER_MAC * layer.macs
-            + DIRECT_ARITH_PER_OUTPUT * layer.output_activation_count
-        )
-        mem = DIRECT_MEM_PER_MAC * layer.macs
-        return arith, mem
-
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
-        self.check_device(device)
-        workgroup = select_workgroup(layer)
-        vector_efficiency, locality = kernel_efficiency(layer)
-        arith, mem = self.instructions(layer)
-        kernel = Kernel(
-            name=f"direct_convolution{layer.kernel_size}x{layer.kernel_size}_nhwc",
-            arithmetic_instructions=arith,
-            memory_instructions=mem,
-            work_items=layer.output_activation_count,
-            workgroup=workgroup,
+    def _plan_counts(
+        self, layer: ConvLayerSpec, counts: np.ndarray, device: DeviceSpec
+    ) -> KernelBatch:
+        name = f"direct_convolution{layer.kernel_size}x{layer.kernel_size}_nhwc"
+        kinds = [
+            KernelKind(name, WORKGROUP_BY_DIVISIBILITY[d], dispatches_job=True, tag="direct")
+            for d in _DIVISIBILITIES
+        ]
+        vector_efficiency, locality = _efficiencies(layer, counts)
+        # macs and output activations both scale with the channel count.
+        macs = layer.macs_per_output_element * counts * layer.output_pixels
+        outputs = counts * layer.output_pixels
+        kernel = KernelColumn(
+            kind=_divisibility_index(counts),
+            arithmetic_instructions=(
+                DIRECT_ARITH_PER_MAC * macs + DIRECT_ARITH_PER_OUTPUT * outputs
+            ),
+            memory_instructions=DIRECT_MEM_PER_MAC * macs,
+            work_items=outputs,
             vector_efficiency=vector_efficiency,
             memory_locality=locality,
-            dispatches_job=True,
-            tag="direct",
         )
-        notes = (
-            f"workgroup={workgroup} divisibility={channel_divisibility(layer.out_channels)}"
-        )
-        return KernelPlan(
-            library=self.name, layer_name=layer.name, kernels=(kernel,), notes=notes
-        )
+        note_of = {
+            d: f"workgroup={WORKGROUP_BY_DIVISIBILITY[d]} divisibility={d}"
+            for d in _DIVISIBILITIES
+        }
+        notes = [note_of[d] for d in channel_divisibility(counts).tolist()]
+        return KernelBatch.assemble(kinds, (kernel,), notes)

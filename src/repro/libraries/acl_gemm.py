@@ -26,11 +26,14 @@ calibration layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
+import numpy as np
+
+from ..gpusim.batch import KernelBatch, KernelColumn, KernelKind
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
-from ..models.layers import ConvLayerSpec, round_up
+from ..gpusim.kernel import WorkgroupSize
+from ..models.layers import ConvLayerSpec
 from .base import ConvolutionLibrary, register_library
 
 # ---------------------------------------------------------------------------
@@ -83,28 +86,31 @@ PIXELS_PER_WORK_ITEM = 4
 
 @dataclass(frozen=True)
 class GemmSplit:
-    """How the GEMM columns (padded output channels) are partitioned."""
+    """How the GEMM columns (padded output channels) are partitioned.
+
+    Fields are ints for one channel count, arrays for a vector of them.
+    """
 
     padded_channels: int
     main_columns: int
     remainder_columns: int
 
     @property
-    def is_split(self) -> bool:
+    def is_split(self):
         return self.remainder_columns > 0
 
     @property
-    def total_columns(self) -> int:
+    def total_columns(self):
         return self.main_columns + self.remainder_columns
 
 
-def pad_channels(out_channels: int) -> int:
-    """Pad a channel count to the vectorisation width."""
+def pad_channels(out_channels):
+    """Pad a channel count (or an array of them) to the vectorisation width."""
 
-    return round_up(out_channels, VECTOR_WIDTH)
+    return -(-out_channels // VECTOR_WIDTH) * VECTOR_WIDTH
 
 
-def split_columns(out_channels: int) -> GemmSplit:
+def split_columns(out_channels) -> GemmSplit:
     """Decide whether the GEMM is dispatched as one kernel or two.
 
     The padded column count is processed by a single ``gemm_mm`` kernel
@@ -113,15 +119,15 @@ def split_columns(out_channels: int) -> GemmSplit:
     block (16) and a remainder kernel covers the rest.  This reproduces
     the paper's observations exactly: 92 channels -> 80 + 12 columns
     (Table I), 93..96 channels -> a single 96-column kernel (Tables
-    II/III), 97 channels -> 96 + 4 columns (Table IV).
+    II/III), 97 channels -> 96 + 4 columns (Table IV).  Elementwise over
+    an array of channel counts.
     """
 
     padded = pad_channels(out_channels)
-    if padded % DISPATCH_GRANULARITY == 0 or padded < COLUMN_BLOCK:
-        return GemmSplit(padded_channels=padded, main_columns=padded, remainder_columns=0)
-    main = (padded // COLUMN_BLOCK) * COLUMN_BLOCK
+    split = (padded % DISPATCH_GRANULARITY != 0) & (padded >= COLUMN_BLOCK)
+    remainder = split * (padded % COLUMN_BLOCK)
     return GemmSplit(
-        padded_channels=padded, main_columns=main, remainder_columns=padded - main
+        padded_channels=padded, main_columns=padded - remainder, remainder_columns=remainder
     )
 
 
@@ -132,10 +138,14 @@ def gemm_problem(layer: ConvLayerSpec) -> Tuple[int, int]:
     return rows, cols
 
 
-def _scale(value: int, numerator: int, denominator: int) -> int:
+def _scale(value, numerator: int, denominator: int):
     """Integer scaling that is exact for the calibration layer."""
 
     return (value * numerator) // denominator
+
+
+def _gemm_work_items(columns, n_dim: int):
+    return np.maximum(columns // VECTOR_WIDTH, 1) * max(1, n_dim // PIXELS_PER_WORK_ITEM)
 
 
 @register_library
@@ -149,16 +159,19 @@ class AclGemmLibrary(ConvolutionLibrary):
     # ------------------------------------------------------------------
     # Instruction-count model (calibrated against Tables I-IV)
     # ------------------------------------------------------------------
-    def im2col_instructions(self, layer: ConvLayerSpec) -> Tuple[int, int]:
-        """(arithmetic, memory) instructions of the im2col kernel."""
+    def im2col_instructions(self, layer: ConvLayerSpec, channels) -> Tuple:
+        """(arithmetic, memory) instructions of the im2col kernel.
+
+        Elementwise over ``channels``, an output-channel count or an array.
+        """
 
         k_dim, n_dim = gemm_problem(layer)
         scale_num, scale_den = k_dim * n_dim, CALIBRATION_KN
         arith = _scale(IM2COL_ARITH_BASE, scale_num, scale_den) + _scale(
-            IM2COL_ARITH_PER_CHANNEL * layer.out_channels, scale_num, scale_den
+            IM2COL_ARITH_PER_CHANNEL * channels, scale_num, scale_den
         )
-        mem = _scale(IM2COL_MEM_PER_CHANNEL * layer.out_channels, scale_num, scale_den)
-        return arith, max(mem, 1)
+        mem = _scale(IM2COL_MEM_PER_CHANNEL * channels, scale_num, scale_den)
+        return arith, np.maximum(mem, 1)
 
     def reshape_instructions(self, layer: ConvLayerSpec) -> Tuple[int, int]:
         """(arithmetic, memory) instructions of reshape_to_columns."""
@@ -180,71 +193,62 @@ class AclGemmLibrary(ConvolutionLibrary):
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
-        self.check_device(device)
+    def _plan_counts(
+        self, layer: ConvLayerSpec, counts: np.ndarray, device: DeviceSpec
+    ) -> KernelBatch:
         k_dim, n_dim = gemm_problem(layer)
-        split = split_columns(layer.out_channels)
-        kernels: List[Kernel] = []
-
-        im2col_arith, im2col_mem = self.im2col_instructions(layer)
-        kernels.append(
-            Kernel(
-                name=f"im2col{layer.kernel_size}x{layer.kernel_size}_nhwc",
+        split = split_columns(counts)
+        kinds = (
+            KernelKind(
+                f"im2col{layer.kernel_size}x{layer.kernel_size}_nhwc",
+                WorkgroupSize(8, 1, 1), dispatches_job=False, tag="im2col",
+            ),
+            KernelKind(
+                "reshape_to_columns", WorkgroupSize(16, 1, 1),
+                dispatches_job=False, tag="reshape",
+            ),
+            KernelKind("gemm_mm", WorkgroupSize(4, 4, 1), dispatches_job=True, tag="gemm-main"),
+            KernelKind(
+                "gemm_mm", WorkgroupSize(1, 4, 1), dispatches_job=True, tag="gemm-remainder"
+            ),
+        )
+        im2col_arith, im2col_mem = self.im2col_instructions(layer, counts)
+        reshape_arith, reshape_mem = self.reshape_instructions(layer)
+        column_arith, column_mem = self.gemm_instructions_per_column(layer)
+        columns = (
+            KernelColumn(
+                kind=0,
                 arithmetic_instructions=im2col_arith,
                 memory_instructions=im2col_mem,
                 work_items=max(1, n_dim),
-                workgroup=WorkgroupSize(8, 1, 1),
-                dispatches_job=False,
-                tag="im2col",
-            )
-        )
-
-        reshape_arith, reshape_mem = self.reshape_instructions(layer)
-        kernels.append(
-            Kernel(
-                name="reshape_to_columns",
+            ),
+            KernelColumn(
+                kind=1,
                 arithmetic_instructions=reshape_arith,
                 memory_instructions=reshape_mem,
                 work_items=max(1, (k_dim + 1) * n_dim // 4),
-                workgroup=WorkgroupSize(16, 1, 1),
-                dispatches_job=False,
-                tag="reshape",
+            ),
+            KernelColumn(
+                kind=2,
+                arithmetic_instructions=column_arith * split.main_columns,
+                memory_instructions=column_mem * split.main_columns,
+                work_items=_gemm_work_items(split.main_columns, n_dim),
+            ),
+            KernelColumn(
+                kind=3,
+                arithmetic_instructions=column_arith * split.remainder_columns,
+                memory_instructions=column_mem * split.remainder_columns,
+                work_items=_gemm_work_items(split.remainder_columns, n_dim),
+                vector_efficiency=REMAINDER_VECTOR_EFFICIENCY,
+                present=split.is_split,
+            ),
+        )
+        notes = [
+            f"padded_channels={padded} main_columns={main} remainder_columns={remainder}"
+            for padded, main, remainder in zip(
+                split.padded_channels.tolist(),
+                split.main_columns.tolist(),
+                split.remainder_columns.tolist(),
             )
-        )
-
-        column_arith, column_mem = self.gemm_instructions_per_column(layer)
-        kernels.append(
-            self._gemm_kernel(split.main_columns, column_arith, column_mem, n_dim, main=True)
-        )
-        if split.is_split:
-            kernels.append(
-                self._gemm_kernel(
-                    split.remainder_columns, column_arith, column_mem, n_dim, main=False
-                )
-            )
-
-        notes = (
-            f"padded_channels={split.padded_channels} "
-            f"main_columns={split.main_columns} "
-            f"remainder_columns={split.remainder_columns}"
-        )
-        return KernelPlan(
-            library=self.name, layer_name=layer.name, kernels=tuple(kernels), notes=notes
-        )
-
-    def _gemm_kernel(
-        self, columns: int, column_arith: int, column_mem: int, n_dim: int, main: bool
-    ) -> Kernel:
-        work_items = max(1, (columns // VECTOR_WIDTH) or 1) * max(
-            1, n_dim // PIXELS_PER_WORK_ITEM
-        )
-        return Kernel(
-            name="gemm_mm",
-            arithmetic_instructions=column_arith * columns,
-            memory_instructions=column_mem * columns,
-            work_items=work_items,
-            workgroup=WorkgroupSize(4, 4, 1) if main else WorkgroupSize(1, 4, 1),
-            vector_efficiency=1.0 if main else REMAINDER_VECTOR_EFFICIENCY,
-            dispatches_job=True,
-            tag="gemm-main" if main else "gemm-remainder",
-        )
+        ]
+        return KernelBatch.assemble(kinds, columns, notes)

@@ -5,7 +5,11 @@ libraries the paper characterises (Arm Compute Library GEMM and Direct
 convolution, cuDNN, TVM): given a convolutional layer specification and
 a target device it decides which kernels to dispatch, how much work each
 performs, which workgroup sizes to use and how many GPU jobs are
-created.  The resulting :class:`~repro.gpusim.kernel.KernelPlan` is then
+created.  Each library writes those rules once, over a vector of
+channel counts: :meth:`ConvolutionLibrary.plan_counts` returns a
+:class:`~repro.gpusim.batch.KernelBatch` for a whole channel sweep, and
+:meth:`ConvolutionLibrary.plan` is the same computation for one count,
+wrapped as a :class:`~repro.gpusim.kernel.KernelPlan`.  Either is then
 costed by the GPU simulator.
 
 The split between *planner* (this package) and *simulator*
@@ -17,12 +21,15 @@ visible by replaying them on a Mali GPU simulator.
 from __future__ import annotations
 
 import abc
-from typing import List, Type
+from typing import List, Sequence, Type
+
+import numpy as np
 
 from ..api.registry import Registry, UnknownPluginError, warn_deprecated
+from ..gpusim.batch import KernelBatch
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelPlan
-from ..models.layers import ConvLayerSpec
+from ..models.layers import ConvLayerSpec, LayerSpecError
 
 
 class LibraryError(ValueError):
@@ -52,9 +59,37 @@ class ConvolutionLibrary(abc.ABC):
                 f"({device.name}) is a {device.api} device"
             )
 
+    def plan_counts(
+        self, layer: ConvLayerSpec, counts: Sequence[int], device: DeviceSpec
+    ) -> KernelBatch:
+        """Plan ``layer`` pruned to each of ``counts`` filters, as one batch.
+
+        Configuration ``i`` of the batch is what :meth:`plan` returns for
+        ``layer.with_out_channels(counts[i])``, computed with NumPy over
+        the whole vector of counts.
+        """
+
+        self.check_device(device)
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        if counts.size and (counts.min() < 1 or (counts % layer.groups).any()):
+            bad = counts[(counts < 1) | (counts % layer.groups != 0)][0]
+            raise LayerSpecError(
+                f"out_channels must be a positive multiple of groups={layer.groups}, "
+                f"got {bad}"
+            )
+        return self._plan_counts(layer, counts, device)
+
     @abc.abstractmethod
+    def _plan_counts(
+        self, layer: ConvLayerSpec, counts: np.ndarray, device: DeviceSpec
+    ) -> KernelBatch:
+        """The library's cost model over a validated int64 vector of counts."""
+
     def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
         """Plan the kernels dispatched to run one inference of ``layer``."""
+
+        batch = self.plan_counts(layer, [layer.out_channels], device)
+        return batch.plan(0, library=self.name, layer_name=layer.name)
 
     def plan_with_channels(
         self, layer: ConvLayerSpec, out_channels: int, device: DeviceSpec

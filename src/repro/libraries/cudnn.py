@@ -25,8 +25,11 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
+from ..gpusim.batch import KernelBatch, KernelColumn, KernelKind
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
+from ..gpusim.kernel import WorkgroupSize
 from ..models.layers import ConvLayerSpec
 from .base import ConvolutionLibrary, register_library
 
@@ -42,26 +45,30 @@ CUDNN_FIXED_OVERHEAD_INSTRUCTIONS = 160_000_000
 #: Output-channel tile candidates and the channel counts up to which
 #: each is selected.
 TILE_SELECTION = ((128, 32), (256, 64), (float("inf"), 128))
+_TILE_LIMITS = np.array([limit for limit, _ in TILE_SELECTION])
+_TILES = np.array([tile for _, tile in TILE_SELECTION])
 
 #: Thread-block shape of the implicit GEMM kernel.
 CUDNN_WORKGROUP = WorkgroupSize(32, 4, 1)
 
-
-def select_tile(out_channels: int) -> int:
-    """Output-channel tile the cuDNN heuristic picks for a layer."""
-
-    for limit, tile in TILE_SELECTION:
-        if out_channels <= limit:
-            return tile
-    raise AssertionError("TILE_SELECTION must cover all channel counts")
+#: The two kernels of every plan: setup, then the convolution.
+_KINDS = (
+    KernelKind("cudnn_convolution_setup", CUDNN_WORKGROUP, dispatches_job=False, tag="setup"),
+    KernelKind("implicit_gemm_conv2d", CUDNN_WORKGROUP, dispatches_job=True, tag="conv"),
+)
 
 
-def padded_channels(out_channels: int) -> Tuple[int, int]:
+def select_tile(out_channels):
+    """Output-channel tile the cuDNN heuristic picks (elementwise over arrays)."""
+
+    return _TILES[np.searchsorted(_TILE_LIMITS, out_channels)]
+
+
+def padded_channels(out_channels) -> Tuple:
     """(padded channel count, tile) after rounding up to full tiles."""
 
     tile = select_tile(out_channels)
-    tiles = -(-out_channels // tile)
-    return tiles * tile, tile
+    return -(-out_channels // tile) * tile, tile
 
 
 @register_library
@@ -72,40 +79,25 @@ class CudnnLibrary(ConvolutionLibrary):
     api = "cuda"
     version = "v7"
 
-    def instructions(self, layer: ConvLayerSpec) -> Tuple[int, int, int]:
-        """(arithmetic, memory, padded channels) of the conv kernel."""
-
-        padded, _tile = padded_channels(layer.out_channels)
+    def _plan_counts(
+        self, layer: ConvLayerSpec, counts: np.ndarray, device: DeviceSpec
+    ) -> KernelBatch:
+        padded, tile = padded_channels(counts)
         padded_macs = layer.macs_per_output_element * padded * layer.output_pixels
-        arith = CUDNN_ARITH_PER_MAC * padded_macs
-        mem = CUDNN_MEM_PER_MAC * padded_macs
-        return arith, mem, padded
-
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
-        self.check_device(device)
-        arith, mem, padded = self.instructions(layer)
-        _, tile = padded_channels(layer.out_channels)
-        kernels = (
-            Kernel(
-                name="cudnn_convolution_setup",
-                arithmetic_instructions=CUDNN_FIXED_OVERHEAD_INSTRUCTIONS,
-                memory_instructions=CUDNN_FIXED_OVERHEAD_INSTRUCTIONS // 8,
-                work_items=device.full_utilization_work_items,
-                workgroup=CUDNN_WORKGROUP,
-                dispatches_job=False,
-                tag="setup",
-            ),
-            Kernel(
-                name="implicit_gemm_conv2d",
-                arithmetic_instructions=arith,
-                memory_instructions=mem,
-                work_items=max(1, padded * layer.output_pixels // 4),
-                workgroup=CUDNN_WORKGROUP,
-                dispatches_job=True,
-                tag="conv",
-            ),
+        setup = KernelColumn(
+            kind=0,
+            arithmetic_instructions=CUDNN_FIXED_OVERHEAD_INSTRUCTIONS,
+            memory_instructions=CUDNN_FIXED_OVERHEAD_INSTRUCTIONS // 8,
+            work_items=device.full_utilization_work_items,
         )
-        notes = f"tile_channels={tile} padded_channels={padded}"
-        return KernelPlan(
-            library=self.name, layer_name=layer.name, kernels=kernels, notes=notes
+        conv = KernelColumn(
+            kind=1,
+            arithmetic_instructions=CUDNN_ARITH_PER_MAC * padded_macs,
+            memory_instructions=CUDNN_MEM_PER_MAC * padded_macs,
+            work_items=np.maximum(1, padded * layer.output_pixels // 4),
         )
+        notes = [
+            f"tile_channels={t} padded_channels={p}"
+            for t, p in zip(tile.tolist(), padded.tolist())
+        ]
+        return KernelBatch.assemble(_KINDS, (setup, conv), notes)

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from typing import Tuple
 
+import numpy as np
+
+from ..gpusim.batch import KernelBatch, KernelColumn, KernelKind
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
-from ..models.layers import ConvLayerSpec, round_up
+from ..gpusim.kernel import WorkgroupSize
+from ..models.layers import ConvLayerSpec
 from .base import ConvolutionLibrary, register_library
 
 #: Executed instructions per MAC of the tuned (GEMM-style) schedule.
@@ -63,26 +65,55 @@ class ScheduleClass(Enum):
     FALLBACK = "fallback"
 
 
+#: Schedule classes in bucket order (the kind table's order), with the
+#: per-class kernel parameters.
+_CLASSES = (ScheduleClass.FALLBACK, ScheduleClass.MEDIOCRE, ScheduleClass.TUNED)
+_CLASS_LIMITS = (FALLBACK_BUCKETS, FALLBACK_BUCKETS + MEDIOCRE_BUCKETS)
+_EFFICIENCY = np.array(
+    [TVM_FALLBACK_EFFICIENCY, TVM_MEDIOCRE_EFFICIENCY, TVM_TUNED_EFFICIENCY]
+)
+_WORKGROUPS = (WorkgroupSize(1, 1, 8), WorkgroupSize(4, 4, 1), WorkgroupSize(16, 4, 1))
+_KINDS = tuple(
+    KernelKind(f"tvm_conv2d_{klass.value}", workgroup, dispatches_job=True, tag=klass.value)
+    for klass, workgroup in zip(_CLASSES, _WORKGROUPS)
+)
+
+
+def configuration_buckets(layer: ConvLayerSpec, counts) -> np.ndarray:
+    """Deterministic pseudo-random bucket (0..99) of the layer at each count."""
+
+    prefix = (
+        f"{TUNING_LOG_SALT}{layer.in_channels}x{layer.kernel_size}s{layer.stride}"
+        f"h{layer.input_hw}c"
+    )
+    return np.array(
+        [
+            int.from_bytes(
+                hashlib.sha256(f"{prefix}{count}".encode("utf-8")).digest()[:4], "little"
+            )
+            % 100
+            for count in np.asarray(counts).reshape(-1).tolist()
+        ],
+        dtype=np.int64,
+    )
+
+
 def configuration_bucket(layer: ConvLayerSpec) -> int:
     """Deterministic pseudo-random bucket (0..99) of a configuration."""
 
-    signature = (
-        f"{TUNING_LOG_SALT}{layer.in_channels}x{layer.kernel_size}s{layer.stride}"
-        f"h{layer.input_hw}c{layer.out_channels}"
-    )
-    digest = hashlib.sha256(signature.encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little") % 100
+    return int(configuration_buckets(layer, layer.out_channels)[0])
+
+
+def _class_index(buckets):
+    """Position of each bucket's schedule class in :data:`_CLASSES`."""
+
+    return np.searchsorted(_CLASS_LIMITS, buckets, side="right")
 
 
 def schedule_class(layer: ConvLayerSpec) -> ScheduleClass:
     """Which schedule class TVM uses for this layer configuration."""
 
-    bucket = configuration_bucket(layer)
-    if bucket < FALLBACK_BUCKETS:
-        return ScheduleClass.FALLBACK
-    if bucket < FALLBACK_BUCKETS + MEDIOCRE_BUCKETS:
-        return ScheduleClass.MEDIOCRE
-    return ScheduleClass.TUNED
+    return _CLASSES[_class_index(configuration_bucket(layer))]
 
 
 @register_library
@@ -93,45 +124,25 @@ class TvmLibrary(ConvolutionLibrary):
     api = "opencl"
     version = "0.6"
 
-    def instructions(self, layer: ConvLayerSpec) -> Tuple[int, int, ScheduleClass]:
-        """(arithmetic, memory, schedule class) of the generated kernel."""
-
-        klass = schedule_class(layer)
-        padded_channels = round_up(layer.out_channels, 4)
+    def _plan_counts(
+        self, layer: ConvLayerSpec, counts: np.ndarray, device: DeviceSpec
+    ) -> KernelBatch:
+        buckets = configuration_buckets(layer, counts)
+        index = _class_index(buckets)
+        fallback = index == _CLASSES.index(ScheduleClass.FALLBACK)
+        padded_channels = -(-counts // 4) * 4
         padded_macs = layer.macs_per_output_element * padded_channels * layer.output_pixels
-        if klass is ScheduleClass.FALLBACK:
-            arith = TVM_FALLBACK_ARITH_PER_MAC * padded_macs
-            mem = TVM_FALLBACK_MEM_PER_MAC * padded_macs
-        else:
-            arith = TVM_TUNED_ARITH_PER_MAC * padded_macs
-            mem = TVM_TUNED_MEM_PER_MAC * padded_macs
-        return arith, mem, klass
-
-    def plan(self, layer: ConvLayerSpec, device: DeviceSpec) -> KernelPlan:
-        self.check_device(device)
-        arith, mem, klass = self.instructions(layer)
-        if klass is ScheduleClass.TUNED:
-            efficiency = TVM_TUNED_EFFICIENCY
-            workgroup = WorkgroupSize(16, 4, 1)
-        elif klass is ScheduleClass.MEDIOCRE:
-            efficiency = TVM_MEDIOCRE_EFFICIENCY
-            workgroup = WorkgroupSize(4, 4, 1)
-        else:
-            efficiency = TVM_FALLBACK_EFFICIENCY
-            workgroup = WorkgroupSize(1, 1, 8)
-        kernel = Kernel(
-            name=f"tvm_conv2d_{klass.value}",
-            arithmetic_instructions=arith,
-            memory_instructions=mem,
-            work_items=layer.output_activation_count,
-            workgroup=workgroup,
-            vector_efficiency=efficiency,
-            dispatches_job=True,
-            tag=klass.value,
+        arith_per_mac = np.where(fallback, TVM_FALLBACK_ARITH_PER_MAC, TVM_TUNED_ARITH_PER_MAC)
+        mem_per_mac = np.where(fallback, TVM_FALLBACK_MEM_PER_MAC, TVM_TUNED_MEM_PER_MAC)
+        kernel = KernelColumn(
+            kind=index,
+            arithmetic_instructions=arith_per_mac * padded_macs,
+            memory_instructions=mem_per_mac * padded_macs,
+            work_items=counts * layer.output_pixels,
+            vector_efficiency=_EFFICIENCY[index],
         )
-        return KernelPlan(
-            library=self.name,
-            layer_name=layer.name,
-            kernels=(kernel,),
-            notes=f"schedule={klass.value} bucket={configuration_bucket(layer)}",
-        )
+        notes = [
+            f"schedule={_CLASSES[klass].value} bucket={bucket}"
+            for klass, bucket in zip(index.tolist(), buckets.tolist())
+        ]
+        return KernelBatch.assemble(_KINDS, (kernel,), notes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -36,7 +36,13 @@ def noise_material(device: DeviceSpec, plan: KernelPlan) -> str:
     sees the same deterministic perturbations.
     """
 
-    return f"{device.name}/{plan.library}/{plan.layer_name}/{plan.notes}"
+    return noise_prefix(device, plan.library, plan.layer_name) + plan.notes
+
+
+def noise_prefix(device: DeviceSpec, library: str, layer_name: str) -> str:
+    """The part of :func:`noise_material` shared by every count of a sweep."""
+
+    return f"{device.name}/{library}/{layer_name}/"
 
 
 #: splitmix64 constants (Steele et al., "Fast splittable pseudorandom
@@ -105,15 +111,16 @@ def noise_matrix(seed_materials: Iterable[str], runs: int, seed: int = 0) -> np.
 
     Row ``i`` equals ``noise_factors(seed_materials[i], runs, seed)``;
     the batched measurement path uses this to perturb a whole sweep in
-    one array operation.
+    one array operation.  Each distinct material is hashed once and its
+    row broadcast to every configuration that shares it.
     """
 
-    seeds = np.array(
-        [_seed_of(material, seed) for material in seed_materials], dtype=np.uint64
-    )
-    if not len(seeds):
+    rows: Dict[str, int] = {}
+    index = [rows.setdefault(material, len(rows)) for material in seed_materials]
+    if not index:
         return np.zeros((0, runs))
-    return _factors_from_seeds(seeds, runs)
+    seeds = np.array([_seed_of(material, seed) for material in rows], dtype=np.uint64)
+    return _factors_from_seeds(seeds, runs)[index]
 
 
 def _noise_factor(seed_material: str, run_index: int, seed: int = 0) -> float:

@@ -5,10 +5,12 @@ protocol (Section III-D): for each (device, library, layer, channel
 count) configuration, run the layer several times and report the median.
 
 Sweeps are batched: :meth:`ProfileRunner.measure_many` plans every
-requested channel count, costs all of them in one vectorized
-:func:`~repro.gpusim.batch.simulate_batch` call and applies the
-repetition noise as a single array operation, so a full staircase sweep
-is one NumPy pass instead of ``channels x runs`` scalar simulations.
+requested channel count with one ``plan_counts`` call (a
+:class:`~repro.gpusim.batch.KernelBatch` of flat arrays), costs all of
+them in one vectorized :func:`~repro.gpusim.batch.simulate_batch` call
+and applies the repetition noise as a single array operation, so a full
+staircase sweep is one NumPy pass instead of ``channels x runs`` scalar
+simulations.
 Results are memoised in-process and — when a
 :class:`~repro.profiling.store.ProfileStore` is attached — persisted
 across processes.
@@ -30,7 +32,7 @@ from ..gpusim.device import DEVICES, DeviceSpec
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import COUNT_BUCKETS, default_registry
-from .profilers import noise_material, noise_matrix
+from .profilers import noise_matrix, noise_prefix
 
 _SIMULATIONS = default_registry().counter(
     "repro_profile_simulations_total",
@@ -144,6 +146,38 @@ class Measurement:
         return cls(**payload)
 
 
+def checked_measurement(
+    layer_name: str,
+    out_channels: int,
+    device_name: str,
+    library_name: str,
+    median_time_ms: float,
+    min_time_ms: float,
+    max_time_ms: float,
+    runs: int,
+    job_count: int,
+) -> Measurement:
+    """A :class:`Measurement` of fields that already passed :func:`check_measurement`.
+
+    Fills the instance dict directly, as unpickling does, instead of
+    paying the frozen dataclass ``__init__`` (about four times the cost)
+    and its re-check.
+    """
+
+    measurement = object.__new__(Measurement)
+    fields = measurement.__dict__
+    fields["layer_name"] = layer_name
+    fields["out_channels"] = out_channels
+    fields["device_name"] = device_name
+    fields["library_name"] = library_name
+    fields["median_time_ms"] = median_time_ms
+    fields["min_time_ms"] = min_time_ms
+    fields["max_time_ms"] = max_time_ms
+    fields["runs"] = runs
+    fields["job_count"] = job_count
+    return measurement
+
+
 @dataclass
 class ProfileRunner:
     """Measure layer latencies on a (device, library) pair with caching.
@@ -212,11 +246,13 @@ class ProfileRunner:
         )
 
     # ------------------------------------------------------------------
-    def _cache_key(self, layer: ConvLayerSpec, out_channels: int) -> Tuple[str, int]:
+    @staticmethod
+    def _layer_key(layer: ConvLayerSpec) -> str:
+        """The layer half of a cache key ``(layer key, channel count)``."""
+
         return (
             f"{layer.name}|{layer.in_channels}|{layer.kernel_size}|{layer.stride}|"
-            f"{layer.padding}|{layer.input_hw}",
-            out_channels,
+            f"{layer.padding}|{layer.input_hw}"
         )
 
     def measure(self, layer: ConvLayerSpec, out_channels: Optional[int] = None) -> Measurement:
@@ -224,7 +260,7 @@ class ProfileRunner:
 
         channels = layer.out_channels if out_channels is None else out_channels
         with self._lock:
-            cached = self._cache.get(self._cache_key(layer, channels))
+            cached = self._cache.get((self._layer_key(layer), channels))
             if cached is not None:
                 return cached
             return self.measure_many(layer, [channels])[0]
@@ -250,8 +286,9 @@ class ProfileRunner:
             # the bounded cache evicts entries of this very sweep.
             resolved: Dict[int, Measurement] = {}
             missing = []
+            key = self._layer_key(layer)
             for count in dict.fromkeys(requested):
-                cached = self._cache.get(self._cache_key(layer, count))
+                cached = self._cache.get((key, count))
                 if cached is not None:
                     resolved[count] = cached
                 else:
@@ -261,14 +298,12 @@ class ProfileRunner:
                     self.device.name, self.library.name, self.runs, layer, missing,
                     seed=self.seed,
                 )
-                for count, measurement in stored.items():
-                    resolved[count] = measurement
-                    self._remember(layer, count, measurement)
+                resolved.update(stored)
+                self._remember(key, stored.items())
             if missing:
                 fresh = self._measure_batch(layer, missing)
-                for measurement in fresh:
-                    resolved[measurement.out_channels] = measurement
-                    self._remember(layer, measurement.out_channels, measurement)
+                resolved.update(zip(missing, fresh))
+                self._remember(key, zip(missing, fresh))
                 if self.store is not None:
                     self.store.record(
                         self.device.name, self.library.name, self.runs, layer, fresh,
@@ -276,62 +311,46 @@ class ProfileRunner:
                     )
             return [resolved[count] for count in requested]
 
-    def _remember(self, layer: ConvLayerSpec, count: int, measurement: Measurement) -> None:
-        self._cache[self._cache_key(layer, count)] = measurement
-        if self.max_cache_entries is not None and len(self._cache) > self.max_cache_entries:
-            self._cache.popitem(last=False)
+    def _remember(self, key: str, measurements: Iterable[Tuple[int, Measurement]]) -> None:
+        """Cache ``(count, measurement)`` pairs of one layer, evicting the oldest."""
+
+        self._cache.update(((key, count), measurement) for count, measurement in measurements)
+        if self.max_cache_entries is not None:
+            while len(self._cache) > self.max_cache_entries:
+                self._cache.popitem(last=False)
 
     def _measure_batch(
         self, layer: ConvLayerSpec, channel_counts: List[int]
     ) -> List[Measurement]:
-        """Simulate the given channel counts in one vectorized pass."""
+        """Simulate the given channel counts of one layer in one vectorized pass.
 
-        return self._measure_pairs([(layer, count) for count in channel_counts])
-
-    def _measure_pairs(
-        self, pairs: List[Tuple[ConvLayerSpec, int]]
-    ) -> List[Measurement]:
-        """Simulate arbitrary (layer, channel count) pairs in one pass.
-
-        Per-configuration times are bitwise identical regardless of how
-        pairs are grouped into batches: the cost model is elementwise
-        over kernels and the noise stream is counter-based per
-        configuration, so executors are free to batch across layers.
+        Per-configuration times are bitwise identical however counts are
+        grouped into batches: the cost model is elementwise over kernels
+        and the noise stream is counter-based per configuration.
         """
 
-        plans = [
-            self.library.plan_with_channels(layer, count, self.device)
-            for layer, count in pairs
-        ]
-        batch = simulate_batch(plans, self.device)
+        batch = self.library.plan_counts(layer, channel_counts, self.device)
+        prefix = noise_prefix(self.device, self.library.name, layer.name)
         noise = noise_matrix(
-            (noise_material(self.device, plan) for plan in plans),
-            self.runs,
-            seed=self.seed,
+            [prefix + notes for notes in batch.notes], self.runs, seed=self.seed
         )
-        times_ms = batch.total_time_ms[:, np.newaxis] * noise
-        medians = np.median(times_ms, axis=1)
-        minima = times_ms.min(axis=1)
-        maxima = times_ms.max(axis=1)
-        self.simulations += len(plans)
-        _SIMULATIONS.inc(
-            len(plans), device=self.device.name, library=self.library.name
-        )
-        _BATCH_SIZE.observe(len(plans))
-        return [
-            Measurement(
-                layer_name=layer.name,
-                out_channels=count,
-                device_name=self.device.name,
-                library_name=self.library.name,
-                median_time_ms=float(medians[index]),
-                min_time_ms=float(minima[index]),
-                max_time_ms=float(maxima[index]),
-                runs=self.runs,
-                job_count=int(batch.job_counts[index]),
-            )
-            for index, (layer, count) in enumerate(pairs)
-        ]
+        times_ms = simulate_batch(batch, self.device).total_time_ms[:, np.newaxis] * noise
+        medians = np.median(times_ms, axis=1).tolist()
+        minima = times_ms.min(axis=1).tolist()
+        maxima = times_ms.max(axis=1).tolist()
+        self.simulations += len(batch)
+        _SIMULATIONS.inc(len(batch), device=self.device.name, library=self.library.name)
+        _BATCH_SIZE.observe(len(batch))
+        measurements = []
+        for count, median, minimum, maximum, jobs in zip(
+            channel_counts, medians, minima, maxima, batch.job_counts.tolist()
+        ):
+            check_measurement(layer.name, count, median, minimum, maximum, self.runs)
+            measurements.append(checked_measurement(
+                layer.name, count, self.device.name, self.library.name,
+                median, minimum, maximum, self.runs, jobs,
+            ))
+        return measurements
 
     # ------------------------------------------------------------------
     # Executor support: prefetching and cross-process adoption
@@ -345,18 +364,18 @@ class ProfileRunner:
         """
 
         with self._lock:
+            key = self._layer_key(layer)
             missing = [
                 count
                 for count in dict.fromkeys(int(count) for count in channel_counts)
-                if self._cache.get(self._cache_key(layer, count)) is None
+                if self._cache.get((key, count)) is None
             ]
             if missing and self.store is not None:
                 stored, missing = self.store.lookup(
                     self.device.name, self.library.name, self.runs, layer, missing,
                     seed=self.seed,
                 )
-                for count, measurement in stored.items():
-                    self._remember(layer, count, measurement)
+                self._remember(key, stored.items())
             return missing
 
     def adopt(self, layer: ConvLayerSpec, measurements: Iterable[Measurement]) -> int:
@@ -368,14 +387,13 @@ class ProfileRunner:
         """
 
         with self._lock:
+            key = self._layer_key(layer)
             fresh = [
                 measurement
                 for measurement in measurements
-                if self._cache.get(self._cache_key(layer, measurement.out_channels))
-                is None
+                if self._cache.get((key, measurement.out_channels)) is None
             ]
-            for measurement in fresh:
-                self._remember(layer, measurement.out_channels, measurement)
+            self._remember(key, ((m.out_channels, m) for m in fresh))
             if fresh and self.store is not None:
                 self.store.record(
                     self.device.name, self.library.name, self.runs, layer, fresh,
@@ -386,7 +404,7 @@ class ProfileRunner:
     def prefetch(
         self, sweeps: Iterable[Tuple[ConvLayerSpec, Iterable[int]]]
     ) -> int:
-        """Measure many layers' sweeps in one cross-layer simulator batch.
+        """Measure many layers' sweeps, one vectorized batch per layer.
 
         The batched executor calls this to warm the cache for a whole
         step at once; every later per-layer lookup is then a hit.
@@ -394,22 +412,10 @@ class ProfileRunner:
         """
 
         with self._lock:
-            pairs: List[Tuple[ConvLayerSpec, int]] = []
+            before = self.simulations
             for layer, counts in sweeps:
-                pairs.extend(
-                    (layer, count) for count in self.pending_counts(layer, counts)
-                )
-            if not pairs:
-                return 0
-            fresh = self._measure_pairs(pairs)
-            by_layer: "OrderedDict[int, Tuple[ConvLayerSpec, List[Measurement]]]" = (
-                OrderedDict()
-            )
-            for (layer, _), measurement in zip(pairs, fresh):
-                by_layer.setdefault(id(layer), (layer, []))[1].append(measurement)
-            for layer, measurements in by_layer.values():
-                self.adopt(layer, measurements)
-            return len(fresh)
+                self.measure_many(layer, counts)
+            return self.simulations - before
 
     # ------------------------------------------------------------------
     def measure_channels(

@@ -148,7 +148,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
-from .runner import Measurement, check_measurement
+from .runner import Measurement, check_measurement, checked_measurement
 
 _STORE_APPENDS = default_registry().counter(
     "repro_store_appends_total",
@@ -351,20 +351,11 @@ class _Group:
             row = rows.get(count)
             if row is not None:
                 # Every column value passed check_measurement when it was
-                # stored, so fill the fields directly, as unpickling does,
-                # instead of paying __init__'s re-check per served entry.
-                measurement = object.__new__(Measurement)
-                fields = measurement.__dict__
-                fields["layer_name"] = layer
-                fields["out_channels"] = int(count)  # the stored key's type
-                fields["device_name"] = device
-                fields["library_name"] = library
-                fields["median_time_ms"] = median[row]
-                fields["min_time_ms"] = minimum[row]
-                fields["max_time_ms"] = maximum[row]
-                fields["runs"] = runs
-                fields["job_count"] = job_count[row]
-                found[count] = measurement
+                # stored.  int(count): the stored key's type.
+                found[count] = checked_measurement(
+                    layer, int(count), device, library,
+                    median[row], minimum[row], maximum[row], runs, job_count[row],
+                )
             elif count in strays:
                 found[count] = strays[count]
             else:

@@ -1,7 +1,10 @@
 """Tests for the performance-aware pruning optimiser and the search utilities."""
 
+from collections import Counter
+
 import pytest
 
+from repro.api import PruningRequest, Session, Target
 from repro.core import (
     Candidate,
     OptimizationError,
@@ -238,3 +241,51 @@ class TestParetoSearch:
         options = search.layer_options(16)
         assert options[0] == 128
         assert options == sorted(options, reverse=True)
+
+
+class TestAnalysisOncePerTable:
+    """Each (target, layer) latency table goes through analyze_table once.
+
+    LayerProfile.optimal_channel_counts used to re-run the analysis on
+    every access, so snap_to_step analysed each table twice and the
+    latency-budget loop re-analysed every layer on every iteration.
+    """
+
+    TARGET = Target("hikey-970", "acl-gemm", runs=2)
+
+    @pytest.fixture
+    def analysed(self, monkeypatch):
+        from repro.api import session as session_mod
+        from repro.core import perf_aware, staircase
+
+        calls = Counter()
+        original = staircase.analyze_table
+
+        def counting(table, *args, **kwargs):
+            calls[(table.device_name, table.library_name, table.layer_name)] += 1
+            return original(table, *args, **kwargs)
+
+        for module in (session_mod, perf_aware, staircase):
+            monkeypatch.setattr(module, "analyze_table", counting)
+        return calls
+
+    def _request(self, strategy, **kwargs):
+        return PruningRequest(
+            "alexnet", self.TARGET, strategy=strategy, sweep_step=2, **kwargs
+        )
+
+    @pytest.mark.parametrize("strategy", ["performance-aware", "uninstructed", "latency-budget"])
+    def test_each_table_analysed_once(self, analysed, strategy):
+        if strategy == "latency-budget":
+            baseline = Session().prune(self._request("uninstructed", fraction=0.25))
+            request = self._request(
+                strategy, latency_budget_ms=0.6 * baseline.baseline_latency_ms
+            )
+        else:
+            request = self._request(strategy, fraction=0.25)
+        analysed.clear()
+        Session().prune(request)
+        assert set(analysed.values()) <= {1}, analysed
+        if strategy != "uninstructed":
+            layers = MODELS.create("alexnet").conv_layer_indices
+            assert len(analysed) == len(layers)

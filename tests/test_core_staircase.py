@@ -1,6 +1,8 @@
 """Tests for staircase detection and optimal-channel selection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     analyze_table,
@@ -135,3 +137,64 @@ class TestOnMeasuredData:
         table = build_latency_table(cudnn_runner, layer16, range(1, 129))
         levels = optimal_pruning_levels(table)
         assert {32, 64, 96, 128}.issubset(set(levels))
+
+
+# ---------------------------------------------------------------------------
+# The array-based detectors against the plain loops they replaced
+# ---------------------------------------------------------------------------
+def _loop_steps(counts, times, threshold):
+    return [
+        (counts[i - 1], counts[i], times[i - 1], times[i])
+        for i in range(1, len(counts))
+        if abs(times[i] - times[i - 1]) / times[i - 1] > threshold
+    ]
+
+
+def _loop_plateaus(counts, times, threshold):
+    plateaus, start = [], 0
+    for i in range(1, len(counts) + 1):
+        if i == len(counts) or abs(times[i] - times[i - 1]) / times[i - 1] > threshold:
+            run = times[start:i]
+            plateaus.append((counts[start], counts[i - 1], sum(run) / len(run)))
+            start = i
+    return plateaus
+
+
+def _loop_levels(times, tolerance):
+    levels = []
+    for time in sorted(times):
+        for level in levels:
+            centre = sum(level) / len(level)
+            if abs(time - centre) / centre <= tolerance:
+                level.append(time)
+                break
+        else:
+            levels.append([time])
+    return [sum(level) / len(level) for level in levels]
+
+
+_LATENCIES = st.lists(
+    st.one_of(
+        st.floats(0.5, 4.0),
+        st.sampled_from([1.0, 1.05, 1.1, 1.12, 1.2, 2.0]),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(times=_LATENCIES, threshold=st.sampled_from([0.0, 0.05, 0.08, 0.12]))
+def test_detectors_match_the_loops_bitwise(times, threshold):
+    counts = list(range(1, len(times) + 1))
+    steps = [
+        (s.channels_before, s.channels_after, s.time_before_ms, s.time_after_ms)
+        for s in detect_steps(counts, times, threshold)
+    ]
+    assert steps == _loop_steps(counts, times, threshold)
+    plateaus = [
+        (p.min_channels, p.max_channels, p.mean_time_ms)
+        for p in detect_plateaus(counts, times, threshold)
+    ]
+    assert plateaus == _loop_plateaus(counts, times, threshold)
+    assert cluster_levels(times, threshold) == _loop_levels(times, threshold)

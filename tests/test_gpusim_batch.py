@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpusim import DEVICES, GpuSimulator, simulate_batch
+from repro.gpusim import DEVICES, GpuSimulator, KernelBatch, simulate_batch
 from repro.gpusim.kernel import Kernel, KernelPlan, WorkgroupSize
 from repro.libraries import LIBRARIES
 from repro.models import MODELS
@@ -32,7 +32,7 @@ class TestAgainstScalarSimulator:
     def test_per_kernel_times_match_exactly(self, device_name, library_name, layer16):
         device = DEVICES.get(device_name)
         plans = plans_for(library_name, device, layer16, [1, 64, 92, 96, 97, 128])
-        batch = simulate_batch(plans, device)
+        batch = simulate_batch(KernelBatch.from_plans(plans), device)
         simulator = GpuSimulator(device)
         flat = 0
         for plan in plans:
@@ -47,7 +47,7 @@ class TestAgainstScalarSimulator:
     def test_per_plan_totals_match(self, layer16):
         device = DEVICES.get("hikey-970")
         plans = plans_for("acl-gemm", device, layer16, range(1, 129))
-        batch = simulate_batch(plans, device)
+        batch = simulate_batch(KernelBatch.from_plans(plans), device)
         simulator = GpuSimulator(device)
         expected = [simulator.run_time_ms(plan) for plan in plans]
         assert batch.total_time_ms == pytest.approx(expected, rel=1e-12)
@@ -55,7 +55,7 @@ class TestAgainstScalarSimulator:
     def test_job_counts_and_offsets(self, layer16):
         device = DEVICES.get("hikey-970")
         plans = plans_for("acl-gemm", device, layer16, [92, 96])
-        batch = simulate_batch(plans, device)
+        batch = simulate_batch(KernelBatch.from_plans(plans), device)
         assert list(batch.job_counts) == [plans[0].job_count, plans[1].job_count]
         assert list(batch.kernel_counts) == [len(plans[0]), len(plans[1])]
         assert batch.offsets[-1] == len(plans[0]) + len(plans[1])
@@ -69,7 +69,7 @@ class TestAgainstScalarSimulator:
             library.plan_with_channels(network.conv_layer(index).spec, 32, device)
             for index in (14, 16, 26)
         ]
-        batch = simulate_batch(plans, device)
+        batch = simulate_batch(KernelBatch.from_plans(plans), device)
         simulator = GpuSimulator(device)
         expected = [simulator.run_time_ms(plan) for plan in plans]
         assert batch.total_time_ms == pytest.approx(expected, rel=1e-12)
@@ -78,7 +78,7 @@ class TestAgainstScalarSimulator:
 class TestEdgeCases:
     def test_empty_batch(self):
         device = DEVICES.get("hikey-970")
-        batch = simulate_batch([], device)
+        batch = simulate_batch(KernelBatch.from_plans([]), device)
         assert len(batch) == 0
         assert batch.total_time_ms.shape == (0,)
         assert batch.kernel_time_s.shape == (0,)
@@ -93,7 +93,7 @@ class TestEdgeCases:
             workgroup=WorkgroupSize(1, 1, 1),
         )
         plan = KernelPlan(library="test", layer_name="tiny", kernels=(tiny,))
-        batch = simulate_batch([plan], device)
+        batch = simulate_batch(KernelBatch.from_plans([plan]), device)
         assert batch.utilization[0] == GpuSimulator(device).utilization(tiny)
         assert batch.utilization[0] >= 1.0 / device.compute_units
 
@@ -106,13 +106,13 @@ class TestEdgeCases:
             work_items=10**9,
         )
         plan = KernelPlan(library="test", layer_name="huge", kernels=(huge,))
-        batch = simulate_batch([plan], device)
+        batch = simulate_batch(KernelBatch.from_plans([plan]), device)
         assert batch.utilization[0] == 1.0
 
     def test_compute_time_is_roofline_max(self, layer16):
         device = DEVICES.get("hikey-970")
         plans = plans_for("acl-gemm", device, layer16, [96])
-        batch = simulate_batch(plans, device)
+        batch = simulate_batch(KernelBatch.from_plans(plans), device)
         assert np.all(
             batch.compute_time_s
             == np.maximum(batch.arithmetic_time_s, batch.memory_time_s)
