@@ -43,7 +43,7 @@ RUNS = 3
 
 
 def _record_payload(device, library, spec, median):
-    """One raw store line: a full sweep of COUNTS for one group."""
+    """One raw columnar store line: a full sweep of COUNTS for one group."""
 
     return {
         "v": STORE_VERSION,
@@ -53,16 +53,18 @@ def _record_payload(device, library, spec, median):
         "seed": 0,
         "spec": spec.as_dict(),
         "spec_hash": layer_spec_fingerprint(spec),
-        "sweep": COUNTS,
-        "measurements": [
-            {
-                "layer_name": spec.name, "out_channels": count,
-                "device_name": device, "library_name": library,
-                "median_time_ms": median, "min_time_ms": median / 2,
-                "max_time_ms": median * 2, "runs": RUNS, "job_count": 1,
-            }
-            for count in COUNTS
-        ],
+        "measurements": {
+            "layer_name": spec.name,
+            "device_name": device,
+            "library_name": library,
+            "runs": RUNS,
+            "out_channels": COUNTS,
+            "median_time_ms": [median] * len(COUNTS),
+            "min_time_ms": [median / 2] * len(COUNTS),
+            "max_time_ms": [median * 2] * len(COUNTS),
+            "job_count": [1] * len(COUNTS),
+            "strays": [],
+        },
     }
 
 

@@ -127,7 +127,11 @@ class Measurement:
         return self.max_time_ms / self.min_time_ms
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready payload (the profile store's line format)."""
+        """JSON-ready payload, one key per field.
+
+        The profile store writes measurements as columns; this row form is
+        what its lines use for a measurement that does not fit the columns.
+        """
 
         return {
             "layer_name": self.layer_name,

@@ -56,9 +56,11 @@ lookup, exactly like a freshly opened one.
 The index is columnar to keep memory flat: per group one ``count -> row``
 dict plus ``array`` columns for the median/min/max times and job counts,
 about a third of what resident :class:`Measurement` objects would cost.
-Lines are parsed straight into the columns, checked exactly as
-``Measurement(**entry)`` would check them, and :meth:`ProfileStore.lookup`
-builds :class:`Measurement` objects only for the counts it serves.
+A line's columns are checked whole-column (the rules of
+``Measurement(**entry)``, applied per column rather than per entry) and
+extended onto the group's columns with no per-entry object;
+:meth:`ProfileStore.lookup` builds :class:`Measurement` objects only for
+the counts it serves.
 
 Migration
 ---------
@@ -75,16 +77,32 @@ between them leaves the data intact in the temporary directory.)
 File format
 -----------
 One JSON object per line, append-only.  Each line records one measured
-sweep under its grouping key::
+sweep under its grouping key, in columns::
 
-    {"v": 1, "device": "mali-g72", "library": "acl-gemm", "runs": 3,
+    {"v": 2, "device": "mali-g72", "library": "acl-gemm", "runs": 3,
      "seed": 0, "spec": {...layer spec fields...}, "spec_hash": "4f0c...",
-     "sweep": [1, 2, ...], "measurements": [{...}, ...]}
+     "measurements": {
+       "layer_name": "resnet50.conv16", "device_name": "mali-g72",
+       "library_name": "acl-gemm", "runs": 3,
+       "out_channels": [1, 2, ...], "median_time_ms": [0.61, 0.62, ...],
+       "min_time_ms": [...], "max_time_ms": [...], "job_count": [...],
+       "strays": []}}
 
-* ``v`` is :data:`STORE_VERSION`.  Lines written by an incompatible
-  store (or by a build with a different measurement-noise model, which
-  bumps the version) are skipped on load — stale entries invalidate
-  themselves and are simply re-measured and re-appended.
+* ``measurements`` holds the :class:`Measurement` constants once and
+  the varying fields as parallel lists of JSON numbers (``int`` counts
+  and job counts, ``float`` times).  A measurement whose constants or
+  value types differ from the columns' is written whole, as
+  :meth:`Measurement.as_dict`, in ``strays``; a stray supersedes a
+  column entry of the same count.  Every recorded measurement is served
+  back exactly, value and type.
+* ``v`` is :data:`STORE_VERSION`.  Version-1 lines hold the same sweep
+  in row form (``"measurements": [{...as_dict...}, ...]``); they are
+  still read, transposed into the same columns, and :meth:`compact`
+  rewrites them as columns.  :meth:`ProfileStore.record` writes only
+  columnar lines.  Lines of any other version (a build with a
+  different measurement model bumps it) are skipped on load — stale
+  entries invalidate themselves and are simply re-measured and
+  re-appended.
 * The grouping key is ``(device, library, runs, seed, spec_hash)``
   where ``spec_hash`` fingerprints every latency-relevant layer-spec
   field *except* ``out_channels`` (the swept quantity) and ``seed`` is
@@ -138,8 +156,12 @@ import shutil
 import tempfile
 import threading
 from array import array
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
+)
 
 try:  # pragma: no cover - platform-dependent
     import fcntl
@@ -148,7 +170,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
-from .runner import Measurement, check_measurement, checked_measurement
+from .runner import Measurement, MeasurementError, checked_measurement
 
 _STORE_APPENDS = default_registry().counter(
     "repro_store_appends_total",
@@ -178,7 +200,12 @@ _STORE_FILE_BYTES = default_registry().gauge(
 
 #: Bump whenever the measurement model changes (simulator cost formulas,
 #: noise model, Measurement schema): old lines are skipped on load.
-STORE_VERSION = 1
+#: Version 2 is the columnar line; version-1 lines are the same
+#: measurements in row form and are still read.
+STORE_VERSION = 2
+
+#: The row-form line version: read, never written.
+_ROW_VERSION = 1
 
 #: Marker file distinguishing a sharded store directory from an
 #: arbitrary directory (which is still rejected).
@@ -227,28 +254,140 @@ def shard_id_for(device: str, library: str) -> str:
     return f"{device_slug}__{library_slug}--{digest}"
 
 
-#: A measurement entry's fields, in :class:`Measurement` order.
+#: A measurement's fields, in :class:`Measurement` order.
 _FIELDS = tuple(Measurement.__dataclass_fields__)
 _FIELD_SET = frozenset(_FIELDS)
 _entry_values = operator.itemgetter(*_FIELDS)
+_measurement_values = operator.attrgetter(*_FIELDS)
 
 #: What a line that is not a valid record raises while being parsed.
 _UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
 
+_STR, _INT, _FLOAT = {str}, {int}, {float}
 
-def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, List[dict]]:
-    """One store line as (payload, group key, its measurement entries).
+
+class _Sweep(NamedTuple):
+    """One line's measurements: group columns plus whole strays.
+
+    ``constants`` is ``(layer_name, device_name, library_name, runs)``
+    shared by every column entry (``None`` when the columns are empty).
+    A measurement whose constants or value types differ from the
+    columns' is kept whole in ``strays``.  A stray supersedes a column
+    entry of the same count.
+    """
+
+    constants: Optional[Tuple[str, str, str, int]]
+    out_channels: List[int]
+    median: List[float]
+    minimum: List[float]
+    maximum: List[float]
+    job_count: List[int]
+    strays: List[Any]
+
+    @property
+    def size(self) -> int:
+        return len(self.out_channels) + len(self.strays)
+
+
+def _transpose(items: Sequence[Any], values: Callable[[Any], tuple]) -> _Sweep:
+    """Measurement rows as columns; ``values(item)`` gives an item's fields.
+
+    Strays are the items themselves, last writer wins per count.
+    """
+
+    if not items:
+        return _Sweep(None, [], [], [], [], [], [])
+    rows = list(map(values, items))
+    layer, count, device, library, mid, low, high, runs, jobs = zip(*rows)
+    size = len(rows)
+    if (
+        all(column.count(column[0]) == size for column in (layer, device, library, runs))
+        and {type(layer[0]), type(device[0]), type(library[0])} == _STR
+        and {*map(type, count), *map(type, jobs), *map(type, runs)} == _INT
+        and {*map(type, mid), *map(type, low), *map(type, high)} == _FLOAT
+    ):
+        # Every row fits one set of constants: the common case.
+        return _Sweep(
+            (layer[0], device[0], library[0], runs[0]),
+            list(count), list(mid), list(low), list(high), list(jobs), [],
+        )
+    constants = None
+    sweep = _Sweep(None, [], [], [], [], [], [])
+    strays: Dict[Any, Any] = {}
+    for item, row in zip(items, rows):
+        layer, count, device, library, mid, low, high, runs, jobs = row
+        if (
+            type(count) is int and type(mid) is float and type(low) is float
+            and type(high) is float and type(jobs) is int and type(runs) is int
+            and type(layer) is str and type(device) is str and type(library) is str
+        ):
+            if constants is None:
+                constants = (layer, device, library, runs)
+            if (layer, device, library, runs) == constants:
+                if strays:
+                    strays.pop(count, None)
+                sweep.out_channels.append(count)
+                sweep.median.append(mid)
+                sweep.minimum.append(low)
+                sweep.maximum.append(high)
+                sweep.job_count.append(jobs)
+                continue
+        strays[count] = item
+    return sweep._replace(constants=constants, strays=list(strays.values()))
+
+
+def _entry_fields(entry: dict) -> tuple:
+    """A row-form entry's fields, after the field-set check."""
+
+    if entry.keys() != _FIELD_SET:
+        raise TypeError(f"measurement fields {sorted(entry)}")
+    return _entry_values(entry)
+
+
+def _check_columns(sweep: _Sweep) -> None:
+    """Raise unless every column entry is what ``Measurement`` accepts.
+
+    Whole-column forms of :func:`~repro.profiling.runner.check_measurement`
+    plus the column types: equal-length lists, ``int`` counts and job
+    counts, ``float`` times, ``str`` names and an ``int`` run count.
+    NaN fails the ordering comparisons.
+    """
+
+    constants, counts, median, minimum, maximum, job_count, _ = sweep
+    if {*map(type, (counts, median, minimum, maximum, job_count))} != {list}:
+        raise TypeError("columns must be lists")
+    size = len(counts)
+    if not len(median) == len(minimum) == len(maximum) == len(job_count) == size:
+        raise ValueError("column lengths differ")
+    if not size:
+        return
+    layer, device, library, runs = constants
+    if (
+        {type(layer), type(device), type(library)} != _STR or type(runs) is not int
+        or {*map(type, counts), *map(type, job_count)} != _INT
+        or {*map(type, median), *map(type, minimum), *map(type, maximum)} != _FLOAT
+    ):
+        raise TypeError("column value types")
+    if runs < 1:
+        raise MeasurementError(f"{layer}: a measurement needs at least one run, got {runs}")
+    if min(minimum) <= 0:
+        raise MeasurementError(f"{layer}: non-positive minimum run time")
+    if not (all(map(operator.le, minimum, median)) and all(map(operator.le, median, maximum))):
+        raise MeasurementError(f"{layer}: inconsistent run times")
+
+
+def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, _Sweep]:
+    """One store line as (payload, group key, its checked measurements).
 
     Raises one of :data:`_UNREADABLE` for a line to skip: not JSON, not
-    a record, another ``STORE_VERSION``, or any entry that
-    ``Measurement(**entry)`` would reject (a wrong field set, or
-    :func:`~repro.profiling.runner.check_measurement`).  One bad entry
-    skips its whole line.
+    a record, a version other than :data:`STORE_VERSION` (columnar) or
+    ``v`` 1 (row form, transposed into the same columns), a
+    missing or malformed column, or any entry ``Measurement(**entry)``
+    would reject.  One bad entry skips its whole line.
     """
 
     payload = json.loads(line)
-    if payload.get("v") != STORE_VERSION:
-        raise ValueError("incompatible store version")
+    version = payload.get("v")
     key = (
         payload["device"],
         payload["library"],
@@ -256,36 +395,41 @@ def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, List[dict]]:
         int(payload.get("seed", 0)),
         payload["spec_hash"],
     )
-    entries = payload["measurements"]
-    for entry in entries:
-        if entry.keys() != _FIELD_SET:
-            raise TypeError(f"measurement fields {sorted(entry)}")
-        layer, count, _, _, median, low, high, runs, _ = _entry_values(entry)
-        check_measurement(layer, count, median, low, high, runs)
-    return payload, key, entries
+    if version == STORE_VERSION:
+        columns = payload["measurements"]
+        sweep = _Sweep(
+            (
+                columns["layer_name"], columns["device_name"],
+                columns["library_name"], columns["runs"],
+            ),
+            columns["out_channels"], columns["median_time_ms"],
+            columns["min_time_ms"], columns["max_time_ms"], columns["job_count"],
+            [Measurement(**entry) for entry in columns["strays"]],
+        )
+    elif version == _ROW_VERSION:
+        sweep = _transpose(payload["measurements"], _entry_fields)
+        sweep = sweep._replace(strays=[Measurement(**entry) for entry in sweep.strays])
+    else:
+        raise ValueError("incompatible store version")
+    _check_columns(sweep)
+    return payload, key, sweep
 
 
 class _Group:
     """One group's measurements as columns, keyed by channel count.
 
-    The group constants come from its first entry.  An entry whose
-    constants or value types differ (never written by this package, but
-    valid) is kept whole as a ``stray`` :class:`Measurement`, so every
-    lookup returns exactly what ``Measurement(**entry)`` would have.
+    The group constants come from the first line that fills its
+    columns.  Column entries of a line with other constants, and every
+    line's strays, are kept whole as ``stray`` :class:`Measurement`\\ s,
+    so every lookup returns exactly what was recorded.
     """
 
     __slots__ = (
-        "layer_name", "device_name", "library_name", "runs",
-        "rows", "median", "minimum", "maximum", "job_count", "strays",
+        "constants", "rows", "median", "minimum", "maximum", "job_count", "strays",
     )
 
-    def __init__(
-        self, layer_name: str, device_name: str, library_name: str, runs: int
-    ) -> None:
-        self.layer_name = layer_name
-        self.device_name = device_name
-        self.library_name = library_name
-        self.runs = runs
+    def __init__(self) -> None:
+        self.constants: Optional[Tuple[str, str, str, int]] = None
         self.rows: Dict[int, int] = {}
         self.median = array("d")
         self.minimum = array("d")
@@ -296,44 +440,45 @@ class _Group:
     def __len__(self) -> int:
         return len(self.rows) + len(self.strays)  # disjoint by construction
 
-    def counts(self) -> List[Any]:
-        return [*self.rows, *self.strays]
+    def fill(self, sweep: _Sweep) -> int:
+        """Store one line's checked measurements, last writer wins.
 
-    def fill(self, entries: List[dict]) -> int:
-        """Store checked entries, last writer wins; returns new counts."""
+        Returns the number of counts the group did not hold before.
+        """
 
+        before = len(self)
         rows, strays = self.rows, self.strays
-        median, minimum, maximum, job_count = (
-            self.median, self.minimum, self.maximum, self.job_count
-        )
-        constants = (self.layer_name, self.device_name, self.library_name, self.runs)
-        added = 0
-        for entry in entries:
-            layer, count, device, library, mid, low, high, runs, jobs = _entry_values(entry)
-            if (
-                type(count) is int and type(mid) is float and type(low) is float
-                and type(high) is float and type(jobs) is int
-                and (layer, device, library, runs) == constants
-            ):
-                row = rows.get(count)
-                if row is None:
-                    if not strays or strays.pop(count, None) is None:
-                        added += 1
-                    rows[count] = len(median)
-                    median.append(mid)
-                    minimum.append(low)
-                    maximum.append(high)
-                    job_count.append(jobs)
-                else:
-                    median[row] = mid
-                    minimum[row] = low
-                    maximum[row] = high
-                    job_count[row] = jobs
+        counts, new_strays = sweep.out_channels, sweep.strays
+        if counts and sweep.constants != self.constants:
+            if rows:
+                layer, device, library, runs = sweep.constants
+                new_strays = [
+                    *map(
+                        checked_measurement, repeat(layer), counts, repeat(device),
+                        repeat(library), sweep.median, sweep.minimum, sweep.maximum,
+                        repeat(runs), sweep.job_count,
+                    ),
+                    *new_strays,
+                ]
+                counts = ()
             else:
-                if rows.pop(count, None) is None and count not in strays:
-                    added += 1
-                strays[count] = Measurement(**entry)
-        return added
+                self.constants = sweep.constants
+        if counts:
+            # New values always append; a superseded row stays unused in
+            # the arrays until the shard is rebuilt or compacted.
+            base = len(self.median)
+            self.median.extend(sweep.median)
+            self.minimum.extend(sweep.minimum)
+            self.maximum.extend(sweep.maximum)
+            self.job_count.extend(sweep.job_count)
+            rows.update(zip(counts, range(base, base + len(counts))))
+            if strays and not strays.keys().isdisjoint(counts):
+                for count in counts:
+                    strays.pop(count, None)
+        for measurement in new_strays:
+            rows.pop(measurement.out_channels, None)
+            strays[measurement.out_channels] = measurement
+        return len(self) - before
 
     def split(self, counts: Iterable[int]) -> Tuple[Dict[int, Measurement], List[int]]:
         """(stored measurements, counts not stored) for the requested counts."""
@@ -342,15 +487,13 @@ class _Group:
         median, minimum, maximum, job_count = (
             self.median, self.minimum, self.maximum, self.job_count
         )
-        layer, device, library, runs = (
-            self.layer_name, self.device_name, self.library_name, self.runs
-        )
+        layer, device, library, runs = self.constants or (None,) * 4
         found: Dict[int, Measurement] = {}
         missing: List[int] = []
         for count in counts:
             row = rows.get(count)
             if row is not None:
-                # Every column value passed check_measurement when it was
+                # Every column value passed the column checks when it was
                 # stored.  int(count): the stored key's type.
                 found[count] = checked_measurement(
                     layer, int(count), device, library,
@@ -362,20 +505,61 @@ class _Group:
                 missing.append(count)
         return found, missing
 
+    def sweep(self) -> _Sweep:
+        """The whole group as one line's sweep, counts in ascending order."""
+
+        rows = self.rows
+        order = sorted(rows)
+        positions = [rows[count] for count in order]
+        return _Sweep(
+            self.constants, order,
+            [self.median[row] for row in positions],
+            [self.minimum[row] for row in positions],
+            [self.maximum[row] for row in positions],
+            [self.job_count[row] for row in positions],
+            [self.strays[count] for count in sorted(self.strays)],
+        )
+
 
 _Index = Dict[_GroupKey, _Group]
 
 
-def _fill(index: _Index, key: _GroupKey, entries: List[dict]) -> int:
-    """Store one record's checked entries under ``key``; returns new counts."""
+def _fill(index: _Index, key: _GroupKey, sweep: _Sweep) -> int:
+    """Store one line's checked measurements under ``key``; returns new counts."""
 
-    if not entries:
+    if not sweep.size:
         return 0
     group = index.get(key)
     if group is None:
-        layer, _, device, library, _, _, _, runs, _ = _entry_values(entries[0])
-        group = index[key] = _Group(layer, device, library, runs)
-    return group.fill(entries)
+        group = index[key] = _Group()
+    return group.fill(sweep)
+
+
+def _line(key: _GroupKey, spec: Any, sweep: _Sweep) -> str:
+    """One columnar store line (with its newline) for ``sweep`` under ``key``."""
+
+    layer, device, library, runs = sweep.constants or (None,) * 4
+    return json.dumps({
+        "v": STORE_VERSION,
+        "device": key[0],
+        "library": key[1],
+        "runs": key[2],
+        "seed": key[3],
+        "spec": spec,
+        "spec_hash": key[4],
+        "measurements": {
+            "layer_name": layer,
+            "device_name": device,
+            "library_name": library,
+            "runs": runs,
+            "out_channels": sweep.out_channels,
+            "median_time_ms": sweep.median,
+            "min_time_ms": sweep.minimum,
+            "max_time_ms": sweep.maximum,
+            "job_count": sweep.job_count,
+            "strays": [measurement.as_dict() for measurement in sweep.strays],
+        },
+    }) + "\n"
 
 
 class ProfileStore:
@@ -559,11 +743,11 @@ class ProfileStore:
                     if not line.strip():
                         continue
                     try:
-                        _, key, entries = _parse_line(line)
+                        _, key, sweep = _parse_line(line)
                     except _UNREADABLE:
                         self._skip_line(shard)
                         continue
-                    added += _fill(index, key, entries)
+                    added += _fill(index, key, sweep)
                 self._entry_count += added
             self._cursors[shard] = (held.st_dev, held.st_ino, offset)
         return index
@@ -653,18 +837,8 @@ class ProfileStore:
         if not measurements:
             return
         key = self._key(device, library, runs, spec, seed)
-        payload = {
-            "v": STORE_VERSION,
-            "device": device,
-            "library": library,
-            "runs": runs,
-            "seed": seed,
-            "spec": spec.as_dict(),
-            "spec_hash": key[4],
-            "sweep": [measurement.out_channels for measurement in measurements],
-            "measurements": [measurement.as_dict() for measurement in measurements],
-        }
-        data = (json.dumps(payload) + "\n").encode("utf-8")
+        sweep = _transpose(measurements, _measurement_values)
+        data = _line(key, spec.as_dict(), sweep).encode("utf-8")
         with self._lock:
             self._check_migrated()
             while True:
@@ -708,7 +882,7 @@ class ProfileStore:
             if index is not None and at_cursor:
                 # The line landed exactly at the cursor: index it without
                 # reading it back, and move the cursor past it.
-                self._entry_count += _fill(index, key, payload["measurements"])
+                self._entry_count += _fill(index, key, sweep)
                 self._cursors[shard] = (held.st_dev, held.st_ino, end)
             else:
                 self._load_shard(shard)  # catches up through this line
@@ -801,40 +975,35 @@ class ProfileStore:
 
     def _read_groups_locked(
         self, path: Path, shard: str
-    ) -> Tuple[_Index, Dict[_GroupKey, dict], int]:
-        """Parse one shard file into (index, last payload per key, raw entries)."""
+    ) -> Tuple[_Index, Dict[_GroupKey, Any], int]:
+        """Parse one shard file into (index, last spec per key, raw entries)."""
 
         index: _Index = {}
-        payloads: Dict[_GroupKey, dict] = {}
+        specs: Dict[_GroupKey, Any] = {}
         total_entries = 0
         with path.open("rb") as handle:
             for line in handle:
                 if not line.strip():
                     continue
                 try:
-                    payload, key, entries = _parse_line(line)
+                    payload, key, sweep = _parse_line(line)
                 except _UNREADABLE:
                     total_entries += 1  # an unreadable line is dropped too
                     self._skip_line(shard)
                     continue
-                total_entries += len(entries)
-                _fill(index, key, entries)
-                payloads[key] = payload
-        return index, payloads, total_entries
+                total_entries += sweep.size
+                _fill(index, key, sweep)
+                specs[key] = payload.get("spec")
+        return index, specs, total_entries
 
     @staticmethod
     def _write_groups(
-        handle, index: _Index, payloads: Dict[_GroupKey, dict]
+        handle, index: _Index, specs: Dict[_GroupKey, Any]
     ) -> Tuple[int, int, int]:
-        """Write one line per group; returns the file's new cursor."""
+        """Write one columnar line per group; returns the file's new cursor."""
 
         for key, group in index.items():
-            merged = dict(payloads[key])
-            counts = sorted(group.counts())
-            found, _ = group.split(counts)
-            merged["sweep"] = counts
-            merged["measurements"] = [found[count].as_dict() for count in counts]
-            handle.write(json.dumps(merged) + "\n")
+            handle.write(_line(key, specs[key], group.sweep()))
         handle.flush()
         written = os.fstat(handle.fileno())
         return written.st_dev, written.st_ino, written.st_size
@@ -847,13 +1016,13 @@ class ProfileStore:
             return 0
         lock_handle = self._open_locked_for_append(path)
         try:
-            index, payloads, total_entries = self._read_groups_locked(path, shard)
+            index, specs, total_entries = self._read_groups_locked(path, shard)
             fd, tmp_name = tempfile.mkstemp(
                 prefix=path.name + ".", suffix=".compact", dir=str(path.parent),
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as tmp:
-                    cursor = self._write_groups(tmp, index, payloads)
+                    cursor = self._write_groups(tmp, index, specs)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -885,7 +1054,7 @@ class ProfileStore:
             return 0
         lock_handle = self._open_locked_for_append(self.path)
         try:
-            index, payloads, total_entries = self._read_groups_locked(
+            index, specs, total_entries = self._read_groups_locked(
                 self.path, LEGACY_SHARD
             )
             by_shard: Dict[str, _Index] = {}
@@ -912,7 +1081,7 @@ class ProfileStore:
                         "w", encoding="utf-8"
                     ) as out:
                         cursors[shard] = self._write_groups(
-                            out, by_shard[shard], payloads
+                            out, by_shard[shard], specs
                         )
                 # The swap: park the legacy file inside the temporary
                 # directory, then rename the directory over the path.
@@ -985,18 +1154,19 @@ class ProfileStore:
                             continue
                         per_shard["lines"] += 1
                         try:
-                            _, key, entries = _parse_line(line)
+                            _, key, sweep = _parse_line(line)
                         except _UNREADABLE:
                             per_shard["unreadable"] += 1
                             continue
-                        per_shard["measurements"] += len(entries)
+                        per_shard["measurements"] += sweep.size
                         target = f"{key[1]}@{key[0]}"  # library@device
                         per_target = stats["by_target"].setdefault(
                             target, {"entries": 0, "measurements": 0}
                         )
-                        per_target["measurements"] += len(entries)
+                        per_target["measurements"] += sweep.size
                         counts.setdefault(key, set()).update(
-                            entry["out_channels"] for entry in entries
+                            sweep.out_channels,
+                            (stray.out_channels for stray in sweep.strays),
                         )
                 for key, group in counts.items():
                     per_shard["entries"] += len(group)

@@ -32,6 +32,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..obs.metrics import default_registry
+
+_JOBSTORE_SKIPPED = default_registry().counter(
+    "repro_jobstore_skipped_lines_total",
+    "Unreadable or torn job-store lines skipped while loading.",
+    labelnames=("store",),
+)
+
 #: Job store wire-format version.
 JOB_VERSION = 1
 
@@ -232,6 +240,7 @@ class JobStore:
                     job = Job.from_dict(json.loads(line))
                 except (ValueError, KeyError, TypeError):
                     self.skipped_lines += 1
+                    _JOBSTORE_SKIPPED.inc(store=str(self.path))
                     continue
                 # Later snapshots supersede earlier ones; dict insertion
                 # order (first snapshot seen) is submission order.

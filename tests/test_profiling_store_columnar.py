@@ -1,0 +1,404 @@
+"""Columnar profile-store lines, and the row-form lines still read.
+
+A store line holds one sweep as parallel columns under the group's
+constants, plus a row-form ``strays`` list for measurements that do not
+fit them.  These tests pin down:
+
+* legacy stores: a sharded store written in row form (``tests/data``)
+  serves every count without simulating, ``store compact`` rewrites it
+  as columns, and columnar appends over it resolve last-writer-wins;
+* check parity: a columnar line breaking any measurement rule is skipped
+  whole and counted, exactly like a row-form line with the same entry;
+  so is one with a wrong value type or a malformed column;
+* strays round-trip exactly, types included.
+"""
+
+import json
+import math
+import shutil
+from dataclasses import astuple, fields, replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.cli import main
+from repro.models import ConvLayerSpec
+from repro.profiling import Measurement, ProfileRunner, ProfileStore
+from repro.profiling.runner import MeasurementError, check_measurement
+from repro.profiling.store import (
+    STORE_VERSION,
+    _STORE_SKIPPED,
+    LEGACY_SHARD,
+    _check_columns,
+    _Sweep,
+    layer_spec_fingerprint,
+    shard_id_for,
+)
+
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy_v1_store"
+
+#: The layer the legacy store measured on both targets, counts 1..24.
+LEGACY_LAYER = ConvLayerSpec(
+    name="test.legacy.conv", in_channels=16, out_channels=24,
+    kernel_size=3, stride=1, padding=1, input_hw=14,
+)
+LEGACY_TARGETS = [("hikey-970", "acl-gemm"), ("jetson-tx2", "cudnn")]
+COUNTS = range(1, 25)
+
+LAYER = ConvLayerSpec(
+    name="test.columnar.conv", in_channels=16, out_channels=24,
+    kernel_size=3, stride=1, padding=1, input_hw=14,
+)
+
+
+def legacy_copy(tmp_path):
+    path = tmp_path / "store"
+    shutil.copytree(LEGACY_STORE, path)
+    return path
+
+
+def field_types(measurement):
+    return [type(getattr(measurement, field.name)) for field in fields(measurement)]
+
+
+def measurement(count, median=2.0, **overrides):
+    values = dict(
+        layer_name=LAYER.name, out_channels=count, device_name="mali-g72",
+        library_name="acl-gemm", median_time_ms=median, min_time_ms=median / 2,
+        max_time_ms=median * 2, runs=3, job_count=1,
+    )
+    values.update(overrides)
+    return Measurement(**values)
+
+
+def lines_of(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestLegacyStoreKeepsServing:
+    def test_lookups_match_a_fresh_simulation_without_simulating(self, tmp_path):
+        path = legacy_copy(tmp_path)
+        for device, library in LEGACY_TARGETS:
+            replay = ProfileRunner.create(device, library, runs=3)
+            replay.store = ProfileStore(path)
+            served = replay.measure_many(LEGACY_LAYER, COUNTS)
+            fresh = ProfileRunner.create(device, library, runs=3).measure_many(
+                LEGACY_LAYER, COUNTS
+            )
+            assert replay.simulations == 0
+            assert served == fresh
+            assert [field_types(m) for m in served] == [field_types(m) for m in fresh]
+
+    def test_store_compact_rewrites_row_lines_as_columns(self, tmp_path, capsys):
+        path = legacy_copy(tmp_path)
+        shard = path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl")
+        assert {line["v"] for line in lines_of(shard)} == {1}
+        before = ProfileStore(path).file_stats()
+        expected, _ = ProfileStore(path).lookup(
+            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS
+        )
+
+        assert main(["store", "compact", str(path)]) == 0
+        assert "dropped 0" in capsys.readouterr().out
+        after = ProfileStore(path).file_stats()
+        assert after["entries"] == before["entries"] == 2 * len(COUNTS)
+        assert after["bytes"] < before["bytes"]
+        for shard_file in path.glob("*.jsonl"):
+            (line,) = lines_of(shard_file)
+            assert line["v"] == STORE_VERSION
+            assert line["measurements"]["out_channels"] == list(COUNTS)
+            assert line["measurements"]["strays"] == []
+        served, missing = ProfileStore(path).lookup(
+            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS
+        )
+        assert missing == [] and served == expected
+
+    def test_columnar_appends_over_row_lines_win(self, tmp_path):
+        path = legacy_copy(tmp_path)
+        old, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS)
+        newer = {
+            count: replace(old.get(count) or old[1], out_channels=count,
+                           median_time_ms=9.0, min_time_ms=8.0, max_time_ms=10.0)
+            for count in range(20, 31)
+        }
+        ProfileStore(path).record(
+            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, list(newer.values())
+        )
+        shard = path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl")
+        assert [line["v"] for line in lines_of(shard)] == [1, 1, STORE_VERSION]
+
+        served, missing = ProfileStore(path).lookup(
+            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, range(1, 31)
+        )
+        assert missing == []
+        assert served == {**{count: old[count] for count in range(1, 20)}, **newer}
+        assert len(ProfileStore(path)) == 2 * len(COUNTS) + 6
+
+
+def columnar_line(tmp_path):
+    """A valid columnar line of four counts, as record() writes it."""
+
+    store = ProfileStore(tmp_path / "source.jsonl")
+    store.record(
+        "mali-g72", "acl-gemm", 3, LAYER,
+        [measurement(count, median=1.0 + count) for count in (4, 8, 12, 16)],
+    )
+    (line,) = lines_of(store.path)
+    return line
+
+
+def row_line(line):
+    """The same line in the row form, its entries as ``Measurement.as_dict``."""
+
+    columns = line["measurements"]
+    constants = {
+        name: columns[name]
+        for name in ("layer_name", "device_name", "library_name", "runs")
+    }
+    entries = [
+        Measurement(
+            out_channels=count, median_time_ms=mid, min_time_ms=low,
+            max_time_ms=high, job_count=jobs, **constants,
+        ).as_dict()
+        for count, mid, low, high, jobs in zip(
+            columns["out_channels"], columns["median_time_ms"],
+            columns["min_time_ms"], columns["max_time_ms"], columns["job_count"],
+        )
+    ]
+    keys = ("device", "library", "runs", "seed", "spec", "spec_hash")
+    return dict({key: line[key] for key in keys}, v=1, measurements=entries)
+
+
+def set_first(name, value):
+    """A rule break: the first entry's ``name`` becomes ``value``."""
+
+    def columnar(columns):
+        if name == "runs":
+            columns[name] = value
+        else:
+            columns[name][0] = value
+
+    def row(entries):
+        entries[0][name] = value
+
+    return columnar, row
+
+
+def drop_last(name):
+    def columnar(columns):
+        columns[name].pop()
+
+    return columnar, None
+
+
+def drop_column(name):
+    def columnar(columns):
+        del columns[name]
+
+    return columnar, None
+
+
+#: Each rule a line can break: (columnar mutation, same break in row form
+#: or None where the row form has no such entry).
+RULES = {
+    "zero-min": set_first("min_time_ms", 0.0),
+    "negative-min": set_first("min_time_ms", -1.0),
+    "min-above-median": set_first("min_time_ms", 6.0),
+    "median-above-max": set_first("median_time_ms", 99.0),
+    "nan-median": set_first("median_time_ms", math.nan),
+    "nan-min": set_first("min_time_ms", math.nan),
+    "runs-below-one": set_first("runs", 0),
+    "int-median": (set_first("median_time_ms", 2)[0], None),
+    "int-max": (set_first("max_time_ms", 10)[0], None),
+    "float-count": (set_first("out_channels", 4.0)[0], None),
+    "float-job-count": (set_first("job_count", 1.0)[0], None),
+    "bool-runs": (set_first("runs", True)[0], None),
+    "unequal-lengths": drop_last("job_count"),
+    "missing-column": drop_column("max_time_ms"),
+    "missing-strays": drop_column("strays"),
+}
+
+
+def read_back(tmp_path, name, line):
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    store = ProfileStore(path)
+    before = _STORE_SKIPPED.value(store=str(path), shard=LEGACY_SHARD)
+    found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8, 12, 16])
+    skipped = _STORE_SKIPPED.value(store=str(path), shard=LEGACY_SHARD) - before
+    return found, missing, store.skipped_lines, skipped
+
+
+class TestCheckParity:
+    def test_the_unbroken_lines_are_served(self, tmp_path):
+        line = columnar_line(tmp_path)
+        columnar = read_back(tmp_path, "columnar", line)
+        row = read_back(tmp_path, "row", row_line(line))
+        assert columnar[1:] == row[1:] == ([], 0, 0)
+        assert columnar[0] == row[0] and len(columnar[0]) == 4
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_a_line_breaking_a_rule_is_skipped_whole(self, tmp_path, rule):
+        break_columns, break_rows = RULES[rule]
+        line = columnar_line(tmp_path)
+        row = row_line(line)
+        break_columns(line["measurements"])
+        found, missing, skipped_lines, counted = read_back(tmp_path, "columnar", line)
+        assert found == {} and missing == [4, 8, 12, 16]
+        assert skipped_lines == counted == 1
+        if break_rows is not None:
+            break_rows(row["measurements"])
+            assert read_back(tmp_path, "row", row) == (found, missing, 1, 1)
+
+    def test_a_skipped_line_is_not_counted_as_an_entry(self, tmp_path):
+        line = columnar_line(tmp_path)
+        line["measurements"]["min_time_ms"][0] = 0.0
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        stats = ProfileStore(path).file_stats()
+        assert (stats["unreadable"], stats["entries"], stats["measurements"]) == (1, 0, 0)
+
+
+TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.0, 2.0, math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(TIMES, TIMES, TIMES), min_size=1, max_size=6),
+       st.integers(-1, 3))
+def test_column_checks_match_the_per_entry_rule(times, runs):
+    """The whole-column checks reject exactly what check_measurement rejects."""
+
+    counts = list(range(1, len(times) + 1))
+    median, minimum, maximum = (list(column) for column in zip(*times))
+    sweep = _Sweep(
+        (LAYER.name, "mali-g72", "acl-gemm", runs),
+        counts, median, minimum, maximum, [1] * len(counts), [],
+    )
+    try:
+        for count, (mid, low, high) in zip(counts, times):
+            check_measurement(LAYER.name, count, mid, low, high, runs)
+    except MeasurementError:
+        with pytest.raises(MeasurementError):
+            _check_columns(sweep)
+    else:
+        _check_columns(sweep)
+
+
+MEASUREMENTS = st.builds(
+    measurement,
+    st.sampled_from([4, 8, 8.0, 12]),
+    median=st.sampled_from([2.0, 3.0]),
+    runs=st.sampled_from([3, 5]),
+    layer_name=st.sampled_from([LAYER.name, "renamed.conv"]),
+    median_time_ms=st.sampled_from([2.0, 2, 3.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(MEASUREMENTS, min_size=1, max_size=5), min_size=1, max_size=4))
+def test_records_read_back_exactly_last_writer_wins(tmp_path_factory, records):
+    """Any mix of column entries and strays reads back as the last write per count."""
+
+    path = tmp_path_factory.mktemp("store") / "profiles.jsonl"
+    writer = ProfileStore(path)
+    expected = {}
+    for record in records:
+        writer.record("mali-g72", "acl-gemm", 3, LAYER, record)
+        for recorded in record:
+            expected[recorded.out_channels] = recorded
+    counts = list(expected)
+    for store in (writer, ProfileStore(path)):
+        found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
+        assert missing == []
+        assert [astuple(found[count]) for count in counts] == [
+            astuple(expected[count]) for count in counts
+        ]
+        assert [field_types(found[count]) for count in counts] == [
+            field_types(expected[count]) for count in counts
+        ]
+    assert len(ProfileStore(path)) == len(expected)
+
+
+class TestStraysRoundTrip:
+    RECORDED = [
+        measurement(4),
+        measurement(8, runs=5),                                 # other runs
+        measurement(12, median_time_ms=2, min_time_ms=1.0),     # an int median
+        measurement(16, layer_name="renamed.conv"),             # other layer
+        measurement(20.0),                                      # a float count
+        measurement(24),
+    ]
+
+    def test_strays_come_back_exactly_as_recorded(self, tmp_path):
+        path = tmp_path / "store"
+        writer = ProfileStore(path, layout="sharded")
+        writer.record("mali-g72", "acl-gemm", 3, LAYER, self.RECORDED)
+        (line,) = lines_of(path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl"))
+        columns = line["measurements"]
+        assert columns["out_channels"] == [4, 24]
+        assert [stray["out_channels"] for stray in columns["strays"]] == [8, 12, 16, 20.0]
+
+        counts = [4, 8, 12, 16, 20, 24]
+        for store in (writer, ProfileStore(path)):
+            found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
+            assert missing == []
+            served = [found[count] for count in counts]
+            assert served == self.RECORDED
+            assert [astuple(m) for m in served] == [astuple(m) for m in self.RECORDED]
+            assert [field_types(m) for m in served] == [
+                field_types(m) for m in self.RECORDED
+            ]
+
+        ProfileStore(path).compact()
+        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
+        assert [field_types(found[count]) for count in counts] == [
+            field_types(m) for m in self.RECORDED
+        ]
+
+    def test_a_line_of_strays_only(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        recorded = [measurement(12, median_time_ms=2, min_time_ms=1.0)]
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, recorded)
+        ProfileStore(path).compact()
+        (line,) = lines_of(path)
+        assert line["measurements"]["runs"] is None
+        assert line["measurements"]["out_channels"] == []
+        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [12])
+        assert [found[12]] == recorded
+        assert field_types(found[12]) == field_types(recorded[0])
+
+    def test_the_last_of_a_repeated_count_wins_within_one_record(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        first, stray, last = measurement(4), measurement(4, runs=5), measurement(4, median=7.0)
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [first, stray])
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [stray, last])
+        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4])
+        assert found[4] == last
+        head, _ = lines_of(path)
+        assert head["measurements"]["out_channels"] == [4]
+        assert head["measurements"]["strays"] == [stray.as_dict()]
+
+    def test_row_lines_keep_their_order_between_strays_and_columns(self, tmp_path):
+        line = row_line(columnar_line(tmp_path))
+        stray = dict(line["measurements"][0], runs=5)
+        line["measurements"] = [stray, *line["measurements"], dict(stray, out_channels=8)]
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8])
+        assert found[4].runs == 3   # written after the runs=5 entry of count 4
+        assert found[8].runs == 5   # written after the runs=3 entry of count 8
+
+    def test_spec_fields_survive_compaction(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [measurement(4)])
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [measurement(8)])
+        ProfileStore(path).compact()
+        (line,) = lines_of(path)
+        assert line["spec"] == LAYER.as_dict()
+        assert line["spec_hash"] == layer_spec_fingerprint(LAYER)
+        assert (line["runs"], line["seed"]) == (3, 0)

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.service.jobs import (
+    _JOBSTORE_SKIPPED,
     JOB_VERSION,
     Job,
     JobStore,
@@ -156,6 +157,23 @@ class TestPersistence:
         reloaded = JobStore(path)
         assert reloaded.skipped_lines == 1
         assert reloaded.get(job.id).status == "succeeded"
+
+    def test_garbage_and_torn_lines_are_counted(self, tmp_path):
+        path = tmp_path / "jobs.jsonl"
+        store = JobStore(path)
+        job = make_job(store)
+        store.finish(job.id, "succeeded")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("{garbage\n")
+            handle.write('{"v": 1, "id": "job-torn"')  # killed mid-write
+        before = _JOBSTORE_SKIPPED.value(store=str(path))
+        reloaded = JobStore(path)
+        assert reloaded.skipped_lines == 2
+        assert _JOBSTORE_SKIPPED.value(store=str(path)) == before + 2
+        assert reloaded.get(job.id).status == "succeeded"
+        # Opening compacts the bad lines away: nothing left to skip.
+        assert JobStore(path).skipped_lines == 0
+        assert _JOBSTORE_SKIPPED.value(store=str(path)) == before + 2
 
     def test_pending_ids_and_requeue_after_interrupt(self, tmp_path):
         path = tmp_path / "jobs.jsonl"
