@@ -4,8 +4,9 @@
 Section V of the paper concludes that "no optimal library exists to
 outperform across all neural network layers".  This example describes
 the six-target sweep of one ResNet-50 layer as a declarative
-:class:`Plan` and executes it under the ``batched`` backend — one
-cross-layer simulator batch per target — then reports, for each target:
+:class:`Plan` and executes it under the ``batched`` backend (an alias
+of ``serial``: each target's sweep is one vectorized simulator batch)
+— then reports, for each target:
 the latency at the original size, the best achievable speedup, the
 worst slowdown risked, and how many distinct latency levels the
 staircase has.  (Executors are interchangeable: ``serial`` and
@@ -43,9 +44,9 @@ def main() -> None:
     print(header)
     print("-" * len(header))
 
-    # One plan step fans the layer across every target; the batched
-    # executor pushes each target's whole sweep through one vectorized
-    # simulator call before the step assembles the table.
+    # One plan step fans the layer across every target; each target's
+    # whole sweep goes through one vectorized simulator call before the
+    # step assembles the table.
     plan = Plan()
     step = plan.sweep(TARGETS, spec, sweep_step=2)
     sweep = session.execute(plan, executor="batched")[step.id]

@@ -88,7 +88,7 @@ def main() -> None:
         [target, Target("jetson-tx2", "cudnn", runs=5)], layer, sweep_step=8
     )
     with tempfile.TemporaryDirectory() as tmp:
-        store_path = Path(tmp) / "profiles.jsonl"
+        store_path = Path(tmp) / "profiles"
         warm = Session(store=store_path)
         warm.execute(plan, executor="process", jobs=2)
         cold = Session(store=store_path)  # a "new process"

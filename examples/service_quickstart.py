@@ -7,7 +7,7 @@ two-step plan (a cross-target sweep feeding a pruning job) to it with
 worker executes the steps, and fetches the finished job record — the
 same flow as::
 
-    repro-experiments serve --port 8765 --profile-store profiles.jsonl
+    repro-experiments serve --port 8765 --profile-store profiles
     repro-experiments submit plan.json --url http://127.0.0.1:8765 --watch
 
 Submitting the identical plan a second time demonstrates the service's
@@ -52,7 +52,7 @@ def run_once(client: ServiceClient, plan: Plan) -> dict:
 def main() -> None:
     plan = build_plan()
     with tempfile.TemporaryDirectory() as scratch:
-        store = Path(scratch) / "profiles.jsonl"
+        store = Path(scratch) / "profiles"
         with ReproServer(profile_store=store) as server:
             client = ServiceClient(server.url)
             print(f"service {client.version()['version']} at {server.url}")

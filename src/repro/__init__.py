@@ -47,12 +47,10 @@ from . import analysis, core, experiments, gpusim, libraries, models, nn, obs, p
 from . import api
 from .api import PruningReport, PruningRequest, Session, Target
 from .core import PerformanceAwarePruner
-from .gpusim import GpuSimulator, get_device
-from .libraries import get_library
-from .models import build_model
+from .gpusim import GpuSimulator
 from .profiling import ProfileRunner
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "GpuSimulator",
@@ -65,11 +63,8 @@ __all__ = [
     "__version__",
     "analysis",
     "api",
-    "build_model",
     "core",
     "experiments",
-    "get_device",
-    "get_library",
     "gpusim",
     "libraries",
     "models",

@@ -15,8 +15,8 @@ Most users need exactly four names::
 * :class:`Registry` — the one plugin-registry idiom backing the device,
   library, criterion, model, experiment and executor registries.
 * :class:`Plan` + :data:`EXECUTORS` — declarative, JSON-serializable
-  job graphs executed by pluggable backends (``serial``, ``batched``,
-  ``process``) with bitwise-identical, store-checkpointed results.
+  job graphs executed by pluggable backends (``serial``,
+  ``process``, ``remote``) with bitwise-identical, store-checkpointed results.
 
 Attributes are resolved lazily (PEP 562) so that low-level modules can
 import :mod:`repro.api.registry` without dragging in the whole package
@@ -32,7 +32,6 @@ from .registry import Registry, RegistryError, UnknownPluginError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import (
         EXECUTORS,
-        BatchedExecutor,
         ExecutionError,
         ProcessExecutor,
         SerialExecutor,
@@ -82,7 +81,6 @@ _LAZY_ATTRS = {
     "PLAN_VERSION": "plan",
     "EXECUTORS": "executor",
     "SerialExecutor": "executor",
-    "BatchedExecutor": "executor",
     "ProcessExecutor": "executor",
     "ExecutionError": "executor",
     "UnknownExecutorError": "executor",
@@ -99,7 +97,6 @@ __all__ = [
     "DEFAULT_TARGET_RUNS",
     "EXECUTORS",
     "ExecutionError",
-    "BatchedExecutor",
     "PLAN_VERSION",
     "Plan",
     "PlanError",

@@ -16,14 +16,9 @@ its inputs — not the whole plan's measurement pool — are ready.
 ``serial``
     Steps one at a time in deterministic wavefront order, each
     measurement pass per (target, layer) exactly as
-    :class:`~repro.api.Session` always did.
-
-``batched``
-    Per wavefront, the whole wave's measurement workload is collected
-    up front and measured through
-    :meth:`~repro.profiling.runner.ProfileRunner.prefetch` per target
-    (one vectorized batch per layer sweep) before the wave's steps run
-    against warm caches.
+    :class:`~repro.api.Session` always did.  ``batched`` is an alias:
+    every layer sweep is already one vectorized batch, so measuring a
+    wave's workload up front bought nothing.
 
 ``process``
     Per wavefront, the wave's deduplicated measurement workload is
@@ -274,7 +269,7 @@ def _wave_workload(session: "Session", wave: Sequence[Step]) -> Workload:
     return merged
 
 
-@EXECUTORS.register("serial")
+@EXECUTORS.register("serial", aliases=("batched",))
 class SerialExecutor:
     """Steps one at a time in wavefront order, measurements per (target,
     layer) — the legacy :class:`Session` call chain, now scheduled over
@@ -290,31 +285,6 @@ class SerialExecutor:
             step.id: traced_step(session, step, self.name)
             for step in scheduled_order(plan)
         }
-        return _ordered_results(plan, results)
-
-
-@EXECUTORS.register("batched")
-class BatchedExecutor:
-    """Measure each (wavefront, target) workload up front, one batch per
-    layer sweep, before the wave's step logic runs against a warm cache."""
-
-    name = "batched"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs  # accepted for interface uniformity; unused
-
-    def execute(self, session: "Session", plan: Plan) -> Dict[str, Any]:
-        results: Dict[str, Any] = {}
-        for index, wave in enumerate(wavefronts(plan)):
-            with session.tracer.span(
-                "executor.wave", backend=self.name, wave=index, width=len(wave)
-            ):
-                for target, per_spec in _wave_workload(session, wave).items():
-                    session.runner(target).prefetch(
-                        (spec, sorted(counts)) for spec, counts in per_spec.items()
-                    )
-                for step in wave:
-                    results[step.id] = traced_step(session, step, self.name)
         return _ordered_results(plan, results)
 
 
@@ -482,7 +452,6 @@ def _remote_executor(jobs: Optional[int] = None, **options: Any):
 __all__ = [
     "EXECUTORS",
     "DEFAULT_POOL_WORKERS",
-    "BatchedExecutor",
     "ExecutionError",
     "ProcessExecutor",
     "SerialExecutor",

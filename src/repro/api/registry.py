@@ -21,7 +21,6 @@ The five registry instances live next to the things they register:
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, Generic, Iterator, List, Mapping, Optional, Tuple, Type, TypeVar
 
 T = TypeVar("T")
@@ -40,19 +39,6 @@ class UnknownPluginError(KeyError):
 class RegistryError(ValueError):
     """Raised for invalid registrations (empty names, bad aliases)."""
 
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the uniform :class:`DeprecationWarning` for a legacy shim.
-
-    ``stacklevel=3`` points the warning at the shim's caller, skipping
-    both this helper and the shim itself.
-    """
-
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Registry(Generic[T]):
@@ -216,4 +202,4 @@ class Registry(Generic[T]):
         return f"<Registry kind={self.kind!r} entries={self.available()}>"
 
 
-__all__ = ["Registry", "RegistryError", "UnknownPluginError", "warn_deprecated"]
+__all__ = ["Registry", "RegistryError", "UnknownPluginError"]

@@ -20,8 +20,8 @@ Execution is plan-based: ``sweep``/``prune``/``compare``/
 ``profile_network`` each build a one-step
 :class:`~repro.api.plan.Plan` and hand it to :meth:`Session.execute`,
 which routes it through a pluggable
-:class:`~repro.api.executor.EXECUTORS` backend (``serial``, ``batched``
-or ``process``).  All backends share the counter-based measurement
+:class:`~repro.api.executor.EXECUTORS` backend (``serial``, ``process``
+or ``remote``).  All backends share the counter-based measurement
 noise stream, so results are bitwise identical regardless of backend;
 with a profile store attached, completed measurements checkpoint to
 disk and re-executing a plan simulates nothing.
@@ -184,12 +184,13 @@ class Session:
         unbounded cache explicitly.
     store:
         Optional persistent profile store — a
-        :class:`~repro.profiling.store.ProfileStore` or a path to one:
-        either a legacy flat JSON-lines file or a sharded store
-        directory (the layout is auto-detected).  Measurements are read
-        from the store before touching the simulator and written back
-        after fresh sweeps, so repeated processes (e.g. CLI invocations
-        with ``--profile-store``) reuse each other's profiles.
+        :class:`~repro.profiling.store.ProfileStore` or the path of its
+        directory (created if missing; a single-file store is imported
+        once with ``repro-experiments store compact PATH``).
+        Measurements are read from the store before touching the
+        simulator and written back after fresh sweeps, so repeated
+        processes (e.g. CLI invocations with ``--profile-store``) reuse
+        each other's profiles.
     seed:
         Measurement-noise stream seed, ``0`` by default (the historical
         stream).  Two sessions built with the same seed reproduce
@@ -202,8 +203,9 @@ class Session:
         Default :data:`~repro.api.executor.EXECUTORS` backend name (or
         instance) used by :meth:`execute` and by the plan-routed
         ``sweep``/``prune``/``compare``/``profile_network`` methods.
-        ``"serial"`` preserves legacy semantics; ``"batched"`` and
-        ``"process"`` produce bitwise-identical results faster.
+        ``"serial"`` runs steps in order; ``"process"`` fans the
+        measurements out to worker processes with bitwise-identical
+        results.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` the executors open
         per-step/per-wave spans against.  Defaults to a writerless
@@ -634,8 +636,7 @@ class Session:
         """Execute a :class:`Plan` and return ``{step id: result}``.
 
         ``executor`` picks the :data:`~repro.api.executor.EXECUTORS`
-        backend (``"serial"``, ``"batched"``, ``"process"`` or an
-        instance); the session default applies when omitted.  ``jobs``
+        backend (``"serial"``, ``"process"`` or an instance); the session default applies when omitted.  ``jobs``
         bounds the worker count of parallel backends.  Results are
         bitwise identical across backends for the same seed; with a
         profile store attached, measurements are checkpointed so

@@ -1,8 +1,7 @@
 """Core contribution: performance-aware channel pruning.
 
-Importance criteria live in the unified :data:`CRITERIA` registry;
-prefer ``CRITERIA.create(name)`` over the deprecated
-:func:`get_criterion`.  For the high-level pruning workflow, start at
+Importance criteria live in the unified :data:`CRITERIA` registry
+(``CRITERIA.create(name)``).  For the high-level pruning workflow, start at
 :mod:`repro.api` (``Session.prune`` wraps
 :class:`PerformanceAwarePruner`).
 """
@@ -26,7 +25,6 @@ from .criteria import (
     SequentialCriterion,
     UnknownCriterionError,
     available_criteria,
-    get_criterion,
 )
 from .perf_aware import (
     LayerProfile,
@@ -85,7 +83,6 @@ __all__ = [
     "default_accuracy_model",
     "detect_plateaus",
     "detect_steps",
-    "get_criterion",
     "optimal_pruning_levels",
     "pareto_frontier",
 ]

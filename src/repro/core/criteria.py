@@ -19,7 +19,7 @@ from typing import List, Optional, Type
 
 import numpy as np
 
-from ..api.registry import Registry, UnknownPluginError, warn_deprecated
+from ..api.registry import Registry, UnknownPluginError
 from ..models.layers import ConvLayerSpec
 from ..nn.tensor import conv_weights, seed_from_name
 
@@ -146,13 +146,3 @@ def available_criteria() -> List[str]:
 
     return CRITERIA.available()
 
-
-def get_criterion(name: str) -> ImportanceCriterion:
-    """Instantiate a criterion by name.
-
-    .. deprecated::
-        Use ``CRITERIA.create(name)`` instead.
-    """
-
-    warn_deprecated("repro.core.get_criterion", "repro.core.criteria.CRITERIA.create")
-    return CRITERIA.create(name)

@@ -1,7 +1,8 @@
 """AST-based invariant checkers for the reproduction code base.
 
-Importing this package registers the built-in checkers (RL001–RL005)
-with :data:`CHECKERS`; the public entry point is :func:`run_lint`.
+Importing this package registers the built-in checkers (RL001, RL002,
+RL004, RL005) with :data:`CHECKERS`; the public entry point is
+:func:`run_lint`.
 """
 
 from __future__ import annotations

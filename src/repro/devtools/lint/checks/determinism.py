@@ -1,7 +1,7 @@
 """RL002 — nondeterminism guard for the measurement paths.
 
 The reproduction's executors are contractually bitwise-identical:
-serial, batched, process-pool and remote-fleet runs of the same plan
+serial, process-pool and remote-fleet runs of the same plan
 must produce the same numbers.  That only holds while the measurement
 packages (``repro/gpusim/``, ``repro/core/``, ``repro/profiling/``)
 stay free of ambient entropy.  The only sanctioned noise source is the

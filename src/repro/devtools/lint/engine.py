@@ -7,10 +7,7 @@ experiments, so ``--select``/``--ignore`` get alias/case handling and
 uniform unknown-name errors for free.
 
 Checkers see whole files as :class:`ModuleSource` objects (path, text,
-parsed tree, waiver table) and yield :class:`Finding` records.  Two-pass
-checkers (e.g. deprecated-shim discovery) implement
-:meth:`Checker.prepare`, which receives every module of the run before
-any :meth:`Checker.check` call.
+parsed tree, waiver table) and yield :class:`Finding` records.
 
 Waivers
 -------
@@ -159,17 +156,12 @@ class Checker:
 
     Subclasses set :attr:`code` (the stable ``RLnnn`` identifier),
     :attr:`name` (a short slug for listings) and :attr:`description`,
-    then implement :meth:`check`.  Analyses that need a whole-run view
-    first (e.g. to discover deprecated functions before flagging their
-    callers) override :meth:`prepare`.
+    then implement :meth:`check`.
     """
 
     code: str = ""
     name: str = ""
     description: str = ""
-
-    def prepare(self, modules: Sequence[ModuleSource]) -> None:
-        """Called once with every module of the run, before any check."""
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         """Yield findings for one module."""
@@ -280,8 +272,6 @@ def run_lint(
                 message=f"cannot parse file: {error.msg}",
             ))
     checkers = [CHECKERS.get(key)() for key in resolve_codes(select, ignore)]
-    for checker in checkers:
-        checker.prepare(modules)
     for module in modules:
         for checker in checkers:
             findings.extend(

@@ -10,7 +10,6 @@ from .registry import (
     EXPERIMENTS,
     UnknownExperimentError,
     available_experiments,
-    get_experiment,
     run_experiment,
 )
 
@@ -20,6 +19,5 @@ __all__ = [
     "UnknownExperimentError",
     "available_experiments",
     "default_session",
-    "get_experiment",
     "run_experiment",
 ]

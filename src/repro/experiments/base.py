@@ -14,7 +14,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ..analysis.curves import LatencyCurve, latency_curve
 from ..analysis.speedup import SpeedupMatrix, speedup_matrix
-from ..api.registry import warn_deprecated
 from ..api.session import Session
 from ..api.target import Target
 from ..models.graph import ConvLayerRef
@@ -69,48 +68,11 @@ def resolve_session(session: Optional[Session]) -> Session:
     return session if session is not None else _SESSION
 
 
-def reset_default_session(store=None) -> Session:
-    """Replace the shared convenience session.
-
-    .. deprecated::
-        Pass an explicit ``session=`` to experiment generators (or
-        :func:`repro.experiments.registry.run_experiment`) instead of
-        mutating the process-global default.
-    """
-
-    warn_deprecated(
-        "repro.experiments.base.reset_default_session",
-        "an explicit session= argument to experiment generators",
-    )
-    global _SESSION
-    _SESSION = Session(max_cache_entries=None, store=store)
-    return _SESSION
-
-
-def swap_default_session(session: Session) -> Session:
-    """Install a specific session as the shared default; return the old one.
-
-    .. deprecated::
-        Plan ``figure`` steps now pass their session straight into
-        :func:`repro.experiments.registry.run_experiment` via
-        ``session=``; nothing needs to swap global state any more.
-    """
-
-    warn_deprecated(
-        "repro.experiments.base.swap_default_session",
-        "run_experiment(..., session=...)",
-    )
-    global _SESSION
-    previous = _SESSION
-    _SESSION = session
-    return previous
-
-
 def set_default_profile_store(store) -> None:
     """Attach (or with ``None`` detach) the shared session's profile store.
 
     ``store`` is a :class:`~repro.profiling.store.ProfileStore` or a
-    path to its JSON-lines file.
+    path to its store directory.
     """
 
     default_session().set_store(store)
@@ -121,7 +83,7 @@ def execute_plan(plan, executor=None, jobs=None, session: Optional[Session] = No
 
     Experiment generators build declarative plans and hand them here, so
     one CLI invocation can swap the execution backend (``serial``,
-    ``batched``, ``process``) without touching the generators.  Without
+    ``process``) without touching the generators.  Without
     an explicit ``session`` the shared convenience session is used.
     """
 
@@ -245,10 +207,8 @@ __all__ = [
     "execute_plan",
     "heatmap_experiment",
     "make_runner",
-    "reset_default_session",
     "resnet_layer",
     "resolve_session",
     "set_default_profile_store",
-    "swap_default_session",
     "sweep_experiment",
 ]

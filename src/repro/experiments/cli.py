@@ -6,10 +6,10 @@ Usage::
     python -m repro.experiments targets
     python -m repro.experiments fig14
     python -m repro.experiments table1 table5 --json out.json
-    python -m repro.experiments all --fast
+    python -m repro.experiments all
     python -m repro.experiments run-plan plan.json --executor process --jobs 4
     python -m repro.experiments run-plan plan.json --trace trace.jsonl
-    python -m repro.experiments serve --port 8765 --profile-store profiles.jsonl
+    python -m repro.experiments serve --port 8765 --profile-store profiles
     python -m repro.experiments submit plan.json --url http://127.0.0.1:8765 --watch
     python -m repro.experiments worker --url http://127.0.0.1:8765
     python -m repro.experiments serve --executor remote --autoscale 0:4
@@ -17,8 +17,8 @@ Usage::
     python -m repro.experiments metrics --grep 'repro_lease' --fleet
     python -m repro.experiments trace ls --file trace.jsonl
     python -m repro.experiments trace show TRACE_ID --file trace.jsonl
-    python -m repro.experiments store stats profiles.jsonl
-    python -m repro.experiments store compact profiles.jsonl
+    python -m repro.experiments store stats profiles
+    python -m repro.experiments store compact profiles
     python -m repro.experiments lint src tests --format json
     python -m repro.experiments lint --list-checks
 
@@ -35,7 +35,7 @@ long-lived :mod:`repro.service` HTTP front end, ``submit`` ships a
 plan file to it and ``worker`` joins its measurement fleet — a
 pull-based agent claiming work leases over HTTP, which is what jobs
 submitted with ``--executor remote`` run on.  ``store`` maintains a
-profile-store file, and ``lint`` runs the repo's AST invariant
+profile store, and ``lint`` runs the repo's AST invariant
 checkers (:mod:`repro.devtools.lint`) over source trees.
 """
 
@@ -52,14 +52,6 @@ from ..gpusim.device import DEVICES
 from ..libraries.base import LIBRARIES
 from .base import ExperimentResult
 from .registry import UnknownExperimentError, available_experiments, run_experiment
-
-#: Experiments that are slow at full resolution; ``--fast`` coarsens them.
-_SWEEP_EXPERIMENTS = {
-    "fig02", "fig03", "fig04", "fig05", "fig07", "fig12", "fig14", "fig15", "fig20",
-}
-_HEATMAP_EXPERIMENTS = {
-    "fig01", "fig06", "fig08", "fig09", "fig10", "fig11", "fig13", "fig16", "fig17", "fig19",
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,11 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="coarsen channel sweeps and reduce repetitions for a quick run",
-    )
-    parser.add_argument(
         "--json",
         nargs="?",
         const="-",
@@ -103,10 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile-store",
         metavar="PATH",
         help=(
-            "persist layer measurements to a profile store — a flat "
-            "JSON-lines file or a sharded store directory ('store init' "
-            "creates one; layout is auto-detected) — and reuse them across "
-            "invocations (a repeated experiment re-simulates nothing)"
+            "persist layer measurements to a profile store directory "
+            "(created if missing) and reuse them across invocations (a "
+            "repeated experiment re-simulates nothing); a single-file "
+            "store is imported once with 'store compact PATH'"
         ),
     )
     parser.add_argument(
@@ -119,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "executor backend: serial, batched, process or remote "
+            "executor backend: serial, process or remote "
             "(run-plan/serve default: serial; submit defaults to the "
             "server's configured executor; remote needs a serving "
             "service with workers attached)"
@@ -267,15 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shard",
-        action="store_true",
-        help=(
-            "store compact: migrate a legacy flat-file store into the "
-            "sharded directory layout (one JSONL shard per device/library "
-            "pair); no-op on stores that are already sharded"
-        ),
-    )
-    parser.add_argument(
         "--select",
         action="append",
         default=None,
@@ -316,18 +294,6 @@ def _expand(requested: Iterable[str]) -> List[str]:
     return expanded
 
 
-def _kwargs_for(experiment_id: str, fast: bool) -> dict:
-    if not fast:
-        return {}
-    if experiment_id in _SWEEP_EXPERIMENTS:
-        # An odd step keeps all residues modulo the vectorisation width in
-        # the sweep, so level/staircase metrics survive the coarsening.
-        return {"runs": 3, "step": 3 if experiment_id != "fig15" else 17}
-    if experiment_id in _HEATMAP_EXPERIMENTS:
-        return {"runs": 1}
-    return {}
-
-
 def print_targets() -> None:
     """List every registered device x library pair and its compatibility."""
 
@@ -341,13 +307,11 @@ def print_targets() -> None:
                 print(f"{device:<12} {library:<12} ok ({target.device_spec.api})")
 
 
-def run_many(
-    experiment_ids: Iterable[str], fast: bool = False, session=None
-) -> List[ExperimentResult]:
+def run_many(experiment_ids: Iterable[str], session=None) -> List[ExperimentResult]:
     """Run several experiments (against one shared session) and return results."""
 
     return [
-        run_experiment(experiment_id, session=session, **_kwargs_for(experiment_id, fast))
+        run_experiment(experiment_id, session=session)
         for experiment_id in experiment_ids
     ]
 
@@ -737,32 +701,37 @@ def trace_command(rest: List[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def store_command(rest: List[str], args: argparse.Namespace) -> int:
-    """Profile-store maintenance: ``store {compact|stats|init} PATH``."""
+def store_command(rest: List[str]) -> int:
+    """Profile-store maintenance: ``store {compact|stats|init} PATH``.
 
-    from ..profiling.store import ProfileStore, ProfileStoreError
+    ``compact`` on a single-file store (the format before store
+    directories) imports it into a store directory at the same path.
+    """
+
+    from ..profiling.store import ProfileStore, ProfileStoreError, import_flat_store
 
     if len(rest) != 2 or rest[0] not in ("compact", "stats", "init"):
-        print(
-            "usage: repro-experiments store {compact|stats|init} PATH [--shard]",
-            file=sys.stderr,
-        )
+        print("usage: repro-experiments store {compact|stats|init} PATH", file=sys.stderr)
         return 2
     action, path_text = rest
     path = Path(path_text)
 
     if action == "init":
         try:
-            ProfileStore(path, layout="sharded")
+            ProfileStore(path)
         except ProfileStoreError as error:
             print(str(error), file=sys.stderr)
             return 2
-        print(f"initialized sharded profile store {path}")
+        print(f"initialized profile store {path}")
         return 0
 
     if not path.exists():
         print(f"profile store not found: {path}", file=sys.stderr)
         return 2
+    imported = action == "compact" and path.is_file()
+    if imported:
+        size, dropped = path.stat().st_size, import_flat_store(path)
+        print(f"imported {path} into a profile store directory")
     try:
         store = ProfileStore(path)
     except ProfileStoreError as error:
@@ -772,7 +741,6 @@ def store_command(rest: List[str], args: argparse.Namespace) -> int:
     if action == "stats":
         stats = store.file_stats()
         print(f"profile store {path}")
-        print(f"  layout:       {stats['layout']}")
         print(f"  size:         {stats['bytes']} bytes in {stats['lines']} line(s)")
         print(f"  entries:      {stats['entries']} distinct configuration(s)")
         print(f"  measurements: {stats['measurements']} recorded (duplicates included)")
@@ -783,27 +751,21 @@ def store_command(rest: List[str], args: argparse.Namespace) -> int:
                 f"  target {target}: {per_target['entries']} entr(y/ies), "
                 f"{per_target['measurements']} measurement(s)"
             )
-        if stats["layout"] == "sharded":
-            for shard in sorted(stats["shards"]):
-                per_shard = stats["shards"][shard]
-                print(
-                    f"  shard {shard}: {per_shard['entries']} entr(y/ies), "
-                    f"{per_shard['measurements']} measurement(s), "
-                    f"{per_shard['bytes']} bytes"
-                )
+        for shard in sorted(stats["shards"]):
+            per_shard = stats["shards"][shard]
+            print(
+                f"  shard {shard}: {per_shard['entries']} entr(y/ies), "
+                f"{per_shard['measurements']} measurement(s), "
+                f"{per_shard['bytes']} bytes"
+            )
         return 0
 
-    before = store.file_stats()
-    dropped = store.compact(shard=args.shard)
+    if not imported:
+        size, dropped = store.file_stats()["bytes"], store.compact()
     after = store.file_stats()
-    if before["layout"] == "flat" and after["layout"] == "sharded":
-        print(
-            f"migrated {path} to the sharded layout: "
-            f"{len(after['shards'])} shard(s)"
-        )
     print(
         f"compacted {path}: dropped {dropped} duplicate/unreadable entr(y/ies), "
-        f"{before['bytes']} -> {after['bytes']} bytes, "
+        f"{size} -> {after['bytes']} bytes, "
         f"{after['entries']} configuration(s) in {after['lines']} line(s)"
     )
     return 0
@@ -827,7 +789,7 @@ def main(argv: List[str] | None = None) -> int:
     if first == "trace":
         return trace_command(args.experiments[1:], args)
     if first == "store":
-        return store_command(args.experiments[1:], args)
+        return store_command(args.experiments[1:])
     if first == "lint":
         from ..devtools.lint.cli import lint_command
 
@@ -848,15 +810,17 @@ def main(argv: List[str] | None = None) -> int:
     # process-global convenience session.
     from ..api.session import Session
 
-    session = Session(max_cache_entries=None, store=args.profile_store or None)
+    try:
+        session = Session(max_cache_entries=None, store=args.profile_store or None)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
 
     experiment_ids = _expand(args.experiments)
     results = []
     for experiment_id in experiment_ids:
         try:
-            result = run_experiment(
-                experiment_id, session=session, **_kwargs_for(experiment_id, args.fast)
-            )
+            result = run_experiment(experiment_id, session=session)
         except UnknownExperimentError as error:
             # The registry error already lists every valid identifier.
             print(str(error.args[0] if error.args else error), file=sys.stderr)

@@ -7,11 +7,9 @@ rather than sorting alphabetically.
 
 from __future__ import annotations
 
-import inspect
-import threading
 from typing import Callable, List
 
-from ..api.registry import Registry, UnknownPluginError, warn_deprecated
+from ..api.registry import Registry, UnknownPluginError
 from . import figures, proposal, tables
 from .base import ExperimentResult
 
@@ -51,69 +49,17 @@ def available_experiments() -> List[str]:
     return EXPERIMENTS.available()
 
 
-def get_experiment(experiment_id: str) -> ExperimentFn:
-    """Look up an experiment generator by identifier.
-
-    .. deprecated::
-        Use ``EXPERIMENTS.get(experiment_id)`` instead.
-    """
-
-    warn_deprecated(
-        "repro.experiments.get_experiment", "repro.experiments.registry.EXPERIMENTS.get"
-    )
-    return EXPERIMENTS.get(experiment_id)
-
-
-def _accepts_session(fn: ExperimentFn) -> bool:
-    """Whether a generator can receive the ``session=`` keyword."""
-
-    try:
-        parameters = inspect.signature(fn).parameters.values()
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return True
-    return any(
-        param.kind is inspect.Parameter.VAR_KEYWORD or param.name == "session"
-        for param in parameters
-    )
-
-
-#: Serializes legacy session-less generators while the explicit session
-#: is installed as the global default — they cannot run concurrently.
-_LEGACY_SESSION_LOCK = threading.Lock()
-
-
 def run_experiment(experiment_id: str, session=None, **kwargs) -> ExperimentResult:
     """Run one experiment by identifier.
 
     ``session`` scopes the experiment's measurements to an explicit
     :class:`repro.api.Session` (its noise seed, profile store and
-    caches); every bundled generator accepts it.  When omitted, the
-    generator falls back to the shared convenience session
+    caches); every registered generator must accept it.  When omitted,
+    the generator falls back to the shared convenience session
     (:func:`repro.experiments.base.default_session`).
-
-    Third-party generators registered without a ``session`` parameter
-    still work: the explicit session is installed as the process-global
-    default for the duration of the call (serialized, so such
-    experiments cannot overlap), with a :class:`DeprecationWarning`
-    asking for the parameter to be added.
     """
 
     fn = EXPERIMENTS.get(experiment_id)
     if session is None:
         return fn(**kwargs)
-    if _accepts_session(fn):
-        return fn(session=session, **kwargs)
-
-    from . import base
-
-    warn_deprecated(
-        f"experiment generator {experiment_id!r} without a session parameter",
-        "a session= keyword argument (generators receive the executing session)",
-    )
-    with _LEGACY_SESSION_LOCK:
-        previous = base._SESSION
-        base._SESSION = session
-        try:
-            return fn(**kwargs)
-        finally:
-            base._SESSION = previous
+    return fn(session=session, **kwargs)

@@ -5,7 +5,7 @@ objects into the paper-vs-measured record that EXPERIMENTS.md is based
 on.  Useful for re-running the whole evaluation on modified simulator or
 library parameters and diffing the outcome::
 
-    python -m repro.experiments all --fast --markdown results.md
+    python -m repro.experiments all --markdown results.md
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Embedded GPU simulator: devices, kernels, execution model and metrics.
 
-Device presets live in the unified :data:`DEVICES` registry; prefer
-``DEVICES.get(name)`` or :class:`repro.api.Target` over the deprecated
-:func:`get_device`.
+Device presets live in the unified :data:`DEVICES` registry:
+``DEVICES.get(name)``, or :class:`repro.api.Target`.
 """
 
 from .device import (
@@ -14,7 +13,6 @@ from .device import (
     DeviceSpec,
     UnknownDeviceError,
     available_devices,
-    get_device,
 )
 from .batch import (
     BatchSimulationResult,
@@ -66,7 +64,6 @@ __all__ = [
     "available_devices",
     "format_instruction_table",
     "format_workgroup_table",
-    "get_device",
     "kernel_instruction_table",
     "relative_system_counters",
     "simulate_batch",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..api.registry import Registry, UnknownPluginError, warn_deprecated
+from ..api.registry import Registry, UnknownPluginError
 
 
 class UnknownDeviceError(UnknownPluginError):
@@ -155,13 +155,3 @@ def available_devices() -> List[str]:
 
     return DEVICES.available()
 
-
-def get_device(name: str) -> DeviceSpec:
-    """Look up a device preset by name or alias.
-
-    .. deprecated::
-        Use ``DEVICES.get(name)`` or :class:`repro.api.Target` instead.
-    """
-
-    warn_deprecated("repro.gpusim.get_device", "repro.gpusim.device.DEVICES.get or repro.api.Target")
-    return DEVICES.get(name)

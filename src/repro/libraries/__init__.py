@@ -1,8 +1,7 @@
 """Deep-learning library planning models (ACL GEMM/Direct, cuDNN, TVM).
 
-Planner classes live in the unified :data:`LIBRARIES` registry; prefer
-``LIBRARIES.create(name)`` or :class:`repro.api.Target` over the
-deprecated :func:`get_library`.
+Planner classes live in the unified :data:`LIBRARIES` registry:
+``LIBRARIES.create(name)``, or :class:`repro.api.Target`.
 """
 
 from .acl_direct import AclDirectLibrary, channel_divisibility, select_workgroup
@@ -13,7 +12,6 @@ from .base import (
     LibraryError,
     UnknownLibraryError,
     available_libraries,
-    get_library,
     register_library,
 )
 from .cudnn import CudnnLibrary, padded_channels, select_tile
@@ -32,7 +30,6 @@ __all__ = [
     "UnknownLibraryError",
     "available_libraries",
     "channel_divisibility",
-    "get_library",
     "pad_channels",
     "padded_channels",
     "register_library",

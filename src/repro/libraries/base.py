@@ -25,7 +25,7 @@ from typing import List, Sequence, Type
 
 import numpy as np
 
-from ..api.registry import Registry, UnknownPluginError, warn_deprecated
+from ..api.registry import Registry, UnknownPluginError
 from ..gpusim.batch import KernelBatch
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelPlan
@@ -132,16 +132,3 @@ def available_libraries() -> List[str]:
 
     return LIBRARIES.available()
 
-
-def get_library(name: str) -> ConvolutionLibrary:
-    """Instantiate a library model by name or alias.
-
-    .. deprecated::
-        Use ``LIBRARIES.create(name)`` or :class:`repro.api.Target` instead.
-    """
-
-    warn_deprecated(
-        "repro.libraries.get_library",
-        "repro.libraries.base.LIBRARIES.create or repro.api.Target",
-    )
-    return LIBRARIES.create(name)

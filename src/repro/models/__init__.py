@@ -1,8 +1,7 @@
 """CNN model zoo: layer specs, network graphs and the paper's three networks.
 
-Network builders live in the unified :data:`MODELS` registry; prefer
-``MODELS.create(name)`` or :meth:`repro.api.Session.network` over the
-deprecated :func:`build_model`.
+Network builders live in the unified :data:`MODELS` registry:
+``MODELS.create(name)``, or :meth:`repro.api.Session.network`.
 """
 
 from .alexnet import build_alexnet
@@ -26,7 +25,6 @@ from .zoo import (
     MODELS,
     UnknownModelError,
     available_models,
-    build_model,
     canonical_name,
     profiled_layer_indices,
     profiled_layer_refs,
@@ -48,7 +46,6 @@ __all__ = [
     "UnknownModelError",
     "available_models",
     "build_alexnet",
-    "build_model",
     "build_resnet50",
     "build_sequential_network",
     "build_vgg16",

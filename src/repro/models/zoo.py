@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from . import alexnet, resnet50, vgg16
-from ..api.registry import Registry, UnknownPluginError, warn_deprecated
+from ..api.registry import Registry, UnknownPluginError
 from .graph import ConvLayerRef, Network
 
 
@@ -56,20 +56,6 @@ def canonical_name(name: str) -> str:
 
     return MODELS.canonical(name)
 
-
-def build_model(name: str) -> Network:
-    """Build a network from the zoo by name (aliases accepted).
-
-    .. deprecated::
-        Use ``MODELS.create(name)`` or :meth:`repro.api.Session.network`
-        instead.
-    """
-
-    warn_deprecated(
-        "repro.models.build_model",
-        "repro.models.zoo.MODELS.create or repro.api.Session.network",
-    )
-    return MODELS.create(name)
 
 
 def profiled_layer_indices(name: str) -> Tuple[int, ...]:

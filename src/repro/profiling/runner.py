@@ -194,7 +194,7 @@ class ProfileRunner:
     ``None`` for unbounded), so a long-lived runner cannot grow without
     limit.
 
-    Runners are thread-safe: measurement, adoption and prefetching are
+    Runners are thread-safe: measurement and adoption are
     serialized per runner, so concurrent plan steps hammering the same
     (device, library) pair simulate each configuration exactly once and
     record it to the store exactly once.
@@ -357,7 +357,7 @@ class ProfileRunner:
         return measurements
 
     # ------------------------------------------------------------------
-    # Executor support: prefetching and cross-process adoption
+    # Executor support: cross-process adoption
     # ------------------------------------------------------------------
     def pending_counts(self, layer: ConvLayerSpec, channel_counts: Iterable[int]) -> List[int]:
         """Channel counts not served by the cache or the attached store.
@@ -404,22 +404,6 @@ class ProfileRunner:
                     seed=self.seed,
                 )
             return len(fresh)
-
-    def prefetch(
-        self, sweeps: Iterable[Tuple[ConvLayerSpec, Iterable[int]]]
-    ) -> int:
-        """Measure many layers' sweeps, one vectorized batch per layer.
-
-        The batched executor calls this to warm the cache for a whole
-        step at once; every later per-layer lookup is then a hit.
-        Returns the number of configurations actually simulated.
-        """
-
-        with self._lock:
-            before = self.simulations
-            for layer, counts in sweeps:
-                self.measure_many(layer, counts)
-            return self.simulations - before
 
     # ------------------------------------------------------------------
     def measure_channels(

@@ -4,41 +4,33 @@ Every profile used to die with the Python process, so each CLI
 invocation and every experiment script re-simulated thousands of
 (device, library, layer, channel count) configurations from scratch.
 :class:`ProfileStore` persists :class:`~repro.profiling.runner.Measurement`
-records to JSON-lines files so that repeated invocations reuse them:
-a :class:`~repro.api.Session` built with ``store=PATH`` (or the
-``repro-experiments --profile-store PATH`` flag) reads existing
-measurements before touching the simulator and appends whatever it had
-to measure fresh.
+records to a directory of JSON-lines shards so that repeated
+invocations reuse them: a :class:`~repro.api.Session` built with
+``store=PATH`` (or the ``repro-experiments --profile-store PATH`` flag)
+reads existing measurements before touching the simulator and appends
+whatever it had to measure fresh.
 
-Layouts
--------
-The store speaks two on-disk layouts behind one class:
+Layout
+------
+``PATH`` is a *directory* holding one JSONL shard per ``(device,
+library)`` pair plus a ``_store.json`` marker::
 
-* **flat** (legacy) — ``PATH`` is a single append-only JSONL file.
-  Every store created before sharding landed is a flat store, and a
-  bare file path keeps working unchanged: it is treated as one
-  ``legacy`` shard.
-* **sharded** — ``PATH`` is a *directory* holding one JSONL shard per
-  ``(device, library)`` pair plus a ``_store.json`` marker::
+    PATH/
+      _store.json                      # {"layout": "sharded", ...}
+      mali-g72__acl-gemm--5f0c1a2b.jsonl
+      jetson-tx2__cudnn--91d24c03.jsonl
 
-      PATH/
-        _store.json                      # {"layout": "sharded", ...}
-        mali-g72__acl-gemm--5f0c1a2b.jsonl
-        jetson-tx2__cudnn--91d24c03.jsonl
+Shard file names are ``slug(device)__slug(library)--digest8.jsonl``;
+the digest keys the exact ``(device, library)`` pair so two targets
+whose slugs collide still get distinct shards.  Opening a missing path
+creates the directory and its marker, and an empty directory is
+adopted; a non-empty directory without the marker is rejected loudly.
 
-  Shard file names are ``slug(device)__slug(library)--digest8.jsonl``;
-  the digest keys the exact ``(device, library)`` pair so two targets
-  whose slugs collide still get distinct shards.  A directory is only
-  accepted as a store when the marker is present (or when an *empty*
-  directory is opened with ``layout="sharded"``), so arbitrary
-  directories are still rejected loudly.
-
-Sharding is what keeps the store usable at millions of entries: the
-in-memory read-through tier loads **one shard per first touch** of a
-``(device, library)`` target instead of parsing the whole store under
-the global lock, appends land on the shard's own file (writers on
-different targets no longer contend on one ``flock``/inode), and
-``compact()`` rewrites each shard independently.
+The in-memory read-through tier loads **one shard per first touch** of
+a ``(device, library)`` target instead of parsing the whole store,
+appends land on the shard's own file (writers on different targets
+never contend on one ``flock``/inode), and ``compact()`` rewrites each
+shard independently.
 
 Resident index
 --------------
@@ -47,8 +39,8 @@ its jobs), so after the first load it never re-parses a shard.  Each
 loaded shard keeps a cursor ``(st_dev, st_ino, bytes consumed)``; every
 lookup ``fstat``s the shard file and parses only the complete lines
 appended since, by this object or any other process.  A new inode or a
-shorter file means a compaction or migration happened elsewhere, and the
-shard's index is rebuilt from scratch.  A final line still missing its
+shorter file means a compaction happened elsewhere, and the shard's
+index is rebuilt from scratch.  A final line still missing its
 newline (an append in flight, or a crash mid-append) is left for a later
 lookup.  So a long-lived object sees every complete line on disk at each
 lookup, exactly like a freshly opened one.
@@ -62,17 +54,18 @@ extended onto the group's columns with no per-entry object;
 :meth:`ProfileStore.lookup` builds :class:`Measurement` objects only for
 the counts it serves.
 
-Migration
----------
-``compact(shard=True)`` on a flat store is the migration hook: it reads
-every record under the advisory lock, deduplicates with last-writer-wins
-semantics, writes the sharded layout into a temporary directory next to
-the store and swaps it into place, so ``PATH`` atomically *becomes* the
-store directory.  Concurrent appenders blocked on the legacy file's
-lock re-check the inode when they wake, notice the marker and re-route
-their append to the proper shard — no record is lost across the
-migration.  (The swap itself is two adjacent renames; a crash exactly
-between them leaves the data intact in the temporary directory.)
+Importing a flat file
+---------------------
+Stores written before the directory layout are one JSONL file.  Opening
+one raises :class:`ProfileStoreError` naming the one-time import,
+``repro-experiments store compact PATH``, which calls
+:func:`import_flat_store`: it reads every record under the file's
+advisory lock, deduplicates with last-writer-wins semantics, writes the
+shards into a temporary directory next to the file and swaps it into
+place, so ``PATH`` atomically *becomes* the store directory.  (The swap
+is two adjacent renames; if the second fails the file is put back, and
+a crash exactly between them leaves the data intact in the temporary
+directory.)
 
 File format
 -----------
@@ -207,15 +200,9 @@ STORE_VERSION = 2
 #: The row-form line version: read, never written.
 _ROW_VERSION = 1
 
-#: Marker file distinguishing a sharded store directory from an
-#: arbitrary directory (which is still rejected).
+#: Marker file distinguishing a store directory from an arbitrary
+#: directory (which is still rejected).
 STORE_MARKER = "_store.json"
-
-#: Shard id of a flat (legacy, single-file) store.
-LEGACY_SHARD = "legacy"
-
-#: Accepted ``layout`` arguments to :class:`ProfileStore`.
-STORE_LAYOUTS = ("auto", "flat", "sharded")
 
 _GroupKey = Tuple[str, str, int, int, str]
 
@@ -562,33 +549,87 @@ def _line(key: _GroupKey, spec: Any, sweep: _Sweep) -> str:
     }) + "\n"
 
 
+def _open_locked(path: Path, open_append: Callable[[Path], Any]):
+    """Open ``path`` with ``open_append`` under an advisory exclusive lock.
+
+    After acquiring the lock the handle's inode is re-checked against
+    the path: a concurrent compaction may have :func:`os.replace`'d the
+    file while this writer was blocked, in which case the lock was won
+    on the orphaned old inode and a write there would be lost.  On
+    mismatch, reopen and retry.  The re-check runs even where ``fcntl``
+    is unavailable: without it the window between open and write is
+    merely narrowed, not closed, but an append can no longer land on a
+    file that was already orphaned when the handle was opened.
+    """
+
+    while True:
+        handle = open_append(path)
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            current = os.stat(path)
+        except FileNotFoundError:
+            fresh = False
+        else:
+            held = os.fstat(handle.fileno())
+            fresh = (held.st_ino, held.st_dev) == (current.st_ino, current.st_dev)
+        if fresh:
+            return handle
+        _unlock_and_close(handle)
+
+
+def _unlock_and_close(handle) -> None:
+    if fcntl is not None:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+    handle.close()
+
+
+def _write_marker(directory: Path) -> None:
+    """Atomically write a store directory's ``_store.json`` marker."""
+
+    payload = json.dumps(
+        {"layout": "sharded", "store_version": STORE_VERSION}, sort_keys=True
+    )
+    fd, tmp_name = tempfile.mkstemp(prefix=STORE_MARKER + ".", dir=str(directory))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as tmp:
+            tmp.write(payload + "\n")
+        os.replace(tmp_name, directory / STORE_MARKER)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class ProfileStore:
     """Append-only JSONL store of measurements, indexed in memory.
 
-    ``path`` may point at a legacy flat file (one JSONL file, one
-    ``legacy`` shard) or a sharded store directory; ``layout="auto"``
-    (the default) detects which.  Pass ``layout="sharded"`` to create a
-    new sharded store at a fresh path (the directory and its
-    ``_store.json`` marker are created eagerly).
+    ``path`` is a store directory, created with its ``_store.json``
+    marker if missing.  An empty directory is adopted; a non-empty one
+    without the marker, or a regular file (a store written before the
+    directory layout, see :func:`import_flat_store`), is refused with a
+    :class:`ProfileStoreError`.  ``layout`` only accepts ``"sharded"``,
+    the one layout there is.
 
     A shard's file is parsed on the first lookup that touches its
     ``(device, library)`` target; every later lookup first catches up
     on the complete lines appended since (by any process), and rebuilds
-    the shard only if another object compacted or migrated it.  So one
-    long-lived object serves as fresh an answer as a newly opened one,
-    without re-parsing.  Records appended through :meth:`record` update
+    the shard only if another object compacted it.  So one long-lived
+    object serves as fresh an answer as a newly opened one, without
+    re-parsing.  Records appended through :meth:`record` update
     both the shard file and the index.  ``hits`` / ``misses`` count
     per-configuration lookups, ``writes`` counts appended measurements,
     ``skipped_lines`` the unreadable lines met while loading.
     """
 
-    def __init__(self, path: Union[str, Path], layout: str = "auto") -> None:
-        if layout not in STORE_LAYOUTS:
+    def __init__(self, path: Union[str, Path], layout: str = "sharded") -> None:
+        if layout != "sharded":
             raise ProfileStoreError(
-                f"unknown store layout {layout!r} (expected one of {STORE_LAYOUTS})"
+                f"unknown store layout {layout!r} (the only layout is 'sharded')"
             )
         self.path = Path(path)
-        self._layout = self._resolve_layout(layout)
         self._store_label = str(self.path)
         #: shard id -> group key -> columnar group, loaded lazily one
         #: shard at a time.
@@ -607,111 +648,46 @@ class ProfileStore:
         # concurrent scheduler threads; the shard files themselves are
         # flock-guarded separately.
         self._lock = threading.RLock()
-        if self._layout == "sharded":
-            self._ensure_sharded_dir()
+        self._open_directory()
 
-    # ------------------------------------------------------------------
-    # Layout resolution
-    # ------------------------------------------------------------------
-    def _resolve_layout(self, requested: str) -> str:
-        if self.path.exists():
-            if self.path.is_dir():
-                if (self.path / STORE_MARKER).exists():
-                    return "sharded"
-                if requested == "sharded" and not any(self.path.iterdir()):
-                    return "sharded"  # adopt the empty directory
-                raise ProfileStoreError(
-                    f"profile store path {self.path} is a directory "
-                    f"(not a sharded store: no {STORE_MARKER} marker)"
-                )
-            if requested == "sharded":
-                raise ProfileStoreError(
-                    f"profile store path {self.path} is a flat file; migrate "
-                    f"it with compact(shard=True) / 'store compact --shard'"
-                )
-            return "flat"
-        return "sharded" if requested == "sharded" else "flat"
+    def _open_directory(self) -> None:
+        """Create or adopt the store directory and its marker."""
 
-    @property
-    def layout(self) -> str:
-        """``"flat"`` (legacy single file) or ``"sharded"`` (directory)."""
-
-        # repro-lint: ignore[RL001] -- atomic str read; rebinding happens
-        # only under the lock in _check_migrated/_migrate_locked.
-        return self._layout
-
-    def _ensure_sharded_dir(self) -> None:
-        """Create the store directory and its marker (idempotent)."""
-
+        if self.path.is_file():
+            raise ProfileStoreError(
+                f"profile store path {self.path} is a flat file; import it "
+                f"once with 'repro-experiments store compact {self.path}'"
+            )
+        if (self.path / STORE_MARKER).exists():
+            return
+        if self.path.is_dir() and any(self.path.iterdir()):
+            raise ProfileStoreError(
+                f"profile store path {self.path} is a directory "
+                f"(not a profile store: no {STORE_MARKER} marker)"
+            )
         self.path.mkdir(parents=True, exist_ok=True)
-        marker = self.path / STORE_MARKER
-        if marker.exists():
-            return
-        payload = json.dumps(
-            {"layout": "sharded", "store_version": STORE_VERSION}, sort_keys=True
-        )
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=STORE_MARKER + ".", dir=str(self.path)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as tmp:
-                tmp.write(payload + "\n")
-            os.replace(tmp_name, marker)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def _check_migrated(self) -> None:
-        """Adopt the sharded layout if another process migrated the path.
-
-        A concurrent ``compact(shard=True)`` atomically replaces the
-        flat file with a store directory; a flat store object noticing
-        the marker flips itself to sharded mode and drops its indexes
-        and cursors (they reload per shard on demand).
-        """
-
-        if self._layout != "flat":
-            return
-        if self.path.is_dir() and (self.path / STORE_MARKER).exists():
-            self._layout = "sharded"
-            self._indexes = {}
-            self._cursors = {}
-            self._entry_count = 0
+        _write_marker(self.path)
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
-    def _shard_id(self, device: str, library: str) -> str:
-        if self._layout == "flat":
-            return LEGACY_SHARD
-        return shard_id_for(device, library)
-
     def _shard_path(self, shard: str) -> Path:
-        if self._layout == "flat":
-            return self.path
         return self.path / (shard + ".jsonl")
 
     def _shard_ids_on_disk(self) -> List[str]:
-        if self._layout == "flat":
-            return [LEGACY_SHARD]
-        if not self.path.is_dir():
-            return []
         return sorted(entry.stem for entry in self.path.glob("*.jsonl"))
 
-    def _skip_line(self, shard: str) -> None:
-        self.skipped_lines += 1
-        _STORE_SKIPPED.inc(store=self._store_label, shard=shard)
+    def _skip_line(self, shard: str, count: int = 1) -> None:
+        self.skipped_lines += count
+        _STORE_SKIPPED.inc(count, store=self._store_label, shard=shard)
 
     def _load_shard(self, shard: str) -> _Index:
         """One shard's index, caught up with every complete line on disk.
 
         The first call parses the whole file; later calls resume at the
         shard's cursor and parse only lines appended since.  A different
-        inode or a shorter file (a compaction or migration by another
-        object) rebuilds the index from scratch; so does a file that
+        inode or a shorter file (a compaction by another object)
+        rebuilds the index from scratch; so does a file that
         vanished.  A final line without its newline is not consumed.
         """
 
@@ -771,7 +747,6 @@ class ProfileStore:
         """
 
         with self._lock:
-            self._check_migrated()
             for shard in self._shard_ids_on_disk():
                 self._load_shard(shard)
             return self._entry_count
@@ -803,8 +778,7 @@ class ProfileStore:
         """
 
         with self._lock:
-            self._check_migrated()
-            index = self._load_shard(self._shard_id(device, library))
+            index = self._load_shard(shard_id_for(device, library))
             group = index.get(self._key(device, library, runs, spec, seed))
             if group is None:
                 found, missing = {}, list(channel_counts)
@@ -839,27 +813,9 @@ class ProfileStore:
         key = self._key(device, library, runs, spec, seed)
         sweep = _transpose(measurements, _measurement_values)
         data = _line(key, spec.as_dict(), sweep).encode("utf-8")
+        shard = shard_id_for(device, library)
         with self._lock:
-            self._check_migrated()
-            while True:
-                shard = self._shard_id(device, library)
-                if self._layout == "sharded":
-                    self._ensure_sharded_dir()
-                else:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    handle = self._open_locked_for_append(self._shard_path(shard))
-                except IsADirectoryError:
-                    # A concurrent compact(shard=True) turned the flat
-                    # file into a store directory while we waited; adopt
-                    # the new layout and re-route to the proper shard.
-                    self._check_migrated()
-                    if self._layout == "flat":
-                        raise ProfileStoreError(
-                            f"profile store path {self.path} is a directory"
-                        ) from None
-                    continue
-                break
+            handle = _open_locked(self._shard_path(shard), self._open_append)
             try:
                 held = os.fstat(handle.fileno())
                 if held.st_size:
@@ -870,7 +826,7 @@ class ProfileStore:
                 handle.flush()
                 end = handle.tell()
             finally:
-                self._unlock_and_close(handle)
+                _unlock_and_close(handle)
             _STORE_FILE_BYTES.set(end, store=self._store_label, shard=shard)
             _STORE_APPENDS.inc(store=self._store_label, shard=shard)
             index = self._indexes.get(shard)
@@ -896,45 +852,10 @@ class ProfileStore:
 
         return path.open("ab+")
 
-    def _open_locked_for_append(self, path: Path):
-        """Open a shard for appending under an advisory exclusive lock.
-
-        After acquiring the lock the handle's inode is re-checked
-        against the path: a concurrent :meth:`compact` may have
-        :func:`os.replace`'d the file while this writer was blocked, in
-        which case the lock was won on the orphaned old inode and a
-        write there would be lost.  On mismatch, reopen and retry.  The
-        re-check runs even where ``fcntl`` is unavailable: without it
-        the window between open and write is merely narrowed, not
-        closed, but an append can no longer land on a file that was
-        already orphaned when the handle was opened.
-        """
-
-        while True:
-            handle = self._open_append(path)
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                current = os.stat(path)
-            except FileNotFoundError:
-                fresh = False
-            else:
-                held = os.fstat(handle.fileno())
-                fresh = (held.st_ino, held.st_dev) == (current.st_ino, current.st_dev)
-            if fresh:
-                return handle
-            self._unlock_and_close(handle)
-
-    @staticmethod
-    def _unlock_and_close(handle) -> None:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        handle.close()
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def compact(self, shard: Optional[bool] = None) -> int:
+    def compact(self) -> int:
         """Rewrite the store with one line per group, dropping duplicates.
 
         Each shard file is re-read from disk under the advisory lock
@@ -943,70 +864,18 @@ class ProfileStore:
         semantics, written to a temporary file in the same directory
         and atomically swapped in with :func:`os.replace`.  Returns the
         number of superseded or unreadable measurement entries dropped.
-
-        ``shard=True`` on a **flat** store is the migration hook: the
-        legacy file is compacted *into the sharded layout* — ``path``
-        atomically becomes a store directory with one shard per
-        ``(device, library)`` — preserving every live entry.  On a
-        store that is already sharded, ``shard=True`` is a no-op flag
-        and the call compacts normally.
         """
 
         with self._lock:
-            self._check_migrated()
-            if self._layout == "sharded":
-                dropped = 0
-                for shard_id in self._shard_ids_on_disk():
-                    dropped += self._compact_shard_locked(shard_id)
-                self._recount_locked()
-                return dropped
-            if shard:
-                return self._migrate_locked()
-            dropped = self._compact_shard_locked(LEGACY_SHARD)
-            self._recount_locked()
+            dropped = 0
+            for shard in self._shard_ids_on_disk():
+                dropped += self._compact_shard_locked(shard)
+            self._entry_count = sum(
+                len(group)
+                for index in self._indexes.values()
+                for group in index.values()
+            )
             return dropped
-
-    def _recount_locked(self) -> None:
-        self._entry_count = sum(
-            len(group)
-            for index in self._indexes.values()
-            for group in index.values()
-        )
-
-    def _read_groups_locked(
-        self, path: Path, shard: str
-    ) -> Tuple[_Index, Dict[_GroupKey, Any], int]:
-        """Parse one shard file into (index, last spec per key, raw entries)."""
-
-        index: _Index = {}
-        specs: Dict[_GroupKey, Any] = {}
-        total_entries = 0
-        with path.open("rb") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    payload, key, sweep = _parse_line(line)
-                except _UNREADABLE:
-                    total_entries += 1  # an unreadable line is dropped too
-                    self._skip_line(shard)
-                    continue
-                total_entries += sweep.size
-                _fill(index, key, sweep)
-                specs[key] = payload.get("spec")
-        return index, specs, total_entries
-
-    @staticmethod
-    def _write_groups(
-        handle, index: _Index, specs: Dict[_GroupKey, Any]
-    ) -> Tuple[int, int, int]:
-        """Write one columnar line per group; returns the file's new cursor."""
-
-        for key, group in index.items():
-            handle.write(_line(key, specs[key], group.sweep()))
-        handle.flush()
-        written = os.fstat(handle.fileno())
-        return written.st_dev, written.st_ino, written.st_size
 
     def _compact_shard_locked(self, shard: str) -> int:
         path = self._shard_path(shard)
@@ -1014,15 +883,17 @@ class ProfileStore:
             self._indexes[shard] = {}
             self._cursors.pop(shard, None)
             return 0
-        lock_handle = self._open_locked_for_append(path)
+        lock_handle = _open_locked(path, self._open_append)
         try:
-            index, specs, total_entries = self._read_groups_locked(path, shard)
+            index, specs, total_entries, skipped = _read_groups(path)
+            if skipped:
+                self._skip_line(shard, skipped)
             fd, tmp_name = tempfile.mkstemp(
                 prefix=path.name + ".", suffix=".compact", dir=str(path.parent),
             )
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as tmp:
-                    cursor = self._write_groups(tmp, index, specs)
+                    cursor = _write_groups(tmp, index, specs)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -1031,7 +902,7 @@ class ProfileStore:
                     pass
                 raise
         finally:
-            self._unlock_and_close(lock_handle)
+            _unlock_and_close(lock_handle)
         self._indexes[shard] = index
         self._cursors[shard] = cursor
         _STORE_COMPACTIONS.inc(store=self._store_label, shard=shard)
@@ -1041,82 +912,10 @@ class ProfileStore:
         kept = sum(len(group) for group in index.values())
         return total_entries - kept
 
-    def _migrate_locked(self) -> int:
-        """Rewrite a legacy flat file into the sharded layout, in place."""
-
-        if not self.path.exists():
-            # Nothing to migrate: adopt the sharded layout at the path.
-            self._layout = "sharded"
-            self._ensure_sharded_dir()
-            self._indexes = {}
-            self._cursors = {}
-            self._entry_count = 0
-            return 0
-        lock_handle = self._open_locked_for_append(self.path)
-        try:
-            index, specs, total_entries = self._read_groups_locked(
-                self.path, LEGACY_SHARD
-            )
-            by_shard: Dict[str, _Index] = {}
-            cursors: Dict[str, Tuple[int, int, int]] = {}
-            for key, group in index.items():
-                shard = shard_id_for(key[0], key[1])
-                by_shard.setdefault(shard, {})[key] = group
-            tmp_dir = Path(tempfile.mkdtemp(
-                prefix=self.path.name + ".", suffix=".migrate",
-                dir=str(self.path.parent),
-            ))
-            legacy_backup = tmp_dir / "_legacy.migrated"
-            moved = False
-            try:
-                marker = json.dumps(
-                    {"layout": "sharded", "store_version": STORE_VERSION},
-                    sort_keys=True,
-                )
-                (tmp_dir / STORE_MARKER).write_text(marker + "\n", encoding="utf-8")
-                for shard in sorted(by_shard):
-                    # Renaming the directory keeps each file's inode, so
-                    # these cursors stay valid at the final path.
-                    with (tmp_dir / (shard + ".jsonl")).open(
-                        "w", encoding="utf-8"
-                    ) as out:
-                        cursors[shard] = self._write_groups(
-                            out, by_shard[shard], specs
-                        )
-                # The swap: park the legacy file inside the temporary
-                # directory, then rename the directory over the path.
-                # The advisory lock stays held on the legacy inode
-                # throughout, so blocked appenders wake to the marker
-                # and re-route instead of writing into the orphan.
-                os.replace(self.path, legacy_backup)
-                moved = True
-                os.rename(tmp_dir, self.path)
-            except BaseException:
-                if moved and not self.path.exists():
-                    os.replace(legacy_backup, self.path)  # roll back
-                shutil.rmtree(tmp_dir, ignore_errors=True)
-                raise
-            (self.path / "_legacy.migrated").unlink()
-        finally:
-            self._unlock_and_close(lock_handle)
-        self._layout = "sharded"
-        self._indexes = by_shard
-        self._cursors = cursors
-        self._recount_locked()
-        for shard in sorted(by_shard):
-            shard_path = self._shard_path(shard)
-            _STORE_COMPACTIONS.inc(store=self._store_label, shard=shard)
-            _STORE_FILE_BYTES.set(
-                shard_path.stat().st_size, store=self._store_label, shard=shard
-            )
-        kept = self._entry_count
-        return total_entries - kept
-
     def file_stats(self) -> Dict[str, Any]:
         """On-disk statistics of the store, read fresh from disk.
 
-        Returns ``layout`` (``"flat"``/``"sharded"``), ``lines``
-        (non-empty lines across shard files), ``unreadable`` (lines
+        Returns ``lines`` (non-empty lines across shard files), ``unreadable`` (lines
         skipped as torn/foreign/stale), ``measurements`` (total
         measurement entries across readable lines, duplicates
         included), ``entries`` (distinct configurations after last-wins
@@ -1131,16 +930,14 @@ class ProfileStore:
         """
 
         with self._lock:
-            self._check_migrated()
             stats: Dict[str, Any] = {
-                "layout": self._layout,
                 "lines": 0, "unreadable": 0, "measurements": 0,
                 "entries": 0, "superseded": 0, "bytes": 0,
                 "by_target": {}, "shards": {},
             }
             for shard in self._shard_ids_on_disk():
                 path = self._shard_path(shard)
-                if not path.exists() or not path.is_file():
+                if not path.is_file():
                     continue
                 per_shard: Dict[str, Any] = {
                     "file": path.name, "bytes": path.stat().st_size,
@@ -1185,7 +982,6 @@ class ProfileStore:
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "layout": self._layout,
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,
@@ -1195,19 +991,100 @@ class ProfileStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<ProfileStore path={str(self.path)!r} layout={self._layout} "
+            f"<ProfileStore path={str(self.path)!r} "
             f"entries={len(self)} hits={self.hits} misses={self.misses} "
             f"writes={self.writes}>"
         )
 
 
+
+def _read_groups(path: Path) -> Tuple[_Index, Dict[_GroupKey, Any], int, int]:
+    """Parse one JSONL file into (index, last spec per key, raw entries,
+    unreadable lines).  An unreadable line counts as one raw entry, so
+    ``raw entries - kept entries`` is what a rewrite drops."""
+
+    index: _Index = {}
+    specs: Dict[_GroupKey, Any] = {}
+    total_entries = skipped = 0
+    with path.open("rb") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            try:
+                payload, key, sweep = _parse_line(line)
+            except _UNREADABLE:
+                skipped += 1
+                continue
+            total_entries += sweep.size
+            _fill(index, key, sweep)
+            specs[key] = payload.get("spec")
+    return index, specs, total_entries + skipped, skipped
+
+
+def _write_groups(
+    handle, index: _Index, specs: Dict[_GroupKey, Any]
+) -> Tuple[int, int, int]:
+    """Write one columnar line per group; returns the file's new cursor."""
+
+    for key, group in index.items():
+        handle.write(_line(key, specs[key], group.sweep()))
+    handle.flush()
+    written = os.fstat(handle.fileno())
+    return written.st_dev, written.st_ino, written.st_size
+
+
+def import_flat_store(path: Union[str, Path]) -> int:
+    """Turn a single-file store at ``path`` into a store directory, in place.
+
+    Every record is read under the file's advisory lock (row-form v1
+    lines included) and deduplicated with last-writer-wins semantics;
+    the shards are written into a temporary directory next to the file,
+    which is then swapped in: the file is parked inside the temporary
+    directory and the directory renamed over ``path``.  If that second
+    rename fails the file is put back.  The lock stays held on the old
+    inode throughout, so a writer blocked on it never appends into the
+    orphan.  Returns the number of superseded or unreadable entries
+    dropped.
+    """
+
+    path = Path(path)
+    if not path.is_file():
+        raise ProfileStoreError(f"no single-file profile store at {path}")
+    lock_handle = _open_locked(path, lambda target: target.open("ab+"))
+    try:
+        index, specs, total_entries, _ = _read_groups(path)
+        by_shard: Dict[str, _Index] = {}
+        for key, group in index.items():
+            by_shard.setdefault(shard_id_for(key[0], key[1]), {})[key] = group
+        tmp_dir = Path(tempfile.mkdtemp(
+            prefix=path.name + ".", suffix=".import", dir=str(path.parent),
+        ))
+        parked = tmp_dir / "_flat.imported"
+        moved = False
+        try:
+            _write_marker(tmp_dir)
+            for shard, groups in by_shard.items():
+                with (tmp_dir / (shard + ".jsonl")).open("w", encoding="utf-8") as out:
+                    _write_groups(out, groups, specs)
+            os.replace(path, parked)
+            moved = True
+            os.rename(tmp_dir, path)
+        except BaseException:
+            if moved and not path.exists():
+                os.replace(parked, path)  # roll back
+            shutil.rmtree(tmp_dir, ignore_errors=True)
+            raise
+        (path / parked.name).unlink()
+    finally:
+        _unlock_and_close(lock_handle)
+    return total_entries - sum(len(group) for group in index.values())
+
 __all__ = [
-    "LEGACY_SHARD",
-    "STORE_LAYOUTS",
     "STORE_MARKER",
     "STORE_VERSION",
     "ProfileStore",
     "ProfileStoreError",
+    "import_flat_store",
     "layer_spec_fingerprint",
     "shard_id_for",
 ]

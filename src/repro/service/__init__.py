@@ -10,7 +10,7 @@ to::
 
     from repro.service import ReproServer, ServiceClient
 
-    with ReproServer(profile_store="profiles.jsonl") as server:
+    with ReproServer(profile_store="profiles") as server:
         client = ServiceClient(server.url)
         job = client.submit(plan)
         for event in client.iter_events(job["id"]):

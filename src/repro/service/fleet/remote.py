@@ -14,7 +14,7 @@ Steps themselves — including ``figure``/``table`` steps, whose
 measurement workload is not enumerable up front — always run locally in
 the server process against the warmed session, so anything a lease did
 not cover falls back to in-process measurement exactly as the other
-backends do.  Results are bitwise identical to ``serial``/``batched``/
+backends do.  Results are bitwise identical to ``serial``/
 ``process``: the counter-based noise stream keys every measurement on
 the configuration and seed, never on which machine ran it.
 

@@ -81,8 +81,7 @@ class JobQueue:
         The :class:`JobStore` recording every job's lifecycle.
     profile_store:
         Optional path to the shared measurement
-        :class:`~repro.profiling.store.ProfileStore` — a legacy flat
-        JSONL file or a sharded store directory (auto-detected).  The
+        :class:`~repro.profiling.store.ProfileStore` directory.  The
         queue opens one store object on it and hands it to every job's
         (otherwise fresh) session.  The object stays resident: each
         lookup parses only the shard lines appended since the last one,

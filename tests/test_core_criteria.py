@@ -11,7 +11,6 @@ from repro.core import (
     SequentialCriterion,
     available_criteria,
     CRITERIA,
-    get_criterion,
 )
 from repro.models import ConvLayerSpec
 from repro.nn import conv_weights

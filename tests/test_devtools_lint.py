@@ -43,9 +43,9 @@ def codes(findings) -> list:
 # Engine behaviour
 # ----------------------------------------------------------------------
 class TestEngine:
-    def test_all_five_checkers_registered(self):
+    def test_all_four_checkers_registered(self):
         registered = {CHECKERS.get(key).code for key in CHECKERS.available()}
-        assert {"RL001", "RL002", "RL003", "RL004", "RL005"} <= registered
+        assert {"RL001", "RL002", "RL004", "RL005"} <= registered
 
     def test_select_filters_to_one_checker(self, tmp_path):
         path = write_module(tmp_path, "repro/gpusim/noise.py", """
@@ -299,60 +299,6 @@ class TestNondeterminism:
 
 
 # ----------------------------------------------------------------------
-# RL003 deprecated-shim usage
-# ----------------------------------------------------------------------
-_RL003_SHIM = """
-    import warnings
-
-    def old_api():
-        warnings.warn("old_api is deprecated", DeprecationWarning, stacklevel=2)
-        return 42
-"""
-
-
-class TestDeprecatedShims:
-    def test_internal_caller_flagged(self, tmp_path):
-        write_module(tmp_path, "repro/legacy.py", _RL003_SHIM)
-        write_module(tmp_path, "repro/caller.py", """
-            from .legacy import old_api
-
-            def use():
-                return old_api()
-        """)
-        findings = run_lint([tmp_path], select=["RL003"])
-        assert codes(findings) == ["RL003"]
-        assert "old_api" in findings[0].message
-
-    def test_defining_module_and_late_warners_clean(self, tmp_path):
-        # The shim's own module may mention it, and a function that only
-        # warns *after* its modern early return is not a shim.
-        write_module(tmp_path, "repro/legacy.py", _RL003_SHIM)
-        write_module(tmp_path, "repro/modern.py", """
-            import warnings
-
-            def run(thing=None, legacy=None):
-                if thing is not None:
-                    return thing
-                warnings.warn("legacy= form is deprecated", DeprecationWarning)
-                return legacy
-
-            def use():
-                return run(thing=1)
-        """)
-        assert run_lint([tmp_path], select=["RL003"]) == []
-
-    def test_waiver_suppresses(self, tmp_path):
-        write_module(tmp_path, "repro/legacy.py", _RL003_SHIM)
-        write_module(tmp_path, "repro/caller.py", """
-            from .legacy import old_api
-
-            def use():
-                return old_api()  # repro-lint: ignore[RL003] -- exercising the shim on purpose
-        """)
-        assert run_lint([tmp_path], select=["RL003"]) == []
-
-
-# ----------------------------------------------------------------------
 # RL004 session hygiene
 # ----------------------------------------------------------------------
 class TestSessionHygiene:
@@ -501,7 +447,7 @@ class TestCli:
     def test_list_checks_prints_registry(self):
         result = run_cli("lint", "--list-checks")
         assert result.returncode == 0
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for code in ("RL001", "RL002", "RL004", "RL005"):
             assert code in result.stdout
 
     def test_findings_exit_1_and_json_shape(self, tmp_path):

@@ -26,10 +26,6 @@ class TestCli:
         assert "Table II" in output
         assert "Table V" in output
 
-    def test_fast_flag_on_sweep(self, capsys):
-        assert main(["fig04", "--fast"]) == 0
-        assert "fig04" in capsys.readouterr().out
-
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "results.json"
         assert main(["table3", "--json", str(path)]) == 0
@@ -39,7 +35,7 @@ class TestCli:
         assert "measured" in payload[0]
 
     def test_run_many_helper(self):
-        results = run_many(["table1", "table4"], fast=True)
+        results = run_many(["table1", "table4"])
         assert [result.experiment_id for result in results] == ["table1", "table4"]
 
     def test_unknown_experiment_exits_2_and_lists_ids(self, capsys):
@@ -64,12 +60,12 @@ class TestProfileStoreFlag:
         """
 
         path = tmp_path / "profiles.jsonl"
-        assert main(["fig04", "--fast", "--profile-store", str(path)]) == 0
+        assert main(["fig04", "--profile-store", str(path)]) == 0
         first = capsys.readouterr().out
         assert "simulated 0 configuration(s) in-process" not in first
         assert path.exists()
 
-        assert main(["fig04", "--fast", "--profile-store", str(path)]) == 0
+        assert main(["fig04", "--profile-store", str(path)]) == 0
         second = capsys.readouterr().out
         assert "simulated 0 configuration(s) in-process" in second
 

@@ -13,7 +13,6 @@ from repro.gpusim import (
     UnknownDeviceError,
     available_devices,
     DEVICES,
-    get_device,
 )
 
 

@@ -21,10 +21,7 @@ class TestTopLevelApi:
     def test_package_exposes_main_entry_points(self):
         import repro
 
-        assert repro.__version__ == "1.10.0"
-        assert callable(repro.build_model)
-        assert callable(repro.get_device)
-        assert callable(repro.get_library)
+        assert repro.__version__ == "2.0.0"
         assert callable(repro.Session)
         assert callable(repro.Target)
 

@@ -11,7 +11,6 @@ from repro.libraries import (
     UnknownLibraryError,
     available_libraries,
     LIBRARIES,
-    get_library,
 )
 
 

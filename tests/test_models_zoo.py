@@ -6,7 +6,6 @@ from repro.models import (
     MODELS,
     UnknownModelError,
     available_models,
-    build_model,
     canonical_name,
     profiled_layer_indices,
     profiled_layer_refs,

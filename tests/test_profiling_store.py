@@ -14,11 +14,18 @@ from repro.profiling import (
     STORE_VERSION,
     layer_spec_fingerprint,
 )
+from repro.profiling.store import shard_id_for
 
 LAYER = ConvLayerSpec(
     name="test.store.conv", in_channels=16, out_channels=24,
     kernel_size=3, stride=1, padding=1, input_hw=14,
 )
+
+
+def shard_file(path):
+    """The shard file the hikey-970 (mali-g72) / acl-gemm runner writes."""
+
+    return path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl")
 
 
 def make_runner(store=None, runs=3):
@@ -74,6 +81,7 @@ class TestFingerprint:
 
 class TestProfileStore:
     def test_directory_path_rejected(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a store", encoding="utf-8")
         with pytest.raises(ProfileStoreError):
             ProfileStore(tmp_path)
 
@@ -109,10 +117,10 @@ class TestProfileStore:
         store = ProfileStore(path)
         make_runner(store).measure(LAYER, 8)
 
-        lines = path.read_text().splitlines()
+        lines = shard_file(path).read_text().splitlines()
         payload = json.loads(lines[0])
         payload["v"] = STORE_VERSION + 1
-        path.write_text(json.dumps(payload) + "\n")
+        shard_file(path).write_text(json.dumps(payload) + "\n")
 
         stale = ProfileStore(path)
         found, missing = stale.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
@@ -123,7 +131,7 @@ class TestProfileStore:
         path = tmp_path / "profiles.jsonl"
         store = ProfileStore(path)
         make_runner(store).measure(LAYER, 8)
-        with path.open("a") as handle:
+        with shard_file(path).open("a") as handle:
             handle.write("{truncated json\n")
 
         fresh = ProfileStore(path)
@@ -181,9 +189,9 @@ class TestProfileStore:
 
         path = tmp_path / "profiles.jsonl"
         make_runner(ProfileStore(path)).measure(LAYER, 8)
-        payload = json.loads(path.read_text().splitlines()[0])
+        payload = json.loads(shard_file(path).read_text().splitlines()[0])
         del payload["seed"]
-        path.write_text(json.dumps(payload) + "\n")
+        shard_file(path).write_text(json.dumps(payload) + "\n")
 
         legacy = ProfileStore(path)
         found, missing = legacy.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
@@ -209,18 +217,18 @@ class TestCompact:
         # A second record re-covering count 8 plus a fresh count.
         store.record("mali-g72", "acl-gemm", 3, LAYER,
                      runner.measure_many(LAYER, [8, 12]))
-        assert len(path.read_text().splitlines()) == 3
+        assert len(shard_file(path).read_text().splitlines()) == 3
 
         dropped = store.compact()
         assert dropped == 2  # one duplicate 8, one duplicate 12
-        assert len(path.read_text().splitlines()) == 1
+        assert len(shard_file(path).read_text().splitlines()) == 1
         assert len(ProfileStore(path)) == 3
 
     def test_compact_removes_corrupt_lines(self, tmp_path):
         path = tmp_path / "profiles.jsonl"
         store = ProfileStore(path)
         make_runner(store).measure(LAYER, 8)
-        with path.open("a") as handle:
+        with shard_file(path).open("a") as handle:
             handle.write("{truncated json\n")
 
         fresh = ProfileStore(path)
@@ -233,7 +241,7 @@ class TestCompact:
     def test_compact_of_missing_file_is_a_noop(self, tmp_path):
         store = ProfileStore(tmp_path / "absent.jsonl")
         assert store.compact() == 0
-        assert not store.path.exists()
+        assert list(store.path.glob("*.jsonl")) == []
 
     def test_compact_keeps_last_writer_wins_semantics(self, tmp_path):
         path = tmp_path / "profiles.jsonl"

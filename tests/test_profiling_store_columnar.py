@@ -30,7 +30,6 @@ from repro.profiling.runner import MeasurementError, check_measurement
 from repro.profiling.store import (
     STORE_VERSION,
     _STORE_SKIPPED,
-    LEGACY_SHARD,
     _check_columns,
     _Sweep,
     layer_spec_fingerprint,
@@ -73,8 +72,22 @@ def measurement(count, median=2.0, **overrides):
     return Measurement(**values)
 
 
+#: The shard file of the (mali-g72, acl-gemm) target, under a store path.
+SHARD = shard_id_for("mali-g72", "acl-gemm") + ".jsonl"
+
+
 def lines_of(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def write_store(path, *lines):
+    """A store at ``path`` whose (mali-g72, acl-gemm) shard holds ``lines``."""
+
+    ProfileStore(path)
+    (path / SHARD).write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+    )
+    return path
 
 
 class TestLegacyStoreKeepsServing:
@@ -93,8 +106,7 @@ class TestLegacyStoreKeepsServing:
 
     def test_store_compact_rewrites_row_lines_as_columns(self, tmp_path, capsys):
         path = legacy_copy(tmp_path)
-        shard = path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl")
-        assert {line["v"] for line in lines_of(shard)} == {1}
+        assert {line["v"] for line in lines_of(path / SHARD)} == {1}
         before = ProfileStore(path).file_stats()
         expected, _ = ProfileStore(path).lookup(
             "mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS
@@ -126,8 +138,7 @@ class TestLegacyStoreKeepsServing:
         ProfileStore(path).record(
             "mali-g72", "acl-gemm", 3, LEGACY_LAYER, list(newer.values())
         )
-        shard = path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl")
-        assert [line["v"] for line in lines_of(shard)] == [1, 1, STORE_VERSION]
+        assert [line["v"] for line in lines_of(path / SHARD)] == [1, 1, STORE_VERSION]
 
         served, missing = ProfileStore(path).lookup(
             "mali-g72", "acl-gemm", 3, LEGACY_LAYER, range(1, 31)
@@ -140,12 +151,12 @@ class TestLegacyStoreKeepsServing:
 def columnar_line(tmp_path):
     """A valid columnar line of four counts, as record() writes it."""
 
-    store = ProfileStore(tmp_path / "source.jsonl")
+    store = ProfileStore(tmp_path / "source")
     store.record(
         "mali-g72", "acl-gemm", 3, LAYER,
         [measurement(count, median=1.0 + count) for count in (4, 8, 12, 16)],
     )
-    (line,) = lines_of(store.path)
+    (line,) = lines_of(store.path / SHARD)
     return line
 
 
@@ -222,12 +233,12 @@ RULES = {
 
 
 def read_back(tmp_path, name, line):
-    path = tmp_path / f"{name}.jsonl"
-    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    path = write_store(tmp_path / name, line)
     store = ProfileStore(path)
-    before = _STORE_SKIPPED.value(store=str(path), shard=LEGACY_SHARD)
+    shard = shard_id_for("mali-g72", "acl-gemm")
+    before = _STORE_SKIPPED.value(store=str(path), shard=shard)
     found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8, 12, 16])
-    skipped = _STORE_SKIPPED.value(store=str(path), shard=LEGACY_SHARD) - before
+    skipped = _STORE_SKIPPED.value(store=str(path), shard=shard) - before
     return found, missing, store.skipped_lines, skipped
 
 
@@ -255,9 +266,7 @@ class TestCheckParity:
     def test_a_skipped_line_is_not_counted_as_an_entry(self, tmp_path):
         line = columnar_line(tmp_path)
         line["measurements"]["min_time_ms"][0] = 0.0
-        path = tmp_path / "profiles.jsonl"
-        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
-        stats = ProfileStore(path).file_stats()
+        stats = ProfileStore(write_store(tmp_path / "store", line)).file_stats()
         assert (stats["unreadable"], stats["entries"], stats["measurements"]) == (1, 0, 0)
 
 
@@ -304,7 +313,7 @@ MEASUREMENTS = st.builds(
 def test_records_read_back_exactly_last_writer_wins(tmp_path_factory, records):
     """Any mix of column entries and strays reads back as the last write per count."""
 
-    path = tmp_path_factory.mktemp("store") / "profiles.jsonl"
+    path = tmp_path_factory.mktemp("store") / "store"
     writer = ProfileStore(path)
     expected = {}
     for record in records:
@@ -338,7 +347,7 @@ class TestStraysRoundTrip:
         path = tmp_path / "store"
         writer = ProfileStore(path, layout="sharded")
         writer.record("mali-g72", "acl-gemm", 3, LAYER, self.RECORDED)
-        (line,) = lines_of(path / (shard_id_for("mali-g72", "acl-gemm") + ".jsonl"))
+        (line,) = lines_of(path / SHARD)
         columns = line["measurements"]
         assert columns["out_channels"] == [4, 24]
         assert [stray["out_channels"] for stray in columns["strays"]] == [8, 12, 16, 20.0]
@@ -361,11 +370,11 @@ class TestStraysRoundTrip:
         ]
 
     def test_a_line_of_strays_only(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         recorded = [measurement(12, median_time_ms=2, min_time_ms=1.0)]
         ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, recorded)
         ProfileStore(path).compact()
-        (line,) = lines_of(path)
+        (line,) = lines_of(path / SHARD)
         assert line["measurements"]["runs"] is None
         assert line["measurements"]["out_channels"] == []
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [12])
@@ -373,13 +382,13 @@ class TestStraysRoundTrip:
         assert field_types(found[12]) == field_types(recorded[0])
 
     def test_the_last_of_a_repeated_count_wins_within_one_record(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         first, stray, last = measurement(4), measurement(4, runs=5), measurement(4, median=7.0)
         ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [first, stray])
         ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [stray, last])
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4])
         assert found[4] == last
-        head, _ = lines_of(path)
+        head, _ = lines_of(path / SHARD)
         assert head["measurements"]["out_channels"] == [4]
         assert head["measurements"]["strays"] == [stray.as_dict()]
 
@@ -387,18 +396,17 @@ class TestStraysRoundTrip:
         line = row_line(columnar_line(tmp_path))
         stray = dict(line["measurements"][0], runs=5)
         line["measurements"] = [stray, *line["measurements"], dict(stray, out_channels=8)]
-        path = tmp_path / "profiles.jsonl"
-        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        path = write_store(tmp_path / "store", line)
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8])
         assert found[4].runs == 3   # written after the runs=5 entry of count 4
         assert found[8].runs == 5   # written after the runs=3 entry of count 8
 
     def test_spec_fields_survive_compaction(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [measurement(4)])
         ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [measurement(8)])
         ProfileStore(path).compact()
-        (line,) = lines_of(path)
+        (line,) = lines_of(path / SHARD)
         assert line["spec"] == LAYER.as_dict()
         assert line["spec_hash"] == layer_spec_fingerprint(LAYER)
         assert (line["runs"], line["seed"]) == (3, 0)

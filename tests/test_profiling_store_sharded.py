@@ -1,25 +1,25 @@
-"""Sharded profile-store layout: lazy shards, migration, concurrency.
+"""The profile-store directory: lazy shards, the flat-file import, concurrency.
 
-The flat flocked JSONL file the store grew up with goes superlinear at
-millions of entries — every load parses the whole file and every writer
-contends on one inode.  These tests pin down the sharded layout that
-replaces it:
+A single flocked JSONL file goes superlinear at millions of entries —
+every load parses the whole file and every writer contends on one
+inode — so a store is a directory of shards.  These tests pin down:
 
-* layout resolution (bare file = one ``legacy`` shard, marker directory
-  = sharded, arbitrary directory = loud rejection);
+* path resolution (missing path or empty directory = a new store,
+  marker directory = a store, flat file = refused with the import
+  command, arbitrary directory = loud rejection);
 * per-``(device, library)`` shard files with lazy one-shard loads;
-* ``compact(shard=True)`` as the flat->sharded migration hook, with
-  every entry preserved under last-writer-wins semantics;
-* a hypothesis property test that flat and sharded stores serve
-  bitwise-identical lookups for the same record stream;
-* a multi-process append-vs-compact/migrate stress test asserting zero
-  lost records;
+* ``import_flat_store`` (``store compact`` on a file): every entry
+  preserved under last-writer-wins semantics, row-form lines converted,
+  the file left intact when the swap fails;
+* a hypothesis property test that an imported flat file serves
+  bitwise-identical lookups to the store it was concatenated from;
+* a multi-process append-vs-compact stress test asserting zero lost
+  records;
 * the store-labeled metrics (no cross-store clobbering) and the
   non-POSIX inode re-check that closes the append-vs-compact race when
   ``fcntl`` is unavailable;
 * the resident store: one long-lived object catches up on foreign
-  appends line by line, rebuilds after a foreign compaction or
-  migration, leaves a half-written last line alone, and always answers
+  appends line by line, rebuilds after a foreign compaction, leaves a half-written last line alone, and always answers
   like a freshly opened store (a hypothesis property);
 * torn-line handling: an append after a crash mid-append starts on a
   fresh line, and every skipped line is counted in
@@ -29,20 +29,22 @@ replaces it:
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Plan, Session, Target
 from repro.models import ConvLayerSpec
 from repro.profiling import Measurement, ProfileStore, ProfileStoreError
 from repro.profiling.store import (
-    LEGACY_SHARD,
     STORE_MARKER,
     STORE_VERSION,
     _STORE_FILE_BYTES,
     _STORE_RELOADS,
     _STORE_SKIPPED,
+    import_flat_store,
     shard_id_for,
 )
 
@@ -74,19 +76,37 @@ def record_counts(store, device, library, counts, runs=3, seed=0, median=2.0):
     )
 
 
+def shard_file(path, device="mali-g72", library="acl-gemm"):
+    """The shard file a target's records live in under store ``path``."""
+
+    return Path(path) / (shard_id_for(device, library) + ".jsonl")
+
+
+def sharded_store(path):
+    """A store holding counts 4, 8 and 12 on every target."""
+
+    store = ProfileStore(path)
+    for device, library in TARGETS:
+        record_counts(store, device, library, [4, 8, 12])
+    return store
+
+
+def flat_copy(store_path, flat_path):
+    """A single-file store: the shards of ``store_path``, concatenated."""
+
+    shards = sorted(Path(store_path).glob("*.jsonl"))
+    flat_path.write_bytes(b"".join(shard.read_bytes() for shard in shards))
+    return flat_path
+
+
 class TestLayoutResolution:
     def test_sharded_layout_creates_directory_and_marker(self, tmp_path):
-        store = ProfileStore(tmp_path / "store", layout="sharded")
-        assert store.layout == "sharded"
+        ProfileStore(tmp_path / "store", layout="sharded")
         assert (tmp_path / "store" / STORE_MARKER).exists()
-        # Reopening auto-detects the layout from the marker.
-        assert ProfileStore(tmp_path / "store").layout == "sharded"
-
-    def test_bare_file_path_stays_a_flat_store(self, tmp_path):
-        store = ProfileStore(tmp_path / "profiles.jsonl")
-        assert store.layout == "flat"
-        record_counts(store, "mali-g72", "acl-gemm", [8])
-        assert (tmp_path / "profiles.jsonl").is_file()
+        # Reopening finds the marker; a plain open creates one too.
+        ProfileStore(tmp_path / "store")
+        ProfileStore(tmp_path / "fresh")
+        assert (tmp_path / "fresh" / STORE_MARKER).exists()
 
     def test_arbitrary_directory_still_rejected(self, tmp_path):
         (tmp_path / "stuff.txt").write_text("not a store", encoding="utf-8")
@@ -96,19 +116,30 @@ class TestLayoutResolution:
             ProfileStore(tmp_path, layout="sharded")  # non-empty, no marker
 
     def test_empty_directory_adopted_when_sharded_requested(self, tmp_path):
-        target = tmp_path / "empty"
-        target.mkdir()
-        assert ProfileStore(target, layout="sharded").layout == "sharded"
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "plain").mkdir()
+        ProfileStore(tmp_path / "empty", layout="sharded")
+        ProfileStore(tmp_path / "plain")
+        assert (tmp_path / "empty" / STORE_MARKER).exists()
+        assert (tmp_path / "plain" / STORE_MARKER).exists()
 
     def test_flat_file_with_sharded_layout_requires_migration(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
-        record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [8])
-        with pytest.raises(ProfileStoreError, match="migrate"):
-            ProfileStore(path, layout="sharded")
+        path = flat_copy(sharded_store(tmp_path / "source").path, tmp_path / "flat.jsonl")
+        before = path.read_bytes()
+        for open_store in (
+            ProfileStore,
+            lambda flat: ProfileStore(flat, layout="sharded"),
+            lambda flat: Session(store=flat),
+        ):
+            with pytest.raises(ProfileStoreError, match=f"store compact {path}"):
+                open_store(path)
+        assert path.read_bytes() == before  # untouched
 
     def test_unknown_layout_rejected(self, tmp_path):
-        with pytest.raises(ProfileStoreError, match="unknown store layout"):
-            ProfileStore(tmp_path / "x", layout="indexed")
+        for layout in ("indexed", "flat", "auto"):
+            with pytest.raises(ProfileStoreError, match="unknown store layout"):
+                ProfileStore(tmp_path / "x", layout=layout)
+        assert not (tmp_path / "x").exists()
 
     def test_shard_ids_are_distinct_even_for_colliding_slugs(self):
         a = shard_id_for("dev/a", "lib")
@@ -160,18 +191,11 @@ class TestShardedRecordAndLookup:
         )
         assert len(store) == rescan == store._entry_count
 
-    def test_stats_reports_the_layout(self, tmp_path):
-        store = ProfileStore(tmp_path / "store", layout="sharded")
-        assert store.stats()["layout"] == "sharded"
-        flat = ProfileStore(tmp_path / "flat.jsonl")
-        assert flat.stats()["layout"] == "flat"
-
     def test_file_stats_breaks_figures_down_per_shard(self, tmp_path):
         store = ProfileStore(tmp_path / "store", layout="sharded")
         record_counts(store, "mali-g72", "acl-gemm", [4, 8])
         record_counts(store, "jetson-tx2", "cudnn", [4])
         stats = store.file_stats()
-        assert stats["layout"] == "sharded"
         assert stats["entries"] == 3
         per_shard = stats["shards"]
         assert per_shard[shard_id_for("mali-g72", "acl-gemm")]["entries"] == 2
@@ -189,79 +213,81 @@ class TestShardedRecordAndLookup:
 
 
 class TestMigration:
-    def seed_flat_store(self, path):
-        store = ProfileStore(path)
-        for device, library in TARGETS:
-            record_counts(store, device, library, [4, 8, 12])
+    """``import_flat_store``: a single-file store becomes a directory."""
+
+    def seed_flat_store(self, tmp_path):
+        source = sharded_store(tmp_path / "source")
         # Supersede one configuration so last-writer-wins is observable.
-        record_counts(store, "mali-g72", "acl-gemm", [8], median=7.5)
-        return store
+        record_counts(source, "mali-g72", "acl-gemm", [8], median=7.5)
+        return source, flat_copy(source.path, tmp_path / "profiles.jsonl")
 
     def test_migration_preserves_every_entry(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
-        store = self.seed_flat_store(path)
-        before = {}
-        for device, library in TARGETS:
-            found, _ = store.lookup(device, library, 3, LAYER, [4, 8, 12])
-            before[(device, library)] = found
+        source, path = self.seed_flat_store(tmp_path)
+        before = {
+            target: _served(ProfileStore(source.path), *target, counts=[4, 8, 12])
+            for target in TARGETS
+        }
 
-        dropped = store.compact(shard=True)
-        assert dropped == 1  # the superseded count-8 duplicate
-        assert store.layout == "sharded"
+        assert import_flat_store(path) == 1  # the superseded count-8 duplicate
         assert path.is_dir() and (path / STORE_MARKER).exists()
-        assert not (path / "_legacy.migrated").exists()
+        assert sorted(entry.name for entry in path.iterdir()) == sorted(
+            [STORE_MARKER] + [shard_id_for(*target) + ".jsonl" for target in TARGETS]
+        )
+        assert not list(tmp_path.glob("*.import"))
 
         fresh = ProfileStore(path)
-        assert fresh.layout == "sharded"
-        for device, library in TARGETS:
-            found, missing = fresh.lookup(device, library, 3, LAYER, [4, 8, 12])
-            assert missing == []
-            assert found == before[(device, library)]
-        assert fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])[0][8].median_time_ms == 7.5
+        for target in TARGETS:
+            assert _served(fresh, *target, counts=[4, 8, 12]) == before[target]
+        assert _served(fresh, counts=[8])[0][8]["median_time_ms"] == 7.5
 
     def test_migration_of_missing_path_adopts_sharded_layout(self, tmp_path):
-        store = ProfileStore(tmp_path / "absent.jsonl")
-        assert store.compact(shard=True) == 0
-        assert store.layout == "sharded"
+        with pytest.raises(ProfileStoreError, match="no single-file profile store"):
+            import_flat_store(tmp_path / "absent.jsonl")
+        ProfileStore(tmp_path / "absent.jsonl")
         assert (tmp_path / "absent.jsonl" / STORE_MARKER).exists()
+        with pytest.raises(ProfileStoreError):
+            import_flat_store(tmp_path / "absent.jsonl")  # already a directory
 
-    def test_shard_flag_on_a_sharded_store_is_a_plain_compact(self, tmp_path):
-        store = ProfileStore(tmp_path / "store", layout="sharded")
-        record_counts(store, "mali-g72", "acl-gemm", [8])
-        record_counts(store, "mali-g72", "acl-gemm", [8], median=3.0)
-        assert store.compact(shard=True) == 1
-        assert store.layout == "sharded"
+    def test_a_failed_second_rename_leaves_the_flat_file_intact(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.profiling import store as store_module
 
-    def test_concurrent_flat_store_object_adopts_the_migration(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
-        migrating = self.seed_flat_store(path)
-        bystander = ProfileStore(path)  # another process's view
-        found, _ = bystander.lookup("mali-g72", "acl-gemm", 3, LAYER, [4])
-        assert 4 in found
+        _, path = self.seed_flat_store(tmp_path)
+        before = path.read_bytes()
 
-        migrating.compact(shard=True)
-        assert bystander.layout == "flat"  # not yet noticed
+        def refuse(source, target):
+            raise OSError("rename refused")
 
-        # The next write re-routes to the proper shard of the new layout.
-        record_counts(bystander, "mali-g72", "acl-gemm", [16])
-        assert bystander.layout == "sharded"
-        fresh = ProfileStore(path)
-        found, missing = fresh.lookup(
-            "mali-g72", "acl-gemm", 3, LAYER, [4, 8, 12, 16]
+        monkeypatch.setattr(store_module.os, "rename", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            import_flat_store(path)
+        monkeypatch.undo()
+        assert path.is_file() and path.read_bytes() == before
+        assert not list(tmp_path.glob("*.import"))
+        assert import_flat_store(path) == 1  # and the import still works
+
+    def test_import_converts_row_form_lines(self, tmp_path):
+        legacy = Path(__file__).parent / "data" / "legacy_v1_store"
+        path = flat_copy(legacy, tmp_path / "legacy.jsonl")
+        assert {json.loads(line)["v"] for line in path.read_text().splitlines()} == {1}
+        assert import_flat_store(path) == 0
+        shards = sorted(path.glob("*.jsonl"))
+        assert [entry.name for entry in shards] == sorted(
+            entry.name for entry in legacy.glob("*.jsonl")
         )
-        assert missing == []
+        for shard in shards:
+            assert {json.loads(line)["v"] for line in shard.read_text().splitlines()} == {
+                STORE_VERSION
+            }
 
     def test_replay_against_migrated_store_simulates_nothing(self, tmp_path):
-        from repro.api import Plan, Session, Target
-
-        path = tmp_path / "profiles.jsonl"
         plan = Plan()
         step = plan.sweep(Target("hikey-970", "acl-gemm"), LAYER, sweep_step=4)
-        first = Session(store=str(path)).execute(plan)
+        first = Session(store=str(tmp_path / "source")).execute(plan)
 
-        migrated = ProfileStore(path)
-        migrated.compact(shard=True)
-        assert migrated.layout == "sharded"
+        path = flat_copy(tmp_path / "source", tmp_path / "profiles.jsonl")
+        import_flat_store(path)
 
         replay_session = Session(store=str(path))
         replayed = replay_session.execute(plan)
@@ -270,7 +296,7 @@ class TestMigration:
 
 
 class TestFlatShardedEquivalence:
-    """Flat and sharded stores are observationally identical."""
+    """An imported flat file serves exactly what its sharded source does."""
 
     record_streams = st.lists(
         st.tuples(
@@ -289,13 +315,13 @@ class TestFlatShardedEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_lookups_are_bitwise_identical(self, tmp_path_factory, stream):
         base = tmp_path_factory.mktemp("equiv")
-        flat = ProfileStore(base / "flat.jsonl")
         sharded = ProfileStore(base / "sharded", layout="sharded")
         for target_index, runs, seed, counts, median in stream:
             device, library = TARGETS[target_index]
-            for store in (flat, sharded):
-                record_counts(store, device, library, counts,
-                              runs=runs, seed=seed, median=median)
+            record_counts(sharded, device, library, counts,
+                          runs=runs, seed=seed, median=median)
+        imported = flat_copy(sharded.path, base / "flat.jsonl")
+        import_flat_store(imported)
 
         def observe(path):
             store = ProfileStore(path)
@@ -310,14 +336,11 @@ class TestFlatShardedEquivalence:
                 )
             return len(store), state
 
-        assert observe(flat.path) == observe(sharded.path)
-        # The equivalence survives compaction of both layouts — and a
-        # migration of the flat side into the sharded layout.
-        ProfileStore(flat.path).compact()
+        assert observe(imported) == observe(sharded.path)
+        # The equivalence survives compaction of both stores.
+        ProfileStore(imported).compact()
         ProfileStore(sharded.path).compact()
-        assert observe(flat.path) == observe(sharded.path)
-        ProfileStore(flat.path).compact(shard=True)
-        assert observe(flat.path) == observe(sharded.path)
+        assert observe(imported) == observe(sharded.path)
 
 
 def _hammer_appends(path, device, library, counts, barrier):
@@ -330,12 +353,10 @@ def _hammer_appends(path, device, library, counts, barrier):
 
 
 class TestAppendVersusCompactStress:
-    def test_no_record_is_lost_across_concurrent_compacts_and_migration(
-        self, tmp_path
-    ):
-        """Multi-process appends racing compact()/migrate lose nothing."""
+    def test_no_record_is_lost_across_concurrent_compacts(self, tmp_path):
+        """Multi-process appends racing compact() lose nothing."""
 
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [1000])
 
         counts_per_writer = {
@@ -359,11 +380,8 @@ class TestAppendVersusCompactStress:
             writer.start()
         compactor = ProfileStore(path)
         barrier.wait(timeout=30.0)
-        # Race plain compactions and the flat->sharded migration against
-        # the four writer processes.
-        compactor.compact()
-        compactor.compact(shard=True)
-        for _ in range(8):
+        # Race compactions against the four writer processes.
+        for _ in range(10):
             compactor.compact()
         for writer in writers:
             writer.join(timeout=30.0)
@@ -371,7 +389,6 @@ class TestAppendVersusCompactStress:
         compactor.compact()
 
         fresh = ProfileStore(path)
-        assert fresh.layout == "sharded"
         for (device, library), counts in counts_per_writer.items():
             found, missing = fresh.lookup(device, library, 3, LAYER, counts)
             assert missing == [], (
@@ -382,19 +399,16 @@ class TestAppendVersusCompactStress:
 
 class TestStoreMetricsLabels:
     def test_two_stores_report_distinct_file_bytes_series(self, tmp_path):
-        a = ProfileStore(tmp_path / "a.jsonl")
-        b = ProfileStore(tmp_path / "b.jsonl")
+        a = ProfileStore(tmp_path / "a")
+        b = ProfileStore(tmp_path / "b")
         record_counts(a, "mali-g72", "acl-gemm", [4, 8, 12, 16])
         record_counts(b, "mali-g72", "acl-gemm", [4])
 
-        bytes_a = _STORE_FILE_BYTES.value(
-            store=str(a.path), shard=LEGACY_SHARD
-        )
-        bytes_b = _STORE_FILE_BYTES.value(
-            store=str(b.path), shard=LEGACY_SHARD
-        )
-        assert bytes_a == a.path.stat().st_size
-        assert bytes_b == b.path.stat().st_size
+        shard = shard_id_for("mali-g72", "acl-gemm")
+        bytes_a = _STORE_FILE_BYTES.value(store=str(a.path), shard=shard)
+        bytes_b = _STORE_FILE_BYTES.value(store=str(b.path), shard=shard)
+        assert bytes_a == shard_file(a.path).stat().st_size
+        assert bytes_b == shard_file(b.path).stat().st_size
         assert bytes_a != bytes_b  # b's append no longer clobbers a's gauge
 
     def test_sharded_store_reports_per_shard_series(self, tmp_path):
@@ -432,12 +446,11 @@ class TestNonPosixInodeRecheck:
         from repro.profiling import store as store_module
 
         monkeypatch.setattr(store_module, "fcntl", None)
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [8])
         # Stage the "compacted" replacement file the race will swap in.
-        (tmp_path / "profiles.jsonl.compact").write_text(
-            path.read_text(encoding="utf-8"), encoding="utf-8"
-        )
+        shard = shard_file(path)
+        Path(str(shard) + ".compact").write_bytes(shard.read_bytes())
 
         racer = _ReplacedOnOpen(path)
         record_counts(racer, "mali-g72", "acl-gemm", [16])
@@ -481,7 +494,7 @@ class TestResidentStore:
         assert len(resident) == 2
 
     def test_foreign_append_from_a_spawned_process_is_served(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         resident = ProfileStore(path)
         record_counts(resident, "mali-g72", "acl-gemm", [4])
         assert _served(resident, counts=[16])[1] == [16]
@@ -529,45 +542,32 @@ class TestResidentStore:
         assert len(resident) == 3
 
     def test_a_replaced_file_that_outgrew_the_cursor_is_rebuilt(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         resident = ProfileStore(path)
         record_counts(resident, "mali-g72", "acl-gemm", [4, 8])
         record_counts(resident, "mali-g72", "acl-gemm", [4, 8], median=3.0)
         assert _served(resident, counts=[4, 8])[0][4]["median_time_ms"] == 3.0
-        cursor_size = path.stat().st_size
+        cursor_size = shard_file(path).stat().st_size
 
         other = ProfileStore(path)
         other.compact()  # shrinks the file under a new inode ...
-        while path.stat().st_size <= cursor_size:  # ... which then outgrows it
+        while shard_file(path).stat().st_size <= cursor_size:  # ... which then outgrows it
             record_counts(other, "mali-g72", "acl-gemm", [12, 16], median=5.0)
         assert _served(resident) == _served(ProfileStore(path))
 
-    def test_foreign_migration_forces_an_identical_rebuild(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
-        resident = ProfileStore(path)
-        for device, library in TARGETS:
-            record_counts(resident, device, library, [4, 8])
-        before = {target: _served(resident, *target) for target in TARGETS}
-
-        ProfileStore(path).compact(shard=True)
-        after = {target: _served(resident, *target) for target in TARGETS}
-        assert resident.layout == "sharded"
-        assert after == before
-        assert len(resident) == 2 * len(TARGETS)
-
     def test_a_half_written_line_waits_for_its_newline(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         resident = ProfileStore(path)
         record_counts(resident, "mali-g72", "acl-gemm", [4])
-        writer = ProfileStore(tmp_path / "scratch.jsonl")
+        writer = ProfileStore(tmp_path / "scratch")
         record_counts(writer, "mali-g72", "acl-gemm", [8])
-        line = writer.path.read_bytes()
+        line = shard_file(writer.path).read_bytes()
         half = len(line) // 2
 
-        with path.open("ab") as handle:
+        with shard_file(path).open("ab") as handle:
             handle.write(line[:half])
         assert _served(resident, counts=[4, 8])[1] == [8]
-        with path.open("ab") as handle:
+        with shard_file(path).open("ab") as handle:
             handle.write(line[half:])
         found, missing = _served(resident, counts=[4, 8])
         assert missing == [] and set(found) == {4, 8}
@@ -613,9 +613,9 @@ class TestResidentStore:
 
 class TestTornLines:
     def test_an_append_after_a_torn_line_is_not_lost(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [1])
-        with path.open("ab") as handle:
+        with shard_file(path).open("ab") as handle:
             handle.write(b'{"v": 1, "device": "mali-g72", "libr')  # crash mid-append
         record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [2])
 
@@ -630,7 +630,7 @@ class TestTornLines:
         record_counts(store, "mali-g72", "acl-gemm", [4, 8])
         expected = _served(ProfileStore(path), counts=[4, 8])
         shard = shard_id_for("mali-g72", "acl-gemm")
-        shard_path = path / (shard + ".jsonl")
+        shard_path = shard_file(path)
         stale = json.loads(shard_path.read_text(encoding="utf-8"))
         stale["v"] = STORE_VERSION + 1
         with shard_path.open("a", encoding="utf-8") as handle:
@@ -647,9 +647,9 @@ class TestTornLines:
         assert _STORE_SKIPPED.value(store=str(path), shard=shard) == before + 2
 
     def test_a_non_object_line_is_skipped(self, tmp_path):
-        path = tmp_path / "profiles.jsonl"
+        path = tmp_path / "store"
         record_counts(ProfileStore(path), "mali-g72", "acl-gemm", [4])
-        with path.open("a", encoding="utf-8") as handle:
+        with shard_file(path).open("a", encoding="utf-8") as handle:
             handle.write("42\n[1, 2]\n")
         reader = ProfileStore(path)
         assert _served(reader, counts=[4])[1] == []

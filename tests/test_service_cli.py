@@ -8,7 +8,7 @@ import repro
 from repro.api import Plan, Target
 from repro.experiments.cli import main
 from repro.models import ConvLayerSpec
-from repro.profiling.store import ProfileStore
+from repro.profiling.store import STORE_MARKER, ProfileStore, shard_id_for
 from repro.service import ReproServer
 
 TARGET = Target("hikey-970", "acl-gemm")
@@ -17,6 +17,20 @@ LAYER = ConvLayerSpec(
     name="test.cli.conv", in_channels=16, out_channels=24,
     kernel_size=3, stride=1, padding=1, input_hw=14,
 )
+
+
+def flat_copy(store_path, flat_path):
+    """A single-file store: the shards of ``store_path``, concatenated."""
+
+    shards = sorted(store_path.glob("*.jsonl"))
+    flat_path.write_bytes(b"".join(shard.read_bytes() for shard in shards))
+    return flat_path
+
+
+def step_output(output):
+    """run-plan's printed step results, without the accounting line."""
+
+    return output.split("simulated ")[0]
 
 
 def write_plan(tmp_path, sweep_step: int = 8):
@@ -54,12 +68,12 @@ class TestSubmitCommand:
 
     def test_submit_without_executor_flag_uses_the_server_default(self, tmp_path, capsys):
         plan_path = write_plan(tmp_path)
-        with ReproServer(executor="batched") as server:
+        with ReproServer(executor="process") as server:
             assert main([
                 "submit", str(plan_path), "--url", server.url, "--watch",
             ]) == 0
             job = server.store.list()[-1]
-            assert job.executor == "batched"
+            assert job.executor == "process"
             # An explicit flag still overrides the server default.
             assert main([
                 "submit", str(plan_path), "--url", server.url,
@@ -130,7 +144,7 @@ class TestStoreCommand:
 
     def test_compact_drops_duplicates_and_reports_sizes(self, tmp_path, capsys):
         path = self.make_store_with_duplicates(tmp_path)
-        before = path.stat().st_size
+        before = ProfileStore(path).file_stats()["bytes"]
         assert main(["store", "compact", str(path)]) == 0
         output = capsys.readouterr().out
         assert "dropped 1" in output
@@ -151,39 +165,62 @@ class TestStoreCommand:
     def test_init_creates_a_sharded_store(self, tmp_path, capsys):
         path = tmp_path / "store"
         assert main(["store", "init", str(path)]) == 0
-        assert "initialized sharded profile store" in capsys.readouterr().out
-        assert ProfileStore(path).layout == "sharded"
+        assert "initialized profile store" in capsys.readouterr().out
+        assert (path / STORE_MARKER).exists()
         # init is idempotent; a flat file at the path is rejected.
         assert main(["store", "init", str(path)]) == 0
         capsys.readouterr()
-        flat = self.make_store_with_duplicates(tmp_path)
+        flat = flat_copy(self.make_store_with_duplicates(tmp_path), tmp_path / "flat.jsonl")
         assert main(["store", "init", str(flat)]) == 2
-        assert "migrate" in capsys.readouterr().err
+        assert f"store compact {flat}" in capsys.readouterr().err
 
-    def test_compact_shard_migrates_a_flat_store(self, tmp_path, capsys):
-        path = self.make_store_with_duplicates(tmp_path)
-        assert main(["store", "compact", str(path), "--shard"]) == 0
+    def test_compact_imports_a_flat_store(self, tmp_path, capsys):
+        flat = flat_copy(self.make_store_with_duplicates(tmp_path), tmp_path / "flat.jsonl")
+        size = flat.stat().st_size
+        assert main(["store", "compact", str(flat)]) == 0
         output = capsys.readouterr().out
-        assert "migrated" in output and "sharded layout" in output
-        assert "dropped 1" in output
-        migrated = ProfileStore(path)
-        assert migrated.layout == "sharded"
-        assert len(migrated) == 3
+        assert f"imported {flat}" in output
+        assert "dropped 1" in output and f"{size} ->" in output
+        assert (flat / STORE_MARKER).exists()
+        assert len(ProfileStore(flat)) == 3
+
+    def test_an_imported_store_replays_a_plan_with_zero_simulations(
+        self, tmp_path, capsys
+    ):
+        plan_path = write_plan(tmp_path)
+        source = tmp_path / "source"
+        assert main(["run-plan", str(plan_path), "--profile-store", str(source)]) == 0
+        first = capsys.readouterr().out
+        assert "simulated 0 " not in first
+
+        flat = flat_copy(source, tmp_path / "flat.jsonl")
+        assert main(["store", "compact", str(flat)]) == 0
+        capsys.readouterr()
+        assert main(["run-plan", str(plan_path), "--profile-store", str(flat)]) == 0
+        replay = capsys.readouterr().out
+        assert "simulated 0 configuration(s) in-process" in replay
+        assert step_output(replay) == step_output(first)
 
     def test_stats_on_a_sharded_store_breaks_figures_down_per_shard(
         self, tmp_path, capsys
     ):
         path = self.make_store_with_duplicates(tmp_path)
-        assert main(["store", "compact", str(path), "--shard"]) == 0
+        assert main(["store", "compact", str(path)]) == 0
         capsys.readouterr()
         assert main(["store", "stats", str(path)]) == 0
         output = capsys.readouterr().out
-        assert "layout:       sharded" in output
-        assert "shard " in output
+        assert f"shard {shard_id_for('mali-g72', 'acl-gemm')}: 3 entr(y/ies)" in output
         assert "target acl-gemm@mali-g72: 3 entr(y/ies), 3 measurement(s)" in output
 
 
 class TestServeCommand:
+    def test_a_flat_profile_store_exits_2(self, tmp_path, capsys):
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text("", encoding="utf-8")
+        assert main(["serve", "--port", "0", "--profile-store", str(flat)]) == 2
+        error = capsys.readouterr().err
+        assert "cannot start service" in error and f"store compact {flat}" in error
+
     def test_occupied_port_exits_2(self, capsys):
         import socket
 

@@ -10,6 +10,7 @@ import repro
 from repro.api import Plan, PruningRequest, Session, Target
 from repro.api.executor import EXECUTORS, SerialExecutor
 from repro.models import ConvLayerSpec
+from repro.profiling.store import shard_id_for
 from repro.service import ReproServer, ServiceClient, ServiceError
 from repro.service.results import step_result_payload
 
@@ -71,7 +72,7 @@ class TestEndpoints:
     def test_version_reports_the_package_version(self, client):
         version = client.version()
         assert version["version"] == repro.__version__
-        assert {"serial", "batched", "process"}.issubset(set(version["executors"]))
+        assert {"serial", "process"}.issubset(set(version["executors"]))
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError, match="404"):
@@ -300,26 +301,33 @@ class TestStoreEndpoint:
         client.wait(client.submit(plan)["id"], timeout=30.0)
 
         stats = client.store_stats()
-        assert stats["layout"] == "flat"
         assert stats["path"] == server.queue.profile_store
         assert stats["entries"] > 0
         assert stats["by_target"]  # library@device breakdown present
-        assert "legacy" in stats["shards"]
+        assert list(stats["shards"]) == [
+            shard_id_for(TARGETS[0].device_spec.name, TARGETS[0].library)
+        ]
 
-    def test_store_endpoint_reflects_a_migrated_sharded_store(
-        self, client, server
-    ):
+    def test_store_endpoint_reflects_a_foreign_compaction(self, client, server):
+        from repro.profiling.runner import ProfileRunner
         from repro.profiling.store import ProfileStore
 
         plan = Plan()
         plan.sweep(TARGETS, LAYER, sweep_step=8)
         client.wait(client.submit(plan)["id"], timeout=30.0)
-        ProfileStore(server.queue.profile_store).compact(shard=True)
+        # Another process re-records one target's sweep, then compacts.
+        foreign = ProfileStore(server.queue.profile_store)
+        again = ProfileRunner.for_target(TARGETS[0]).measure_many(LAYER, range(1, 25))
+        foreign.record(again[0].device_name, again[0].library_name, again[0].runs,
+                       LAYER, again)
+        superseded = client.store_stats()["superseded"]
+        assert superseded > 0
+        assert foreign.compact() == superseded
 
         stats = client.store_stats()
-        assert stats["layout"] == "sharded"
+        assert stats["superseded"] == 0
         assert len(stats["shards"]) == len(TARGETS)
-        # A resubmission against the migrated store replays everything.
+        # A resubmission against the compacted store replays everything.
         final = client.wait(client.submit(plan)["id"], timeout=30.0)
         assert final["status"] == "succeeded"
         assert final["simulations"] == 0

@@ -143,10 +143,11 @@ class TestResidentProfileStore:
     """One store object serves every job, caught up instead of reloaded."""
 
     def test_sequential_jobs_load_a_shard_once(self, tmp_path):
-        from repro.profiling.store import LEGACY_SHARD, _STORE_RELOADS
+        from repro.profiling.store import _STORE_RELOADS, shard_id_for
 
-        path = tmp_path / "profiles.jsonl"
-        reloads = lambda: _STORE_RELOADS.value(store=str(path), shard=LEGACY_SHARD)
+        path = tmp_path / "profiles"
+        shard = shard_id_for(TARGET.device_spec.name, TARGET.library)
+        reloads = lambda: _STORE_RELOADS.value(store=str(path), shard=shard)
         before = reloads()
         with JobQueue(profile_store=path) as queue:
             first = wait_done(queue, queue.submit(sweep_plan()).id)
