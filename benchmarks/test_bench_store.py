@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.api import Plan, Session, Target
 from repro.models import ConvLayerSpec
-from repro.profiling import Measurement, ProfileStore, layer_spec_fingerprint
+from repro.profiling import Measurement, ProfileStore, Sweep, layer_spec_fingerprint
 from repro.profiling.store import (
     STORE_VERSION,
     _STORE_RELOADS,
@@ -141,7 +141,7 @@ def _cold_append_seconds(path, device, library):
         for count in COUNTS[:16]
     ]
     start = time.perf_counter()
-    store.record(device, library, RUNS, spec, measurements)
+    store.record(device, library, RUNS, spec, Sweep.of(measurements))
     return time.perf_counter() - start
 
 
@@ -173,9 +173,7 @@ def test_store_cold_lookup_loads_one_shard_at_scale(benchmark, tmp_path):
     _, imported = _cold_lookup_seconds(
         flat_path, probe_device, probe_library, probe_spec
     )
-    assert {c: m.as_dict() for c, m in imported.items()} == {
-        c: m.as_dict() for c, m in found.items()
-    }
+    assert imported == found
     assert len(ProfileStore(flat_path)) == len(ProfileStore(store_path))
 
     def cold_lookup():

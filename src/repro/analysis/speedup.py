@@ -78,6 +78,29 @@ class SpeedupMatrix:
         return "\n".join(lines)
 
 
+def _distance_values(
+    runner: ProfileRunner, ref: ConvLayerRef, distances: Sequence[int], metric: str
+) -> List[float]:
+    """``metric`` at each pruning distance, from one sweep of the widest window.
+
+    The window of distance ``d`` is every count from ``d`` channels
+    below the layer's size (at least 1) up to one below it.
+    ``"speedup"`` is the unpruned latency over the window's fastest;
+    ``"slowdown"`` is the window's slowest over the unpruned latency.
+    """
+
+    out = ref.spec.out_channels
+    lowest = max(1, out - max(distances))
+    times = runner.measure_many(ref.spec, range(lowest, out + 1)).median
+    values = []
+    for distance in distances:
+        window = times[max(1, out - distance) - lowest:-1]
+        values.append(float(
+            times[-1] / window.min() if metric == "speedup" else window.max() / times[-1]
+        ))
+    return values
+
+
 def best_speedup_at_distance(
     runner: ProfileRunner, ref: ConvLayerRef, distance: int
 ) -> float:
@@ -90,13 +113,7 @@ def best_speedup_at_distance(
     slower than the unpruned layer.
     """
 
-    spec = ref.spec
-    lowest = max(1, spec.out_channels - distance)
-    counts = list(range(lowest, spec.out_channels))
-    measurements = runner.measure_many(spec, counts + [spec.out_channels])
-    baseline = measurements[-1].median_time_ms
-    best = min(measurement.median_time_ms for measurement in measurements[:-1])
-    return baseline / best
+    return _distance_values(runner, ref, [distance], "speedup")[0]
 
 
 def worst_slowdown_at_distance(
@@ -109,12 +126,7 @@ def worst_slowdown_at_distance(
     relative to the unpruned layer.
     """
 
-    spec = ref.spec
-    counts = list(range(max(1, spec.out_channels - distance), spec.out_channels))
-    measurements = runner.measure_many(spec, counts + [spec.out_channels])
-    baseline = measurements[-1].median_time_ms
-    worst = max(measurement.median_time_ms for measurement in measurements[:-1])
-    return worst / baseline
+    return _distance_values(runner, ref, [distance], "slowdown")[0]
 
 
 def speedup_matrix(
@@ -143,10 +155,7 @@ def speedup_matrix(
         layer_labels=[ref.label for ref in refs],
     )
     for ref in refs:
-        for distance in prune_distances:
-            if metric == "speedup":
-                value = best_speedup_at_distance(runner, ref, distance)
-            else:
-                value = worst_slowdown_at_distance(runner, ref, distance)
+        values = _distance_values(runner, ref, prune_distances, metric)
+        for distance, value in zip(prune_distances, values):
             matrix.set(distance, ref.label, value)
     return matrix

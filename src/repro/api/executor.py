@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
-from ..profiling.runner import Measurement, ProfileRunner
+from ..profiling.runner import ProfileRunner, Sweep
 from .pipeline import PruningRequest
 from .plan import Plan, Step
 from .registry import Registry, UnknownPluginError
@@ -293,20 +293,21 @@ def _measure_worker(
     spec_payload: Dict[str, Any],
     counts: List[int],
     seed: int,
-) -> List[Dict[str, Any]]:
+) -> Dict[str, Any]:
     """Measure one (target, layer) sweep in a worker process.
 
-    Runs without a store (the parent owns persistence) and returns plain
-    measurement dicts, so the task round-trips through pickling with no
-    shared state.  Determinism comes from the counter-based noise
-    stream: the same (configuration, seed) yields the same measurement
-    in any process.
+    Runs without a store (the parent owns persistence) and returns the
+    sweep's columns (:meth:`Sweep.as_columns`: the constants once and
+    five lists of plain numbers), so the task round-trips through
+    pickling with no shared state.  Determinism comes from the
+    counter-based noise stream: the same (configuration, seed) yields
+    the same measurement in any process.
     """
 
     target = Target.from_dict(target_payload)
     spec = ConvLayerSpec.from_dict(spec_payload)
     runner = ProfileRunner.for_target(target, seed=seed)
-    return [m.as_dict() for m in runner.measure_many(spec, counts)]
+    return runner.measure_many(spec, counts).as_columns()
 
 
 @EXECUTORS.register("process")
@@ -423,14 +424,12 @@ class ProcessExecutor:
         for future in as_completed(futures):
             target, spec = futures[future]
             try:
-                payloads = future.result()
+                columns = future.result()
             except Exception as error:
                 raise ExecutionError(
                     f"worker measuring {spec.name!r} on {target.label} failed: {error}"
                 ) from error
-            session.runner(target).adopt(
-                spec, [Measurement.from_dict(payload) for payload in payloads]
-            )
+            session.runner(target).adopt(spec, Sweep.from_columns(columns))
 
 
 @EXECUTORS.register("remote")

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..gpusim.device import DEVICES, DeviceSpec
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.graph import Network
@@ -184,7 +186,7 @@ class PerformanceAwarePruner:
             counts = list(range(1, spec.out_channels + 1, sweep_step))
         if spec.out_channels not in counts:
             counts.append(spec.out_channels)
-        table = build_latency_table(self.runner, spec, sorted(set(counts)))
+        table = build_latency_table(self.runner, spec, counts)
         profile = LayerProfile(
             layer_index=layer_index,
             spec=spec,
@@ -250,12 +252,10 @@ class PerformanceAwarePruner:
         # A coarse sweep may not include the naive target itself; measure
         # it directly (the runner memoises) instead of a table lookup.
         target_time = self.runner.measure(spec, target_channels).median_time_ms
-        candidates = [
-            count
-            for count in profile.optimal_channel_counts
-            if count >= target_channels and profile.time_at(count) <= target_time * 1.001
-        ]
-        return max(candidates) if candidates else target_channels
+        levels = np.array(profile.optimal_channel_counts)
+        levels = levels[levels >= target_channels]
+        candidates = levels[profile.table.times_ms(levels) <= target_time * 1.001]
+        return int(candidates[-1]) if candidates.size else target_channels
 
     # ------------------------------------------------------------------
     # Whole-network compression

@@ -4,8 +4,9 @@ For cached cross-call profiling, prefer :meth:`repro.api.Session.profile_layer`
 (the canonical entry point) over driving :class:`ProfileRunner` directly;
 ``ProfileRunner.for_target`` builds a runner from a :class:`repro.api.Target`.
 Sweeps go through the vectorized batch path
-(:meth:`ProfileRunner.measure_many`), and a :class:`ProfileStore` makes
-measurements persistent across processes.
+(:meth:`ProfileRunner.measure_many`) and come back as one columnar
+:class:`Sweep`; a :class:`ProfileStore` makes them persistent across
+processes.
 """
 
 from .events import KernelEvent, ProfiledRun
@@ -22,7 +23,7 @@ from .profilers import (
     profile_runs,
     profiler_for_device,
 )
-from .runner import DEFAULT_RUNS, Measurement, MeasurementError, ProfileRunner
+from .runner import DEFAULT_RUNS, Measurement, MeasurementError, ProfileRunner, Sweep
 from .store import STORE_VERSION, ProfileStore, ProfileStoreError, layer_spec_fingerprint
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "ProfileStoreError",
     "ProfiledRun",
     "STORE_VERSION",
+    "Sweep",
     "build_latency_table",
     "layer_spec_fingerprint",
     "noise_factors",

@@ -9,45 +9,59 @@ cost on the target).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..models.layers import ConvLayerSpec
-from .runner import Measurement, ProfileRunner
+from .runner import ProfileRunner, Sweep, count_array, distinct_counts
 
 
 class LatencyTableError(ValueError):
     """Raised when a latency table is queried or built without measurements."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencyTable:
-    """Latency of a single layer as a function of its channel count."""
+    """Latency of a single layer as a function of its channel count.
 
-    layer_name: str
-    device_name: str
-    library_name: str
-    entries: Dict[int, float] = field(default_factory=dict)
+    Wraps one :class:`~repro.profiling.runner.Sweep` whose counts are
+    distinct, ascending and positive; the latency at a count is its
+    median time.
+    """
 
-    def add(self, out_channels: int, time_ms: float) -> None:
-        if out_channels < 1:
-            raise ValueError(f"out_channels must be >= 1, got {out_channels}")
-        if time_ms <= 0:
-            raise ValueError(f"time_ms must be positive, got {time_ms}")
-        self.entries[out_channels] = time_ms
+    sweep: Sweep
 
-    def add_measurement(self, measurement: Measurement) -> None:
-        self.add(measurement.out_channels, measurement.median_time_ms)
+    def __post_init__(self) -> None:
+        counts = self.sweep.counts
+        if counts.size and (counts[0] < 1 or (counts[1:] <= counts[:-1]).any()):
+            raise ValueError(
+                f"{self.layer_name}: a latency table needs distinct ascending "
+                f"channel counts >= 1"
+            )
+
+    @property
+    def layer_name(self) -> str:
+        return self.sweep.layer_name
+
+    @property
+    def device_name(self) -> str:
+        return self.sweep.device_name
+
+    @property
+    def library_name(self) -> str:
+        return self.sweep.library_name
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.sweep)
 
     def __contains__(self, out_channels: int) -> bool:
-        return out_channels in self.entries
+        return bool((self.sweep.counts == out_channels).any())
 
     def _require_entries(self) -> None:
-        if not self.entries:
+        if not len(self.sweep):
             raise LatencyTableError(
                 f"latency table for layer {self.layer_name!r} "
                 f"({self.library_name} on {self.device_name}) has no measurements"
@@ -58,27 +72,30 @@ class LatencyTable:
         """Measured channel counts, ascending."""
 
         self._require_entries()
-        return sorted(self.entries)
+        return self.sweep.counts.tolist()
 
     @property
     def max_channels(self) -> int:
         self._require_entries()
-        return max(self.entries)
+        return int(self.sweep.counts[-1])
 
     def time_ms(self, out_channels: int) -> float:
         """Latency of the layer at an exact measured channel count."""
 
-        if out_channels not in self.entries:
-            raise KeyError(
-                f"{self.layer_name}: no measurement for {out_channels} channels"
-            )
-        return self.entries[out_channels]
+        return float(self.times_ms([out_channels])[0])
+
+    def times_ms(self, channel_counts: Iterable[int]) -> np.ndarray:
+        """Latencies at exact measured channel counts, as one array."""
+
+        found, missing = self.sweep.select(count_array(channel_counts))
+        if missing.size:
+            raise KeyError(f"{self.layer_name}: no measurement for {missing[0]} channels")
+        return found.median
 
     def as_series(self) -> Tuple[List[int], List[float]]:
-        """(channel counts, times) as parallel ascending lists."""
+        """(channel counts, times) as parallel ascending lists of Python numbers."""
 
-        counts = self.channel_counts
-        return counts, [self.entries[count] for count in counts]
+        return self.sweep.counts.tolist(), self.sweep.median.tolist()
 
     # ------------------------------------------------------------------
     def speedup(self, out_channels: int, baseline_channels: Optional[int] = None) -> float:
@@ -98,10 +115,8 @@ class LatencyTable:
         as much accuracy potential) as possible.
         """
 
-        candidates = [
-            count for count, time in self.entries.items() if time <= budget_ms
-        ]
-        return max(candidates) if candidates else None
+        fitting = self.sweep.counts[self.sweep.median <= budget_ms]
+        return int(fitting[-1]) if fitting.size else None
 
 
 def build_latency_table(
@@ -119,27 +134,16 @@ def build_latency_table(
     if not isinstance(runner, ProfileRunner):
         runner = ProfileRunner.for_target(runner)
     counts = (
-        list(channel_counts)
+        distinct_counts(channel_counts)
         if channel_counts is not None
-        else list(range(1, layer.out_channels + 1))
+        else np.arange(1, layer.out_channels + 1)
     )
-    if not counts:
+    if not counts.size:
         raise LatencyTableError(
             f"cannot build a latency table for layer {layer.name!r} "
             f"from an empty channel sweep"
         )
-    table = LatencyTable(
-        layer_name=layer.name,
-        device_name=runner.device.name,
-        library_name=runner.library.name,
-    )
-    # Measurements are already checked (counts >= 1, times > 0), so they
-    # go in without add()'s per-entry checks.
-    table.entries.update(
-        (measurement.out_channels, measurement.median_time_ms)
-        for measurement in runner.measure_many(layer, counts)
-    )
-    return table
+    return LatencyTable(runner.measure_many(layer, counts))
 
 
 def prune_distances(original_channels: int, distances: Iterable[int]) -> List[int]:

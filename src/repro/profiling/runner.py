@@ -4,14 +4,17 @@
 protocol (Section III-D): for each (device, library, layer, channel
 count) configuration, run the layer several times and report the median.
 
-Sweeps are batched: :meth:`ProfileRunner.measure_many` plans every
-requested channel count with one ``plan_counts`` call (a
+A layer's channel sweep is one :class:`Sweep`: the constants (layer,
+device, library, runs) once and parallel NumPy columns of counts,
+median/min/max times and job counts.  :meth:`ProfileRunner.measure_many`
+plans every requested channel count with one ``plan_counts`` call (a
 :class:`~repro.gpusim.batch.KernelBatch` of flat arrays), costs all of
-them in one vectorized :func:`~repro.gpusim.batch.simulate_batch` call
-and applies the repetition noise as a single array operation, so a full
-staircase sweep is one NumPy pass instead of ``channels x runs`` scalar
-simulations.
-Results are memoised in-process and — when a
+them in one vectorized :func:`~repro.gpusim.batch.simulate_batch` call,
+applies the repetition noise as a single array operation and returns
+the columns as they are, so a full staircase sweep is one NumPy pass
+with no per-configuration object.  :class:`Measurement` is the view of
+one configuration (``sweep[i]``, :meth:`ProfileRunner.measure`).
+Sweeps are memoised in-process, one per layer, and — when a
 :class:`~repro.profiling.store.ProfileStore` is attached — persisted
 across processes.
 """
@@ -21,7 +24,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -53,9 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: of 10 runs).
 DEFAULT_RUNS = 10
 
-#: Default bound on memoised measurements per runner.  At ~200 bytes per
-#: measurement this caps a runner's cache in the tens of megabytes while
-#: holding far more configurations than the full model zoo sweeps need.
+#: Default bound on memoised configurations per runner.  A cached sweep
+#: costs about 40 bytes per configuration (five 8-byte columns), so this
+#: caps a runner's cache at a few megabytes while holding far more
+#: configurations than the full model zoo sweeps need.
 DEFAULT_MEASUREMENT_CACHE_ENTRIES = 65536
 
 
@@ -73,9 +78,8 @@ def check_measurement(
 ) -> None:
     """Raise :class:`MeasurementError` unless the fields form a valid measurement.
 
-    The one copy of the rules: :class:`Measurement` construction and the
-    profile store's line parser (which fills columns without building
-    objects) both call it.
+    The rules for one configuration; :func:`check_sweep` applies the
+    same rules to a whole sweep as array comparisons.
     """
 
     if runs < 1:
@@ -129,8 +133,8 @@ class Measurement:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready payload, one key per field.
 
-        The profile store writes measurements as columns; this row form is
-        what its lines use for a measurement that does not fit the columns.
+        Sweeps travel as columns (:meth:`Sweep.as_columns`); this row form
+        is what a measurement that does not fit the columns is kept as.
         """
 
         return {
@@ -150,36 +154,284 @@ class Measurement:
         return cls(**payload)
 
 
-def checked_measurement(
-    layer_name: str,
-    out_channels: int,
-    device_name: str,
-    library_name: str,
-    median_time_ms: float,
-    min_time_ms: float,
-    max_time_ms: float,
-    runs: int,
-    job_count: int,
-) -> Measurement:
-    """A :class:`Measurement` of fields that already passed :func:`check_measurement`.
+#: The varying fields of a sweep, as :meth:`Sweep.as_columns` names them.
+_COLUMNS = ("out_channels", "median_time_ms", "min_time_ms", "max_time_ms", "job_count")
+_CONSTANTS = ("layer_name", "device_name", "library_name", "runs")
+_measurement_values = attrgetter(*Measurement.__dataclass_fields__)
+_STR, _INT, _FLOAT = {str}, {int}, {float}
 
-    Fills the instance dict directly, as unpickling does, instead of
-    paying the frozen dataclass ``__init__`` (about four times the cost)
-    and its re-check.
+
+def count_array(channel_counts: Iterable[int]) -> np.ndarray:
+    """Channel counts as a flat int64 array (an int64 array passes uncopied)."""
+
+    if isinstance(channel_counts, np.ndarray):
+        return channel_counts.astype(np.int64, copy=False).reshape(-1)
+    return np.fromiter(channel_counts, np.int64)
+
+
+def distinct_counts(channel_counts: Iterable[int]) -> np.ndarray:
+    """Channel counts as an ascending int64 array without repeats.
+
+    Sort-based: ``np.unique`` takes a slower hash path for integers.
     """
 
-    measurement = object.__new__(Measurement)
-    fields = measurement.__dict__
-    fields["layer_name"] = layer_name
-    fields["out_channels"] = out_channels
-    fields["device_name"] = device_name
-    fields["library_name"] = library_name
-    fields["median_time_ms"] = median_time_ms
-    fields["min_time_ms"] = min_time_ms
-    fields["max_time_ms"] = max_time_ms
-    fields["runs"] = runs
-    fields["job_count"] = job_count
-    return measurement
+    counts = np.sort(count_array(channel_counts))
+    return np.concatenate((counts[:1], counts[1:][counts[1:] != counts[:-1]]))
+
+
+def _column_arrays(counts, median, minimum, maximum, job_count) -> Tuple[np.ndarray, ...]:
+    """A sweep's columns from sequences: int64 counts and job counts, float64 times."""
+
+    times = (np.array(column, dtype=np.float64) for column in (median, minimum, maximum))
+    return (np.array(counts, dtype=np.int64), *times, np.array(job_count, dtype=np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Measurements of one layer on one target, as parallel columns.
+
+    The constants (``layer_name``, ``device_name``, ``library_name``,
+    ``runs``) hold for every entry; ``counts`` and ``job_count`` are
+    int64 arrays and ``median``/``minimum``/``maximum`` float64 arrays
+    of times in ms, one element per entry.  ``sweep[i]`` is entry ``i``
+    as a :class:`Measurement`, and iterating yields every entry so.  A
+    count may repeat; its last entry is the one that counts.
+
+    ``strays`` maps an entry's position to a measurement kept whole
+    because it does not fit the constants or the column types (a profile
+    store serves whatever was recorded, exactly); ``sweep[i]`` returns
+    it, while the columns carry its numbers for array code.
+    """
+
+    layer_name: Optional[str]
+    device_name: Optional[str]
+    library_name: Optional[str]
+    runs: Optional[int]
+    counts: np.ndarray
+    median: np.ndarray
+    minimum: np.ndarray
+    maximum: np.ndarray
+    job_count: np.ndarray
+    strays: Mapping[int, Measurement] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index: int) -> Measurement:
+        count = int(self.counts[index])
+        if self.strays:
+            stray = self.strays.get(int(index) % len(self.counts))
+            if stray is not None:
+                return stray
+        return Measurement(
+            self.layer_name, count, self.device_name, self.library_name,
+            float(self.median[index]), float(self.minimum[index]),
+            float(self.maximum[index]), self.runs, int(self.job_count[index]),
+        )
+
+    def __iter__(self) -> Iterator[Measurement]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sweep):
+            return NotImplemented
+        return list(self) == list(other)
+
+    @property
+    def constants(self) -> Tuple[Optional[str], Optional[str], Optional[str], Optional[int]]:
+        return (self.layer_name, self.device_name, self.library_name, self.runs)
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(counts, median, minimum, maximum, job_count)``."""
+
+        return (self.counts, self.median, self.minimum, self.maximum, self.job_count)
+
+    def at(self, count: int) -> Measurement:
+        """The measurement of ``count`` (its last entry); ``KeyError`` if absent."""
+
+        positions = np.flatnonzero(self.counts == count)
+        if not positions.size:
+            raise KeyError(count)
+        return self[positions[-1]]
+
+    def take(self, positions: np.ndarray) -> "Sweep":
+        """The entries at ``positions`` (non-negative indices), in that order."""
+
+        strays = self.strays
+        if strays:
+            strays = {
+                new: strays[old] for new, old in enumerate(positions.tolist()) if old in strays
+            }
+        return Sweep(*self.constants, *(column[positions] for column in self.columns), strays)
+
+    def select(self, counts: np.ndarray) -> Tuple["Sweep", np.ndarray]:
+        """(the entries at ``counts``, in their order; the counts not held).
+
+        For a sweep in ascending count order with one entry per count.
+        """
+
+        if not len(self):
+            return self, counts
+        positions = np.searchsorted(self.counts, counts)
+        held = self.counts[np.minimum(positions, len(self) - 1)] == counts
+        return self.take(positions[held]), counts[~held]
+
+    def sorted(self) -> "Sweep":
+        """The entries in ascending count order, one per count (the last)."""
+
+        order = np.argsort(self.counts, kind="stable")
+        counts = self.counts[order]
+        last = np.ones(len(counts), dtype=bool)
+        last[:-1] = counts[1:] != counts[:-1]
+        return self.take(order[last])
+
+    def _split_strays(self) -> Tuple["Sweep", List[Measurement]]:
+        """(the entries that fit the columns, the strays no later entry supersedes).
+
+        The form a store line holds: reading the column entries in order
+        and then the strays, the last of each count wins exactly as in
+        this sweep.
+        """
+
+        if not self.strays:
+            return self, []
+        counts = self.counts
+        fitting = np.ones(len(counts), dtype=bool)
+        fitting[list(self.strays)] = False
+        strays = [
+            stray for position, stray in sorted(self.strays.items())
+            if not (counts[position + 1:] == counts[position]).any()
+        ]
+        return self.take(np.flatnonzero(fitting)), strays
+
+    @classmethod
+    def concat(cls, parts: Iterable["Sweep"]) -> "Sweep":
+        """The entries of ``parts`` in order, under the first constants given.
+
+        Entries of a part with other constants are kept whole as strays.
+        """
+
+        parts = [part for part in parts if len(part)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.of(())
+        constants = next(
+            (part.constants for part in parts if part.runs is not None), parts[0].constants
+        )
+        strays: Dict[int, Measurement] = {}
+        offset = 0
+        for part in parts:
+            kept = part.strays.items() if part.constants == constants else enumerate(part)
+            strays.update((offset + position, stray) for position, stray in kept)
+            offset += len(part)
+        columns = zip(*(part.columns for part in parts))
+        return cls(*constants, *map(np.concatenate, columns), strays)
+
+    @classmethod
+    def of(cls, measurements: Iterable[Measurement]) -> "Sweep":
+        """Measurements as one sweep, in order.
+
+        The constants are the first measurement's whose fields have the
+        column types (``str`` names, ``int`` counts and runs, ``float``
+        times); a measurement that does not fit them becomes a stray.
+        """
+
+        items = list(measurements)
+        rows = list(map(_measurement_values, items))
+        constants = None
+        strays: Dict[int, Measurement] = {}
+        for position, (item, row) in enumerate(zip(items, rows)):
+            layer, count, device, library, mid, low, high, runs, jobs = row
+            fits = (
+                type(count) is int and type(mid) is float and type(low) is float
+                and type(high) is float and type(jobs) is int and type(runs) is int
+                and type(layer) is str and type(device) is str and type(library) is str
+            )
+            if fits and constants is None:
+                constants = (layer, device, library, runs)
+            if not fits or (layer, device, library, runs) != constants:
+                strays[position] = item
+        _, counts, _, _, median, minimum, maximum, _, jobs = list(zip(*rows)) or [()] * 9
+        return cls(
+            *(constants or (None,) * 4),
+            *_column_arrays(counts, median, minimum, maximum, jobs), strays,
+        )
+
+    def as_columns(self) -> Dict[str, Any]:
+        """JSON-ready form: the constants once, five parallel lists, the strays whole.
+
+        The lists hold Python ``int`` counts and job counts and ``float``
+        times (``tolist``, so every value is written exactly) of the
+        entries that fit them; each stray that no later entry supersedes
+        is written as :meth:`Measurement.as_dict` under ``strays``.
+        """
+
+        fitting, strays = self._split_strays()
+        return {
+            **dict(zip(_CONSTANTS, self.constants)),
+            **{name: column.tolist() for name, column in zip(_COLUMNS, fitting.columns)},
+            "strays": [stray.as_dict() for stray in strays],
+        }
+
+    @classmethod
+    def from_columns(cls, payload: Mapping[str, Any]) -> "Sweep":
+        """The sweep :meth:`as_columns` wrote, checked.
+
+        Raises ``KeyError``, ``TypeError`` or ``ValueError`` (including
+        :class:`MeasurementError`) unless the lists are equally long
+        lists of ``int`` counts and job counts and ``float`` times under
+        ``str`` names and an ``int`` run count, and every entry passes
+        :func:`check_sweep`.
+        """
+
+        columns = [payload[name] for name in _COLUMNS]
+        constants = tuple(payload[name] for name in _CONSTANTS)
+        if {*map(type, columns)} != {list}:
+            raise TypeError("columns must be lists")
+        counts, median, minimum, maximum, job_count = columns
+        size = len(counts)
+        if not len(median) == len(minimum) == len(maximum) == len(job_count) == size:
+            raise ValueError("column lengths differ")
+        if size and (
+            {*map(type, constants[:3])} != _STR or type(constants[3]) is not int
+            or {*map(type, counts), *map(type, job_count)} != _INT
+            or {*map(type, median), *map(type, minimum), *map(type, maximum)} != _FLOAT
+        ):
+            raise TypeError("column value types")
+        sweep = cls(*constants, *_column_arrays(*columns))
+        check_sweep(sweep)
+        strays = [Measurement.from_dict(entry) for entry in payload["strays"]]
+        return cls.concat([sweep, cls.of(strays)]) if strays else sweep
+
+
+#: A sweep of no configurations: what a layer not measured yet has cached.
+_EMPTY = Sweep.of(())
+
+
+def check_sweep(sweep: Sweep) -> None:
+    """Raise :class:`MeasurementError` unless every entry is a valid measurement.
+
+    :func:`check_measurement` as whole-column comparisons, run once per
+    sweep; NaN fails them.
+    """
+
+    if not len(sweep):
+        return
+    if sweep.runs < 1:
+        raise MeasurementError(
+            f"{sweep.layer_name}: a measurement needs at least one run, got {sweep.runs}"
+        )
+    minimum, median, maximum = sweep.minimum, sweep.median, sweep.maximum
+    valid = (minimum > 0) & (minimum <= median) & (median <= maximum)
+    if not valid.all():
+        bad = np.flatnonzero(~valid)[0]
+        raise MeasurementError(
+            f"{sweep.layer_name} at {sweep.counts[bad]} channels: non-positive or "
+            f"inconsistent run times (min={minimum[bad]}, median={median[bad]}, "
+            f"max={maximum[bad]})"
+        )
 
 
 @dataclass
@@ -189,10 +441,12 @@ class ProfileRunner:
     ``store`` optionally backs the in-memory cache with a persistent
     :class:`~repro.profiling.store.ProfileStore`; ``simulations`` counts
     the configurations that actually hit the simulator (cache and store
-    hits do not).  The measurement cache holds at most
-    ``max_cache_entries`` entries (oldest-inserted evicted first; pass
-    ``None`` for unbounded), so a long-lived runner cannot grow without
-    limit.
+    hits do not).  The cache holds one sorted :class:`Sweep` per layer
+    and at most ``max_cache_entries`` configurations across them: whole
+    sweeps are evicted, least recently extended first (pass ``None``
+    for unbounded), so a long-lived runner cannot grow without limit.
+    A sweep enters the cache only once the attached store has recorded
+    it, so a failed append is retried, not served.
 
     Runners are thread-safe: measurement and adoption are
     serialized per runner, so concurrent plan steps hammering the same
@@ -210,9 +464,9 @@ class ProfileRunner:
     #: Two runners with the same seed produce bitwise-identical
     #: measurements without sharing a store.
     seed: int = 0
-    _cache: "OrderedDict[Tuple[str, int], Measurement]" = field(
-        default_factory=OrderedDict, repr=False
-    )
+    _cache: "OrderedDict[str, Sweep]" = field(default_factory=OrderedDict, repr=False)
+    #: Configurations across the cached sweeps.
+    _cached: int = field(default=0, repr=False)
     #: Serializes cache mutation, simulation and store traffic; RLock so
     #: the public entry points may call each other.
     _lock: threading.RLock = field(
@@ -252,7 +506,7 @@ class ProfileRunner:
     # ------------------------------------------------------------------
     @staticmethod
     def _layer_key(layer: ConvLayerSpec) -> str:
-        """The layer half of a cache key ``(layer key, channel count)``."""
+        """The cache key of a layer's sweep."""
 
         return (
             f"{layer.name}|{layer.in_channels}|{layer.kernel_size}|{layer.stride}|"
@@ -264,68 +518,73 @@ class ProfileRunner:
 
         channels = layer.out_channels if out_channels is None else out_channels
         with self._lock:
-            cached = self._cache.get((self._layer_key(layer), channels))
-            if cached is not None:
-                return cached
+            cached = self._cache.get(self._layer_key(layer), _EMPTY)
+            if channels in cached.counts:
+                return cached.at(channels)
             return self.measure_many(layer, [channels])[0]
 
-    def measure_many(
-        self, layer: ConvLayerSpec, channel_counts: Iterable[int]
-    ) -> List[Measurement]:
+    def measure_many(self, layer: ConvLayerSpec, channel_counts: Iterable[int]) -> Sweep:
         """Measure the layer at each channel count in one batched pass.
 
-        The returned list is aligned with ``channel_counts`` (duplicates
+        The returned sweep is aligned with ``channel_counts`` (duplicates
         included).  Counts already in the in-memory cache or the
         attached profile store are served from there; only the rest is
         simulated — in a single vectorized
         :func:`~repro.gpusim.batch.simulate_batch` call.
         """
 
-        requested = [int(count) for count in channel_counts]
-        for count in requested:
-            if count < 1:
-                raise ValueError(f"out_channels must be >= 1, got {count}")
+        requested = count_array(channel_counts)
+        if not requested.size:
+            return Sweep.of(())
+        if requested.min() < 1:
+            raise ValueError(f"out_channels must be >= 1, got {requested[requested < 1][0]}")
         with self._lock:
-            # Resolve against a local view so results survive even when
-            # the bounded cache evicts entries of this very sweep.
-            resolved: Dict[int, Measurement] = {}
-            missing = []
-            key = self._layer_key(layer)
-            for count in dict.fromkeys(requested):
-                cached = self._cache.get((key, count))
-                if cached is not None:
-                    resolved[count] = cached
-                else:
-                    missing.append(count)
-            if missing and self.store is not None:
-                stored, missing = self.store.lookup(
-                    self.device.name, self.library.name, self.runs, layer, missing,
-                    seed=self.seed,
-                )
-                resolved.update(stored)
-                self._remember(key, stored.items())
-            if missing:
-                fresh = self._measure_batch(layer, missing)
-                resolved.update(zip(missing, fresh))
-                self._remember(key, zip(missing, fresh))
-                if self.store is not None:
-                    self.store.record(
-                        self.device.name, self.library.name, self.runs, layer, fresh,
-                        seed=self.seed,
-                    )
-            return [resolved[count] for count in requested]
+            sweep = self._cache.get(self._layer_key(layer), _EMPTY)
+            found, missing = sweep.select(requested)
+            if not missing.size:
+                return found
+            stored, missing = self._stored(layer, distinct_counts(missing))
+            fresh = self._measure_batch(layer, missing) if missing.size else _EMPTY
+            # Local, so the result survives its own eviction.
+            sweep = self._remember(layer, [sweep, stored], fresh)
+            return sweep.take(np.searchsorted(sweep.counts, requested))
 
-    def _remember(self, key: str, measurements: Iterable[Tuple[int, Measurement]]) -> None:
-        """Cache ``(count, measurement)`` pairs of one layer, evicting the oldest."""
+    def _stored(
+        self, layer: ConvLayerSpec, counts: np.ndarray
+    ) -> Tuple[Sweep, np.ndarray]:
+        """(the attached store's sweep of ``counts``; the counts it lacks)."""
 
-        self._cache.update(((key, count), measurement) for count, measurement in measurements)
+        if self.store is None:
+            return _EMPTY, counts
+        found, missing = self.store.lookup(
+            self.device.name, self.library.name, self.runs, layer, counts, seed=self.seed,
+        )
+        return found, np.array(missing, dtype=np.int64)
+
+    def _remember(self, layer: ConvLayerSpec, known: List[Sweep], fresh: Sweep = _EMPTY) -> Sweep:
+        """Cache ``known`` and ``fresh`` (disjoint) as the layer's sorted sweep.
+
+        ``fresh`` is recorded to the attached store first, so a failed
+        append leaves nothing cached that the store lacks.  Whole sweeps
+        are evicted, least recently extended first.
+        """
+
+        if len(fresh) and self.store is not None:
+            self.store.record(
+                self.device.name, self.library.name, self.runs, layer, fresh, seed=self.seed,
+            )
+        sweep = Sweep.concat([*known, fresh]).sorted()
+        key = self._layer_key(layer)
+        previous = self._cache.pop(key, _EMPTY)
+        self._cache[key] = sweep
+        self._cached += len(sweep) - len(previous)
         if self.max_cache_entries is not None:
-            while len(self._cache) > self.max_cache_entries:
-                self._cache.popitem(last=False)
+            while self._cached > self.max_cache_entries:
+                _, evicted = self._cache.popitem(last=False)
+                self._cached -= len(evicted)
+        return sweep
 
-    def _measure_batch(
-        self, layer: ConvLayerSpec, channel_counts: List[int]
-    ) -> List[Measurement]:
+    def _measure_batch(self, layer: ConvLayerSpec, channel_counts: np.ndarray) -> Sweep:
         """Simulate the given channel counts of one layer in one vectorized pass.
 
         Per-configuration times are bitwise identical however counts are
@@ -339,28 +598,22 @@ class ProfileRunner:
             [prefix + notes for notes in batch.notes], self.runs, seed=self.seed
         )
         times_ms = simulate_batch(batch, self.device).total_time_ms[:, np.newaxis] * noise
-        medians = np.median(times_ms, axis=1).tolist()
-        minima = times_ms.min(axis=1).tolist()
-        maxima = times_ms.max(axis=1).tolist()
         self.simulations += len(batch)
         _SIMULATIONS.inc(len(batch), device=self.device.name, library=self.library.name)
         _BATCH_SIZE.observe(len(batch))
-        measurements = []
-        for count, median, minimum, maximum, jobs in zip(
-            channel_counts, medians, minima, maxima, batch.job_counts.tolist()
-        ):
-            check_measurement(layer.name, count, median, minimum, maximum, self.runs)
-            measurements.append(checked_measurement(
-                layer.name, count, self.device.name, self.library.name,
-                median, minimum, maximum, self.runs, jobs,
-            ))
-        return measurements
+        sweep = Sweep(
+            layer.name, self.device.name, self.library.name, self.runs, channel_counts,
+            np.median(times_ms, axis=1), times_ms.min(axis=1), times_ms.max(axis=1),
+            np.asarray(batch.job_counts, dtype=np.int64),
+        )
+        check_sweep(sweep)
+        return sweep
 
     # ------------------------------------------------------------------
     # Executor support: cross-process adoption
     # ------------------------------------------------------------------
     def pending_counts(self, layer: ConvLayerSpec, channel_counts: Iterable[int]) -> List[int]:
-        """Channel counts not served by the cache or the attached store.
+        """Channel counts not served by the cache or the attached store, ascending.
 
         Store hits found along the way are pulled into the in-memory
         cache, so a subsequent :meth:`measure_many` over the same counts
@@ -368,47 +621,30 @@ class ProfileRunner:
         """
 
         with self._lock:
-            key = self._layer_key(layer)
-            missing = [
-                count
-                for count in dict.fromkeys(int(count) for count in channel_counts)
-                if self._cache.get((key, count)) is None
-            ]
-            if missing and self.store is not None:
-                stored, missing = self.store.lookup(
-                    self.device.name, self.library.name, self.runs, layer, missing,
-                    seed=self.seed,
-                )
-                self._remember(key, stored.items())
-            return missing
+            cached = self._cache.get(self._layer_key(layer), _EMPTY)
+            found, missing = self._stored(layer, cached.select(distinct_counts(channel_counts))[1])
+            if len(found):
+                self._remember(layer, [cached, found])
+            return missing.tolist()
 
-    def adopt(self, layer: ConvLayerSpec, measurements: Iterable[Measurement]) -> int:
-        """Inject measurements made elsewhere (e.g. a worker process).
+    def adopt(self, layer: ConvLayerSpec, sweep: Sweep) -> int:
+        """Inject a sweep measured elsewhere (e.g. a worker process).
 
-        Already-cached configurations are ignored; fresh ones enter the
-        in-memory cache and, when a store is attached, are persisted as
-        if this runner had measured them.  Returns the number adopted.
+        Already-cached configurations are ignored; fresh ones are
+        persisted to the attached store, as if this runner had measured
+        them, and then cached.  Returns the number adopted.
         """
 
         with self._lock:
-            key = self._layer_key(layer)
-            fresh = [
-                measurement
-                for measurement in measurements
-                if self._cache.get((key, measurement.out_channels)) is None
-            ]
-            self._remember(key, ((m.out_channels, m) for m in fresh))
-            if fresh and self.store is not None:
-                self.store.record(
-                    self.device.name, self.library.name, self.runs, layer, fresh,
-                    seed=self.seed,
-                )
+            cached = self._cache.get(self._layer_key(layer), _EMPTY)
+            fresh = sweep.sorted()
+            fresh = fresh.select(cached.select(fresh.counts)[1])[0]
+            if len(fresh):
+                self._remember(layer, [cached], fresh)
             return len(fresh)
 
     # ------------------------------------------------------------------
-    def measure_channels(
-        self, layer: ConvLayerSpec, channel_counts: List[int]
-    ) -> List[Measurement]:
+    def measure_channels(self, layer: ConvLayerSpec, channel_counts: List[int]) -> Sweep:
         """Measure the layer at each of the given channel counts."""
 
         return self.measure_many(layer, channel_counts)
@@ -419,7 +655,7 @@ class ProfileRunner:
         min_channels: int = 1,
         max_channels: Optional[int] = None,
         step: int = 1,
-    ) -> List[Measurement]:
+    ) -> Sweep:
         """Measure a full channel sweep (the staircase figures)."""
 
         upper = layer.out_channels if max_channels is None else max_channels
@@ -433,5 +669,7 @@ class ProfileRunner:
         return self.measure_many(layer, counts)
 
     def cache_size(self) -> int:
+        """Configurations held in the cache."""
+
         with self._lock:
-            return len(self._cache)
+            return self._cached

@@ -3,8 +3,9 @@
 Every profile used to die with the Python process, so each CLI
 invocation and every experiment script re-simulated thousands of
 (device, library, layer, channel count) configurations from scratch.
-:class:`ProfileStore` persists :class:`~repro.profiling.runner.Measurement`
-records to a directory of JSON-lines shards so that repeated
+:class:`ProfileStore` persists measured sweeps
+(:class:`~repro.profiling.runner.Sweep`) to a directory of JSON-lines
+shards so that repeated
 invocations reuse them: a :class:`~repro.api.Session` built with
 ``store=PATH`` (or the ``repro-experiments --profile-store PATH`` flag)
 reads existing measurements before touching the simulator and appends
@@ -45,14 +46,15 @@ newline (an append in flight, or a crash mid-append) is left for a later
 lookup.  So a long-lived object sees every complete line on disk at each
 lookup, exactly like a freshly opened one.
 
-The index is columnar to keep memory flat: per group one ``count -> row``
-dict plus ``array`` columns for the median/min/max times and job counts,
-about a third of what resident :class:`Measurement` objects would cost.
-A line's columns are checked whole-column (the rules of
-``Measurement(**entry)``, applied per column rather than per entry) and
-extended onto the group's columns with no per-entry object;
-:meth:`ProfileStore.lookup` builds :class:`Measurement` objects only for
-the counts it serves.
+The index is columnar: each group is one
+:class:`~repro.profiling.runner.Sweep` in ascending count order, five
+NumPy columns, about 40 bytes per entry.  A line parses into a sweep,
+checked whole-column by :meth:`~repro.profiling.runner.Sweep.from_columns`,
+and is merged into its group, last writer wins.
+:meth:`ProfileStore.lookup` answers with a :class:`Sweep` sliced from
+the group's columns at the requested counts, and
+:meth:`ProfileStore.record` takes one, so neither path builds an object
+per entry.  Only strays stay whole :class:`Measurement`\\ s.
 
 Importing a flat file
 ---------------------
@@ -81,7 +83,7 @@ sweep under its grouping key, in columns::
        "min_time_ms": [...], "max_time_ms": [...], "job_count": [...],
        "strays": []}}
 
-* ``measurements`` holds the :class:`Measurement` constants once and
+* ``measurements`` is :meth:`Sweep.as_columns`: the constants once and
   the varying fields as parallel lists of JSON numbers (``int`` counts
   and job counts, ``float`` times).  A measurement whose constants or
   value types differ from the columns' is written whole, as
@@ -142,19 +144,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 import re
 import shutil
 import tempfile
 import threading
-from array import array
-from itertools import repeat
 from pathlib import Path
-from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 
 try:  # pragma: no cover - platform-dependent
     import fcntl
@@ -163,7 +159,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
-from .runner import Measurement, MeasurementError, checked_measurement
+from .runner import Measurement, Sweep, count_array
 
 _STORE_APPENDS = default_registry().counter(
     "repro_store_appends_total",
@@ -241,136 +237,19 @@ def shard_id_for(device: str, library: str) -> str:
     return f"{device_slug}__{library_slug}--{digest}"
 
 
-#: A measurement's fields, in :class:`Measurement` order.
-_FIELDS = tuple(Measurement.__dataclass_fields__)
-_FIELD_SET = frozenset(_FIELDS)
-_entry_values = operator.itemgetter(*_FIELDS)
-_measurement_values = operator.attrgetter(*_FIELDS)
-
 #: What a line that is not a valid record raises while being parsed.
-_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError)
-
-_STR, _INT, _FLOAT = {str}, {int}, {float}
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
-class _Sweep(NamedTuple):
-    """One line's measurements: group columns plus whole strays.
-
-    ``constants`` is ``(layer_name, device_name, library_name, runs)``
-    shared by every column entry (``None`` when the columns are empty).
-    A measurement whose constants or value types differ from the
-    columns' is kept whole in ``strays``.  A stray supersedes a column
-    entry of the same count.
-    """
-
-    constants: Optional[Tuple[str, str, str, int]]
-    out_channels: List[int]
-    median: List[float]
-    minimum: List[float]
-    maximum: List[float]
-    job_count: List[int]
-    strays: List[Any]
-
-    @property
-    def size(self) -> int:
-        return len(self.out_channels) + len(self.strays)
-
-
-def _transpose(items: Sequence[Any], values: Callable[[Any], tuple]) -> _Sweep:
-    """Measurement rows as columns; ``values(item)`` gives an item's fields.
-
-    Strays are the items themselves, last writer wins per count.
-    """
-
-    if not items:
-        return _Sweep(None, [], [], [], [], [], [])
-    rows = list(map(values, items))
-    layer, count, device, library, mid, low, high, runs, jobs = zip(*rows)
-    size = len(rows)
-    if (
-        all(column.count(column[0]) == size for column in (layer, device, library, runs))
-        and {type(layer[0]), type(device[0]), type(library[0])} == _STR
-        and {*map(type, count), *map(type, jobs), *map(type, runs)} == _INT
-        and {*map(type, mid), *map(type, low), *map(type, high)} == _FLOAT
-    ):
-        # Every row fits one set of constants: the common case.
-        return _Sweep(
-            (layer[0], device[0], library[0], runs[0]),
-            list(count), list(mid), list(low), list(high), list(jobs), [],
-        )
-    constants = None
-    sweep = _Sweep(None, [], [], [], [], [], [])
-    strays: Dict[Any, Any] = {}
-    for item, row in zip(items, rows):
-        layer, count, device, library, mid, low, high, runs, jobs = row
-        if (
-            type(count) is int and type(mid) is float and type(low) is float
-            and type(high) is float and type(jobs) is int and type(runs) is int
-            and type(layer) is str and type(device) is str and type(library) is str
-        ):
-            if constants is None:
-                constants = (layer, device, library, runs)
-            if (layer, device, library, runs) == constants:
-                if strays:
-                    strays.pop(count, None)
-                sweep.out_channels.append(count)
-                sweep.median.append(mid)
-                sweep.minimum.append(low)
-                sweep.maximum.append(high)
-                sweep.job_count.append(jobs)
-                continue
-        strays[count] = item
-    return sweep._replace(constants=constants, strays=list(strays.values()))
-
-
-def _entry_fields(entry: dict) -> tuple:
-    """A row-form entry's fields, after the field-set check."""
-
-    if entry.keys() != _FIELD_SET:
-        raise TypeError(f"measurement fields {sorted(entry)}")
-    return _entry_values(entry)
-
-
-def _check_columns(sweep: _Sweep) -> None:
-    """Raise unless every column entry is what ``Measurement`` accepts.
-
-    Whole-column forms of :func:`~repro.profiling.runner.check_measurement`
-    plus the column types: equal-length lists, ``int`` counts and job
-    counts, ``float`` times, ``str`` names and an ``int`` run count.
-    NaN fails the ordering comparisons.
-    """
-
-    constants, counts, median, minimum, maximum, job_count, _ = sweep
-    if {*map(type, (counts, median, minimum, maximum, job_count))} != {list}:
-        raise TypeError("columns must be lists")
-    size = len(counts)
-    if not len(median) == len(minimum) == len(maximum) == len(job_count) == size:
-        raise ValueError("column lengths differ")
-    if not size:
-        return
-    layer, device, library, runs = constants
-    if (
-        {type(layer), type(device), type(library)} != _STR or type(runs) is not int
-        or {*map(type, counts), *map(type, job_count)} != _INT
-        or {*map(type, median), *map(type, minimum), *map(type, maximum)} != _FLOAT
-    ):
-        raise TypeError("column value types")
-    if runs < 1:
-        raise MeasurementError(f"{layer}: a measurement needs at least one run, got {runs}")
-    if min(minimum) <= 0:
-        raise MeasurementError(f"{layer}: non-positive minimum run time")
-    if not (all(map(operator.le, minimum, median)) and all(map(operator.le, median, maximum))):
-        raise MeasurementError(f"{layer}: inconsistent run times")
-
-
-def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, _Sweep]:
-    """One store line as (payload, group key, its checked measurements).
+def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, Sweep]:
+    """One store line as (payload, group key, its checked sweep).
 
     Raises one of :data:`_UNREADABLE` for a line to skip: not JSON, not
-    a record, a version other than :data:`STORE_VERSION` (columnar) or
-    ``v`` 1 (row form, transposed into the same columns), a
-    missing or malformed column, or any entry ``Measurement(**entry)``
-    would reject.  One bad entry skips its whole line.
+    a record, a version other than :data:`STORE_VERSION` (columnar,
+    :meth:`Sweep.from_columns`) or ``v`` 1 (row form, one
+    :class:`Measurement` per entry), a missing or malformed column, or
+    any entry ``Measurement(**entry)`` would reject.  One bad entry
+    skips its whole line.
     """
 
     payload = json.loads(line)
@@ -383,149 +262,37 @@ def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, _Sweep]:
         payload["spec_hash"],
     )
     if version == STORE_VERSION:
-        columns = payload["measurements"]
-        sweep = _Sweep(
-            (
-                columns["layer_name"], columns["device_name"],
-                columns["library_name"], columns["runs"],
-            ),
-            columns["out_channels"], columns["median_time_ms"],
-            columns["min_time_ms"], columns["max_time_ms"], columns["job_count"],
-            [Measurement(**entry) for entry in columns["strays"]],
-        )
+        sweep = Sweep.from_columns(payload["measurements"])
     elif version == _ROW_VERSION:
-        sweep = _transpose(payload["measurements"], _entry_fields)
-        sweep = sweep._replace(strays=[Measurement(**entry) for entry in sweep.strays])
+        sweep = Sweep.of(Measurement.from_dict(entry) for entry in payload["measurements"])
     else:
         raise ValueError("incompatible store version")
-    _check_columns(sweep)
     return payload, key, sweep
 
 
-class _Group:
-    """One group's measurements as columns, keyed by channel count.
+#: Group key -> the group's sweep: ascending counts, one entry per count.
+_Index = Dict[_GroupKey, Sweep]
 
-    The group constants come from the first line that fills its
-    columns.  Column entries of a line with other constants, and every
-    line's strays, are kept whole as ``stray`` :class:`Measurement`\\ s,
-    so every lookup returns exactly what was recorded.
+
+def _fill(index: _Index, key: _GroupKey, sweep: Sweep) -> int:
+    """Merge one line's checked sweep into its group, last writer wins.
+
+    Returns the number of counts the group did not hold before.  The
+    group keeps the constants of its first line; entries with other
+    constants are kept whole as strays, so every lookup returns exactly
+    what was recorded.
     """
 
-    __slots__ = (
-        "constants", "rows", "median", "minimum", "maximum", "job_count", "strays",
-    )
-
-    def __init__(self) -> None:
-        self.constants: Optional[Tuple[str, str, str, int]] = None
-        self.rows: Dict[int, int] = {}
-        self.median = array("d")
-        self.minimum = array("d")
-        self.maximum = array("d")
-        self.job_count = array("q")
-        self.strays: Dict[Any, Measurement] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows) + len(self.strays)  # disjoint by construction
-
-    def fill(self, sweep: _Sweep) -> int:
-        """Store one line's checked measurements, last writer wins.
-
-        Returns the number of counts the group did not hold before.
-        """
-
-        before = len(self)
-        rows, strays = self.rows, self.strays
-        counts, new_strays = sweep.out_channels, sweep.strays
-        if counts and sweep.constants != self.constants:
-            if rows:
-                layer, device, library, runs = sweep.constants
-                new_strays = [
-                    *map(
-                        checked_measurement, repeat(layer), counts, repeat(device),
-                        repeat(library), sweep.median, sweep.minimum, sweep.maximum,
-                        repeat(runs), sweep.job_count,
-                    ),
-                    *new_strays,
-                ]
-                counts = ()
-            else:
-                self.constants = sweep.constants
-        if counts:
-            # New values always append; a superseded row stays unused in
-            # the arrays until the shard is rebuilt or compacted.
-            base = len(self.median)
-            self.median.extend(sweep.median)
-            self.minimum.extend(sweep.minimum)
-            self.maximum.extend(sweep.maximum)
-            self.job_count.extend(sweep.job_count)
-            rows.update(zip(counts, range(base, base + len(counts))))
-            if strays and not strays.keys().isdisjoint(counts):
-                for count in counts:
-                    strays.pop(count, None)
-        for measurement in new_strays:
-            rows.pop(measurement.out_channels, None)
-            strays[measurement.out_channels] = measurement
-        return len(self) - before
-
-    def split(self, counts: Iterable[int]) -> Tuple[Dict[int, Measurement], List[int]]:
-        """(stored measurements, counts not stored) for the requested counts."""
-
-        rows, strays = self.rows, self.strays
-        median, minimum, maximum, job_count = (
-            self.median, self.minimum, self.maximum, self.job_count
-        )
-        layer, device, library, runs = self.constants or (None,) * 4
-        found: Dict[int, Measurement] = {}
-        missing: List[int] = []
-        for count in counts:
-            row = rows.get(count)
-            if row is not None:
-                # Every column value passed the column checks when it was
-                # stored.  int(count): the stored key's type.
-                found[count] = checked_measurement(
-                    layer, int(count), device, library,
-                    median[row], minimum[row], maximum[row], runs, job_count[row],
-                )
-            elif count in strays:
-                found[count] = strays[count]
-            else:
-                missing.append(count)
-        return found, missing
-
-    def sweep(self) -> _Sweep:
-        """The whole group as one line's sweep, counts in ascending order."""
-
-        rows = self.rows
-        order = sorted(rows)
-        positions = [rows[count] for count in order]
-        return _Sweep(
-            self.constants, order,
-            [self.median[row] for row in positions],
-            [self.minimum[row] for row in positions],
-            [self.maximum[row] for row in positions],
-            [self.job_count[row] for row in positions],
-            [self.strays[count] for count in sorted(self.strays)],
-        )
-
-
-_Index = Dict[_GroupKey, _Group]
-
-
-def _fill(index: _Index, key: _GroupKey, sweep: _Sweep) -> int:
-    """Store one line's checked measurements under ``key``; returns new counts."""
-
-    if not sweep.size:
+    if not len(sweep):
         return 0
-    group = index.get(key)
-    if group is None:
-        group = index[key] = _Group()
-    return group.fill(sweep)
+    group = index.get(key) or Sweep.of(())
+    merged = index[key] = Sweep.concat([group, sweep]).sorted()
+    return len(merged) - len(group)
 
 
-def _line(key: _GroupKey, spec: Any, sweep: _Sweep) -> str:
+def _line(key: _GroupKey, spec: Any, sweep: Sweep) -> str:
     """One columnar store line (with its newline) for ``sweep`` under ``key``."""
 
-    layer, device, library, runs = sweep.constants or (None,) * 4
     return json.dumps({
         "v": STORE_VERSION,
         "device": key[0],
@@ -534,18 +301,7 @@ def _line(key: _GroupKey, spec: Any, sweep: _Sweep) -> str:
         "seed": key[3],
         "spec": spec,
         "spec_hash": key[4],
-        "measurements": {
-            "layer_name": layer,
-            "device_name": device,
-            "library_name": library,
-            "runs": runs,
-            "out_channels": sweep.out_channels,
-            "median_time_ms": sweep.median,
-            "min_time_ms": sweep.minimum,
-            "max_time_ms": sweep.maximum,
-            "job_count": sweep.job_count,
-            "strays": [measurement.as_dict() for measurement in sweep.strays],
-        },
+        "measurements": sweep.as_columns(),
     }) + "\n"
 
 
@@ -766,10 +522,14 @@ class ProfileStore:
         library: str,
         runs: int,
         spec: ConvLayerSpec,
-        channel_counts: Sequence[int],
+        channel_counts: Iterable[int],
         seed: int = 0,
-    ) -> Tuple[Dict[int, Measurement], List[int]]:
-        """Split a sweep into (stored measurements, counts still to measure).
+    ) -> Tuple[Sweep, List[int]]:
+        """Split channel counts into (stored sweep, counts still to measure).
+
+        The stored sweep is sliced straight from the group's columns, in
+        request order (strays last); the counts still to measure keep
+        theirs.
 
         Only the ``(device, library)`` shard is loaded — a cold
         single-target lookup against a million-entry sharded store
@@ -777,16 +537,14 @@ class ProfileStore:
         only the lines appended to that shard since the last lookup.
         """
 
+        counts = count_array(channel_counts)
         with self._lock:
             index = self._load_shard(shard_id_for(device, library))
-            group = index.get(self._key(device, library, runs, spec, seed))
-            if group is None:
-                found, missing = {}, list(channel_counts)
-            else:
-                found, missing = group.split(channel_counts)
+            group = index.get(self._key(device, library, runs, spec, seed)) or Sweep.of(())
+            found, missing = group.select(counts)
             self.hits += len(found)
             self.misses += len(missing)
-            return found, missing
+            return found, missing.tolist()
 
     def record(
         self,
@@ -794,7 +552,7 @@ class ProfileStore:
         library: str,
         runs: int,
         spec: ConvLayerSpec,
-        measurements: Iterable[Measurement],
+        sweep: Sweep,
         seed: int = 0,
     ) -> None:
         """Append one measured sweep to its shard file and the index.
@@ -807,11 +565,9 @@ class ProfileStore:
         record starts with a newline so it is not glued onto it.
         """
 
-        measurements = list(measurements)
-        if not measurements:
+        if not len(sweep):
             return
         key = self._key(device, library, runs, spec, seed)
-        sweep = _transpose(measurements, _measurement_values)
         data = _line(key, spec.as_dict(), sweep).encode("utf-8")
         shard = shard_id_for(device, library)
         with self._lock:
@@ -842,7 +598,7 @@ class ProfileStore:
                 self._cursors[shard] = (held.st_dev, held.st_ino, end)
             else:
                 self._load_shard(shard)  # catches up through this line
-            self.writes += len(measurements)
+            self.writes += len(sweep)
 
     def _open_append(self, path: Path):
         """Open one shard for appending (a seam the race tests hook).
@@ -955,16 +711,13 @@ class ProfileStore:
                         except _UNREADABLE:
                             per_shard["unreadable"] += 1
                             continue
-                        per_shard["measurements"] += sweep.size
+                        per_shard["measurements"] += len(sweep)
                         target = f"{key[1]}@{key[0]}"  # library@device
                         per_target = stats["by_target"].setdefault(
                             target, {"entries": 0, "measurements": 0}
                         )
-                        per_target["measurements"] += sweep.size
-                        counts.setdefault(key, set()).update(
-                            sweep.out_channels,
-                            (stray.out_channels for stray in sweep.strays),
-                        )
+                        per_target["measurements"] += len(sweep)
+                        counts.setdefault(key, set()).update(sweep.counts.tolist())
                 for key, group in counts.items():
                     per_shard["entries"] += len(group)
                     stats["by_target"][f"{key[1]}@{key[0]}"]["entries"] += len(group)
@@ -1015,7 +768,7 @@ def _read_groups(path: Path) -> Tuple[_Index, Dict[_GroupKey, Any], int, int]:
             except _UNREADABLE:
                 skipped += 1
                 continue
-            total_entries += sweep.size
+            total_entries += len(sweep)
             _fill(index, key, sweep)
             specs[key] = payload.get("spec")
     return index, specs, total_entries + skipped, skipped
@@ -1027,7 +780,7 @@ def _write_groups(
     """Write one columnar line per group; returns the file's new cursor."""
 
     for key, group in index.items():
-        handle.write(_line(key, specs[key], group.sweep()))
+        handle.write(_line(key, specs[key], group))
     handle.flush()
     written = os.fstat(handle.fileno())
     return written.st_dev, written.st_ino, written.st_size

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from ...api.executor import ExecutionError, _wave_workload, traced_step, _ordered_results
 from ...api.scheduler import wavefronts
 from ...models.layers import ConvLayerSpec
-from ...profiling.runner import Measurement
+from ...profiling.runner import Measurement, Sweep
 from ...api.target import Target
 from .leases import (
     LeaseError,
@@ -151,7 +151,7 @@ class RemoteExecutor:
         for lease_id, entries in payloads.items():
             target, spec = by_lease[lease_id]
             session.runner(target).adopt(
-                spec, [Measurement.from_dict(entry) for entry in entries]
+                spec, Sweep.of(Measurement.from_dict(entry) for entry in entries)
             )
 
 

@@ -223,13 +223,19 @@ class FleetWorker:
 
     @staticmethod
     def _measure(lease: Dict[str, Any]) -> Any:
-        """Run the lease's sweep through the shared measurement kernel."""
+        """Run the lease's sweep through the shared measurement kernel.
+
+        The lease wire format is one :meth:`Measurement.as_dict` row per
+        configuration.
+        """
 
         from ...api.executor import _measure_worker
+        from ...profiling.runner import Sweep
 
-        return _measure_worker(
+        columns = _measure_worker(
             lease["target"], lease["spec"], lease["counts"], lease["seed"]
         )
+        return [measurement.as_dict() for measurement in Sweep.from_columns(columns)]
 
     def _finish(
         self,

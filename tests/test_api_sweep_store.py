@@ -24,13 +24,13 @@ class TestMeasureMany:
         scalar = ProfileRunner.create("hikey-970", "acl-gemm", runs=5)
         many = batched.measure_many(LAYER, range(1, 25))
         singles = [scalar.measure(LAYER, count) for count in range(1, 25)]
-        assert many == singles
+        assert list(many) == singles
 
     def test_preserves_order_and_duplicates(self):
         runner = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
         measurements = runner.measure_many(LAYER, [8, 4, 8, 12])
         assert [m.out_channels for m in measurements] == [8, 4, 8, 12]
-        assert measurements[0] is measurements[2]
+        assert measurements[0] == measurements[2]
         assert runner.simulations == 3
 
     def test_cached_counts_are_not_resimulated(self):
@@ -49,6 +49,9 @@ class TestMeasureMany:
         runner.max_cache_entries = 4
         measurements = runner.measure_many(LAYER, range(1, 25))
         assert [m.out_channels for m in measurements] == list(range(1, 25))
+        # Whole sweeps are evicted: a 24-count sweep does not fit in 4.
+        assert runner.cache_size() == 0
+        runner.measure_many(LAYER, range(1, 5))
         assert runner.cache_size() == 4
 
 

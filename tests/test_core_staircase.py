@@ -11,14 +11,14 @@ from repro.core import (
     detect_steps,
     optimal_pruning_levels,
 )
-from repro.profiling import LatencyTable, build_latency_table
+from repro.profiling import LatencyTable, Measurement, Sweep, build_latency_table
 
 
 def table_from(pairs):
-    table = LatencyTable("synthetic", "device", "library")
-    for channels, time in pairs:
-        table.add(channels, time)
-    return table
+    return LatencyTable(Sweep.of(
+        Measurement("synthetic", channels, "device", "library", time, time, time, 1, 1)
+        for channels, time in pairs
+    ))
 
 
 def staircase_pairs():

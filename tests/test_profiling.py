@@ -1,5 +1,7 @@
 """Tests for events, profilers, the measurement runner and latency tables."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.profiling import (
@@ -7,8 +9,10 @@ from repro.profiling import (
     KernelEvent,
     LatencyTable,
     LatencyTableError,
+    Measurement,
     OpenCLProfiler,
     ProfileRunner,
+    Sweep,
     build_latency_table,
     profile_runs,
     profiler_for_device,
@@ -141,44 +145,45 @@ class TestProfileRunner:
         assert measurement.spread < 1.2
 
 
+def table_of(pairs):
+    """A latency table of (channels, time) pairs, one measurement each."""
+
+    return LatencyTable(Sweep.of(
+        Measurement("l", channels, "d", "lib", time, time, time, 1, 1)
+        for channels, time in pairs
+    ))
+
+
 class TestLatencyTable:
     def test_add_and_query(self):
-        table = LatencyTable("l", "d", "lib")
-        table.add(10, 5.0)
-        table.add(20, 8.0)
+        table = table_of([(10, 5.0), (20, 8.0)])
         assert table.time_ms(10) == 5.0
         assert 10 in table and 15 not in table
         assert table.channel_counts == [10, 20]
         assert table.max_channels == 20
 
     def test_speedup_relative_to_max(self):
-        table = LatencyTable("l", "d", "lib")
-        table.add(10, 5.0)
-        table.add(20, 10.0)
+        table = table_of([(10, 5.0), (20, 10.0)])
         assert table.speedup(10) == pytest.approx(2.0)
 
     def test_best_channels_within_budget(self):
-        table = LatencyTable("l", "d", "lib")
-        for channels, time in ((10, 5.0), (20, 9.0), (30, 14.0)):
-            table.add(channels, time)
+        table = table_of(((10, 5.0), (20, 9.0), (30, 14.0)))
         assert table.best_channels_within(10.0) == 20
         assert table.best_channels_within(4.0) is None
 
     def test_invalid_entries_rejected(self):
-        table = LatencyTable("l", "d", "lib")
         with pytest.raises(ValueError):
-            table.add(0, 1.0)
+            table_of([(0, 1.0)])
         with pytest.raises(ValueError):
-            table.add(1, 0.0)
+            table_of([(1, 0.0)])
 
     def test_missing_channel_raises(self):
-        table = LatencyTable("l", "d", "lib")
-        table.add(10, 5.0)
+        table = table_of([(10, 5.0)])
         with pytest.raises(KeyError):
             table.time_ms(11)
 
     def test_empty_table_raises_named_error(self):
-        table = LatencyTable("conv3_2", "d", "lib")
+        table = LatencyTable(replace(Sweep.of([]), layer_name="conv3_2"))
         with pytest.raises(LatencyTableError, match="conv3_2"):
             table.max_channels
         with pytest.raises(LatencyTableError, match="conv3_2"):

@@ -12,6 +12,7 @@ from repro.profiling import (
     ProfileStore,
     ProfileStoreError,
     STORE_VERSION,
+    Sweep,
     layer_spec_fingerprint,
 )
 from repro.profiling.store import shard_id_for
@@ -94,7 +95,7 @@ class TestProfileStore:
         fresh = ProfileStore(tmp_path / "profiles.jsonl")
         found, missing = fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8, 12, 16])
         assert missing == [16]
-        assert [found[count] for count in (4, 8, 12)] == first
+        assert [found.at(count) for count in (4, 8, 12)] == list(first)
 
     def test_cross_process_reuse_simulates_nothing(self, tmp_path):
         path = tmp_path / "profiles.jsonl"
@@ -124,7 +125,7 @@ class TestProfileStore:
 
         stale = ProfileStore(path)
         found, missing = stale.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
-        assert found == {} and missing == [8]
+        assert len(found) == 0 and missing == [8]
         assert stale.skipped_lines == 1
 
     def test_corrupt_lines_are_skipped(self, tmp_path):
@@ -136,7 +137,7 @@ class TestProfileStore:
 
         fresh = ProfileStore(path)
         found, _ = fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
-        assert 8 in found
+        assert 8 in found.counts
         assert fresh.skipped_lines == 1
 
     def test_stats_and_len(self, tmp_path):
@@ -163,7 +164,7 @@ class TestProfileStore:
         fresh = ProfileStore(path)
         fresh.record(
             duplicate.device_name, duplicate.library_name, duplicate.runs,
-            LAYER, [duplicate],
+            LAYER, Sweep.of([duplicate]),
         )
 
         stats = fresh.file_stats()
@@ -195,7 +196,7 @@ class TestProfileStore:
 
         legacy = ProfileStore(path)
         found, missing = legacy.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
-        assert 8 in found and missing == []
+        assert 8 in found.counts and missing == []
 
     def test_seed_is_part_of_the_key(self, tmp_path):
         path = tmp_path / "profiles.jsonl"
@@ -235,7 +236,7 @@ class TestCompact:
         assert fresh.compact() == 1
         replayed = ProfileStore(path)
         found, _ = replayed.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
-        assert 8 in found
+        assert 8 in found.counts
         assert replayed.skipped_lines == 0
 
     def test_compact_of_missing_file_is_a_noop(self, tmp_path):
@@ -251,11 +252,11 @@ class TestCompact:
         altered = Measurement.from_dict(
             {**original.as_dict(), "median_time_ms": original.max_time_ms}
         )
-        store.record("mali-g72", "acl-gemm", 3, LAYER, [altered])
+        store.record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([altered]))
         store.compact()
         fresh = ProfileStore(path)
         found, _ = fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
-        assert found[8].median_time_ms == altered.median_time_ms
+        assert found.at(8).median_time_ms == altered.median_time_ms
 
     def test_compact_picks_up_foreign_appends(self, tmp_path):
         """Records appended by another process after load survive compact."""

@@ -19,19 +19,18 @@ import shutil
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cli import main
 from repro.models import ConvLayerSpec
-from repro.profiling import Measurement, ProfileRunner, ProfileStore
-from repro.profiling.runner import MeasurementError, check_measurement
+from repro.profiling import Measurement, ProfileRunner, ProfileStore, Sweep
+from repro.profiling.runner import MeasurementError, check_measurement, check_sweep
 from repro.profiling.store import (
     STORE_VERSION,
     _STORE_SKIPPED,
-    _check_columns,
-    _Sweep,
     layer_spec_fingerprint,
     shard_id_for,
 )
@@ -70,6 +69,12 @@ def measurement(count, median=2.0, **overrides):
     )
     values.update(overrides)
     return Measurement(**values)
+
+
+def by_count(sweep):
+    """A served sweep as ``{count: measurement}``, the last entry of a count winning."""
+
+    return {measurement.out_channels: measurement for measurement in sweep}
 
 
 #: The shard file of the (mali-g72, acl-gemm) target, under a store path.
@@ -130,13 +135,14 @@ class TestLegacyStoreKeepsServing:
     def test_columnar_appends_over_row_lines_win(self, tmp_path):
         path = legacy_copy(tmp_path)
         old, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS)
+        old = by_count(old)
         newer = {
             count: replace(old.get(count) or old[1], out_channels=count,
                            median_time_ms=9.0, min_time_ms=8.0, max_time_ms=10.0)
             for count in range(20, 31)
         }
         ProfileStore(path).record(
-            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, list(newer.values())
+            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, Sweep.of(newer.values())
         )
         assert [line["v"] for line in lines_of(path / SHARD)] == [1, 1, STORE_VERSION]
 
@@ -144,7 +150,7 @@ class TestLegacyStoreKeepsServing:
             "mali-g72", "acl-gemm", 3, LEGACY_LAYER, range(1, 31)
         )
         assert missing == []
-        assert served == {**{count: old[count] for count in range(1, 20)}, **newer}
+        assert by_count(served) == {**{count: old[count] for count in range(1, 20)}, **newer}
         assert len(ProfileStore(path)) == 2 * len(COUNTS) + 6
 
 
@@ -154,7 +160,7 @@ def columnar_line(tmp_path):
     store = ProfileStore(tmp_path / "source")
     store.record(
         "mali-g72", "acl-gemm", 3, LAYER,
-        [measurement(count, median=1.0 + count) for count in (4, 8, 12, 16)],
+        Sweep.of(measurement(count, median=1.0 + count) for count in (4, 8, 12, 16)),
     )
     (line,) = lines_of(store.path / SHARD)
     return line
@@ -239,7 +245,7 @@ def read_back(tmp_path, name, line):
     before = _STORE_SKIPPED.value(store=str(path), shard=shard)
     found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8, 12, 16])
     skipped = _STORE_SKIPPED.value(store=str(path), shard=shard) - before
-    return found, missing, store.skipped_lines, skipped
+    return by_count(found), missing, store.skipped_lines, skipped
 
 
 class TestCheckParity:
@@ -284,18 +290,18 @@ def test_column_checks_match_the_per_entry_rule(times, runs):
 
     counts = list(range(1, len(times) + 1))
     median, minimum, maximum = (list(column) for column in zip(*times))
-    sweep = _Sweep(
-        (LAYER.name, "mali-g72", "acl-gemm", runs),
-        counts, median, minimum, maximum, [1] * len(counts), [],
+    sweep = Sweep(
+        LAYER.name, "mali-g72", "acl-gemm", runs, np.array(counts),
+        np.array(median), np.array(minimum), np.array(maximum), np.ones(len(counts), int),
     )
     try:
         for count, (mid, low, high) in zip(counts, times):
             check_measurement(LAYER.name, count, mid, low, high, runs)
     except MeasurementError:
         with pytest.raises(MeasurementError):
-            _check_columns(sweep)
+            check_sweep(sweep)
     else:
-        _check_columns(sweep)
+        check_sweep(sweep)
 
 
 MEASUREMENTS = st.builds(
@@ -317,17 +323,17 @@ def test_records_read_back_exactly_last_writer_wins(tmp_path_factory, records):
     writer = ProfileStore(path)
     expected = {}
     for record in records:
-        writer.record("mali-g72", "acl-gemm", 3, LAYER, record)
+        writer.record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of(record))
         for recorded in record:
             expected[recorded.out_channels] = recorded
     counts = list(expected)
     for store in (writer, ProfileStore(path)):
         found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
         assert missing == []
-        assert [astuple(found[count]) for count in counts] == [
+        assert [astuple(found.at(count)) for count in counts] == [
             astuple(expected[count]) for count in counts
         ]
-        assert [field_types(found[count]) for count in counts] == [
+        assert [field_types(found.at(count)) for count in counts] == [
             field_types(expected[count]) for count in counts
         ]
     assert len(ProfileStore(path)) == len(expected)
@@ -346,7 +352,7 @@ class TestStraysRoundTrip:
     def test_strays_come_back_exactly_as_recorded(self, tmp_path):
         path = tmp_path / "store"
         writer = ProfileStore(path, layout="sharded")
-        writer.record("mali-g72", "acl-gemm", 3, LAYER, self.RECORDED)
+        writer.record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of(self.RECORDED))
         (line,) = lines_of(path / SHARD)
         columns = line["measurements"]
         assert columns["out_channels"] == [4, 24]
@@ -356,7 +362,7 @@ class TestStraysRoundTrip:
         for store in (writer, ProfileStore(path)):
             found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
             assert missing == []
-            served = [found[count] for count in counts]
+            served = [found.at(count) for count in counts]
             assert served == self.RECORDED
             assert [astuple(m) for m in served] == [astuple(m) for m in self.RECORDED]
             assert [field_types(m) for m in served] == [
@@ -365,29 +371,29 @@ class TestStraysRoundTrip:
 
         ProfileStore(path).compact()
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
-        assert [field_types(found[count]) for count in counts] == [
+        assert [field_types(found.at(count)) for count in counts] == [
             field_types(m) for m in self.RECORDED
         ]
 
     def test_a_line_of_strays_only(self, tmp_path):
         path = tmp_path / "store"
         recorded = [measurement(12, median_time_ms=2, min_time_ms=1.0)]
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, recorded)
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of(recorded))
         ProfileStore(path).compact()
         (line,) = lines_of(path / SHARD)
         assert line["measurements"]["runs"] is None
         assert line["measurements"]["out_channels"] == []
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [12])
-        assert [found[12]] == recorded
-        assert field_types(found[12]) == field_types(recorded[0])
+        assert [found.at(12)] == recorded
+        assert field_types(found.at(12)) == field_types(recorded[0])
 
     def test_the_last_of_a_repeated_count_wins_within_one_record(self, tmp_path):
         path = tmp_path / "store"
         first, stray, last = measurement(4), measurement(4, runs=5), measurement(4, median=7.0)
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [first, stray])
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [stray, last])
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([first, stray]))
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([stray, last]))
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4])
-        assert found[4] == last
+        assert found.at(4) == last
         head, _ = lines_of(path / SHARD)
         assert head["measurements"]["out_channels"] == [4]
         assert head["measurements"]["strays"] == [stray.as_dict()]
@@ -398,13 +404,13 @@ class TestStraysRoundTrip:
         line["measurements"] = [stray, *line["measurements"], dict(stray, out_channels=8)]
         path = write_store(tmp_path / "store", line)
         found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8])
-        assert found[4].runs == 3   # written after the runs=5 entry of count 4
-        assert found[8].runs == 5   # written after the runs=3 entry of count 8
+        assert found.at(4).runs == 3   # written after the runs=5 entry of count 4
+        assert found.at(8).runs == 5   # written after the runs=3 entry of count 8
 
     def test_spec_fields_survive_compaction(self, tmp_path):
         path = tmp_path / "store"
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [measurement(4)])
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, [measurement(8)])
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([measurement(4)]))
+        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([measurement(8)]))
         ProfileStore(path).compact()
         (line,) = lines_of(path / SHARD)
         assert line["spec"] == LAYER.as_dict()

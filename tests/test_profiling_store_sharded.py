@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.api import Plan, Session, Target
 from repro.models import ConvLayerSpec
-from repro.profiling import Measurement, ProfileStore, ProfileStoreError
+from repro.profiling import Measurement, ProfileStore, ProfileStoreError, Sweep
 from repro.profiling.store import (
     STORE_MARKER,
     STORE_VERSION,
@@ -72,7 +72,7 @@ def measurement(count, device="mali-g72", library="acl-gemm", median=2.0):
 def record_counts(store, device, library, counts, runs=3, seed=0, median=2.0):
     store.record(
         device, library, runs, LAYER,
-        [measurement(c, device, library, median) for c in counts], seed=seed,
+        Sweep.of(measurement(c, device, library, median) for c in counts), seed=seed,
     )
 
 
@@ -209,7 +209,7 @@ class TestShardedRecordAndLookup:
         assert store.compact() == 1  # the superseded count-8 entry
         fresh = ProfileStore(tmp_path / "store")
         found, _ = fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
-        assert found[8].median_time_ms == 9.0  # last writer won
+        assert found.at(8).median_time_ms == 9.0  # last writer won
 
 
 class TestMigration:
@@ -332,7 +332,7 @@ class TestFlatShardedEquivalence:
                     device, library, runs, LAYER, range(1, 25), seed=seed
                 )
                 state[(device, library, runs, seed)] = (
-                    {c: m.as_dict() for c, m in found.items()}, missing
+                    {m.out_channels: m.as_dict() for m in found}, missing
                 )
             return len(store), state
 
@@ -394,7 +394,7 @@ class TestAppendVersusCompactStress:
             assert missing == [], (
                 f"lost records for {library}@{device}: {missing}"
             )
-        assert 1000 in fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [1000])[0]
+        assert 1000 in fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [1000])[0].counts
 
 
 class TestStoreMetricsLabels:
@@ -470,7 +470,7 @@ def _append_counts(path, device, library, counts):
 def _served(store, device="mali-g72", library="acl-gemm", counts=range(1, 25),
             runs=3, seed=0):
     found, missing = store.lookup(device, library, runs, LAYER, counts, seed=seed)
-    return {c: m.as_dict() for c, m in found.items()}, missing
+    return {m.out_channels: m.as_dict() for m in found}, missing
 
 
 def _reloads(store, shard):
@@ -621,7 +621,7 @@ class TestTornLines:
 
         third = ProfileStore(path)
         found, missing = third.lookup("mali-g72", "acl-gemm", 3, LAYER, [1, 2])
-        assert missing == [] and set(found) == {1, 2}
+        assert missing == [] and set(found.counts.tolist()) == {1, 2}
         assert third.skipped_lines == 1  # the torn line, on a line of its own
 
     def test_skipped_lines_are_counted_per_shard(self, tmp_path):

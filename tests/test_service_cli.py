@@ -8,6 +8,7 @@ import repro
 from repro.api import Plan, Target
 from repro.experiments.cli import main
 from repro.models import ConvLayerSpec
+from repro.profiling import Sweep
 from repro.profiling.store import STORE_MARKER, ProfileStore, shard_id_for
 from repro.service import ReproServer
 
@@ -127,7 +128,7 @@ class TestStoreCommand:
         duplicate = ProfileRunner.for_target(TARGET, store=fresh).measure(LAYER, 16)
         fresh.record(
             duplicate.device_name, duplicate.library_name, duplicate.runs,
-            LAYER, [duplicate],
+            LAYER, Sweep.of([duplicate]),
         )
         return path
 

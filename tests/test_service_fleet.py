@@ -21,6 +21,7 @@ import pytest
 from repro.api import Plan, PruningRequest, Session, Target
 from repro.api.executor import EXECUTORS, ExecutionError, _measure_worker
 from repro.models import ConvLayerSpec
+from repro.profiling import Sweep
 from repro.profiling.store import ProfileStore
 from repro.service import FleetWorker, ReproServer, ServiceClient, ServiceError
 from repro.service.fleet.leases import (
@@ -50,7 +51,7 @@ def one_task():
 def measure(task):
     """The honest payload a worker would post back for ``task``."""
 
-    return _measure_worker(*task)
+    return [m.as_dict() for m in Sweep.from_columns(_measure_worker(*task))]
 
 
 def diamond_plan(sweep_step: int = 8) -> Plan:
