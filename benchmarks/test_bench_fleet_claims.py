@@ -15,26 +15,31 @@ leases and check only bookkeeping invariants, not throughput.
 import threading
 import time
 
+from repro.api import Target
 from repro.service.fleet.leases import LeaseManager
 
 #: Synthetic sweep target/spec published on every benchmark lease.
-_TARGET = {"device": "hikey-970", "library": "acl-gemm"}
+_TARGET = Target("hikey-970", "acl-gemm")
 _SPEC = {"name": "bench-claims-layer"}
 
 
 def _payloads(lease):
-    """A valid measurement payload per channel count of a claimed lease."""
+    """A valid measurement payload per channel count of a claimed lease.
+
+    It names what a runner for the lease's target would: the board's
+    GPU as the device, and the target's run count.
+    """
 
     return [
         {
             "layer_name": lease["spec"]["name"],
             "out_channels": count,
-            "device_name": lease["target"]["device"],
-            "library_name": lease["target"]["library"],
+            "device_name": _TARGET.device_spec.name,
+            "library_name": _TARGET.library,
             "median_time_ms": 1.0,
             "min_time_ms": 0.5,
             "max_time_ms": 2.0,
-            "runs": 3,
+            "runs": _TARGET.runs,
             "job_count": 1,
         }
         for count in lease["counts"]
@@ -61,7 +66,9 @@ def test_fleet_claim_throughput(benchmark):
         manager.register_worker(f"bench-poller-{index}")["worker"]
         for index in range(n_workers)
     ]
-    manager.publish([(_TARGET, _SPEC, [index % 32 + 1], 0) for index in range(n_leases)])
+    manager.publish([
+        (_TARGET.to_dict(), _SPEC, [index % 32 + 1], 0) for index in range(n_leases)
+    ])
 
     timing = {}
 

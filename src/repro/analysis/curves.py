@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..models.layers import ConvLayerSpec
-from ..profiling.latency_table import LatencyTable, build_latency_table
+from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
 from ..profiling.runner import ProfileRunner
 
 
@@ -108,13 +108,7 @@ def latency_curve(
 ) -> LatencyCurve:
     """Measure a layer across a channel sweep and package it as a curve."""
 
-    counts = (
-        sorted(set(channel_counts))
-        if channel_counts is not None
-        else list(range(min_channels, spec.out_channels + 1, step))
-    )
-    if counts[-1] != spec.out_channels:
-        counts.append(spec.out_channels)
+    counts = sweep_counts(spec.out_channels, channel_counts, step, start=min_channels)
     table = build_latency_table(runner, spec, counts)
     ordered, times = table.as_series()
     return LatencyCurve(

@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
+from ..profiling.latency_table import sweep_counts
 from ..profiling.runner import ProfileRunner, Sweep
 from .pipeline import PruningRequest
 from .plan import Plan, Step
@@ -104,20 +105,6 @@ def _merge(into: Workload, target: Target, spec: ConvLayerSpec, counts: Iterable
     into.setdefault(target, {}).setdefault(spec, set()).update(counts)
 
 
-def _sweep_counts(spec: ConvLayerSpec, channel_counts, sweep_step: int) -> Tuple[int, ...]:
-    """The exact counts :meth:`Session.profile_layer` will measure.
-
-    Delegates to :meth:`Session._sweep_counts` so workload enumeration
-    can never drift from what the serial measurement path does — the
-    backends' bitwise-identical / zero-extra-simulation invariant
-    depends on the two agreeing.
-    """
-
-    from .session import Session
-
-    return Session._sweep_counts(spec, channel_counts, sweep_step)
-
-
 def _request_workload(session: "Session", request: PruningRequest) -> Workload:
     """The measurements a pruning job will need, enumerated up front.
 
@@ -138,7 +125,7 @@ def _request_workload(session: "Session", request: PruningRequest) -> Workload:
     )
     for index in indices:
         spec = network.conv_layer(index).spec
-        counts = set(_sweep_counts(spec, None, request.sweep_step))
+        counts = set(sweep_counts(spec.out_channels, step=request.sweep_step))
         if request.strategy == "performance-aware" and request.fraction is not None:
             # snap_to_step also measures the naive per-layer target.
             counts.add(max(1, round(spec.out_channels * (1.0 - request.fraction))))
@@ -156,8 +143,8 @@ def step_workload(session: "Session", step: Step) -> Workload:
         specs = [ConvLayerSpec.from_dict(entry) for entry in params["layers"]]
         for target in targets:
             for spec in specs:
-                _merge(workload, target, spec, _sweep_counts(
-                    spec, params.get("channel_counts"), params["sweep_step"]
+                _merge(workload, target, spec, sweep_counts(
+                    spec.out_channels, params.get("channel_counts"), params["sweep_step"]
                 ))
     elif step.kind == "profile":
         target = Target.of(params["target"])
@@ -166,7 +153,9 @@ def step_workload(session: "Session", step: Step) -> Workload:
         indices = list(indices) if indices is not None else network.conv_layer_indices
         for index in indices:
             spec = network.conv_layer(index).spec
-            _merge(workload, target, spec, _sweep_counts(spec, None, params["sweep_step"]))
+            _merge(workload, target, spec, sweep_counts(
+                spec.out_channels, step=params["sweep_step"]
+            ))
     elif step.kind == "prune":
         request = PruningRequest.from_dict(params["request"])
         workload = _request_workload(session, request)

@@ -44,7 +44,7 @@ from ..models.layers import ConvLayerSpec
 from ..models.zoo import MODELS
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
-from ..profiling.latency_table import LatencyTable, build_latency_table
+from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
 from ..profiling.runner import ProfileRunner
 from ..profiling.store import ProfileStore
 from .pipeline import ComparisonReport, PruningReport, PruningRequest
@@ -373,19 +373,6 @@ class Session:
     # ------------------------------------------------------------------
     # Profiling
     # ------------------------------------------------------------------
-    @staticmethod
-    def _sweep_counts(
-        spec: ConvLayerSpec,
-        channel_counts: Optional[Iterable[int]],
-        sweep_step: int,
-    ) -> Tuple[int, ...]:
-        if channel_counts is not None:
-            counts = set(int(count) for count in channel_counts)
-        else:
-            counts = set(range(1, spec.out_channels + 1, sweep_step))
-        counts.add(spec.out_channels)
-        return tuple(sorted(counts))
-
     def profile_layer(
         self,
         target: TargetLike,
@@ -402,7 +389,7 @@ class Session:
         """
 
         target = Target.of(target)
-        counts = self._sweep_counts(spec, channel_counts, sweep_step)
+        counts = sweep_counts(spec.out_channels, channel_counts, sweep_step)
         key: _ProfileKey = (self._target_key(target), spec, counts)
         with self._lock:
             cached = self._profiles.get(key)

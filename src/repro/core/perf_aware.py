@@ -28,7 +28,7 @@ from ..gpusim.device import DEVICES, DeviceSpec
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.graph import Network
 from ..models.layers import ConvLayerSpec
-from ..profiling.latency_table import LatencyTable, build_latency_table
+from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
 from ..profiling.runner import ProfileRunner
 from .accuracy_model import AccuracyModel, default_accuracy_model
 from .criteria import ImportanceCriterion, SequentialCriterion
@@ -159,7 +159,7 @@ class PerformanceAwarePruner:
             device=self.device, library=self.library, runs=runs
         )
         self.pruner = ChannelPruner(self.criterion)
-        self._profiles: Dict[Tuple[str, int, int], LayerProfile] = {}
+        self._profiles: Dict[Tuple[ConvLayerSpec, object], LayerProfile] = {}
 
     # ------------------------------------------------------------------
     # Profiling
@@ -171,30 +171,30 @@ class PerformanceAwarePruner:
         channel_counts: Optional[Iterable[int]] = None,
         sweep_step: int = 1,
     ) -> LayerProfile:
-        """Measure a layer across channel counts and analyse its staircase."""
+        """Measure a layer across channel counts and analyse its staircase.
 
-        key = (spec.name, spec.out_channels, sweep_step)
-        if key in self._profiles and channel_counts is None:
-            return self._profiles[key]
+        The result is cached on the whole layer spec and the counts
+        (given, or the sweep step that determines them).
+        """
+
         if channel_counts is not None:
-            counts = list(channel_counts)
-            if not counts:
+            channel_counts = tuple(channel_counts)
+            if not channel_counts:
                 raise OptimizationError(
                     f"{spec.name}: cannot profile an empty channel sweep"
                 )
-        else:
-            counts = list(range(1, spec.out_channels + 1, sweep_step))
-        if spec.out_channels not in counts:
-            counts.append(spec.out_channels)
-        table = build_latency_table(self.runner, spec, counts)
-        profile = LayerProfile(
-            layer_index=layer_index,
-            spec=spec,
-            table=table,
-            analysis=analyze_table(table),
-        )
-        if channel_counts is None:
-            self._profiles[key] = profile
+        key = (spec, sweep_step if channel_counts is None else channel_counts)
+        profile = self._profiles.get(key)
+        if profile is None:
+            table = build_latency_table(
+                self.runner, spec, sweep_counts(spec.out_channels, channel_counts, sweep_step)
+            )
+            profile = self._profiles[key] = LayerProfile(
+                layer_index=layer_index,
+                spec=spec,
+                table=table,
+                analysis=analyze_table(table),
+            )
         return profile
 
     def profile_network(

@@ -70,14 +70,13 @@ class PruningSearch:
         if self.max_levels_per_layer < 1:
             raise ValueError("max_levels_per_layer must be >= 1")
         self._accuracy = self.accuracy_model or default_accuracy_model(self.network)
-        self._profiles: Dict[int, LayerProfile] = {}
 
     # ------------------------------------------------------------------
     def _profile(self, index: int) -> LayerProfile:
-        if index not in self._profiles:
-            spec = self.network.conv_layer(index).spec
-            self._profiles[index] = self.pruner.profile_layer(spec, layer_index=index)
-        return self._profiles[index]
+        """The layer's profile, cached by the pruner."""
+
+        spec = self.network.conv_layer(index).spec
+        return self.pruner.profile_layer(spec, layer_index=index)
 
     def layer_options(self, index: int) -> List[int]:
         """Step-optimal channel counts of a layer, largest first, truncated."""

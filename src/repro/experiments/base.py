@@ -18,6 +18,7 @@ from ..api.session import Session
 from ..api.target import Target
 from ..models.graph import ConvLayerRef
 from ..models.zoo import profiled_layer_refs
+from ..profiling.latency_table import sweep_counts
 from ..profiling.runner import ProfileRunner
 
 
@@ -167,11 +168,9 @@ def sweep_experiment(
 
     ref = resolve_session(session).network(model).conv_layer(layer_index)
     runner = make_runner(device, library, runs=runs, session=session)
-    counts = list(range(min_channels, ref.spec.out_channels + 1, step))
-    counts.extend(extra_channels)
-    counts.append(ref.spec.out_channels)
+    counts = sweep_counts(ref.spec.out_channels, step=step, start=min_channels)
     curve = latency_curve(
-        runner, ref.spec, ref.label, channel_counts=sorted(set(counts))
+        runner, ref.spec, ref.label, channel_counts=(*counts, *extra_channels)
     )
     fast, slow, gap = curve.largest_adjacent_gap()
     measured = {

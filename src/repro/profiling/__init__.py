@@ -15,6 +15,7 @@ from .latency_table import (
     LatencyTableError,
     build_latency_table,
     prune_distances,
+    sweep_counts,
 )
 from .profilers import (
     CudaEventProfiler,
@@ -47,4 +48,5 @@ __all__ = [
     "profile_runs",
     "profiler_for_device",
     "prune_distances",
+    "sweep_counts",
 ]

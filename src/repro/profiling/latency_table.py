@@ -119,6 +119,20 @@ class LatencyTable:
         return int(fitting[-1]) if fitting.size else None
 
 
+def sweep_counts(
+    out_channels: int,
+    channel_counts: Optional[Iterable[int]] = None,
+    step: int = 1,
+    start: int = 1,
+) -> Tuple[int, ...]:
+    """The channel counts every sweep measures, distinct and ascending:
+    ``channel_counts``, or ``start..out_channels`` by ``step``, and
+    always ``out_channels``."""
+
+    counts = range(start, out_channels + 1, step) if channel_counts is None else channel_counts
+    return tuple(sorted({*map(int, counts), out_channels}))
+
+
 def build_latency_table(
     runner: ProfileRunner,
     layer: ConvLayerSpec,

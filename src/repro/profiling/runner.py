@@ -134,7 +134,7 @@ class Measurement:
         """JSON-ready payload, one key per field.
 
         Sweeps travel as columns (:meth:`Sweep.as_columns`); this row form
-        is what a measurement that does not fit the columns is kept as.
+        is what fleet workers report and what version-1 store lines hold.
         """
 
         return {
@@ -195,12 +195,10 @@ class Sweep:
     int64 arrays and ``median``/``minimum``/``maximum`` float64 arrays
     of times in ms, one element per entry.  ``sweep[i]`` is entry ``i``
     as a :class:`Measurement`, and iterating yields every entry so.  A
-    count may repeat; its last entry is the one that counts.
-
-    ``strays`` maps an entry's position to a measurement kept whole
-    because it does not fit the constants or the column types (a profile
-    store serves whatever was recorded, exactly); ``sweep[i]`` returns
-    it, while the columns carry its numbers for array code.
+    count may repeat; its last entry is the one that counts.  :meth:`of`
+    and :meth:`concat` refuse measurements that mix constants or whose
+    values do not have their column's type, so a sweep is one layer on
+    one target by construction.
     """
 
     layer_name: Optional[str]
@@ -212,19 +210,13 @@ class Sweep:
     minimum: np.ndarray
     maximum: np.ndarray
     job_count: np.ndarray
-    strays: Mapping[int, Measurement] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.counts)
 
     def __getitem__(self, index: int) -> Measurement:
-        count = int(self.counts[index])
-        if self.strays:
-            stray = self.strays.get(int(index) % len(self.counts))
-            if stray is not None:
-                return stray
         return Measurement(
-            self.layer_name, count, self.device_name, self.library_name,
+            self.layer_name, int(self.counts[index]), self.device_name, self.library_name,
             float(self.median[index]), float(self.minimum[index]),
             float(self.maximum[index]), self.runs, int(self.job_count[index]),
         )
@@ -247,6 +239,14 @@ class Sweep:
 
         return (self.counts, self.median, self.minimum, self.maximum, self.job_count)
 
+    def expect(self, *constants: Any) -> "Sweep":
+        """This sweep, unless it is non-empty and its :attr:`constants`
+        are not ``constants`` (:class:`MeasurementError`)."""
+
+        if len(self) and self.constants != constants:
+            raise MeasurementError(f"measurements of {self.constants}, {constants} was expected")
+        return self
+
     def at(self, count: int) -> Measurement:
         """The measurement of ``count`` (its last entry); ``KeyError`` if absent."""
 
@@ -258,12 +258,7 @@ class Sweep:
     def take(self, positions: np.ndarray) -> "Sweep":
         """The entries at ``positions`` (non-negative indices), in that order."""
 
-        strays = self.strays
-        if strays:
-            strays = {
-                new: strays[old] for new, old in enumerate(positions.tolist()) if old in strays
-            }
-        return Sweep(*self.constants, *(column[positions] for column in self.columns), strays)
+        return Sweep(*self.constants, *(column[positions] for column in self.columns))
 
     def select(self, counts: np.ndarray) -> Tuple["Sweep", np.ndarray]:
         """(the entries at ``counts``, in their order; the counts not held).
@@ -286,93 +281,58 @@ class Sweep:
         last[:-1] = counts[1:] != counts[:-1]
         return self.take(order[last])
 
-    def _split_strays(self) -> Tuple["Sweep", List[Measurement]]:
-        """(the entries that fit the columns, the strays no later entry supersedes).
-
-        The form a store line holds: reading the column entries in order
-        and then the strays, the last of each count wins exactly as in
-        this sweep.
-        """
-
-        if not self.strays:
-            return self, []
-        counts = self.counts
-        fitting = np.ones(len(counts), dtype=bool)
-        fitting[list(self.strays)] = False
-        strays = [
-            stray for position, stray in sorted(self.strays.items())
-            if not (counts[position + 1:] == counts[position]).any()
-        ]
-        return self.take(np.flatnonzero(fitting)), strays
-
     @classmethod
     def concat(cls, parts: Iterable["Sweep"]) -> "Sweep":
-        """The entries of ``parts`` in order, under the first constants given.
+        """The entries of ``parts`` in order.
 
-        Entries of a part with other constants are kept whole as strays.
+        Raises :class:`MeasurementError` unless every non-empty part has
+        the same constants.
         """
 
         parts = [part for part in parts if len(part)]
         if len(parts) == 1:
             return parts[0]
         if not parts:
-            return cls.of(())
-        constants = next(
-            (part.constants for part in parts if part.runs is not None), parts[0].constants
-        )
-        strays: Dict[int, Measurement] = {}
-        offset = 0
-        for part in parts:
-            kept = part.strays.items() if part.constants == constants else enumerate(part)
-            strays.update((offset + position, stray) for position, stray in kept)
-            offset += len(part)
-        columns = zip(*(part.columns for part in parts))
-        return cls(*constants, *map(np.concatenate, columns), strays)
+            return _EMPTY
+        constants = parts[0].constants
+        for part in parts[1:]:
+            part.expect(*constants)
+        return cls(*constants, *map(np.concatenate, zip(*(part.columns for part in parts))))
 
     @classmethod
     def of(cls, measurements: Iterable[Measurement]) -> "Sweep":
-        """Measurements as one sweep, in order.
+        """Measurements of one layer on one target as one sweep, in order.
 
-        The constants are the first measurement's whose fields have the
-        column types (``str`` names, ``int`` counts and runs, ``float``
-        times); a measurement that does not fit them becomes a stray.
+        Raises :class:`MeasurementError` if they mix constants, or if a
+        field does not have its column's type (``str`` names, ``int``
+        counts, runs and job counts, ``float`` times).
         """
 
-        items = list(measurements)
-        rows = list(map(_measurement_values, items))
-        constants = None
-        strays: Dict[int, Measurement] = {}
-        for position, (item, row) in enumerate(zip(items, rows)):
-            layer, count, device, library, mid, low, high, runs, jobs = row
-            fits = (
-                type(count) is int and type(mid) is float and type(low) is float
-                and type(high) is float and type(jobs) is int and type(runs) is int
-                and type(layer) is str and type(device) is str and type(library) is str
-            )
-            if fits and constants is None:
-                constants = (layer, device, library, runs)
-            if not fits or (layer, device, library, runs) != constants:
-                strays[position] = item
-        _, counts, _, _, median, minimum, maximum, _, jobs = list(zip(*rows)) or [()] * 9
+        rows = list(map(_measurement_values, measurements))
+        if not rows:
+            return cls(None, None, None, None, *_column_arrays((), (), (), (), ()))
+        layer, counts, device, library, median, minimum, maximum, runs, jobs = zip(*rows)
+        _check_types(layer[0], (*layer, *device, *library), (*counts, *runs, *jobs),
+                     (*median, *minimum, *maximum))
+        if len({*zip(layer, device, library, runs)}) > 1:
+            raise MeasurementError(f"{layer[0]}: measurements of several layers or targets")
         return cls(
-            *(constants or (None,) * 4),
-            *_column_arrays(counts, median, minimum, maximum, jobs), strays,
+            layer[0], device[0], library[0], runs[0],
+            *_column_arrays(counts, median, minimum, maximum, jobs),
         )
 
     def as_columns(self) -> Dict[str, Any]:
-        """JSON-ready form: the constants once, five parallel lists, the strays whole.
+        """JSON-ready form: the constants once and five parallel lists.
 
         The lists hold Python ``int`` counts and job counts and ``float``
-        times (``tolist``, so every value is written exactly) of the
-        entries that fit them; each stray that no later entry supersedes
-        is written as :meth:`Measurement.as_dict` under ``strays``.
+        times (``tolist``, so every value is written exactly).  The
+        empty ``strays`` list keeps the line form older readers expect.
         """
 
-        fitting, strays = self._split_strays()
         return {
             **dict(zip(_CONSTANTS, self.constants)),
-            **{name: column.tolist() for name, column in zip(_COLUMNS, fitting.columns)},
-            "strays": [stray.as_dict() for stray in strays],
+            **{name: column.tolist() for name, column in zip(_COLUMNS, self.columns)},
+            "strays": [],
         }
 
     @classmethod
@@ -382,28 +342,35 @@ class Sweep:
         Raises ``KeyError``, ``TypeError`` or ``ValueError`` (including
         :class:`MeasurementError`) unless the lists are equally long
         lists of ``int`` counts and job counts and ``float`` times under
-        ``str`` names and an ``int`` run count, and every entry passes
-        :func:`check_sweep`.
+        ``str`` names and an ``int`` run count, ``strays`` is empty, and
+        every entry passes :func:`check_sweep`.
         """
 
         columns = [payload[name] for name in _COLUMNS]
         constants = tuple(payload[name] for name in _CONSTANTS)
+        if payload["strays"] != []:
+            raise MeasurementError("a sweep holds one layer on one target: no strays")
         if {*map(type, columns)} != {list}:
             raise TypeError("columns must be lists")
         counts, median, minimum, maximum, job_count = columns
         size = len(counts)
         if not len(median) == len(minimum) == len(maximum) == len(job_count) == size:
             raise ValueError("column lengths differ")
-        if size and (
-            {*map(type, constants[:3])} != _STR or type(constants[3]) is not int
-            or {*map(type, counts), *map(type, job_count)} != _INT
-            or {*map(type, median), *map(type, minimum), *map(type, maximum)} != _FLOAT
-        ):
-            raise TypeError("column value types")
+        if size:
+            _check_types(constants[0], constants[:3], (constants[3], *counts, *job_count),
+                         (*median, *minimum, *maximum))
         sweep = cls(*constants, *_column_arrays(*columns))
         check_sweep(sweep)
-        strays = [Measurement.from_dict(entry) for entry in payload["strays"]]
-        return cls.concat([sweep, cls.of(strays)]) if strays else sweep
+        return sweep
+
+
+def _check_types(layer: Any, names: Iterable[Any], ints: Iterable[Any], floats: Iterable[Any]) -> None:
+    """Raise :class:`MeasurementError` unless ``names`` are ``str``,
+    ``ints`` ``int`` and ``floats`` ``float`` (no ``bool``, no NumPy scalar)."""
+
+    types = ({*map(type, names)}, {*map(type, ints)}, {*map(type, floats)})
+    if types != (_STR, _INT, _FLOAT):
+        raise MeasurementError(f"{layer}: a value does not have its column's type")
 
 
 #: A sweep of no configurations: what a layer not measured yet has cached.
@@ -573,7 +540,9 @@ class ProfileRunner:
             self.store.record(
                 self.device.name, self.library.name, self.runs, layer, fresh, seed=self.seed,
             )
-        sweep = Sweep.concat([*known, fresh]).sorted()
+        sweep = Sweep.concat([*known, fresh]).sorted().expect(
+            layer.name, self.device.name, self.library.name, self.runs
+        )
         key = self._layer_key(layer)
         previous = self._cache.pop(key, _EMPTY)
         self._cache[key] = sweep
@@ -632,7 +601,8 @@ class ProfileRunner:
 
         Already-cached configurations are ignored; fresh ones are
         persisted to the attached store, as if this runner had measured
-        them, and then cached.  Returns the number adopted.
+        them, and then cached.  Returns the number adopted.  A sweep of
+        another layer or target raises :class:`MeasurementError`.
         """
 
         with self._lock:
@@ -658,15 +628,14 @@ class ProfileRunner:
     ) -> Sweep:
         """Measure a full channel sweep (the staircase figures)."""
 
+        from .latency_table import sweep_counts  # latency_table imports this module
+
         upper = layer.out_channels if max_channels is None else max_channels
         if upper > layer.out_channels:
             raise ValueError(
                 f"cannot sweep beyond the layer's {layer.out_channels} channels"
             )
-        counts = list(range(min_channels, upper + 1, step))
-        if counts and counts[-1] != upper:
-            counts.append(upper)
-        return self.measure_many(layer, counts)
+        return self.measure_many(layer, sweep_counts(upper, step=step, start=min_channels))
 
     def cache_size(self) -> int:
         """Configurations held in the cache."""

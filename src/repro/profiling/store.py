@@ -54,7 +54,9 @@ and is merged into its group, last writer wins.
 :meth:`ProfileStore.lookup` answers with a :class:`Sweep` sliced from
 the group's columns at the requested counts, and
 :meth:`ProfileStore.record` takes one, so neither path builds an object
-per entry.  Only strays stay whole :class:`Measurement`\\ s.
+per entry.  A group is one layer on one target: a line whose
+measurements name another layer, target or run count than its key is
+skipped and counted like any other bad line.
 
 Importing a flat file
 ---------------------
@@ -85,15 +87,15 @@ sweep under its grouping key, in columns::
 
 * ``measurements`` is :meth:`Sweep.as_columns`: the constants once and
   the varying fields as parallel lists of JSON numbers (``int`` counts
-  and job counts, ``float`` times).  A measurement whose constants or
-  value types differ from the columns' is written whole, as
-  :meth:`Measurement.as_dict`, in ``strays``; a stray supersedes a
-  column entry of the same count.  Every recorded measurement is served
-  back exactly, value and type.
+  and job counts, ``float`` times).  The constants are the line's spec
+  ``name``, ``device``, ``library`` and ``runs``.  ``strays`` is always
+  written empty (older builds kept measurements that did not fit the
+  columns there); a line with a non-empty ``strays`` list is skipped.
 * ``v`` is :data:`STORE_VERSION`.  Version-1 lines hold the same sweep
   in row form (``"measurements": [{...as_dict...}, ...]``); they are
-  still read, transposed into the same columns, and :meth:`compact`
-  rewrites them as columns.  :meth:`ProfileStore.record` writes only
+  still read, under the same rules (one layer on one target, ``int``
+  counts, ``float`` times), and :meth:`compact` rewrites them as
+  columns.  :meth:`ProfileStore.record` writes only
   columnar lines.  Lines of any other version (a build with a
   different measurement model bumps it) are skipped on load — stale
   entries invalidate themselves and are simply re-measured and
@@ -247,9 +249,10 @@ def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, Sweep]:
     Raises one of :data:`_UNREADABLE` for a line to skip: not JSON, not
     a record, a version other than :data:`STORE_VERSION` (columnar,
     :meth:`Sweep.from_columns`) or ``v`` 1 (row form, one
-    :class:`Measurement` per entry), a missing or malformed column, or
-    any entry ``Measurement(**entry)`` would reject.  One bad entry
-    skips its whole line.
+    :class:`Measurement` per entry), a missing or malformed column, any
+    entry ``Measurement(**entry)`` or :meth:`Sweep.of` would reject, or
+    measurements of another layer or target than the line's key.  One
+    bad entry skips its whole line.
     """
 
     payload = json.loads(line)
@@ -267,6 +270,7 @@ def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, Sweep]:
         sweep = Sweep.of(Measurement.from_dict(entry) for entry in payload["measurements"])
     else:
         raise ValueError("incompatible store version")
+    sweep.expect(payload["spec"]["name"], *key[:3])
     return payload, key, sweep
 
 
@@ -277,10 +281,9 @@ _Index = Dict[_GroupKey, Sweep]
 def _fill(index: _Index, key: _GroupKey, sweep: Sweep) -> int:
     """Merge one line's checked sweep into its group, last writer wins.
 
-    Returns the number of counts the group did not hold before.  The
-    group keeps the constants of its first line; entries with other
-    constants are kept whole as strays, so every lookup returns exactly
-    what was recorded.
+    Returns the number of counts the group did not hold before.  Raises
+    :class:`MeasurementError`, leaving the group as it was, if the
+    sweep's constants are not the group's.
     """
 
     if not len(sweep):
@@ -476,10 +479,9 @@ class ProfileStore:
                         continue
                     try:
                         _, key, sweep = _parse_line(line)
+                        added += _fill(index, key, sweep)
                     except _UNREADABLE:
                         self._skip_line(shard)
-                        continue
-                    added += _fill(index, key, sweep)
                 self._entry_count += added
             self._cursors[shard] = (held.st_dev, held.st_ino, offset)
         return index
@@ -528,8 +530,7 @@ class ProfileStore:
         """Split channel counts into (stored sweep, counts still to measure).
 
         The stored sweep is sliced straight from the group's columns, in
-        request order (strays last); the counts still to measure keep
-        theirs.
+        request order; the counts still to measure keep theirs.
 
         Only the ``(device, library)`` shard is loaded — a cold
         single-target lookup against a million-entry sharded store
@@ -562,10 +563,13 @@ class ProfileStore:
         shard cannot interleave partial lines.  Writers on different
         targets append to different shard files and never contend.  If
         the shard ends in a torn line (a writer died mid-append), the
-        record starts with a newline so it is not glued onto it.
+        record starts with a newline so it is not glued onto it.  A
+        sweep of another layer, target or run count than the key raises
+        :class:`~repro.profiling.runner.MeasurementError` and writes
+        nothing.
         """
 
-        if not len(sweep):
+        if not len(sweep.expect(spec.name, device, library, runs)):
             return
         key = self._key(device, library, runs, spec, seed)
         data = _line(key, spec.as_dict(), sweep).encode("utf-8")
@@ -765,12 +769,12 @@ def _read_groups(path: Path) -> Tuple[_Index, Dict[_GroupKey, Any], int, int]:
                 continue
             try:
                 payload, key, sweep = _parse_line(line)
+                _fill(index, key, sweep)
             except _UNREADABLE:
                 skipped += 1
                 continue
             total_entries += len(sweep)
-            _fill(index, key, sweep)
-            specs[key] = payload.get("spec")
+            specs[key] = payload["spec"]
     return index, specs, total_entries + skipped, skipped
 
 

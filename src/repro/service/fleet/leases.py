@@ -380,25 +380,38 @@ class LeaseManager:
         its attempts are exhausted); a measurement completion validates
         the payloads *before* committing, so a malformed report leaves
         the lease claimed (it will expire and re-queue) instead of
-        poisoning the waiting executor.
+        poisoning the waiting executor.  Valid measurements are one
+        sweep of the lease's layer on its target at its run count,
+        covering exactly the lease's channel counts.
         """
+
+        from ...api.target import Target
+        from ...profiling.runner import Measurement, MeasurementError, Sweep
 
         if (measurements is None) == (error is None):
             raise LeaseError(
                 "a completion carries either measurements or an error, not both"
             )
         if measurements is not None:
-            from ...profiling.runner import Measurement, MeasurementError
-
             try:
-                parsed = [Measurement.from_dict(entry) for entry in measurements]
+                sweep = Sweep.of(Measurement.from_dict(entry) for entry in measurements)
             except (MeasurementError, TypeError, KeyError) as exc:
                 raise LeaseError(f"malformed measurement payload: {exc}") from exc
-            if len(parsed) == 0:
+            if len(sweep) == 0:
                 raise LeaseError("a completion needs at least one measurement")
         with self._lock:
             self._expire_overdue_locked()
             lease = self._held_lease_locked(lease_id, worker_id)
+            if measurements is not None:
+                target = Target.from_dict(lease.target)
+                try:
+                    sweep.expect(
+                        lease.spec["name"], target.device_spec.name, target.library, target.runs
+                    )
+                    if set(sweep.counts.tolist()) != set(lease.counts):
+                        raise MeasurementError(f"counts {sweep.counts.tolist()}")
+                except MeasurementError as exc:
+                    raise LeaseError(f"measurements do not fit lease {lease_id}: {exc}") from exc
             self._touch_worker(worker_id)
             if error is not None:
                 if worker_id in self._workers:

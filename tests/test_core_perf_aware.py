@@ -1,6 +1,7 @@
 """Tests for the performance-aware pruning optimiser and the search utilities."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -50,6 +51,18 @@ class TestLayerProfiles:
         first = gemm_pruner.profile_layer(layer16, 16)
         second = gemm_pruner.profile_layer(layer16, 16)
         assert first is second
+
+    def test_the_cache_keys_on_the_whole_spec(self, layer16):
+        """A spec differing only in ``in_channels`` gets its own profile."""
+
+        pruner = PerformanceAwarePruner(Target("hikey-970", "acl-gemm"))
+        narrow = replace(layer16, in_channels=layer16.in_channels // 2)
+        wide_profile = pruner.profile_layer(layer16)
+        narrow_profile = pruner.profile_layer(narrow)
+        truth = Session().profile_layer(Target("hikey-970", "acl-gemm"), narrow)
+        assert narrow_profile.original_time_ms == truth.original_time_ms
+        assert narrow_profile.original_time_ms < wide_profile.original_time_ms
+        assert pruner.profile_layer(narrow, sweep_step=1) is narrow_profile
 
     def test_empty_sweep_rejected_up_front(self, gemm_pruner, layer16):
         with pytest.raises(OptimizationError, match="empty channel sweep"):

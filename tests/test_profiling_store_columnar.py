@@ -1,16 +1,19 @@
 """Columnar profile-store lines, and the row-form lines still read.
 
-A store line holds one sweep as parallel columns under the group's
-constants, plus a row-form ``strays`` list for measurements that do not
-fit them.  These tests pin down:
+A store line holds one sweep of one layer on one target as parallel
+columns under the group's constants; its ``strays`` list is always
+empty.  These tests pin down:
 
 * legacy stores: a sharded store written in row form (``tests/data``)
   serves every count without simulating, ``store compact`` rewrites it
   as columns, and columnar appends over it resolve last-writer-wins;
 * check parity: a columnar line breaking any measurement rule is skipped
   whole and counted, exactly like a row-form line with the same entry;
-  so is one with a wrong value type or a malformed column;
-* strays round-trip exactly, types included.
+  so is one with a wrong value type, a malformed column or a non-empty
+  ``strays`` list;
+* the line bytes of a fixed sweep, and the refusal of measurements of
+  another layer or run count, or with an ``int`` time, anywhere a sweep
+  is built or recorded.
 """
 
 import json
@@ -192,10 +195,10 @@ def set_first(name, value):
     """A rule break: the first entry's ``name`` becomes ``value``."""
 
     def columnar(columns):
-        if name == "runs":
-            columns[name] = value
-        else:
+        if isinstance(columns[name], list):
             columns[name][0] = value
+        else:  # a constant
+            columns[name] = value
 
     def row(entries):
         entries[0][name] = value
@@ -217,6 +220,12 @@ def drop_column(name):
     return columnar, None
 
 
+def add_stray(columns):
+    """A measurement that fits the columns, written as a stray row."""
+
+    columns["strays"].append(measurement(20, median=3.0).as_dict())
+
+
 #: Each rule a line can break: (columnar mutation, same break in row form
 #: or None where the row form has no such entry).
 RULES = {
@@ -227,14 +236,17 @@ RULES = {
     "nan-median": set_first("median_time_ms", math.nan),
     "nan-min": set_first("min_time_ms", math.nan),
     "runs-below-one": set_first("runs", 0),
-    "int-median": (set_first("median_time_ms", 2)[0], None),
-    "int-max": (set_first("max_time_ms", 10)[0], None),
-    "float-count": (set_first("out_channels", 4.0)[0], None),
-    "float-job-count": (set_first("job_count", 1.0)[0], None),
-    "bool-runs": (set_first("runs", True)[0], None),
+    "int-median": set_first("median_time_ms", 5),
+    "int-max": set_first("max_time_ms", 10),
+    "float-count": set_first("out_channels", 4.0),
+    "float-job-count": set_first("job_count", 1.0),
+    "bool-runs": set_first("runs", True),
+    "other-layer": set_first("layer_name", "renamed.conv"),
+    "other-runs": set_first("runs", 5),
     "unequal-lengths": drop_last("job_count"),
     "missing-column": drop_column("max_time_ms"),
     "missing-strays": drop_column("strays"),
+    "non-empty-strays": (add_stray, None),
 }
 
 
@@ -306,18 +318,16 @@ def test_column_checks_match_the_per_entry_rule(times, runs):
 
 MEASUREMENTS = st.builds(
     measurement,
-    st.sampled_from([4, 8, 8.0, 12]),
-    median=st.sampled_from([2.0, 3.0]),
-    runs=st.sampled_from([3, 5]),
-    layer_name=st.sampled_from([LAYER.name, "renamed.conv"]),
-    median_time_ms=st.sampled_from([2.0, 2, 3.0]),
+    st.sampled_from([4, 8, 12, 16]),
+    median=st.sampled_from([2.0, 3.0, 2.5]),
+    job_count=st.sampled_from([1, 2]),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(MEASUREMENTS, min_size=1, max_size=5), min_size=1, max_size=4))
 def test_records_read_back_exactly_last_writer_wins(tmp_path_factory, records):
-    """Any mix of column entries and strays reads back as the last write per count."""
+    """Sweeps recorded in any order read back as the last write per count."""
 
     path = tmp_path_factory.mktemp("store") / "store"
     writer = ProfileStore(path)
@@ -339,80 +349,76 @@ def test_records_read_back_exactly_last_writer_wins(tmp_path_factory, records):
     assert len(ProfileStore(path)) == len(expected)
 
 
-class TestStraysRoundTrip:
-    RECORDED = [
-        measurement(4),
-        measurement(8, runs=5),                                 # other runs
-        measurement(12, median_time_ms=2, min_time_ms=1.0),     # an int median
-        measurement(16, layer_name="renamed.conv"),             # other layer
-        measurement(20.0),                                      # a float count
-        measurement(24),
-    ]
+#: The exact line ``record`` writes for ``GOLDEN_SWEEP``: builds that
+#: read (or wrote) the ``strays`` list expect it there, empty.
+GOLDEN_LINE = (
+    '{"v": 2, "device": "mali-g72", "library": "acl-gemm", "runs": 3, "seed": 0, '
+    '"spec": {"name": "test.columnar.conv", "in_channels": 16, "out_channels": 24, '
+    '"kernel_size": 3, "stride": 1, "padding": 1, "input_hw": 14, "groups": 1, '
+    '"bias": true}, "spec_hash": "17b5f0f764b795b2", "measurements": '
+    '{"layer_name": "test.columnar.conv", "device_name": "mali-g72", '
+    '"library_name": "acl-gemm", "runs": 3, "out_channels": [4, 8], '
+    '"median_time_ms": [1.5, 2.25], "min_time_ms": [0.75, 1.125], '
+    '"max_time_ms": [3.0, 4.5], "job_count": [1, 1], "strays": []}}\n'
+)
 
-    def test_strays_come_back_exactly_as_recorded(self, tmp_path):
+
+def test_a_fixed_sweep_writes_the_golden_line(tmp_path):
+    path = tmp_path / "store"
+    sweep = Sweep.of([measurement(4, median=1.5), measurement(8, median=2.25)])
+    ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, sweep)
+    assert (path / SHARD).read_bytes() == GOLDEN_LINE.encode("utf-8")
+    found, missing = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8])
+    assert missing == [] and found == sweep
+
+
+class TestOneLayerOneTarget:
+    """Measurements of another layer or run count, or with an ``int``
+    time, are refused wherever a sweep is built or recorded."""
+
+    MISFITS = {
+        "other layer": measurement(8, layer_name="renamed.conv"),
+        "other runs": measurement(8, runs=5),
+        "int time": measurement(8, median_time_ms=2, min_time_ms=1.0),
+    }
+
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    def test_of_refuses_a_misfit(self, misfit):
+        with pytest.raises(MeasurementError):
+            Sweep.of([measurement(4), self.MISFITS[misfit]])
+
+    @pytest.mark.parametrize("misfit", ["other layer", "other runs"])
+    def test_concat_refuses_a_misfit(self, misfit):
+        with pytest.raises(MeasurementError, match="was expected"):
+            Sweep.concat([Sweep.of([measurement(4)]), Sweep.of([self.MISFITS[misfit]])])
+
+    @pytest.mark.parametrize("misfit", ["other layer", "other runs"])
+    def test_record_refuses_a_misfit_and_writes_nothing(self, tmp_path, misfit):
         path = tmp_path / "store"
-        writer = ProfileStore(path, layout="sharded")
-        writer.record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of(self.RECORDED))
-        (line,) = lines_of(path / SHARD)
-        columns = line["measurements"]
-        assert columns["out_channels"] == [4, 24]
-        assert [stray["out_channels"] for stray in columns["strays"]] == [8, 12, 16, 20.0]
+        store = ProfileStore(path)
+        with pytest.raises(MeasurementError, match="was expected"):
+            store.record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([self.MISFITS[misfit]]))
+        assert not (path / SHARD).exists()
+        assert (len(store), store.writes) == (0, 0)
 
-        counts = [4, 8, 12, 16, 20, 24]
-        for store in (writer, ProfileStore(path)):
-            found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
-            assert missing == []
-            served = [found.at(count) for count in counts]
-            assert served == self.RECORDED
-            assert [astuple(m) for m in served] == [astuple(m) for m in self.RECORDED]
-            assert [field_types(m) for m in served] == [
-                field_types(m) for m in self.RECORDED
-            ]
-
-        ProfileStore(path).compact()
-        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, counts)
-        assert [field_types(found.at(count)) for count in counts] == [
-            field_types(m) for m in self.RECORDED
-        ]
-
-    def test_a_line_of_strays_only(self, tmp_path):
+    def test_a_runner_refuses_to_adopt_another_layers_sweep(self, tmp_path):
         path = tmp_path / "store"
-        recorded = [measurement(12, median_time_ms=2, min_time_ms=1.0)]
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of(recorded))
-        ProfileStore(path).compact()
-        (line,) = lines_of(path / SHARD)
-        assert line["measurements"]["runs"] is None
-        assert line["measurements"]["out_channels"] == []
-        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [12])
-        assert [found.at(12)] == recorded
-        assert field_types(found.at(12)) == field_types(recorded[0])
+        adopting = ProfileRunner.create("hikey-970", "acl-gemm", runs=3)
+        adopting.store = ProfileStore(path)
+        other = ProfileRunner.create("hikey-970", "acl-gemm", runs=3).measure_many(
+            LEGACY_LAYER, [4, 8]
+        )
+        with pytest.raises(MeasurementError):
+            adopting.adopt(LAYER, other)
+        assert adopting.cache_size() == 0 and not (path / SHARD).exists()
 
-    def test_the_last_of_a_repeated_count_wins_within_one_record(self, tmp_path):
-        path = tmp_path / "store"
-        first, stray, last = measurement(4), measurement(4, runs=5), measurement(4, median=7.0)
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([first, stray]))
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([stray, last]))
-        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4])
-        assert found.at(4) == last
-        head, _ = lines_of(path / SHARD)
-        assert head["measurements"]["out_channels"] == [4]
-        assert head["measurements"]["strays"] == [stray.as_dict()]
 
-    def test_row_lines_keep_their_order_between_strays_and_columns(self, tmp_path):
-        line = row_line(columnar_line(tmp_path))
-        stray = dict(line["measurements"][0], runs=5)
-        line["measurements"] = [stray, *line["measurements"], dict(stray, out_channels=8)]
-        path = write_store(tmp_path / "store", line)
-        found, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8])
-        assert found.at(4).runs == 3   # written after the runs=5 entry of count 4
-        assert found.at(8).runs == 5   # written after the runs=3 entry of count 8
-
-    def test_spec_fields_survive_compaction(self, tmp_path):
-        path = tmp_path / "store"
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([measurement(4)]))
-        ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([measurement(8)]))
-        ProfileStore(path).compact()
-        (line,) = lines_of(path / SHARD)
-        assert line["spec"] == LAYER.as_dict()
-        assert line["spec_hash"] == layer_spec_fingerprint(LAYER)
-        assert (line["runs"], line["seed"]) == (3, 0)
+def test_spec_fields_survive_compaction(tmp_path):
+    path = tmp_path / "store"
+    ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([measurement(4)]))
+    ProfileStore(path).record("mali-g72", "acl-gemm", 3, LAYER, Sweep.of([measurement(8)]))
+    ProfileStore(path).compact()
+    (line,) = lines_of(path / SHARD)
+    assert line["spec"] == LAYER.as_dict()
+    assert line["spec_hash"] == layer_spec_fingerprint(LAYER)
+    assert (line["runs"], line["seed"]) == (3, 0)

@@ -61,18 +61,18 @@ TARGETS = [
 ]
 
 
-def measurement(count, device="mali-g72", library="acl-gemm", median=2.0):
+def measurement(count, device="mali-g72", library="acl-gemm", median=2.0, runs=3):
     return Measurement(
         layer_name=LAYER.name, out_channels=count, device_name=device,
         library_name=library, median_time_ms=median, min_time_ms=median / 2,
-        max_time_ms=median * 2, runs=3, job_count=1,
+        max_time_ms=median * 2, runs=runs, job_count=1,
     )
 
 
 def record_counts(store, device, library, counts, runs=3, seed=0, median=2.0):
     store.record(
         device, library, runs, LAYER,
-        Sweep.of(measurement(c, device, library, median) for c in counts), seed=seed,
+        Sweep.of(measurement(c, device, library, median, runs) for c in counts), seed=seed,
     )
 
 

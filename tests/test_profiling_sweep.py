@@ -25,13 +25,7 @@ from hypothesis import strategies as st
 
 from repro.api import PruningRequest, Session, Target
 from repro.models import ConvLayerSpec
-from repro.profiling import (
-    Measurement,
-    ProfileRunner,
-    ProfileStore,
-    Sweep,
-    build_latency_table,
-)
+from repro.profiling import ProfileRunner, ProfileStore, Sweep, build_latency_table
 from repro.profiling.store import shard_id_for
 
 LAYER = ConvLayerSpec(
@@ -172,23 +166,6 @@ class TestCacheBound:
         assert replay.simulations == 0
         assert isinstance(served, Sweep)
         assert exact(served) == exact(alone(LEGACY_LAYER, count) for count in range(1, 25))
-
-    def test_a_runner_serves_stored_strays_exactly(self, tmp_path):
-        path = tmp_path / "store"
-        kept, renamed, typed = runner().measure_many(LAYER, [4, 8, 12])
-        renamed = Measurement(**dict(renamed.as_dict(), layer_name="renamed.conv"))
-        typed = Measurement(**dict(
-            typed.as_dict(), median_time_ms=3, min_time_ms=1.0, max_time_ms=9.0
-        ))
-        ProfileStore(path).record(
-            "mali-g72", "acl-gemm", 3, LAYER, Sweep.of([kept, renamed, typed])
-        )
-        replay = runner(ProfileStore(path))
-        served = replay.measure_many(LAYER, [12, 8, 4, 16])
-        assert replay.simulations == 1
-        assert exact([served[0], served[1], served[2]]) == exact([typed, renamed, kept])
-        assert replay.measure(LAYER, 8) == renamed
-        assert build_latency_table(replay, LAYER, [4, 8, 12]).as_series()[1][2] == 3.0
 
 
 class TestFailedAppend:

@@ -196,9 +196,22 @@ class TestLeaseManager:
             manager.complete(lease_id, worker, measurements=[{"nope": 1}])
         with pytest.raises(LeaseError, match="at least one measurement"):
             manager.complete(lease_id, worker, measurements=[])
+        # Valid measurements that answer another question than the lease's:
+        # another layer, another target, another run count, other counts.
+        honest = measure(one_task())
+        for dishonest in (
+            [dict(row, layer_name="resnet50.conv3") for row in honest],
+            measure((TARGETS[1].to_dict(), LAYER.as_dict(), [8, 16], 0)),
+            [dict(row, runs=7) for row in honest],
+            honest[:1],
+            [*honest, dict(honest[0], out_channels=9999)],
+        ):
+            with pytest.raises(LeaseError, match="do not fit lease"):
+                manager.complete(lease_id, worker, measurements=dishonest)
         # Failed validation must not release the lease: it stays claimed
         # (and will expire) instead of poisoning the waiting executor.
         assert manager.status()["leases"]["claimed"] == 1
+        assert manager.complete(lease_id, worker, measurements=honest)["status"] == "completed"
 
     def test_wait_abort_raises(self):
         manager = LeaseManager(lease_ttl=5.0)
