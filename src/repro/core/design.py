@@ -114,21 +114,17 @@ def recommend_channel_counts(
     template = layer_template.with_out_channels(upper)
     runner = _resolve_target(device, library, runs)
     table = build_latency_table(runner, template, range(1, upper + 1))
-    analysis = analyze_table(table)
-
-    recommendations = []
-    for plateau in analysis.plateaus:
-        channels = plateau.optimal_channels
-        time_ms = table.time_ms(channels)
-        recommendations.append(
-            ChannelRecommendation(
-                out_channels=channels,
-                time_ms=time_ms,
-                channels_per_ms=channels / time_ms,
-                device_name=runner.device.name,
-                library_name=runner.library.name,
-            )
+    edges = analyze_table(table).right_edges
+    recommendations = [
+        ChannelRecommendation(
+            out_channels=channels,
+            time_ms=time_ms,
+            channels_per_ms=channels / time_ms,
+            device_name=runner.device.name,
+            library_name=runner.library.name,
         )
+        for channels, time_ms in zip(edges.tolist(), table.times_ms(edges).tolist())
+    ]
     recommendations.sort(key=lambda rec: (-rec.channels_per_ms, rec.time_ms))
     return recommendations[:top_k]
 

@@ -20,6 +20,7 @@ fraction with no knowledge of the target — whose potential slowdowns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -60,7 +61,19 @@ class LayerProfile:
     def optimal_channel_counts(self) -> List[int]:
         """Channel counts on the right edge of each plateau (ascending)."""
 
-        return self.analysis.pruning_levels(self.spec.out_channels)
+        return self.levels.tolist()
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """:attr:`optimal_channel_counts` as an array; the last is the layer's size."""
+
+        return np.array(self.analysis.pruning_levels(self.spec.out_channels))
+
+    @cached_property
+    def level_times_ms(self) -> np.ndarray:
+        """The latency at each of :attr:`levels`."""
+
+        return self.table.times_ms(self.levels)
 
     def time_at(self, channels: int) -> float:
         return self.table.time_ms(channels)
@@ -252,9 +265,9 @@ class PerformanceAwarePruner:
         # A coarse sweep may not include the naive target itself; measure
         # it directly (the runner memoises) instead of a table lookup.
         target_time = self.runner.measure(spec, target_channels).median_time_ms
-        levels = np.array(profile.optimal_channel_counts)
-        levels = levels[levels >= target_channels]
-        candidates = levels[profile.table.times_ms(levels) <= target_time * 1.001]
+        levels = profile.levels
+        fits = (levels >= target_channels) & (profile.level_times_ms <= target_time * 1.001)
+        candidates = levels[fits]
         return int(candidates[-1]) if candidates.size else target_channels
 
     # ------------------------------------------------------------------
@@ -299,7 +312,10 @@ class PerformanceAwarePruner:
         channels: Dict[int, int] = {
             index: profiles[index].spec.out_channels for index in indices
         }
-        baseline_latency = sum(profiles[index].original_time_ms for index in indices)
+        # Every layer sits on one of its levels, so its time is tracked
+        # here rather than looked up per move.
+        times = {index: profiles[index].original_time_ms for index in indices}
+        baseline_latency = sum(times.values())
         current_latency = baseline_latency
         baseline_accuracy = accuracy_model.predict(network)
 
@@ -307,34 +323,29 @@ class PerformanceAwarePruner:
             best_move: Optional[Tuple[float, int, int, float]] = None
             current_accuracy = accuracy_model.predict(network, channels)
             for index in indices:
-                profile = profiles[index]
-                current_time = profile.time_at(channels[index])
+                levels, level_times = profiles[index].levels, profiles[index].level_times_ms
                 # The next step down must actually be faster: with parallel
                 # staircases the adjacent plateau can be slower, in which
                 # case we skip over it to the next genuinely faster one.
-                faster_options = [
-                    count
-                    for count in profile.optimal_channel_counts
-                    if count < channels[index] and profile.time_at(count) < current_time
-                ]
-                if not faster_options:
+                faster = np.flatnonzero((levels < channels[index]) & (level_times < times[index]))
+                if not faster.size:
                     continue
-                candidate = max(faster_options)
-                latency_gain = current_time - profile.time_at(candidate)
+                candidate, candidate_time = int(levels[faster[-1]]), float(level_times[faster[-1]])
+                latency_gain = times[index] - candidate_time
                 trial = dict(channels)
                 trial[index] = candidate
                 accuracy_loss = current_accuracy - accuracy_model.predict(network, trial)
                 score = latency_gain / max(accuracy_loss, 1e-9)
                 if best_move is None or score > best_move[0]:
-                    best_move = (score, index, candidate, latency_gain)
+                    best_move = (score, index, candidate, candidate_time)
             if best_move is None:
                 raise OptimizationError(
                     f"cannot reach {latency_budget_ms:.2f} ms: the fully pruned "
                     f"network still needs {current_latency:.2f} ms"
                 )
-            _, index, candidate, latency_gain = best_move
-            channels[index] = candidate
-            current_latency -= latency_gain
+            _, index, candidate, candidate_time = best_move
+            current_latency -= times[index] - candidate_time
+            channels[index], times[index] = candidate, candidate_time
 
         plan = self.pruner.plan_network(network, channels)
         return PruningOutcome(

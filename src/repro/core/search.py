@@ -81,11 +81,7 @@ class PruningSearch:
     def layer_options(self, index: int) -> List[int]:
         """Step-optimal channel counts of a layer, largest first, truncated."""
 
-        profile = self._profile(index)
-        options = sorted(set(profile.optimal_channel_counts), reverse=True)
-        if profile.spec.out_channels not in options:
-            options.insert(0, profile.spec.out_channels)
-        return options[: self.max_levels_per_layer]
+        return self._profile(index).levels[::-1][: self.max_levels_per_layer].tolist()
 
     def evaluate(self, channels: Mapping[int, int]) -> Candidate:
         """Latency and predicted accuracy of one configuration."""

@@ -19,6 +19,7 @@ performance-aware pruning proposal needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,20 +72,60 @@ class Plateau:
         return self.max_channels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaircaseAnalysis:
-    """Full analysis of one latency-vs-channels curve."""
+    """Full analysis of one latency-vs-channels curve.
+
+    Stores arrays: the curve (ascending ``counts``, median ``times_ms``),
+    the ``breaks`` where a new plateau starts (see :func:`_analyze`) and
+    the ``threshold`` that found them; the plateau right edges and pruning
+    levels are read from these.  ``steps``, ``plateaus`` and
+    ``level_times_ms`` are built from the stored breaks on first access.
+    """
 
     layer_name: str
-    steps: Tuple[Step, ...]
-    plateaus: Tuple[Plateau, ...]
-    level_times_ms: Tuple[float, ...]
+    counts: np.ndarray
+    times_ms: np.ndarray
+    breaks: np.ndarray
+    threshold: float
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StaircaseAnalysis):
+            return NotImplemented
+        arrays = ("counts", "times_ms", "breaks")
+        return (self.layer_name, self.threshold) == (other.layer_name, other.threshold) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays
+        )
+
+    @cached_property
+    def steps(self) -> Tuple[Step, ...]:
+        counts, times = self.counts.tolist(), self.times_ms.tolist()
+        return tuple(Step(counts[i - 1], counts[i], times[i - 1], times[i]) for i in self.breaks)
+
+    @cached_property
+    def plateaus(self) -> Tuple[Plateau, ...]:
+        counts, times = self.counts.tolist(), self.times_ms.tolist()
+        bounds = [0, *self.breaks.tolist(), len(counts)] if counts else []
+        return tuple(
+            Plateau(counts[start], counts[end - 1], sum(times[start:end]) / (end - start))
+            for start, end in zip(bounds, bounds[1:])
+        )
+
+    @cached_property
+    def level_times_ms(self) -> Tuple[float, ...]:
+        return tuple(cluster_levels([plateau.mean_time_ms for plateau in self.plateaus]))
+
+    @cached_property
+    def right_edges(self) -> np.ndarray:
+        """Channel count on the right edge of each plateau, ascending."""
+
+        return np.append(self.counts[self.breaks - 1], self.counts[-1:])
 
     @property
     def optimal_channel_counts(self) -> List[int]:
-        """Channel counts on the right edge of each plateau, ascending."""
-
-        return sorted(plateau.optimal_channels for plateau in self.plateaus)
+        return self.right_edges.tolist()
 
     @property
     def level_count(self) -> int:
@@ -107,9 +148,8 @@ class StaircaseAnalysis:
         channels) or accuracy potential (more time for no extra channels).
         """
 
-        candidates = {count for count in self.optimal_channel_counts if count <= max_channels}
-        candidates.add(max_channels)
-        return sorted(candidates)
+        edges = self.right_edges[self.right_edges <= max_channels].tolist()
+        return edges if edges and edges[-1] == max_channels else [*edges, max_channels]
 
     def has_downward_steps(self) -> bool:
         """True when *adding* channels can reduce latency (parallel staircases)."""
@@ -117,13 +157,16 @@ class StaircaseAnalysis:
         return any(not step.is_upward for step in self.steps)
 
 
-def _breaks(times_ms: Sequence[float], threshold: float) -> np.ndarray:
-    """Indices ``i >= 1`` where latency changes by more than ``threshold``
-    relative to entry ``i - 1``."""
+def _analyze(layer_name: str, counts, times_ms, threshold: float) -> StaircaseAnalysis:
+    """The analysis of a curve, whose breaks are the indices ``i >= 1``
+    where latency changes by more than ``threshold`` relative to entry
+    ``i - 1``."""
 
     times = np.asarray(times_ms, dtype=np.float64)
-    change = np.abs(np.diff(times)) / times[:-1]
-    return np.flatnonzero(change > threshold) + 1
+    if times.size > 1 and times.min() <= 0:
+        raise ValueError("latencies must be positive")
+    breaks = np.flatnonzero(np.abs(np.diff(times)) / times[:-1] > threshold) + 1
+    return StaircaseAnalysis(layer_name, np.asarray(counts), times, breaks, threshold)
 
 
 def detect_steps(
@@ -135,19 +178,7 @@ def detect_steps(
 
     if len(channel_counts) != len(times_ms):
         raise ValueError("channel_counts and times_ms must have the same length")
-    if len(times_ms) < 2:
-        return []
-    if min(times_ms) <= 0:
-        raise ValueError("latencies must be positive")
-    return [
-        Step(
-            channels_before=channel_counts[index - 1],
-            channels_after=channel_counts[index],
-            time_before_ms=times_ms[index - 1],
-            time_after_ms=times_ms[index],
-        )
-        for index in _breaks(times_ms, threshold).tolist()
-    ]
+    return list(_analyze("", channel_counts, times_ms, threshold).steps)
 
 
 def detect_plateaus(
@@ -157,20 +188,7 @@ def detect_plateaus(
 ) -> List[Plateau]:
     """Group adjacent channel counts whose latency is flat within threshold."""
 
-    if not channel_counts:
-        return []
-    bounds = [0] + _breaks(times_ms, threshold).tolist() + [len(channel_counts)]
-    plateaus = []
-    for start, end in zip(bounds, bounds[1:]):
-        run_times = times_ms[start:end]
-        plateaus.append(
-            Plateau(
-                min_channels=channel_counts[start],
-                max_channels=channel_counts[end - 1],
-                mean_time_ms=sum(run_times) / len(run_times),
-            )
-        )
-    return plateaus
+    return list(_analyze("", channel_counts, times_ms, threshold).plateaus)
 
 
 def cluster_levels(
@@ -218,16 +236,7 @@ def analyze_table(
 ) -> StaircaseAnalysis:
     """Run the full staircase analysis on a latency table."""
 
-    counts, times = table.as_series()
-    steps = detect_steps(counts, times, threshold)
-    plateaus = detect_plateaus(counts, times, threshold)
-    levels = cluster_levels([plateau.mean_time_ms for plateau in plateaus])
-    return StaircaseAnalysis(
-        layer_name=table.layer_name,
-        steps=tuple(steps),
-        plateaus=tuple(plateaus),
-        level_times_ms=tuple(levels),
-    )
+    return _analyze(table.layer_name, table.sweep.counts, table.sweep.median, threshold)
 
 
 def optimal_pruning_levels(

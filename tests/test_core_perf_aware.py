@@ -302,3 +302,48 @@ class TestAnalysisOncePerTable:
         if strategy != "uninstructed":
             layers = MODELS.create("alexnet").conv_layer_indices
             assert len(analysed) == len(layers)
+
+
+class TestLatencyBudgetLoop:
+    """The greedy latency-budget loop on AlexNet, HiKey 970 / ACL-direct.
+
+    ACL-direct curves are sawtooths with hundreds of plateau edges per
+    layer, so a loop that looks up every level's latency on every move
+    makes thousands of table lookups here.
+    """
+
+    TARGET = Target("hikey-970", "acl-direct")
+    BUDGET_MS = 138.74088668655423  # 60% of the unpruned conv latency
+
+    def test_table_lookups_are_per_layer_not_per_level(self, monkeypatch):
+        from repro.profiling import LatencyTable
+
+        calls = Counter()
+        for name in ("time_ms", "times_ms"):
+            original = getattr(LatencyTable, name)
+
+            def counting(table, *args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(table, *args, **kwargs)
+
+            monkeypatch.setattr(LatencyTable, name, counting)
+        alexnet = MODELS.create("alexnet")
+        outcome = PerformanceAwarePruner(self.TARGET).prune_for_latency(alexnet, self.BUDGET_MS)
+        layers = alexnet.conv_layer_indices
+        # Each pruned layer took at least one greedy move.
+        moves = sum(outcome.channels[i] < alexnet.conv_layer(i).spec.out_channels for i in layers)
+        assert moves == len(layers)
+        assert sum(calls.values()) <= 2 * len(layers) * moves, calls
+
+    def test_report_is_pinned(self):
+        """The report the per-level lookup loop gave, reproduced bitwise."""
+
+        report = Session().prune(
+            PruningRequest(
+                "alexnet", self.TARGET, strategy="latency-budget", latency_budget_ms=self.BUDGET_MS
+            )
+        )
+        assert report.channels == {0: 24, 3: 44, 6: 312, 8: 208, 10: 208}
+        assert report.latency_ms == 138.67794894610685
+        assert report.baseline_latency_ms == 231.23481114425707
+        assert report.predicted_accuracy == 0.544020656087545

@@ -198,3 +198,41 @@ def test_detectors_match_the_loops_bitwise(times, threshold):
     ]
     assert plateaus == _loop_plateaus(counts, times, threshold)
     assert cluster_levels(times, threshold) == _loop_levels(times, threshold)
+
+    # An analysis stores the curve and its breaks; its lazy views must be
+    # those of the threshold it was given, not the default one.
+    analysis = analyze_table(table_from(zip(counts, times)), threshold)
+    loop_plateaus = _loop_plateaus(counts, times, threshold)
+    assert [
+        (s.channels_before, s.channels_after, s.time_before_ms, s.time_after_ms)
+        for s in analysis.steps
+    ] == _loop_steps(counts, times, threshold)
+    assert [
+        (p.min_channels, p.max_channels, p.mean_time_ms) for p in analysis.plateaus
+    ] == loop_plateaus
+    assert list(analysis.level_times_ms) == _loop_levels(
+        [mean for _, _, mean in loop_plateaus], 0.12
+    )
+    edges = [right for _, right, _ in loop_plateaus]
+    assert analysis.optimal_channel_counts == edges
+    for max_channels in {1, len(times) // 2 + 1, len(times), len(times) + 3}:
+        expected = sorted({edge for edge in edges if edge <= max_channels} | {max_channels})
+        assert analysis.pruning_levels(max_channels) == expected
+
+
+class TestAnalysisEquality:
+    def test_equal_tables_give_equal_analyses(self):
+        first = analyze_table(table_from(staircase_pairs()))
+        second = analyze_table(table_from(staircase_pairs()))
+        assert first is not second
+        assert first == second
+
+    def test_other_times_or_threshold_differ(self):
+        analysis = analyze_table(table_from(staircase_pairs()))
+        slower = [(count, time * 1.5) for count, time in staircase_pairs()]
+        assert analysis != analyze_table(table_from(slower))
+        assert analysis != analyze_table(table_from(staircase_pairs()), threshold=0.05)
+
+    def test_analyses_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(analyze_table(table_from(staircase_pairs())))
