@@ -1,10 +1,11 @@
 """Batched vs scalar staircase sweep: the ablation behind `measure_many`.
 
 The paper's staircase and heatmap experiments profile every channel
-count of a layer with repeated runs.  The scalar path plans and
-simulates each (channel count, run) configuration one Python call at a
-time (the pre-batching behaviour); the batched path costs the whole
-sweep in one vectorized :func:`repro.gpusim.batch.simulate_batch` call.
+count of a layer with repeated runs.  The scalar path plans each
+channel count and simulates each (channel count, run) configuration one
+Python call at a time, a batch of one per call; the batched path costs
+the whole sweep in one vectorized
+:func:`repro.gpusim.batch.simulate_batch` call.
 This benchmark times both on the full ResNet-50 layer-16 ablation sweep
 and asserts the headline speedup (>= 5x).
 """
@@ -22,7 +23,7 @@ SWEEP = list(range(1, 129))
 
 
 def _scalar_sweep(device, library, spec, runs):
-    """The pre-batching measurement loop: one simulation per (count, run)."""
+    """The per-configuration measurement loop: one simulation per (count, run)."""
 
     medians = {}
     for channels in SWEEP:

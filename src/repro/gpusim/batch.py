@@ -1,27 +1,31 @@
-"""Vectorized batch simulation of many planned configurations at once.
+"""The embedded-GPU cost model, evaluated over many configurations at once.
 
-The scalar :class:`~repro.gpusim.simulator.GpuSimulator` walks one
-:class:`~repro.gpusim.kernel.KernelPlan` at a time, building a Python
-object per kernel execution.  The experiment suite, however, almost
-never needs a single point: the staircase figures profile *every*
-channel count of a layer and the heatmaps every pruning distance of
-every layer — thousands of configurations whose cost model is pure
-arithmetic.
+This module holds the only copy of the cost model.  It covers the
+mechanisms the paper identifies as responsible for the observed
+behaviour:
+
+* **throughput** — a kernel's time is the larger of its arithmetic time
+  and its memory time (roofline style), scaled by how well the kernel's
+  workgroup shape uses the SIMD lanes (``vector_efficiency``) and the
+  cache (``memory_locality``);
+* **utilisation** — kernels with too few work items cannot fill the
+  GPU's compute units (the tiny remainder kernels the ACL GEMM split
+  produces run at a fraction of peak);
+* **kernel launch and job dispatch overhead** — every kernel pays a
+  launch cost and every GPU job requires CPU-GPU communication and
+  initialisation; the paper's Section IV-B shows this "often outweighs
+  the benefits of dispatching workloads to accelerators".
 
 A :class:`KernelBatch` holds the kernels of many configurations as flat
 NumPy arrays (struct of arrays).  The libraries build one directly over
 a vector of channel counts (``plan_counts``), without a
 :class:`~repro.gpusim.kernel.Kernel` object per kernel;
 :meth:`KernelBatch.from_plans` flattens plans a caller already holds.
-:func:`simulate_batch` evaluates the identical roofline/utilisation/
-overhead model over the whole batch in a handful of vectorized
-operations; per-configuration aggregates (kernel time, dispatch time,
-total time) are segment reductions over the flat kernel arrays.
-
-The arithmetic matches :class:`GpuSimulator` operation for operation
-(same formulas, same evaluation order), so per-kernel times are bitwise
-identical to the scalar simulator; per-configuration totals may differ
-only in floating-point summation order.
+:func:`simulate_batch` evaluates the model over the whole batch in a
+handful of vectorized operations; per-configuration aggregates (kernel
+time, dispatch time, total time) are segment reductions over the flat
+kernel arrays.  :class:`~repro.gpusim.simulator.GpuSimulator` is the
+one-plan view: a batch of one, read back as Python objects.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ import numpy as np
 
 from .device import DeviceSpec
 from .kernel import Kernel, KernelPlan, WorkgroupSize
-from .simulator import _MIN_UTILIZATION
+
+#: Utilisation never drops below this floor: even a single workgroup
+#: keeps one compute unit partially busy.
+_MIN_UTILIZATION = 0.02
 
 #: A per-configuration value: one scalar for every count, or an array.
 ColumnValue = Union[int, float, np.ndarray]
@@ -268,16 +275,19 @@ class BatchSimulationResult:
 def simulate_batch(batch: KernelBatch, device: DeviceSpec) -> BatchSimulationResult:
     """Simulate every configuration of a kernel batch in one vectorized pass.
 
-    Equivalent to ``[GpuSimulator(device).simulate(plan) for plan in
-    plans]`` for ``batch = KernelBatch.from_plans(plans)``, but orders of
-    magnitude cheaper for large batches: the cost model runs as a few
-    NumPy array operations over all kernels of all configurations.
+    The cost model runs as a few NumPy array operations over all kernels
+    of all configurations;
+    :meth:`~repro.gpusim.simulator.GpuSimulator.simulate` is this call on
+    a batch of one plan.
     """
 
     arith_instr = batch.arithmetic_instructions.astype(np.float64)
     mem_instr = batch.memory_instructions.astype(np.float64)
     work_items = batch.work_items.astype(np.float64)
 
+    # Work items below the device's full-utilisation threshold leave
+    # compute units idle; even a tiny kernel keeps at least one unit
+    # busy, so the floor is one unit's share of the machine.
     floor = max(_MIN_UTILIZATION, 1.0 / device.compute_units)
     utilization = np.maximum(
         floor, np.minimum(1.0, work_items / device.full_utilization_work_items)

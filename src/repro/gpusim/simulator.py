@@ -1,23 +1,11 @@
-"""Analytical embedded-GPU simulator.
+"""The one-plan view of the embedded-GPU cost model.
 
-The simulator turns a :class:`~repro.gpusim.kernel.KernelPlan` into an
-execution time and a set of system-level counters on a given
-:class:`~repro.gpusim.device.DeviceSpec`.  It models the mechanisms the
-paper identifies as responsible for the observed behaviour:
-
-* **throughput** — a kernel's time is the larger of its arithmetic time
-  and its memory time (roofline style), scaled by how well the kernel's
-  workgroup shape uses the SIMD lanes (``vector_efficiency``) and the
-  cache (``memory_locality``);
-* **utilisation** — kernels with too few work items cannot fill the
-  GPU's compute units (the tiny remainder kernels the ACL GEMM split
-  produces run at a fraction of peak);
-* **job dispatch overhead** — every GPU job requires CPU-GPU
-  communication and initialisation; the paper's Section IV-B shows this
-  "often outweighs the benefits of dispatching workloads to
-  accelerators";
-* **system-level counters** — jobs, control-register reads/writes and
-  interrupts scale with the number of dispatched jobs (Figure 18).
+:class:`GpuSimulator` costs one :class:`~repro.gpusim.kernel.KernelPlan`
+as :func:`~repro.gpusim.batch.simulate_batch` over a batch of one (the
+cost model itself lives in :mod:`repro.gpusim.batch`) and returns it as
+Python objects: a :class:`KernelExecution` per kernel and the plan's
+system-level counters — jobs, control-register reads/writes and
+interrupts, which scale with the number of dispatched jobs (Figure 18).
 """
 
 from __future__ import annotations
@@ -25,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from .batch import KernelBatch, simulate_batch
 from .device import DeviceSpec
 from .kernel import Kernel, KernelPlan
 
@@ -34,10 +23,6 @@ from .kernel import Kernel, KernelPlan
 CONTROL_REGISTER_READS_PER_JOB = 96
 CONTROL_REGISTER_WRITES_PER_JOB = 64
 INTERRUPTS_PER_JOB = 2
-
-#: Utilisation never drops below this floor: even a single workgroup
-#: keeps one compute unit partially busy.
-_MIN_UTILIZATION = 0.02
 
 
 @dataclass(frozen=True)
@@ -89,7 +74,12 @@ class SimulationResult:
 
     @property
     def kernel_time_s(self) -> float:
-        """Time spent in kernels (compute + per-kernel launch overhead)."""
+        """Time spent in kernels (compute + per-kernel launch overhead).
+
+        Summed kernel by kernel, left to right.  The batch's
+        ``reduceat(compute) + n * launch`` can differ in the last bit, and
+        the experiments that read this total were recorded in this order.
+        """
 
         return sum(execution.total_time_s for execution in self.kernel_executions)
 
@@ -128,54 +118,31 @@ class SimulationResult:
 
 
 class GpuSimulator:
-    """Simulate kernel plans on an embedded GPU device."""
+    """Simulate kernel plans on an embedded GPU device, one batch of one per plan."""
 
     def __init__(self, device: DeviceSpec) -> None:
         self.device = device
 
-    # ------------------------------------------------------------------
-    def utilization(self, kernel: Kernel) -> float:
-        """Fraction of the GPU's compute resources the kernel can occupy.
-
-        Work items below the device's full-utilisation threshold leave
-        compute units idle; this is what makes the tiny remainder
-        kernels of a split GEMM so expensive relative to their size.
-        """
-
-        full = self.device.full_utilization_work_items
-        # Even a tiny kernel keeps at least one compute unit busy, so the
-        # floor is one unit's share of the machine.
-        floor = max(_MIN_UTILIZATION, 1.0 / self.device.compute_units)
-        return max(floor, min(1.0, kernel.work_items / full))
-
-    def simulate_kernel(self, kernel: Kernel) -> KernelExecution:
-        """Compute the execution profile of a single kernel."""
-
-        utilization = self.utilization(kernel)
-        arith_throughput = (
-            self.device.peak_arith_instructions_per_second
-            * kernel.vector_efficiency
-            * utilization
-        )
-        memory_throughput = (
-            self.device.peak_memory_instructions_per_second
-            * kernel.memory_locality
-            * utilization
-        )
-        arithmetic_time = kernel.arithmetic_instructions / arith_throughput
-        memory_time = kernel.memory_instructions / memory_throughput
-        return KernelExecution(
-            kernel=kernel,
-            arithmetic_time_s=arithmetic_time,
-            memory_time_s=memory_time,
-            overhead_time_s=self.device.kernel_launch_overhead_s,
-            utilization=utilization,
-        )
-
     def simulate(self, plan: KernelPlan) -> SimulationResult:
         """Simulate a full kernel plan."""
 
-        executions = [self.simulate_kernel(kernel) for kernel in plan]
+        batch = simulate_batch(KernelBatch.from_plans([plan]), self.device)
+        launch = self.device.kernel_launch_overhead_s
+        executions = [
+            KernelExecution(
+                kernel=kernel,
+                arithmetic_time_s=arithmetic_time,
+                memory_time_s=memory_time,
+                overhead_time_s=launch,
+                utilization=utilization,
+            )
+            for kernel, arithmetic_time, memory_time, utilization in zip(
+                plan,
+                batch.arithmetic_time_s.tolist(),
+                batch.memory_time_s.tolist(),
+                batch.utilization.tolist(),
+            )
+        ]
         return SimulationResult(device=self.device, plan=plan, kernel_executions=executions)
 
     def run_time_ms(self, plan: KernelPlan) -> float:

@@ -104,9 +104,3 @@ def build_alexnet(input_hw: int = 224) -> Network:
         conv_index_map=conv_index_map,
     )
 
-
-def profiled_layers(network: Network | None = None) -> List[ConvLayerSpec]:
-    """The five convolutional layers profiled in the paper."""
-
-    network = network or build_alexnet()
-    return [network.conv_layer(index).spec for index in PROFILED_LAYER_INDICES]

@@ -165,9 +165,3 @@ def build_resnet50(input_hw: int = 224) -> Network:
         conv_index_map=conv_index_map,
     )
 
-
-def profiled_layers(network: Network | None = None) -> List[ConvLayerSpec]:
-    """The 23 unique-shape convolutional layers profiled in the paper."""
-
-    network = network or build_resnet50()
-    return [network.conv_layer(index).spec for index in PROFILED_LAYER_INDICES]

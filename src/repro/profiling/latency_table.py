@@ -129,6 +129,8 @@ def sweep_counts(
     ``channel_counts``, or ``start..out_channels`` by ``step``, and
     always ``out_channels``."""
 
+    if step < 1:
+        raise ValueError(f"sweep step must be >= 1, got {step}")
     counts = range(start, out_channels + 1, step) if channel_counts is None else channel_counts
     return tuple(sorted({*map(int, counts), out_channels}))
 

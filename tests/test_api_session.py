@@ -45,6 +45,13 @@ class TestProfileCache:
         session.profile_layer(TARGET, SMALL_LAYER, channel_counts=[8, 16, 24])
         assert session.cache_stats.misses == 3
 
+    @pytest.mark.parametrize("step", [0, -4])
+    def test_sweep_step_below_one_is_rejected(self, session, step):
+        layer16 = MODELS.create("resnet50").conv_layer(16).spec
+        with pytest.raises(ValueError, match="sweep step must be >= 1"):
+            session.profile_layer(TARGET, layer16, sweep_step=step)
+        assert session.cache_stats.misses == 0
+
     def test_lru_eviction_counts(self):
         session = Session(max_cache_entries=1)
         other = ConvLayerSpec(

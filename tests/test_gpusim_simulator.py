@@ -37,6 +37,12 @@ def big_kernel(name="big", arith=10_000_000, mem=100_000, work_items=100_000, **
     )
 
 
+def execute(simulator, kernel):
+    """The simulated execution of one kernel, as a plan of one."""
+
+    return simulator.simulate(plan_with(kernel)).kernel_executions[0]
+
+
 @pytest.fixture
 def simulator():
     return GpuSimulator(HIKEY_970)
@@ -45,53 +51,53 @@ def simulator():
 class TestUtilization:
     def test_full_utilization_at_threshold(self, simulator):
         kernel = big_kernel(work_items=HIKEY_970.full_utilization_work_items)
-        assert simulator.utilization(kernel) == 1.0
+        assert execute(simulator, kernel).utilization == 1.0
 
     def test_partial_utilization_below_threshold(self, simulator):
         kernel = big_kernel(work_items=HIKEY_970.full_utilization_work_items // 4)
-        assert simulator.utilization(kernel) == pytest.approx(0.25)
+        assert execute(simulator, kernel).utilization == pytest.approx(0.25)
 
     def test_utilization_floor(self, simulator):
         kernel = big_kernel(work_items=1)
-        assert simulator.utilization(kernel) >= 0.02
+        assert execute(simulator, kernel).utilization >= 0.02
 
     def test_utilization_capped_at_one(self, simulator):
         kernel = big_kernel(work_items=10 * HIKEY_970.full_utilization_work_items)
-        assert simulator.utilization(kernel) == 1.0
+        assert execute(simulator, kernel).utilization == 1.0
 
 
 class TestKernelTiming:
     def test_compute_time_is_roofline_max(self, simulator):
-        arith_bound = simulator.simulate_kernel(big_kernel(arith=100_000_000, mem=1))
+        arith_bound = execute(simulator, big_kernel(arith=100_000_000, mem=1))
         assert arith_bound.compute_time_s == arith_bound.arithmetic_time_s
-        mem_bound = simulator.simulate_kernel(big_kernel(arith=1, mem=100_000_000))
+        mem_bound = execute(simulator, big_kernel(arith=1, mem=100_000_000))
         assert mem_bound.compute_time_s == mem_bound.memory_time_s
 
     def test_time_scales_inversely_with_vector_efficiency(self, simulator):
-        fast = simulator.simulate_kernel(big_kernel(vector_efficiency=1.0))
-        slow = simulator.simulate_kernel(big_kernel(vector_efficiency=0.5))
+        fast = execute(simulator, big_kernel(vector_efficiency=1.0))
+        slow = execute(simulator, big_kernel(vector_efficiency=0.5))
         assert slow.arithmetic_time_s == pytest.approx(2 * fast.arithmetic_time_s)
 
     def test_time_scales_inversely_with_memory_locality(self, simulator):
-        fast = simulator.simulate_kernel(big_kernel(memory_locality=1.0))
-        slow = simulator.simulate_kernel(big_kernel(memory_locality=0.25))
+        fast = execute(simulator, big_kernel(memory_locality=1.0))
+        slow = execute(simulator, big_kernel(memory_locality=0.25))
         assert slow.memory_time_s == pytest.approx(4 * fast.memory_time_s)
 
     def test_more_instructions_take_longer(self, simulator):
-        small = simulator.simulate_kernel(big_kernel(arith=1_000_000))
-        large = simulator.simulate_kernel(big_kernel(arith=2_000_000))
+        small = execute(simulator, big_kernel(arith=1_000_000))
+        large = execute(simulator, big_kernel(arith=2_000_000))
         assert large.arithmetic_time_s == pytest.approx(2 * small.arithmetic_time_s)
 
     def test_overhead_added_to_total(self, simulator):
-        execution = simulator.simulate_kernel(big_kernel())
+        execution = execute(simulator, big_kernel())
         assert execution.total_time_s == pytest.approx(
             execution.compute_time_s + HIKEY_970.kernel_launch_overhead_s
         )
 
     def test_faster_device_runs_faster(self):
         fast_device = dataclasses.replace(HIKEY_970, clock_hz=2 * HIKEY_970.clock_hz)
-        slow = GpuSimulator(HIKEY_970).simulate_kernel(big_kernel())
-        fast = GpuSimulator(fast_device).simulate_kernel(big_kernel())
+        slow = execute(GpuSimulator(HIKEY_970), big_kernel())
+        fast = execute(GpuSimulator(fast_device), big_kernel())
         assert fast.compute_time_s < slow.compute_time_s
 
 
