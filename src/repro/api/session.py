@@ -29,11 +29,12 @@ disk and re-executing a plan simulates nothing.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.accuracy_model import AccuracyModel
 from ..core.criteria import CRITERIA, ImportanceCriterion
@@ -92,6 +93,17 @@ class CacheStats:
 
     def reset(self) -> None:
         self.hits = self.misses = self.evictions = 0
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_network(builder: Callable[[], Network]) -> Network:
+    """One network per registered zoo builder, shared process-wide.
+
+    Keyed on the builder object rather than the name, so a name
+    re-registered with a new builder is built afresh.
+    """
+
+    return builder()
 
 
 _TargetKey = Tuple[str, str, int]
@@ -167,7 +179,7 @@ class SweepTable:
 class Session:
     """Shared profiling cache plus the request/report pruning pipeline.
 
-    Sessions are thread-safe: the profile/runner/pruner/network caches
+    Sessions are thread-safe: the profile/runner/pruner caches
     are guarded by an internal lock (simulation never happens under it),
     so the process executor can run a wavefront's independent steps on
     concurrent threads against one session and the service's job queue
@@ -235,7 +247,6 @@ class Session:
         self._profiles: "OrderedDict[_ProfileKey, LayerProfile]" = OrderedDict()
         self._runners: Dict[_TargetKey, ProfileRunner] = {}
         self._pruners: Dict[Tuple[_TargetKey, str], PerformanceAwarePruner] = {}
-        self._networks: Dict[str, Network] = {}
         self._stats = CacheStats()
         # Guards the caches above: the process executor runs a
         # wavefront's steps on concurrent threads against one session.
@@ -301,7 +312,6 @@ class Session:
             self._profiles.clear()
             self._runners.clear()
             self._pruners.clear()
-            self._networks.clear()
             self._stats.reset()
 
     @staticmethod
@@ -330,13 +340,13 @@ class Session:
             return self._runners[key]
 
     def network(self, model: str) -> Network:
-        """Build (or reuse) a model-zoo network by name."""
+        """The model-zoo network of that name, built once per process.
 
-        name = MODELS.canonical(model)
-        with self._lock:
-            if name not in self._networks:
-                self._networks[name] = MODELS.create(name)
-            return self._networks[name]
+        Every session shares it: nothing mutates a network (pruning
+        returns a copy).
+        """
+
+        return _zoo_network(MODELS.get(model))
 
     def pruner(
         self,

@@ -127,12 +127,18 @@ def sweep_counts(
 ) -> Tuple[int, ...]:
     """The channel counts every sweep measures, distinct and ascending:
     ``channel_counts``, or ``start..out_channels`` by ``step``, and
-    always ``out_channels``."""
+    always ``out_channels``.  A count outside ``1..out_channels`` is a
+    :class:`ValueError`: the layer cannot have it."""
 
     if step < 1:
         raise ValueError(f"sweep step must be >= 1, got {step}")
     counts = range(start, out_channels + 1, step) if channel_counts is None else channel_counts
-    return tuple(sorted({*map(int, counts), out_channels}))
+    result = tuple(sorted({*map(int, counts), out_channels}))
+    if result[0] < 1 or result[-1] > out_channels:
+        raise ValueError(
+            f"channel counts must lie in 1..{out_channels}, got {result[0]}..{result[-1]}"
+        )
+    return result
 
 
 def build_latency_table(

@@ -32,7 +32,7 @@ Modules
     exposing the ``/v1`` API (submit, inspect, NDJSON event stream,
     cancel, health, version).
 ``client``
-    :class:`ServiceClient` — a urllib-based Python client the CLI's
+    :class:`ServiceClient` — an ``http.client``-based Python client the CLI's
     ``submit`` subcommand drives (and the fleet worker's transport).
 ``results``
     Step-result projections shared by the CLI and the job records.

@@ -1,7 +1,9 @@
-"""``ServiceClient``: the urllib-based Python client of the service API.
+"""``ServiceClient``: the ``http.client``-based Python client of the service API.
 
 Built on nothing but the standard library, mirroring the server's
-stdlib-only constraint::
+stdlib-only constraint.  Each calling thread keeps one HTTP/1.1
+connection alive across requests; the NDJSON event stream opens its own
+short-lived one::
 
     client = ServiceClient("http://127.0.0.1:8765")
     job = client.submit(plan, executor="process", jobs=4)
@@ -17,14 +19,22 @@ carrying the status code and the server's ``error`` message.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, Iterator, List, Optional, Union
+import urllib.parse
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..api.plan import Plan
 from ..obs.trace import TRACE_HEADER, SpanContext
+
+
+#: A reused connection failing with one of these got no response byte:
+#: the server closed it while idle, so the request is safe to resend.
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
 
 
 class ServiceError(RuntimeError):
@@ -46,42 +56,77 @@ class ServiceClient:
     def __init__(self, url: str, timeout: float = 30.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.url)
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        # One kept-alive connection per calling thread: a fleet worker
+        # calls one client from its main loop and its heartbeat thread.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
-    def _open(
+    def _exchange(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        payload: Any,
+        timeout: Optional[float],
+        headers: Optional[Dict[str, str]],
+    ) -> http.client.HTTPResponse:
+        """Send one request; returns the response, or raises for HTTP >= 400."""
+
+        body = None
+        headers = {"Accept": "application/json", **(headers or {})}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection.timeout = timeout if timeout is not None else self.timeout
+        if connection.sock is not None:
+            connection.sock.settimeout(connection.timeout)
+        connection.request(method, self._prefix + path, body, headers)
+        response = connection.getresponse()
+        if response.status >= 400:
+            detail = response.read().decode("utf-8", errors="replace")
+            try:
+                detail = json.loads(detail).get("error", detail)
+            except (ValueError, AttributeError):
+                pass
+            raise ServiceError(
+                f"{method} {path} failed with HTTP {response.status}: {detail}",
+                status=response.status,
+            )
+        return response
+
+    def _send(
         self,
         method: str,
         path: str,
         payload: Any = None,
         timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
-    ):
-        body = None
-        headers = {"Accept": "application/json", **(headers or {})}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            f"{self.url}{path}", data=body, headers=headers, method=method
-        )
+    ) -> Tuple[int, bytes]:
+        """One request on this thread's kept-alive connection: (status, body)."""
+
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(self._netloc)
+        reused = connection.sock is not None
         try:
-            return urllib.request.urlopen(
-                request, timeout=timeout if timeout is not None else self.timeout
-            )
-        except urllib.error.HTTPError as error:
-            detail = error.read().decode("utf-8", errors="replace")
             try:
-                detail = json.loads(detail).get("error", detail)
-            except (ValueError, AttributeError):
-                pass
-            raise ServiceError(
-                f"{method} {path} failed with HTTP {error.code}: {detail}",
-                status=error.code,
-            ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(f"cannot reach {self.url}: {error.reason}") from error
+                response = self._exchange(connection, method, path, payload, timeout, headers)
+            except _STALE_CONNECTION_ERRORS:
+                # The server closed the idle connection before reading
+                # this request: retry once on a fresh one.
+                if not reused:
+                    raise
+                connection.close()
+                response = self._exchange(connection, method, path, payload, timeout, headers)
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise ServiceError(f"cannot reach {self.url}: {error}") from error
 
     def _request(
         self,
@@ -90,8 +135,7 @@ class ServiceClient:
         payload: Any = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Any:
-        with self._open(method, path, payload, headers=headers) as response:
-            return json.loads(response.read().decode("utf-8"))
+        return json.loads(self._send(method, path, payload, headers=headers)[1])
 
     # ------------------------------------------------------------------
     # API surface
@@ -162,12 +206,14 @@ class ServiceClient:
         """
 
         read_timeout = 3600.0 if timeout is None else timeout
-        response = self._open(
-            "GET", f"/v1/jobs/{job_id}/events", timeout=read_timeout
-        )
         deadline = None if timeout is None else time.monotonic() + timeout
+        # The stream is read to EOF, so it gets its own short-lived
+        # connection instead of this thread's kept-alive one.
+        connection = http.client.HTTPConnection(self._netloc)
         try:
-            with response:
+            with self._exchange(
+                connection, "GET", f"/v1/jobs/{job_id}/events", None, read_timeout, None
+            ) as response:
                 for line in response:
                     if deadline is not None and time.monotonic() > deadline:
                         raise ServiceError(
@@ -184,6 +230,10 @@ class ServiceClient:
             raise ServiceError(
                 f"no event from job {job_id} for {read_timeout}s"
             ) from error
+        except (OSError, http.client.HTTPException) as error:
+            raise ServiceError(f"cannot reach {self.url}: {error}") from error
+        finally:
+            connection.close()
 
     def wait(
         self, job_id: str, timeout: Optional[float] = None, poll: float = 0.1
@@ -213,8 +263,7 @@ class ServiceClient:
     def metrics_text(self) -> str:
         """The server's metrics in Prometheus text format (``GET /v1/metrics``)."""
 
-        with self._open("GET", "/v1/metrics") as response:
-            return response.read().decode("utf-8")
+        return self._send("GET", "/v1/metrics")[1].decode("utf-8")
 
     def store_stats(self) -> Dict[str, Any]:
         """On-disk statistics of the server's profile store (``GET /v1/store``).
@@ -241,8 +290,7 @@ class ServiceClient:
     def fleet_metrics_text(self) -> str:
         """The merged fleet snapshot as Prometheus text (``GET /v1/metrics/fleet``)."""
 
-        with self._open("GET", "/v1/metrics/fleet") as response:
-            return response.read().decode("utf-8")
+        return self._send("GET", "/v1/metrics/fleet")[1].decode("utf-8")
 
     def push_worker_metrics(
         self,
@@ -286,15 +334,13 @@ class ServiceClient:
         errors.
         """
 
-        with self._open(
+        status, body = self._send(
             "POST",
             "/v1/leases/claim",
             {"worker": worker, "timeout": timeout},
             timeout=timeout + self.timeout,
-        ) as response:
-            if response.status == 204:
-                return None
-            return json.loads(response.read().decode("utf-8"))
+        )
+        return None if status == 204 else json.loads(body)
 
     def heartbeat_lease(self, lease_id: str, worker: str) -> Dict[str, Any]:
         """Extend a held lease's deadline by one TTL."""

@@ -6,15 +6,19 @@ step status, JSON result projections, timings, the error traceback when
 a step fails and the ordered event log the NDJSON stream serves.
 
 The :class:`JobStore` is the single mutation point.  Every state
-transition happens under one lock, appends a full job snapshot to the
-store file (one JSON object per line, last line per job id wins on
-load — the same torn-line-tolerant shape as
-:class:`~repro.profiling.store.ProfileStore`) and wakes event-stream
-readers through a condition variable.  A restarted server therefore
-reloads finished jobs verbatim — results and event log replay without
-touching the simulator — and re-queues jobs that were queued or running
-when the process died; their measurements are already checkpointed in
-the profile store, so the re-run is a cheap store-served replay.
+transition happens under one lock and wakes event-stream readers
+through a condition variable.  Only the transitions a restart needs
+append a full job snapshot to the store file: submission (``create``,
+so the job is re-queued) and the terminal ``finish`` (so it replays),
+plus the rare ``request_cancel`` and ``requeue``.  The file holds one
+JSON object per line, last line per job id wins on load — the same
+torn-line-tolerant shape as :class:`~repro.profiling.store.ProfileStore`
+— written through one held append handle, flushed per line.  A
+restarted server therefore reloads finished jobs verbatim — results and
+event log replay without touching the simulator — and re-queues every
+other job; the measurements of a job that was running are already
+checkpointed in the profile store, so its re-run is a cheap
+store-served replay.
 
 Unlike the profile store, the job store assumes a *single server
 process* owns the file; it is thread-safe, not multi-process-safe.
@@ -30,7 +34,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 
 from ..obs.metrics import default_registry
 
@@ -204,10 +208,11 @@ class Job:
 class JobStore:
     """Thread-safe registry of jobs, optionally persisted as JSONL.
 
-    All mutations go through this class: they run under one lock,
-    append a snapshot line to ``path`` (when given) and notify blocked
-    :meth:`wait_for_events` readers.  ``path=None`` keeps jobs in
-    memory only (useful for tests and the in-process example).
+    All mutations go through this class: they run under one lock and
+    notify blocked :meth:`wait_for_events` readers; the ones a restart
+    needs also append a snapshot line to ``path`` (when given).
+    ``path=None`` keeps jobs in memory only (useful for tests and the
+    in-process example).
     """
 
     def __init__(self, path: Union[str, Path, None] = None) -> None:
@@ -218,6 +223,7 @@ class JobStore:
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._appends_since_compact = 0
+        self._handle: Optional[TextIO] = None
         self.skipped_lines = 0
         if self.path is not None and self.path.exists():
             self._load()
@@ -249,10 +255,20 @@ class JobStore:
     def _persist(self, job: Job) -> None:
         if self.path is None:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(job.to_dict()) + "\n")
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a", encoding="utf-8")
+        self._handle.write(json.dumps(job.to_dict()) + "\n")
+        self._handle.flush()
         self._appends_since_compact += 1
+
+    def close(self) -> None:
+        """Close the append handle; a later snapshot reopens it."""
+
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
     def compact(self) -> int:
         """Atomically rewrite the file with one snapshot line per job.
@@ -269,6 +285,7 @@ class JobStore:
             return 0
         with self._lock:
             self._appends_since_compact = 0
+            self.close()  # the handle would keep appending to the old file
             if not self.path.exists():
                 return 0
             with self.path.open("r", encoding="utf-8") as handle:
@@ -400,7 +417,9 @@ class JobStore:
 
         Returns ``None`` — without touching the record — when the job
         already reached a terminal status (e.g. cancelled while queued),
-        so a worker can never resurrect a finished job.
+        so a worker can never resurrect a finished job.  This and the
+        step transitions are not persisted: a restart re-queues a
+        running job exactly like a queued one.
         """
 
         with self._lock:
@@ -410,7 +429,7 @@ class JobStore:
             job.status = "running"
             job.started_at = time.time()
             self._emit(job, "job-started")
-            self._commit(job)
+            self._changed.notify_all()
             return job
 
     def mark_step_running(self, job_id: str, step_id: str) -> None:
@@ -420,7 +439,7 @@ class JobStore:
             record.status = "running"
             record.started_at = time.time()
             self._emit(job, "step-started", step=step_id, kind=record.kind)
-            self._commit(job)
+            self._changed.notify_all()
 
     def mark_step_finished(
         self,
@@ -444,7 +463,7 @@ class JobStore:
                 status=status, duration_ms=duration_ms,
                 **({"error": error} if error else {}),
             )
-            self._commit(job)
+            self._changed.notify_all()
 
     def finish(
         self,

@@ -1,8 +1,9 @@
 """The :class:`JobQueue`: worker threads draining the job store.
 
 Each worker pulls a queued job id, builds a **fresh**
-:class:`~repro.api.Session` for it (sharing only the queue's resident
-profile store with every other job) and executes the plan one step at a time —
+:class:`~repro.api.Session` for it (sharing with every other job only
+the queue's resident profile store and the process-wide zoo networks,
+which nothing mutates) and executes the plan one step at a time —
 in dependency-scheduled wavefront order (see
 :mod:`repro.api.scheduler`) — through :meth:`Session.execute` under the
 job's executor backend.  Per step granularity is what gives the service
@@ -171,9 +172,7 @@ class JobQueue:
         """Re-enqueue jobs interrupted before a previous shutdown."""
 
         for job_id in self.store.pending_ids():
-            job = self.store.get(job_id)
-            if job.status == "running":
-                self.store.requeue(job_id)
+            self.store.requeue(job_id)
             self._queue.put(job_id)
 
     def submit(

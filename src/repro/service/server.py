@@ -40,19 +40,27 @@ and client read timeouts never starve a long watch; clients skip them
 (:meth:`~repro.service.client.ServiceClient.iter_events` filters them
 out by default).
 
-Responses close the connection when done (HTTP/1.0 framing), so the
-NDJSON stream needs no chunked encoding: readers consume lines until
-EOF.
+The handler speaks HTTP/1.1: every reply but the event stream carries
+``Content-Length``, so one client connection serves request after
+request.  The NDJSON stream is sent with ``Connection: close`` and needs
+no chunked encoding: readers consume lines until EOF.  Error replies
+also close the connection, because a request body may be left unread.
+A kept-alive connection idle for :data:`_IDLE_CONNECTION_SECONDS` is
+closed by the server, and :meth:`ReproServer.close` shuts every open
+connection down.  Nagle's algorithm is off on accepted sockets: with
+headers and body in separate writes, a kept-alive reply otherwise
+stalls on the client's delayed ACK (44 ms per request).
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .. import __version__
 from ..api.plan import PLAN_VERSION, PlanError
@@ -79,6 +87,12 @@ _STREAM_POLL_SECONDS = 0.5
 #: timeouts (overridable per server via ``events_keepalive_seconds``).
 DEFAULT_EVENTS_KEEPALIVE_SECONDS = 15.0
 
+_PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Seconds a kept-alive connection may sit idle between requests before
+#: the server closes it; clients reconnect transparently.
+_IDLE_CONNECTION_SECONDS = 60.0
+
 #: Upper bound on one lease-claim request's server-side long poll; the
 #: worker simply re-polls, so a shorter wait only costs round trips.
 _CLAIM_POLL_MAX_SECONDS = 30.0
@@ -94,7 +108,6 @@ class _ApiError(Exception):
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
     allow_reuse_address = True
 
     def __init__(
@@ -111,11 +124,48 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
         self.verbose = verbose
         self.closing = False
         self.events_keepalive = events_keepalive
+        # Open connections and their handler threads, so close() can end
+        # kept-alive connections that would otherwise wait for a next
+        # request (server_close() does not join daemon threads).
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request: socket.socket, client_address: Any) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-service-connection",
+            daemon=True,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection and join its handler thread."""
+
+        with self._connections_lock:
+            connections = dict(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in connections.values():
+            thread.join(timeout=5.0)
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
     server: _ServiceHTTPServer  # narrowed for the route helpers
     server_version = f"repro-service/{__version__}"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = _IDLE_CONNECTION_SECONDS
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -124,13 +174,21 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send_body(self, body: bytes, content_type: str, status: int = 200) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if status >= 400:
+            # The request body may be unread: do not parse the next
+            # request out of it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, payload: Any, status: int = 200) -> None:
+        self._send_body(
+            json.dumps(payload, sort_keys=True).encode("utf-8"), "application/json", status
+        )
 
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json({"error": message}, status=status)
@@ -280,12 +338,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(stats)
 
     def _get_metrics(self) -> None:
-        body = default_registry().render_prometheus().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(
+            default_registry().render_prometheus().encode("utf-8"), _PROMETHEUS_TEXT
+        )
 
     def _get_metrics_json(self) -> None:
         self._send_json(default_registry().snapshot())
@@ -296,12 +351,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         )
         if as_json:
             return self._send_json(snapshot)
-        body = render_snapshot_prometheus(snapshot).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(render_snapshot_prometheus(snapshot).encode("utf-8"), _PROMETHEUS_TEXT)
 
     def _post_worker_metrics(self, worker_id: str) -> None:
         body = self._read_body()
@@ -335,6 +385,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-cache")
+        self.send_header("Connection", "close")  # read to EOF
         self.end_headers()
         index = 0
         last_write = time.monotonic()
@@ -593,8 +644,11 @@ class ReproServer:
         if self._served:
             # shutdown() would block forever if serve_forever never ran.
             self._http.shutdown()
+        # End kept-alive connections now rather than at their idle timeout.
+        self._http.close_connections()
         self._http.server_close()
         self.queue.close(drain=drain)
+        self.store.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

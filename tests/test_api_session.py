@@ -52,6 +52,15 @@ class TestProfileCache:
             session.profile_layer(TARGET, layer16, sweep_step=step)
         assert session.cache_stats.misses == 0
 
+    def test_counts_outside_the_layer_are_rejected(self, session):
+        """Regression: counts above a 128-channel layer used to be swept."""
+
+        layer16 = MODELS.create("resnet50").conv_layer(16).spec
+        for counts in ([64, 500], [0, 64]):
+            with pytest.raises(ValueError, match=r"must lie in 1\.\.128"):
+                session.profile_layer(TARGET, layer16, channel_counts=counts)
+        assert session.cache_stats.misses == 0
+
     def test_lru_eviction_counts(self):
         session = Session(max_cache_entries=1)
         other = ConvLayerSpec(
@@ -97,6 +106,45 @@ class TestResolution:
 
     def test_network_is_cached(self, session):
         assert session.network("resnet50") is session.network("resnet")
+
+    def test_zoo_networks_are_shared_and_never_mutated(self):
+        """Every session serves one network object per zoo model; no
+        pipeline path may change it."""
+
+        cudnn = Target("jetson-tx2", "cudnn")
+        for name in MODELS.available():
+            shared = Session().network(name)
+            assert Session().network(name) is shared
+            session = Session()
+            indices = tuple(shared.conv_layer_indices[:2])
+            request = PruningRequest(
+                name, cudnn, fraction=0.3, layer_indices=indices, sweep_step=8
+            )
+            baseline = session.prune(request)
+            session.prune(PruningRequest(
+                name, cudnn, strategy="uninstructed", fraction=0.3,
+                layer_indices=indices, sweep_step=8,
+            ))
+            session.prune(PruningRequest(
+                name, cudnn, strategy="latency-budget",
+                latency_budget_ms=0.8 * baseline.baseline_latency_ms,
+                layer_indices=indices, sweep_step=8,
+            ))
+            session.compare(request)
+            session.profile_network(cudnn, name, indices, sweep_step=8)
+            assert shared == MODELS.create(name)
+
+    def test_a_re_registered_model_is_built_afresh(self, monkeypatch):
+        monkeypatch.setitem(
+            MODELS._entries, "test-shared-net", lambda: MODELS.create("alexnet")
+        )
+        first = Session().network("test-shared-net")
+        assert Session().network("test-shared-net") is first
+        monkeypatch.setitem(
+            MODELS._entries, "test-shared-net", lambda: MODELS.create("alexnet")
+        )
+        second = Session().network("test-shared-net")
+        assert second is not first and second == first
 
     def test_pruner_is_cached_per_target_and_criterion(self, session):
         assert session.pruner(TARGET) is session.pruner(TARGET)

@@ -1,7 +1,9 @@
 """End-to-end tests of the HTTP service over a real localhost socket."""
 
 import json
+import socket
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -398,3 +400,101 @@ class TestConcurrencyAndCancel:
         events = list(client.iter_events(queued["id"]))
         assert events[-1]["event"] == "job-finished"
         assert events[-1]["status"] == "cancelled"
+
+
+def count_connections(monkeypatch, running):
+    """Count the connections ``running`` accepts from now on."""
+
+    accepted = []
+    http_server = running._http
+    original = http_server.process_request
+
+    def counting(request, client_address):
+        accepted.append(request)
+        original(request, client_address)
+
+    monkeypatch.setattr(http_server, "process_request", counting)
+    return accepted
+
+
+def handler_threads():
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name == "repro-service-connection" and thread.is_alive()
+    ]
+
+
+class TestKeepAlive:
+    def test_consecutive_calls_share_one_connection(self, client, server, monkeypatch):
+        accepted = count_connections(monkeypatch, server)
+        client.health()
+        address = client._local.connection.sock.getsockname()
+        assert client.version()["version"] == repro.__version__
+        assert client._local.connection.sock.getsockname() == address
+        assert len(accepted) == 1
+        # With Nagle on, each kept-alive reply's body waits for the
+        # client's delayed ACK of its headers.
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_error_replies_leave_the_client_usable(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"version": 1, "steps": [{"id": "x", "kind": "warp"}]})
+        assert excinfo.value.status == 400
+        assert client.health()["status"] == "ok"
+        # A 404 answered before the body is read: the unread body must
+        # not be parsed as the connection's next request.
+        with pytest.raises(ServiceError) as excinfo:
+            client._send("POST", "/v1/nope", {"padding": "x" * 64})
+        assert excinfo.value.status == 404
+        assert client.version()["version"] == repro.__version__
+
+    def test_close_ends_kept_alive_connections(self, tmp_path):
+        running = ReproServer(job_store=tmp_path / "jobs.jsonl").start()
+        client = ServiceClient(running.url, timeout=10.0)
+        assert client.health()["status"] == "ok"
+        assert handler_threads()  # the kept-alive connection's handler
+        started = time.monotonic()
+        running.close()
+        assert time.monotonic() - started < 5.0  # not the idle timeout
+        assert handler_threads() == []
+        with pytest.raises(ServiceError, match="cannot reach"):
+            client.health()
+
+    def test_threads_sharing_a_client_get_their_own_replies(
+        self, client, server, monkeypatch
+    ):
+        job_ids = [
+            server.store.create({"version": 1, "steps": []}).id for _ in range(8)
+        ]
+        accepted = count_connections(monkeypatch, server)
+        mismatches = []
+
+        def fetch(job_id):
+            for _ in range(10):
+                if client.job(job_id)["id"] != job_id:
+                    mismatches.append(job_id)
+
+        threads = [threading.Thread(target=fetch, args=(job_id,)) for job_id in job_ids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert mismatches == []
+        assert len(accepted) == len(threads)
+
+    def test_a_connection_the_server_closed_while_idle_is_replaced(
+        self, client, server, monkeypatch
+    ):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module._ServiceHandler, "timeout", 0.2)
+        accepted = count_connections(monkeypatch, server)
+        client.health()
+        stale = client._local.connection.sock
+        deadline = time.monotonic() + 10.0
+        while handler_threads() and time.monotonic() < deadline:
+            time.sleep(0.05)  # the server times the idle connection out
+        assert handler_threads() == []
+        assert client.version()["version"] == repro.__version__
+        assert client._local.connection.sock is not stale
+        assert len(accepted) == 2

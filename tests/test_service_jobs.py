@@ -206,7 +206,7 @@ class TestPersistence:
         store.mark_step_finished(job.id, "sweep-1", "succeeded", result={"rows": []})
         store.finish(job.id, "succeeded")
         lines_before = sum(1 for line in path.open() if line.strip())
-        assert lines_before == 5  # one snapshot per transition
+        assert lines_before == 2  # one snapshot at submission, one at the end
 
         reloaded = JobStore(path)
         lines_after = sum(1 for line in path.open() if line.strip())

@@ -365,3 +365,54 @@ class TestResume:
             final = wait_done(queue, job.id)
         assert final.status == "succeeded"
         assert "job-requeued" in [event["event"] for event in final.events]
+
+    def test_a_job_stopped_before_its_terminal_snapshot_reruns_from_the_store(
+        self, tmp_path
+    ):
+        """Only submission and the terminal transition are persisted: a job
+        whose steps all finished, but not the job, reloads as queued and
+        re-runs entirely from the profile store."""
+
+        jobs_path = tmp_path / "jobs.jsonl"
+        profile_path = tmp_path / "profiles"
+        plan = sweep_plan()
+        step = plan.steps[0]
+        expected = step_result_payload(
+            Session(store=profile_path).execute(plan)[step.id]
+        )
+        store = JobStore(jobs_path)
+        job = store.create(
+            plan.to_dict(), executor="serial", jobs=None, seed=0,
+            steps=[(step.id, step.kind)],
+        )
+        store.mark_running(job.id)
+        store.mark_step_running(job.id, step.id)
+        store.mark_step_finished(job.id, step.id, "succeeded", result=expected)
+        store.close()
+
+        reloaded = JobStore(jobs_path)
+        assert reloaded.get(job.id).status == "queued"
+        assert reloaded.get(job.id).steps[0].status == "pending"
+        with JobQueue(store=reloaded, profile_store=profile_path) as queue:
+            final = wait_done(queue, job.id)
+        assert final.status == "succeeded"
+        assert "job-requeued" in [event["event"] for event in final.events]
+        assert final.simulations == 0
+        assert final.steps[0].result == expected
+
+    def test_a_cancel_of_a_running_job_survives_a_restart(self, tmp_path):
+        jobs_path = tmp_path / "jobs.jsonl"
+        plan = sweep_plan()
+        store = JobStore(jobs_path)
+        job = store.create(
+            plan.to_dict(), executor="serial", jobs=None, seed=0,
+            steps=[(step.id, step.kind) for step in plan],
+        )
+        store.mark_running(job.id)
+        store.request_cancel(job.id)
+        store.close()
+
+        with JobQueue(store=JobStore(jobs_path)) as queue:
+            final = wait_done(queue, job.id)
+        assert final.status == "cancelled"
+        assert [record.status for record in final.steps] == ["skipped"]
