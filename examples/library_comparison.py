@@ -4,13 +4,13 @@
 Section V of the paper concludes that "no optimal library exists to
 outperform across all neural network layers".  This example describes
 the six-target sweep of one ResNet-50 layer as a declarative
-:class:`Plan` and executes it under the ``batched`` backend (an alias
-of ``serial``: each target's sweep is one vectorized simulator batch)
-— then reports, for each target:
+:class:`Plan` and executes it under the ``serial`` backend (each
+target's sweep is one vectorized simulator batch) — then reports, for
+each target:
 the latency at the original size, the best achievable speedup, the
 worst slowdown risked, and how many distinct latency levels the
 staircase has.  (Executors are interchangeable: ``serial`` and
-``process`` produce bitwise-identical tables.)
+``remote`` produce bitwise-identical tables.)
 
 Run with ``python examples/library_comparison.py [layer_index]``.
 """
@@ -49,7 +49,7 @@ def main() -> None:
     # step assembles the table.
     plan = Plan()
     step = plan.sweep(TARGETS, spec, sweep_step=2)
-    sweep = session.execute(plan, executor="batched")[step.id]
+    sweep = session.execute(plan, executor="serial")[step.id]
     for target in TARGETS:
         profile = sweep.profile(target, spec.name)
         _, times = profile.table.as_series()

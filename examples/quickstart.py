@@ -12,7 +12,7 @@ layer (the paper's layer 16) using the canonical ``repro.api`` facade:
 4. submit a serializable :class:`PruningRequest` and compare the
    performance-aware strategy with the uninstructed baseline,
 5. describe the multi-target fan-out as a declarative, JSON-round-trip
-   :class:`Plan`, execute it across worker processes, and replay it from
+   :class:`Plan`, execute it, and replay it from
    an on-disk profile store with zero new simulations.
 
 Run with ``python examples/quickstart.py``.
@@ -75,11 +75,11 @@ def main() -> None:
           "dispatched for the GEMM remainder); the performance-aware choice keeps "
           "more channels *and* runs faster.")
 
-    # 5. Declarative plans, parallel execution and resumability.  A Plan
-    #    is a JSON-serializable job graph (Plan.from_json(plan.to_json())
-    #    == plan, so it can travel to `repro-experiments run-plan` or a
-    #    queue); Session.execute runs it under a pluggable executor —
-    #    "process" fans the measurement workload across worker processes
+    # 5. Declarative plans and resumability.  A Plan is a
+    #    JSON-serializable job graph (Plan.from_json(plan.to_json()) ==
+    #    plan, so it can travel to `repro-experiments run-plan` or a
+    #    service queue); Session.execute runs it under a pluggable
+    #    executor — "serial" here, "remote" on a service's worker fleet —
     #    and all backends are bitwise identical.  With store=PATH every
     #    measurement checkpoints to disk, so re-executing the same plan
     #    (here: a "new process") simulates nothing.
@@ -90,9 +90,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store_path = Path(tmp) / "profiles"
         warm = Session(store=store_path)
-        warm.execute(plan, executor="process", jobs=2)
+        warm.execute(plan, executor="serial")
         cold = Session(store=store_path)  # a "new process"
-        sweep = cold.execute(plan, executor="process", jobs=2)[fanout.id]
+        sweep = cold.execute(plan, executor="serial")[fanout.id]
         print(f"\nPlan step '{fanout.id}' across {len(sweep.targets)} targets "
               f"({len(sweep)} measured points), replayed from the store with "
               f"{cold.simulation_count()} new simulations:")

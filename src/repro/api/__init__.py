@@ -15,8 +15,8 @@ Most users need exactly four names::
 * :class:`Registry` — the one plugin-registry idiom backing the device,
   library, criterion, model, experiment and executor registries.
 * :class:`Plan` + :data:`EXECUTORS` — declarative, JSON-serializable
-  job graphs executed by pluggable backends (``serial``,
-  ``process``, ``remote``) with bitwise-identical, store-checkpointed results.
+  job graphs executed by pluggable backends (``serial``, ``remote``)
+  with bitwise-identical, store-checkpointed results.
 
 Attributes are resolved lazily (PEP 562) so that low-level modules can
 import :mod:`repro.api.registry` without dragging in the whole package
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import (
         EXECUTORS,
         ExecutionError,
-        ProcessExecutor,
         SerialExecutor,
         UnknownExecutorError,
     )
@@ -81,7 +80,6 @@ _LAZY_ATTRS = {
     "PLAN_VERSION": "plan",
     "EXECUTORS": "executor",
     "SerialExecutor": "executor",
-    "ProcessExecutor": "executor",
     "ExecutionError": "executor",
     "UnknownExecutorError": "executor",
     "ReadyScheduler": "scheduler",
@@ -100,7 +98,6 @@ __all__ = [
     "PLAN_VERSION",
     "Plan",
     "PlanError",
-    "ProcessExecutor",
     "PruningReport",
     "PruningRequest",
     "ReadyScheduler",

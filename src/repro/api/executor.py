@@ -6,7 +6,7 @@ profile store, because every measurement derives its perturbation from
 the counter-based splitmix64 noise stream keyed on the configuration
 itself (see :mod:`repro.profiling.profilers`) — not on execution order,
 batch composition or process identity.  The backends differ only in how
-the measurement workload reaches the simulator:
+the measurement workload reaches the simulator.
 
 All backends schedule steps over the plan's *dependency graph* rather
 than flat insertion order (see :mod:`repro.api.scheduler`): steps run in
@@ -16,18 +16,9 @@ its inputs — not the whole plan's measurement pool — are ready.
 ``serial``
     Steps one at a time in deterministic wavefront order, each
     measurement pass per (target, layer) exactly as
-    :class:`~repro.api.Session` always did.  ``batched`` is an alias:
-    every layer sweep is already one vectorized batch, so measuring a
-    wave's workload up front bought nothing.
-
-``process``
-    Per wavefront, the wave's deduplicated measurement workload is
-    fanned out across worker processes with
-    :class:`concurrent.futures.ProcessPoolExecutor` — one task per
-    independent (target, layer) sweep — and adopted into the parent
-    session's cache and profile store; the wave's (mutually
-    independent) steps then run concurrently on worker threads against
-    the thread-safe session.
+    :class:`~repro.api.Session` always did.  Every layer sweep is
+    already one vectorized batch, so this is also the fastest backend on
+    the simulator.
 
 ``remote``
     Per wavefront, the missing measurement workload is published as
@@ -42,17 +33,16 @@ backends plug in the same way devices and libraries do.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Set
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
 from ..profiling.latency_table import sweep_counts
-from ..profiling.runner import ProfileRunner, Sweep
+from ..profiling.runner import ProfileRunner
 from .pipeline import PruningRequest
 from .plan import Plan, Step
 from .registry import Registry, UnknownPluginError
-from .scheduler import scheduled_order, wavefronts
+from .scheduler import scheduled_order
 from .target import Target
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,20 +63,16 @@ class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed."""
 
 
-#: The executor registry; ``EXECUTORS.create(name, jobs=...)`` builds a
-#: backend instance.
+#: The executor registry; ``EXECUTORS.create(name)`` builds a backend
+#: instance.
 EXECUTORS: Registry[type] = Registry("executor", error_cls=UnknownExecutorError)
 
-#: Default worker bound shared by the local process pool and the
-#: per-wave step threads when ``jobs`` is not given.
-DEFAULT_POOL_WORKERS = 8
 
-
-def resolve_executor(executor, jobs: Optional[int] = None):
+def resolve_executor(executor):
     """Coerce a name or instance into an executor object."""
 
     if isinstance(executor, str):
-        return EXECUTORS.create(executor, jobs=jobs)
+        return EXECUTORS.create(executor)
     if hasattr(executor, "execute"):
         return executor
     raise TypeError(
@@ -258,16 +244,13 @@ def _wave_workload(session: "Session", wave: Sequence[Step]) -> Workload:
     return merged
 
 
-@EXECUTORS.register("serial", aliases=("batched",))
+@EXECUTORS.register("serial")
 class SerialExecutor:
     """Steps one at a time in wavefront order, measurements per (target,
     layer) — the legacy :class:`Session` call chain, now scheduled over
     the plan's dependency graph."""
 
     name = "serial"
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs  # accepted for interface uniformity; unused
 
     def execute(self, session: "Session", plan: Plan) -> Dict[str, Any]:
         results = {
@@ -299,130 +282,8 @@ def _measure_worker(
     return runner.measure_many(spec, counts).as_columns()
 
 
-@EXECUTORS.register("process")
-class ProcessExecutor:
-    """Fan measurement workloads across processes, steps across threads.
-
-    The plan is executed wavefront by wavefront.  For each wave, the
-    combined workload of its steps is deduplicated against the session
-    cache and profile store, split into one task per (target, layer)
-    sweep, measured in a shared :class:`ProcessPoolExecutor` and adopted
-    back into the parent session (and its store); the wave's mutually
-    independent steps then run *concurrently* on worker threads against
-    the thread-safe session.  A dependent step therefore starts as soon
-    as its inputs' wavefront completes — not after the whole plan's
-    measurement pool.  ``jobs`` bounds both the measurement processes
-    and the per-wave step threads.  Results stay bitwise identical to
-    the serial backend: measurement noise is counter-based on the
-    configuration, never on execution order or process identity.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        pool: Optional[ProcessPoolExecutor] = None,
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be None or >= 1, got {jobs}")
-        self.jobs = jobs
-        # An externally-owned pool (the service queue shares one across
-        # every step of a job) is used as-is and never shut down here.
-        self._external_pool = pool
-
-    def execute(self, session: "Session", plan: Plan) -> Dict[str, Any]:
-        results: Dict[str, Any] = {}
-        pool = self._external_pool
-        owned: Optional[ProcessPoolExecutor] = None
-        try:
-            for index, wave in enumerate(wavefronts(plan)):
-                with session.tracer.span(
-                    "executor.wave", backend=self.name, wave=index, width=len(wave)
-                ):
-                    tasks: List[Tuple[Target, ConvLayerSpec, List[int]]] = []
-                    for target, per_spec in _wave_workload(session, wave).items():
-                        runner = session.runner(target)
-                        for spec, counts in per_spec.items():
-                            missing = runner.pending_counts(spec, sorted(counts))
-                            if missing:
-                                tasks.append((target, spec, missing))
-                    if tasks:
-                        if pool is None:
-                            # Workers spawn on demand, so the bound may exceed
-                            # this wave's task count without wasting processes.
-                            pool = owned = ProcessPoolExecutor(
-                                max_workers=self.jobs if self.jobs is not None else DEFAULT_POOL_WORKERS
-                            )
-                        self._fan_out(session, pool, tasks)
-                    results.update(self._run_wave(session, wave))
-        finally:
-            if owned is not None:
-                owned.shutdown()
-        return _ordered_results(plan, results)
-
-    def _run_wave(self, session: "Session", wave: Sequence[Step]) -> Dict[str, Any]:
-        """Run one wavefront's steps, concurrently when there are several."""
-
-        if len(wave) == 1:
-            return {wave[0].id: traced_step(session, wave[0], self.name)}
-        # Same default bound as the measurement pool: a very wide wave
-        # must not spawn hundreds of threads contending on the locks.
-        max_threads = min(len(wave), self.jobs if self.jobs is not None else DEFAULT_POOL_WORKERS)
-        results: Dict[str, Any] = {}
-        with ThreadPoolExecutor(max_workers=max_threads) as threads:
-            futures = {
-                threads.submit(traced_step, session, step, self.name): step
-                for step in wave
-            }
-            failures: List[Tuple[Step, BaseException]] = []
-            for future in as_completed(futures):
-                step = futures[future]
-                try:
-                    results[step.id] = future.result()
-                except Exception as error:
-                    failures.append((step, error))
-        if failures:
-            # A lone failure propagates untouched (same exception type
-            # and traceback as serial execution would raise); only a
-            # genuine multi-step pile-up is summarized.
-            if len(failures) == 1:
-                raise failures[0][1]
-            summary = "; ".join(
-                sorted(f"step {step.id!r} failed: {error}" for step, error in failures)
-            )
-            raise ExecutionError(summary) from failures[0][1]
-        return results
-
-    def _fan_out(
-        self,
-        session: "Session",
-        pool: ProcessPoolExecutor,
-        tasks: List[Tuple[Target, ConvLayerSpec, List[int]]],
-    ) -> None:
-        futures = {
-            pool.submit(
-                _measure_worker,
-                target.to_dict(),
-                spec.as_dict(),
-                counts,
-                session.seed,
-            ): (target, spec)
-            for target, spec, counts in tasks
-        }
-        for future in as_completed(futures):
-            target, spec = futures[future]
-            try:
-                columns = future.result()
-            except Exception as error:
-                raise ExecutionError(
-                    f"worker measuring {spec.name!r} on {target.label} failed: {error}"
-                ) from error
-            session.runner(target).adopt(spec, Sweep.from_columns(columns))
-
-
 @EXECUTORS.register("remote")
-def _remote_executor(jobs: Optional[int] = None, **options: Any):
+def _remote_executor():
     """Build a :class:`~repro.service.fleet.remote.RemoteExecutor`.
 
     Registered as a factory so ``repro.api`` stays importable without
@@ -434,14 +295,12 @@ def _remote_executor(jobs: Optional[int] = None, **options: Any):
 
     from ..service.fleet.remote import RemoteExecutor
 
-    return RemoteExecutor(jobs=jobs, **options)
+    return RemoteExecutor()
 
 
 __all__ = [
     "EXECUTORS",
-    "DEFAULT_POOL_WORKERS",
     "ExecutionError",
-    "ProcessExecutor",
     "SerialExecutor",
     "UnknownExecutorError",
     "resolve_executor",

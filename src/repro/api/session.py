@@ -20,9 +20,10 @@ Execution is plan-based: ``sweep``/``prune``/``compare``/
 ``profile_network`` each build a one-step
 :class:`~repro.api.plan.Plan` and hand it to :meth:`Session.execute`,
 which routes it through a pluggable
-:class:`~repro.api.executor.EXECUTORS` backend (``serial``, ``process``
-or ``remote``).  All backends share the counter-based measurement
-noise stream, so results are bitwise identical regardless of backend;
+:class:`~repro.api.executor.EXECUTORS` backend (``serial``, or
+``remote`` inside a service).  All backends share the counter-based
+measurement noise stream, so results are bitwise identical regardless
+of backend;
 with a profile store attached, completed measurements checkpoint to
 disk and re-executing a plan simulates nothing.
 """
@@ -181,9 +182,10 @@ class Session:
 
     Sessions are thread-safe: the profile/runner/pruner caches
     are guarded by an internal lock (simulation never happens under it),
-    so the process executor can run a wavefront's independent steps on
-    concurrent threads against one session and the service's job queue
-    can run figure steps from several workers in parallel.
+    so several threads may execute plans against one session, the
+    ``remote`` executor can adopt fleet measurements into it, and the
+    service's job queue can run figure steps from several workers in
+    parallel.
 
     Parameters
     ----------
@@ -215,9 +217,7 @@ class Session:
         Default :data:`~repro.api.executor.EXECUTORS` backend name (or
         instance) used by :meth:`execute` and by the plan-routed
         ``sweep``/``prune``/``compare``/``profile_network`` methods.
-        ``"serial"`` runs steps in order; ``"process"`` fans the
-        measurements out to worker processes with bitwise-identical
-        results.
+        ``"serial"`` runs steps in dependency order in this process.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` the executors open
         per-step/per-wave spans against.  Defaults to a writerless
@@ -248,9 +248,9 @@ class Session:
         self._runners: Dict[_TargetKey, ProfileRunner] = {}
         self._pruners: Dict[Tuple[_TargetKey, str], PerformanceAwarePruner] = {}
         self._stats = CacheStats()
-        # Guards the caches above: the process executor runs a
-        # wavefront's steps on concurrent threads against one session.
-        # Expensive work (simulation) never happens under this lock.
+        # Guards the caches above: plans may run on concurrent threads
+        # against one session.  Expensive work (simulation) never
+        # happens under this lock.
         self._lock = threading.RLock()
 
     @staticmethod
@@ -624,27 +624,20 @@ class Session:
     # ------------------------------------------------------------------
     # Plan execution
     # ------------------------------------------------------------------
-    def execute(
-        self,
-        plan: Plan,
-        executor: Union[str, Any, None] = None,
-        jobs: Optional[int] = None,
-    ) -> Dict[str, Any]:
+    def execute(self, plan: Plan, executor: Union[str, Any, None] = None) -> Dict[str, Any]:
         """Execute a :class:`Plan` and return ``{step id: result}``.
 
         ``executor`` picks the :data:`~repro.api.executor.EXECUTORS`
-        backend (``"serial"``, ``"process"`` or an instance); the session default applies when omitted.  ``jobs``
-        bounds the worker count of parallel backends.  Results are
-        bitwise identical across backends for the same seed; with a
-        profile store attached, measurements are checkpointed so
-        re-executing the same plan simulates nothing.
+        backend (``"serial"`` or an instance); the session default
+        applies when omitted.  Results are bitwise identical across
+        backends for the same seed; with a profile store attached,
+        measurements are checkpointed so re-executing the same plan
+        simulates nothing.
         """
 
         from .executor import resolve_executor
 
-        backend = resolve_executor(
-            executor if executor is not None else self.default_executor, jobs=jobs
-        )
+        backend = resolve_executor(executor if executor is not None else self.default_executor)
         return backend.execute(self, plan)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

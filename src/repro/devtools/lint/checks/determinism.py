@@ -1,8 +1,8 @@
 """RL002 — nondeterminism guard for the measurement paths.
 
 The reproduction's executors are contractually bitwise-identical:
-serial, process-pool and remote-fleet runs of the same plan
-must produce the same numbers.  That only holds while the measurement
+serial and remote-fleet runs of the same plan must produce the same
+numbers, on any machine.  That only holds while the measurement
 packages (``repro/gpusim/``, ``repro/core/``, ``repro/profiling/``)
 stay free of ambient entropy.  The only sanctioned noise source is the
 splitmix64 counter stream, which is seeded from the measurement key and

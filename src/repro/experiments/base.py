@@ -79,16 +79,15 @@ def set_default_profile_store(store) -> None:
     default_session().set_store(store)
 
 
-def execute_plan(plan, executor=None, jobs=None, session: Optional[Session] = None):
+def execute_plan(plan, executor=None, session: Optional[Session] = None):
     """Execute a :class:`repro.api.Plan` against a session.
 
-    Experiment generators build declarative plans and hand them here, so
-    one CLI invocation can swap the execution backend (``serial``,
-    ``process``) without touching the generators.  Without
-    an explicit ``session`` the shared convenience session is used.
+    Experiment generators build declarative plans and hand them here.
+    Without an explicit ``session`` the shared convenience session is
+    used.
     """
 
-    return resolve_session(session).execute(plan, executor=executor, jobs=jobs)
+    return resolve_session(session).execute(plan, executor=executor)
 
 
 def make_runner(

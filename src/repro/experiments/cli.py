@@ -7,14 +7,14 @@ Usage::
     python -m repro.experiments fig14
     python -m repro.experiments table1 table5 --json out.json
     python -m repro.experiments all
-    python -m repro.experiments run-plan plan.json --executor process --jobs 4
+    python -m repro.experiments run-plan plan.json --profile-store profiles
     python -m repro.experiments run-plan plan.json --trace trace.jsonl
     python -m repro.experiments serve --port 8765 --profile-store profiles
     python -m repro.experiments submit plan.json --url http://127.0.0.1:8765 --watch
     python -m repro.experiments worker --url http://127.0.0.1:8765
-    python -m repro.experiments serve --executor remote --autoscale 0:4
+    python -m repro.experiments serve --executor remote
     python -m repro.experiments metrics --url http://127.0.0.1:8765
-    python -m repro.experiments metrics --grep 'repro_lease' --fleet
+    python -m repro.experiments metrics --grep 'repro_lease'
     python -m repro.experiments trace ls --file trace.jsonl
     python -m repro.experiments trace show TRACE_ID --file trace.jsonl
     python -m repro.experiments store stats profiles
@@ -26,11 +26,10 @@ Each invocation builds its own :class:`repro.api.Session` and passes it
 to every experiment generator (``session=``), so a multi-experiment
 invocation profiles each layer configuration once and nothing leaks
 between runs through process-global state.  ``run-plan`` executes a
-serialized :class:`repro.api.Plan` under any registered executor
-backend (steps are scheduled over the plan's dependency graph; with
-``--executor process --jobs N`` independent steps of a wavefront run
-concurrently); unknown experiment ids exit with status 2 and list the
-valid identifiers instead of dumping a traceback.  ``serve`` boots the
+serialized :class:`repro.api.Plan` in this process (``serial``, steps
+scheduled over the plan's dependency graph); unknown experiment ids
+and executors exit with status 2 and list the valid identifiers
+instead of dumping a traceback.  ``serve`` boots the
 long-lived :mod:`repro.service` HTTP front end, ``submit`` ships a
 plan file to it and ``worker`` joins its measurement fleet — a
 pull-based agent claiming work leases over HTTP, which is what jobs
@@ -106,21 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "executor backend: serial, process or remote "
+            "executor backend: serial or remote "
             "(run-plan/serve default: serial; submit defaults to the "
             "server's configured executor; remote needs a serving "
             "service with workers attached)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run-plan worker bound for the process executor: caps both "
-            "the measurement worker processes and the concurrent plan "
-            "steps per wavefront"
         ),
     )
     parser.add_argument(
@@ -165,30 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="submit: stream the job's events and wait for its result",
     )
     parser.add_argument(
-        "--autoscale",
-        default=None,
-        metavar="MIN:MAX",
-        help=(
-            "serve: run the fleet autoscaler — spawn/retire in-process "
-            "fleet workers (between MIN and MAX of them, e.g. 0:4) to "
-            "keep the pending-lease backlog near zero"
-        ),
-    )
-    parser.add_argument(
         "--grep",
         default=None,
         metavar="PATTERN",
         help=(
             "metrics: keep only metric families/series whose name or "
             "labels match this regular expression"
-        ),
-    )
-    parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help=(
-            "metrics: scrape the merged fleet rollup "
-            "(GET /v1/metrics/fleet) instead of the server's own registry"
         ),
     )
     parser.add_argument(
@@ -381,7 +351,7 @@ def run_plan_command(plan_paths: List[str], args: argparse.Namespace) -> int:
             return 2
         try:
             with tracer.span("run-plan", plan=str(path), executor=executor):
-                results = session.execute(plan, executor=executor, jobs=args.jobs)
+                results = session.execute(plan, executor=executor)
         except UnknownPluginError as error:
             print(str(error.args[0] if error.args else error), file=sys.stderr)
             return 2
@@ -423,28 +393,21 @@ def serve_command(args: argparse.Namespace) -> int:
 
     from .. import __version__
     from ..api.registry import UnknownPluginError
+    from ..service.fleet.leases import DEFAULT_LEASE_TTL, LeaseError
     from ..service.server import ReproServer
 
-    from ..service.fleet.autoscale import AutoscaleError, parse_autoscale
-    from ..service.fleet.leases import DEFAULT_LEASE_TTL, LeaseError
-
     try:
-        autoscale = (
-            parse_autoscale(args.autoscale) if args.autoscale is not None else None
-        )
         server = ReproServer(
             host=args.host,
             port=args.port,
             profile_store=args.profile_store or None,
             executor=args.executor or "serial",
-            jobs=args.jobs,
             workers=args.workers,
             verbose=True,
             lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
             trace=args.trace or None,
-            autoscale=autoscale,
         )
-    except (OSError, ValueError, UnknownPluginError, LeaseError, AutoscaleError) as error:
+    except (OSError, ValueError, UnknownPluginError, LeaseError) as error:
         detail = error.args[0] if error.args else error
         print(f"cannot start service: {detail}", file=sys.stderr)
         return 2
@@ -457,11 +420,6 @@ def serve_command(args: argparse.Namespace) -> int:
     )
     if args.trace:
         print(f"tracing job spans to {args.trace}", flush=True)
-    if autoscale is not None:
-        print(
-            f"autoscaling fleet workers between {autoscale[0]} and {autoscale[1]}",
-            flush=True,
-        )
     _install_interrupt_handlers()
     try:
         server.serve_forever()
@@ -515,7 +473,7 @@ def submit_command(plan_paths: List[str], args: argparse.Namespace) -> int:
 
     client = ServiceClient(args.url)
     try:
-        job = client.submit(plan, executor=args.executor, jobs=args.jobs, seed=args.seed)
+        job = client.submit(plan, executor=args.executor, seed=args.seed)
         print(f"submitted {path} as {job['id']} ({job['status']}) to {args.url}")
         if not args.watch:
             return 0
@@ -578,27 +536,25 @@ def metrics_command(args: argparse.Namespace) -> int:
     """Scrape a running service's metrics (Prometheus text format).
 
     The plain verb is a raw passthrough of ``GET /v1/metrics`` (CI
-    diffs it byte-for-byte against curl).  ``--fleet`` scrapes the
-    merged rollup instead; ``--grep`` filters families/series through
-    :func:`repro.obs.rollup.filter_snapshot`; ``--json`` emits the
-    snapshot's JSON wire form (to stdout, or to a path).
+    diffs it byte-for-byte against curl).  ``--grep`` filters
+    families/series through :func:`repro.obs.metrics.filter_snapshot`;
+    ``--json`` emits the snapshot's JSON wire form (to stdout, or to a
+    path).
     """
 
     import re
 
-    from ..obs.rollup import filter_snapshot, render_snapshot_prometheus
+    from ..obs.metrics import filter_snapshot, render_snapshot_prometheus
     from ..service.client import ServiceClient, ServiceError
 
     client = ServiceClient(args.url)
     try:
         if args.grep is None and args.json is None:
             # Raw text passthrough: must stay byte-identical to curl.
-            text = (
-                client.fleet_metrics_text() if args.fleet else client.metrics_text()
-            )
+            text = client.metrics_text()
             print(text, end="" if text.endswith("\n") else "\n")
             return 0
-        snapshot = client.fleet_metrics() if args.fleet else client.metrics()
+        snapshot = client.metrics()
     except ServiceError as error:
         print(str(error), file=sys.stderr)
         return 2

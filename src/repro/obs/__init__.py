@@ -1,12 +1,14 @@
 """``repro.obs`` — observability: metrics, span tracing, scrape surface.
 
 The reproduction measures a measurement system; this package measures
-the reproduction itself.  Four parts:
+the reproduction itself.  Three parts:
 
 ``metrics``
     A thread-safe :class:`MetricsRegistry` of :class:`Counter` /
     :class:`Gauge` / :class:`Histogram` families with labeled series,
-    deterministic ``snapshot()`` dicts and a Prometheus text renderer.
+    deterministic ``snapshot()`` dicts and one Prometheus text renderer
+    (:func:`render_snapshot_prometheus`) plus :func:`filter_snapshot`
+    over that wire form (the ``metrics --grep`` backend).
     Instrumented modules declare handles against
     :func:`default_registry` at import time; the server exposes it at
     ``GET /v1/metrics`` (text) and ``GET /v1/metrics.json``.
@@ -18,11 +20,6 @@ the reproduction itself.  Four parts:
     with monotonic durations, a flock-safe JSONL :class:`TraceWriter`
     and ``X-Repro-Trace`` header propagation so a fleet worker's
     measurement spans stitch under the submitting job's trace.
-``rollup``
-    Fleet-wide aggregation over snapshot wire forms:
-    :func:`merge_snapshots` (counters sum, histograms add, gauges
-    last-write-wins) and :class:`RollupStore`, the server-side
-    per-worker snapshot registry behind ``GET /v1/metrics/fleet``.
 ``traceview``
     Offline reconstruction of span trees from TraceWriter JSONL —
     the ``trace ls`` / ``trace show`` verbs.
@@ -43,14 +40,7 @@ from .metrics import (
     MetricsError,
     MetricsRegistry,
     default_registry,
-)
-from .rollup import (
-    RollupError,
-    RollupStore,
-    WORKER_LABEL,
     filter_snapshot,
-    label_snapshot,
-    merge_snapshots,
     render_snapshot_prometheus,
 )
 from .trace import (
@@ -80,24 +70,19 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "RollupError",
-    "RollupStore",
     "Span",
     "SpanContext",
     "TRACE_HEADER",
     "TraceViewError",
     "TraceWriter",
     "Tracer",
-    "WORKER_LABEL",
     "build_tree",
     "current_trace_id",
     "default_registry",
     "exemplar_references",
     "filter_snapshot",
-    "label_snapshot",
     "list_traces",
     "load_spans",
-    "merge_snapshots",
     "render_snapshot_prometheus",
     "render_trace",
     "render_tree",

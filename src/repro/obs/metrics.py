@@ -18,10 +18,12 @@ Design constraints, in order:
 2. **Thread safety.**  Every family guards its series map with its own
    lock; increments are read-modify-write under that lock so concurrent
    writers never lose updates (proved by a hammer test).
-3. **Plain data out.**  ``snapshot()`` returns JSON-ready dicts and
-   ``render_prometheus()`` emits Prometheus text exposition — the
-   ``/v1/metrics`` route byte-serves the latter, ``/v1/metrics.json``
-   the former, from the same state.
+3. **Plain data out.**  ``snapshot()`` returns JSON-ready dicts, and
+   :func:`render_snapshot_prometheus` is the one Prometheus text
+   renderer: ``render_prometheus()`` is it applied to ``snapshot()``.
+   The ``/v1/metrics`` route byte-serves the text, ``/v1/metrics.json``
+   the snapshot, and ``metrics --grep`` renders a
+   :func:`filter_snapshot` of it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "default_registry",
+    "filter_snapshot",
+    "render_snapshot_prometheus",
 ]
 
 
@@ -102,17 +106,6 @@ def _format_value(value: float) -> str:
     return repr(number)
 
 
-def _render_labels(labelnames: Sequence[str], key: Sequence[str],
-                   extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = [f'{name}="{_escape_label_value(value)}"'
-             for name, value in zip(labelnames, key)]
-    if extra is not None:
-        pairs.append(f'{extra[0]}="{_escape_label_value(extra[1])}"')
-    if not pairs:
-        return ""
-    return "{" + ",".join(pairs) + "}"
-
-
 class _Metric:
     """Shared family plumbing: label keying and the series lock."""
 
@@ -156,17 +149,6 @@ class _Metric:
         }
         return payload
 
-    def render_prometheus(self) -> List[str]:
-        lines = []
-        if self.help:
-            lines.append(f"# HELP {self.name} {_escape_help(self.help)}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        lines.extend(self._render_series())
-        return lines
-
-    def _render_series(self) -> List[str]:
-        raise NotImplementedError
-
 
 class _ScalarMetric(_Metric):
     """A family whose series state is a single float."""
@@ -178,14 +160,6 @@ class _ScalarMetric(_Metric):
 
     def _series_payload(self, key: Tuple[str, ...]) -> dict:
         return {"value": float(self._series[key])}
-
-    def _render_series(self) -> List[str]:
-        lines = []
-        for entry in self.snapshot_series():
-            key = tuple(entry["labels"][name] for name in self.labelnames)
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}{labels} {_format_value(entry['value'])}")
-        return lines
 
 
 class Counter(_ScalarMetric):
@@ -374,30 +348,6 @@ class Histogram(_Metric):
             ]
         return payload
 
-    def _render_series(self) -> List[str]:
-        lines = []
-        for entry in self.snapshot_series():
-            key = tuple(entry["labels"][name] for name in self.labelnames)
-            newest = {
-                edge: (trace_id, value)
-                for edge, trace_id, value in entry.get("exemplars", [])
-            }
-            for edge, cumulative in entry["buckets"]:
-                le = edge if edge == "+Inf" else _format_value(float(edge))
-                labels = _render_labels(self.labelnames, key, extra=("le", le))
-                line = f"{self.name}_bucket{labels} {cumulative}"
-                if edge in newest:
-                    trace_id, value = newest[edge]
-                    line += (
-                        f' # {{trace_id="{_escape_label_value(trace_id)}"}}'
-                        f" {_format_value(value)}"
-                    )
-                lines.append(line)
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}_sum{labels} {_format_value(entry['sum'])}")
-            lines.append(f"{self.name}_count{labels} {entry['count']}")
-        return lines
-
 
 class _BoundCounter:
     """One labeled counter series; pre-resolved key, no per-call lookup."""
@@ -502,12 +452,7 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """Prometheus text exposition format, one family per block."""
-        with self._lock:
-            families = [self._metrics[name] for name in sorted(self._metrics)]
-        lines: List[str] = []
-        for metric in families:
-            lines.extend(metric.render_prometheus())
-        return "\n".join(lines) + ("\n" if lines else "")
+        return render_snapshot_prometheus(self.snapshot())
 
     def render_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
@@ -519,3 +464,91 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-wide registry every instrumented module reports into."""
     return _DEFAULT_REGISTRY
+
+
+# ----------------------------------------------------------------------
+# Rendering and filtering over the snapshot wire form
+# ----------------------------------------------------------------------
+def _render_label_pairs(labelnames: Sequence[str], labels: Mapping[str, str],
+                        extra: Optional[Tuple[str, str]] = None) -> str:
+    pairs = [
+        f'{name}="{_escape_label_value(str(labels[name]))}"'
+        for name in labelnames
+        if name in labels
+    ]
+    if extra is not None:
+        pairs.append(f'{extra[0]}="{_escape_label_value(extra[1])}"')
+    return "{" + ",".join(pairs) + "}" if pairs else ""
+
+
+def render_snapshot_prometheus(snapshot: Mapping[str, dict]) -> str:
+    """Prometheus text exposition of a :meth:`MetricsRegistry.snapshot`.
+
+    One block per family in name order; histogram buckets carry
+    OpenMetrics ``# {trace_id="..."}`` exemplar suffixes (the newest
+    exemplar per bucket).
+    """
+
+    lines: List[str] = []
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        kind = str(family.get("type", "untyped"))
+        help_text = str(family.get("help", ""))
+        labelnames = [str(label) for label in family.get("labelnames", [])]
+        if help_text:
+            lines.append(f"# HELP {name} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {name} {kind}")
+        for entry in family.get("series", []):
+            labels = entry.get("labels", {})
+            if kind == "histogram":
+                newest = {
+                    str(edge): (trace_id, value)
+                    for edge, trace_id, value in entry.get("exemplars", [])
+                }
+                for edge, cumulative in entry.get("buckets", []):
+                    le = edge if edge == "+Inf" else _format_value(float(edge))
+                    rendered = _render_label_pairs(labelnames, labels, extra=("le", le))
+                    line = f"{name}_bucket{rendered} {_format_value(cumulative)}"
+                    if edge in newest:
+                        trace_id, value = newest[edge]
+                        line += (
+                            f' # {{trace_id="{_escape_label_value(str(trace_id))}"}}'
+                            f" {_format_value(value)}"
+                        )
+                    lines.append(line)
+                rendered = _render_label_pairs(labelnames, labels)
+                lines.append(f"{name}_sum{rendered} {_format_value(entry.get('sum', 0.0))}")
+                lines.append(f"{name}_count{rendered} {_format_value(entry.get('count', 0))}")
+            else:
+                rendered = _render_label_pairs(labelnames, labels)
+                lines.append(f"{name}{rendered} {_format_value(entry.get('value', 0.0))}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def filter_snapshot(snapshot: Mapping[str, dict], pattern: str) -> Dict[str, dict]:
+    """Families/series whose name or rendered labels match ``pattern``.
+
+    The regex is searched against the family name and against each
+    series rendered as ``name{label="value",...}``; a family whose name
+    matches keeps all its series, otherwise only matching series
+    survive and empty families are dropped.
+    """
+
+    matcher = re.compile(pattern)
+    out: Dict[str, dict] = {}
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        labelnames = [str(label) for label in family.get("labelnames", [])]
+        if matcher.search(name):
+            out[name] = family
+            continue
+        kept = [
+            entry
+            for entry in family.get("series", [])
+            if matcher.search(
+                f"{name}{_render_label_pairs(labelnames, entry.get('labels', {}))}"
+            )
+        ]
+        if kept:
+            out[name] = {**{k: v for k, v in family.items() if k != "series"}, "series": kept}
+    return out

@@ -113,9 +113,8 @@ sweep under its grouping key, in columns::
 Multi-thread and multi-process safety
 -------------------------------------
 Within one process, every index read/mutation happens under an internal
-lock, so one store object may serve concurrent scheduler threads (the
-process executor runs a wavefront's steps in parallel) without lost
-updates or torn counters.  Across processes:
+lock, so one store object may serve concurrent threads (the service's
+job workers share one) without lost updates or torn counters.  Across processes:
 
 Appends happen as a single :func:`write` of the whole line under an
 advisory ``flock`` (where the platform provides one), so two processes
@@ -135,8 +134,8 @@ The module-level metrics (``repro_store_appends_total``,
 ``repro_store_reloads_total``, ``repro_store_skipped_lines_total``,
 ``repro_store_compactions_total`` and the ``repro_store_file_bytes``
 gauge) are labeled by ``store`` (the store path) and ``shard``, so
-several store objects in one process — autoscaled worker stores,
-parallel tests — report into distinct series instead of clobbering one
+several store objects in one process — the service's resident store
+next to a script's own, parallel tests — report into distinct series instead of clobbering one
 process-wide value.  ``repro_store_reloads_total`` counts full parses
 of a shard (first touch, or a rebuild after a foreign compaction);
 catching up on appended lines does not count.

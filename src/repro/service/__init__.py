@@ -40,13 +40,11 @@ Modules
     Distributed measurement: the crash-safe :class:`LeaseManager` work
     queue, the ``remote`` executor that publishes into it, the
     pull-based :class:`FleetWorker` that ``repro-experiments worker``
-    runs against a serving URL, and the :class:`Autoscaler` that
-    ``serve --autoscale MIN:MAX`` runs to spawn/retire in-process
-    workers from the fleet's own load signals.
+    runs against a serving URL.
 """
 
 from .client import ServiceClient, ServiceError
-from .fleet import Autoscaler, FleetWorker, LeaseManager, RemoteExecutor, run_worker
+from .fleet import FleetWorker, LeaseManager, RemoteExecutor, run_worker
 from .jobs import JOB_STATUSES, STEP_STATUSES, Job, JobStore, StepRecord
 from .queue import JobQueue
 from .results import describe_step_result, step_result_payload
@@ -55,7 +53,6 @@ from .server import ReproServer, serve
 __all__ = [
     "JOB_STATUSES",
     "STEP_STATUSES",
-    "Autoscaler",
     "FleetWorker",
     "Job",
     "JobQueue",

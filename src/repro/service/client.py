@@ -6,7 +6,7 @@ connection alive across requests; the NDJSON event stream opens its own
 short-lived one::
 
     client = ServiceClient("http://127.0.0.1:8765")
-    job = client.submit(plan, executor="process", jobs=4)
+    job = client.submit(plan, executor="remote", seed=1)
     for event in client.iter_events(job["id"]):
         print(event["event"], event.get("step", ""))
     final = client.wait(job["id"])
@@ -150,7 +150,6 @@ class ServiceClient:
         self,
         plan: Union[Plan, Dict[str, Any]],
         executor: Optional[str] = None,
-        jobs: Optional[int] = None,
         seed: Optional[int] = None,
         trace: Union[SpanContext, str, None] = None,
     ) -> Dict[str, Any]:
@@ -167,8 +166,6 @@ class ServiceClient:
         }
         if executor is not None:
             payload["executor"] = executor
-        if jobs is not None:
-            payload["jobs"] = jobs
         if seed is not None:
             payload["seed"] = seed
         headers = None
@@ -276,38 +273,6 @@ class ServiceClient:
         """
 
         return self._request("GET", "/v1/store")
-
-    def fleet_metrics(self) -> Dict[str, Any]:
-        """The merged fleet snapshot (``GET /v1/metrics/fleet.json``).
-
-        Every pushed worker snapshot — plus the server's own registry —
-        merged under the ``worker`` label; see
-        :mod:`repro.obs.rollup` for the merge semantics.
-        """
-
-        return self._request("GET", "/v1/metrics/fleet.json")
-
-    def fleet_metrics_text(self) -> str:
-        """The merged fleet snapshot as Prometheus text (``GET /v1/metrics/fleet``)."""
-
-        return self._send("GET", "/v1/metrics/fleet")[1].decode("utf-8")
-
-    def push_worker_metrics(
-        self,
-        worker: str,
-        snapshot: Dict[str, Any],
-        label: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Push a worker's registry snapshot into the server's rollup.
-
-        ``label`` is the ``worker`` label value the rollup files the
-        series under (defaults server-side to the worker id).
-        """
-
-        payload: Dict[str, Any] = {"snapshot": snapshot}
-        if label is not None:
-            payload["label"] = label
-        return self._request("POST", f"/v1/workers/{worker}/metrics", payload)
 
     # ------------------------------------------------------------------
     # Fleet surface (used by repro.service.fleet.worker)

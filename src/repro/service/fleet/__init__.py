@@ -12,26 +12,22 @@ This package lets those tasks leave the server process entirely:
     :class:`RemoteExecutor` — the ``remote`` entry of
     :data:`~repro.api.executor.EXECUTORS`.  Publishes each wavefront's
     missing measurements as leases, blocks until workers complete them,
-    adopts the results through the same cache+store checkpoint path the
-    ``process`` backend uses, and runs the steps themselves (figures
-    included) locally against the warmed session.
+    adopts the results through the runner's cache+store checkpoint path,
+    and runs the steps themselves (figures included) locally against the
+    warmed session.
 ``worker``
     :class:`FleetWorker` / ``repro-experiments worker --url`` — the
     stateless pull agent: register, claim, measure with
-    :func:`repro.api.executor._measure_worker`, heartbeat, post back —
-    and push its metrics snapshot into the server's fleet rollup.
-``autoscale``
-    :class:`Autoscaler` / ``serve --autoscale MIN:MAX`` — the control
-    loop consuming ``GET /v1/fleet``'s autoscaling signals: spawns and
-    retires in-process :class:`FleetWorker` threads to hold the
-    pending-lease backlog near zero, with hysteresis and cooldown.
+    :func:`repro.api.executor._measure_worker`, heartbeat, post back.
+    Run one worker process per machine (per board, in the paper's
+    setting); ``GET /v1/fleet`` counts each one's completed and failed
+    leases.
 
 Determinism is inherited, not negotiated: measurement noise is
 counter-based on the configuration and seed, so any fleet of any size
 produces results bitwise identical to a serial run.
 """
 
-from .autoscale import AutoscaleError, Autoscaler, parse_autoscale
 from .leases import (
     DEFAULT_LEASE_TTL,
     DEFAULT_MAX_ATTEMPTS,
@@ -47,8 +43,6 @@ from .remote import RemoteExecutor
 from .worker import FleetWorker, run_worker
 
 __all__ = [
-    "AutoscaleError",
-    "Autoscaler",
     "DEFAULT_LEASE_TTL",
     "DEFAULT_MAX_ATTEMPTS",
     "FleetWorker",
@@ -60,6 +54,5 @@ __all__ = [
     "RemoteExecutor",
     "StaleLeaseError",
     "UnknownLeaseError",
-    "parse_autoscale",
     "run_worker",
 ]

@@ -1,22 +1,21 @@
 """The ``remote`` executor: measurements distributed through work leases.
 
-Structurally a sibling of :class:`~repro.api.executor.ProcessExecutor`:
-the plan runs wavefront by wavefront, each wave's deduplicated
+The plan runs wavefront by wavefront: each wave's deduplicated
 measurement workload is split into one task per (target, layer) sweep,
 and the results are adopted into the parent session's cache and profile
-store before the wave's steps run.  The difference is *where* the tasks
-execute: instead of a local process pool, each task becomes a
+store before the wave's steps run.  Each task becomes a
 :class:`~repro.service.fleet.leases.Lease` that stateless workers pull
-over HTTP, run through the very same
-:func:`~repro.api.executor._measure_worker` entry point, and post back.
+over HTTP, run through :func:`~repro.api.executor._measure_worker` and
+post back — one worker per board in the paper's setting, where a
+configuration costs ten board runs.
 
 Steps themselves — including ``figure``/``table`` steps, whose
 measurement workload is not enumerable up front — always run locally in
 the server process against the warmed session, so anything a lease did
-not cover falls back to in-process measurement exactly as the other
-backends do.  Results are bitwise identical to ``serial``/
-``process``: the counter-based noise stream keys every measurement on
-the configuration and seed, never on which machine ran it.
+not cover falls back to in-process measurement exactly as ``serial``
+does.  Results are bitwise identical to ``serial``: the counter-based
+noise stream keys every measurement on the configuration and seed,
+never on which machine ran it.
 
 The executor needs a live :class:`~repro.service.fleet.leases.LeaseManager`
 to publish into; the serving :class:`~repro.service.queue.JobQueue`
@@ -52,11 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class RemoteExecutor:
     """Fan measurement workloads out to a worker fleet via leases.
 
+    The fleet's parallelism is however many workers are polling.
+
     Parameters
     ----------
-    jobs:
-        Accepted for interface uniformity with the other backends; the
-        fleet's parallelism is however many workers are polling.
     manager:
         The :class:`LeaseManager` to publish into.  ``None`` builds an
         unwired instance that fails on ``execute`` with instructions
@@ -69,27 +67,19 @@ class RemoteExecutor:
         *mid-wait* instead of at the next step boundary).
     job_id:
         Informational tag stamped onto published leases.
-    wait_timeout:
-        Optional upper bound in seconds on any one wave's lease wait.
     """
 
     name = "remote"
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
         manager: Optional[LeaseManager] = None,
         abort: Optional[Callable[[], bool]] = None,
         job_id: Optional[str] = None,
-        wait_timeout: Optional[float] = None,
     ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be None or >= 1, got {jobs}")
-        self.jobs = jobs
         self.manager = manager
         self.abort = abort
         self.job_id = job_id
-        self.wait_timeout = wait_timeout
 
     def execute(self, session: "Session", plan: "Plan") -> Dict[str, Any]:
         if self.manager is None:
@@ -137,9 +127,7 @@ class RemoteExecutor:
             for lease_id, (target, spec, _) in zip(lease_ids, tasks)
         }
         try:
-            payloads = self.manager.wait(
-                lease_ids, timeout=self.wait_timeout, abort=self.abort
-            )
+            payloads = self.manager.wait(lease_ids, abort=self.abort)
         except LeaseWaitAborted:
             raise  # the queue maps this to a cancellation, not a failure
         except (LeaseFailedError, UnknownLeaseError, LeaseError) as error:

@@ -8,10 +8,10 @@ is a loop around four HTTP calls::
     POST /v1/leases/{id}/heartbeat       -> while the task is running
     POST /v1/leases/{id}/complete        -> measurements (or an error)
 
-The measurement itself is :func:`repro.api.executor._measure_worker` —
-byte-for-byte the function the ``process`` backend runs in its local
-pool — so a fleet-measured plan is bitwise identical to every other
-backend.  Workers hold no state between leases: killing one mid-task
+The measurement itself is :func:`repro.api.executor._measure_worker`,
+a store-less :class:`~repro.profiling.runner.ProfileRunner` sweep, so a
+fleet-measured plan is bitwise identical to ``serial``.  Workers hold
+no state between leases: killing one mid-task
 merely lets the lease's heartbeat deadline lapse, after which the
 server re-queues it for the next worker.  A worker that outlives its
 lease (network stall, paused VM) gets a conflict when it reports back
@@ -29,20 +29,8 @@ import time
 import traceback
 from typing import Any, Callable, Dict, Optional
 
-from ...obs.metrics import MetricsRegistry, default_registry
 from ...obs.trace import SpanContext, Tracer
 from ..client import ServiceClient, ServiceError
-
-_COMPLETED_NAME = "repro_fleet_worker_completed_total"
-_COMPLETED_HELP = "Leases this process's fleet workers completed successfully."
-_ERRORS_NAME = "repro_fleet_worker_errors_total"
-_ERRORS_HELP = "Leases this process's fleet workers failed locally."
-
-# Declared eagerly so the families exist in the default exposition even
-# before the first lease runs (worker instances re-declare idempotently
-# against whatever registry they are given).
-default_registry().counter(_COMPLETED_NAME, _COMPLETED_HELP)
-default_registry().counter(_ERRORS_NAME, _ERRORS_HELP)
 
 #: Fallback claim long-poll horizon (seconds) per request.
 DEFAULT_POLL_SECONDS = 5.0
@@ -74,15 +62,10 @@ class FleetWorker:
         carries a ``trace`` context, the measurement runs inside a
         ``worker.measure`` span adopted under it, so worker spans stitch
         into the submitting job's trace.
-    registry:
-        The :class:`~repro.obs.metrics.MetricsRegistry` this worker
-        counts into *and pushes to the server*: its full snapshot is
-        POSTed to ``/v1/workers/{id}/metrics`` after registration, with
-        every heartbeat, after every lease and once more on exit, so
-        ``GET /v1/metrics/fleet`` still reflects the worker's lifetime
-        counters after the process is gone.  Defaults to the process
-        default registry; autoscaled in-process workers pass their own
-        so the server's series are not double-counted.
+
+    The server counts each worker's completed and failed leases
+    (``GET /v1/fleet``); :attr:`completed` and :attr:`errors` are this
+    worker's own tallies.
     """
 
     def __init__(
@@ -95,7 +78,6 @@ class FleetWorker:
         client: Optional[ServiceClient] = None,
         on_event: Optional[Callable[[str], None]] = None,
         tracer: Optional[Tracer] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if client is None and url is None:
             raise ValueError("FleetWorker needs a service url or a client")
@@ -108,9 +90,6 @@ class FleetWorker:
         self.max_leases = max_leases
         self._emit = on_event if on_event is not None else (lambda message: None)
         self.tracer = tracer if tracer is not None else Tracer()
-        self.registry = registry if registry is not None else default_registry()
-        self._completed_metric = self.registry.counter(_COMPLETED_NAME, _COMPLETED_HELP)
-        self._errors_metric = self.registry.counter(_ERRORS_NAME, _ERRORS_HELP)
         self.worker_id: Optional[str] = None
         self.completed = 0
         self.errors = 0
@@ -132,51 +111,23 @@ class FleetWorker:
             f"registered as {self.worker_id} (lease ttl {ttl:g}s) "
             f"against {self.client.url}"
         )
-        self.push_metrics()
-        try:
-            idle_since = time.monotonic()
-            while stop is None or not stop.is_set():
-                lease = self.client.claim_lease(self.worker_id, timeout=self.poll)
-                if lease is None:
-                    if (
-                        self.max_idle is not None
-                        and time.monotonic() - idle_since >= self.max_idle
-                    ):
-                        self._emit(f"idle for {self.max_idle:g}s, exiting")
-                        break
-                    continue
-                self._run_lease(lease, ttl)
-                idle_since = time.monotonic()
-                if self.max_leases is not None and self.completed >= self.max_leases:
-                    self._emit(f"completed {self.completed} lease(s), exiting")
+        idle_since = time.monotonic()
+        while stop is None or not stop.is_set():
+            lease = self.client.claim_lease(self.worker_id, timeout=self.poll)
+            if lease is None:
+                if (
+                    self.max_idle is not None
+                    and time.monotonic() - idle_since >= self.max_idle
+                ):
+                    self._emit(f"idle for {self.max_idle:g}s, exiting")
                     break
-        finally:
-            # Final push so the fleet rollup still reflects this worker's
-            # lifetime counters after the process exits.
-            self.push_metrics()
+                continue
+            self._run_lease(lease, ttl)
+            idle_since = time.monotonic()
+            if self.max_leases is not None and self.completed >= self.max_leases:
+                self._emit(f"completed {self.completed} lease(s), exiting")
+                break
         return self.completed
-
-    def push_metrics(self) -> bool:
-        """Best-effort snapshot push to the server's fleet rollup.
-
-        Pushes are advisory observability traffic: a server that predates
-        the rollup route (404), a mid-restart server or a network blip
-        must never take the measurement loop down, so every failure is
-        swallowed after an event line.
-        """
-
-        if self.worker_id is None:
-            return False
-        try:
-            self.client.push_worker_metrics(
-                self.worker_id,
-                self.registry.snapshot(),
-                label=self.name or self.worker_id,
-            )
-            return True
-        except ServiceError as exc:
-            self._emit(f"metrics push failed (ignored): {exc}")
-            return False
 
     # ------------------------------------------------------------------
     def _run_lease(self, lease: Dict[str, Any], ttl: float) -> None:
@@ -203,17 +154,13 @@ class FleetWorker:
             stop_heartbeat.set()
             heartbeat.join()
             self.errors += 1
-            self._errors_metric.inc()
             self._finish(lease_id, error=error)
-            self.push_metrics()
             self._emit(f"lease {lease_id} failed locally; reported the error")
             return
         stop_heartbeat.set()
         heartbeat.join()
         if self._finish(lease_id, measurements=payloads):
             self.completed += 1
-            self._completed_metric.inc()
-            self.push_metrics()
             self._emit(
                 f"lease {lease_id} completed "
                 f"({lease['spec'].get('name', '?')} x{len(lease['counts'])} "
@@ -265,9 +212,6 @@ class FleetWorker:
                 # Lost the lease (expired/revoked) or lost the server;
                 # stop beating — completion will be rejected cleanly.
                 return
-            # Snapshot push rides along with every heartbeat so the
-            # rollup stays fresh while a long measurement computes.
-            self.push_metrics()
 
 
 def run_worker(
@@ -278,14 +222,12 @@ def run_worker(
     max_leases: Optional[int] = None,
     on_event: Optional[Callable[[str], None]] = None,
     trace: Optional[str] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> int:
     """Build and run a :class:`FleetWorker` (the ``worker`` CLI backend).
 
     ``trace`` names a JSONL file to append ``worker.measure`` spans to;
     the writer is flock-safe, so several workers (and the server) may
-    share one file.  ``registry`` isolates the worker's pushed counters
-    from the process-global default registry (in-process embedders).
+    share one file.
     """
 
     from ...obs.trace import TraceWriter
@@ -299,7 +241,6 @@ def run_worker(
         max_leases=max_leases,
         on_event=on_event,
         tracer=tracer,
-        registry=registry,
     ).run()
 
 

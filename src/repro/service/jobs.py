@@ -1,7 +1,7 @@
 """Job records and the JSONL-persisted :class:`JobStore`.
 
 A :class:`Job` is one submitted :class:`~repro.api.plan.Plan` plus
-everything the service knows about running it: executor/jobs/seed, per
+everything the service knows about running it: executor/seed, per
 step status, JSON result projections, timings, the error traceback when
 a step fails and the ordered event log the NDJSON stream serves.
 
@@ -113,7 +113,6 @@ class Job:
     id: str
     plan: Dict[str, Any]
     executor: str
-    jobs: Optional[int]
     seed: int
     status: str = "queued"
     submitted_at: float = 0.0
@@ -165,7 +164,6 @@ class Job:
             "id": self.id,
             "plan": self.plan,
             "executor": self.executor,
-            "jobs": self.jobs,
             "seed": self.seed,
             "status": self.status,
             "submitted_at": self.submitted_at,
@@ -181,6 +179,9 @@ class Job:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Job":
+        """Rebuild a job; keys this build does not read (a 2.x record's
+        ``jobs``) are ignored."""
+
         if payload.get("v") != JOB_VERSION:
             raise JobStoreError(
                 f"unsupported job record version {payload.get('v')!r} "
@@ -190,7 +191,6 @@ class Job:
             id=payload["id"],
             plan=payload["plan"],
             executor=payload["executor"],
-            jobs=payload.get("jobs"),
             seed=int(payload.get("seed", 0)),
             status=payload.get("status", "queued"),
             submitted_at=payload.get("submitted_at", 0.0),
@@ -383,7 +383,6 @@ class JobStore:
         self,
         plan: Dict[str, Any],
         executor: str = "serial",
-        jobs: Optional[int] = None,
         seed: int = 0,
         steps: Optional[List[Tuple[str, str]]] = None,
         trace: Optional[str] = None,
@@ -400,7 +399,6 @@ class JobStore:
             id=f"job-{uuid.uuid4().hex[:12]}",
             plan=plan,
             executor=executor,
-            jobs=jobs,
             seed=seed,
             submitted_at=time.time(),
             trace=trace,

@@ -33,15 +33,13 @@ import queue as _stdlib_queue
 import threading
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..api.plan import Plan, PlanError, Step
 from ..api.scheduler import scheduled_order
 from ..api.session import Session
 from ..obs.metrics import default_registry
-from ..obs.rollup import RollupStore
 from ..obs.trace import SpanContext, TraceWriter, Tracer
 from ..profiling.store import ProfileStore
 from .fleet.leases import DEFAULT_LEASE_TTL, LeaseManager, LeaseWaitAborted
@@ -91,9 +89,9 @@ class JobQueue:
         instead of re-simulating them, and jobs writing to different
         targets append to different shards without contending on one
         inode.
-    executor / jobs:
-        Default :data:`~repro.api.executor.EXECUTORS` backend name and
-        worker bound applied to submissions that do not choose their own.
+    executor:
+        Default :data:`~repro.api.executor.EXECUTORS` backend name
+        applied to submissions that do not choose their own.
     workers:
         Worker thread count (default 1).  Every step kind runs
         concurrently across workers — ``figure`` steps included, since
@@ -116,16 +114,15 @@ class JobQueue:
         store: Optional[JobStore] = None,
         profile_store: Union[str, Path, None] = None,
         executor: str = "serial",
-        jobs: Optional[int] = None,
         workers: int = 1,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         trace: Union[str, Path, None] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        # Fail fast on operator-level defaults: a typo'd --executor or a
-        # bad --jobs must stop the service from booting, not surface as
-        # errors on every client submission.
+        # Fail fast on the operator-level default: a typo'd --executor
+        # must stop the service from booting, not surface as errors on
+        # every client submission.
         from ..api.executor import EXECUTORS
 
         self.store = store if store is not None else JobStore()
@@ -134,17 +131,10 @@ class JobQueue:
             ProfileStore(self.profile_store) if self.profile_store is not None else None
         )
         self.default_executor = EXECUTORS.canonical(executor)
-        self.default_jobs = self._validate_jobs(jobs)
         # One lease manager per queue: jobs running under the ``remote``
         # executor publish their measurement workload here, and the HTTP
         # layer's /v1/leases routes let fleet workers pull from it.
         self.lease_manager = LeaseManager(lease_ttl=lease_ttl)
-        # Per-worker metrics snapshots pushed over /v1/workers/{id}/metrics.
-        # The ttl mirrors the lease liveness window (3x the heartbeat
-        # deadline): a worker silent that long is gone from /v1/fleet's
-        # active list, so its gauges leave the rollup too.  Lifetime
-        # counters survive because exiting workers push a final snapshot.
-        self.rollup = RollupStore(ttl=3.0 * self.lease_manager.lease_ttl)
         self.trace_writer = TraceWriter(trace) if trace is not None else None
         self._queue: "_stdlib_queue.Queue[Optional[str]]" = _stdlib_queue.Queue()
         self._closed = False
@@ -158,12 +148,6 @@ class JobQueue:
         for thread in self._workers:
             thread.start()
         self._resume()
-
-    @staticmethod
-    def _validate_jobs(jobs: Optional[int]) -> Optional[int]:
-        if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
-            raise ValueError(f"jobs must be None or a positive integer, got {jobs!r}")
-        return jobs
 
     # ------------------------------------------------------------------
     # Submission side
@@ -179,7 +163,6 @@ class JobQueue:
         self,
         plan: Union[Plan, Dict[str, Any]],
         executor: Optional[str] = None,
-        jobs: Optional[int] = None,
         seed: int = 0,
         trace: Optional[str] = None,
     ) -> Job:
@@ -190,14 +173,15 @@ class JobQueue:
         spans stitch into one trace.
 
         Raises :class:`~repro.api.plan.PlanError` for structurally
-        invalid plans and :class:`ValueError` for bad ``seed``/``jobs``
-        values — the server maps both to HTTP 400.
+        invalid plans and :class:`ValueError` for a bad ``seed`` or a
+        non-string ``executor`` — the server maps both to HTTP 400.
         """
 
         validated = plan if isinstance(plan, Plan) else Plan.from_dict(plan)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        self._validate_jobs(jobs)
+        if executor is not None and not isinstance(executor, str):
+            raise ValueError(f"executor must be a string, got {executor!r}")
         from ..api.executor import EXECUTORS
 
         backend = (
@@ -211,7 +195,6 @@ class JobQueue:
             job = self.store.create(
                 validated.to_dict(),
                 executor=backend,
-                jobs=jobs if jobs is not None else self.default_jobs,
                 seed=seed,
                 steps=[(step.id, step.kind) for step in validated],
                 trace=trace,
@@ -260,40 +243,26 @@ class JobQueue:
             finally:
                 self._queue.task_done()
 
-    def _build_executor(self, job: Job) -> Tuple[Any, Optional[Callable[[], None]]]:
-        """One executor object (plus cleanup) reused by every step of a job.
+    def _build_executor(self, job: Job) -> Any:
+        """One executor reused by every step of a job.
 
-        ``process`` jobs get a single shared :class:`ProcessPoolExecutor`
-        held for the job's whole lifetime — multi-step plans used to pay
-        the pool spawn/teardown cost on every step.  The pool is created
-        eagerly but its worker processes spawn lazily on first submit,
-        so a fully store-served job never forks at all.  ``remote`` jobs
-        get a :class:`~repro.service.fleet.remote.RemoteExecutor` wired
-        to this queue's lease manager, with the job's cancellation flag
-        as the abort check so a cancel interrupts a lease wait mid-step.
-        Other backends are stateless and resolve by name per step.
+        ``remote`` jobs get a
+        :class:`~repro.service.fleet.remote.RemoteExecutor` wired to this
+        queue's lease manager, with the job's cancellation flag as the
+        abort check so a cancel interrupts a lease wait mid-step.  Other
+        backends are stateless and resolve by name per step (a name this
+        build does not register fails the job's first step).
         """
 
-        if job.executor == "process":
-            from ..api.executor import DEFAULT_POOL_WORKERS, ProcessExecutor
-
-            pool = ProcessPoolExecutor(
-                max_workers=job.jobs if job.jobs is not None else DEFAULT_POOL_WORKERS
-            )
-            return ProcessExecutor(jobs=job.jobs, pool=pool), pool.shutdown
         if job.executor == "remote":
             from .fleet.remote import RemoteExecutor
 
-            return (
-                RemoteExecutor(
-                    jobs=job.jobs,
-                    manager=self.lease_manager,
-                    abort=lambda: self.store.get(job.id).cancel_requested,
-                    job_id=job.id,
-                ),
-                None,
+            return RemoteExecutor(
+                manager=self.lease_manager,
+                abort=lambda: self.store.get(job.id).cancel_requested,
+                job_id=job.id,
             )
-        return job.executor, None
+        return job.executor
 
     def _finish_job(self, job_id: str, status: str, **fields: Any) -> Job:
         """Finish a job through the store, counting the transition once.
@@ -328,48 +297,31 @@ class JobQueue:
         # fleet worker's measurement span.
         tracer = Tracer(writer=self.trace_writer)
         session = Session(store=self._profiles, seed=job.seed, tracer=tracer)
-        executor, cleanup = self._build_executor(job)
-        try:
-            with tracer.adopt(SpanContext.parse(job.trace)):
-                with tracer.span("job", job=job_id, executor=job.executor, seed=job.seed):
-                    # Dependency-scheduled order: a valid topological order
-                    # whose wavefront structure matches what the executors
-                    # use, so the event stream reflects when a step *could*
-                    # start.
-                    for step in scheduled_order(plan):
-                        if self.store.get(job_id).cancel_requested:
-                            self._finish_job(
-                                job_id,
-                                "cancelled",
-                                simulations=session.simulation_count(),
-                            )
-                            return
-                        status, result, error = self._run_step(
-                            session, job, step, executor
+        executor = self._build_executor(job)
+        with tracer.adopt(SpanContext.parse(job.trace)):
+            with tracer.span("job", job=job_id, executor=job.executor, seed=job.seed):
+                # Dependency-scheduled order: a valid topological order
+                # whose wavefront structure matches what the executors
+                # use, so the event stream reflects when a step *could*
+                # start.
+                for step in scheduled_order(plan):
+                    if self.store.get(job_id).cancel_requested:
+                        status, error = "cancelled", None
+                    else:
+                        status, error = self._run_step(session, job, step, executor)
+                    if status in ("cancelled", "failed"):
+                        self._finish_job(
+                            job_id, status, error=error,
+                            simulations=session.simulation_count(),
                         )
-                        if status == "cancelled":
-                            self._finish_job(
-                                job_id,
-                                "cancelled",
-                                simulations=session.simulation_count(),
-                            )
-                            return
-                        if status == "failed":
-                            self._finish_job(
-                                job_id, "failed", error=error,
-                                simulations=session.simulation_count(),
-                            )
-                            return
-                    self._finish_job(
-                        job_id, "succeeded", simulations=session.simulation_count()
-                    )
-        finally:
-            if cleanup is not None:
-                cleanup()
+                        return
+                self._finish_job(
+                    job_id, "succeeded", simulations=session.simulation_count()
+                )
 
     def _run_step(
         self, session: Session, job: Job, step: Step, executor: Any
-    ) -> Tuple[str, Any, Optional[str]]:
+    ) -> Tuple[str, Optional[str]]:
         """Execute one step; never raises (failures come back as a status)."""
 
         self.store.mark_step_running(job.id, step.id)
@@ -381,9 +333,7 @@ class JobQueue:
             # ran in this job, against this session.
             single = Plan()
             single.add(Step(id=step.id, kind=step.kind, params=step.params))
-            raw = session.execute(
-                single, executor=executor, jobs=job.jobs
-            )[step.id]
+            raw = session.execute(single, executor=executor)[step.id]
             payload = step_result_payload(raw)
         except LeaseWaitAborted:
             # A cancel interrupted a remote job's lease wait mid-step:
@@ -393,7 +343,7 @@ class JobQueue:
                 job.id, step.id, "skipped", duration_ms=duration_ms
             )
             _JOB_STEPS.inc(status="skipped")
-            return "cancelled", None, None
+            return "cancelled", None
         except Exception:
             error = traceback.format_exc()
             duration_ms = (time.monotonic() - started) * 1000.0
@@ -401,13 +351,13 @@ class JobQueue:
                 job.id, step.id, "failed", error=error, duration_ms=duration_ms
             )
             _JOB_STEPS.inc(status="failed")
-            return "failed", None, error
+            return "failed", error
         duration_ms = (time.monotonic() - started) * 1000.0
         self.store.mark_step_finished(
             job.id, step.id, "succeeded", result=payload, duration_ms=duration_ms
         )
         _JOB_STEPS.inc(status="succeeded")
-        return "succeeded", payload, None
+        return "succeeded", None
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -18,15 +18,12 @@ and exposes the versioned API::
     GET  /v1/fleet                 lease + worker status  -> 200
     GET  /v1/metrics               Prometheus text format -> 200
     GET  /v1/metrics.json          same snapshot, as JSON -> 200
-    POST /v1/workers/{id}/metrics  push a worker snapshot -> 200
-    GET  /v1/metrics/fleet         merged fleet rollup    -> 200
-    GET  /v1/metrics/fleet.json    same rollup, as JSON   -> 200
 
 ``POST /v1/plans`` accepts either a bare serialized
 :class:`~repro.api.plan.Plan` payload or an envelope
-``{"plan": {...}, "executor": "...", "jobs": N, "seed": S}``.
-Validation failures (:class:`~repro.api.plan.PlanError`, bad seed/jobs,
-unknown executor) map to HTTP 400 with the error message in the body;
+``{"plan": {...}, "executor": "...", "seed": S}``.
+Validation failures (:class:`~repro.api.plan.PlanError`, a bad seed, a
+non-string or unknown executor, any other envelope field) map to HTTP 400 with the error message in the body;
 unknown job ids map to 404.  The event stream replays a job's whole
 event log from the start and keeps the connection open until the
 ``job-finished`` event — streaming a finished job terminates
@@ -73,7 +70,6 @@ from .fleet.leases import (
     UnknownLeaseError,
 )
 from ..obs.metrics import default_registry
-from ..obs.rollup import RollupError, render_snapshot_prometheus
 from ..obs.trace import TRACE_HEADER
 from .jobs import JOB_VERSION, JobStore, UnknownJobError
 from .queue import JobQueue, QueueClosedError
@@ -92,6 +88,10 @@ _PROMETHEUS_TEXT = "text/plain; version=0.0.4; charset=utf-8"
 #: Seconds a kept-alive connection may sit idle between requests before
 #: the server closes it; clients reconnect transparently.
 _IDLE_CONNECTION_SECONDS = 60.0
+
+#: How often ``serve_forever`` checks for ``shutdown()``; ``close()``
+#: waits up to one tick (``socketserver``'s default is 0.5 s).
+_SERVE_POLL_SECONDS = 0.05
 
 #: Upper bound on one lease-claim request's server-side long poll; the
 #: worker simply re-polls, so a shorter wait only costs round trips.
@@ -250,14 +250,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 return self._get_metrics()
             if method == "GET" and rest == ["metrics.json"]:
                 return self._get_metrics_json()
-            if method == "GET" and rest == ["metrics", "fleet"]:
-                return self._get_fleet_metrics(as_json=False)
-            if method == "GET" and rest == ["metrics", "fleet.json"]:
-                return self._get_fleet_metrics(as_json=True)
             if method == "POST" and rest == ["workers", "register"]:
                 return self._post_worker_register()
-            if method == "POST" and len(rest) == 3 and rest[0] == "workers" and rest[2] == "metrics":
-                return self._post_worker_metrics(rest[1])
             if method == "POST" and rest == ["leases", "claim"]:
                 return self._post_lease_claim()
             if method == "POST" and len(rest) == 3 and rest[:1] == ["leases"] and rest[2] == "heartbeat":
@@ -297,8 +291,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             raise _ApiError(400, "submission body must be a JSON object")
         if "plan" in body:
             plan_payload = body["plan"]
-            options = {key: body[key] for key in ("executor", "jobs", "seed") if key in body}
-            unknown = set(body) - {"plan", "executor", "jobs", "seed"}
+            options = {key: body[key] for key in ("executor", "seed") if key in body}
+            unknown = set(body) - {"plan", "executor", "seed"}
             if unknown:
                 raise _ApiError(400, f"unknown submission fields: {sorted(unknown)}")
         else:
@@ -307,7 +301,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             job = self.server.job_queue.submit(
                 plan_payload,
                 executor=options.get("executor"),
-                jobs=options.get("jobs"),
                 seed=options.get("seed", 0),
                 trace=self.headers.get(TRACE_HEADER),
             )
@@ -344,29 +337,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def _get_metrics_json(self) -> None:
         self._send_json(default_registry().snapshot())
-
-    def _get_fleet_metrics(self, as_json: bool) -> None:
-        snapshot = self.server.job_queue.rollup.fleet_snapshot(
-            local=default_registry().snapshot()
-        )
-        if as_json:
-            return self._send_json(snapshot)
-        self._send_body(render_snapshot_prometheus(snapshot).encode("utf-8"), _PROMETHEUS_TEXT)
-
-    def _post_worker_metrics(self, worker_id: str) -> None:
-        body = self._read_body()
-        if not isinstance(body, dict):
-            raise _ApiError(400, "metrics push body must be a JSON object")
-        label = body.get("label")
-        if label is not None and not isinstance(label, str):
-            raise _ApiError(400, f"metrics push label must be a string, got {label!r}")
-        try:
-            self.server.job_queue.rollup.push(
-                worker_id, body.get("snapshot"), label=label
-            )
-        except RollupError as error:
-            raise _ApiError(400, str(error)) from error
-        self._send_json({"worker": worker_id, "status": "accepted"})
 
     def _get_jobs(self) -> None:
         self._send_json({"jobs": self._store.summaries()})
@@ -522,13 +492,11 @@ class ReproServer:
         profile_store: Union[str, Path, None] = None,
         job_store: Union[JobStore, str, Path, None] = None,
         executor: str = "serial",
-        jobs: Optional[int] = None,
         workers: int = 1,
         verbose: bool = False,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         events_keepalive_seconds: float = DEFAULT_EVENTS_KEEPALIVE_SECONDS,
         trace: Union[str, Path, None] = None,
-        autoscale: Optional[Tuple[int, int]] = None,
     ) -> None:
         if job_store is None and profile_store is not None:
             # Persist jobs next to the profile store by default, so one
@@ -547,7 +515,6 @@ class ReproServer:
                 store=store,
                 profile_store=profile_store,
                 executor=executor,
-                jobs=jobs,
                 workers=workers,
                 lease_ttl=lease_ttl,
                 trace=trace,
@@ -559,21 +526,6 @@ class ReproServer:
         self._thread: Optional[threading.Thread] = None
         self._served = False
         self._closed = False
-        # The autoscaler connects its in-process workers to this
-        # server's own URL (the socket is already bound), sharing the
-        # queue's trace writer so worker spans land in the same file.
-        self.autoscaler = None
-        if autoscale is not None:
-            from .fleet.autoscale import Autoscaler
-
-            low, high = autoscale
-            self.autoscaler = Autoscaler(
-                url=self.url,
-                manager=self.queue.lease_manager,
-                min_workers=low,
-                max_workers=high,
-                trace_writer=self.queue.trace_writer,
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -603,21 +555,18 @@ class ReproServer:
             self._served = True
             self._thread = threading.Thread(
                 target=self._http.serve_forever,
+                kwargs={"poll_interval": _SERVE_POLL_SECONDS},
                 name="repro-service-http",
                 daemon=True,
             )
             self._thread.start()
-            if self.autoscaler is not None:
-                self.autoscaler.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the ``serve`` CLI's main loop)."""
 
         self._served = True
-        if self.autoscaler is not None:
-            self.autoscaler.start()
-        self._http.serve_forever()
+        self._http.serve_forever(poll_interval=_SERVE_POLL_SECONDS)
 
     def close(self, drain: bool = True) -> None:
         """Stop the HTTP listener, drain the queue, join the workers."""
@@ -625,21 +574,6 @@ class ReproServer:
         if self._closed:
             return
         self._closed = True
-        if self.autoscaler is not None:
-            # Workers first: they talk HTTP to this very server, so
-            # requests must keep being served while they finish their
-            # leases and push their final metrics.  In the CLI path the
-            # main-thread accept loop has already exited (Ctrl-C broke
-            # out of serve_forever), so run it on a helper thread for
-            # the duration of the drain; shutdown() below stops it.
-            if self._served and self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._http.serve_forever,
-                    name="repro-service-drain",
-                    daemon=True,
-                )
-                self._thread.start()
-            self.autoscaler.stop()
         self._http.closing = True
         if self._served:
             # shutdown() would block forever if serve_forever never ran.
@@ -665,12 +599,10 @@ def serve(
     port: int = 8765,
     profile_store: Union[str, Path, None] = None,
     executor: str = "serial",
-    jobs: Optional[int] = None,
     workers: int = 1,
     verbose: bool = False,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     trace: Union[str, Path, None] = None,
-    autoscale: Optional[Tuple[int, int]] = None,
 ) -> ReproServer:
     """Build and start a :class:`ReproServer` (the ``serve`` CLI backend)."""
 
@@ -679,12 +611,10 @@ def serve(
         port=port,
         profile_store=profile_store,
         executor=executor,
-        jobs=jobs,
         workers=workers,
         verbose=verbose,
         lease_ttl=lease_ttl,
         trace=trace,
-        autoscale=autoscale,
     ).start()
 
 

@@ -53,6 +53,36 @@ def fail_on_background_thread_exception():
         pytest.fail(f"unhandled exception in background thread(s): {summaries}")
 
 
+@pytest.fixture(scope="module")
+def remote_executor():
+    """A ``remote`` executor wired to an in-process lease manager.
+
+    One board thread claims each published lease, measures it through
+    the fleet worker's own measurement path and completes it — a fleet
+    of one without the HTTP hop.
+    """
+
+    from repro.service.fleet import FleetWorker, LeaseManager, RemoteExecutor
+
+    manager = LeaseManager()
+    worker = manager.register_worker("board")["worker"]
+    stop = threading.Event()
+
+    def board() -> None:
+        while not stop.is_set():
+            lease = manager.claim(worker, timeout=0.05)
+            if lease is not None:
+                manager.complete(
+                    lease["lease"], worker, measurements=FleetWorker._measure(lease)
+                )
+
+    thread = threading.Thread(target=board, name="test-board", daemon=True)
+    thread.start()
+    yield RemoteExecutor(manager=manager)
+    stop.set()
+    thread.join(timeout=5.0)
+
+
 @pytest.fixture(scope="session")
 def resnet50():
     return build_resnet50()

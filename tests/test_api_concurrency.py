@@ -21,6 +21,20 @@ def make_spec(index: int) -> ConvLayerSpec:
     )
 
 
+def run_steps_on_threads(session: Session, plan: Plan) -> dict:
+    """Each step of ``plan`` as its own one-step plan, one thread each,
+    all against ``session``; returns ``{step id: result}``."""
+
+    def run(step):
+        single = Plan()
+        single.add(step)
+        return session.execute(single, "serial")[step.id]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = {step.id: pool.submit(run, step) for step in plan}
+        return {step_id: future.result() for step_id, future in futures.items()}
+
+
 class TestSessionThreadSafety:
     def test_hammer_one_session_and_store_from_threads(self, tmp_path):
         """Many threads profiling overlapping layers through one session
@@ -71,9 +85,10 @@ class TestSessionThreadSafety:
         assert replay.simulation_count() == 0
 
     def test_concurrent_wavefront_steps_share_one_session(self, tmp_path):
-        """A one-wave plan of independent sweep steps run by the process
-        executor (steps on concurrent threads) against one session/store
-        matches serial execution bitwise and keeps the store exact."""
+        """Independent sweep steps executed as one-step plans on concurrent
+        threads against one session/store (as the job queue's workers and
+        a remote job's lease adoption do) match serial execution bitwise
+        and keep the store exact."""
 
         specs = [make_spec(index) for index in range(6)]
         plan = Plan()
@@ -81,10 +96,10 @@ class TestSessionThreadSafety:
             plan.sweep(TARGET, spec, sweep_step=4, step_id=f"s{index}")
 
         session = Session(store=tmp_path / "profiles.jsonl")
-        results = session.execute(plan, executor="process", jobs=4)
-        # Workers measured, the parent adopted: no in-process simulation,
-        # and the store holds each configuration exactly once.
-        assert session.simulation_count() == 0
+        results = run_steps_on_threads(session, plan)
+        # Every configuration simulated once and stored once.
+        assert session.simulation_count() == len(specs) * COUNTS_PER_SPEC
+        assert session.store.writes == len(specs) * COUNTS_PER_SPEC
         assert len(session.store) == len(specs) * COUNTS_PER_SPEC
 
         serial = Session().execute(plan, executor="serial")
@@ -92,14 +107,14 @@ class TestSessionThreadSafety:
             assert results[step.id].rows == serial[step.id].rows
 
     def test_concurrent_figure_steps_share_one_session(self):
-        """Figure steps of one wavefront run on threads against the same
-        session (hammering its network/runner caches) without dropping
-        or corrupting results."""
+        """Figure steps run on threads against the same session
+        (hammering its network/runner caches) without dropping or
+        corrupting results."""
 
         plan = Plan()
         table_steps = [plan.figure(f"table{index}") for index in (1, 2, 3, 4)]
         session = Session()
-        results = session.execute(plan, executor="process", jobs=4)
+        results = run_steps_on_threads(session, plan)
         for index, step in zip((1, 2, 3, 4), table_steps):
             assert results[step.id].experiment_id == f"table{index}"
 

@@ -5,8 +5,8 @@ import pytest
 from repro.api import (
     EXECUTORS,
     Plan,
-    ProcessExecutor,
     PruningRequest,
+    SerialExecutor,
     Session,
     Target,
 )
@@ -32,10 +32,13 @@ def two_step_plan() -> Plan:
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert {"serial", "process", "remote"}.issubset(EXECUTORS.available())
-        # ``batched`` survives as an alias, so plans naming it still run.
-        assert EXECUTORS.canonical("batched") == "serial"
+    def test_serial_and_remote_are_the_only_backends(self):
+        # Tests register gate executors of their own under "test-" names.
+        builtin = {name for name in EXECUTORS.available() if not name.startswith("test-")}
+        assert builtin == {"remote", "serial"}
+        assert EXECUTORS.aliases() == {}
+        with pytest.raises(KeyError, match="unknown executor 'process'"):
+            Session().execute(Plan(), executor="process")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError, match="unknown executor"):
@@ -44,20 +47,22 @@ class TestRegistry:
     def test_instances_are_accepted(self):
         plan = Plan()
         step = plan.sweep(TARGETS[0], LAYER, sweep_step=8)
-        results = Session().execute(plan, executor=ProcessExecutor(jobs=1))
+        results = Session().execute(plan, executor=SerialExecutor())
         assert len(results[step.id]) > 0
 
     def test_bad_jobs_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            ProcessExecutor(jobs=0)
+        # ``jobs`` bounded the removed process backend; no layer reads it.
+        with pytest.raises(TypeError, match="jobs"):
+            Session().execute(Plan(), executor="serial", jobs=2)
 
 
 class TestBitwiseEquality:
-    @pytest.mark.parametrize("backend", ["batched", "process"])
-    def test_backend_matches_serial(self, backend):
+    @pytest.mark.parametrize("backend", ["serial", "remote"])
+    def test_backend_matches_serial(self, backend, remote_executor):
+        executor = remote_executor if backend == "remote" else backend
         plan = two_step_plan()
         serial = Session().execute(plan, executor="serial")
-        other = Session().execute(plan, executor=backend, jobs=2)
+        other = Session().execute(plan, executor=executor)
         for step in plan:
             left, right = serial[step.id], other[step.id]
             if hasattr(left, "rows"):
@@ -65,26 +70,26 @@ class TestBitwiseEquality:
             else:
                 assert left.to_json() == right.to_json()
 
-    def test_equality_holds_on_a_fixed_nonzero_seed(self):
+    def test_equality_holds_on_a_fixed_nonzero_seed(self, remote_executor):
         plan = two_step_plan()
         serial = Session(seed=1234).execute(plan, executor="serial")
-        process = Session(seed=1234).execute(plan, executor="process", jobs=2)
+        remote = Session(seed=1234).execute(plan, executor=remote_executor)
         step_ids = [step.id for step in plan]
-        assert serial[step_ids[0]].rows == process[step_ids[0]].rows
-        assert serial[step_ids[1]].to_json() == process[step_ids[1]].to_json()
+        assert serial[step_ids[0]].rows == remote[step_ids[0]].rows
+        assert serial[step_ids[1]].to_json() == remote[step_ids[1]].to_json()
 
-    def test_compare_steps_match_across_backends(self):
+    def test_compare_steps_match_across_backends(self, remote_executor):
         plan = Plan()
         step = plan.compare(REQUEST)
         serial = Session().execute(plan, executor="serial")
-        process = Session().execute(plan, executor="process", jobs=2)
-        assert serial[step.id].to_json() == process[step.id].to_json()
+        remote = Session().execute(plan, executor=remote_executor)
+        assert serial[step.id].to_json() == remote[step.id].to_json()
 
     def test_plan_routed_sweep_matches_direct_session_sweep(self):
         direct = Session().sweep(TARGETS, LAYER, sweep_step=4)
         plan = Plan()
         step = plan.sweep(TARGETS, LAYER, sweep_step=4)
-        routed = Session().execute(plan, executor="batched")[step.id]
+        routed = Session().execute(plan, executor="serial")[step.id]
         assert direct.rows == routed.rows
 
 
@@ -100,29 +105,36 @@ class TestResume:
         resumed.execute(plan, executor="serial")
         assert resumed.simulation_count() == 0
 
-    @pytest.mark.parametrize("backend", ["batched", "process"])
-    def test_resume_skips_under_every_backend(self, tmp_path, backend):
+    @pytest.mark.parametrize("backend", ["serial", "remote"])
+    def test_resume_skips_under_every_backend(self, tmp_path, backend, remote_executor):
+        executor = remote_executor if backend == "remote" else backend
         path = tmp_path / "profiles.jsonl"
         plan = two_step_plan()
-        Session(store=path).execute(plan, executor="process", jobs=2)
+        Session(store=path).execute(plan, executor="serial")
 
         resumed = Session(store=path)
-        results = resumed.execute(plan, executor=backend, jobs=2)
+        published = remote_executor.manager.published
+        results = resumed.execute(plan, executor=executor)
         assert resumed.simulation_count() == 0
+        # A fully stored plan publishes no lease.
+        assert remote_executor.manager.published == published
         assert results[plan.steps[0].id].rows == (
             Session().execute(plan, executor="serial")[plan.steps[0].id].rows
         )
 
-    def test_process_workers_checkpoint_into_the_store(self, tmp_path):
+    def test_remote_leases_checkpoint_into_the_store(self, tmp_path, remote_executor):
         path = tmp_path / "profiles.jsonl"
         plan = Plan()
         plan.sweep(TARGETS, LAYER, sweep_step=4)
         session = Session(store=path)
-        session.execute(plan, executor="process", jobs=2)
-        # The parent itself simulated nothing — workers measured, the
-        # parent adopted and persisted.
+        session.execute(plan, executor=remote_executor)
+        # The session itself simulated nothing — the board measured, the
+        # session adopted and persisted.
         assert session.simulation_count() == 0
         assert len(session.store) > 0
+        assert Session(store=path).sweep(TARGETS, LAYER, sweep_step=4).rows == (
+            Session().sweep(TARGETS, LAYER, sweep_step=4).rows
+        )
 
 
 class TestSeedOverride:

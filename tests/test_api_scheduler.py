@@ -1,7 +1,7 @@
 """Tests for the dependency-aware ready-set scheduler and its use by the
 executor backends: wavefront structure, exactly-once dispatch, dependency
 ordering (property-tested over random DAG plans) and bitwise equality of
-serial, batched and process execution for multi-wavefront plans."""
+serial and remote execution for multi-wavefront plans."""
 
 import random
 import threading
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import repro.api.executor as executor_module
 from repro.api import Plan, Session, Target
+from repro.service.fleet import RemoteExecutor
 from repro.api.scheduler import (
     ReadyScheduler,
     SchedulerError,
@@ -176,15 +177,12 @@ class TestExecutorsFollowTheSchedule:
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_steps=st.integers(1, 8))
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
-    def test_random_dags_run_exactly_once_in_dependency_order(
-        self, backend, seed, n_steps
-    ):
+    def test_random_dags_run_exactly_once_in_dependency_order(self, seed, n_steps):
         plan = random_dag_plan(seed, n_steps)
         recorder = RunRecorder()
         executor_module.run_step, original = recorder, executor_module.run_step
         try:
-            results = Session().execute(plan, executor=backend)
+            results = Session().execute(plan, executor="serial")
         finally:
             executor_module.run_step = original
         recorder.assert_valid_schedule(plan)
@@ -195,12 +193,12 @@ class TestExecutorsFollowTheSchedule:
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_process_backend_schedules_random_dags_correctly(self, seed):
+    def test_remote_backend_schedules_random_dags_correctly(self, remote_executor, seed):
         plan = random_dag_plan(seed, 6)
         recorder = RunRecorder()
         executor_module.run_step, original = recorder, executor_module.run_step
         try:
-            results = Session().execute(plan, executor="process", jobs=2)
+            results = Session().execute(plan, executor=remote_executor)
         finally:
             executor_module.run_step = original
         recorder.assert_valid_schedule(plan)
@@ -208,20 +206,22 @@ class TestExecutorsFollowTheSchedule:
         for step in plan:
             assert results[step.id].rows == serial[step.id].rows
 
-    def test_diamond_is_bitwise_identical_across_all_backends(self):
+    def test_diamond_is_bitwise_identical_across_all_backends(self, remote_executor):
         plan = diamond_plan()
         serial = Session().execute(plan, executor="serial")
-        batched = Session().execute(plan, executor="batched")
-        process = Session().execute(plan, executor="process", jobs=4)
+        session = Session()
+        remote = session.execute(plan, executor=remote_executor)
+        assert session.simulation_count() == 0  # the board measured it all
         for step in plan:
-            assert serial[step.id].rows == batched[step.id].rows
-            assert serial[step.id].rows == process[step.id].rows
+            assert serial[step.id].rows == remote[step.id].rows
 
 
 class TestWaveScopedFanOut:
-    def test_process_executor_measures_per_wavefront_not_whole_pool(self):
+    def test_remote_executor_measures_per_wavefront_not_whole_pool(
+        self, remote_executor, monkeypatch
+    ):
         """Dependent steps start once *their* inputs are ready: the
-        process backend fans out one wavefront's workload at a time, and
+        remote backend publishes one wavefront's workload at a time, and
         earlier steps run before later waves are even measured."""
 
         plan = Plan()
@@ -231,24 +231,21 @@ class TestWaveScopedFanOut:
             depends_on=["first"],
         )
 
-        original_fan_out = executor_module.ProcessExecutor._fan_out
+        original_fan_out = RemoteExecutor._fan_out
         recorder = RunRecorder()
 
-        def recording_fan_out(self, session, pool, tasks):
+        def recording_fan_out(self, session, tasks):
             with recorder._lock:
                 recorder.events.append(
                     ("fan-out", tuple(sorted(spec.name for _, spec, _ in tasks)))
                 )
-            return original_fan_out(self, session, pool, tasks)
+            return original_fan_out(self, session, tasks)
 
-        executor_module.ProcessExecutor._fan_out = recording_fan_out
-        executor_module.run_step, original_run = recorder, executor_module.run_step
-        try:
-            session = Session()
-            session.execute(plan, executor="process", jobs=2)
-        finally:
-            executor_module.ProcessExecutor._fan_out = original_fan_out
-            executor_module.run_step = original_run
+        monkeypatch.setattr(RemoteExecutor, "_fan_out", recording_fan_out)
+        monkeypatch.setattr(executor_module, "run_step", recorder)
+        session = Session()
+        session.execute(plan, executor=remote_executor)
+        assert session.simulation_count() == 0
 
         # One fan-out per wavefront, and the first step ran to completion
         # before the second wave's measurements were even dispatched —

@@ -111,20 +111,33 @@ class TestRunPlanSubcommand:
         assert "sweep-1" in output and "prune-1" in output
         assert "executor=serial" in output
 
-    def test_run_plan_process_with_store_and_json(self, plan_path, tmp_path, capsys):
+    def test_run_plan_serial_with_store_and_json(self, plan_path, tmp_path, capsys):
         store = tmp_path / "profiles.jsonl"
         out_json = tmp_path / "results.json"
         argv = [
             "run-plan", str(plan_path),
-            "--executor", "process", "--jobs", "2",
             "--profile-store", str(store), "--json", str(out_json),
         ]
         assert main(argv) == 0
-        capsys.readouterr()
+        assert "simulated 0 configuration(s) in-process" not in capsys.readouterr().out
         assert store.exists()
         payload = json.loads(out_json.read_text())
-        assert payload[0]["executor"] == "process"
+        assert payload[0]["executor"] == "serial"
         assert set(payload[0]["steps"]) == {"sweep-1", "prune-1"}
+
+        replay_json = tmp_path / "replay.json"
+        argv[-1] = str(replay_json)
+        assert main(argv) == 0
+        assert "simulated 0 configuration(s) in-process" in capsys.readouterr().out
+        assert json.loads(replay_json.read_text()) == payload
+
+    def test_removed_executor_and_jobs_flag_exit_2(self, plan_path, capsys):
+        assert main(["run-plan", str(plan_path), "--executor", "process"]) == 2
+        assert "unknown executor 'process'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-plan", str(plan_path), "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_missing_plan_file_exits_2(self, tmp_path, capsys):
         assert main(["run-plan", str(tmp_path / "absent.json")]) == 2

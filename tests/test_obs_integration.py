@@ -4,7 +4,7 @@ The contract under test, in order of importance:
 
 1. **Inertness** — tracing must never change results.  Traced and
    untraced executions of the same plan are bitwise identical, across
-   the serial, process and remote (fleet-drained) backends.
+   the serial and remote (fleet-drained) backends.
 2. **Stitching** — spans recorded by the CLI client, the serving queue,
    its executors and fleet workers all land under one trace id when the
    ``X-Repro-Trace`` header is propagated.
@@ -75,17 +75,14 @@ def client(server):
 # Inertness: traced == untraced, bitwise
 # ----------------------------------------------------------------------
 class TestTracingIsInert:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_local_backends_bitwise_identical(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend", ["serial", "remote"])
+    def test_local_backends_bitwise_identical(self, backend, tmp_path, remote_executor):
+        executor = remote_executor if backend == "remote" else backend
         plan = small_plan()
-        untraced = payloads(
-            Session(seed=0).execute(plan, executor=backend, jobs=2), plan
-        )
+        untraced = payloads(Session(seed=0).execute(plan, executor=executor), plan)
         tracer = Tracer(writer=TraceWriter(tmp_path / "trace.jsonl"))
         traced_session = Session(seed=0, tracer=tracer)
-        traced = payloads(
-            traced_session.execute(plan, executor=backend, jobs=2), plan
-        )
+        traced = payloads(traced_session.execute(plan, executor=executor), plan)
         assert traced == untraced
         assert tracer.writer.written > 0
 

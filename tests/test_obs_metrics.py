@@ -1,4 +1,5 @@
-"""Unit tests for repro.obs.metrics: registry semantics and thread safety.
+"""Unit tests for repro.obs.metrics: registry semantics, thread safety and
+the snapshot renderer and filter.
 
 The registry is the backbone of ``/v1/metrics``: declarations must be
 idempotent (module-level handles converge on one series), snapshots must
@@ -21,6 +22,8 @@ from repro.obs.metrics import (
     MetricsError,
     MetricsRegistry,
     default_registry,
+    filter_snapshot,
+    render_snapshot_prometheus,
 )
 
 
@@ -256,3 +259,103 @@ class TestConcurrency:
         (series,) = histogram.snapshot_series()
         assert series["count"] == total
         assert series["buckets"][-1] == ["+Inf", total]
+
+#: The 2.x per-metric renderer's exact output for :func:`golden_registry`
+#: (label and help escapes, an empty family, ``inf``/``nan`` gauges and
+#: exemplars); the snapshot renderer must keep it byte for byte.
+GOLDEN_EXPOSITION = (
+    '# HELP repro_depth Depth "quoted"\\nnewline \\\\ slash.\n'
+    '# TYPE repro_depth gauge\n'
+    'repro_depth 7\n'
+    '# HELP repro_empty_total Never incremented.\n'
+    '# TYPE repro_empty_total counter\n'
+    '# HELP repro_jobs_total Jobs.\n'
+    '# TYPE repro_jobs_total counter\n'
+    'repro_jobs_total{status="a \\"b\\"\\\\c\\nd"} 1\n'
+    'repro_jobs_total{status="done"} 2\n'
+    '# TYPE repro_ratio gauge\n'
+    'repro_ratio{kind="down"} -inf\n'
+    'repro_ratio{kind="float"} 0.30000000000000004\n'
+    'repro_ratio{kind="odd"} nan\n'
+    'repro_ratio{kind="up"} inf\n'
+    '# HELP repro_wait_seconds Wait.\n'
+    '# TYPE repro_wait_seconds histogram\n'
+    'repro_wait_seconds_bucket{stage="claim",le="0.1"} 2 # {trace_id="abc124"} 0.07\n'
+    'repro_wait_seconds_bucket{stage="claim",le="1"} 2\n'
+    'repro_wait_seconds_bucket{stage="claim",le="2.5"} 2\n'
+    'repro_wait_seconds_bucket{stage="claim",le="+Inf"} 3\n'
+    'repro_wait_seconds_sum{stage="claim"} 3.12\n'
+    'repro_wait_seconds_count{stage="claim"} 3\n'
+    'repro_wait_seconds_bucket{stage="run",le="0.1"} 0\n'
+    'repro_wait_seconds_bucket{stage="run",le="1"} 0\n'
+    'repro_wait_seconds_bucket{stage="run",le="2.5"} 1 # {trace_id="t\\"r\\\\x"} 1.5\n'
+    'repro_wait_seconds_bucket{stage="run",le="+Inf"} 1\n'
+    'repro_wait_seconds_sum{stage="run"} 1.5\n'
+    'repro_wait_seconds_count{stage="run"} 1\n'
+)
+
+
+def golden_registry() -> MetricsRegistry:
+    registry = MetricsRegistry()
+    jobs = registry.counter("repro_jobs_total", "Jobs.", labelnames=("status",))
+    jobs.inc(2, status="done")
+    jobs.inc(1, status='a "b"\\c\nd')
+    registry.counter("repro_empty_total", "Never incremented.")
+    registry.gauge("repro_depth", 'Depth "quoted"\nnewline \\ slash.').set(7)
+    ratio = registry.gauge("repro_ratio", "", labelnames=("kind",))
+    ratio.set(float("inf"), kind="up")
+    ratio.set(float("-inf"), kind="down")
+    ratio.set(float("nan"), kind="odd")
+    ratio.set(0.1 + 0.2, kind="float")
+    histogram = registry.histogram(
+        "repro_wait_seconds", "Wait.", buckets=(0.1, 1.0, 2.5), labelnames=("stage",)
+    )
+    histogram.observe(0.05, exemplar="abc123", stage="claim")
+    histogram.observe(0.07, exemplar="abc124", stage="claim")
+    histogram.observe(3.0, stage="claim")
+    histogram.observe(1.5, exemplar='t"r\\x', stage="run")
+    return registry
+
+
+def small_snapshot(counter=0.0, gauge=None, observations=(), exemplar=None):
+    """A real registry snapshot with one family of each type."""
+
+    registry = MetricsRegistry()
+    jobs = registry.counter("repro_jobs_total", "Jobs.", labelnames=("status",))
+    if counter:
+        jobs.inc(counter, status="done")
+    depth = registry.gauge("repro_depth", "Depth.")
+    if gauge is not None:
+        depth.set(gauge)
+    wait = registry.histogram("repro_wait_seconds", "Wait.", buckets=(0.1, 1.0))
+    for value in observations:
+        wait.observe(value, exemplar=exemplar)
+    return registry.snapshot()
+
+
+class TestSnapshotRendering:
+    def test_snapshot_render_matches_live_registry_render(self):
+        registry = golden_registry()
+        assert render_snapshot_prometheus(registry.snapshot()) == GOLDEN_EXPOSITION
+        assert registry.render_prometheus() == GOLDEN_EXPOSITION
+
+    def test_exemplar_suffix_in_rendered_buckets(self):
+        text = render_snapshot_prometheus(
+            small_snapshot(observations=(0.05,), exemplar="tr1")
+        )
+        assert '# {trace_id="tr1"} 0.05' in text
+
+
+class TestFilterSnapshot:
+    def test_filters_by_family_name(self):
+        filtered = filter_snapshot(small_snapshot(counter=1, gauge=1), "jobs_total")
+        assert set(filtered) == {"repro_jobs_total"}
+
+    def test_filters_by_rendered_labels(self):
+        snapshot = small_snapshot(counter=1)
+        assert filter_snapshot(snapshot, 'status="done"')
+        assert not filter_snapshot(snapshot, 'status="failed"')
+
+    def test_drops_empty_families(self):
+        filtered = filter_snapshot(small_snapshot(counter=1), "no-such-metric")
+        assert filtered == {}

@@ -451,32 +451,8 @@ class TestRemoteExecution:
 
 
 # ----------------------------------------------------------------------
-# Satellite regressions: per-job pool reuse and event keepalives
+# Satellite regression: event keepalives
 # ----------------------------------------------------------------------
-class TestProcessPoolReuse:
-    def test_one_pool_per_multi_step_process_job(self, tmp_path, monkeypatch):
-        from concurrent.futures import ProcessPoolExecutor
-
-        import repro.service.queue as queue_module
-
-        constructed = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                constructed.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(queue_module, "ProcessPoolExecutor", CountingPool)
-        with ReproServer(
-            profile_store=tmp_path / "p.jsonl", job_store=tmp_path / "j.jsonl"
-        ) as running:
-            local = ServiceClient(running.url, timeout=30.0)
-            job = local.submit(diamond_plan(), executor="process", jobs=2)
-            final = local.wait(job["id"], timeout=180.0)
-        assert final["status"] == "succeeded", final.get("error")
-        assert len(constructed) == 1  # one pool for all four steps
-
-
 class TestEventKeepalive:
     def test_idle_stream_emits_keepalives(self, tmp_path):
         with ReproServer(

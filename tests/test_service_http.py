@@ -74,7 +74,8 @@ class TestEndpoints:
     def test_version_reports_the_package_version(self, client):
         version = client.version()
         assert version["version"] == repro.__version__
-        assert {"serial", "process"}.issubset(set(version["executors"]))
+        builtin = {name for name in version["executors"] if not name.startswith("test-")}
+        assert builtin == {"remote", "serial"}
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError, match="404"):
@@ -108,6 +109,27 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("executor", [5, ["serial"], {"name": "serial"}])
+    def test_non_string_executor_is_400_and_the_client_stays_usable(
+        self, client, executor
+    ):
+        # Regression: the registry lower-cased the value, the handler
+        # thread died and the client saw the connection drop.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(two_step_plan(), executor=executor)
+        assert excinfo.value.status == 400
+        assert "executor must be a string" in str(excinfo.value)
+        assert client.health()["status"] == "ok"
+
+    def test_removed_submission_fields_and_executors_are_400(self, client):
+        body = {"plan": two_step_plan().to_dict(), "jobs": 4}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/plans", body)
+        assert excinfo.value.status == 400
+        assert "unknown submission fields: ['jobs']" in str(excinfo.value)
+        with pytest.raises(ServiceError, match="unknown executor 'process'"):
+            client.submit(two_step_plan(), executor="process")
 
 
 class TestSubmitStreamResult:
@@ -195,59 +217,11 @@ class TestResumeAfterRestart:
             ]
 
 
-class TestFleetMetricsRollup:
-    def make_snapshot(self, completed: float):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter(
-            "repro_fleet_worker_completed_total", "Completed."
-        ).inc(completed)
-        return registry.snapshot()
-
-    def test_push_then_fleet_scrape_merges_under_worker_labels(self, client):
-        client.push_worker_metrics("w1", self.make_snapshot(2), label="one")
-        client.push_worker_metrics("w2", self.make_snapshot(3), label="two")
-        fleet = client.fleet_metrics()
-        series = fleet["repro_fleet_worker_completed_total"]["series"]
-        by_worker = {
-            entry["labels"]["worker"]: entry["value"] for entry in series
-        }
-        # Earlier in-process fleet tests may have moved the same counter
-        # in the process-global default registry (shown as _server), so
-        # only pin down the two pushed workers.
-        assert by_worker["one"] == 2.0
-        assert by_worker["two"] == 3.0
-        # The text exposition serves the same merged counters.
-        text = client.fleet_metrics_text()
-        assert 'repro_fleet_worker_completed_total{worker="one"} 2\n' in text
-        assert 'repro_fleet_worker_completed_total{worker="two"} 3\n' in text
-
-    def test_fleet_scrape_includes_the_server_under_its_own_label(self, client):
-        client.health()  # move at least one server-side counter
-        fleet = client.fleet_metrics()
-        workers = {
-            entry["labels"].get("worker")
-            for family in fleet.values()
-            for entry in family["series"]
-        }
-        assert "_server" in workers
-
-    def test_garbage_snapshot_is_400_not_500(self, client, server):
-        for bad in (b'"not a dict"', b'{"snapshot": "garbage"}',
-                    b'{"snapshot": {"m": {"series": "x"}}}'):
-            request = urllib.request.Request(
-                f"{server.url}/v1/workers/w1/metrics", data=bad,
-                headers={"Content-Type": "application/json"}, method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=10)
-            assert excinfo.value.code == 400
-
+class TestFleetWorkerCounts:
     def test_real_worker_counters_survive_worker_exit(self, tmp_path):
-        """Acceptance: the rollup remembers counters of exited workers."""
+        """The server's fleet status keeps an exited worker's lease
+        counts, and the per-worker counts add up to the lifetime total."""
 
-        from repro.obs.metrics import MetricsRegistry
         from repro.service.fleet.worker import run_worker
 
         plan = Plan()
@@ -257,21 +231,24 @@ class TestFleetMetricsRollup:
         ) as running:
             client = ServiceClient(running.url)
             job = client.submit(plan)
-            # A private registry keeps the pushed snapshot hermetic — the
-            # process-global default registry accumulates across tests.
             completed = run_worker(
-                running.url, name="push-worker", poll=0.2, max_leases=1,
-                registry=MetricsRegistry(),
+                running.url, name="counted-worker", poll=0.2, max_leases=1,
             )
             assert completed == 1
             assert client.wait(job["id"], timeout=60.0)["status"] == "succeeded"
-            fleet = client.fleet_metrics()
-            series = fleet["repro_fleet_worker_completed_total"]["series"]
-            by_worker = {
-                entry["labels"]["worker"]: entry["value"] for entry in series
-            }
-            assert by_worker["push-worker"] == 1.0
-            assert client.fleet()["lifetime"]["completed"] == 1
+            fleet = client.fleet()
+            (worker,) = fleet["workers"]
+            assert worker["name"] == "counted-worker"
+            assert worker["completed"] == 1 and worker["errors"] == 0
+            assert fleet["lifetime"]["completed"] == 1
+            assert sum(w["completed"] for w in fleet["workers"]) == (
+                fleet["lifetime"]["completed"]
+            )
+
+    def test_the_worker_metrics_push_route_is_gone(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client._send("POST", "/v1/workers/w1/metrics", {"snapshot": {}})
+        assert excinfo.value.status == 404
 
 
 class TestTraceHeaderHardening:
@@ -447,6 +424,15 @@ class TestKeepAlive:
             client._send("POST", "/v1/nope", {"padding": "x" * 64})
         assert excinfo.value.status == 404
         assert client.version()["version"] == repro.__version__
+
+    def test_close_of_an_idle_server_is_prompt(self, tmp_path):
+        # Regression: shutdown() waited for serve_forever's 0.5 s poll.
+        running = ReproServer(job_store=tmp_path / "jobs.jsonl").start()
+        assert ServiceClient(running.url, timeout=10.0).health()["status"] == "ok"
+        time.sleep(0.1)  # let serve_forever settle into its poll
+        started = time.monotonic()
+        running.close()
+        assert time.monotonic() - started < 0.2
 
     def test_close_ends_kept_alive_connections(self, tmp_path):
         running = ReproServer(job_store=tmp_path / "jobs.jsonl").start()

@@ -19,7 +19,7 @@ STEPS = [("sweep-1", "sweep")]
 
 
 def make_job(store: JobStore) -> Job:
-    return store.create(PLAN, executor="serial", jobs=None, seed=0, steps=STEPS)
+    return store.create(PLAN, executor="serial", seed=0, steps=STEPS)
 
 
 class TestJobRecord:
@@ -27,6 +27,11 @@ class TestJobRecord:
         job = make_job(JobStore())
         clone = Job.from_dict(json.loads(json.dumps(job.to_dict())))
         assert clone.to_dict() == job.to_dict()
+
+    def test_a_2x_record_carrying_jobs_loads_without_it(self):
+        payload = make_job(JobStore()).to_dict()
+        assert "jobs" not in payload
+        assert Job.from_dict({**payload, "jobs": 4}).to_dict() == payload
 
     def test_rejects_unknown_version(self):
         payload = make_job(JobStore()).to_dict()

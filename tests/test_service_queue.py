@@ -125,8 +125,9 @@ class TestExecution:
         with JobQueue() as queue:
             with pytest.raises(ValueError, match="seed"):
                 queue.submit(sweep_plan(), seed=-1)
-            with pytest.raises(ValueError, match="jobs"):
-                queue.submit(sweep_plan(), jobs=0)
+            for executor in (5, ["serial"]):
+                with pytest.raises(ValueError, match="executor must be a string"):
+                    queue.submit(sweep_plan(), executor=executor)
             with pytest.raises(UnknownExecutorError):
                 queue.submit(sweep_plan(), executor="quantum")
             with pytest.raises(Exception, match="steps"):
@@ -340,7 +341,8 @@ class TestShutdown:
 
         with pytest.raises(UnknownExecutorError):
             JobQueue(executor="bogus-executor")
-        with pytest.raises(ValueError, match="jobs"):
+        # The ``jobs`` knob is gone: passing it fails at construction.
+        with pytest.raises(TypeError, match="jobs"):
             JobQueue(jobs=0)
 
 
@@ -353,7 +355,7 @@ class TestResume:
         store = JobStore(jobs_path)
         plan = sweep_plan()
         job = store.create(
-            plan.to_dict(), executor="serial", jobs=None, seed=0,
+            plan.to_dict(), executor="serial", seed=0,
             steps=[(step.id, step.kind) for step in plan],
         )
         store.mark_running(job.id)
@@ -382,7 +384,7 @@ class TestResume:
         )
         store = JobStore(jobs_path)
         job = store.create(
-            plan.to_dict(), executor="serial", jobs=None, seed=0,
+            plan.to_dict(), executor="serial", seed=0,
             steps=[(step.id, step.kind)],
         )
         store.mark_running(job.id)
@@ -405,7 +407,7 @@ class TestResume:
         plan = sweep_plan()
         store = JobStore(jobs_path)
         job = store.create(
-            plan.to_dict(), executor="serial", jobs=None, seed=0,
+            plan.to_dict(), executor="serial", seed=0,
             steps=[(step.id, step.kind) for step in plan],
         )
         store.mark_running(job.id)
@@ -416,3 +418,36 @@ class TestResume:
             final = wait_done(queue, job.id)
         assert final.status == "cancelled"
         assert [record.status for record in final.steps] == ["skipped"]
+
+    def test_a_2x_record_naming_the_process_executor_fails_and_the_queue_serves_on(
+        self, tmp_path
+    ):
+        """A queued job written by a 2.x server (``process`` executor, a
+        ``jobs`` bound) reloads, fails with the unknown-executor message,
+        and the queue then runs a new job."""
+
+        import json
+
+        from repro.service.jobs import JOB_VERSION
+
+        plan = sweep_plan()
+        jobs_path = tmp_path / "jobs.jsonl"
+        record = {
+            "v": JOB_VERSION, "id": "job-2x0000000001", "plan": plan.to_dict(),
+            "executor": "process", "jobs": 4, "seed": 0, "status": "queued",
+            "submitted_at": 1.0, "started_at": None, "finished_at": None,
+            "error": None, "simulations": None, "cancel_requested": False,
+            "trace": None,
+            "steps": [{"id": step.id, "kind": step.kind, "status": "pending"}
+                      for step in plan],
+            "events": [],
+        }
+        jobs_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+
+        with JobQueue(store=JobStore(jobs_path)) as queue:
+            old = wait_done(queue, record["id"])
+            assert old.status == "failed"
+            assert "unknown executor 'process'" in old.error
+            assert "jobs" not in old.to_dict()
+            new = wait_done(queue, queue.submit(plan).id)
+            assert new.status == "succeeded"
