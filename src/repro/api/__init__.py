@@ -44,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         RequestError,
     )
     from .plan import PLAN_VERSION, STEP_KINDS, Plan, PlanError, Step
-    from .scheduler import ReadyScheduler, SchedulerError, scheduled_order, wavefronts
+    from .scheduler import scheduled_order, wavefronts
     from .session import DEFAULT_MAX_CACHE_ENTRIES, CacheStats, Session, SweepTable
     from .target import (
         DEFAULT_TARGET_RUNS,
@@ -82,8 +82,6 @@ _LAZY_ATTRS = {
     "SerialExecutor": "executor",
     "ExecutionError": "executor",
     "UnknownExecutorError": "executor",
-    "ReadyScheduler": "scheduler",
-    "SchedulerError": "scheduler",
     "scheduled_order": "scheduler",
     "wavefronts": "scheduler",
 }
@@ -100,13 +98,11 @@ __all__ = [
     "PlanError",
     "PruningReport",
     "PruningRequest",
-    "ReadyScheduler",
     "Registry",
     "RegistryError",
     "RequestError",
     "STEP_KINDS",
     "STRATEGIES",
-    "SchedulerError",
     "SerialExecutor",
     "Session",
     "Step",

@@ -1,36 +1,31 @@
-"""Dependency-aware ready-set scheduling over :class:`~repro.api.plan.Plan` graphs.
+"""Dependency-aware scheduling over :class:`~repro.api.plan.Plan` graphs.
 
 A plan carries an explicit dependency graph, but execution used to be
 flat insertion order: every step waited for *all* earlier steps, even
-ones it did not depend on.  This module turns the graph into schedules
-that every executor backend shares:
+ones it did not depend on.  This module turns the graph into the
+schedule every executor backend shares:
 
-* :class:`ReadyScheduler` — the incremental ready set.  Steps whose
-  dependencies have all completed are *ready*; completing a step may
-  release its dependents.  Parallel backends drive this directly so a
-  step starts as soon as its inputs (not the whole pool) are ready.
 * :func:`wavefronts` — the topological wavefront view: wave 0 holds the
-  steps with no dependencies, wave *N* the steps whose dependencies all
-  live in earlier waves.  Steps within a wavefront are mutually
-  independent, so a backend may prefetch or dispatch them together.
+  steps with no dependencies, wave *N* the steps whose latest
+  dependency lives in wave *N - 1*.  Steps within a wavefront are
+  mutually independent, so a backend may prefetch or dispatch them
+  together.
 * :func:`scheduled_order` — the flattened wavefront order, a
   deterministic topological order used by the serial paths (and the
   service queue's per-step execution).
 
 Scheduling never changes results: measurement noise is counter-based on
 the configuration itself (see :mod:`repro.profiling.profilers`), so any
-dependency-respecting order — serial, wavefront-parallel, interleaved —
-produces bitwise-identical measurements.
+dependency-respecting order produces bitwise-identical measurements.
 
 Plans are acyclic by construction (:meth:`Plan.add` only accepts
-dependencies on steps already present), so scheduling cannot deadlock;
-:class:`SchedulerError` guards the invariants anyway to fail loudly on
-misuse (completing an undispatched step, draining a stalled scheduler).
+dependencies on steps already present), so one pass in plan order
+assigns every step its wave.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs.metrics import COUNT_BUCKETS, default_registry
 from .plan import Plan, Step
@@ -42,111 +37,27 @@ _WAVE_WIDTH = default_registry().histogram(
 )
 
 
-class SchedulerError(RuntimeError):
-    """Raised when a scheduler invariant is violated (double completion,
-    completing a step that was never ready, draining a stalled graph)."""
-
-
-class ReadyScheduler:
-    """Incremental ready-set scheduler over one plan's dependency graph.
-
-    The protocol is pull-based:
-
-    1. :meth:`take_ready` hands out every step whose dependencies have
-       completed and that has not been handed out yet (insertion order).
-    2. The caller executes them — in any order, possibly concurrently.
-    3. :meth:`complete` records a finished step and releases any
-       dependents whose last dependency it was; the next
-       :meth:`take_ready` returns them.
-
-    ``complete`` returns the steps that became ready *because of* that
-    completion, so event-driven callers can dispatch immediately without
-    rescanning the graph.
-    """
-
-    def __init__(self, plan: Plan) -> None:
-        self._steps: Dict[str, Step] = {step.id: step for step in plan}
-        self._pending_deps: Dict[str, Set[str]] = {
-            step.id: set(step.depends_on) for step in plan
-        }
-        self._dependents: Dict[str, List[str]] = {step.id: [] for step in plan}
-        for step in plan:
-            for dependency in set(step.depends_on):
-                self._dependents[dependency].append(step.id)
-        self._ready: List[str] = [
-            step.id for step in plan if not self._pending_deps[step.id]
-        ]
-        self._dispatched: Set[str] = set()
-        self._completed: Set[str] = set()
-
-    # ------------------------------------------------------------------
-    @property
-    def done(self) -> bool:
-        """True once every step of the plan has completed."""
-
-        return len(self._completed) == len(self._steps)
-
-    def pending_count(self) -> int:
-        """Steps not yet completed (ready, dispatched or blocked)."""
-
-        return len(self._steps) - len(self._completed)
-
-    def take_ready(self) -> Tuple[Step, ...]:
-        """Every ready, not-yet-taken step, in plan insertion order.
-
-        Taking marks the steps as dispatched: each step is handed out
-        exactly once across the scheduler's lifetime.
-        """
-
-        taken = tuple(self._steps[step_id] for step_id in self._ready)
-        self._dispatched.update(self._ready)
-        self._ready = []
-        return taken
-
-    def complete(self, step_id: str) -> Tuple[Step, ...]:
-        """Record a finished step; return the steps it released."""
-
-        if step_id not in self._steps:
-            raise SchedulerError(f"unknown step id {step_id!r}")
-        if step_id not in self._dispatched:
-            raise SchedulerError(f"step {step_id!r} completed without being taken")
-        if step_id in self._completed:
-            raise SchedulerError(f"step {step_id!r} completed twice")
-        self._completed.add(step_id)
-        released: List[str] = []
-        for dependent in self._dependents[step_id]:
-            pending = self._pending_deps[dependent]
-            pending.discard(step_id)
-            if not pending and dependent not in self._dispatched:
-                released.append(dependent)
-        self._ready.extend(released)
-        return tuple(self._steps[step_id] for step_id in released)
-
-
 def wavefronts(plan: Plan) -> Tuple[Tuple[Step, ...], ...]:
     """The plan's topological wavefronts.
 
-    Wave 0 holds every step without dependencies; wave *N* every step
-    whose dependencies all completed in waves ``< N``.  Steps within one
-    wavefront are mutually independent and may run concurrently; waves
-    are ordered.  Within a wave, plan insertion order is preserved, so
-    the flattened result (:func:`scheduled_order`) is deterministic.
+    A step without dependencies sits in wave 0, any other step one wave
+    after its latest dependency.  Steps within one wavefront are
+    mutually independent and may run concurrently; waves are ordered.
+    Within a wave, plan insertion order is preserved, so the flattened
+    result (:func:`scheduled_order`) is deterministic.
     """
 
-    scheduler = ReadyScheduler(plan)
-    waves: List[Tuple[Step, ...]] = []
-    while not scheduler.done:
-        wave = scheduler.take_ready()
-        if not wave:  # pragma: no cover - plans are acyclic by construction
-            raise SchedulerError(
-                f"dependency graph stalled with {scheduler.pending_count()} "
-                "step(s) unreachable"
-            )
-        waves.append(wave)
+    wave_of: Dict[str, int] = {}
+    waves: List[List[Step]] = []
+    for step in plan:
+        wave = 1 + max((wave_of[dep] for dep in step.depends_on), default=-1)
+        wave_of[step.id] = wave
+        if wave == len(waves):
+            waves.append([])
+        waves[wave].append(step)
+    for wave in waves:
         _WAVE_WIDTH.observe(len(wave))
-        for step in wave:
-            scheduler.complete(step.id)
-    return tuple(waves)
+    return tuple(tuple(wave) for wave in waves)
 
 
 def scheduled_order(plan: Plan) -> Tuple[Step, ...]:
@@ -155,9 +66,4 @@ def scheduled_order(plan: Plan) -> Tuple[Step, ...]:
     return tuple(step for wave in wavefronts(plan) for step in wave)
 
 
-__all__ = [
-    "ReadyScheduler",
-    "SchedulerError",
-    "scheduled_order",
-    "wavefronts",
-]
+__all__ = ["scheduled_order", "wavefronts"]

@@ -213,11 +213,6 @@ class Session:
         seed is plumbed into every runner's splitmix64 noise stream and
         keys store records, so differently-seeded sessions never serve
         each other's perturbations.
-    executor:
-        Default :data:`~repro.api.executor.EXECUTORS` backend name (or
-        instance) used by :meth:`execute` and by the plan-routed
-        ``sweep``/``prune``/``compare``/``profile_network`` methods.
-        ``"serial"`` runs steps in dependency order in this process.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` the executors open
         per-step/per-wave spans against.  Defaults to a writerless
@@ -230,7 +225,6 @@ class Session:
         max_cache_entries: Optional[int] = DEFAULT_MAX_CACHE_ENTRIES,
         store: StoreLike = None,
         seed: int = 0,
-        executor: Union[str, Any] = "serial",
         tracer: Optional[Tracer] = None,
     ) -> None:
         if max_cache_entries is not None and max_cache_entries < 1:
@@ -241,7 +235,6 @@ class Session:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.max_cache_entries = max_cache_entries
         self.seed = seed
-        self.default_executor = executor
         self.tracer = tracer if tracer is not None else Tracer()
         self._store = self._coerce_store(store)
         self._profiles: "OrderedDict[_ProfileKey, LayerProfile]" = OrderedDict()
@@ -471,7 +464,7 @@ class Session:
     ) -> Dict[int, LayerProfile]:
         """Profile every (selected) convolutional layer of a network.
 
-        Model names route through a one-step plan and the session's
+        Model names route through a one-step plan and the ``serial``
         executor; a pre-built :class:`Network` object (not expressible
         in a serializable plan) is profiled directly.
         """
@@ -520,7 +513,7 @@ class Session:
         one row per measured (target, layer, channel count) point, plus
         the full per-pair profiles for staircase analysis.  The sweep is
         expressed as a one-step :class:`Plan` and routed through the
-        session's executor backend.
+        ``serial`` executor.
         """
 
         plan = Plan()
@@ -573,8 +566,8 @@ class Session:
 
         Matches the legacy :class:`PerformanceAwarePruner` output for
         the same (model, device, library, strategy, parameters).  The
-        job travels as a one-step :class:`Plan` through the session's
-        executor backend.
+        job travels as a one-step :class:`Plan` through the ``serial``
+        executor.
         """
 
         plan = Plan()
@@ -628,16 +621,15 @@ class Session:
         """Execute a :class:`Plan` and return ``{step id: result}``.
 
         ``executor`` picks the :data:`~repro.api.executor.EXECUTORS`
-        backend (``"serial"`` or an instance); the session default
-        applies when omitted.  Results are bitwise identical across
-        backends for the same seed; with a profile store attached,
-        measurements are checkpointed so re-executing the same plan
-        simulates nothing.
+        backend (``"serial"``, the default, or an instance).  Results
+        are bitwise identical across backends for the same seed; with a
+        profile store attached, measurements are checkpointed so
+        re-executing the same plan simulates nothing.
         """
 
         from .executor import resolve_executor
 
-        backend = resolve_executor(executor if executor is not None else self.default_executor)
+        backend = resolve_executor("serial" if executor is None else executor)
         return backend.execute(self, plan)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

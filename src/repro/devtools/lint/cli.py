@@ -2,7 +2,8 @@
 
 Exit status contract (mirroring the experiment verbs): ``0`` for a
 clean tree, ``1`` when findings are reported, ``2`` for unusable
-invocations (unknown checker codes, missing paths, bad formats).
+invocations (unknown checker codes, missing paths; the CLI parser
+refuses unknown formats).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .engine import CHECKERS, LintUsageError, UnknownCheckerError, run_lint
-
-_FORMATS = ("text", "json")
 
 
 def print_checks() -> None:
@@ -45,36 +44,27 @@ def _default_paths() -> List[str]:
     return [name for name in ("src", "tests") if Path(name).is_dir()]
 
 
-def lint_command(paths: List[str], args) -> int:
-    """Run the linter; ``args`` carries select/ignore/format/list_checks."""
+def lint_command(args) -> int:
+    """Run the linter with the parsed ``lint`` flags (see the CLI's parser)."""
 
-    if getattr(args, "list_checks", False):
+    if args.list_checks:
         print_checks()
         return 0
 
-    output_format = getattr(args, "format", None) or "text"
-    if output_format not in _FORMATS:
+    paths = args.paths or _default_paths()
+    if not paths:
         print(
-            f"unknown lint format: {output_format!r} (choose from {', '.join(_FORMATS)})",
+            "lint needs at least one file or directory "
+            "(no src/ or tests/ in the working directory)",
             file=sys.stderr,
         )
         return 2
 
-    if not paths:
-        paths = _default_paths()
-        if not paths:
-            print(
-                "lint needs at least one file or directory "
-                "(no src/ or tests/ in the working directory)",
-                file=sys.stderr,
-            )
-            return 2
-
     try:
         findings = run_lint(
             paths,
-            select=_split_codes(getattr(args, "select", None)),
-            ignore=_split_codes(getattr(args, "ignore", None)),
+            select=_split_codes(args.select),
+            ignore=_split_codes(args.ignore),
         )
     except UnknownCheckerError as error:
         print(str(error.args[0] if error.args else error), file=sys.stderr)
@@ -83,7 +73,7 @@ def lint_command(paths: List[str], args) -> int:
         print(str(error), file=sys.stderr)
         return 2
 
-    if output_format == "json":
+    if args.format == "json":
         print(json.dumps(
             {
                 "paths": [str(path) for path in paths],

@@ -69,17 +69,7 @@ def resolve_session(session: Optional[Session]) -> Session:
     return session if session is not None else _SESSION
 
 
-def set_default_profile_store(store) -> None:
-    """Attach (or with ``None`` detach) the shared session's profile store.
-
-    ``store`` is a :class:`~repro.profiling.store.ProfileStore` or a
-    path to its store directory.
-    """
-
-    default_session().set_store(store)
-
-
-def execute_plan(plan, executor=None, session: Optional[Session] = None):
+def execute_plan(plan, session: Optional[Session] = None):
     """Execute a :class:`repro.api.Plan` against a session.
 
     Experiment generators build declarative plans and hand them here.
@@ -87,7 +77,7 @@ def execute_plan(plan, executor=None, session: Optional[Session] = None):
     used.
     """
 
-    return resolve_session(session).execute(plan, executor=executor)
+    return resolve_session(session).execute(plan)
 
 
 def make_runner(
@@ -207,6 +197,5 @@ __all__ = [
     "make_runner",
     "resnet_layer",
     "resolve_session",
-    "set_default_profile_store",
     "sweep_experiment",
 ]

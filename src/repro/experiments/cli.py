@@ -22,13 +22,17 @@ Usage::
     python -m repro.experiments lint src tests --format json
     python -m repro.experiments lint --list-checks
 
+Every verb has its own parser and accepts exactly the flags its handler
+reads (``VERB --help`` lists them); any other flag exits with status 2.
+A first argument that is not a verb starts a list of experiment ids.
+
 Each invocation builds its own :class:`repro.api.Session` and passes it
 to every experiment generator (``session=``), so a multi-experiment
 invocation profiles each layer configuration once and nothing leaks
 between runs through process-global state.  ``run-plan`` executes a
-serialized :class:`repro.api.Plan` in this process (``serial``, steps
-scheduled over the plan's dependency graph); unknown experiment ids
-and executors exit with status 2 and list the valid identifiers
+serialized :class:`repro.api.Plan` in this process under the ``serial``
+executor (steps scheduled over the plan's dependency graph); unknown
+experiment ids exit with status 2 and list the valid identifiers
 instead of dumping a traceback.  ``serve`` boots the
 long-lived :mod:`repro.service` HTTP front end, ``submit`` ships a
 plan file to it and ``worker`` joins its measurement fleet — a
@@ -44,7 +48,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterable, List
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..api.target import TargetError, Target
 from ..gpusim.device import DEVICES
@@ -52,206 +56,181 @@ from ..libraries.base import LIBRARIES
 from .base import ExperimentResult
 from .registry import UnknownExperimentError, available_experiments, run_experiment
 
+_PROG = "repro-experiments"
 
-def _build_parser() -> argparse.ArgumentParser:
+#: Flags read by more than one verb, defined once.
+_SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--json": dict(
+        nargs="?", const="-", metavar="PATH",
+        help="emit JSON, to PATH or ('-' or no value) to stdout",
+    ),
+    "--profile-store": dict(
+        metavar="PATH",
+        help=(
+            "profile store directory (created if missing): measurements are "
+            "read from it before simulating and recorded to it after; a "
+            "single-file store is imported once with 'store compact PATH'"
+        ),
+    ),
+    "--seed": dict(
+        type=int, default=0,
+        help="measurement-noise stream seed (default: 0, the shared stream)",
+    ),
+    "--trace": dict(
+        metavar="PATH",
+        help=(
+            "append span records (one JSON object per line) to this "
+            "flock-safe file; traced runs are bitwise identical to untraced ones"
+        ),
+    ),
+    "--url": dict(
+        default="http://127.0.0.1:8765",
+        help="service base URL (default: %(default)s)",
+    ),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> argparse.ArgumentParser:
+    for name in names:
+        parser.add_argument(name, **_SHARED_FLAGS[name])
+    return parser
+
+
+def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The experiment-id parser and one parser per verb."""
+
     from .. import __version__
 
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
+    verbs: Dict[str, argparse.ArgumentParser] = {}
+
+    def verb(name: str, handler, description: str, *shared: str) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(prog=f"{_PROG} {name}", description=description)
+        parser.set_defaults(handler=handler)
+        verbs[name] = _flags(parser, *shared)
+        return parser
+
+    experiments = _flags(argparse.ArgumentParser(
+        prog=_PROG,
         description="Regenerate the paper's figures and tables on the simulated targets.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"repro-experiments {__version__}"
-    )
-    parser.add_argument(
-        "experiments",
-        nargs="+",
-        help=(
-            "experiment identifiers (e.g. fig14 table1), 'all', 'list', "
-            "'targets', 'run-plan PLAN.json [...]', 'serve', "
-            "'submit PLAN.json', 'worker', 'metrics', "
-            "'trace {ls|show TRACE_ID}', "
-            "'store {compact|stats|init} PATH', or 'lint [PATHS]'"
+        epilog=(
+            "verbs: list, targets, run-plan, serve, submit, worker, metrics, "
+            "trace, store, lint ('VERB --help' lists each verb's flags)"
         ),
+    ), "--json", "--profile-store")
+    experiments.set_defaults(handler=experiments_command)
+    experiments.add_argument(
+        "experiments", nargs="+", metavar="EXPERIMENT",
+        help="experiment identifiers (e.g. fig14 table1) or 'all'",
     )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write results as JSON to PATH ('-' or no value: stdout; "
-            "metrics/trace: emit the JSON form instead of text)"
-        ),
+    experiments.add_argument(
+        "--markdown", metavar="PATH", help="also write a paper-vs-measured markdown report"
     )
-    parser.add_argument(
-        "--profile-store",
-        metavar="PATH",
-        help=(
-            "persist layer measurements to a profile store directory "
-            "(created if missing) and reuse them across invocations (a "
-            "repeated experiment re-simulates nothing); a single-file "
-            "store is imported once with 'store compact PATH'"
-        ),
+    experiments.add_argument("--version", action="version", version=f"{_PROG} {__version__}")
+
+    verb("list", list_command, "Print every experiment identifier.")
+    verb("targets", targets_command, "List every device x library pair and its compatibility.")
+
+    run_plan = verb(
+        "run-plan", run_plan_command,
+        "Execute serialized plans in this process under the serial executor.",
+        "--profile-store", "--seed", "--trace", "--json",
     )
-    parser.add_argument(
-        "--markdown",
-        metavar="PATH",
-        help="also write a paper-vs-measured markdown report",
+    run_plan.add_argument("plans", nargs="+", metavar="PLAN")
+
+    serve = verb(
+        "serve", serve_command, "Boot the plan execution service and block until Ctrl-C.",
+        "--profile-store", "--trace",
     )
-    parser.add_argument(
-        "--executor",
-        default=None,
-        metavar="NAME",
-        help=(
-            "executor backend: serial or remote "
-            "(run-plan/serve default: serial; submit defaults to the "
-            "server's configured executor; remote needs a serving "
-            "service with workers attached)"
-        ),
+    serve.add_argument(
+        "--host", default="127.0.0.1", help="interface to bind (default: %(default)s)"
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="SEED",
-        help=(
-            "run-plan/submit measurement-noise stream seed "
-            "(default: 0, the shared stream)"
-        ),
+    serve.add_argument(
+        "--port", type=int, default=8765,
+        help="TCP port to bind, 0 for an ephemeral port (default: %(default)s)",
     )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        metavar="HOST",
-        help="serve: interface to bind (default: 127.0.0.1)",
+    serve.add_argument(
+        "--workers", type=int, default=1, help="job worker threads (default: %(default)s)"
     )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        metavar="PORT",
-        help="serve: TCP port to bind, 0 for an ephemeral port (default: 8765)",
+    serve.add_argument(
+        "--executor", default="serial", metavar="NAME",
+        help="default executor for submitted jobs: serial or remote (default: %(default)s)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="serve: job worker threads (default: 1)",
+    serve.add_argument(
+        "--lease-ttl", type=float, metavar="SECONDS",
+        help="heartbeat deadline for fleet work leases (default: 30)",
     )
-    parser.add_argument(
-        "--url",
-        default="http://127.0.0.1:8765",
-        metavar="URL",
-        help="submit/worker: service base URL (default: http://127.0.0.1:8765)",
+
+    submit = verb(
+        "submit", submit_command, "Ship a plan file to a running service.", "--url", "--seed"
     )
-    parser.add_argument(
-        "--watch",
-        action="store_true",
-        help="submit: stream the job's events and wait for its result",
+    submit.add_argument("plan", metavar="PLAN")
+    submit.add_argument(
+        "--executor", metavar="NAME", help="executor for this job (default: the server's)"
     )
-    parser.add_argument(
-        "--grep",
-        default=None,
-        metavar="PATTERN",
-        help=(
-            "metrics: keep only metric families/series whose name or "
-            "labels match this regular expression"
-        ),
+    submit.add_argument(
+        "--watch", action="store_true", help="stream the job's events and wait for its result"
     )
-    parser.add_argument(
-        "--file",
-        default=None,
-        metavar="PATH",
-        help="trace: the span JSONL file written via --trace",
+
+    worker = verb(
+        "worker", worker_command, "Join a running service's fleet and pull work leases.",
+        "--url", "--trace",
     )
-    parser.add_argument(
-        "--metrics-json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "trace show: a saved metrics snapshot (from 'metrics --json') "
-            "to cross-reference histogram exemplars pointing at the trace"
-        ),
+    worker.add_argument("--name", help="worker name shown in GET /v1/fleet")
+    worker.add_argument(
+        "--poll", type=float, default=5.0, metavar="SECONDS",
+        help="seconds each claim request long-polls (default: %(default)s)",
     )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "serve: heartbeat deadline for fleet work leases; a worker "
-            "silent this long loses its lease (default: 30)"
-        ),
+    worker.add_argument(
+        "--max-idle", type=float, metavar="SECONDS", help="exit after this many idle seconds"
     )
-    parser.add_argument(
-        "--name",
-        default=None,
-        metavar="NAME",
-        help="worker: human-readable worker name shown in GET /v1/fleet",
+    worker.add_argument(
+        "--max-leases", type=int, metavar="N", help="exit after completing this many leases"
     )
-    parser.add_argument(
-        "--poll",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="worker: seconds each claim request long-polls (default: 5)",
+
+    metrics = verb(
+        "metrics", metrics_command, "Scrape a running service's metrics.", "--url", "--json"
     )
-    parser.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="worker: exit after this many consecutive idle seconds",
+    metrics.add_argument(
+        "--grep", metavar="PATTERN",
+        help="keep only families/series whose name or labels match this regular expression",
     )
-    parser.add_argument(
-        "--max-leases",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker: exit after completing this many leases",
+
+    trace = verb("trace", trace_command, "Inspect a span trace file written via --trace.")
+    actions = trace.add_subparsers(dest="action", required=True)
+    file_flag = dict(required=True, metavar="PATH", help="the span JSONL file")
+    trace_ls = _flags(
+        actions.add_parser("ls", help="summarize every trace, newest first"), "--json"
     )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help=(
-            "run-plan/serve/worker: append span records (one JSON object "
-            "per line) to this flock-safe trace file; tracing is inert — "
-            "traced runs are bitwise identical to untraced ones"
-        ),
+    trace_ls.add_argument("--file", **file_flag)
+    trace_show = actions.add_parser("show", help="render one trace as a timing tree")
+    trace_show.add_argument("trace_id", metavar="TRACE_ID")
+    trace_show.add_argument("--file", **file_flag)
+    trace_show.add_argument(
+        "--metrics-json", metavar="PATH",
+        help="a saved 'metrics --json' snapshot, for exemplars pointing at the trace",
     )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="CODES",
-        help=(
-            "lint: run only these checker codes (comma-separated or "
-            "repeated, e.g. --select RL001,RL002)"
-        ),
+
+    store = verb("store", store_command, "Profile-store maintenance.")
+    store.add_argument("action", choices=("compact", "stats", "init"))
+    store.add_argument("path", metavar="PATH", type=Path)
+
+    lint = verb("lint", lint_command, "Run the AST invariant checkers.")
+    lint.add_argument(
+        "paths", nargs="*", metavar="PATH", help="files or directories (default: src tests)"
     )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=None,
-        metavar="CODES",
-        help="lint: skip these checker codes (comma-separated or repeated)",
+    lint.add_argument(
+        "--select", action="append", metavar="CODES",
+        help="run only these checker codes (comma-separated or repeated)",
     )
-    parser.add_argument(
-        "--format",
-        default=None,
-        choices=("text", "json"),
-        help="lint: report format (default: text)",
+    lint.add_argument(
+        "--ignore", action="append", metavar="CODES",
+        help="skip these checker codes (comma-separated or repeated)",
     )
-    parser.add_argument(
-        "--list-checks",
-        action="store_true",
-        help="lint: list the registered checkers and exit",
+    lint.add_argument("--format", default="text", choices=("text", "json"))
+    lint.add_argument(
+        "--list-checks", action="store_true", help="list the registered checkers and exit"
     )
-    return parser
+    return experiments, verbs
 
 
 def _expand(requested: Iterable[str]) -> List[str]:
@@ -264,19 +243,6 @@ def _expand(requested: Iterable[str]) -> List[str]:
     return expanded
 
 
-def print_targets() -> None:
-    """List every registered device x library pair and its compatibility."""
-
-    for device in DEVICES.available():
-        for library in LIBRARIES.available():
-            try:
-                target = Target(device, library)
-            except TargetError:
-                print(f"{device:<12} {library:<12} incompatible (api mismatch)")
-            else:
-                print(f"{device:<12} {library:<12} ok ({target.device_spec.api})")
-
-
 def run_many(experiment_ids: Iterable[str], session=None) -> List[ExperimentResult]:
     """Run several experiments (against one shared session) and return results."""
 
@@ -284,25 +250,6 @@ def run_many(experiment_ids: Iterable[str], session=None) -> List[ExperimentResu
         run_experiment(experiment_id, session=session)
         for experiment_id in experiment_ids
     ]
-
-
-# ----------------------------------------------------------------------
-# run-plan subcommand
-# ----------------------------------------------------------------------
-def _describe_step_result(result: Any) -> str:
-    """A terse, human-readable digest of one step's result."""
-
-    from ..service.results import describe_step_result
-
-    return describe_step_result(result)
-
-
-def _step_result_payload(result: Any) -> Any:
-    """A JSON-serializable projection of one step's result."""
-
-    from ..service.results import step_result_payload
-
-    return step_result_payload(result)
 
 
 def _print_simulation_summary(session) -> None:
@@ -314,33 +261,117 @@ def _print_simulation_summary(session) -> None:
     )
 
 
-def run_plan_command(plan_paths: List[str], args: argparse.Namespace) -> int:
-    """Execute serialized plans under the requested executor backend."""
+def _emit_json(payload: Any, target: str) -> int:
+    """Write ``payload`` as JSON to a path, or stdout for ``-``."""
 
-    from ..api.executor import ExecutionError
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if target == "-":
+        print(text)
+    else:
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        print(f"wrote {target}")
+    return 0
+
+
+def _load_plan(path: Path):
+    """The plan at ``path``, or ``None`` after printing why it is unusable."""
+
     from ..api.plan import Plan, PlanError
-    from ..api.registry import UnknownPluginError
+
+    if not path.exists():
+        print(f"plan file not found: {path}", file=sys.stderr)
+        return None
+    try:
+        return Plan.from_json(path.read_text(encoding="utf-8"))
+    except (PlanError, ValueError) as error:
+        print(f"invalid plan {path}: {error}", file=sys.stderr)
+        return None
+
+
+# ----------------------------------------------------------------------
+# Verb handlers: each takes its parser's namespace, returns the exit code
+# ----------------------------------------------------------------------
+def experiments_command(args: argparse.Namespace) -> int:
+    """Run experiment generators against one session and print their reports."""
+
+    # One session per invocation: experiments share its caches (a layer
+    # configuration profiled by one figure is a cache hit for the next)
+    # and nothing leaks into later programmatic calls through the
+    # process-global convenience session.
+    from ..api.session import Session
+
+    try:
+        session = Session(max_cache_entries=None, store=args.profile_store or None)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    try:
+        results = run_many(_expand(args.experiments), session=session)
+    except UnknownExperimentError as error:
+        # The registry error already lists every valid identifier.
+        print(str(error.args[0] if error.args else error), file=sys.stderr)
+        return 2
+    for result in results:
+        print("=" * 72)
+        print(result.text)
+        print("-" * 72)
+        print(result.summary())
+        print()
+    _print_simulation_summary(session)
+
+    if args.markdown:
+        from .report import write_markdown_report
+
+        write_markdown_report(results, args.markdown)
+        print(f"wrote {args.markdown}")
+    if args.json:
+        _emit_json([
+            {
+                "experiment_id": result.experiment_id,
+                "title": result.title,
+                "description": result.description,
+                "measured": result.measured,
+                "paper": result.paper,
+                "data": result.data,
+            }
+            for result in results
+        ], args.json)
+    return 0
+
+
+def list_command(args: argparse.Namespace) -> int:
+    for experiment_id in available_experiments():
+        print(experiment_id)
+    return 0
+
+
+def targets_command(args: argparse.Namespace) -> int:
+    for device in DEVICES.available():
+        for library in LIBRARIES.available():
+            try:
+                target = Target(device, library)
+            except TargetError:
+                print(f"{device:<12} {library:<12} incompatible (api mismatch)")
+            else:
+                print(f"{device:<12} {library:<12} ok ({target.device_spec.api})")
+    return 0
+
+
+def run_plan_command(args: argparse.Namespace) -> int:
+    """Execute serialized plans in this process under the serial executor."""
+
     from ..api.session import Session
     from ..obs.trace import TraceWriter, Tracer
+    from ..service.results import describe_step_result, step_result_payload
 
-    if not plan_paths:
-        print("run-plan needs at least one plan file", file=sys.stderr)
-        return 2
-
-    executor = args.executor or "serial"
     # A writer-less tracer is a no-op: span bookkeeping runs either way
     # (it is inert by contract), records hit disk only with --trace.
     tracer = Tracer(writer=TraceWriter(args.trace) if args.trace else None)
     payloads = []
-    for plan_path in plan_paths:
-        path = Path(plan_path)
-        if not path.exists():
-            print(f"plan file not found: {path}", file=sys.stderr)
-            return 2
-        try:
-            plan = Plan.from_json(path.read_text(encoding="utf-8"))
-        except (PlanError, ValueError) as error:
-            print(f"invalid plan {path}: {error}", file=sys.stderr)
+    for path in map(Path, args.plans):
+        plan = _load_plan(path)
+        if plan is None:
             return 2
         try:
             session = Session(
@@ -349,31 +380,21 @@ def run_plan_command(plan_paths: List[str], args: argparse.Namespace) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        try:
-            with tracer.span("run-plan", plan=str(path), executor=executor):
-                results = session.execute(plan, executor=executor)
-        except UnknownPluginError as error:
-            print(str(error.args[0] if error.args else error), file=sys.stderr)
-            return 2
-        except ExecutionError as error:
-            # e.g. --executor remote outside a serving service: the
-            # executor explains how to wire up a fleet instead of
-            # dumping a traceback.
-            print(str(error), file=sys.stderr)
-            return 2
+        with tracer.span("run-plan", plan=str(path), executor="serial"):
+            results = session.execute(plan)
         print("=" * 72)
-        print(f"plan {path} ({len(plan)} step(s), executor={executor})")
+        print(f"plan {path} ({len(plan)} step(s), executor=serial)")
         for step in plan:
             print("-" * 72)
             print(f"[{step.id}] {step.kind}")
-            print(_describe_step_result(results[step.id]))
+            print(describe_step_result(results[step.id]))
         print("-" * 72)
         _print_simulation_summary(session)
         payloads.append({
             "plan": str(path),
-            "executor": executor,
+            "executor": "serial",
             "steps": {
-                step.id: {"kind": step.kind, "result": _step_result_payload(results[step.id])}
+                step.id: {"kind": step.kind, "result": step_result_payload(results[step.id])}
                 for step in plan
             },
         })
@@ -386,7 +407,7 @@ def run_plan_command(plan_paths: List[str], args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# serve / submit subcommands (the repro.service front end)
+# serve / submit / worker / metrics (the repro.service front end)
 # ----------------------------------------------------------------------
 def serve_command(args: argparse.Namespace) -> int:
     """Boot the long-lived plan execution service and block until Ctrl-C."""
@@ -401,7 +422,7 @@ def serve_command(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             profile_store=args.profile_store or None,
-            executor=args.executor or "serial",
+            executor=args.executor,
             workers=args.workers,
             verbose=True,
             lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
@@ -414,7 +435,7 @@ def serve_command(args: argparse.Namespace) -> int:
     print(f"repro-service {__version__} listening on {server.url}", flush=True)
     print(
         f"profile store: {server.queue.profile_store or '(none, in-memory only)'}; "
-        f"default executor: {args.executor or 'serial'}; workers: {args.workers}; "
+        f"default executor: {args.executor}; workers: {args.workers}; "
         f"lease ttl: {server.queue.lease_manager.lease_ttl:g}s",
         flush=True,
     )
@@ -452,23 +473,14 @@ def _install_interrupt_handlers() -> None:
         pass
 
 
-def submit_command(plan_paths: List[str], args: argparse.Namespace) -> int:
+def submit_command(args: argparse.Namespace) -> int:
     """Ship a plan file to a running service (optionally watching it run)."""
 
-    from ..api.plan import Plan, PlanError
     from ..service.client import ServiceClient, ServiceError
 
-    if len(plan_paths) != 1:
-        print("submit needs exactly one plan file", file=sys.stderr)
-        return 2
-    path = Path(plan_paths[0])
-    if not path.exists():
-        print(f"plan file not found: {path}", file=sys.stderr)
-        return 2
-    try:
-        plan = Plan.from_json(path.read_text(encoding="utf-8"))
-    except (PlanError, ValueError) as error:
-        print(f"invalid plan {path}: {error}", file=sys.stderr)
+    path = Path(args.plan)
+    plan = _load_plan(path)
+    if plan is None:
         return 2
 
     client = ServiceClient(args.url)
@@ -571,20 +583,10 @@ def metrics_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_json(payload: Any, target: str) -> int:
-    """Write ``payload`` as JSON to a path, or stdout for ``-``."""
-
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if target == "-":
-        print(text)
-    else:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {target}")
-    return 0
-
-
-def trace_command(rest: List[str], args: argparse.Namespace) -> int:
+# ----------------------------------------------------------------------
+# trace / store / lint
+# ----------------------------------------------------------------------
+def trace_command(args: argparse.Namespace) -> int:
     """Inspect a span trace file: ``trace ls`` / ``trace show TRACE_ID``.
 
     ``trace ls --file X`` summarizes every trace in the JSONL (newest
@@ -601,24 +603,13 @@ def trace_command(rest: List[str], args: argparse.Namespace) -> int:
         render_trace,
     )
 
-    if not rest or rest[0] not in ("ls", "show"):
-        print("usage: repro-experiments trace {ls|show TRACE_ID} --file PATH",
-              file=sys.stderr)
-        return 2
-    if args.file is None:
-        print("trace needs --file PATH (the JSONL written via --trace)",
-              file=sys.stderr)
-        return 2
     try:
         spans = load_spans(args.file)
     except TraceViewError as error:
         print(str(error), file=sys.stderr)
         return 2
 
-    if rest[0] == "ls":
-        if len(rest) != 1:
-            print("usage: repro-experiments trace ls --file PATH", file=sys.stderr)
-            return 2
+    if args.action == "ls":
         summaries = list_traces(spans)
         if args.json is not None:
             return _emit_json(summaries, args.json)
@@ -633,10 +624,6 @@ def trace_command(rest: List[str], args: argparse.Namespace) -> int:
             )
         return 0
 
-    if len(rest) != 2:
-        print("usage: repro-experiments trace show TRACE_ID --file PATH",
-              file=sys.stderr)
-        return 2
     snapshot = None
     if args.metrics_json is not None:
         path = Path(args.metrics_json)
@@ -649,7 +636,7 @@ def trace_command(rest: List[str], args: argparse.Namespace) -> int:
             print(f"invalid metrics snapshot {path}: {error}", file=sys.stderr)
             return 2
     try:
-        rendered = render_trace(spans, rest[1], snapshot=snapshot)
+        rendered = render_trace(spans, args.trace_id, snapshot=snapshot)
     except TraceViewError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -657,7 +644,7 @@ def trace_command(rest: List[str], args: argparse.Namespace) -> int:
     return 0
 
 
-def store_command(rest: List[str]) -> int:
+def store_command(args: argparse.Namespace) -> int:
     """Profile-store maintenance: ``store {compact|stats|init} PATH``.
 
     ``compact`` on a single-file store (the format before store
@@ -666,12 +653,7 @@ def store_command(rest: List[str]) -> int:
 
     from ..profiling.store import ProfileStore, ProfileStoreError, import_flat_store
 
-    if len(rest) != 2 or rest[0] not in ("compact", "stats", "init"):
-        print("usage: repro-experiments store {compact|stats|init} PATH", file=sys.stderr)
-        return 2
-    action, path_text = rest
-    path = Path(path_text)
-
+    action, path = args.action, args.path
     if action == "init":
         try:
             ProfileStore(path)
@@ -727,89 +709,20 @@ def store_command(rest: List[str]) -> int:
     return 0
 
 
+def lint_command(args: argparse.Namespace) -> int:
+    """Hand the parsed ``lint`` flags to :mod:`repro.devtools.lint` (imported on use)."""
+
+    from ..devtools.lint.cli import lint_command as run_lint_command
+
+    return run_lint_command(args)
+
+
 def main(argv: List[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    first = args.experiments[0].lower()
-    if first == "run-plan":
-        return run_plan_command(args.experiments[1:], args)
-    if first == "serve":
-        return serve_command(args)
-    if first == "submit":
-        return submit_command(args.experiments[1:], args)
-    if first == "worker":
-        return worker_command(args)
-    if first == "metrics":
-        return metrics_command(args)
-    if first == "trace":
-        return trace_command(args.experiments[1:], args)
-    if first == "store":
-        return store_command(args.experiments[1:])
-    if first == "lint":
-        from ..devtools.lint.cli import lint_command
-
-        return lint_command(args.experiments[1:], args)
-
-    if len(args.experiments) == 1 and args.experiments[0].lower() == "list":
-        for experiment_id in available_experiments():
-            print(experiment_id)
-        return 0
-
-    if len(args.experiments) == 1 and args.experiments[0].lower() == "targets":
-        print_targets()
-        return 0
-
-    # One session per invocation: experiments share its caches (a layer
-    # configuration profiled by one figure is a cache hit for the next)
-    # and nothing leaks into later programmatic calls through the
-    # process-global convenience session.
-    from ..api.session import Session
-
-    try:
-        session = Session(max_cache_entries=None, store=args.profile_store or None)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    experiment_ids = _expand(args.experiments)
-    results = []
-    for experiment_id in experiment_ids:
-        try:
-            result = run_experiment(experiment_id, session=session)
-        except UnknownExperimentError as error:
-            # The registry error already lists every valid identifier.
-            print(str(error.args[0] if error.args else error), file=sys.stderr)
-            return 2
-        results.append(result)
-        print("=" * 72)
-        print(result.text)
-        print("-" * 72)
-        print(result.summary())
-        print()
-
-    _print_simulation_summary(session)
-
-    if args.markdown:
-        from .report import write_markdown_report
-
-        write_markdown_report(results, args.markdown)
-        print(f"wrote {args.markdown}")
-
-    if args.json:
-        payload = [
-            {
-                "experiment_id": result.experiment_id,
-                "title": result.title,
-                "description": result.description,
-                "measured": result.measured,
-                "paper": result.paper,
-                "data": result.data,
-            }
-            for result in results
-        ]
-        _emit_json(payload, args.json)
-    return 0
+    argv = sys.argv[1:] if argv is None else list(argv)
+    experiments, verbs = _build_parsers()
+    verb = verbs.get(argv[0].lower()) if argv else None
+    args = verb.parse_args(argv[1:]) if verb else experiments.parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -420,7 +420,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if not isinstance(worker, str) or not worker:
             raise _ApiError(400, f"claim needs a 'worker' id string, got {worker!r}")
         timeout = body.get("timeout", 0.0)
-        if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout < 0:
+        # ``not >= 0`` also refuses NaN, which json parses and against
+        # which no deadline comparison would ever end the long poll.
+        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        if not number or not timeout >= 0:
             raise _ApiError(400, f"timeout must be a non-negative number, got {timeout!r}")
         # Long poll in short slices so a closing server releases the
         # connection promptly instead of holding workers for the full

@@ -1,5 +1,5 @@
-"""Tests for the dependency-aware ready-set scheduler and its use by the
-executor backends: wavefront structure, exactly-once dispatch, dependency
+"""Tests for the dependency-aware scheduler and its use by the executor
+backends: wavefront structure, exactly-once dispatch, dependency
 ordering (property-tested over random DAG plans) and bitwise equality of
 serial and remote execution for multi-wavefront plans."""
 
@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 import repro.api.executor as executor_module
 from repro.api import Plan, Session, Target
 from repro.service.fleet import RemoteExecutor
-from repro.api.scheduler import (
-    ReadyScheduler,
-    SchedulerError,
-    scheduled_order,
-    wavefronts,
-)
+from repro.api.scheduler import scheduled_order, wavefronts
 from repro.models import ConvLayerSpec
 
 TARGET = Target("hikey-970", "acl-gemm")
@@ -112,6 +107,18 @@ class TestWavefronts:
         waves = wavefronts(plan)
         assert len(waves) == 1 and len(waves[0]) == 4
 
+    def test_waves_keep_plan_order(self):
+        """A later step's dependency does not move it ahead in its wave."""
+
+        plan = Plan()
+        a = plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="A")
+        b = plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="B")
+        plan.sweep(TARGET, make_spec(2), sweep_step=4, step_id="C", depends_on=[b.id])
+        plan.sweep(TARGET, make_spec(3), sweep_step=4, step_id="D", depends_on=[a.id])
+        assert [[step.id for step in wave] for wave in wavefronts(plan)] == [
+            ["A", "B"], ["C", "D"],
+        ]
+
     def test_empty_plan_has_no_waves(self):
         assert wavefronts(Plan()) == ()
 
@@ -137,38 +144,6 @@ class TestWavefronts:
                 if step.depends_on else 0
             )
             assert wave_of[step.id] == earliest
-
-
-class TestReadyScheduler:
-    def test_complete_releases_dependents(self):
-        scheduler = ReadyScheduler(diamond_plan())
-        first = scheduler.take_ready()
-        assert [step.id for step in first] == ["a"]
-        released = scheduler.complete("a")
-        assert [step.id for step in released] == ["b", "c"]
-        assert scheduler.take_ready() == released
-        assert scheduler.complete("b") == ()
-        (d,) = scheduler.complete("c")
-        assert d.id == "d"
-        scheduler.take_ready()
-        scheduler.complete("d")
-        assert scheduler.done
-
-    def test_double_completion_rejected(self):
-        scheduler = ReadyScheduler(diamond_plan())
-        scheduler.take_ready()
-        scheduler.complete("a")
-        with pytest.raises(SchedulerError, match="twice"):
-            scheduler.complete("a")
-
-    def test_completing_an_untaken_step_rejected(self):
-        scheduler = ReadyScheduler(diamond_plan())
-        with pytest.raises(SchedulerError, match="without being taken"):
-            scheduler.complete("a")
-
-    def test_unknown_step_rejected(self):
-        with pytest.raises(SchedulerError, match="unknown step"):
-            ReadyScheduler(diamond_plan()).complete("nope")
 
 
 class TestExecutorsFollowTheSchedule:

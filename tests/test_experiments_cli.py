@@ -132,8 +132,10 @@ class TestRunPlanSubcommand:
         assert json.loads(replay_json.read_text()) == payload
 
     def test_removed_executor_and_jobs_flag_exit_2(self, plan_path, capsys):
-        assert main(["run-plan", str(plan_path), "--executor", "process"]) == 2
-        assert "unknown executor 'process'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-plan", str(plan_path), "--executor", "process"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --executor" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
             main(["run-plan", str(plan_path), "--jobs", "2"])
         assert excinfo.value.code == 2
@@ -150,12 +152,16 @@ class TestRunPlanSubcommand:
         assert "invalid plan" in capsys.readouterr().err
 
     def test_unknown_executor_exits_2(self, plan_path, capsys):
-        assert main(["run-plan", str(plan_path), "--executor", "quantum"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-plan", str(plan_path), "--executor", "quantum"])
+        assert excinfo.value.code == 2
         assert "quantum" in capsys.readouterr().err
 
     def test_no_plan_file_exits_2(self, capsys):
-        assert main(["run-plan"]) == 2
-        assert "at least one plan file" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-plan"])
+        assert excinfo.value.code == 2
+        assert "required: PLAN" in capsys.readouterr().err
 
     def test_invalid_seed_exits_2(self, plan_path, capsys):
         assert main(["run-plan", str(plan_path), "--seed", "-1"]) == 2
@@ -216,10 +222,14 @@ class TestTraceSubcommand:
     def test_unknown_trace_and_bad_usage_exit_2(self, trace_path, capsys):
         assert main(["trace", "show", "no-such-trace", "--file", str(trace_path)]) == 2
         assert "no spans" in capsys.readouterr().err
-        assert main(["trace", "ls"]) == 2
-        assert "--file" in capsys.readouterr().err
-        assert main(["trace", "prune", "--file", str(trace_path)]) == 2
-        assert "usage" in capsys.readouterr().err
+        for argv, message in (
+            (["trace", "ls"], "--file"),
+            (["trace", "prune", "--file", str(trace_path)], "usage"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert message in capsys.readouterr().err
         assert main(["trace", "ls", "--file", str(trace_path / "absent")]) == 2
         assert "not found" in capsys.readouterr().err
 
@@ -239,3 +249,63 @@ class TestTargetsSubcommand:
         assert "hikey-970    acl-gemm     ok (opencl)" in output
         assert "jetson-tx2   cudnn        ok (cuda)" in output
         assert "jetson-tx2   acl-gemm     incompatible (api mismatch)" in output
+
+
+#: The flags each verb's handler reads (``()``: bare experiment ids).
+VERB_FLAGS = {
+    (): {"--json", "--profile-store", "--markdown", "--version"},
+    ("list",): set(),
+    ("targets",): set(),
+    ("run-plan",): {"--profile-store", "--seed", "--trace", "--json"},
+    ("serve",): {
+        "--host", "--port", "--workers", "--profile-store", "--executor",
+        "--lease-ttl", "--trace",
+    },
+    ("submit",): {"--url", "--executor", "--seed", "--watch"},
+    ("worker",): {"--url", "--name", "--poll", "--max-idle", "--max-leases", "--trace"},
+    ("metrics",): {"--url", "--grep", "--json"},
+    ("trace", "ls"): {"--file", "--json"},
+    ("trace", "show"): {"--file", "--metrics-json"},
+    ("store",): set(),
+    ("lint",): {"--select", "--ignore", "--format", "--list-checks"},
+}
+
+
+class TestVerbParsers:
+    @pytest.mark.parametrize("argv, flag", [
+        (["fig04", "--seed", "5"], "--seed"),
+        (["table1", "--trace", "t.jsonl"], "--trace"),
+        (["list", "--port", "9"], "--port"),
+        (["store", "stats", "P", "--url", "U"], "--url"),
+        (["run-plan", "P", "--watch"], "--watch"),
+        (["run-plan", "P", "--executor", "serial"], "--executor"),
+    ])
+    def test_a_flag_the_verb_does_not_read_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", sorted(VERB_FLAGS), ids=" ".join)
+    def test_help_lists_only_the_verbs_own_flags(self, verb, capsys, monkeypatch):
+        import re
+
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([*verb, "--help"])
+        assert excinfo.value.code == 0
+        # Option rows are indented two spaces; wrapped help text deeper.
+        listed = set(re.findall(
+            r"^  (?:-h, )?(--[a-z][a-z-]*)", capsys.readouterr().out, re.MULTILINE
+        ))
+        assert listed - {"--help"} == VERB_FLAGS[verb]
+
+    def test_bare_ids_keep_json_and_markdown(self, tmp_path, capsys):
+        out_json, report = tmp_path / "out.json", tmp_path / "r.md"
+        assert main([
+            "table1", "table5", "--json", str(out_json), "--markdown", str(report),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(out_json.read_text())
+        assert [entry["experiment_id"] for entry in payload] == ["table1", "table5"]
+        assert report.exists()

@@ -102,8 +102,10 @@ class TestSubmitCommand:
         broken.write_text("{", encoding="utf-8")
         assert main(["submit", str(broken), "--url", "http://x"]) == 2
         assert "invalid plan" in capsys.readouterr().err
-        assert main(["submit", "--url", "http://x"]) == 2
-        assert "exactly one plan file" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "--url", "http://x"])
+        assert excinfo.value.code == 2
+        assert "required: PLAN" in capsys.readouterr().err
 
     def test_unreachable_service_exits_2(self, tmp_path, capsys):
         plan_path = write_plan(tmp_path)
@@ -156,12 +158,13 @@ class TestStoreCommand:
         assert "dropped 0" in capsys.readouterr().out
 
     def test_bad_usage_and_missing_path_exit_2(self, tmp_path, capsys):
-        assert main(["store", "defrag", str(tmp_path / "x.jsonl")]) == 2
-        assert "usage:" in capsys.readouterr().err
+        for argv in (["store", "defrag", str(tmp_path / "x.jsonl")], ["store", "compact"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "usage:" in capsys.readouterr().err
         assert main(["store", "stats", str(tmp_path / "none.jsonl")]) == 2
         assert "not found" in capsys.readouterr().err
-        assert main(["store", "compact"]) == 2
-        assert "usage:" in capsys.readouterr().err
 
     def test_init_creates_a_sharded_store(self, tmp_path, capsys):
         path = tmp_path / "store"

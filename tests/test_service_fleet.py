@@ -324,6 +324,29 @@ class TestFleetRoutes:
             client.claim_lease("", timeout=0.0)
         assert excinfo.value.status == 400
 
+    def test_nan_claim_timeout_is_400_not_a_hang(self, server, client):
+        import http.client
+
+        worker = client.register_worker()["worker"]
+        body = '{"worker": "%s", "timeout": NaN}' % worker
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=1.0
+        )
+        try:
+            started = time.monotonic()
+            connection.request(
+                "POST", "/v1/leases/claim", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert b"timeout" in response.read()
+            assert time.monotonic() - started < 1.0
+        finally:
+            connection.close()
+        # The handler survived: a valid claim still gets its 204.
+        assert client.claim_lease(worker, timeout=0.0) is None
+
     def test_version_advertises_the_remote_executor(self, client):
         assert "remote" in client.version()["executors"]
 
