@@ -4,13 +4,12 @@
 Section V of the paper concludes that "no optimal library exists to
 outperform across all neural network layers".  This example describes
 the six-target sweep of one ResNet-50 layer as a declarative
-:class:`Plan` and executes it under the ``serial`` backend (each
-target's sweep is one vectorized simulator batch) — then reports, for
-each target:
+:class:`Plan` and runs it with ``Session.execute`` (each target's sweep
+is one vectorized simulator batch) — then reports, for each target:
 the latency at the original size, the best achievable speedup, the
 worst slowdown risked, and how many distinct latency levels the
-staircase has.  (Executors are interchangeable: ``serial`` and
-``remote`` produce bitwise-identical tables.)
+staircase has.  (Submitted to a service under ``remote``, where worker
+processes measure the sweeps, the tables are bitwise identical.)
 
 Run with ``python examples/library_comparison.py [layer_index]``.
 """

@@ -13,10 +13,10 @@ Most users need exactly four names::
 * :class:`PruningRequest` / :class:`PruningReport` — JSON-serializable
   job and result objects a service can ship verbatim.
 * :class:`Registry` — the one plugin-registry idiom backing the device,
-  library, criterion, model, experiment and executor registries.
-* :class:`Plan` + :data:`EXECUTORS` — declarative, JSON-serializable
-  job graphs executed by pluggable backends (``serial``, ``remote``)
-  with bitwise-identical, store-checkpointed results.
+  library, criterion, model and experiment registries.
+* :class:`Plan` — declarative, JSON-serializable job graphs that
+  :meth:`Session.execute` runs in plan order, with store-checkpointed
+  results.
 
 Attributes are resolved lazily (PEP 562) so that low-level modules can
 import :mod:`repro.api.registry` without dragging in the whole package
@@ -30,12 +30,6 @@ from typing import TYPE_CHECKING
 from .registry import Registry, RegistryError, UnknownPluginError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import (
-        EXECUTORS,
-        ExecutionError,
-        SerialExecutor,
-        UnknownExecutorError,
-    )
     from .pipeline import (
         STRATEGIES,
         ComparisonReport,
@@ -44,8 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         RequestError,
     )
     from .plan import PLAN_VERSION, STEP_KINDS, Plan, PlanError, Step
-    from .scheduler import scheduled_order, wavefronts
-    from .session import DEFAULT_MAX_CACHE_ENTRIES, CacheStats, Session, SweepTable
+    from .session import (
+        DEFAULT_MAX_CACHE_ENTRIES,
+        CacheStats,
+        ExecutionError,
+        Session,
+        SweepTable,
+        UnknownExecutorError,
+    )
     from .target import (
         DEFAULT_TARGET_RUNS,
         Target,
@@ -78,12 +78,8 @@ _LAZY_ATTRS = {
     "Step": "plan",
     "STEP_KINDS": "plan",
     "PLAN_VERSION": "plan",
-    "EXECUTORS": "executor",
-    "SerialExecutor": "executor",
-    "ExecutionError": "executor",
-    "UnknownExecutorError": "executor",
-    "scheduled_order": "scheduler",
-    "wavefronts": "scheduler",
+    "ExecutionError": "session",
+    "UnknownExecutorError": "session",
 }
 
 __all__ = [
@@ -91,7 +87,6 @@ __all__ = [
     "ComparisonReport",
     "DEFAULT_MAX_CACHE_ENTRIES",
     "DEFAULT_TARGET_RUNS",
-    "EXECUTORS",
     "ExecutionError",
     "PLAN_VERSION",
     "Plan",
@@ -103,7 +98,6 @@ __all__ = [
     "RequestError",
     "STEP_KINDS",
     "STRATEGIES",
-    "SerialExecutor",
     "Session",
     "Step",
     "SweepTable",
@@ -115,8 +109,6 @@ __all__ = [
     "coerce_targets",
     "default_targets",
     "iter_all_targets",
-    "scheduled_order",
-    "wavefronts",
 ]
 
 

@@ -2,13 +2,13 @@
 
 A :class:`Plan` is a small job graph: :class:`Step` nodes — ``profile``,
 ``sweep``, ``prune``, ``compare`` and ``figure`` jobs — connected by
-explicit dependencies.  The plan says *what* to run; an
-:class:`~repro.api.executor.Executor` backend decides *how* (serially,
-measured up front per wavefront, or fanned out across worker
-processes).  Like :class:`~repro.api.pipeline.PruningRequest`, a plan
-round-trips through plain JSON (``to_json``/``from_json``) so jobs can
-be shipped to the ``repro-experiments run-plan`` CLI, a queue or another
-machine verbatim::
+explicit dependencies.  :meth:`~repro.api.Session.execute` runs the
+steps in plan order; a service may first prefetch each step's
+measurements from its worker fleet.  Like
+:class:`~repro.api.pipeline.PruningRequest`, a plan round-trips through
+plain JSON (``to_json``/``from_json``) so jobs can be shipped to the
+``repro-experiments run-plan`` CLI, a queue or another machine
+verbatim::
 
     plan = Plan()
     sweep = plan.sweep(["acl-gemm@hikey-970", "cudnn@jetson-tx2"], layer)
@@ -166,12 +166,20 @@ class Plan:
     def add(self, step: Step) -> Step:
         """Validate a step and append it to the plan.
 
-        Dependencies must name steps already in the plan, which keeps
-        every plan acyclic by construction.
+        Dependencies must be a list or tuple naming steps already in the
+        plan, which keeps every plan acyclic by construction and its
+        insertion order a valid execution order.
         """
 
         if not isinstance(step.id, str) or not step.id:
             raise PlanError(f"step ids must be non-empty strings, got {step.id!r}")
+        if not isinstance(step.depends_on, (list, tuple)) or not all(
+            isinstance(dependency, str) for dependency in step.depends_on
+        ):
+            raise PlanError(
+                f"step {step.id!r} depends_on must be a list of step ids, "
+                f"got {step.depends_on!r}"
+            )
         if step.id in self._steps:
             raise PlanError(f"duplicate step id {step.id!r}")
         if step.kind not in STEP_KINDS:
@@ -189,7 +197,7 @@ class Plan:
             id=step.id,
             kind=step.kind,
             params=validator(step.params),
-            depends_on=tuple(str(dep) for dep in step.depends_on),
+            depends_on=tuple(step.depends_on),
         )
         self._steps[normalized.id] = normalized
         return normalized
@@ -219,7 +227,7 @@ class Plan:
             params["layer_indices"] = list(layer_indices)
         return self.add(Step(
             id=step_id or self._next_id("profile"), kind="profile",
-            params=params, depends_on=tuple(depends_on),
+            params=params, depends_on=depends_on,
         ))
 
     def sweep(
@@ -245,7 +253,7 @@ class Plan:
             params["channel_counts"] = list(channel_counts)
         return self.add(Step(
             id=step_id or self._next_id("sweep"), kind="sweep",
-            params=params, depends_on=tuple(depends_on),
+            params=params, depends_on=depends_on,
         ))
 
     def prune(
@@ -260,7 +268,7 @@ class Plan:
         return self.add(Step(
             id=step_id or self._next_id("prune"), kind="prune",
             params={"request": request},
-            depends_on=tuple(depends_on),
+            depends_on=depends_on,
         ))
 
     def compare(
@@ -276,7 +284,7 @@ class Plan:
         return self.add(Step(
             id=step_id or self._next_id("compare"), kind="compare",
             params={"request": request, "strategies": list(strategies)},
-            depends_on=tuple(depends_on),
+            depends_on=depends_on,
         ))
 
     def figure(
@@ -298,7 +306,7 @@ class Plan:
             params["options"] = dict(options)
         return self.add(Step(
             id=step_id or self._next_id("figure"), kind="figure",
-            params=params, depends_on=tuple(depends_on),
+            params=params, depends_on=depends_on,
         ))
 
     # ------------------------------------------------------------------
@@ -339,8 +347,8 @@ class Plan:
             plan.add(Step(
                 id=step_id,
                 kind=kind,
-                params=dict(entry.get("params", {})),
-                depends_on=tuple(entry.get("depends_on", ())),
+                params=entry.get("params", {}),
+                depends_on=entry.get("depends_on", ()),
             ))
         return plan
 

@@ -19,13 +19,12 @@ would compute for the same parameters.
 Execution is plan-based: ``sweep``/``prune``/``compare``/
 ``profile_network`` each build a one-step
 :class:`~repro.api.plan.Plan` and hand it to :meth:`Session.execute`,
-which routes it through a pluggable
-:class:`~repro.api.executor.EXECUTORS` backend (``serial``, or
-``remote`` inside a service).  All backends share the counter-based
-measurement noise stream, so results are bitwise identical regardless
-of backend;
-with a profile store attached, completed measurements checkpoint to
-disk and re-executing a plan simulates nothing.
+which runs the steps in plan order.  Inside a service, ``remote`` jobs
+first have each step's measurements prefetched from the worker fleet
+(:mod:`repro.service.fleet.remote`); the counter-based measurement
+noise stream makes the results bitwise identical either way.  With a
+profile store attached, completed measurements checkpoint to disk and
+re-executing a plan simulates nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +49,8 @@ from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_c
 from ..profiling.runner import ProfileRunner
 from ..profiling.store import ProfileStore
 from .pipeline import ComparisonReport, PruningReport, PruningRequest
-from .plan import Plan
+from .plan import Plan, Step
+from .registry import UnknownPluginError
 from .target import Target, TargetLike, coerce_targets
 
 _CACHE_HITS = default_registry().counter(
@@ -62,6 +62,38 @@ _CACHE_MISSES = default_registry().counter(
 _CACHE_EVICTIONS = default_registry().counter(
     "repro_session_cache_evictions_total", "Session profile-cache LRU evictions."
 )
+_STEPS_TOTAL = default_registry().counter(
+    "repro_executor_steps_total",
+    "Plan steps executed, by step kind.",
+    labelnames=("kind",),
+)
+
+#: Executor names a job may name: ``serial`` runs anywhere, ``remote``
+#: only in a service, whose job queue prefetches each step's
+#: measurements from the worker fleet before running it serially.
+EXECUTOR_NAMES: Tuple[str, ...] = ("remote", "serial")
+
+
+class UnknownExecutorError(UnknownPluginError):
+    """Raised when an executor name is not one of :data:`EXECUTOR_NAMES`."""
+
+
+class ExecutionError(RuntimeError):
+    """Raised when a plan cannot be executed."""
+
+
+def canonical_executor(name: str) -> str:
+    """``name`` stripped and lower-cased, if it is an executor name."""
+
+    if not isinstance(name, str):
+        raise TypeError(f"executor must be a name, got {name!r}")
+    key = name.strip().lower()
+    if key not in EXECUTOR_NAMES:
+        raise UnknownExecutorError(
+            f"unknown executor {name!r}; available: {list(EXECUTOR_NAMES)}"
+        )
+    return key
+
 
 #: Default bound on cached layer profiles.  Profiling the full model zoo
 #: on the paper's four targets needs well under a thousand entries, so
@@ -183,7 +215,7 @@ class Session:
     Sessions are thread-safe: the profile/runner/pruner caches
     are guarded by an internal lock (simulation never happens under it),
     so several threads may execute plans against one session, the
-    ``remote`` executor can adopt fleet measurements into it, and the
+    fleet prefetch can adopt measurements into it, and the
     service's job queue can run figure steps from several workers in
     parallel.
 
@@ -214,10 +246,10 @@ class Session:
         keys store records, so differently-seeded sessions never serve
         each other's perturbations.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer` the executors open
-        per-step/per-wave spans against.  Defaults to a writerless
-        tracer (no recording, near-zero cost).  Tracing is inert:
-        traced and untraced executions are bitwise identical.
+        Optional :class:`~repro.obs.trace.Tracer` that plan execution
+        opens one ``executor.step`` span per step against.  Defaults to
+        a writerless tracer (no recording, near-zero cost).  Tracing is
+        inert: traced and untraced executions are bitwise identical.
     """
 
     def __init__(
@@ -464,9 +496,9 @@ class Session:
     ) -> Dict[int, LayerProfile]:
         """Profile every (selected) convolutional layer of a network.
 
-        Model names route through a one-step plan and the ``serial``
-        executor; a pre-built :class:`Network` object (not expressible
-        in a serializable plan) is profiled directly.
+        Model names route through a one-step plan and :meth:`execute`;
+        a pre-built :class:`Network` object (not expressible in a
+        serializable plan) is profiled directly.
         """
 
         if not isinstance(model, str):
@@ -512,8 +544,7 @@ class Session:
         free — and the result comes back as a tidy :class:`SweepTable`:
         one row per measured (target, layer, channel count) point, plus
         the full per-pair profiles for staircase analysis.  The sweep is
-        expressed as a one-step :class:`Plan` and routed through the
-        ``serial`` executor.
+        expressed as a one-step :class:`Plan` and run by :meth:`execute`.
         """
 
         plan = Plan()
@@ -566,8 +597,7 @@ class Session:
 
         Matches the legacy :class:`PerformanceAwarePruner` output for
         the same (model, device, library, strategy, parameters).  The
-        job travels as a one-step :class:`Plan` through the ``serial``
-        executor.
+        job travels as a one-step :class:`Plan` through :meth:`execute`.
         """
 
         plan = Plan()
@@ -617,20 +647,68 @@ class Session:
     # ------------------------------------------------------------------
     # Plan execution
     # ------------------------------------------------------------------
-    def execute(self, plan: Plan, executor: Union[str, Any, None] = None) -> Dict[str, Any]:
-        """Execute a :class:`Plan` and return ``{step id: result}``.
+    def execute(self, plan: Plan, executor: str = "serial") -> Dict[str, Any]:
+        """Run a :class:`Plan`'s steps in plan order; return ``{step id: result}``.
 
-        ``executor`` picks the :data:`~repro.api.executor.EXECUTORS`
-        backend (``"serial"``, the default, or an instance).  Results
-        are bitwise identical across backends for the same seed; with a
-        profile store attached, measurements are checkpointed so
-        re-executing the same plan simulates nothing.
+        Plan order is a dependency order: :meth:`Plan.add` accepts only
+        dependencies on steps already added.  ``executor`` must be
+        ``"serial"``; ``"remote"`` names the service's fleet, which
+        prefetches measurements into a session and then runs each step
+        through this method.  With a profile store attached,
+        measurements are checkpointed, so re-executing the same plan
+        simulates nothing.
         """
 
-        from .executor import resolve_executor
+        if canonical_executor(executor) == "remote":
+            raise ExecutionError(
+                "the remote executor distributes measurements through a fleet "
+                "lease manager and only runs inside a service: start one with "
+                "`repro-experiments serve --executor remote`, attach workers "
+                "with `repro-experiments worker --url ...` and submit the plan "
+                "with `repro-experiments submit`"
+            )
+        return {step.id: self._run_step(step) for step in plan}
 
-        backend = resolve_executor("serial" if executor is None else executor)
-        return backend.execute(self, plan)
+    def _run_step(self, step: Step) -> Any:
+        """Run one validated step inside an ``executor.step`` span, counting it.
+
+        The span and counter are observability only, so traced and
+        untraced executions stay bitwise identical.  A ``figure`` step
+        hands this session to the experiment generator (every generator
+        accepts ``session=``), so its measurements use this session's
+        seed, store and caches and touch no process-global state.
+        """
+
+        _STEPS_TOTAL.inc(kind=step.kind)
+        params = step.params
+        with self.tracer.span("executor.step", step=step.id, kind=step.kind):
+            if step.kind == "sweep":
+                return self._sweep_impl(
+                    [Target.of(entry) for entry in params["targets"]],
+                    [ConvLayerSpec.from_dict(entry) for entry in params["layers"]],
+                    params.get("channel_counts"),
+                    params["sweep_step"],
+                )
+            if step.kind == "profile":
+                indices = params.get("layer_indices")
+                return self._profile_network_impl(
+                    Target.of(params["target"]),
+                    params["model"],
+                    list(indices) if indices is not None else None,
+                    params["sweep_step"],
+                )
+            if step.kind == "prune":
+                return self._prune_impl(PruningRequest.from_dict(params["request"]))
+            if step.kind == "compare":
+                return self._compare_impl(
+                    PruningRequest.from_dict(params["request"]), params["strategies"]
+                )
+            if step.kind == "figure":
+                from ..experiments.registry import run_experiment
+
+                options = dict(params.get("options", {}))
+                return run_experiment(params["experiment"], session=self, **options)
+        raise ExecutionError(f"no handler for step kind {step.kind!r}")  # pragma: no cover
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         stats = self._stats
@@ -640,4 +718,13 @@ class Session:
         )
 
 
-__all__ = ["DEFAULT_MAX_CACHE_ENTRIES", "CacheStats", "Session", "SweepTable"]
+__all__ = [
+    "DEFAULT_MAX_CACHE_ENTRIES",
+    "EXECUTOR_NAMES",
+    "CacheStats",
+    "ExecutionError",
+    "Session",
+    "SweepTable",
+    "UnknownExecutorError",
+    "canonical_executor",
+]

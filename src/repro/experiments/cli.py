@@ -30,12 +30,12 @@ Each invocation builds its own :class:`repro.api.Session` and passes it
 to every experiment generator (``session=``), so a multi-experiment
 invocation profiles each layer configuration once and nothing leaks
 between runs through process-global state.  ``run-plan`` executes a
-serialized :class:`repro.api.Plan` in this process under the ``serial``
-executor (steps scheduled over the plan's dependency graph); unknown
-experiment ids exit with status 2 and list the valid identifiers
-instead of dumping a traceback.  ``serve`` boots the
-long-lived :mod:`repro.service` HTTP front end, ``submit`` ships a
-plan file to it and ``worker`` joins its measurement fleet — a
+serialized :class:`repro.api.Plan` in this process, step by step in
+plan order; unknown experiment ids exit with status 2 and list the
+valid identifiers instead of dumping a traceback, and a closed output
+pipe (``list | head -2``) exits with status 1 without one.  ``serve``
+boots the long-lived :mod:`repro.service` HTTP front end, ``submit``
+ships a plan file to it and ``worker`` joins its measurement fleet — a
 pull-based agent claiming work leases over HTTP, which is what jobs
 submitted with ``--executor remote`` run on.  ``store`` maintains a
 profile store, and ``lint`` runs the repo's AST invariant
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple
@@ -722,7 +723,17 @@ def main(argv: List[str] | None = None) -> int:
     experiments, verbs = _build_parsers()
     verb = verbs.get(argv[0].lower()) if argv else None
     args = verb.parse_args(argv[1:]) if verb else experiments.parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``... | head``).  As the SIGPIPE note in
+        # the ``signal`` module docs advises: point stdout at devnull so
+        # the interpreter's final flush cannot fail again, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -306,8 +306,8 @@ def fig07(runs: int = 5, step: int = 1, session: Optional[Session] = None) -> Ex
 
     The comparison is expressed as a declarative one-step
     :class:`repro.api.Plan` fanning one layer across both Jetson
-    targets, executed through the session's executor backend — the same
-    JSON-serializable job ``repro-experiments run-plan`` runs.
+    targets, run by :meth:`Session.execute` — the same JSON-serializable
+    job ``repro-experiments run-plan`` runs.
     """
 
     from ..api.plan import Plan

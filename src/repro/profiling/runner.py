@@ -614,11 +614,6 @@ class ProfileRunner:
             return len(fresh)
 
     # ------------------------------------------------------------------
-    def measure_channels(self, layer: ConvLayerSpec, channel_counts: List[int]) -> Sweep:
-        """Measure the layer at each of the given channel counts."""
-
-        return self.measure_many(layer, channel_counts)
-
     def sweep(
         self,
         layer: ConvLayerSpec,

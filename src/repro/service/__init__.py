@@ -1,8 +1,8 @@
 """``repro.service`` — a long-lived Plan execution service.
 
 The library half of the system is declarative and serializable: a
-:class:`~repro.api.plan.Plan` travels as JSON, any registered
-:data:`~repro.api.executor.EXECUTORS` backend runs it bitwise-identically
+:class:`~repro.api.plan.Plan` travels as JSON,
+:meth:`~repro.api.Session.execute` runs it step by step in plan order
 and measurements checkpoint into the flock-safe
 :class:`~repro.profiling.store.ProfileStore`.  This package adds the
 process half: a job queue and HTTP front end other processes can talk
@@ -38,9 +38,9 @@ Modules
     Step-result projections shared by the CLI and the job records.
 ``fleet``
     Distributed measurement: the crash-safe :class:`LeaseManager` work
-    queue, the ``remote`` executor that publishes into it, the
-    pull-based :class:`FleetWorker` that ``repro-experiments worker``
-    runs against a serving URL.
+    queue, the ``remote`` executor's per-step prefetch that publishes
+    into it, and the pull-based :class:`FleetWorker` that
+    ``repro-experiments worker`` runs against a serving URL.
 """
 
 from .client import ServiceClient, ServiceError

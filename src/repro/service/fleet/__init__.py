@@ -9,19 +9,19 @@ This package lets those tasks leave the server process entirely:
     one (target, layer-sweep) task with a heartbeat deadline; missed
     heartbeats re-queue it, exhausted attempts fail it.
 ``remote``
-    :class:`RemoteExecutor` — the ``remote`` entry of
-    :data:`~repro.api.executor.EXECUTORS`.  Publishes each wavefront's
-    missing measurements as leases, blocks until workers complete them,
-    adopts the results through the runner's cache+store checkpoint path,
-    and runs the steps themselves (figures included) locally against the
-    warmed session.
+    :class:`RemoteExecutor` — what ``remote`` jobs run through.  Before
+    each step, :meth:`~RemoteExecutor.prefetch` publishes the step's
+    missing measurements as leases, blocks until workers complete them
+    and adopts the results through the runner's cache+store checkpoint
+    path; the step itself (figures included) then runs locally against
+    the warmed session.
 ``worker``
     :class:`FleetWorker` / ``repro-experiments worker --url`` — the
     stateless pull agent: register, claim, measure with
-    :func:`repro.api.executor._measure_worker`, heartbeat, post back.
-    Run one worker process per machine (per board, in the paper's
-    setting); ``GET /v1/fleet`` counts each one's completed and failed
-    leases.
+    :func:`repro.service.fleet.worker._measure_worker`, heartbeat, post
+    back.  Run one worker process per machine (per board, in the
+    paper's setting); ``GET /v1/fleet`` counts each one's completed
+    and failed leases.
 
 Determinism is inherited, not negotiated: measurement noise is
 counter-based on the configuration and seed, so any fleet of any size

@@ -1,14 +1,14 @@
-"""Work leases: the unit of distribution between executor and workers.
+"""Work leases: the unit of distribution between the server and workers.
 
 A *lease* is one ``(target, layer-sweep)`` measurement task — exactly
-the payload :func:`repro.api.executor._measure_worker` takes — plus the
-bookkeeping that makes pull-based distribution crash-safe: a claiming
-worker, a heartbeat deadline and an attempt counter.  The
+the payload :func:`repro.service.fleet.worker._measure_worker` takes —
+plus the bookkeeping that makes pull-based distribution crash-safe: a
+claiming worker, a heartbeat deadline and an attempt counter.  The
 :class:`LeaseManager` is the single synchronization point between the
-server-side :class:`~repro.service.fleet.remote.RemoteExecutor` (which
-publishes leases and blocks until they complete) and the stateless HTTP
-workers (which claim, heartbeat and complete them through the
-``/v1/leases`` routes).
+server-side :meth:`~repro.service.fleet.remote.RemoteExecutor.prefetch`
+(which publishes leases and blocks until they complete) and the
+stateless HTTP workers (which claim, heartbeat and complete them
+through the ``/v1/leases`` routes).
 
 Lifecycle::
 

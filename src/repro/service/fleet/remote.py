@@ -1,40 +1,34 @@
-"""The ``remote`` executor: measurements distributed through work leases.
+"""The ``remote`` executor: a step's measurements prefetched through work leases.
 
-The plan runs wavefront by wavefront: each wave's deduplicated
-measurement workload is split into one task per (target, layer) sweep,
-and the results are adopted into the parent session's cache and profile
-store before the wave's steps run.  Each task becomes a
+Before the job queue runs a step of a ``remote`` job, it calls
+:meth:`RemoteExecutor.prefetch`: the step's measurement workload that
+the session cannot already serve is split into one task per (target,
+layer) sweep, each task becomes a
 :class:`~repro.service.fleet.leases.Lease` that stateless workers pull
-over HTTP, run through :func:`~repro.api.executor._measure_worker` and
-post back — one worker per board in the paper's setting, where a
+over HTTP, run through :func:`~repro.service.fleet.worker._measure_worker`
+and post back, and the results are adopted into the session's cache and
+profile store.  One worker per board, in the paper's setting, where a
 configuration costs ten board runs.
 
-Steps themselves — including ``figure``/``table`` steps, whose
-measurement workload is not enumerable up front — always run locally in
-the server process against the warmed session, so anything a lease did
-not cover falls back to in-process measurement exactly as ``serial``
-does.  Results are bitwise identical to ``serial``: the counter-based
-noise stream keys every measurement on the configuration and seed,
-never on which machine ran it.
-
-The executor needs a live :class:`~repro.service.fleet.leases.LeaseManager`
-to publish into; the serving :class:`~repro.service.queue.JobQueue`
-constructs it with one.  Resolving ``"remote"`` straight from the
-:data:`~repro.api.executor.EXECUTORS` registry (e.g. ``run-plan
---executor remote``) builds an unwired instance whose ``execute`` fails
-with instructions, because there is no fleet to distribute to outside a
-running service.
+The step itself then runs locally through
+:meth:`~repro.api.Session.execute` against the warmed session, so
+anything a lease did not cover (``figure`` steps, whose workload is not
+enumerable up front) is measured in-process exactly as ``serial`` does.
+Results are bitwise identical to ``serial``: the counter-based noise
+stream keys every measurement on the configuration and seed, never on
+which machine ran it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ...api.executor import ExecutionError, _wave_workload, traced_step, _ordered_results
-from ...api.scheduler import wavefronts
-from ...models.layers import ConvLayerSpec
-from ...profiling.runner import Measurement, Sweep
+from ...api.pipeline import PruningRequest
+from ...api.session import ExecutionError
 from ...api.target import Target
+from ...models.layers import ConvLayerSpec
+from ...profiling.latency_table import sweep_counts
+from ...profiling.runner import Measurement, Sweep
 from .leases import (
     LeaseError,
     LeaseFailedError,
@@ -44,22 +38,94 @@ from .leases import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ...api.plan import Plan
+    from ...api.plan import Step
     from ...api.session import Session
+
+#: target -> layer spec -> channel counts the step will need.
+Workload = Dict[Target, Dict[ConvLayerSpec, Set[int]]]
+
+
+def _merge(into: Workload, target: Target, spec: ConvLayerSpec, counts: Iterable[int]) -> None:
+    into.setdefault(target, {}).setdefault(spec, set()).update(counts)
+
+
+def _request_workload(session: "Session", request: PruningRequest) -> Workload:
+    """The measurements a pruning job will need, enumerated up front.
+
+    Under-enumeration is always safe — whatever is missing is measured
+    in-process when the step runs — so strategies whose exact
+    configurations depend on runtime choices (``uninstructed``)
+    contribute nothing here.
+    """
+
+    workload: Workload = {}
+    if request.strategy == "uninstructed":
+        return workload
+    network = session.network(request.model)
+    indices = (
+        list(request.layer_indices)
+        if request.layer_indices is not None
+        else network.conv_layer_indices
+    )
+    for index in indices:
+        spec = network.conv_layer(index).spec
+        counts = set(sweep_counts(spec.out_channels, step=request.sweep_step))
+        if request.strategy == "performance-aware" and request.fraction is not None:
+            # snap_to_step also measures the naive per-layer target.
+            counts.add(max(1, round(spec.out_channels * (1.0 - request.fraction))))
+        _merge(workload, request.target, spec, counts)
+    return workload
+
+
+def step_workload(session: "Session", step: "Step") -> Workload:
+    """Enumerate the measurement workload of one plan step."""
+
+    params = step.params
+    workload: Workload = {}
+    if step.kind == "sweep":
+        targets = [Target.of(entry) for entry in params["targets"]]
+        specs = [ConvLayerSpec.from_dict(entry) for entry in params["layers"]]
+        for target in targets:
+            for spec in specs:
+                _merge(workload, target, spec, sweep_counts(
+                    spec.out_channels, params.get("channel_counts"), params["sweep_step"]
+                ))
+    elif step.kind == "profile":
+        target = Target.of(params["target"])
+        network = session.network(params["model"])
+        indices = params.get("layer_indices")
+        indices = list(indices) if indices is not None else network.conv_layer_indices
+        for index in indices:
+            spec = network.conv_layer(index).spec
+            _merge(workload, target, spec, sweep_counts(
+                spec.out_channels, step=params["sweep_step"]
+            ))
+    elif step.kind == "prune":
+        request = PruningRequest.from_dict(params["request"])
+        workload = _request_workload(session, request)
+    elif step.kind == "compare":
+        request = PruningRequest.from_dict(params["request"])
+        for strategy in params["strategies"]:
+            for target, per_spec in _request_workload(
+                session, request.with_strategy(strategy)
+            ).items():
+                for spec, counts in per_spec.items():
+                    _merge(workload, target, spec, counts)
+    # "figure" steps run arbitrary experiment generators; their workload
+    # is not enumerable here, so they contribute nothing and measure
+    # whatever is missing when they run.
+    return workload
 
 
 class RemoteExecutor:
-    """Fan measurement workloads out to a worker fleet via leases.
+    """Prefetch a step's measurements from a worker fleet via leases.
 
     The fleet's parallelism is however many workers are polling.
 
     Parameters
     ----------
     manager:
-        The :class:`LeaseManager` to publish into.  ``None`` builds an
-        unwired instance that fails on ``execute`` with instructions
-        (this is what resolving ``"remote"`` by name outside a service
-        produces).
+        The :class:`LeaseManager` to publish into.
     abort:
         Optional zero-argument callable polled while waiting on leases;
         returning true abandons the wait (the job queue wires this to
@@ -69,11 +135,9 @@ class RemoteExecutor:
         Informational tag stamped onto published leases.
     """
 
-    name = "remote"
-
     def __init__(
         self,
-        manager: Optional[LeaseManager] = None,
+        manager: LeaseManager,
         abort: Optional[Callable[[], bool]] = None,
         job_id: Optional[str] = None,
     ) -> None:
@@ -81,32 +145,19 @@ class RemoteExecutor:
         self.abort = abort
         self.job_id = job_id
 
-    def execute(self, session: "Session", plan: "Plan") -> Dict[str, Any]:
-        if self.manager is None:
-            raise ExecutionError(
-                "the remote executor distributes measurements through a fleet "
-                "lease manager and only runs inside a service: start one with "
-                "`repro-experiments serve --executor remote`, attach workers "
-                "with `repro-experiments worker --url ...` and submit the plan "
-                "with `repro-experiments submit`"
-            )
-        results: Dict[str, Any] = {}
-        for index, wave in enumerate(wavefronts(plan)):
-            with session.tracer.span(
-                "executor.wave", backend=self.name, wave=index, width=len(wave)
-            ):
-                tasks: List[Tuple[Target, ConvLayerSpec, List[int]]] = []
-                for target, per_spec in _wave_workload(session, wave).items():
-                    runner = session.runner(target)
-                    for spec, counts in per_spec.items():
-                        missing = runner.pending_counts(spec, sorted(counts))
-                        if missing:
-                            tasks.append((target, spec, missing))
-                if tasks:
-                    self._fan_out(session, tasks)
-                for step in wave:
-                    results[step.id] = traced_step(session, step, self.name)
-        return _ordered_results(plan, results)
+    def prefetch(self, session: "Session", step: "Step") -> None:
+        """Measure ``step``'s missing workload on the fleet, into ``session``."""
+
+        with session.tracer.span("fleet.prefetch", step=step.id, kind=step.kind):
+            tasks: List[Tuple[Target, ConvLayerSpec, List[int]]] = []
+            for target, per_spec in step_workload(session, step).items():
+                runner = session.runner(target)
+                for spec, counts in per_spec.items():
+                    missing = runner.pending_counts(spec, sorted(counts))
+                    if missing:
+                        tasks.append((target, spec, missing))
+            if tasks:
+                self._fan_out(session, tasks)
 
     def _fan_out(
         self, session: "Session", tasks: List[Tuple[Target, ConvLayerSpec, List[int]]]

@@ -8,14 +8,14 @@ is a loop around four HTTP calls::
     POST /v1/leases/{id}/heartbeat       -> while the task is running
     POST /v1/leases/{id}/complete        -> measurements (or an error)
 
-The measurement itself is :func:`repro.api.executor._measure_worker`,
-a store-less :class:`~repro.profiling.runner.ProfileRunner` sweep, so a
+The measurement itself is :func:`_measure_worker`, a store-less
+:class:`~repro.profiling.runner.ProfileRunner` sweep, so a
 fleet-measured plan is bitwise identical to ``serial``.  Workers hold
-no state between leases: killing one mid-task
-merely lets the lease's heartbeat deadline lapse, after which the
-server re-queues it for the next worker.  A worker that outlives its
-lease (network stall, paused VM) gets a conflict when it reports back
-and simply moves on; the server adopts exactly one completion.
+no state between leases: killing one mid-task merely lets the lease's
+heartbeat deadline lapse, after which the server re-queues it for the
+next worker.  A worker that outlives its lease (network stall, paused
+VM) gets a conflict when it reports back and simply moves on; the
+server adopts exactly one completion.
 
 Heartbeats run on a helper thread at roughly a quarter of the server's
 TTL while the measurement computes, so slow sweeps on slow machines
@@ -27,13 +27,37 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from ...api.target import Target
+from ...models.layers import ConvLayerSpec
 from ...obs.trace import SpanContext, Tracer
+from ...profiling.runner import ProfileRunner, Sweep
 from ..client import ServiceClient, ServiceError
 
 #: Fallback claim long-poll horizon (seconds) per request.
 DEFAULT_POLL_SECONDS = 5.0
+
+
+def _measure_worker(
+    target_payload: Dict[str, Any],
+    spec_payload: Dict[str, Any],
+    counts: List[int],
+    seed: int,
+) -> Dict[str, Any]:
+    """Measure one lease's (target, layer) sweep.
+
+    Runs without a store (the server owns persistence) and returns the
+    sweep's columns (:meth:`Sweep.as_columns`: the constants once and
+    five lists of plain numbers).  Determinism comes from the
+    counter-based noise stream: the same (configuration, seed) yields
+    the same measurement in any process.
+    """
+
+    target = Target.from_dict(target_payload)
+    spec = ConvLayerSpec.from_dict(spec_payload)
+    runner = ProfileRunner.for_target(target, seed=seed)
+    return runner.measure_many(spec, counts).as_columns()
 
 
 class FleetWorker:
@@ -175,9 +199,6 @@ class FleetWorker:
         The lease wire format is one :meth:`Measurement.as_dict` row per
         configuration.
         """
-
-        from ...api.executor import _measure_worker
-        from ...profiling.runner import Sweep
 
         columns = _measure_worker(
             lease["target"], lease["spec"], lease["counts"], lease["seed"]

@@ -3,11 +3,12 @@
 Each worker pulls a queued job id, builds a **fresh**
 :class:`~repro.api.Session` for it (sharing with every other job only
 the queue's resident profile store and the process-wide zoo networks,
-which nothing mutates) and executes the plan one step at a time —
-in dependency-scheduled wavefront order (see
-:mod:`repro.api.scheduler`) — through :meth:`Session.execute` under the
-job's executor backend.  Per step granularity is what gives the service
-its live ``step-started`` / ``step-finished`` event stream and
+which nothing mutates) and executes the plan one step at a time, in
+plan order, through :meth:`Session.execute`; for a ``remote`` job each
+step's measurements are first prefetched from the worker fleet
+(:meth:`~repro.service.fleet.remote.RemoteExecutor.prefetch`).  Per
+step granularity is what gives the service its live
+``step-started`` / ``step-finished`` event stream and
 step-boundary cancellation; results stay bitwise identical to executing
 the whole plan at once because the session (and its caches, noise
 stream and store) persists across the steps of a job.  Since every step
@@ -37,12 +38,12 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..api.plan import Plan, PlanError, Step
-from ..api.scheduler import scheduled_order
-from ..api.session import Session
+from ..api.session import Session, canonical_executor
 from ..obs.metrics import default_registry
 from ..obs.trace import SpanContext, TraceWriter, Tracer
 from ..profiling.store import ProfileStore
 from .fleet.leases import DEFAULT_LEASE_TTL, LeaseManager, LeaseWaitAborted
+from .fleet.remote import RemoteExecutor
 from .jobs import Job, JobStore
 from .results import step_result_payload
 
@@ -90,8 +91,9 @@ class JobQueue:
         targets append to different shards without contending on one
         inode.
     executor:
-        Default :data:`~repro.api.executor.EXECUTORS` backend name
-        applied to submissions that do not choose their own.
+        Default executor name (one of
+        :data:`~repro.api.session.EXECUTOR_NAMES`) applied to
+        submissions that do not choose their own.
     workers:
         Worker thread count (default 1).  Every step kind runs
         concurrently across workers — ``figure`` steps included, since
@@ -104,9 +106,10 @@ class JobQueue:
     trace:
         Optional path to a JSONL trace file.  Every job then runs under
         a ``job`` root span (adopted under the submitter's
-        ``X-Repro-Trace`` context when one was sent) with per-wave and
-        per-step child spans appended by the executors.  Tracing is
-        inert: traced execution is bitwise identical to untraced.
+        ``X-Repro-Trace`` context when one was sent) with per-step
+        ``executor.step`` (and, for ``remote`` jobs, ``fleet.prefetch``)
+        child spans.  Tracing is inert: traced execution is bitwise
+        identical to untraced.
     """
 
     def __init__(
@@ -120,17 +123,15 @@ class JobQueue:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        # Fail fast on the operator-level default: a typo'd --executor
-        # must stop the service from booting, not surface as errors on
-        # every client submission.
-        from ..api.executor import EXECUTORS
-
         self.store = store if store is not None else JobStore()
         self.profile_store = str(profile_store) if profile_store is not None else None
         self._profiles = (
             ProfileStore(self.profile_store) if self.profile_store is not None else None
         )
-        self.default_executor = EXECUTORS.canonical(executor)
+        # Fail fast on the operator-level default: a typo'd --executor
+        # must stop the service from booting, not surface as errors on
+        # every client submission.
+        self.default_executor = canonical_executor(executor)
         # One lease manager per queue: jobs running under the ``remote``
         # executor publish their measurement workload here, and the HTTP
         # layer's /v1/leases routes let fleet workers pull from it.
@@ -182,10 +183,8 @@ class JobQueue:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if executor is not None and not isinstance(executor, str):
             raise ValueError(f"executor must be a string, got {executor!r}")
-        from ..api.executor import EXECUTORS
-
-        backend = (
-            EXECUTORS.canonical(executor)  # raises UnknownExecutorError
+        executor_name = (
+            canonical_executor(executor)  # raises UnknownExecutorError
             if executor is not None
             else self.default_executor
         )
@@ -194,7 +193,7 @@ class JobQueue:
                 raise QueueClosedError("the job queue is shutting down")
             job = self.store.create(
                 validated.to_dict(),
-                executor=backend,
+                executor=executor_name,
                 seed=seed,
                 steps=[(step.id, step.kind) for step in validated],
                 trace=trace,
@@ -243,26 +242,21 @@ class JobQueue:
             finally:
                 self._queue.task_done()
 
-    def _build_executor(self, job: Job) -> Any:
-        """One executor reused by every step of a job.
+    def _prefetcher(self, job: Job) -> Optional[RemoteExecutor]:
+        """The fleet prefetch of a ``remote`` job, ``None`` for any other.
 
-        ``remote`` jobs get a
-        :class:`~repro.service.fleet.remote.RemoteExecutor` wired to this
-        queue's lease manager, with the job's cancellation flag as the
-        abort check so a cancel interrupts a lease wait mid-step.  Other
-        backends are stateless and resolve by name per step (a name this
-        build does not register fails the job's first step).
+        It publishes into this queue's lease manager, with the job's
+        cancellation flag as the abort check so a cancel interrupts a
+        lease wait mid-step.
         """
 
-        if job.executor == "remote":
-            from .fleet.remote import RemoteExecutor
-
-            return RemoteExecutor(
-                manager=self.lease_manager,
-                abort=lambda: self.store.get(job.id).cancel_requested,
-                job_id=job.id,
-            )
-        return job.executor
+        if job.executor != "remote":
+            return None
+        return RemoteExecutor(
+            manager=self.lease_manager,
+            abort=lambda: self.store.get(job.id).cancel_requested,
+            job_id=job.id,
+        )
 
     def _finish_job(self, job_id: str, status: str, **fields: Any) -> Job:
         """Finish a job through the store, counting the transition once.
@@ -293,22 +287,18 @@ class JobQueue:
             return
         # One tracer per job: its root "job" span adopts the submitter's
         # X-Repro-Trace context (when one was sent) and parents every
-        # executor wave/step span — and, through lease stamping, every
+        # prefetch and step span — and, through lease stamping, every
         # fleet worker's measurement span.
         tracer = Tracer(writer=self.trace_writer)
         session = Session(store=self._profiles, seed=job.seed, tracer=tracer)
-        executor = self._build_executor(job)
+        prefetcher = self._prefetcher(job)
         with tracer.adopt(SpanContext.parse(job.trace)):
             with tracer.span("job", job=job_id, executor=job.executor, seed=job.seed):
-                # Dependency-scheduled order: a valid topological order
-                # whose wavefront structure matches what the executors
-                # use, so the event stream reflects when a step *could*
-                # start.
-                for step in scheduled_order(plan):
+                for step in plan:
                     if self.store.get(job_id).cancel_requested:
                         status, error = "cancelled", None
                     else:
-                        status, error = self._run_step(session, job, step, executor)
+                        status, error = self._run_step(session, job, step, prefetcher)
                     if status in ("cancelled", "failed"):
                         self._finish_job(
                             job_id, status, error=error,
@@ -320,7 +310,11 @@ class JobQueue:
                 )
 
     def _run_step(
-        self, session: Session, job: Job, step: Step, executor: Any
+        self,
+        session: Session,
+        job: Job,
+        step: Step,
+        prefetcher: Optional[RemoteExecutor],
     ) -> Tuple[str, Optional[str]]:
         """Execute one step; never raises (failures come back as a status)."""
 
@@ -333,7 +327,11 @@ class JobQueue:
             # ran in this job, against this session.
             single = Plan()
             single.add(Step(id=step.id, kind=step.kind, params=step.params))
-            raw = session.execute(single, executor=executor)[step.id]
+            executor = job.executor
+            if prefetcher is not None:
+                prefetcher.prefetch(session, step)
+                executor = "serial"
+            raw = session.execute(single, executor)[step.id]
             payload = step_result_payload(raw)
         except LeaseWaitAborted:
             # A cancel interrupted a remote job's lease wait mid-step:

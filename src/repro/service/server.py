@@ -62,6 +62,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from .. import __version__
 from ..api.plan import PLAN_VERSION, PlanError
 from ..api.registry import UnknownPluginError
+from ..api.session import EXECUTOR_NAMES
 from ..profiling.store import STORE_VERSION
 from .fleet.leases import (
     DEFAULT_LEASE_TTL,
@@ -275,14 +276,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def _get_version(self) -> None:
-        from ..api.executor import EXECUTORS
-
         self._send_json({
             "version": __version__,
             "plan_version": PLAN_VERSION,
             "job_version": JOB_VERSION,
             "store_version": STORE_VERSION,
-            "executors": sorted(EXECUTORS.available()),
+            "executors": list(EXECUTOR_NAMES),
         })
 
     def _post_plan(self) -> None:

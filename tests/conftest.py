@@ -53,16 +53,42 @@ def fail_on_background_thread_exception():
         pytest.fail(f"unhandled exception in background thread(s): {summaries}")
 
 
+class FleetOfOne:
+    """The service's ``remote`` job loop over an in-process lease manager.
+
+    Per step, in plan order: prefetch the step's measurements through
+    :meth:`RemoteExecutor.prefetch`, then run the step (its dependencies
+    stripped, as the job queue does) through ``Session.execute``.
+    """
+
+    def __init__(self, manager) -> None:
+        from repro.service.fleet import RemoteExecutor
+
+        self.manager = manager
+        self.prefetcher = RemoteExecutor(manager=manager)
+
+    def execute(self, session, plan) -> dict:
+        from repro.api import Plan, Step
+
+        results = {}
+        for step in plan:
+            self.prefetcher.prefetch(session, step)
+            single = Plan()
+            single.add(Step(id=step.id, kind=step.kind, params=step.params))
+            results.update(session.execute(single, "serial"))
+        return results
+
+
 @pytest.fixture(scope="module")
 def remote_executor():
-    """A ``remote`` executor wired to an in-process lease manager.
+    """A :class:`FleetOfOne` wired to an in-process lease manager.
 
     One board thread claims each published lease, measures it through
     the fleet worker's own measurement path and completes it — a fleet
     of one without the HTTP hop.
     """
 
-    from repro.service.fleet import FleetWorker, LeaseManager, RemoteExecutor
+    from repro.service.fleet import FleetWorker, LeaseManager
 
     manager = LeaseManager()
     worker = manager.register_worker("board")["worker"]
@@ -78,7 +104,7 @@ def remote_executor():
 
     thread = threading.Thread(target=board, name="test-board", daemon=True)
     thread.start()
-    yield RemoteExecutor(manager=manager)
+    yield FleetOfOne(manager)
     stop.set()
     thread.join(timeout=5.0)
 

@@ -118,6 +118,17 @@ class TestValidation:
         with pytest.raises(PlanError, match="missing required params"):
             Plan().add(Step(id="x", kind="sweep", params={}))
 
+    @pytest.mark.parametrize(
+        "depends_on", ["a", 5, [1], ("a", None)],
+        ids=["string", "int", "int-list", "none-in-tuple"],
+    )
+    def test_depends_on_must_be_a_list_of_step_ids(self, depends_on):
+        plan = Plan()
+        plan.figure("table1", step_id="a")
+        with pytest.raises(PlanError, match="depends_on must be a list of step ids"):
+            plan.figure("table1", step_id="b", depends_on=depends_on)
+        assert "b" not in plan
+
 
 class TestSerialization:
     def test_json_round_trip_is_identity(self):
@@ -156,6 +167,23 @@ class TestSerialization:
             }],
         }
         with pytest.raises(PlanError, match="unknown step"):
+            Plan.from_dict(payload)
+
+    @pytest.mark.parametrize("field, message", [
+        # Regression: a string was split into characters, so "aa"
+        # became ["a", "a"] and was accepted.
+        ({"depends_on": "aa"}, "depends_on must be a list of step ids"),
+        # Regression: these raised TypeError, not PlanError.
+        ({"depends_on": 5}, "depends_on must be a list of step ids"),
+        ({"params": 5}, "params must be a mapping"),
+    ], ids=["string-depends-on", "int-depends-on", "int-params"])
+    def test_step_payload_with_malformed_field_rejected(self, field, message):
+        second = {"id": "b", "kind": "figure", "params": {"experiment": "table1"}}
+        second.update(field)
+        payload = {"version": 1, "steps": [
+            {"id": "a", "kind": "figure", "params": {"experiment": "table1"}}, second,
+        ]}
+        with pytest.raises(PlanError, match=message):
             Plan.from_dict(payload)
 
     def test_step_payload_with_unknown_field_rejected(self):

@@ -1,20 +1,18 @@
-"""Tests for the dependency-aware scheduler and its use by the executor
-backends: wavefront structure, exactly-once dispatch, dependency
-ordering (property-tested over random DAG plans) and bitwise equality of
-serial and remote execution for multi-wavefront plans."""
+"""Tests for the plan loop: ``Session.execute`` runs every step exactly
+once, in plan order, after its dependencies (property-tested over random
+DAG plans), serially and through the fleet prefetch, with bitwise-equal
+results."""
 
 import random
 import threading
+from contextlib import contextmanager
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.api.executor as executor_module
 from repro.api import Plan, Session, Target
-from repro.service.fleet import RemoteExecutor
-from repro.api.scheduler import scheduled_order, wavefronts
 from repro.models import ConvLayerSpec
+from repro.service.fleet import RemoteExecutor
 
 TARGET = Target("hikey-970", "acl-gemm")
 
@@ -27,7 +25,7 @@ def make_spec(index: int) -> ConvLayerSpec:
 
 
 def diamond_plan() -> Plan:
-    """A -> (B, C) -> D: two wavefront barriers around a parallel middle."""
+    """A -> (B, C) -> D: a fan-out and a fan-in."""
 
     plan = Plan()
     a = plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="a")
@@ -57,29 +55,44 @@ def random_dag_plan(seed: int, n_steps: int) -> Plan:
 
 
 class RunRecorder:
-    """Thread-safe start/end event log wrapped around executor.run_step."""
+    """Thread-safe start/end event log wrapped around ``Session._run_step``."""
 
     def __init__(self):
         self.events = []
         self._lock = threading.Lock()
-        self._original = executor_module.run_step
 
-    def __call__(self, session, step):
+    def record(self, *event):
         with self._lock:
-            self.events.append(("start", step.id))
-        result = self._original(session, step)
-        with self._lock:
-            self.events.append(("end", step.id))
-        return result
+            self.events.append(event)
 
-    def assert_valid_schedule(self, plan: Plan) -> None:
-        starts = [step_id for kind, step_id in self.events if kind == "start"]
-        ends = [step_id for kind, step_id in self.events if kind == "end"]
-        assert sorted(starts) == sorted(step.id for step in plan), "not exactly once"
-        assert sorted(ends) == sorted(step.id for step in plan)
-        position = {
-            (kind, step_id): index for index, (kind, step_id) in enumerate(self.events)
-        }
+    @contextmanager
+    def installed(self):
+        """Patch ``Session._run_step`` for the duration of the block.
+
+        By hand rather than through ``monkeypatch``: hypothesis runs
+        many examples inside one function-scoped fixture.
+        """
+
+        original = Session._run_step
+
+        def recording(session, step):
+            self.record("start", step.id)
+            result = original(session, step)
+            self.record("end", step.id)
+            return result
+
+        Session._run_step = recording
+        try:
+            yield self
+        finally:
+            Session._run_step = original
+
+    def assert_ran_in_plan_order(self, plan: Plan) -> None:
+        runs = [event for event in self.events if event[0] in ("start", "end")]
+        assert runs == [
+            (kind, step.id) for step in plan for kind in ("start", "end")
+        ], "not exactly once each, in plan order"
+        position = {event: index for index, event in enumerate(runs)}
         for step in plan:
             for dependency in step.depends_on:
                 assert position[("end", dependency)] < position[("start", step.id)], (
@@ -88,81 +101,19 @@ class RunRecorder:
                 )
 
 
-class TestWavefronts:
-    def test_diamond_has_three_waves(self):
-        waves = wavefronts(diamond_plan())
-        assert [[step.id for step in wave] for wave in waves] == [
-            ["a"], ["b", "c"], ["d"],
-        ]
-
-    def test_scheduled_order_is_flattened_wavefronts(self):
-        assert [step.id for step in scheduled_order(diamond_plan())] == [
-            "a", "b", "c", "d",
-        ]
-
-    def test_independent_steps_form_one_wave(self):
-        plan = Plan()
-        for index in range(4):
-            plan.sweep(TARGET, make_spec(index), sweep_step=4, step_id=f"s{index}")
-        waves = wavefronts(plan)
-        assert len(waves) == 1 and len(waves[0]) == 4
-
-    def test_waves_keep_plan_order(self):
-        """A later step's dependency does not move it ahead in its wave."""
-
-        plan = Plan()
-        a = plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="A")
-        b = plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="B")
-        plan.sweep(TARGET, make_spec(2), sweep_step=4, step_id="C", depends_on=[b.id])
-        plan.sweep(TARGET, make_spec(3), sweep_step=4, step_id="D", depends_on=[a.id])
-        assert [[step.id for step in wave] for wave in wavefronts(plan)] == [
-            ["A", "B"], ["C", "D"],
-        ]
-
-    def test_empty_plan_has_no_waves(self):
-        assert wavefronts(Plan()) == ()
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), n_steps=st.integers(1, 12))
-    def test_random_dag_wavefronts_respect_dependencies(self, seed, n_steps):
-        plan = random_dag_plan(seed, n_steps)
-        waves = wavefronts(plan)
-        wave_of = {
-            step.id: index for index, wave in enumerate(waves) for step in wave
-        }
-        # Every step appears in exactly one wave...
-        assert sorted(wave_of) == sorted(step.id for step in plan)
-        for step in plan:
-            for dependency in step.depends_on:
-                # ...strictly after each of its dependencies' waves...
-                assert wave_of[dependency] < wave_of[step.id]
-        # ...and as early as possible: each step sits right after its
-        # latest dependency (wave 0 for the dependency-free).
-        for step in plan:
-            earliest = (
-                max(wave_of[dep] for dep in step.depends_on) + 1
-                if step.depends_on else 0
-            )
-            assert wave_of[step.id] == earliest
-
-
 class TestExecutorsFollowTheSchedule:
-    """Property: every backend runs every step exactly once, never before
-    its dependencies, and matches serial results bitwise."""
+    """Property: both ways of running a plan run every step exactly once,
+    in plan order and never before its dependencies, and agree bitwise."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_steps=st.integers(1, 8))
     def test_random_dags_run_exactly_once_in_dependency_order(self, seed, n_steps):
         plan = random_dag_plan(seed, n_steps)
-        recorder = RunRecorder()
-        executor_module.run_step, original = recorder, executor_module.run_step
-        try:
+        with RunRecorder().installed() as recorder:
             results = Session().execute(plan, executor="serial")
-        finally:
-            executor_module.run_step = original
-        recorder.assert_valid_schedule(plan)
+        recorder.assert_ran_in_plan_order(plan)
         serial = Session().execute(plan, executor="serial")
-        assert set(results) == set(serial) == {step.id for step in plan}
+        assert list(results) == list(serial) == [step.id for step in plan]
         for step in plan:
             assert results[step.id].rows == serial[step.id].rows
 
@@ -170,13 +121,9 @@ class TestExecutorsFollowTheSchedule:
     @given(seed=st.integers(0, 2**31 - 1))
     def test_remote_backend_schedules_random_dags_correctly(self, remote_executor, seed):
         plan = random_dag_plan(seed, 6)
-        recorder = RunRecorder()
-        executor_module.run_step, original = recorder, executor_module.run_step
-        try:
-            results = Session().execute(plan, executor=remote_executor)
-        finally:
-            executor_module.run_step = original
-        recorder.assert_valid_schedule(plan)
+        with RunRecorder().installed() as recorder:
+            results = remote_executor.execute(Session(), plan)
+        recorder.assert_ran_in_plan_order(plan)
         serial = Session().execute(plan, executor="serial")
         for step in plan:
             assert results[step.id].rows == serial[step.id].rows
@@ -185,19 +132,36 @@ class TestExecutorsFollowTheSchedule:
         plan = diamond_plan()
         serial = Session().execute(plan, executor="serial")
         session = Session()
-        remote = session.execute(plan, executor=remote_executor)
+        remote = remote_executor.execute(session, plan)
         assert session.simulation_count() == 0  # the board measured it all
         for step in plan:
             assert serial[step.id].rows == remote[step.id].rows
 
+    def test_plan_order_not_wave_order(self):
+        """D depends only on A, yet runs after C: the loop keeps plan order."""
 
-class TestWaveScopedFanOut:
-    def test_remote_executor_measures_per_wavefront_not_whole_pool(
-        self, remote_executor, monkeypatch
-    ):
-        """Dependent steps start once *their* inputs are ready: the
-        remote backend publishes one wavefront's workload at a time, and
-        earlier steps run before later waves are even measured."""
+        plan = Plan()
+        a = plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="A")
+        b = plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="B")
+        plan.sweep(TARGET, make_spec(2), sweep_step=4, step_id="C", depends_on=[b.id])
+        plan.sweep(TARGET, make_spec(3), sweep_step=4, step_id="D", depends_on=[a.id])
+        with RunRecorder().installed() as recorder:
+            Session().execute(plan)
+        assert [step_id for kind, step_id in recorder.events if kind == "start"] == [
+            "A", "B", "C", "D",
+        ]
+
+    def test_empty_plan_runs_nothing(self):
+        with RunRecorder().installed() as recorder:
+            assert Session().execute(Plan()) == {}
+        assert recorder.events == []
+
+
+class TestPerStepPrefetch:
+    def test_each_step_runs_before_the_next_prefetch(self, remote_executor, monkeypatch):
+        """One prefetch per step, publishing only that step's workload,
+        and a step runs to completion before the next step's
+        measurements are even published."""
 
         plan = Plan()
         plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="first")
@@ -206,29 +170,31 @@ class TestWaveScopedFanOut:
             depends_on=["first"],
         )
 
-        original_fan_out = RemoteExecutor._fan_out
         recorder = RunRecorder()
+        original_prefetch = RemoteExecutor.prefetch
+        original_fan_out = RemoteExecutor._fan_out
+
+        def recording_prefetch(self, session, step):
+            recorder.record("prefetch", step.id)
+            return original_prefetch(self, session, step)
 
         def recording_fan_out(self, session, tasks):
-            with recorder._lock:
-                recorder.events.append(
-                    ("fan-out", tuple(sorted(spec.name for _, spec, _ in tasks)))
-                )
+            recorder.record("fan-out", tuple(sorted(spec.name for _, spec, _ in tasks)))
             return original_fan_out(self, session, tasks)
 
+        monkeypatch.setattr(RemoteExecutor, "prefetch", recording_prefetch)
         monkeypatch.setattr(RemoteExecutor, "_fan_out", recording_fan_out)
-        monkeypatch.setattr(executor_module, "run_step", recorder)
         session = Session()
-        session.execute(plan, executor=remote_executor)
+        with recorder.installed():
+            remote_executor.execute(session, plan)
         assert session.simulation_count() == 0
 
-        # One fan-out per wavefront, and the first step ran to completion
-        # before the second wave's measurements were even dispatched —
-        # the whole-plan measurement pool no longer gates anything.
         assert recorder.events == [
+            ("prefetch", "first"),
             ("fan-out", ("test.sched.l0",)),
             ("start", "first"),
             ("end", "first"),
+            ("prefetch", "second"),
             ("fan-out", ("test.sched.l1",)),
             ("start", "second"),
             ("end", "second"),

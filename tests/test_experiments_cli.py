@@ -1,6 +1,11 @@
 """Tests for the experiment CLI."""
 
+import fcntl
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +53,55 @@ class TestCli:
     def test_unknown_experiment_in_a_batch_exits_2(self, capsys):
         assert main(["table1", "not-an-id"]) == 2
         assert "not-an-id" in capsys.readouterr().err
+
+
+def run_cli_into_pipe(args, *, read_first_line):
+    """Run ``python -m repro.experiments ARGS`` with stdout on a pipe whose
+    reader goes away: before anything is written, or after the first line.
+
+    Returns ``(exit status, first line read, stderr)``.
+    """
+
+    read_end, write_end = os.pipe()
+    if read_first_line:
+        # The smallest pipe: the child's output overflows it, so the
+        # child is still writing when the reader closes.
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    else:
+        os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments", *args],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    first = b""
+    if read_first_line:
+        with os.fdopen(read_end, "rb") as reader:
+            first = reader.readline()
+    _, stderr = proc.communicate(timeout=300)
+    return proc.returncode, first, stderr.decode()
+
+
+class TestClosedPipe:
+    """``repro-experiments VERB | head -1``: a reader that goes away ends
+    the run with status 1 and no traceback, for every printing verb."""
+
+    @pytest.mark.parametrize("verb", ["list", "targets"])
+    def test_reader_gone_before_the_first_line(self, verb):
+        code, _, stderr = run_cli_into_pipe([verb], read_first_line=False)
+        assert code == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+    @pytest.mark.skipif(
+        not hasattr(fcntl, "F_SETPIPE_SZ"),
+        reason="needs a resizable pipe (Linux)",
+    )
+    def test_reader_closes_after_the_first_line(self):
+        code, first, stderr = run_cli_into_pipe(["all"], read_first_line=True)
+        assert first.startswith(b"=" * 72)
+        assert code == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
 
 class TestProfileStoreFlag:

@@ -4,9 +4,9 @@ The contract under test, in order of importance:
 
 1. **Inertness** — tracing must never change results.  Traced and
    untraced executions of the same plan are bitwise identical, across
-   the serial and remote (fleet-drained) backends.
+   serial execution and the fleet prefetch.
 2. **Stitching** — spans recorded by the CLI client, the serving queue,
-   its executors and fleet workers all land under one trace id when the
+   its fleet prefetch and fleet workers all land under one trace id when the
    ``X-Repro-Trace`` header is propagated.
 3. **Exposure** — ``/v1/metrics`` (Prometheus text) and
    ``/v1/metrics.json`` serve the same snapshot, the client wraps both,
@@ -77,12 +77,15 @@ def client(server):
 class TestTracingIsInert:
     @pytest.mark.parametrize("backend", ["serial", "remote"])
     def test_local_backends_bitwise_identical(self, backend, tmp_path, remote_executor):
-        executor = remote_executor if backend == "remote" else backend
+        def run(session):
+            if backend == "remote":
+                return payloads(remote_executor.execute(session, plan), plan)
+            return payloads(session.execute(plan, backend), plan)
+
         plan = small_plan()
-        untraced = payloads(Session(seed=0).execute(plan, executor=executor), plan)
+        untraced = run(Session(seed=0))
         tracer = Tracer(writer=TraceWriter(tmp_path / "trace.jsonl"))
-        traced_session = Session(seed=0, tracer=tracer)
-        traced = payloads(traced_session.execute(plan, executor=executor), plan)
+        traced = run(Session(seed=0, tracer=tracer))
         assert traced == untraced
         assert tracer.writer.written > 0
 
@@ -115,7 +118,7 @@ class TestTracingIsInert:
         for step in plan:
             assert by_id[step.id]["result"] == serial[step.id]
 
-        # Stitching: server spans (job/wave/step) and worker spans
+        # Stitching: server spans (job/prefetch/step) and worker spans
         # (worker.measure) all share the submitted trace id.
         server_spans = [
             json.loads(line)
@@ -125,7 +128,7 @@ class TestTracingIsInert:
             json.loads(line) for line in trace_path.read_text().splitlines()
         ]
         names = {span["name"] for span in server_spans}
-        assert {"job", "executor.wave", "executor.step"} <= names
+        assert {"job", "fleet.prefetch", "executor.step"} <= names
         assert {span["name"] for span in worker_spans} == {"worker.measure"}
         for span in server_spans + worker_spans:
             assert span["trace"] == context.trace_id
@@ -151,7 +154,6 @@ class TestMetricsExposure:
             "repro_session_cache_misses_total",
             "repro_profile_simulations_total",
             "repro_store_appends_total",
-            "repro_scheduler_wave_width",
             "repro_executor_steps_total",
         ):
             assert name in snapshot, name

@@ -129,7 +129,7 @@ class TestProfileRunner:
             gemm_runner.measure(layer16, 0)
 
     def test_measure_channels_order_preserved(self, gemm_runner, layer16):
-        measurements = gemm_runner.measure_channels(layer16, [8, 4, 12])
+        measurements = gemm_runner.measure_many(layer16, [8, 4, 12])
         assert [m.out_channels for m in measurements] == [8, 4, 12]
 
     def test_sweep_covers_range(self, gemm_runner, layer16):

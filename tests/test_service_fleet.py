@@ -18,8 +18,7 @@ import time
 
 import pytest
 
-from repro.api import Plan, PruningRequest, Session, Target
-from repro.api.executor import EXECUTORS, ExecutionError, _measure_worker
+from repro.api import ExecutionError, Plan, PruningRequest, Session, Target
 from repro.models import ConvLayerSpec
 from repro.profiling import Sweep
 from repro.profiling.store import ProfileStore
@@ -32,6 +31,7 @@ from repro.service.fleet.leases import (
     StaleLeaseError,
     UnknownLeaseError,
 )
+from repro.service.fleet.worker import _measure_worker
 from repro.service.results import step_result_payload
 
 TARGETS = (Target("hikey-970", "acl-gemm"), Target("jetson-tx2", "cudnn"))
@@ -468,9 +468,8 @@ class TestRemoteExecution:
         assert step["status"] == "skipped"
 
     def test_unwired_remote_executor_explains_itself(self):
-        executor = EXECUTORS.create("remote")
         with pytest.raises(ExecutionError, match="repro-experiments serve"):
-            executor.execute(Session(), diamond_plan())
+            Session().execute(diamond_plan(), executor="remote")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 
 import repro
 from repro.api import Plan, PruningRequest, Session, Target
-from repro.api.executor import EXECUTORS, SerialExecutor
 from repro.models import ConvLayerSpec
 from repro.profiling.store import shard_id_for
 from repro.service import ReproServer, ServiceClient, ServiceError
@@ -18,21 +17,6 @@ from repro.service.results import step_result_payload
 
 TARGETS = (Target("hikey-970", "acl-gemm"), Target("jetson-tx2", "cudnn"))
 
-
-class HttpGateExecutor(SerialExecutor):
-    """A serial executor that parks inside the step until released."""
-
-    entered = threading.Event()
-    release = threading.Event()
-
-    def execute(self, session, plan):
-        type(self).entered.set()
-        assert type(self).release.wait(timeout=30.0), "gate never released"
-        return super().execute(session, plan)
-
-
-if "test-gate-http" not in EXECUTORS:
-    EXECUTORS.register("test-gate-http", HttpGateExecutor)
 
 LAYER = ConvLayerSpec(
     name="test.http.conv", in_channels=16, out_channels=24,
@@ -74,8 +58,7 @@ class TestEndpoints:
     def test_version_reports_the_package_version(self, client):
         version = client.version()
         assert version["version"] == repro.__version__
-        builtin = {name for name in version["executors"] if not name.startswith("test-")}
-        assert builtin == {"remote", "serial"}
+        assert version["executors"] == ["remote", "serial"]
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError, match="404"):
@@ -96,6 +79,30 @@ class TestEndpoints:
             client.submit({"version": 1, "steps": [{"id": "x", "kind": "warp"}]})
         assert excinfo.value.status == 400
         assert "unknown step kind" in str(excinfo.value)
+
+    @pytest.mark.parametrize("field", [
+        {"depends_on": "a"}, {"depends_on": 5}, {"params": 5},
+    ], ids=["string-depends-on", "int-depends-on", "int-params"])
+    def test_malformed_step_fields_are_400_and_the_client_stays_usable(
+        self, client, field
+    ):
+        # Regression: a string ``depends_on`` was split into characters
+        # and stored; a number raised TypeError, the handler thread
+        # died and the client saw the connection drop.
+        second = {"id": "b", "kind": "figure", "params": {"experiment": "table1"}}
+        second.update(field)
+        payload = {"version": 1, "steps": [
+            {"id": "a", "kind": "figure", "params": {"experiment": "table1"}}, second,
+        ]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        expected = (
+            "depends_on must be a list" if "depends_on" in field
+            else "params must be a mapping"
+        )
+        assert expected in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
     def test_bad_seed_executor_and_body_are_400(self, client, server):
         with pytest.raises(ServiceError, match="seed"):
@@ -358,21 +365,29 @@ class TestConcurrencyAndCancel:
             expected[step_id]
         )
 
-    def test_cancel_endpoint_on_a_queued_job(self, server):
-        # Stall the single worker so the second submission stays queued.
-        HttpGateExecutor.entered.clear()
-        HttpGateExecutor.release.clear()
+    def test_cancel_endpoint_on_a_queued_job(self, server, monkeypatch):
+        # Stall the single worker inside its step so the second
+        # submission stays queued.
+        entered, release = threading.Event(), threading.Event()
+        original = Session._run_step
+
+        def gated(session, step):
+            entered.set()
+            assert release.wait(timeout=30.0), "gate never released"
+            return original(session, step)
+
+        monkeypatch.setattr(Session, "_run_step", gated)
         client = ServiceClient(server.url)
         try:
             plan = Plan()
             plan.sweep(TARGETS[0], LAYER, sweep_step=8)
-            blocker = client.submit(plan, executor="test-gate-http")
-            assert HttpGateExecutor.entered.wait(timeout=30.0)
+            blocker = client.submit(plan)
+            assert entered.wait(timeout=30.0)
             queued = client.submit(two_step_plan())
             cancelled = client.cancel(queued["id"])
             assert cancelled["status"] == "cancelled"
         finally:
-            HttpGateExecutor.release.set()
+            release.set()
         assert client.wait(blocker["id"], timeout=120.0)["status"] == "succeeded"
         events = list(client.iter_events(queued["id"]))
         assert events[-1]["event"] == "job-finished"

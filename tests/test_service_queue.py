@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-from repro.api import Plan, PruningRequest, Session, Target
-from repro.api.executor import EXECUTORS, SerialExecutor, UnknownExecutorError
+from repro.api import Plan, PruningRequest, Session, Target, UnknownExecutorError
 from repro.experiments.base import ExperimentResult, resolve_session
 from repro.experiments.registry import EXPERIMENTS
 from repro.models import ConvLayerSpec
@@ -57,28 +56,27 @@ if "test-overlap-figure" not in EXPERIMENTS:
     EXPERIMENTS.register("test-overlap-figure", overlap_probe_figure)
 
 
-class GateExecutor(SerialExecutor):
-    """A serial executor that parks inside the step until released."""
+class Gate:
+    """Parks every step inside ``Session._run_step`` until released."""
 
-    entered = threading.Event()
-    release = threading.Event()
-
-    def execute(self, session, plan):
-        type(self).entered.set()
-        assert type(self).release.wait(timeout=30.0), "gate never released"
-        return super().execute(session, plan)
-
-
-if "test-gate" not in EXECUTORS:
-    EXECUTORS.register("test-gate", GateExecutor)
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
 
 
 @pytest.fixture
-def gate():
-    GateExecutor.entered.clear()
-    GateExecutor.release.clear()
-    yield GateExecutor
-    GateExecutor.release.set()
+def gate(monkeypatch):
+    gate = Gate()
+    original = Session._run_step
+
+    def gated(session, step):
+        gate.entered.set()
+        assert gate.release.wait(timeout=30.0), "gate never released"
+        return original(session, step)
+
+    monkeypatch.setattr(Session, "_run_step", gated)
+    yield gate
+    gate.release.set()
 
 
 def sweep_plan(sweep_step: int = 8) -> Plan:
@@ -279,7 +277,7 @@ class TestCancellation:
         plan.sweep(TARGET, LAYER, sweep_step=8, step_id="first")
         plan.sweep(TARGET, LAYER, sweep_step=7, step_id="second")
         with JobQueue() as queue:
-            job = queue.submit(plan, executor="test-gate")
+            job = queue.submit(plan)
             assert gate.entered.wait(timeout=30.0)
             queue.cancel(job.id)
             gate.release.set()
@@ -291,7 +289,7 @@ class TestCancellation:
 
     def test_cancel_of_a_queued_job_never_runs_it(self, gate):
         with JobQueue() as queue:
-            blocker = queue.submit(sweep_plan(), executor="test-gate")
+            blocker = queue.submit(sweep_plan())
             assert gate.entered.wait(timeout=30.0)
             queued = queue.submit(sweep_plan())
             cancelled = queue.cancel(queued.id)
@@ -312,7 +310,7 @@ class TestShutdown:
 
     def test_close_without_drain_cancels_the_backlog(self, gate):
         queue = JobQueue()
-        running = queue.submit(sweep_plan(), executor="test-gate")
+        running = queue.submit(sweep_plan())
         assert gate.entered.wait(timeout=30.0)
         backlog = queue.submit(sweep_plan())
         gate.release.set()
