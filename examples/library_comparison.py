@@ -8,8 +8,8 @@ the six-target sweep of one ResNet-50 layer as a declarative
 is one vectorized simulator batch) — then reports, for each target:
 the latency at the original size, the best achievable speedup, the
 worst slowdown risked, and how many distinct latency levels the
-staircase has.  (Submitted to a service under ``remote``, where worker
-processes measure the sweeps, the tables are bitwise identical.)
+staircase has.  (Submitted to a service with ``repro-experiments
+submit``, the tables are bitwise identical.)
 
 Run with ``python examples/library_comparison.py [layer_index]``.
 """

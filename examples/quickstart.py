@@ -78,10 +78,9 @@ def main() -> None:
     # 5. Declarative plans and resumability.  A Plan is a
     #    JSON-serializable job graph (Plan.from_json(plan.to_json()) ==
     #    plan, so it can travel to `repro-experiments run-plan` or a
-    #    service queue); Session.execute runs its steps in plan order
-    #    ("serial"; a service's "remote" jobs first prefetch each step's
-    #    measurements from its worker fleet), with bitwise-identical
-    #    results either way.  With store=PATH every
+    #    service queue); Session.execute runs its steps in plan order,
+    #    here or inside a service, with bitwise-identical results
+    #    either way.  With store=PATH every
     #    measurement checkpoints to disk, so re-executing the same plan
     #    (here: a "new process") simulates nothing.
     plan = Plan()

@@ -3,8 +3,8 @@
 A :class:`Plan` is a small job graph: :class:`Step` nodes — ``profile``,
 ``sweep``, ``prune``, ``compare`` and ``figure`` jobs — connected by
 explicit dependencies.  :meth:`~repro.api.Session.execute` runs the
-steps in plan order; a service may first prefetch each step's
-measurements from its worker fleet.  Like
+steps in plan order, in the calling process or inside the service's
+job queue.  Like
 :class:`~repro.api.pipeline.PruningRequest`, a plan round-trips through
 plain JSON (``to_json``/``from_json``) so jobs can be shipped to the
 ``repro-experiments run-plan`` CLI, a queue or another machine

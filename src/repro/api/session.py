@@ -19,12 +19,11 @@ would compute for the same parameters.
 Execution is plan-based: ``sweep``/``prune``/``compare``/
 ``profile_network`` each build a one-step
 :class:`~repro.api.plan.Plan` and hand it to :meth:`Session.execute`,
-which runs the steps in plan order.  Inside a service, ``remote`` jobs
-first have each step's measurements prefetched from the worker fleet
-(:mod:`repro.service.fleet.remote`); the counter-based measurement
-noise stream makes the results bitwise identical either way.  With a
-profile store attached, completed measurements checkpoint to disk and
-re-executing a plan simulates nothing.
+which runs the steps in plan order; the service's job queue runs each
+step of a job through it too.  The counter-based measurement noise
+stream makes the results bitwise identical however the steps are
+grouped.  With a profile store attached, completed measurements
+checkpoint to disk and re-executing a plan simulates nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from ..models.zoo import MODELS
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
 from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
+from ..profiling.profilers import check_seed
 from ..profiling.runner import ProfileRunner
 from ..profiling.store import ProfileStore
 from .pipeline import ComparisonReport, PruningReport, PruningRequest
@@ -68,31 +68,12 @@ _STEPS_TOTAL = default_registry().counter(
     labelnames=("kind",),
 )
 
-#: Executor names a job may name: ``serial`` runs anywhere, ``remote``
-#: only in a service, whose job queue prefetches each step's
-#: measurements from the worker fleet before running it serially.
-EXECUTOR_NAMES: Tuple[str, ...] = ("remote", "serial")
-
-
 class UnknownExecutorError(UnknownPluginError):
-    """Raised when an executor name is not one of :data:`EXECUTOR_NAMES`."""
+    """Raised when :meth:`Session.execute` is asked for an executor other than ``serial``."""
 
 
 class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed."""
-
-
-def canonical_executor(name: str) -> str:
-    """``name`` stripped and lower-cased, if it is an executor name."""
-
-    if not isinstance(name, str):
-        raise TypeError(f"executor must be a name, got {name!r}")
-    key = name.strip().lower()
-    if key not in EXECUTOR_NAMES:
-        raise UnknownExecutorError(
-            f"unknown executor {name!r}; available: {list(EXECUTOR_NAMES)}"
-        )
-    return key
 
 
 #: Default bound on cached layer profiles.  Profiling the full model zoo
@@ -214,8 +195,7 @@ class Session:
 
     Sessions are thread-safe: the profile/runner/pruner caches
     are guarded by an internal lock (simulation never happens under it),
-    so several threads may execute plans against one session, the
-    fleet prefetch can adopt measurements into it, and the
+    so several threads may execute plans against one session and the
     service's job queue can run figure steps from several workers in
     parallel.
 
@@ -263,10 +243,8 @@ class Session:
             raise ValueError(
                 f"max_cache_entries must be None or >= 1, got {max_cache_entries}"
             )
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.max_cache_entries = max_cache_entries
-        self.seed = seed
+        self.seed = check_seed(seed)
         self.tracer = tracer if tracer is not None else Tracer()
         self._store = self._coerce_store(store)
         self._profiles: "OrderedDict[_ProfileKey, LayerProfile]" = OrderedDict()
@@ -652,20 +630,15 @@ class Session:
 
         Plan order is a dependency order: :meth:`Plan.add` accepts only
         dependencies on steps already added.  ``executor`` must be
-        ``"serial"``; ``"remote"`` names the service's fleet, which
-        prefetches measurements into a session and then runs each step
-        through this method.  With a profile store attached,
+        ``"serial"``, the only executor; any other value raises
+        :class:`UnknownExecutorError`.  With a profile store attached,
         measurements are checkpointed, so re-executing the same plan
         simulates nothing.
         """
 
-        if canonical_executor(executor) == "remote":
-            raise ExecutionError(
-                "the remote executor distributes measurements through a fleet "
-                "lease manager and only runs inside a service: start one with "
-                "`repro-experiments serve --executor remote`, attach workers "
-                "with `repro-experiments worker --url ...` and submit the plan "
-                "with `repro-experiments submit`"
+        if executor != "serial":
+            raise UnknownExecutorError(
+                f"unknown executor {executor!r}; the only executor is 'serial'"
             )
         return {step.id: self._run_step(step) for step in plan}
 
@@ -720,11 +693,9 @@ class Session:
 
 __all__ = [
     "DEFAULT_MAX_CACHE_ENTRIES",
-    "EXECUTOR_NAMES",
     "CacheStats",
     "ExecutionError",
     "Session",
     "SweepTable",
     "UnknownExecutorError",
-    "canonical_executor",
 ]

@@ -1,10 +1,10 @@
 """RL002 — nondeterminism guard for the measurement paths.
 
-The reproduction's executors are contractually bitwise-identical:
-serial and remote-fleet runs of the same plan must produce the same
-numbers, on any machine.  That only holds while the measurement
-packages (``repro/gpusim/``, ``repro/core/``, ``repro/profiling/``)
-stay free of ambient entropy.  The only sanctioned noise source is the
+The reproduction's results are contractually bitwise-identical: a plan
+run through ``run-plan``, a served job or a figure generator must
+produce the same numbers, on any machine.  That only holds while the
+measurement packages (``repro/gpusim/``, ``repro/core/``,
+``repro/profiling/``) stay free of ambient entropy.  The only sanctioned noise source is the
 splitmix64 counter stream, which is seeded from the measurement key and
 therefore reproducible.
 

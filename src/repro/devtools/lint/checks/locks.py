@@ -1,10 +1,10 @@
 """RL001 — lock discipline for classes that own a ``threading`` lock.
 
 The thread-safe classes of this code base (``Session``,
-``ProfileRunner``, ``ProfileStore``, ``JobStore``, ``JobQueue``,
-``LeaseManager``) all follow one convention: internal mutable state
-lives in ``self._*`` attributes and every public entry point touches it
-inside ``with self._lock:`` (or the condition variable built on it).
+``ProfileRunner``, ``ProfileStore``, ``JobStore``, ``JobQueue``) all
+follow one convention: internal mutable state lives in ``self._*``
+attributes and every public entry point touches it inside
+``with self._lock:`` (or the condition variable built on it).
 This checker enforces the convention structurally: in any class whose
 ``__init__`` (or dataclass field) creates a ``threading.Lock`` /
 ``RLock`` / ``Condition``, a ``self._*`` attribute read or write inside

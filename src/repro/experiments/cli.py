@@ -11,10 +11,8 @@ Usage::
     python -m repro.experiments run-plan plan.json --trace trace.jsonl
     python -m repro.experiments serve --port 8765 --profile-store profiles
     python -m repro.experiments submit plan.json --url http://127.0.0.1:8765 --watch
-    python -m repro.experiments worker --url http://127.0.0.1:8765
-    python -m repro.experiments serve --executor remote
     python -m repro.experiments metrics --url http://127.0.0.1:8765
-    python -m repro.experiments metrics --grep 'repro_lease'
+    python -m repro.experiments metrics --grep 'repro_jobs'
     python -m repro.experiments trace ls --file trace.jsonl
     python -m repro.experiments trace show TRACE_ID --file trace.jsonl
     python -m repro.experiments store stats profiles
@@ -34,10 +32,9 @@ serialized :class:`repro.api.Plan` in this process, step by step in
 plan order; unknown experiment ids exit with status 2 and list the
 valid identifiers instead of dumping a traceback, and a closed output
 pipe (``list | head -2``) exits with status 1 without one.  ``serve``
-boots the long-lived :mod:`repro.service` HTTP front end, ``submit``
-ships a plan file to it and ``worker`` joins its measurement fleet — a
-pull-based agent claiming work leases over HTTP, which is what jobs
-submitted with ``--executor remote`` run on.  ``store`` maintains a
+boots the long-lived :mod:`repro.service` HTTP front end, whose job
+queue runs every submitted plan in its own process the way ``run-plan``
+does, and ``submit`` ships a plan file to it.  ``store`` maintains a
 profile store, and ``lint`` runs the repo's AST invariant
 checkers (:mod:`repro.devtools.lint`) over source trees.
 """
@@ -114,7 +111,7 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argume
         prog=_PROG,
         description="Regenerate the paper's figures and tables on the simulated targets.",
         epilog=(
-            "verbs: list, targets, run-plan, serve, submit, worker, metrics, "
+            "verbs: list, targets, run-plan, serve, submit, metrics, "
             "trace, store, lint ('VERB --help' lists each verb's flags)"
         ),
     ), "--json", "--profile-store")
@@ -152,40 +149,13 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argume
     serve.add_argument(
         "--workers", type=int, default=1, help="job worker threads (default: %(default)s)"
     )
-    serve.add_argument(
-        "--executor", default="serial", metavar="NAME",
-        help="default executor for submitted jobs: serial or remote (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--lease-ttl", type=float, metavar="SECONDS",
-        help="heartbeat deadline for fleet work leases (default: 30)",
-    )
 
     submit = verb(
         "submit", submit_command, "Ship a plan file to a running service.", "--url", "--seed"
     )
     submit.add_argument("plan", metavar="PLAN")
     submit.add_argument(
-        "--executor", metavar="NAME", help="executor for this job (default: the server's)"
-    )
-    submit.add_argument(
         "--watch", action="store_true", help="stream the job's events and wait for its result"
-    )
-
-    worker = verb(
-        "worker", worker_command, "Join a running service's fleet and pull work leases.",
-        "--url", "--trace",
-    )
-    worker.add_argument("--name", help="worker name shown in GET /v1/fleet")
-    worker.add_argument(
-        "--poll", type=float, default=5.0, metavar="SECONDS",
-        help="seconds each claim request long-polls (default: %(default)s)",
-    )
-    worker.add_argument(
-        "--max-idle", type=float, metavar="SECONDS", help="exit after this many idle seconds"
-    )
-    worker.add_argument(
-        "--max-leases", type=int, metavar="N", help="exit after completing this many leases"
     )
 
     metrics = verb(
@@ -408,14 +378,12 @@ def run_plan_command(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# serve / submit / worker / metrics (the repro.service front end)
+# serve / submit / metrics (the repro.service front end)
 # ----------------------------------------------------------------------
 def serve_command(args: argparse.Namespace) -> int:
     """Boot the long-lived plan execution service and block until Ctrl-C."""
 
     from .. import __version__
-    from ..api.registry import UnknownPluginError
-    from ..service.fleet.leases import DEFAULT_LEASE_TTL, LeaseError
     from ..service.server import ReproServer
 
     try:
@@ -423,21 +391,18 @@ def serve_command(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             profile_store=args.profile_store or None,
-            executor=args.executor,
             workers=args.workers,
             verbose=True,
-            lease_ttl=args.lease_ttl if args.lease_ttl is not None else DEFAULT_LEASE_TTL,
             trace=args.trace or None,
         )
-    except (OSError, ValueError, UnknownPluginError, LeaseError) as error:
+    except (OSError, ValueError) as error:
         detail = error.args[0] if error.args else error
         print(f"cannot start service: {detail}", file=sys.stderr)
         return 2
     print(f"repro-service {__version__} listening on {server.url}", flush=True)
     print(
         f"profile store: {server.queue.profile_store or '(none, in-memory only)'}; "
-        f"default executor: {args.executor}; workers: {args.workers}; "
-        f"lease ttl: {server.queue.lease_manager.lease_ttl:g}s",
+        f"workers: {args.workers}",
         flush=True,
     )
     if args.trace:
@@ -486,7 +451,7 @@ def submit_command(args: argparse.Namespace) -> int:
 
     client = ServiceClient(args.url)
     try:
-        job = client.submit(plan, executor=args.executor, seed=args.seed)
+        job = client.submit(plan, seed=args.seed)
         print(f"submitted {path} as {job['id']} ({job['status']}) to {args.url}")
         if not args.watch:
             return 0
@@ -516,33 +481,6 @@ def submit_command(args: argparse.Namespace) -> int:
     if final["status"] == "failed" and final.get("error"):
         print(final["error"], file=sys.stderr)
     return 0 if final["status"] == "succeeded" else 1
-
-
-def worker_command(args: argparse.Namespace) -> int:
-    """Join a running service's measurement fleet and pull work leases."""
-
-    from ..service.client import ServiceError
-    from ..service.fleet.worker import run_worker
-
-    _install_interrupt_handlers()
-    try:
-        completed = run_worker(
-            args.url,
-            name=args.name,
-            poll=args.poll,
-            max_idle=args.max_idle,
-            max_leases=args.max_leases,
-            on_event=lambda message: print(message, flush=True),
-            trace=args.trace or None,
-        )
-    except KeyboardInterrupt:
-        print("worker interrupted; letting any held lease expire", flush=True)
-        return 0
-    except (ServiceError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    print(f"worker done: {completed} lease(s) completed", flush=True)
-    return 0
 
 
 def metrics_command(args: argparse.Namespace) -> int:

@@ -18,8 +18,8 @@ the reproduction itself.  Three parts:
 ``trace``
     Span tracing (:class:`Tracer`, :class:`Span`, :class:`SpanContext`)
     with monotonic durations, a flock-safe JSONL :class:`TraceWriter`
-    and ``X-Repro-Trace`` header propagation so a fleet worker's
-    measurement spans stitch under the submitting job's trace.
+    and ``X-Repro-Trace`` header propagation so a served job's spans
+    stitch under the submitter's trace.
 ``traceview``
     Offline reconstruction of span trees from TraceWriter JSONL —
     the ``trace ls`` / ``trace show`` verbs.

@@ -57,7 +57,7 @@ _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Latency buckets (seconds) — wide enough for sub-millisecond simulator
-#: steps and minute-long fleet drains alike.
+#: steps and minute-long figure steps alike.
 DEFAULT_TIME_BUCKETS_S: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
@@ -274,30 +274,6 @@ class Histogram(_Metric):
     def labels(self, **labels: object) -> "_BoundHistogram":
         with self._lock:
             return _BoundHistogram(self, self._label_key(labels))
-
-    def quantile(self, q: float, **labels: object) -> Optional[float]:
-        """Estimated q-quantile via linear interpolation inside buckets.
-
-        Returns ``None`` for an untouched series.  Observations beyond
-        the last finite boundary clamp to it (Prometheus convention).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MetricsError(f"quantile must be in [0, 1], got {q!r}")
-        with self._lock:
-            state = self._series.get(self._label_key(labels))
-            if state is None or state.count == 0:
-                return None
-            target = q * state.count
-            cumulative = 0.0
-            lower = 0.0
-            for boundary, bucket_count in zip(self.buckets, state.bucket_counts):
-                if bucket_count > 0 and cumulative + bucket_count >= target:
-                    fraction = (target - cumulative) / bucket_count
-                    fraction = min(1.0, max(0.0, fraction))
-                    return lower + (boundary - lower) * fraction
-                cumulative += bucket_count
-                lower = boundary
-            return self.buckets[-1]
 
     def _observe_locked(self, key: Tuple[str, ...], value: float,
                         exemplar: Optional[str] = None) -> None:

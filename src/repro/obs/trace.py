@@ -4,15 +4,14 @@ A :class:`Tracer` keeps a *thread-local* stack of open spans: entering
 ``tracer.span("executor.step", step="s1")`` opens a child of whatever
 span the current thread already has open, times it on the monotonic
 clock and, when a :class:`TraceWriter` is attached, appends the finished
-span as one JSONL line (flock-guarded, so fleet workers and a serving
-process can share a file).
+span as one JSONL line (flock-guarded, so several processes — a serving
+process and ``run-plan`` runs, say — can share a file).
 
 Spans stitch across processes through :class:`SpanContext`: the HTTP
 client sends ``trace_id/span_id`` in the ``X-Repro-Trace`` header
-(:data:`TRACE_HEADER`), the queue adopts it as the parent of the job
-span, and the remote executor stamps the current context onto every
-published lease so a fleet worker's measurement spans land under the
-submitting job's trace.
+(:data:`TRACE_HEADER`) and the queue adopts it as the parent of the job
+span, so the server's job and step spans land under the submitter's
+trace.
 
 Determinism note: tracing must be *inert* — ids come from
 ``os.urandom`` (not the simulator's splitmix64 stream), clocks are read
@@ -43,8 +42,7 @@ __all__ = [
     "current_trace_id",
 ]
 
-#: HTTP header carrying ``trace_id/span_id`` between client, server and
-#: fleet workers.
+#: HTTP header carrying ``trace_id/span_id`` from a client to the server.
 TRACE_HEADER = "X-Repro-Trace"
 
 _ID_RE = re.compile(r"^[0-9a-f]{4,32}$")

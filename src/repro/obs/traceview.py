@@ -1,12 +1,11 @@
 """Offline reconstruction of span trees from TraceWriter JSONL.
 
 :class:`~repro.obs.trace.TraceWriter` appends one finished span per
-line, flock-guarded so a serving process and its fleet workers can
-share a file.  The result is an interleaved, multi-process log: the
-client's ``client.submit`` span, the server's ``queue.job`` span, the
-executor's publish span and the worker's ``worker.measure`` spans of
-one submission all carry the same ``trace`` id but arrive in completion
-order from different processes.
+line, flock-guarded so several processes can share a file.  The result
+is an interleaved, multi-process log: a submitter's span and the
+server's ``job`` and ``executor.step`` spans of one submission all
+carry the same ``trace`` id but arrive in completion order from
+different processes.
 
 This module turns that log back into trees:
 
@@ -27,7 +26,7 @@ This module turns that log back into trees:
 :func:`exemplar_references`
     Cross-reference a metrics snapshot: every histogram bucket whose
     exemplar points at the trace, so ``trace show`` can say *this*
-    trace is the one the slow ``claim_wait`` bucket flagged.
+    trace is the one a histogram bucket flagged.
 
 Everything here is a pure function over already-written artifacts;
 nothing feeds back into measurement.
@@ -203,7 +202,7 @@ def exemplar_references(snapshot: Mapping[str, dict], trace_id: str) -> List[dic
 
     Rows are ``{"metric", "labels", "le", "value"}`` — enough for
     ``trace show`` to report "this trace is the exemplar for the
-    ``repro_lease_claim_wait_seconds`` le=5 bucket (4.2s)".
+    ``repro_profile_batch_size`` le=256 bucket (142)".
     """
 
     references: List[dict] = []

@@ -61,6 +61,19 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def check_seed(seed: object) -> int:
+    """Return ``seed`` if it is a stream seed, else raise :class:`ValueError`.
+
+    A stream seed is an ``int`` in ``[0, 2**64)``: :func:`_seed_of`
+    mixes it modulo 2**64, so a larger seed would silently reproduce a
+    smaller one's measurements while the store keyed them apart.
+    """
+
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def _seed_of(seed_material: str, seed: int = 0) -> np.uint64:
     """Per-configuration splitmix64 seed, optionally forked by a stream seed.
 

@@ -134,7 +134,7 @@ class Measurement:
         """JSON-ready payload, one key per field.
 
         Sweeps travel as columns (:meth:`Sweep.as_columns`); this row form
-        is what fleet workers report and what version-1 store lines hold.
+        is what version-1 store lines hold.
         """
 
         return {
@@ -577,41 +577,6 @@ class ProfileRunner:
         )
         check_sweep(sweep)
         return sweep
-
-    # ------------------------------------------------------------------
-    # Executor support: cross-process adoption
-    # ------------------------------------------------------------------
-    def pending_counts(self, layer: ConvLayerSpec, channel_counts: Iterable[int]) -> List[int]:
-        """Channel counts not served by the cache or the attached store, ascending.
-
-        Store hits found along the way are pulled into the in-memory
-        cache, so a subsequent :meth:`measure_many` over the same counts
-        touches the simulator only for the returned ones.
-        """
-
-        with self._lock:
-            cached = self._cache.get(self._layer_key(layer), _EMPTY)
-            found, missing = self._stored(layer, cached.select(distinct_counts(channel_counts))[1])
-            if len(found):
-                self._remember(layer, [cached, found])
-            return missing.tolist()
-
-    def adopt(self, layer: ConvLayerSpec, sweep: Sweep) -> int:
-        """Inject a sweep measured elsewhere (e.g. a worker process).
-
-        Already-cached configurations are ignored; fresh ones are
-        persisted to the attached store, as if this runner had measured
-        them, and then cached.  Returns the number adopted.  A sweep of
-        another layer or target raises :class:`MeasurementError`.
-        """
-
-        with self._lock:
-            cached = self._cache.get(self._layer_key(layer), _EMPTY)
-            fresh = sweep.sorted()
-            fresh = fresh.select(cached.select(fresh.counts)[1])[0]
-            if len(fresh):
-                self._remember(layer, [cached], fresh)
-            return len(fresh)
 
     # ------------------------------------------------------------------
     def sweep(

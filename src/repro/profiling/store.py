@@ -682,8 +682,8 @@ class ProfileStore:
         — what :meth:`compact` would drop), ``bytes`` (total shard-file
         size), ``by_target`` — a ``"library@device"``-keyed breakdown
         of ``entries``/``measurements`` per target, which is how the
-        fleet tests prove each configuration was simulated exactly once
-        (``measurements == entries`` target by target) — and
+        concurrency tests prove each configuration was simulated exactly
+        once (``measurements == entries`` target by target) — and
         ``shards``, the same figures keyed per shard file.  The call
         does not disturb the in-memory index or the hit/miss counters.
         """

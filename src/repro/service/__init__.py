@@ -33,18 +33,12 @@ Modules
     cancel, health, version).
 ``client``
     :class:`ServiceClient` — an ``http.client``-based Python client the CLI's
-    ``submit`` subcommand drives (and the fleet worker's transport).
+    ``submit`` subcommand drives.
 ``results``
     Step-result projections shared by the CLI and the job records.
-``fleet``
-    Distributed measurement: the crash-safe :class:`LeaseManager` work
-    queue, the ``remote`` executor's per-step prefetch that publishes
-    into it, and the pull-based :class:`FleetWorker` that
-    ``repro-experiments worker`` runs against a serving URL.
 """
 
 from .client import ServiceClient, ServiceError
-from .fleet import FleetWorker, LeaseManager, RemoteExecutor, run_worker
 from .jobs import JOB_STATUSES, STEP_STATUSES, Job, JobStore, StepRecord
 from .queue import JobQueue
 from .results import describe_step_result, step_result_payload
@@ -53,18 +47,14 @@ from .server import ReproServer, serve
 __all__ = [
     "JOB_STATUSES",
     "STEP_STATUSES",
-    "FleetWorker",
     "Job",
     "JobQueue",
     "JobStore",
-    "LeaseManager",
-    "RemoteExecutor",
     "ReproServer",
     "ServiceClient",
     "ServiceError",
     "StepRecord",
     "describe_step_result",
-    "run_worker",
     "serve",
     "step_result_payload",
 ]

@@ -6,7 +6,7 @@ connection alive across requests; the NDJSON event stream opens its own
 short-lived one::
 
     client = ServiceClient("http://127.0.0.1:8765")
-    job = client.submit(plan, executor="remote", seed=1)
+    job = client.submit(plan, seed=1)
     for event in client.iter_events(job["id"]):
         print(event["event"], event.get("step", ""))
     final = client.wait(job["id"])
@@ -59,8 +59,8 @@ class ServiceClient:
         parts = urllib.parse.urlsplit(self.url)
         self._netloc = parts.netloc
         self._prefix = parts.path
-        # One kept-alive connection per calling thread: a fleet worker
-        # calls one client from its main loop and its heartbeat thread.
+        # One kept-alive connection per calling thread, so threads
+        # sharing a client never interleave requests on one socket.
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -104,7 +104,6 @@ class ServiceClient:
         method: str,
         path: str,
         payload: Any = None,
-        timeout: Optional[float] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, bytes]:
         """One request on this thread's kept-alive connection: (status, body)."""
@@ -115,14 +114,14 @@ class ServiceClient:
         reused = connection.sock is not None
         try:
             try:
-                response = self._exchange(connection, method, path, payload, timeout, headers)
+                response = self._exchange(connection, method, path, payload, None, headers)
             except _STALE_CONNECTION_ERRORS:
                 # The server closed the idle connection before reading
                 # this request: retry once on a fresh one.
                 if not reused:
                     raise
                 connection.close()
-                response = self._exchange(connection, method, path, payload, timeout, headers)
+                response = self._exchange(connection, method, path, payload, None, headers)
             return response.status, response.read()
         except (OSError, http.client.HTTPException) as error:
             connection.close()
@@ -149,7 +148,6 @@ class ServiceClient:
     def submit(
         self,
         plan: Union[Plan, Dict[str, Any]],
-        executor: Optional[str] = None,
         seed: Optional[int] = None,
         trace: Union[SpanContext, str, None] = None,
     ) -> Dict[str, Any]:
@@ -164,8 +162,6 @@ class ServiceClient:
         payload: Dict[str, Any] = {
             "plan": plan.to_dict() if isinstance(plan, Plan) else plan
         }
-        if executor is not None:
-            payload["executor"] = executor
         if seed is not None:
             payload["seed"] = seed
         headers = None
@@ -267,68 +263,12 @@ class ServiceClient:
 
         The server reads the store fresh from disk, so the figures are
         per shard (``shards``) and per target (``by_target``) and
-        include appends from every worker process sharing the store.
+        include appends from every process sharing the store.
         Raises :class:`ServiceError` with status 404 when the service
         runs without a profile store.
         """
 
         return self._request("GET", "/v1/store")
-
-    # ------------------------------------------------------------------
-    # Fleet surface (used by repro.service.fleet.worker)
-    # ------------------------------------------------------------------
-    def fleet(self) -> Dict[str, Any]:
-        """Lease counts, lifetime counters and known workers."""
-
-        return self._request("GET", "/v1/fleet")
-
-    def register_worker(self, name: Optional[str] = None) -> Dict[str, Any]:
-        """Join the fleet; returns ``{"worker": id, "lease_ttl": ttl}``."""
-
-        payload = {"name": name} if name is not None else {}
-        return self._request("POST", "/v1/workers/register", payload)
-
-    def claim_lease(
-        self, worker: str, timeout: float = 0.0
-    ) -> Optional[Dict[str, Any]]:
-        """Long-poll for one work lease; ``None`` when nothing is pending.
-
-        The server answers 204 after its poll horizon elapses without
-        work; the request timeout leaves generous headroom on top of the
-        server-side ``timeout`` so slow networks do not surface spurious
-        errors.
-        """
-
-        status, body = self._send(
-            "POST",
-            "/v1/leases/claim",
-            {"worker": worker, "timeout": timeout},
-            timeout=timeout + self.timeout,
-        )
-        return None if status == 204 else json.loads(body)
-
-    def heartbeat_lease(self, lease_id: str, worker: str) -> Dict[str, Any]:
-        """Extend a held lease's deadline by one TTL."""
-
-        return self._request(
-            "POST", f"/v1/leases/{lease_id}/heartbeat", {"worker": worker}
-        )
-
-    def complete_lease(
-        self,
-        lease_id: str,
-        worker: str,
-        measurements: Optional[List[Dict[str, Any]]] = None,
-        error: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Report a lease's measurements (or the error that broke it)."""
-
-        payload: Dict[str, Any] = {"worker": worker}
-        if measurements is not None:
-            payload["measurements"] = measurements
-        if error is not None:
-            payload["error"] = error
-        return self._request("POST", f"/v1/leases/{lease_id}/complete", payload)
 
 
 __all__ = ["ServiceClient", "ServiceError"]

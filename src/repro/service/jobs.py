@@ -1,7 +1,7 @@
 """Job records and the JSONL-persisted :class:`JobStore`.
 
 A :class:`Job` is one submitted :class:`~repro.api.plan.Plan` plus
-everything the service knows about running it: executor/seed, per
+everything the service knows about running it: its seed, per
 step status, JSON result projections, timings, the error traceback when
 a step fails and the ordered event log the NDJSON stream serves.
 
@@ -112,7 +112,6 @@ class Job:
 
     id: str
     plan: Dict[str, Any]
-    executor: str
     seed: int
     status: str = "queued"
     submitted_at: float = 0.0
@@ -146,7 +145,6 @@ class Job:
         return {
             "id": self.id,
             "status": self.status,
-            "executor": self.executor,
             "seed": self.seed,
             "submitted_at": self.submitted_at,
             "finished_at": self.finished_at,
@@ -163,7 +161,6 @@ class Job:
             "v": JOB_VERSION,
             "id": self.id,
             "plan": self.plan,
-            "executor": self.executor,
             "seed": self.seed,
             "status": self.status,
             "submitted_at": self.submitted_at,
@@ -180,7 +177,7 @@ class Job:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Job":
         """Rebuild a job; keys this build does not read (a 2.x record's
-        ``jobs``) are ignored."""
+        ``jobs``, a 5.x record's ``executor``) are ignored."""
 
         if payload.get("v") != JOB_VERSION:
             raise JobStoreError(
@@ -190,7 +187,6 @@ class Job:
         return cls(
             id=payload["id"],
             plan=payload["plan"],
-            executor=payload["executor"],
             seed=int(payload.get("seed", 0)),
             status=payload.get("status", "queued"),
             submitted_at=payload.get("submitted_at", 0.0),
@@ -382,7 +378,6 @@ class JobStore:
     def create(
         self,
         plan: Dict[str, Any],
-        executor: str = "serial",
         seed: int = 0,
         steps: Optional[List[Tuple[str, str]]] = None,
         trace: Optional[str] = None,
@@ -398,7 +393,6 @@ class JobStore:
         job = Job(
             id=f"job-{uuid.uuid4().hex[:12]}",
             plan=plan,
-            executor=executor,
             seed=seed,
             submitted_at=time.time(),
             trace=trace,
@@ -406,7 +400,7 @@ class JobStore:
         )
         with self._lock:
             self._jobs[job.id] = job
-            self._emit(job, "job-queued", executor=executor, seed=seed)
+            self._emit(job, "job-queued", seed=seed)
             self._commit(job)
         return job
 

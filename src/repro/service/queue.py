@@ -4,11 +4,9 @@ Each worker pulls a queued job id, builds a **fresh**
 :class:`~repro.api.Session` for it (sharing with every other job only
 the queue's resident profile store and the process-wide zoo networks,
 which nothing mutates) and executes the plan one step at a time, in
-plan order, through :meth:`Session.execute`; for a ``remote`` job each
-step's measurements are first prefetched from the worker fleet
-(:meth:`~repro.service.fleet.remote.RemoteExecutor.prefetch`).  Per
-step granularity is what gives the service its live
-``step-started`` / ``step-finished`` event stream and
+plan order, through :meth:`Session.execute` — the same in-process path
+``run-plan`` takes.  Per step granularity is what gives the service its
+live ``step-started`` / ``step-finished`` event stream and
 step-boundary cancellation; results stay bitwise identical to executing
 the whole plan at once because the session (and its caches, noise
 stream and store) persists across the steps of a job.  Since every step
@@ -38,12 +36,11 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..api.plan import Plan, PlanError, Step
-from ..api.session import Session, canonical_executor
+from ..api.session import Session
 from ..obs.metrics import default_registry
 from ..obs.trace import SpanContext, TraceWriter, Tracer
+from ..profiling.profilers import check_seed
 from ..profiling.store import ProfileStore
-from .fleet.leases import DEFAULT_LEASE_TTL, LeaseManager, LeaseWaitAborted
-from .fleet.remote import RemoteExecutor
 from .jobs import Job, JobStore
 from .results import step_result_payload
 
@@ -90,35 +87,24 @@ class JobQueue:
         instead of re-simulating them, and jobs writing to different
         targets append to different shards without contending on one
         inode.
-    executor:
-        Default executor name (one of
-        :data:`~repro.api.session.EXECUTOR_NAMES`) applied to
-        submissions that do not choose their own.
     workers:
         Worker thread count (default 1).  Every step kind runs
         concurrently across workers — ``figure`` steps included, since
         experiment generators receive the job's session explicitly
         instead of swapping a process-global one.
-    lease_ttl:
-        Heartbeat deadline (seconds) of the queue's
-        :class:`~repro.service.fleet.leases.LeaseManager`; a fleet
-        worker that goes silent this long loses its lease.
     trace:
         Optional path to a JSONL trace file.  Every job then runs under
         a ``job`` root span (adopted under the submitter's
         ``X-Repro-Trace`` context when one was sent) with per-step
-        ``executor.step`` (and, for ``remote`` jobs, ``fleet.prefetch``)
-        child spans.  Tracing is inert: traced execution is bitwise
-        identical to untraced.
+        ``executor.step`` child spans.  Tracing is inert: traced
+        execution is bitwise identical to untraced.
     """
 
     def __init__(
         self,
         store: Optional[JobStore] = None,
         profile_store: Union[str, Path, None] = None,
-        executor: str = "serial",
         workers: int = 1,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
         trace: Union[str, Path, None] = None,
     ) -> None:
         if workers < 1:
@@ -128,14 +114,6 @@ class JobQueue:
         self._profiles = (
             ProfileStore(self.profile_store) if self.profile_store is not None else None
         )
-        # Fail fast on the operator-level default: a typo'd --executor
-        # must stop the service from booting, not surface as errors on
-        # every client submission.
-        self.default_executor = canonical_executor(executor)
-        # One lease manager per queue: jobs running under the ``remote``
-        # executor publish their measurement workload here, and the HTTP
-        # layer's /v1/leases routes let fleet workers pull from it.
-        self.lease_manager = LeaseManager(lease_ttl=lease_ttl)
         self.trace_writer = TraceWriter(trace) if trace is not None else None
         self._queue: "_stdlib_queue.Queue[Optional[str]]" = _stdlib_queue.Queue()
         self._closed = False
@@ -163,7 +141,6 @@ class JobQueue:
     def submit(
         self,
         plan: Union[Plan, Dict[str, Any]],
-        executor: Optional[str] = None,
         seed: int = 0,
         trace: Optional[str] = None,
     ) -> Job:
@@ -174,26 +151,17 @@ class JobQueue:
         spans stitch into one trace.
 
         Raises :class:`~repro.api.plan.PlanError` for structurally
-        invalid plans and :class:`ValueError` for a bad ``seed`` or a
-        non-string ``executor`` — the server maps both to HTTP 400.
+        invalid plans and :class:`ValueError` for a bad ``seed`` — the
+        server maps both to HTTP 400.
         """
 
         validated = plan if isinstance(plan, Plan) else Plan.from_dict(plan)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        if executor is not None and not isinstance(executor, str):
-            raise ValueError(f"executor must be a string, got {executor!r}")
-        executor_name = (
-            canonical_executor(executor)  # raises UnknownExecutorError
-            if executor is not None
-            else self.default_executor
-        )
+        check_seed(seed)
         with self._lock:
             if self._closed:
                 raise QueueClosedError("the job queue is shutting down")
             job = self.store.create(
                 validated.to_dict(),
-                executor=executor_name,
                 seed=seed,
                 steps=[(step.id, step.kind) for step in validated],
                 trace=trace,
@@ -242,22 +210,6 @@ class JobQueue:
             finally:
                 self._queue.task_done()
 
-    def _prefetcher(self, job: Job) -> Optional[RemoteExecutor]:
-        """The fleet prefetch of a ``remote`` job, ``None`` for any other.
-
-        It publishes into this queue's lease manager, with the job's
-        cancellation flag as the abort check so a cancel interrupts a
-        lease wait mid-step.
-        """
-
-        if job.executor != "remote":
-            return None
-        return RemoteExecutor(
-            manager=self.lease_manager,
-            abort=lambda: self.store.get(job.id).cancel_requested,
-            job_id=job.id,
-        )
-
     def _finish_job(self, job_id: str, status: str, **fields: Any) -> Job:
         """Finish a job through the store, counting the transition once.
 
@@ -287,18 +239,16 @@ class JobQueue:
             return
         # One tracer per job: its root "job" span adopts the submitter's
         # X-Repro-Trace context (when one was sent) and parents every
-        # prefetch and step span — and, through lease stamping, every
-        # fleet worker's measurement span.
+        # step span.
         tracer = Tracer(writer=self.trace_writer)
         session = Session(store=self._profiles, seed=job.seed, tracer=tracer)
-        prefetcher = self._prefetcher(job)
         with tracer.adopt(SpanContext.parse(job.trace)):
-            with tracer.span("job", job=job_id, executor=job.executor, seed=job.seed):
+            with tracer.span("job", job=job_id, seed=job.seed):
                 for step in plan:
                     if self.store.get(job_id).cancel_requested:
                         status, error = "cancelled", None
                     else:
-                        status, error = self._run_step(session, job, step, prefetcher)
+                        status, error = self._run_step(session, job, step)
                     if status in ("cancelled", "failed"):
                         self._finish_job(
                             job_id, status, error=error,
@@ -314,7 +264,6 @@ class JobQueue:
         session: Session,
         job: Job,
         step: Step,
-        prefetcher: Optional[RemoteExecutor],
     ) -> Tuple[str, Optional[str]]:
         """Execute one step; never raises (failures come back as a status)."""
 
@@ -327,21 +276,7 @@ class JobQueue:
             # ran in this job, against this session.
             single = Plan()
             single.add(Step(id=step.id, kind=step.kind, params=step.params))
-            executor = job.executor
-            if prefetcher is not None:
-                prefetcher.prefetch(session, step)
-                executor = "serial"
-            raw = session.execute(single, executor)[step.id]
-            payload = step_result_payload(raw)
-        except LeaseWaitAborted:
-            # A cancel interrupted a remote job's lease wait mid-step:
-            # not a failure, the job finishes ``cancelled``.
-            duration_ms = (time.monotonic() - started) * 1000.0
-            self.store.mark_step_finished(
-                job.id, step.id, "skipped", duration_ms=duration_ms
-            )
-            _JOB_STEPS.inc(status="skipped")
-            return "cancelled", None
+            payload = step_result_payload(session.execute(single)[step.id])
         except Exception:
             error = traceback.format_exc()
             duration_ms = (time.monotonic() - started) * 1000.0

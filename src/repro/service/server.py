@@ -11,29 +11,22 @@ and exposes the versioned API::
     POST /v1/jobs/{id}/cancel      request cancellation   -> 200 {job record}
     GET  /v1/healthz               liveness + job counts  -> 200
     GET  /v1/version               build/wire versions    -> 200
-    POST /v1/workers/register      join the worker fleet  -> 200 {worker, ttl}
-    POST /v1/leases/claim          pull one work lease    -> 200 {lease} | 204
-    POST /v1/leases/{id}/heartbeat keep a lease alive     -> 200
-    POST /v1/leases/{id}/complete  post measurements back -> 200
-    GET  /v1/fleet                 lease + worker status  -> 200
+    GET  /v1/store                 profile-store stats    -> 200
     GET  /v1/metrics               Prometheus text format -> 200
     GET  /v1/metrics.json          same snapshot, as JSON -> 200
 
 ``POST /v1/plans`` accepts either a bare serialized
 :class:`~repro.api.plan.Plan` payload or an envelope
-``{"plan": {...}, "executor": "...", "seed": S}``.
-Validation failures (:class:`~repro.api.plan.PlanError`, a bad seed, a
-non-string or unknown executor, any other envelope field) map to HTTP 400 with the error message in the body;
-unknown job ids map to 404.  The event stream replays a job's whole
-event log from the start and keeps the connection open until the
-``job-finished`` event — streaming a finished job terminates
+``{"plan": {...}, "seed": S}``; every job runs in this process.
+Validation failures (:class:`~repro.api.plan.PlanError`, a bad seed,
+any other envelope field) map to HTTP 400 with the error message in
+the body; unknown job ids map to 404.  The event stream replays a
+job's whole event log from the start and keeps the connection open
+until the ``job-finished`` event — streaming a finished job terminates
 immediately, which is what lets clients ``wait`` on replayed jobs.
-
-Fleet errors map the same way: an unknown lease id is 404, a stale
-touch (the lease was re-queued away from the worker) is 409 and a
-malformed payload is 400.  While a watched job is idle the event stream
-emits a periodic ``{"event": "keepalive"}`` line so buffering proxies
-and client read timeouts never starve a long watch; clients skip them
+While a watched job is idle the event stream emits a periodic
+``{"event": "keepalive"}`` line so buffering proxies and client read
+timeouts never starve a long watch; clients skip them
 (:meth:`~repro.service.client.ServiceClient.iter_events` filters them
 out by default).
 
@@ -61,15 +54,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from .. import __version__
 from ..api.plan import PLAN_VERSION, PlanError
-from ..api.registry import UnknownPluginError
-from ..api.session import EXECUTOR_NAMES
 from ..profiling.store import STORE_VERSION
-from .fleet.leases import (
-    DEFAULT_LEASE_TTL,
-    LeaseError,
-    StaleLeaseError,
-    UnknownLeaseError,
-)
 from ..obs.metrics import default_registry
 from ..obs.trace import TRACE_HEADER
 from .jobs import JOB_VERSION, JobStore, UnknownJobError
@@ -93,10 +78,6 @@ _IDLE_CONNECTION_SECONDS = 60.0
 #: How often ``serve_forever`` checks for ``shutdown()``; ``close()``
 #: waits up to one tick (``socketserver``'s default is 0.5 s).
 _SERVE_POLL_SECONDS = 0.05
-
-#: Upper bound on one lease-claim request's server-side long poll; the
-#: worker simply re-polls, so a shorter wait only costs round trips.
-_CLAIM_POLL_MAX_SECONDS = 30.0
 
 
 class _ApiError(Exception):
@@ -243,22 +224,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 return self._get_events(rest[1])
             if method == "POST" and len(rest) == 3 and rest[:1] == ["jobs"] and rest[2] == "cancel":
                 return self._post_cancel(rest[1])
-            if method == "GET" and rest == ["fleet"]:
-                return self._get_fleet()
             if method == "GET" and rest == ["store"]:
                 return self._get_store()
             if method == "GET" and rest == ["metrics"]:
                 return self._get_metrics()
             if method == "GET" and rest == ["metrics.json"]:
                 return self._get_metrics_json()
-            if method == "POST" and rest == ["workers", "register"]:
-                return self._post_worker_register()
-            if method == "POST" and rest == ["leases", "claim"]:
-                return self._post_lease_claim()
-            if method == "POST" and len(rest) == 3 and rest[:1] == ["leases"] and rest[2] == "heartbeat":
-                return self._post_lease_heartbeat(rest[1])
-            if method == "POST" and len(rest) == 3 and rest[:1] == ["leases"] and rest[2] == "complete":
-                return self._post_lease_complete(rest[1])
             raise _ApiError(404, f"no route for {method} {self.path!r}")
         except _ApiError as error:
             self._send_error_json(error.status, error.message)
@@ -281,7 +252,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             "plan_version": PLAN_VERSION,
             "job_version": JOB_VERSION,
             "store_version": STORE_VERSION,
-            "executors": list(EXECUTOR_NAMES),
         })
 
     def _post_plan(self) -> None:
@@ -290,25 +260,18 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             raise _ApiError(400, "submission body must be a JSON object")
         if "plan" in body:
             plan_payload = body["plan"]
-            options = {key: body[key] for key in ("executor", "seed") if key in body}
-            unknown = set(body) - {"plan", "executor", "seed"}
+            unknown = set(body) - {"plan", "seed"}
             if unknown:
                 raise _ApiError(400, f"unknown submission fields: {sorted(unknown)}")
+            seed = body.get("seed", 0)
         else:
-            plan_payload, options = body, {}
+            plan_payload, seed = body, 0
         try:
             job = self.server.job_queue.submit(
-                plan_payload,
-                executor=options.get("executor"),
-                seed=options.get("seed", 0),
-                trace=self.headers.get(TRACE_HEADER),
+                plan_payload, seed=seed, trace=self.headers.get(TRACE_HEADER)
             )
         except (PlanError, ValueError) as error:
             raise _ApiError(400, str(error)) from error
-        except UnknownPluginError as error:
-            raise _ApiError(
-                400, str(error.args[0] if error.args else error)
-            ) from error
         except QueueClosedError as error:
             raise _ApiError(503, str(error)) from error
         self._send_json(self._store.snapshot(job.id), status=202)
@@ -387,95 +350,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover - client hangup
             return
 
-    # ------------------------------------------------------------------
-    # Fleet handlers (see repro.service.fleet)
-    # ------------------------------------------------------------------
-    @property
-    def _leases(self):
-        return self.server.job_queue.lease_manager
-
-    def _send_no_content(self) -> None:
-        self.send_response(204)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _get_fleet(self) -> None:
-        self._send_json(self._leases.status())
-
-    def _post_worker_register(self) -> None:
-        body = self._read_body()
-        if not isinstance(body, dict):
-            raise _ApiError(400, "registration body must be a JSON object")
-        name = body.get("name")
-        if name is not None and not isinstance(name, str):
-            raise _ApiError(400, f"worker name must be a string, got {name!r}")
-        self._send_json(self._leases.register_worker(name))
-
-    def _post_lease_claim(self) -> None:
-        body = self._read_body()
-        if not isinstance(body, dict):
-            raise _ApiError(400, "claim body must be a JSON object")
-        worker = body.get("worker")
-        if not isinstance(worker, str) or not worker:
-            raise _ApiError(400, f"claim needs a 'worker' id string, got {worker!r}")
-        timeout = body.get("timeout", 0.0)
-        # ``not >= 0`` also refuses NaN, which json parses and against
-        # which no deadline comparison would ever end the long poll.
-        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
-        if not number or not timeout >= 0:
-            raise _ApiError(400, f"timeout must be a non-negative number, got {timeout!r}")
-        # Long poll in short slices so a closing server releases the
-        # connection promptly instead of holding workers for the full
-        # client-requested horizon.
-        deadline = time.monotonic() + min(float(timeout), _CLAIM_POLL_MAX_SECONDS)
-        while True:
-            remaining = deadline - time.monotonic()
-            lease = self._leases.claim(worker, timeout=max(0.0, min(1.0, remaining)))
-            if lease is not None:
-                return self._send_json(lease)
-            if remaining <= 0 or self.server.closing:
-                return self._send_no_content()
-
-    @staticmethod
-    def _worker_field(body: dict) -> str:
-        worker = body.get("worker")
-        if not isinstance(worker, str) or not worker:
-            raise _ApiError(400, f"request needs a 'worker' id string, got {worker!r}")
-        return worker
-
-    def _post_lease_heartbeat(self, lease_id: str) -> None:
-        body = self._read_body()
-        if not isinstance(body, dict):
-            raise _ApiError(400, "heartbeat body must be a JSON object")
-        try:
-            self._send_json(self._leases.heartbeat(lease_id, self._worker_field(body)))
-        except UnknownLeaseError as error:
-            raise _ApiError(404, str(error.args[0] if error.args else error)) from error
-        except StaleLeaseError as error:
-            raise _ApiError(409, str(error)) from error
-        except LeaseError as error:
-            raise _ApiError(400, str(error)) from error
-
-    def _post_lease_complete(self, lease_id: str) -> None:
-        body = self._read_body()
-        if not isinstance(body, dict):
-            raise _ApiError(400, "completion body must be a JSON object")
-        try:
-            self._send_json(
-                self._leases.complete(
-                    lease_id,
-                    self._worker_field(body),
-                    measurements=body.get("measurements"),
-                    error=body.get("error"),
-                )
-            )
-        except UnknownLeaseError as error:
-            raise _ApiError(404, str(error.args[0] if error.args else error)) from error
-        except StaleLeaseError as error:
-            raise _ApiError(409, str(error)) from error
-        except LeaseError as error:
-            raise _ApiError(400, str(error)) from error
-
 
 class ReproServer:
     """The long-lived plan execution service, ready to ``start()``.
@@ -493,10 +367,8 @@ class ReproServer:
         port: int = 0,
         profile_store: Union[str, Path, None] = None,
         job_store: Union[JobStore, str, Path, None] = None,
-        executor: str = "serial",
         workers: int = 1,
         verbose: bool = False,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
         events_keepalive_seconds: float = DEFAULT_EVENTS_KEEPALIVE_SECONDS,
         trace: Union[str, Path, None] = None,
     ) -> None:
@@ -516,9 +388,7 @@ class ReproServer:
             self.queue = JobQueue(
                 store=store,
                 profile_store=profile_store,
-                executor=executor,
                 workers=workers,
-                lease_ttl=lease_ttl,
                 trace=trace,
             )
         except BaseException:
@@ -600,10 +470,8 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     profile_store: Union[str, Path, None] = None,
-    executor: str = "serial",
     workers: int = 1,
     verbose: bool = False,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
     trace: Union[str, Path, None] = None,
 ) -> ReproServer:
     """Build and start a :class:`ReproServer` (the ``serve`` CLI backend)."""
@@ -612,10 +480,8 @@ def serve(
         host=host,
         port=port,
         profile_store=profile_store,
-        executor=executor,
         workers=workers,
         verbose=verbose,
-        lease_ttl=lease_ttl,
         trace=trace,
     ).start()
 

@@ -17,7 +17,7 @@ from repro.profiling import ProfileRunner
 faulthandler.enable()
 
 #: Uncaught exceptions from background threads (job-queue workers,
-#: fleet heartbeats, test helper threads), recorded by the excepthook
+#: HTTP handlers, test helper threads), recorded by the excepthook
 #: below so the owning test fails instead of the error vanishing into
 #: stderr.  Guarded by its own lock: hooks fire on arbitrary threads.
 _THREAD_ERRORS = []
@@ -53,60 +53,23 @@ def fail_on_background_thread_exception():
         pytest.fail(f"unhandled exception in background thread(s): {summaries}")
 
 
-class FleetOfOne:
-    """The service's ``remote`` job loop over an in-process lease manager.
+@pytest.fixture(scope="session")
+def run_queued():
+    """Run a plan as a service job on a fresh in-memory :class:`JobQueue`.
 
-    Per step, in plan order: prefetch the step's measurements through
-    :meth:`RemoteExecutor.prefetch`, then run the step (its dependencies
-    stripped, as the job queue does) through ``Session.execute``.
+    The returned callable blocks until the queue has drained and returns
+    the finished :class:`~repro.service.jobs.Job`; its step records hold
+    the same JSON projections the HTTP API serves.
     """
 
-    def __init__(self, manager) -> None:
-        from repro.service.fleet import RemoteExecutor
+    from repro.service import JobQueue
 
-        self.manager = manager
-        self.prefetcher = RemoteExecutor(manager=manager)
+    def run(plan, seed=0, profile_store=None, trace=None):
+        with JobQueue(profile_store=profile_store, trace=trace) as queue:
+            job_id = queue.submit(plan, seed=seed).id
+        return queue.store.get(job_id)
 
-    def execute(self, session, plan) -> dict:
-        from repro.api import Plan, Step
-
-        results = {}
-        for step in plan:
-            self.prefetcher.prefetch(session, step)
-            single = Plan()
-            single.add(Step(id=step.id, kind=step.kind, params=step.params))
-            results.update(session.execute(single, "serial"))
-        return results
-
-
-@pytest.fixture(scope="module")
-def remote_executor():
-    """A :class:`FleetOfOne` wired to an in-process lease manager.
-
-    One board thread claims each published lease, measures it through
-    the fleet worker's own measurement path and completes it — a fleet
-    of one without the HTTP hop.
-    """
-
-    from repro.service.fleet import FleetWorker, LeaseManager
-
-    manager = LeaseManager()
-    worker = manager.register_worker("board")["worker"]
-    stop = threading.Event()
-
-    def board() -> None:
-        while not stop.is_set():
-            lease = manager.claim(worker, timeout=0.05)
-            if lease is not None:
-                manager.complete(
-                    lease["lease"], worker, measurements=FleetWorker._measure(lease)
-                )
-
-    thread = threading.Thread(target=board, name="test-board", daemon=True)
-    thread.start()
-    yield FleetOfOne(manager)
-    stop.set()
-    thread.join(timeout=5.0)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -86,9 +86,8 @@ class TestSessionThreadSafety:
 
     def test_concurrent_wavefront_steps_share_one_session(self, tmp_path):
         """Independent sweep steps executed as one-step plans on concurrent
-        threads against one session/store (as the job queue's workers and
-        a remote job's lease adoption do) match serial execution bitwise
-        and keep the store exact."""
+        threads against one session/store (as the job queue's workers do)
+        match serial execution bitwise and keep the store exact."""
 
         specs = [make_spec(index) for index in range(6)]
         plan = Plan()

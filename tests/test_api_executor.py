@@ -1,11 +1,11 @@
-"""Tests for plan execution (serial, and remote through the fleet
-prefetch) and seeded noise streams."""
+"""Tests for plan execution (in-process, and as a queued service job)
+and seeded noise streams."""
 
 import pytest
 
-from repro.api import Plan, PruningRequest, Session, Target
-from repro.api.session import EXECUTOR_NAMES
+from repro.api import Plan, PruningRequest, Session, Target, UnknownExecutorError
 from repro.models import ConvLayerSpec
+from repro.service import step_result_payload
 
 TARGETS = (Target("hikey-970", "acl-gemm"), Target("jetson-tx2", "cudnn"))
 
@@ -19,12 +19,21 @@ REQUEST = PruningRequest(
 )
 
 
-def run(backend, session, plan, remote_executor):
-    """Execute ``plan`` in ``session``, serially or through the fleet."""
+def payloads(plan, seed=0):
+    """``{step id: JSON projection}`` of ``plan`` run in this process."""
 
-    if backend == "remote":
-        return remote_executor.execute(session, plan)
-    return session.execute(plan, backend)
+    results = Session(seed=seed).execute(plan, executor="serial")
+    return {step_id: step_result_payload(result) for step_id, result in results.items()}
+
+
+def run(backend, plan, run_queued, seed=0):
+    """Step payloads of ``plan``, run in-process or as a queued service job."""
+
+    if backend == "queued":
+        job = run_queued(plan, seed=seed)
+        assert job.status == "succeeded", job.error
+        return {record.id: record.result for record in job.steps}
+    return payloads(plan, seed)
 
 
 def two_step_plan() -> Plan:
@@ -35,14 +44,19 @@ def two_step_plan() -> Plan:
 
 
 class TestRegistry:
-    def test_serial_and_remote_are_the_only_backends(self):
-        assert EXECUTOR_NAMES == ("remote", "serial")
-        with pytest.raises(KeyError, match="unknown executor 'process'"):
-            Session().execute(Plan(), executor="process")
+    @pytest.mark.parametrize(
+        "name", ["remote", "process", "Serial", " serial", 5],
+        ids=["remote", "process", "capitalised", "padded", "int"],
+    )
+    def test_serial_is_the_only_backend(self, name):
+        plan = two_step_plan()
+        with pytest.raises(UnknownExecutorError, match=f"unknown executor {name!r}"):
+            Session().execute(plan, name)
+        assert Session().execute(Plan(), "serial") == {}
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(
-            KeyError, match=r"unknown executor 'quantum'; available: \['remote', 'serial'\]"
+            KeyError, match=r"unknown executor 'quantum'; the only executor is 'serial'"
         ):
             Session().execute(Plan(), executor="quantum")
 
@@ -53,32 +67,21 @@ class TestRegistry:
 
 
 class TestBitwiseEquality:
-    @pytest.mark.parametrize("backend", ["serial", "remote"])
-    def test_backend_matches_serial(self, backend, remote_executor):
+    @pytest.mark.parametrize("backend", ["serial", "queued"])
+    def test_backend_matches_serial(self, backend, run_queued):
         plan = two_step_plan()
-        serial = Session().execute(plan, executor="serial")
-        other = run(backend, Session(), plan, remote_executor)
-        for step in plan:
-            left, right = serial[step.id], other[step.id]
-            if hasattr(left, "rows"):
-                assert left.rows == right.rows
-            else:
-                assert left.to_json() == right.to_json()
+        assert run(backend, plan, run_queued) == payloads(plan)
 
-    def test_equality_holds_on_a_fixed_nonzero_seed(self, remote_executor):
+    def test_equality_holds_on_a_fixed_nonzero_seed(self, run_queued):
         plan = two_step_plan()
-        serial = Session(seed=1234).execute(plan, executor="serial")
-        remote = remote_executor.execute(Session(seed=1234), plan)
-        step_ids = [step.id for step in plan]
-        assert serial[step_ids[0]].rows == remote[step_ids[0]].rows
-        assert serial[step_ids[1]].to_json() == remote[step_ids[1]].to_json()
+        queued = run("queued", plan, run_queued, seed=1234)
+        assert queued == payloads(plan, seed=1234)
+        assert queued != payloads(plan)
 
-    def test_compare_steps_match_across_backends(self, remote_executor):
+    def test_compare_steps_match_across_backends(self, run_queued):
         plan = Plan()
-        step = plan.compare(REQUEST)
-        serial = Session().execute(plan, executor="serial")
-        remote = remote_executor.execute(Session(), plan)
-        assert serial[step.id].to_json() == remote[step.id].to_json()
+        plan.compare(REQUEST)
+        assert run("queued", plan, run_queued) == payloads(plan)
 
     def test_plan_routed_sweep_matches_direct_session_sweep(self):
         direct = Session().sweep(TARGETS, LAYER, sweep_step=4)
@@ -100,35 +103,22 @@ class TestResume:
         resumed.execute(plan, executor="serial")
         assert resumed.simulation_count() == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "remote"])
-    def test_resume_skips_under_every_backend(self, tmp_path, backend, remote_executor):
-        path = tmp_path / "profiles.jsonl"
+    @pytest.mark.parametrize("backend", ["serial", "queued"])
+    def test_resume_skips_under_every_backend(self, tmp_path, backend, run_queued):
+        path = tmp_path / "profiles"
         plan = two_step_plan()
         Session(store=path).execute(plan, executor="serial")
 
-        resumed = Session(store=path)
-        published = remote_executor.manager.published
-        results = run(backend, resumed, plan, remote_executor)
-        assert resumed.simulation_count() == 0
-        # A fully stored plan publishes no lease.
-        assert remote_executor.manager.published == published
-        assert results[plan.steps[0].id].rows == (
-            Session().execute(plan, executor="serial")[plan.steps[0].id].rows
-        )
-
-    def test_remote_leases_checkpoint_into_the_store(self, tmp_path, remote_executor):
-        path = tmp_path / "profiles.jsonl"
-        plan = Plan()
-        plan.sweep(TARGETS, LAYER, sweep_step=4)
-        session = Session(store=path)
-        remote_executor.execute(session, plan)
-        # The session itself simulated nothing — the board measured, the
-        # session adopted and persisted.
-        assert session.simulation_count() == 0
-        assert len(session.store) > 0
-        assert Session(store=path).sweep(TARGETS, LAYER, sweep_step=4).rows == (
-            Session().sweep(TARGETS, LAYER, sweep_step=4).rows
-        )
+        if backend == "queued":
+            job = run_queued(plan, profile_store=path)
+            assert job.simulations == 0
+            results = {record.id: record.result for record in job.steps}
+        else:
+            resumed = Session(store=path)
+            results = resumed.execute(plan, executor="serial")
+            assert resumed.simulation_count() == 0
+            results = {key: step_result_payload(value) for key, value in results.items()}
+        assert results == payloads(plan)
 
 
 class TestSeedOverride:
@@ -168,6 +158,17 @@ class TestSeedOverride:
             Session(seed=-1)
         with pytest.raises(ValueError, match="seed"):
             Session(seed=1.5)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 2**70])
+    def test_seeds_of_64_bits_or_more_rejected(self, seed):
+        # The noise stream mixes the seed modulo 2**64: a larger seed
+        # would replay a smaller one's measurements under another key.
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            Session(seed=seed)
+
+    def test_largest_seed_is_accepted_and_forks_the_stream(self):
+        largest = Session(seed=2**64 - 1).sweep(TARGETS[0], LAYER, sweep_step=8)
+        assert largest.rows != Session().sweep(TARGETS[0], LAYER, sweep_step=8).rows
 
 
 class TestFigureSteps:

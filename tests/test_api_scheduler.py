@@ -1,6 +1,6 @@
 """Tests for the plan loop: ``Session.execute`` runs every step exactly
 once, in plan order, after its dependencies (property-tested over random
-DAG plans), serially and through the fleet prefetch, with bitwise-equal
+DAG plans), in-process and as a queued service job, with bitwise-equal
 results."""
 
 import random
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api import Plan, Session, Target
 from repro.models import ConvLayerSpec
-from repro.service.fleet import RemoteExecutor
+from repro.service import step_result_payload
 
 TARGET = Target("hikey-970", "acl-gemm")
 
@@ -101,6 +101,16 @@ class RunRecorder:
                 )
 
 
+def assert_job_matches_serial(job, plan: Plan) -> None:
+    """A finished queued job's step results equal an in-process run's."""
+
+    assert job.status == "succeeded", job.error
+    serial = Session().execute(plan, executor="serial")
+    assert {record.id: record.result for record in job.steps} == {
+        step.id: step_result_payload(serial[step.id]) for step in plan
+    }
+
+
 class TestExecutorsFollowTheSchedule:
     """Property: both ways of running a plan run every step exactly once,
     in plan order and never before its dependencies, and agree bitwise."""
@@ -119,23 +129,18 @@ class TestExecutorsFollowTheSchedule:
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_remote_backend_schedules_random_dags_correctly(self, remote_executor, seed):
+    def test_queued_jobs_schedule_random_dags_correctly(self, run_queued, seed):
         plan = random_dag_plan(seed, 6)
         with RunRecorder().installed() as recorder:
-            results = remote_executor.execute(Session(), plan)
+            job = run_queued(plan)
         recorder.assert_ran_in_plan_order(plan)
-        serial = Session().execute(plan, executor="serial")
-        for step in plan:
-            assert results[step.id].rows == serial[step.id].rows
+        assert_job_matches_serial(job, plan)
 
-    def test_diamond_is_bitwise_identical_across_all_backends(self, remote_executor):
+    def test_diamond_is_bitwise_identical_across_all_backends(self, run_queued):
         plan = diamond_plan()
-        serial = Session().execute(plan, executor="serial")
-        session = Session()
-        remote = remote_executor.execute(session, plan)
-        assert session.simulation_count() == 0  # the board measured it all
-        for step in plan:
-            assert serial[step.id].rows == remote[step.id].rows
+        job = run_queued(plan)
+        assert [record.id for record in job.steps] == ["a", "b", "c", "d"]
+        assert_job_matches_serial(job, plan)
 
     def test_plan_order_not_wave_order(self):
         """D depends only on A, yet runs after C: the loop keeps plan order."""
@@ -155,47 +160,3 @@ class TestExecutorsFollowTheSchedule:
         with RunRecorder().installed() as recorder:
             assert Session().execute(Plan()) == {}
         assert recorder.events == []
-
-
-class TestPerStepPrefetch:
-    def test_each_step_runs_before_the_next_prefetch(self, remote_executor, monkeypatch):
-        """One prefetch per step, publishing only that step's workload,
-        and a step runs to completion before the next step's
-        measurements are even published."""
-
-        plan = Plan()
-        plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="first")
-        plan.sweep(
-            TARGET, make_spec(1), sweep_step=4, step_id="second",
-            depends_on=["first"],
-        )
-
-        recorder = RunRecorder()
-        original_prefetch = RemoteExecutor.prefetch
-        original_fan_out = RemoteExecutor._fan_out
-
-        def recording_prefetch(self, session, step):
-            recorder.record("prefetch", step.id)
-            return original_prefetch(self, session, step)
-
-        def recording_fan_out(self, session, tasks):
-            recorder.record("fan-out", tuple(sorted(spec.name for _, spec, _ in tasks)))
-            return original_fan_out(self, session, tasks)
-
-        monkeypatch.setattr(RemoteExecutor, "prefetch", recording_prefetch)
-        monkeypatch.setattr(RemoteExecutor, "_fan_out", recording_fan_out)
-        session = Session()
-        with recorder.installed():
-            remote_executor.execute(session, plan)
-        assert session.simulation_count() == 0
-
-        assert recorder.events == [
-            ("prefetch", "first"),
-            ("fan-out", ("test.sched.l0",)),
-            ("start", "first"),
-            ("end", "first"),
-            ("prefetch", "second"),
-            ("fan-out", ("test.sched.l1",)),
-            ("start", "second"),
-            ("end", "second"),
-        ]

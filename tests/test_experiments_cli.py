@@ -230,7 +230,7 @@ class TestTraceSubcommand:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(writer=TraceWriter(path))
         with tracer.span("job", step="sweep-1") as root:
-            with tracer.span("worker.measure"):
+            with tracer.span("executor.step"):
                 pass
         self.trace_id = root.trace_id
         return path
@@ -254,14 +254,14 @@ class TestTraceSubcommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith(f"trace {self.trace_id}  (2 spans)")
         assert lines[1].startswith("job  ")
-        assert lines[2].startswith("  worker.measure  ")
+        assert lines[2].startswith("  executor.step  ")
 
     def test_show_cross_references_a_metrics_snapshot(self, trace_path, tmp_path, capsys):
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         registry.histogram(
-            "repro_lease_claim_wait_seconds", "W.", buckets=(5.0,)
+            "repro_step_seconds", "W.", buckets=(5.0,)
         ).observe(4.2, exemplar=self.trace_id)
         snapshot_path = tmp_path / "metrics.json"
         snapshot_path.write_text(json.dumps(registry.snapshot()), encoding="utf-8")
@@ -271,7 +271,7 @@ class TestTraceSubcommand:
         ]) == 0
         output = capsys.readouterr().out
         assert "metric exemplars referencing this trace:" in output
-        assert "repro_lease_claim_wait_seconds le=5.0  value=4.2" in output
+        assert "repro_step_seconds le=5.0  value=4.2" in output
 
     def test_unknown_trace_and_bad_usage_exit_2(self, trace_path, capsys):
         assert main(["trace", "show", "no-such-trace", "--file", str(trace_path)]) == 2
@@ -311,12 +311,8 @@ VERB_FLAGS = {
     ("list",): set(),
     ("targets",): set(),
     ("run-plan",): {"--profile-store", "--seed", "--trace", "--json"},
-    ("serve",): {
-        "--host", "--port", "--workers", "--profile-store", "--executor",
-        "--lease-ttl", "--trace",
-    },
-    ("submit",): {"--url", "--executor", "--seed", "--watch"},
-    ("worker",): {"--url", "--name", "--poll", "--max-idle", "--max-leases", "--trace"},
+    ("serve",): {"--host", "--port", "--workers", "--profile-store", "--trace"},
+    ("submit",): {"--url", "--seed", "--watch"},
     ("metrics",): {"--url", "--grep", "--json"},
     ("trace", "ls"): {"--file", "--json"},
     ("trace", "show"): {"--file", "--metrics-json"},

@@ -3,20 +3,18 @@
 The contract under test, in order of importance:
 
 1. **Inertness** — tracing must never change results.  Traced and
-   untraced executions of the same plan are bitwise identical, across
-   serial execution and the fleet prefetch.
-2. **Stitching** — spans recorded by the CLI client, the serving queue,
-   its fleet prefetch and fleet workers all land under one trace id when the
-   ``X-Repro-Trace`` header is propagated.
+   untraced executions of the same plan are bitwise identical, in
+   process and as a queued service job.
+2. **Stitching** — the serving queue's job and step spans land under the
+   submitter's trace id, below its span, when the ``X-Repro-Trace``
+   header is propagated.
 3. **Exposure** — ``/v1/metrics`` (Prometheus text) and
    ``/v1/metrics.json`` serve the same snapshot, the client wraps both,
-   ``/v1/fleet`` carries the autoscaling signals, and the CLI grew
-   ``metrics``, ``run-plan --trace`` and per-step ``submit --watch``
-   timings.
+   and the CLI grew ``metrics``, ``run-plan --trace`` and per-step
+   ``submit --watch`` timings.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -25,7 +23,7 @@ from repro.experiments.cli import main as cli_main
 from repro.models import ConvLayerSpec
 from repro.obs.metrics import default_registry
 from repro.obs.trace import SpanContext, TraceWriter, Tracer
-from repro.service import FleetWorker, ReproServer, ServiceClient
+from repro.service import ReproServer, ServiceClient
 from repro.service.results import step_result_payload
 
 TARGET = Target("hikey-970", "acl-gemm")
@@ -60,7 +58,6 @@ def server(tmp_path):
     with ReproServer(
         profile_store=tmp_path / "profiles.jsonl",
         job_store=tmp_path / "jobs.jsonl",
-        lease_ttl=0.5,
         trace=tmp_path / "server-trace.jsonl",
     ) as running:
         yield running
@@ -75,73 +72,55 @@ def client(server):
 # Inertness: traced == untraced, bitwise
 # ----------------------------------------------------------------------
 class TestTracingIsInert:
-    @pytest.mark.parametrize("backend", ["serial", "remote"])
-    def test_local_backends_bitwise_identical(self, backend, tmp_path, remote_executor):
-        def run(session):
-            if backend == "remote":
-                return payloads(remote_executor.execute(session, plan), plan)
-            return payloads(session.execute(plan, backend), plan)
+    @pytest.mark.parametrize("backend", ["serial", "queued"])
+    def test_local_backends_bitwise_identical(self, backend, tmp_path, run_queued):
+        def run(trace=None):
+            if backend == "queued":
+                job = run_queued(plan, trace=trace)
+                assert job.status == "succeeded", job.error
+                return {record.id: record.result for record in job.steps}
+            tracer = Tracer(writer=TraceWriter(trace) if trace else None)
+            return payloads(Session(seed=0, tracer=tracer).execute(plan, backend), plan)
 
         plan = small_plan()
-        untraced = run(Session(seed=0))
-        tracer = Tracer(writer=TraceWriter(tmp_path / "trace.jsonl"))
-        traced = run(Session(seed=0, tracer=tracer))
+        trace_path = tmp_path / "trace.jsonl"
+        untraced = run()
+        traced = run(trace_path)
         assert traced == untraced
-        assert tracer.writer.written > 0
+        assert trace_path.read_text().count("\n") > 0
 
-    def test_remote_fleet_traced_matches_serial_untraced(
-        self, server, client, tmp_path
-    ):
+    def test_served_job_traced_matches_serial_untraced(self, server, client):
         plan = small_plan()
-        trace_path = tmp_path / "worker-trace.jsonl"
-        worker = FleetWorker(
-            url=server.url,
-            name="obs-w",
-            poll=0.2,
-            tracer=Tracer(writer=TraceWriter(trace_path)),
-        )
-        stop = threading.Event()
-        thread = threading.Thread(target=worker.run, args=(stop,), daemon=True)
-        thread.start()
         context = SpanContext(trace_id="feedbeefcafe0123", span_id="ab01cd23")
-        try:
-            job = client.submit(plan, executor="remote", trace=context)
-            final = client.wait(job["id"], timeout=120.0)
-        finally:
-            stop.set()
-            thread.join(timeout=10.0)
+        job = client.submit(plan, trace=context)
+        final = client.wait(job["id"], timeout=120.0)
         assert final["status"] == "succeeded", final.get("error")
-        assert final["simulations"] == 0  # every measurement came from the fleet
+        assert final["simulations"] > 0  # measured in the server process
 
         serial = payloads(Session(seed=0).execute(plan, executor="serial"), plan)
-        by_id = {step["id"]: step for step in final["steps"]}
-        for step in plan:
-            assert by_id[step.id]["result"] == serial[step.id]
+        assert {step["id"]: step["result"] for step in final["steps"]} == serial
 
-        # Stitching: server spans (job/prefetch/step) and worker spans
-        # (worker.measure) all share the submitted trace id.
-        server_spans = [
+        # Stitching: the job span hangs under the submitter's span and
+        # every step span under the job span, all in the submitted trace.
+        spans = [
             json.loads(line)
-            for line in (server.queue.trace_writer.path).read_text().splitlines()
+            for line in server.queue.trace_writer.path.read_text().splitlines()
         ]
-        worker_spans = [
-            json.loads(line) for line in trace_path.read_text().splitlines()
-        ]
-        names = {span["name"] for span in server_spans}
-        assert {"job", "fleet.prefetch", "executor.step"} <= names
-        assert {span["name"] for span in worker_spans} == {"worker.measure"}
-        for span in server_spans + worker_spans:
-            assert span["trace"] == context.trace_id
-        (job_span,) = [span for span in server_spans if span["name"] == "job"]
+        assert {span["trace"] for span in spans} == {context.trace_id}
+        (job_span,) = [span for span in spans if span["name"] == "job"]
         assert job_span["parent"] == context.span_id
+        assert job_span["attrs"] == {"job": job["id"], "seed": 0}
+        steps = [span for span in spans if span["name"] == "executor.step"]
+        assert [span["attrs"]["step"] for span in steps] == [step.id for step in plan]
+        assert {span["parent"] for span in steps} == {job_span["span"]}
 
 
 # ----------------------------------------------------------------------
-# Exposure: /v1/metrics, /v1/metrics.json, /v1/fleet, the client
+# Exposure: /v1/metrics, /v1/metrics.json, the client
 # ----------------------------------------------------------------------
 class TestMetricsExposure:
     def test_text_and_json_serve_the_same_snapshot(self, server, client):
-        job = client.submit(small_plan(), executor="serial")
+        job = client.submit(small_plan())
         assert client.wait(job["id"], timeout=120.0)["status"] == "succeeded"
 
         snapshot = client.metrics()
@@ -166,27 +145,6 @@ class TestMetricsExposure:
         finished = snapshot["repro_jobs_finished_total"]["series"]
         by_status = {entry["labels"]["status"]: entry["value"] for entry in finished}
         assert by_status.get("succeeded", 0) >= 1
-
-    def test_fleet_status_carries_autoscaling_signals(self, server, client):
-        status = client.fleet()
-        signals = status["autoscaling"]
-        assert set(signals) == {
-            "pending_leases",
-            "busy_workers",
-            "idle_workers",
-            "claim_wait_p50_s",
-            "claim_wait_p95_s",
-        }
-        assert signals["pending_leases"] == 0
-        assert signals["busy_workers"] == 0
-
-        worker = client.register_worker("idle-one")["worker"]
-        assert client.claim_lease(worker, timeout=0.0) is None
-        signals = client.fleet()["autoscaling"]
-        assert signals["idle_workers"] == 1
-        # The claim above was recorded in the wait histogram's process-wide
-        # series, so the percentile is a number once any claim ran.
-        assert signals["claim_wait_p50_s"] is None or signals["claim_wait_p50_s"] >= 0
 
 
 # ----------------------------------------------------------------------

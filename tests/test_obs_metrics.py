@@ -107,17 +107,6 @@ class TestHistogram:
         # Cumulative counts per le-edge; 1.0 lands in the le=1.0 bucket.
         assert series["buckets"] == [["1.0", 2], ["2.0", 2], ["4.0", 3], ["+Inf", 4]]
 
-    def test_quantiles_interpolate_and_clamp(self):
-        histogram = Histogram("wait", buckets=(1.0, 2.0, 4.0))
-        assert histogram.quantile(0.5) is None
-        for _ in range(4):
-            histogram.observe(1.5)  # le=2.0 bucket
-        assert 1.0 <= histogram.quantile(0.5) <= 2.0
-        histogram.observe(1000.0)  # +Inf bucket clamps to the last edge
-        assert histogram.quantile(1.0) == 4.0
-        with pytest.raises(MetricsError):
-            histogram.quantile(1.5)
-
     def test_count_buckets_cover_powers_of_two(self):
         assert COUNT_BUCKETS[0] == 1.0
         assert all(b == 2 * a for a, b in zip(COUNT_BUCKETS, COUNT_BUCKETS[1:]))

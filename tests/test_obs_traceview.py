@@ -1,7 +1,7 @@
 """Tests for repro.obs.traceview: offline span-tree reconstruction.
 
 The trace file is a multi-process artifact — spans land in completion
-order from the client, the server and every fleet worker — so these
+order from the client, the server and any ``run-plan`` — so these
 tests pin the parts that make ``trace ls``/``trace show`` trustworthy:
 garbage tolerance in the loader, parent/child stitching (including
 orphaned parents surfacing as roots), stable render ordering and the

@@ -401,17 +401,6 @@ class TestOneLayerOneTarget:
         assert not (path / SHARD).exists()
         assert (len(store), store.writes) == (0, 0)
 
-    def test_a_runner_refuses_to_adopt_another_layers_sweep(self, tmp_path):
-        path = tmp_path / "store"
-        adopting = ProfileRunner.create("hikey-970", "acl-gemm", runs=3)
-        adopting.store = ProfileStore(path)
-        other = ProfileRunner.create("hikey-970", "acl-gemm", runs=3).measure_many(
-            LEGACY_LAYER, [4, 8]
-        )
-        with pytest.raises(MeasurementError):
-            adopting.adopt(LAYER, other)
-        assert adopting.cache_size() == 0 and not (path / SHARD).exists()
-
 
 def test_spec_fields_survive_compaction(tmp_path):
     path = tmp_path / "store"

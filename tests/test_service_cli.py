@@ -67,21 +67,17 @@ class TestSubmitCommand:
             assert main(["submit", str(plan_path), "--url", server.url]) == 0
             assert "queued" in capsys.readouterr().out
 
-    def test_submit_without_executor_flag_uses_the_server_default(self, tmp_path, capsys):
+    def test_submitted_jobs_run_in_the_server_process(self, tmp_path, capsys):
+        from repro.service import ServiceClient
+
         plan_path = write_plan(tmp_path)
-        with ReproServer(executor="remote") as server:
-            assert main(["submit", str(plan_path), "--url", server.url]) == 0
-            job = server.store.list()[-1]
-            assert job.executor == "remote"
-            # No worker is attached: cancel the lease wait.
-            server.queue.cancel(job.id)
-            # An explicit flag still overrides the server default.
-            assert main([
-                "submit", str(plan_path), "--url", server.url,
-                "--executor", "serial", "--watch",
-            ]) == 0
-            assert server.store.list()[-1].executor == "serial"
+        with ReproServer() as server:
+            assert main(["submit", str(plan_path), "--url", server.url, "--watch"]) == 0
+            record = ServiceClient(server.url).job(server.store.list()[-1].id)
         capsys.readouterr()
+        assert record["status"] == "succeeded" and record["simulations"] > 0
+        assert "executor" not in record
+        assert "executor" not in record["events"][0]
 
     def test_failed_job_exits_1(self, tmp_path, capsys):
         plan = Plan()
@@ -242,19 +238,26 @@ class TestServeCommand:
         assert "workers" in capsys.readouterr().err
 
     def test_unknown_default_executor_exits_2(self, capsys):
-        assert main(["serve", "--port", "0", "--executor", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "cannot start service" in err and "unknown executor" in err
+        # Every job runs in the server process: serve takes no executor.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--executor", "remote"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --executor remote" in capsys.readouterr().err
 
     def test_bad_lease_ttl_exits_2(self, capsys):
-        assert main(["serve", "--port", "0", "--lease-ttl", "0"]) == 2
-        assert "lease_ttl" in capsys.readouterr().err
+        # There are no leases left to time out.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--lease-ttl", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --lease-ttl 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--port", "0", "--jobs=0"],
         ["serve", "--port", "0", "--autoscale=0:4"],
         ["submit", "plan.json", "--jobs=2"],
         ["metrics", "--fleet"],
+        ["submit", "plan.json", "--executor", "serial"],
+        ["worker", "--url", "http://127.0.0.1:1"],
     ])
     def test_removed_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -317,33 +320,4 @@ class TestMetricsCommand:
 
     def test_unreachable_service_exits_2(self, capsys):
         assert main(["metrics", "--url", "http://127.0.0.1:1", "--grep", "x"]) == 2
-        assert "cannot reach" in capsys.readouterr().err
-
-
-class TestWorkerCommand:
-    def test_worker_drains_a_remote_job_and_exits(self, tmp_path, capsys):
-        import time
-
-        plan = Plan()
-        plan.sweep(TARGET, LAYER, sweep_step=8)
-        with ReproServer(
-            profile_store=tmp_path / "profiles.jsonl",
-            job_store=tmp_path / "jobs.jsonl",
-        ) as server:
-            job = server.queue.submit(plan, executor="remote")
-            code = main([
-                "worker", "--url", server.url,
-                "--name", "cli-worker", "--poll", "0.2", "--max-leases", "1",
-            ])
-            assert code == 0
-            deadline = time.monotonic() + 60.0
-            while not server.store.get(job.id).done and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert server.store.get(job.id).status == "succeeded"
-        output = capsys.readouterr().out
-        assert "registered as worker-" in output
-        assert "worker done: 1 lease(s) completed" in output
-
-    def test_unreachable_service_exits_2(self, capsys):
-        assert main(["worker", "--url", "http://127.0.0.1:1"]) == 2
         assert "cannot reach" in capsys.readouterr().err

@@ -35,6 +35,13 @@ def two_step_plan() -> Plan:
     return plan
 
 
+def submit_with_executor(client, executor):
+    """POST a submission envelope that names an executor."""
+
+    body = {"plan": two_step_plan().to_dict(), "executor": executor}
+    return client._request("POST", "/v1/plans", body)
+
+
 @pytest.fixture
 def server(tmp_path):
     with ReproServer(
@@ -58,7 +65,7 @@ class TestEndpoints:
     def test_version_reports_the_package_version(self, client):
         version = client.version()
         assert version["version"] == repro.__version__
-        assert version["executors"] == ["remote", "serial"]
+        assert "executors" not in version
 
     def test_unknown_route_is_404(self, client):
         with pytest.raises(ServiceError, match="404"):
@@ -107,8 +114,8 @@ class TestEndpoints:
     def test_bad_seed_executor_and_body_are_400(self, client, server):
         with pytest.raises(ServiceError, match="seed"):
             client.submit(two_step_plan(), seed=-1)
-        with pytest.raises(ServiceError, match="unknown executor"):
-            client.submit(two_step_plan(), executor="quantum")
+        with pytest.raises(ServiceError, match="unknown submission fields: \\['executor'\\]"):
+            submit_with_executor(client, "quantum")
         request = urllib.request.Request(
             f"{server.url}/v1/plans", data=b"not json",
             headers={"Content-Type": "application/json"}, method="POST",
@@ -124,9 +131,9 @@ class TestEndpoints:
         # Regression: the registry lower-cased the value, the handler
         # thread died and the client saw the connection drop.
         with pytest.raises(ServiceError) as excinfo:
-            client.submit(two_step_plan(), executor=executor)
+            submit_with_executor(client, executor)
         assert excinfo.value.status == 400
-        assert "executor must be a string" in str(excinfo.value)
+        assert "unknown submission fields: ['executor']" in str(excinfo.value)
         assert client.health()["status"] == "ok"
 
     def test_removed_submission_fields_and_executors_are_400(self, client):
@@ -135,8 +142,24 @@ class TestEndpoints:
             client._request("POST", "/v1/plans", body)
         assert excinfo.value.status == 400
         assert "unknown submission fields: ['jobs']" in str(excinfo.value)
-        with pytest.raises(ServiceError, match="unknown executor 'process'"):
-            client.submit(two_step_plan(), executor="process")
+        # Every job runs in the server process: naming any executor,
+        # even the one that runs, is refused rather than ignored.
+        for name in ("process", "remote", "serial"):
+            with pytest.raises(ServiceError) as excinfo:
+                submit_with_executor(client, name)
+            assert excinfo.value.status == 400
+            assert "unknown submission fields: ['executor']" in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
+    @pytest.mark.parametrize("seed", [2**64, 18446744073709551617])
+    def test_seeds_of_64_bits_or_more_are_400(self, client, seed):
+        # The noise stream mixes seeds modulo 2**64: 2**64 + 1 would
+        # replay seed 1's measurements under a separate store key.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(two_step_plan(), seed=seed)
+        assert excinfo.value.status == 400
+        assert "seed must be an integer in [0, 2**64)" in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0
 
 
 class TestSubmitStreamResult:
@@ -224,33 +247,19 @@ class TestResumeAfterRestart:
             ]
 
 
-class TestFleetWorkerCounts:
-    def test_real_worker_counters_survive_worker_exit(self, tmp_path):
-        """The server's fleet status keeps an exited worker's lease
-        counts, and the per-worker counts add up to the lifetime total."""
-
-        from repro.service.fleet.worker import run_worker
-
-        plan = Plan()
-        plan.sweep(TARGETS[0], LAYER, sweep_step=8)
-        with ReproServer(
-            profile_store=tmp_path / "profiles.jsonl", executor="remote",
-        ) as running:
-            client = ServiceClient(running.url)
-            job = client.submit(plan)
-            completed = run_worker(
-                running.url, name="counted-worker", poll=0.2, max_leases=1,
-            )
-            assert completed == 1
-            assert client.wait(job["id"], timeout=60.0)["status"] == "succeeded"
-            fleet = client.fleet()
-            (worker,) = fleet["workers"]
-            assert worker["name"] == "counted-worker"
-            assert worker["completed"] == 1 and worker["errors"] == 0
-            assert fleet["lifetime"]["completed"] == 1
-            assert sum(w["completed"] for w in fleet["workers"]) == (
-                fleet["lifetime"]["completed"]
-            )
+class TestFleetRoutesAreGone:
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/v1/fleet"),
+        ("POST", "/v1/workers/register"),
+        ("POST", "/v1/leases/claim"),
+        ("POST", "/v1/leases/lease-1/heartbeat"),
+        ("POST", "/v1/leases/lease-1/complete"),
+    ])
+    def test_fleet_routes_are_404(self, client, method, path):
+        with pytest.raises(ServiceError) as excinfo:
+            client._send(method, path, {"worker": "w1"} if method == "POST" else None)
+        assert excinfo.value.status == 404
+        assert "no route" in str(excinfo.value)
 
     def test_the_worker_metrics_push_route_is_gone(self, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -325,15 +334,44 @@ class TestStoreEndpoint:
             assert excinfo.value.status == 404
 
 
-class TestFleetStatusQuantiles:
-    def test_fresh_fleet_reports_null_claim_wait_percentiles(self, client):
-        """Regression: before any claim the p50/p95 must be null, not a
-        quantile of some other server's process-global histogram."""
+class TestEventKeepalive:
+    def test_idle_stream_emits_keepalives(self, tmp_path, monkeypatch):
+        # Stall the worker inside its step: an idle running job is
+        # exactly when watchers need keepalives.
+        entered, release = threading.Event(), threading.Event()
+        original = Session._run_step
 
-        autoscaling = client.fleet()["autoscaling"]
-        assert autoscaling["claim_wait_p50_s"] is None
-        assert autoscaling["claim_wait_p95_s"] is None
-        assert autoscaling["pending_leases"] == 0
+        def gated(session, step):
+            entered.set()
+            assert release.wait(timeout=30.0), "gate never released"
+            return original(session, step)
+
+        monkeypatch.setattr(Session, "_run_step", gated)
+        with ReproServer(
+            profile_store=tmp_path / "p.jsonl",
+            job_store=tmp_path / "j.jsonl",
+            events_keepalive_seconds=0.2,
+        ) as running:
+            local = ServiceClient(running.url, timeout=30.0)
+            plan = Plan()
+            plan.sweep(TARGETS[0], LAYER, sweep_step=8)
+            try:
+                job = local.submit(plan)
+                assert entered.wait(timeout=30.0)
+                seen = []
+                for event in local.iter_events(job["id"], keepalives=True):
+                    seen.append(event["event"])
+                    if seen.count("keepalive") >= 2:
+                        break
+                assert "keepalive" in seen
+            finally:
+                release.set()
+
+            # The default stream filters them out.
+            local.wait(job["id"], timeout=30.0)
+            names = [e["event"] for e in local.iter_events(job["id"])]
+            assert "keepalive" not in names
+            assert names[-1] == "job-finished"
 
 
 class TestConcurrencyAndCancel:

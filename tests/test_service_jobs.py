@@ -19,7 +19,7 @@ STEPS = [("sweep-1", "sweep")]
 
 
 def make_job(store: JobStore) -> Job:
-    return store.create(PLAN, executor="serial", seed=0, steps=STEPS)
+    return store.create(PLAN, seed=0, steps=STEPS)
 
 
 class TestJobRecord:

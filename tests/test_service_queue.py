@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.api import Plan, PruningRequest, Session, Target, UnknownExecutorError
+from repro.api import Plan, PruningRequest, Session, Target
 from repro.experiments.base import ExperimentResult, resolve_session
 from repro.experiments.registry import EXPERIMENTS
 from repro.models import ConvLayerSpec
@@ -121,13 +121,11 @@ class TestExecution:
 
     def test_validation_errors_surface_at_submit_time(self):
         with JobQueue() as queue:
-            with pytest.raises(ValueError, match="seed"):
-                queue.submit(sweep_plan(), seed=-1)
-            for executor in (5, ["serial"]):
-                with pytest.raises(ValueError, match="executor must be a string"):
-                    queue.submit(sweep_plan(), executor=executor)
-            with pytest.raises(UnknownExecutorError):
-                queue.submit(sweep_plan(), executor="quantum")
+            for seed in (-1, 2**64, True, "1"):
+                with pytest.raises(ValueError, match="seed"):
+                    queue.submit(sweep_plan(), seed=seed)
+            with pytest.raises(TypeError, match="executor"):
+                queue.submit(sweep_plan(), executor="serial")
             with pytest.raises(Exception, match="steps"):
                 queue.submit({"version": 1})  # not a valid plan payload
 
@@ -334,14 +332,12 @@ class TestShutdown:
             JobQueue(workers=0)
 
     def test_invalid_default_executor_and_jobs_fail_at_construction(self):
-        """Operator typos must stop the service from booting, not surface
-        as 400s on every client submission."""
+        """Removed knobs stop the queue from being built instead of
+        being ignored: every job runs in this process."""
 
-        with pytest.raises(UnknownExecutorError):
-            JobQueue(executor="bogus-executor")
-        # The ``jobs`` knob is gone: passing it fails at construction.
-        with pytest.raises(TypeError, match="jobs"):
-            JobQueue(jobs=0)
+        for knob in ("executor", "lease_ttl", "jobs"):
+            with pytest.raises(TypeError, match=knob):
+                JobQueue(**{knob: 1})
 
 
 class TestResume:
@@ -353,7 +349,7 @@ class TestResume:
         store = JobStore(jobs_path)
         plan = sweep_plan()
         job = store.create(
-            plan.to_dict(), executor="serial", seed=0,
+            plan.to_dict(), seed=0,
             steps=[(step.id, step.kind) for step in plan],
         )
         store.mark_running(job.id)
@@ -382,7 +378,7 @@ class TestResume:
         )
         store = JobStore(jobs_path)
         job = store.create(
-            plan.to_dict(), executor="serial", seed=0,
+            plan.to_dict(), seed=0,
             steps=[(step.id, step.kind)],
         )
         store.mark_running(job.id)
@@ -405,7 +401,7 @@ class TestResume:
         plan = sweep_plan()
         store = JobStore(jobs_path)
         job = store.create(
-            plan.to_dict(), executor="serial", seed=0,
+            plan.to_dict(), seed=0,
             steps=[(step.id, step.kind) for step in plan],
         )
         store.mark_running(job.id)
@@ -417,22 +413,29 @@ class TestResume:
         assert final.status == "cancelled"
         assert [record.status for record in final.steps] == ["skipped"]
 
-    def test_a_2x_record_naming_the_process_executor_fails_and_the_queue_serves_on(
-        self, tmp_path
+    @pytest.mark.parametrize("written_by", ["2.x", "5.x"])
+    def test_a_record_naming_an_executor_reloads_and_runs_in_process(
+        self, tmp_path, written_by
     ):
-        """A queued job written by a 2.x server (``process`` executor, a
-        ``jobs`` bound) reloads, fails with the unknown-executor message,
-        and the queue then runs a new job."""
+        """A queued job written by an older server — a 2.x ``process``
+        job with a ``jobs`` bound, or a 5.x ``remote`` job — reloads,
+        runs in this process to the results of a serial run, and is
+        rewritten without the old fields."""
 
         import json
 
         from repro.service.jobs import JOB_VERSION
 
         plan = sweep_plan()
+        expected = step_result_payload(Session().execute(plan)[plan.steps[0].id])
         jobs_path = tmp_path / "jobs.jsonl"
+        old_fields = (
+            {"executor": "process", "jobs": 4} if written_by == "2.x"
+            else {"executor": "remote"}
+        )
         record = {
-            "v": JOB_VERSION, "id": "job-2x0000000001", "plan": plan.to_dict(),
-            "executor": "process", "jobs": 4, "seed": 0, "status": "queued",
+            "v": JOB_VERSION, "id": "job-old000000001", "plan": plan.to_dict(),
+            **old_fields, "seed": 0, "status": "queued",
             "submitted_at": 1.0, "started_at": None, "finished_at": None,
             "error": None, "simulations": None, "cancel_requested": False,
             "trace": None,
@@ -444,8 +447,10 @@ class TestResume:
 
         with JobQueue(store=JobStore(jobs_path)) as queue:
             old = wait_done(queue, record["id"])
-            assert old.status == "failed"
-            assert "unknown executor 'process'" in old.error
-            assert "jobs" not in old.to_dict()
+            assert old.status == "succeeded", old.error
+            assert old.steps[0].result == expected
+            assert not set(old_fields) & set(old.to_dict())
             new = wait_done(queue, queue.submit(plan).id)
             assert new.status == "succeeded"
+        reloaded = [json.loads(line) for line in jobs_path.read_text().splitlines()]
+        assert not any(set(old_fields) & set(line) for line in reloaded)
