@@ -322,6 +322,9 @@ class Plan:
     def from_dict(cls, payload: Mapping[str, Any]) -> "Plan":
         if not isinstance(payload, Mapping):
             raise PlanError(f"plan payload must be a mapping, got {type(payload).__name__}")
+        unknown = set(payload) - {"version", "steps"}
+        if unknown:
+            raise PlanError(f"unknown plan fields: {sorted(unknown)}")
         version = payload.get("version", PLAN_VERSION)
         if version != PLAN_VERSION:
             raise PlanError(

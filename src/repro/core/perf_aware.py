@@ -255,13 +255,27 @@ class PerformanceAwarePruner:
         than the requested target — i.e. slide right along the plateau
         the target sits on (more channels for the same latency), never
         onto a slower plateau.
+
+        Only the sweep grid's counts at or above the target are measured:
+        a right edge depends on the times at its own count and the next,
+        so the edges this rule can pick all come from that suffix.  The
+        grid stays ``1..C`` by ``sweep_step``; the suffix filters it, and
+        never restarts it at the target.
         """
 
         if not 1 <= target_channels <= spec.out_channels:
             raise OptimizationError(
                 f"{spec.name}: target {target_channels} outside [1, {spec.out_channels}]"
             )
-        profile = self.profile_layer(spec, sweep_step=sweep_step)
+        suffix = [
+            c for c in sweep_counts(spec.out_channels, step=sweep_step) if c >= target_channels
+        ]
+        # Not kept in the profile cache: its key would hold one suffix per
+        # target count, and the runner already memoises the measurements.
+        table = build_latency_table(self.runner, spec, suffix)
+        profile = LayerProfile(
+            layer_index=-1, spec=spec, table=table, analysis=analyze_table(table)
+        )
         # A coarse sweep may not include the naive target itself; measure
         # it directly (the runner memoises) instead of a table lookup.
         target_time = self.runner.measure(spec, target_channels).median_time_ms

@@ -130,7 +130,7 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argume
 
     run_plan = verb(
         "run-plan", run_plan_command,
-        "Execute serialized plans in this process under the serial executor.",
+        "Execute serialized plans in this process.",
         "--profile-store", "--seed", "--trace", "--json",
     )
     run_plan.add_argument("plans", nargs="+", metavar="PLAN")
@@ -330,7 +330,7 @@ def targets_command(args: argparse.Namespace) -> int:
 
 
 def run_plan_command(args: argparse.Namespace) -> int:
-    """Execute serialized plans in this process under the serial executor."""
+    """Execute serialized plans in this process."""
 
     from ..api.session import Session
     from ..obs.trace import TraceWriter, Tracer
@@ -351,10 +351,10 @@ def run_plan_command(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        with tracer.span("run-plan", plan=str(path), executor="serial"):
+        with tracer.span("run-plan", plan=str(path)):
             results = session.execute(plan)
         print("=" * 72)
-        print(f"plan {path} ({len(plan)} step(s), executor=serial)")
+        print(f"plan {path} ({len(plan)} step(s))")
         for step in plan:
             print("-" * 72)
             print(f"[{step.id}] {step.kind}")
@@ -363,7 +363,6 @@ def run_plan_command(args: argparse.Namespace) -> int:
         _print_simulation_summary(session)
         payloads.append({
             "plan": str(path),
-            "executor": "serial",
             "steps": {
                 step.id: {"kind": step.kind, "result": step_result_payload(results[step.id])}
                 for step in plan

@@ -186,6 +186,12 @@ class TestSerialization:
         with pytest.raises(PlanError, match=message):
             Plan.from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["executor", "jobs", "seed"])
+    def test_plan_payload_with_unknown_top_level_field_rejected(self, field):
+        payload = {**build_plan().to_dict(), field: "remote"}
+        with pytest.raises(PlanError, match=f"unknown plan fields: \\['{field}'\\]"):
+            Plan.from_dict(payload)
+
     def test_step_payload_with_unknown_field_rejected(self):
         payload = {
             "version": 1,

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import PruningRequest, Session, Target
+from repro.api import Plan, PruningRequest, Session, Target
 from repro.core import (
     Candidate,
     OptimizationError,
@@ -13,7 +13,9 @@ from repro.core import (
     PruningSearch,
     pareto_frontier,
 )
+from repro.core.staircase import DEFAULT_STEP_THRESHOLD
 from repro.models import MODELS
+from repro.profiling import ProfileRunner, sweep_counts
 
 
 @pytest.fixture(scope="module")
@@ -347,3 +349,99 @@ class TestLatencyBudgetLoop:
         assert report.latency_ms == 138.67794894610685
         assert report.baseline_latency_ms == 231.23481114425707
         assert report.predicted_accuracy == 0.544020656087545
+
+
+#: The 12-step plan: three zoo models on four targets at fraction 0.25.
+PLAN_MODELS = ("resnet50", "vgg16", "alexnet")
+PLAN_TARGETS = (
+    Target("hikey-970", "acl-gemm"),
+    Target("hikey-970", "acl-direct"),
+    Target("hikey-970", "tvm"),
+    Target("jetson-tx2", "cudnn"),
+)
+
+
+def full_sweep_snap(runner, spec, target_channels, sweep_step=1):
+    """The snap as it was before it measured only the suffix, in plain
+    Python: measure the whole ``1..C`` grid, take every plateau's right
+    edge, and keep the largest one at or above the target that is no
+    slower than the target."""
+
+    counts = list(sweep_counts(spec.out_channels, step=sweep_step))
+    times = runner.measure_many(spec, counts).median.tolist()
+    edges = [
+        counts[i - 1]
+        for i in range(1, len(counts))
+        if abs(times[i] - times[i - 1]) / times[i - 1] > DEFAULT_STEP_THRESHOLD
+    ] + [counts[-1]]
+    time_at = dict(zip(counts, times))
+    target_time = runner.measure(spec, target_channels).median_time_ms
+    fits = [c for c in edges if c >= target_channels and time_at[c] <= target_time * 1.001]
+    return fits[-1] if fits else target_channels
+
+
+class TestSnapFromTheSuffix:
+    """``snap_to_step`` measures only the grid counts at or above its
+    target and still returns what the full sweep returned."""
+
+    @pytest.mark.parametrize("target", PLAN_TARGETS, ids=str)
+    def test_matches_the_full_sweep_on_every_zoo_layer(self, target):
+        pruner = PerformanceAwarePruner(target)
+        reference = ProfileRunner.for_target(target)
+        for model in PLAN_MODELS:
+            network = MODELS.create(model)
+            for index in network.conv_layer_indices:
+                spec = network.conv_layer(index).spec
+                for fraction in (0.12, 0.25, 0.5):
+                    naive = max(1, round(spec.out_channels * (1.0 - fraction)))
+                    assert pruner.snap_to_step(spec, naive) == full_sweep_snap(
+                        reference, spec, naive
+                    ), (model, index, fraction)
+
+    @pytest.mark.parametrize("sweep_step", [16, 7])
+    def test_matches_the_full_sweep_on_a_coarse_grid(self, layer16, sweep_step):
+        # An off-grid target (91 at step 16) filters the 1-based grid;
+        # restarting the grid at the target moves the snap on this
+        # layer at step 7.
+        pruner = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=2)
+        reference = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
+        for naive in range(1, layer16.out_channels + 1):
+            assert pruner.snap_to_step(layer16, naive, sweep_step=sweep_step) == (
+                full_sweep_snap(reference, layer16, naive, sweep_step)
+            ), naive
+
+
+class TestSnapWork:
+    """The configurations a performance-aware prune simulates."""
+
+    @pytest.mark.parametrize("fraction", [0.12, 0.25, 0.5])
+    def test_one_layer_prune_simulates_only_the_suffix(self, fraction):
+        session = Session()
+        session.prune(PruningRequest(
+            "resnet50", Target("hikey-970", "acl-gemm"), fraction=fraction,
+            sweep_step=1, layer_indices=(16,),
+        ))
+        channels = MODELS.create("resnet50").conv_layer(16).spec.out_channels
+        expected = channels - round(channels * (1.0 - fraction)) + 1
+        assert session.simulation_count() == expected
+
+    @staticmethod
+    def _plan():
+        plan = Plan()
+        for model in PLAN_MODELS:
+            for target in PLAN_TARGETS:
+                plan.prune(PruningRequest(model, target, fraction=0.25, sweep_step=1))
+        return plan
+
+    def test_twelve_step_plan_simulates_32220_configurations(self):
+        session = Session()
+        session.execute(self._plan())
+        assert session.simulation_count() == 32220
+
+    def test_a_filled_store_replays_the_plan_without_simulating(self, tmp_path):
+        path = tmp_path / "profiles"
+        Session(store=path).execute(self._plan())
+        replay = Session(store=path)
+        replay.execute(self._plan())
+        assert replay.simulation_count() == 0
+        assert replay.store.file_stats()["entries"] == 32220

@@ -163,7 +163,7 @@ class TestRunPlanSubcommand:
         assert main(["run-plan", str(plan_path)]) == 0
         output = capsys.readouterr().out
         assert "sweep-1" in output and "prune-1" in output
-        assert "executor=serial" in output
+        assert "executor" not in output
 
     def test_run_plan_serial_with_store_and_json(self, plan_path, tmp_path, capsys):
         store = tmp_path / "profiles.jsonl"
@@ -176,7 +176,7 @@ class TestRunPlanSubcommand:
         assert "simulated 0 configuration(s) in-process" not in capsys.readouterr().out
         assert store.exists()
         payload = json.loads(out_json.read_text())
-        assert payload[0]["executor"] == "serial"
+        assert "executor" not in payload[0]
         assert set(payload[0]["steps"]) == {"sweep-1", "prune-1"}
 
         replay_json = tmp_path / "replay.json"

@@ -151,6 +151,16 @@ class TestEndpoints:
             assert "unknown submission fields: ['executor']" in str(excinfo.value)
         assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
+    def test_bare_plan_with_unknown_top_level_key_is_400(self, client):
+        # Regression: a bare plan body (no envelope) naming an executor
+        # was accepted with 202 and run, the key silently ignored.
+        body = {**two_step_plan().to_dict(), "executor": "remote"}
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/plans", body)
+        assert excinfo.value.status == 400
+        assert "unknown plan fields: ['executor']" in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
     @pytest.mark.parametrize("seed", [2**64, 18446744073709551617])
     def test_seeds_of_64_bits_or_more_are_400(self, client, seed):
         # The noise stream mixes seeds modulo 2**64: 2**64 + 1 would
