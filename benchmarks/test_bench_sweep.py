@@ -13,10 +13,11 @@ and asserts the headline speedup (>= 5x).
 import statistics
 import time
 
-from repro.gpusim import DEVICES
+from repro.gpusim import DEVICES, GpuSimulator
 from repro.libraries import LIBRARIES
 from repro.models import MODELS
-from repro.profiling import DEFAULT_RUNS, ProfileRunner, profile_runs
+from repro.profiling import DEFAULT_RUNS, ProfileRunner
+from repro.profiling.noise import noise_matrix, noise_prefix
 
 #: The ablation sweep: every channel count of ResNet-50 layer 16.
 SWEEP = list(range(1, 129))
@@ -25,10 +26,13 @@ SWEEP = list(range(1, 129))
 def _scalar_sweep(device, library, spec, runs):
     """The per-configuration measurement loop: one simulation per (count, run)."""
 
+    simulator = GpuSimulator(device)
+    prefix = noise_prefix(device, library.name, spec.name)
     medians = {}
     for channels in SWEEP:
         plan = library.plan_with_channels(spec, channels, device)
-        times = [run.total_time_ms for run in profile_runs(device, plan, runs=runs)]
+        noise = noise_matrix([prefix + plan.notes], runs)[0]
+        times = [simulator.simulate(plan).total_time_ms * noise[run] for run in range(runs)]
         medians[channels] = statistics.median(times)
     return medians
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.api import Session, Target
 from repro.gpusim import GpuSimulator, format_instruction_table
 from repro.gpusim.metrics import relative_system_counters
-from repro.profiling import profile_runs
 
 
 def main() -> None:
@@ -47,16 +46,6 @@ def main() -> None:
         print(f"  {row.label:>12}: jobs {row.jobs:.1f}x, ctrl-reg reads {row.control_register_reads:.1f}x, "
               f"writes {row.control_register_writes:.1f}x, IRQs {row.interrupts:.1f}x, "
               f"runtime {row.runtime:.2f}x")
-
-    # The profiler view: what the OpenCL interceptor would record.
-    print("\nProfiler view of the 92-channel configuration (one run):")
-    plan = library.plan_with_channels(layer, 92, device)
-    run = profile_runs(device, plan, runs=1)[0]
-    for event in run.events:
-        print(f"  {event.kernel_name:<22} start {event.started_at_s * 1e3:7.2f} ms  "
-              f"end {event.finished_at_s * 1e3:7.2f} ms  "
-              f"(queue delay {event.queue_delay_s * 1e3:5.2f} ms)")
-    print(f"  end-to-end: {run.total_time_ms:.2f} ms")
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ Subpackages
 ``repro.libraries``
     Planning models of ACL GEMM, ACL Direct, cuDNN and TVM.
 ``repro.profiling``
-    Kernel-event profilers, median-of-N measurement, latency tables.
+    Median-of-N measurement, latency tables, the profile store.
 ``repro.core``
     The paper's contribution: staircase analysis and performance-aware
     channel pruning (plus criteria, accuracy proxy and search).
@@ -50,7 +50,7 @@ from .core import PerformanceAwarePruner
 from .gpusim import GpuSimulator
 from .profiling import ProfileRunner
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "GpuSimulator",

@@ -74,11 +74,6 @@ class LatencyCurve:
                     best = (self.channel_counts[index - 1], self.channel_counts[index], ratio)
         return best
 
-    def speedup_between(self, fewer_channels: int, more_channels: int) -> float:
-        """Speedup of the smaller configuration relative to the larger one."""
-
-        return self.time_at(more_channels) / self.time_at(fewer_channels)
-
     def as_rows(self) -> List[Tuple[int, float]]:
         return list(zip(self.channel_counts, self.times_ms))
 

@@ -11,8 +11,9 @@ without touching the in-process objects.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 from ..core.criteria import CRITERIA
 from ..models.zoo import MODELS
@@ -27,6 +28,37 @@ _FRACTION_STRATEGIES = ("performance-aware", "uninstructed")
 
 class RequestError(ValueError):
     """Raised when a pruning request is structurally invalid."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_int(value: Any, name: str, error: Type[ValueError] = RequestError) -> int:
+    """``value`` as an int, or ``error`` naming ``name``.
+
+    ``int()`` would read ``"4"`` as 4 and ``4.5`` as 4, and raise
+    ``TypeError`` on a list.
+    """
+
+    if _is_int(value):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def require_int_list(
+    value: Any, name: str, error: Type[ValueError] = RequestError
+) -> List[int]:
+    """``value`` as a list of ints, or ``error`` naming ``name``.
+
+    Only a list or tuple of integers (not bools) passes: ``int()`` over
+    the items would read the string ``"12"`` as ``[1, 2]`` and ``64.5``
+    as ``64``.
+    """
+
+    if isinstance(value, (list, tuple)) and all(_is_int(item) for item in value):
+        return [int(item) for item in value]
+    raise error(f"{name} must be a list of integers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +112,11 @@ class PruningRequest:
                 raise RequestError(
                     f"latency_budget_ms must be positive, got {self.latency_budget_ms}"
                 )
-        if self.sweep_step < 1:
+        if require_int(self.sweep_step, "sweep_step") < 1:
             raise RequestError(f"sweep_step must be >= 1, got {self.sweep_step}")
         if self.layer_indices is not None:
-            object.__setattr__(self, "layer_indices", tuple(int(i) for i in self.layer_indices))
+            indices = require_int_list(self.layer_indices, "layer_indices")
+            object.__setattr__(self, "layer_indices", tuple(indices))
 
     # ------------------------------------------------------------------
     def with_strategy(self, strategy: str) -> "PruningRequest":
@@ -114,7 +147,6 @@ class PruningRequest:
             target = payload["target"]
         except KeyError as error:
             raise RequestError(f"request payload missing key {error.args[0]!r}") from error
-        layer_indices = payload.get("layer_indices")
         return cls(
             model=model,
             target=Target.of(target),
@@ -123,7 +155,7 @@ class PruningRequest:
             latency_budget_ms=payload.get("latency_budget_ms"),
             criterion=payload.get("criterion", "sequential"),
             sweep_step=payload.get("sweep_step", 1),
-            layer_indices=tuple(layer_indices) if layer_indices is not None else None,
+            layer_indices=payload.get("layer_indices"),
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from ..models.layers import ConvLayerSpec, LayerSpecError
 from ..models.zoo import MODELS
-from .pipeline import STRATEGIES, PruningRequest
+from .pipeline import STRATEGIES, PruningRequest, require_int, require_int_list
 from .target import Target, TargetLike, coerce_targets
 
 #: Step kinds a plan may contain, in the order they usually appear.
@@ -97,7 +97,7 @@ def _canonical_experiment(experiment_id: str) -> str:
 
 
 def _coerce_sweep_step(value: Any) -> int:
-    step = int(value)
+    step = require_int(value, "sweep_step", PlanError)
     if step < 1:
         raise PlanError(f"sweep_step must be >= 1, got {value!r}")
     return step
@@ -388,7 +388,9 @@ def _validate_profile(params: Mapping[str, Any]) -> Dict[str, Any]:
         "sweep_step": _coerce_sweep_step(params.get("sweep_step", 1)),
     }
     if params.get("layer_indices") is not None:
-        normalized["layer_indices"] = [int(index) for index in params["layer_indices"]]
+        normalized["layer_indices"] = require_int_list(
+            params["layer_indices"], "profile layer_indices", PlanError
+        )
     return normalized
 
 
@@ -412,9 +414,17 @@ def _validate_sweep(params: Mapping[str, Any]) -> Dict[str, Any]:
         "sweep_step": _coerce_sweep_step(params.get("sweep_step", 1)),
     }
     if params.get("channel_counts") is not None:
-        normalized["channel_counts"] = sorted(
-            {int(count) for count in params["channel_counts"]}
-        )
+        counts = sorted(set(require_int_list(
+            params["channel_counts"], "sweep channel_counts", PlanError
+        )))
+        for spec in by_name.values():
+            outside = [count for count in counts if not 1 <= count <= spec.out_channels]
+            if outside:
+                raise PlanError(
+                    f"sweep channel_counts {outside} are outside 1..{spec.out_channels}, "
+                    f"the output channels of layer {spec.name!r}"
+                )
+        normalized["channel_counts"] = counts
     return normalized
 
 

@@ -45,13 +45,13 @@ from ..models.zoo import MODELS
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
 from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
-from ..profiling.profilers import check_seed
+from ..profiling.noise import check_seed
 from ..profiling.runner import ProfileRunner
 from ..profiling.store import ProfileStore
 from .pipeline import ComparisonReport, PruningReport, PruningRequest
 from .plan import Plan, Step
 from .registry import UnknownPluginError
-from .target import Target, TargetLike, coerce_targets
+from .target import Target, TargetLike
 
 _CACHE_HITS = default_registry().counter(
     "repro_session_cache_hits_total", "Session profile-cache hits."
@@ -160,17 +160,6 @@ class SweepTable:
         """(channel counts, median times) of one layer on one target."""
 
         return self.profile(target, layer_name).table.as_series()
-
-    def baseline_times_ms(self) -> Dict[str, Dict[str, float]]:
-        """Unpruned latency per target label and layer (the comparison table)."""
-
-        return {
-            target.label: {
-                name: self.profiles[(target, name)].original_time_ms
-                for name in self.layer_names
-            }
-            for target in self.targets
-        }
 
     def format(self) -> str:
         """Render the per-target baseline comparison as fixed-width text."""
@@ -320,12 +309,6 @@ class Session:
     @staticmethod
     def _target_key(target: Target) -> _TargetKey:
         return (target.device, target.library, target.runs)
-
-    @staticmethod
-    def _as_target_list(targets: Union[TargetLike, Iterable[TargetLike]]) -> List[Target]:
-        """Accept one target-like value or an iterable of them."""
-
-        return coerce_targets(targets)
 
     # ------------------------------------------------------------------
     # Resolution

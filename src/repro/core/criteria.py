@@ -74,16 +74,6 @@ class ImportanceCriterion(abc.ABC):
         kept = sorted(int(index) for index in order[:keep])
         return kept
 
-    def prune_channels(
-        self,
-        spec: ConvLayerSpec,
-        n_pruned: int,
-        weights: Optional[np.ndarray] = None,
-    ) -> List[int]:
-        """Indices kept after removing ``n_pruned`` channels."""
-
-        return self.keep_channels(spec, spec.out_channels - n_pruned, weights)
-
 
 class SequentialCriterion(ImportanceCriterion):
     """Remove the highest-indexed channels first (the paper's choice).

@@ -19,7 +19,7 @@ fraction with no knowledge of the target — whose potential slowdowns
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -77,9 +77,6 @@ class LayerProfile:
 
     def time_at(self, channels: int) -> float:
         return self.table.time_ms(channels)
-
-    def speedup_at(self, channels: int) -> float:
-        return self.original_time_ms / self.time_at(channels)
 
 
 @dataclass(frozen=True)
@@ -229,25 +226,6 @@ class PerformanceAwarePruner:
     # ------------------------------------------------------------------
     # Single-layer selection
     # ------------------------------------------------------------------
-    def select_channels_for_budget(
-        self, spec: ConvLayerSpec, budget_ms: float, sweep_step: int = 1
-    ) -> int:
-        """Most channels the layer can keep within a latency budget.
-
-        This is the paper's "right side of a performance step" rule: for
-        the given execution-time budget, keep the largest channel count
-        whose measured latency fits.
-        """
-
-        profile = self.profile_layer(spec, sweep_step=sweep_step)
-        best = profile.table.best_channels_within(budget_ms)
-        if best is None:
-            raise OptimizationError(
-                f"{spec.name}: no channel count fits a {budget_ms:.3f} ms budget "
-                f"(fastest measured {min(profile.table.as_series()[1]):.3f} ms)"
-            )
-        return best
-
     def snap_to_step(self, spec: ConvLayerSpec, target_channels: int, sweep_step: int = 1) -> int:
         """Adjust a desired channel count to the nearest step-optimal count.
 

@@ -54,17 +54,6 @@ class LayerPruning:
     def pruned_channels(self) -> int:
         return self.original_channels - self.remaining_channels
 
-    @property
-    def reindex_map(self) -> Dict[int, int]:
-        """Old channel index -> new (contiguous) channel index.
-
-        This is exactly the re-indexing the paper describes: pruning
-        channel 25 of a 128-channel layer makes old channel 26 the new
-        channel 25, and so on.
-        """
-
-        return {old: new for new, old in enumerate(self.kept_channels)}
-
 
 @dataclass(frozen=True)
 class PruningPlan:
@@ -77,10 +66,6 @@ class PruningPlan:
         """Conv layer index -> remaining channel count."""
 
         return {index: pruning.remaining_channels for index, pruning in self.layers.items()}
-
-    @property
-    def total_pruned(self) -> int:
-        return sum(pruning.pruned_channels for pruning in self.layers.values())
 
     def describe(self) -> str:
         lines = [f"Pruning plan for {self.network_name}:"]

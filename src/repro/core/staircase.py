@@ -65,12 +65,6 @@ class Plateau:
     def width(self) -> int:
         return self.max_channels - self.min_channels + 1
 
-    @property
-    def optimal_channels(self) -> int:
-        """The "right side of the step": most channels for this latency."""
-
-        return self.max_channels
-
 
 @dataclass(frozen=True, eq=False)
 class StaircaseAnalysis:

@@ -131,9 +131,6 @@ class KernelPlan:
 
         return [kernel for kernel in self.kernels if kernel.name == name]
 
-    def kernels_tagged(self, tag: str) -> List[Kernel]:
-        return [kernel for kernel in self.kernels if kernel.tag == tag]
-
     def kernel_names(self) -> List[str]:
         return [kernel.name for kernel in self.kernels]
 

@@ -107,15 +107,6 @@ class SimulationResult:
             interrupts=jobs * INTERRUPTS_PER_JOB,
         )
 
-    def execution_of(self, kernel_name: str) -> List[KernelExecution]:
-        """Executions of all kernels with the given name."""
-
-        return [
-            execution
-            for execution in self.kernel_executions
-            if execution.kernel.name == kernel_name
-        ]
-
 
 class GpuSimulator:
     """Simulate kernel plans on an embedded GPU device, one batch of one per plan."""

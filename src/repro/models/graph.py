@@ -116,10 +116,6 @@ class Network:
     # Aggregate work metrics
     # ------------------------------------------------------------------
     @property
-    def total_conv_macs(self) -> int:
-        return sum(ref.spec.macs for ref in self.conv_layers())
-
-    @property
     def total_conv_parameters(self) -> int:
         return sum(ref.spec.parameter_count for ref in self.conv_layers())
 

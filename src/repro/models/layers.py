@@ -159,20 +159,11 @@ class ConvLayerSpec(LayerSpec):
         return self.in_channels * self.input_hw * self.input_hw
 
     @property
-    def output_activation_count(self) -> int:
-        return self.out_channels * self.output_pixels
-
-    @property
     def im2col_matrix_shape(self) -> Tuple[int, int]:
         """Shape of the unrolled patch matrix (rows=patch size, cols=pixels)."""
 
         rows = (self.in_channels // self.groups) * self.kernel_size * self.kernel_size
         return (rows, self.output_pixels)
-
-    @property
-    def im2col_element_count(self) -> int:
-        rows, cols = self.im2col_matrix_shape
-        return rows * cols
 
     # ------------------------------------------------------------------
     # Pruning

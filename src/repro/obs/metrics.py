@@ -29,7 +29,6 @@ Design constraints, in order:
 from __future__ import annotations
 
 import bisect
-import json
 import re
 import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -429,9 +428,6 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition format, one family per block."""
         return render_snapshot_prometheus(self.snapshot())
-
-    def render_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()

@@ -107,17 +107,6 @@ class LatencyTable:
         baseline = self.max_channels if baseline_channels is None else baseline_channels
         return self.time_ms(baseline) / self.time_ms(out_channels)
 
-    def best_channels_within(self, budget_ms: float) -> Optional[int]:
-        """Largest measured channel count not exceeding a latency budget.
-
-        This is the paper's "right side of a performance step" selection:
-        for a given execution-time budget, keep as many channels (hence
-        as much accuracy potential) as possible.
-        """
-
-        fitting = self.sweep.counts[self.sweep.median <= budget_ms]
-        return int(fitting[-1]) if fitting.size else None
-
 
 def sweep_counts(
     out_channels: int,

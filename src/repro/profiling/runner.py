@@ -36,7 +36,7 @@ from ..gpusim.device import DEVICES, DeviceSpec
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import COUNT_BUCKETS, default_registry
-from .profilers import noise_matrix, noise_prefix
+from .noise import noise_matrix, noise_prefix
 
 _SIMULATIONS = default_registry().counter(
     "repro_profile_simulations_total",

@@ -39,7 +39,7 @@ from ..api.plan import Plan, PlanError, Step
 from ..api.session import Session
 from ..obs.metrics import default_registry
 from ..obs.trace import SpanContext, TraceWriter, Tracer
-from ..profiling.profilers import check_seed
+from ..profiling.noise import check_seed
 from ..profiling.store import ProfileStore
 from .jobs import Job, JobStore
 from .results import step_result_payload

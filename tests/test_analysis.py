@@ -127,10 +127,6 @@ class TestLatencyCurve:
         assert (fast, slow) == (11, 10)
         assert ratio == pytest.approx(2.5)
 
-    def test_speedup_between(self):
-        curve = LatencyCurve("l", "d", "lib", (10, 20), (2.0, 6.0))
-        assert curve.speedup_between(10, 20) == pytest.approx(3.0)
-
     def test_format_subsamples(self):
         curve = LatencyCurve("l", "d", "lib", tuple(range(1, 101)), tuple(float(i) for i in range(1, 101)))
         text = curve.format(max_rows=10)

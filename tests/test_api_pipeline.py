@@ -58,6 +58,25 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="sweep_step"):
             PruningRequest("resnet50", TARGET, fraction=0.25, sweep_step=0)
 
+    @pytest.mark.parametrize("indices", ["12", [1.7], 16, [True]])
+    def test_malformed_layer_indices_rejected(self, indices):
+        # Regression: ``int()`` over the items read "12" as (1, 2) and
+        # [1.7] as (1,).
+        with pytest.raises(RequestError, match="layer_indices must be a list of integers"):
+            PruningRequest("resnet50", TARGET, fraction=0.25, layer_indices=indices)
+        with pytest.raises(RequestError, match="layer_indices must be a list of integers"):
+            PruningRequest.from_dict({
+                "model": "resnet50", "target": TARGET.to_dict(), "fraction": 0.25,
+                "layer_indices": indices,
+            })
+
+    @pytest.mark.parametrize("step", ["4", [4], 4.5])
+    def test_non_integer_sweep_step_rejected(self, step):
+        # Regression: a string or list raised TypeError from the range
+        # check, and 4.5 was accepted.
+        with pytest.raises(RequestError, match="sweep_step must be an integer"):
+            PruningRequest("resnet50", TARGET, fraction=0.25, sweep_step=step)
+
     def test_with_strategy(self):
         request = PruningRequest("resnet50", TARGET, fraction=0.25)
         naive = request.with_strategy("uninstructed")

@@ -192,6 +192,49 @@ class TestSerialization:
         with pytest.raises(PlanError, match=f"unknown plan fields: \\['{field}'\\]"):
             Plan.from_dict(payload)
 
+    @pytest.mark.parametrize("counts, message", [
+        # Regression: ``int()`` over the items swept "12" as [1, 2] and
+        # [64.5, 128] as [64, 128]; a bare number raised TypeError.
+        ("12", "must be a list of integers"),
+        ([12.5, 24], "must be a list of integers"),
+        (5, "must be a list of integers"),
+        ([True, 24], "must be a list of integers"),
+        # Regression: counts beyond the layer were accepted and failed
+        # later, when the step ran.
+        ([999], "outside 1..24"),
+        ([0, 8], "outside 1..24"),
+    ], ids=["string", "float", "int", "bool", "too-many", "zero"])
+    def test_sweep_with_malformed_channel_counts_rejected(self, counts, message):
+        payload = {"version": 1, "steps": [{"id": "s", "kind": "sweep", "params": {
+            "targets": [TARGET.to_dict()], "layers": [LAYER.as_dict()],
+            "channel_counts": counts,
+        }}]}
+        with pytest.raises(PlanError, match=message):
+            Plan.from_dict(payload)
+
+    def test_sweep_channel_counts_within_the_layer_are_kept_sorted(self):
+        plan = Plan()
+        step = plan.sweep(TARGET, LAYER, channel_counts=[24, 1, 8, 8])
+        assert step.params["channel_counts"] == [1, 8, 24]
+
+    @pytest.mark.parametrize("indices", ["12", [1.7], 16, [False]])
+    def test_profile_with_malformed_layer_indices_rejected(self, indices):
+        payload = {"version": 1, "steps": [{"id": "p", "kind": "profile", "params": {
+            "target": TARGET.to_dict(), "model": "resnet50", "layer_indices": indices,
+        }}]}
+        with pytest.raises(PlanError, match="layer_indices must be a list of integers"):
+            Plan.from_dict(payload)
+
+    @pytest.mark.parametrize("step", ["4", 4.5, [4], True])
+    def test_sweep_with_non_integer_sweep_step_rejected(self, step):
+        # Regression: ``int()`` read "4" as 4 and 4.5 as 4, and raised
+        # TypeError on a list.
+        payload = {"version": 1, "steps": [{"id": "s", "kind": "sweep", "params": {
+            "targets": [TARGET.to_dict()], "layers": [LAYER.as_dict()], "sweep_step": step,
+        }}]}
+        with pytest.raises(PlanError, match="sweep_step must be an integer"):
+            Plan.from_dict(payload)
+
     def test_step_payload_with_unknown_field_rejected(self):
         payload = {
             "version": 1,

@@ -39,10 +39,6 @@ class TestSequential:
     def test_keeps_lowest_indices(self, spec):
         assert SequentialCriterion().keep_channels(spec, 4) == [0, 1, 2, 3]
 
-    def test_prune_channels_complements_keep(self, spec):
-        kept = SequentialCriterion().prune_channels(spec, 3)
-        assert kept == [0, 1, 2, 3, 4, 5, 6]
-
     def test_keep_all(self, spec):
         assert SequentialCriterion().keep_channels(spec, 10) == list(range(10))
 

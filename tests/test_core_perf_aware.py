@@ -76,19 +76,11 @@ class TestLayerProfiles:
 
     def test_speedup_at_fewer_channels(self, cudnn_pruner, layer16):
         profile = cudnn_pruner.profile_layer(layer16, 16)
-        assert profile.speedup_at(96) > 1.2
-        assert profile.speedup_at(128) == pytest.approx(1.0)
+        assert profile.table.speedup(96) > 1.2
+        assert profile.table.speedup(128) == pytest.approx(1.0)
 
 
 class TestSingleLayerSelection:
-    def test_budget_selection_is_right_of_step(self, cudnn_pruner, layer16):
-        profile = cudnn_pruner.profile_layer(layer16, 16)
-        budget = profile.time_at(96) * 1.01
-        assert cudnn_pruner.select_channels_for_budget(layer16, budget) == 96
-
-    def test_budget_too_small_raises(self, cudnn_pruner, layer16):
-        with pytest.raises(OptimizationError):
-            cudnn_pruner.select_channels_for_budget(layer16, 1e-6)
 
     def test_snap_moves_right_along_plateau(self, cudnn_pruner, layer16):
         # 70 channels costs the same as 96 under cuDNN's 32-wide tiles, so

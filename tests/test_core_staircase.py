@@ -64,11 +64,6 @@ class TestDetectPlateaus:
         plateaus = detect_plateaus(list(counts), list(times))
         assert [(p.min_channels, p.max_channels) for p in plateaus] == [(1, 4), (5, 8), (9, 12)]
 
-    def test_optimal_channels_is_right_edge(self):
-        counts, times = zip(*staircase_pairs())
-        plateaus = detect_plateaus(list(counts), list(times))
-        assert [p.optimal_channels for p in plateaus] == [4, 8, 12]
-
     def test_plateau_width(self):
         counts, times = zip(*staircase_pairs())
         assert all(p.width == 4 for p in detect_plateaus(list(counts), list(times)))

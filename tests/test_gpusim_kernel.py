@@ -94,9 +94,6 @@ class TestKernelPlan:
     def test_kernels_named(self):
         assert len(self.make_plan().kernels_named("gemm_mm")) == 2
 
-    def test_kernels_tagged(self):
-        assert len(self.make_plan().kernels_tagged("gemm-remainder")) == 1
-
     def test_find_returns_first_match(self):
         plan = self.make_plan()
         assert plan.find("gemm_mm").arithmetic_instructions == 5000

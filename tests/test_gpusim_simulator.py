@@ -134,11 +134,6 @@ class TestPlanSimulation:
             simulator.simulate(plan).total_time_s * 1e3
         )
 
-    def test_execution_of_filters_by_name(self, simulator):
-        result = simulator.simulate(plan_with(big_kernel(name="a"), big_kernel(name="b")))
-        assert len(result.execution_of("a")) == 1
-        assert result.execution_of("missing") == []
-
     def test_splitting_work_into_extra_job_is_slower(self, simulator):
         """The core mechanism behind the paper's parallel staircases."""
 

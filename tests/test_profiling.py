@@ -1,107 +1,23 @@
-"""Tests for events, profilers, the measurement runner and latency tables."""
+"""Tests for the measurement runner and latency tables."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.api import Target
+from repro.gpusim import GpuSimulator
 from repro.profiling import (
-    CudaEventProfiler,
-    KernelEvent,
     LatencyTable,
     LatencyTableError,
     Measurement,
-    OpenCLProfiler,
     ProfileRunner,
     Sweep,
     build_latency_table,
-    profile_runs,
-    profiler_for_device,
     prune_distances,
+    sweep_counts,
 )
-
-
-class TestKernelEvent:
-    def make_event(self, **overrides):
-        defaults = dict(
-            kernel_name="gemm_mm",
-            queued_at_s=0.0,
-            started_at_s=0.001,
-            finished_at_s=0.005,
-            work_items=100,
-            workgroup=(4, 4, 1),
-            memory_footprint_bytes=1024,
-        )
-        defaults.update(overrides)
-        return KernelEvent(**defaults)
-
-    def test_duration(self):
-        assert self.make_event().duration_s == pytest.approx(0.004)
-
-    def test_queue_delay(self):
-        assert self.make_event().queue_delay_s == pytest.approx(0.001)
-
-    def test_non_monotonic_timestamps_rejected(self):
-        with pytest.raises(ValueError):
-            self.make_event(finished_at_s=0.0005)
-
-
-class TestProfilers:
-    def test_opencl_profiler_requires_opencl_device(self, tx2):
-        with pytest.raises(ValueError):
-            OpenCLProfiler(tx2)
-
-    def test_cuda_profiler_requires_cuda_device(self, hikey):
-        with pytest.raises(ValueError):
-            CudaEventProfiler(hikey)
-
-    def test_profiler_for_device_dispatch(self, hikey, tx2):
-        assert isinstance(profiler_for_device(hikey), OpenCLProfiler)
-        assert isinstance(profiler_for_device(tx2), CudaEventProfiler)
-
-    def test_events_cover_all_kernels(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan_with_channels(layer16, 92, hikey)
-        run = profile_runs(hikey, plan, runs=1)[0]
-        assert run.kernel_names() == plan.kernel_names()
-
-    def test_events_are_ordered_in_time(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan(layer16, hikey)
-        run = profile_runs(hikey, plan, runs=1)[0]
-        finish_times = [event.finished_at_s for event in run.events]
-        assert finish_times == sorted(finish_times)
-
-    def test_job_dispatch_appears_as_queue_delay(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan(layer16, hikey)
-        run = profile_runs(hikey, plan, runs=1)[0]
-        gemm_event = run.events_named("gemm_mm")[0]
-        assert gemm_event.queue_delay_s > hikey.job_dispatch_overhead_s * 0.5
-
-    def test_total_time_close_to_simulator(self, hikey, acl_gemm, layer16, hikey_simulator):
-        plan = acl_gemm.plan_with_channels(layer16, 96, hikey)
-        run = profile_runs(hikey, plan, runs=1)[0]
-        simulated = hikey_simulator.run_time_ms(plan)
-        assert run.total_time_ms == pytest.approx(simulated, rel=0.1)
-
-    def test_noise_is_reproducible(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan(layer16, hikey)
-        first = profile_runs(hikey, plan, runs=3)
-        second = profile_runs(hikey, plan, runs=3)
-        assert [run.total_time_ms for run in first] == [run.total_time_ms for run in second]
-
-    def test_noise_varies_between_runs(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan(layer16, hikey)
-        times = [run.total_time_ms for run in profile_runs(hikey, plan, runs=5)]
-        assert len(set(times)) > 1
-
-    def test_durations_by_kernel(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan_with_channels(layer16, 92, hikey)
-        run = profile_runs(hikey, plan, runs=1)[0]
-        durations = run.durations_by_kernel()
-        assert durations["gemm_mm"] > durations["im2col3x3_nhwc"]
-
-    def test_invalid_run_count(self, hikey, acl_gemm, layer16):
-        plan = acl_gemm.plan(layer16, hikey)
-        with pytest.raises(ValueError):
-            profile_runs(hikey, plan, runs=0)
+from repro.profiling.noise import noise_matrix, noise_prefix
 
 
 class TestProfileRunner:
@@ -144,6 +60,30 @@ class TestProfileRunner:
         measurement = gemm_runner.measure(layer16, 96)
         assert measurement.spread < 1.2
 
+    def test_noise_varies_between_runs(self, gemm_runner, layer16):
+        measurement = gemm_runner.measure(layer16, 96)
+        assert measurement.min_time_ms < measurement.max_time_ms
+
+    @pytest.mark.parametrize("device, library", [
+        ("hikey-970", "acl-gemm"),
+        ("hikey-970", "acl-direct"),
+        ("hikey-970", "tvm"),
+        ("jetson-tx2", "cudnn"),
+    ])
+    def test_medians_match_simulate_times_noise(self, device, library, layer16):
+        """Batched medians equal one ``simulate`` per run scaled by its noise."""
+
+        runner = ProfileRunner.for_target(Target(device, library))
+        counts = sweep_counts(layer16.out_channels)
+        sweep = runner.measure_many(layer16, counts)
+        simulator = GpuSimulator(runner.device)
+        prefix = noise_prefix(runner.device, runner.library.name, layer16.name)
+        for channels, median in zip(sweep.counts.tolist(), sweep.median.tolist()):
+            plan = runner.library.plan_with_channels(layer16, channels, runner.device)
+            noise = noise_matrix([prefix + plan.notes], runner.runs)[0]
+            expected = np.median(simulator.simulate(plan).total_time_ms * noise)
+            assert median == pytest.approx(expected, rel=1e-9, abs=0)
+
 
 def table_of(pairs):
     """A latency table of (channels, time) pairs, one measurement each."""
@@ -165,11 +105,6 @@ class TestLatencyTable:
     def test_speedup_relative_to_max(self):
         table = table_of([(10, 5.0), (20, 10.0)])
         assert table.speedup(10) == pytest.approx(2.0)
-
-    def test_best_channels_within_budget(self):
-        table = table_of(((10, 5.0), (20, 9.0), (30, 14.0)))
-        assert table.best_channels_within(10.0) == 20
-        assert table.best_channels_within(4.0) is None
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):

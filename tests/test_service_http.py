@@ -111,6 +111,41 @@ class TestEndpoints:
         assert expected in str(excinfo.value)
         assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
+    @pytest.mark.parametrize("counts, message", [
+        ("12", "must be a list of integers"),
+        ([64.5, 128], "must be a list of integers"),
+        (5, "must be a list of integers"),
+        ([999], "outside 1..24"),
+    ], ids=["string", "float", "int", "too-many"])
+    def test_malformed_sweep_channel_counts_are_400_and_the_client_stays_usable(
+        self, client, counts, message
+    ):
+        # Regression: "12" was swept as [1, 2], floats were truncated,
+        # [999] failed only when the job ran, and a bare number raised
+        # TypeError, so the client saw the connection drop.
+        payload = Plan().to_dict()
+        payload["steps"] = [{"id": "s", "kind": "sweep", "params": {
+            "targets": [TARGETS[0].to_dict()], "layers": [LAYER.as_dict()],
+            "channel_counts": counts,
+        }}]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert message in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
+    def test_prune_request_with_string_layer_indices_is_400(self, client):
+        request = PruningRequest("resnet50", TARGETS[0], fraction=0.25).to_dict()
+        request["layer_indices"] = "16"
+        payload = {"version": 1, "steps": [
+            {"id": "p", "kind": "prune", "params": {"request": request}},
+        ]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "layer_indices must be a list of integers" in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
     def test_bad_seed_executor_and_body_are_400(self, client, server):
         with pytest.raises(ServiceError, match="seed"):
             client.submit(two_step_plan(), seed=-1)
