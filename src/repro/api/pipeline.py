@@ -11,12 +11,13 @@ without touching the in-process objects.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
 from ..core.criteria import CRITERIA
-from ..models.zoo import MODELS
+from ..models.zoo import MODELS, shared_network
 from .target import Target, TargetError, TargetLike
 
 #: Strategies :class:`repro.api.Session` knows how to execute.
@@ -61,6 +62,35 @@ def require_int_list(
     raise error(f"{name} must be a list of integers, got {value!r}")
 
 
+def require_real(value: Any, name: str) -> float:
+    """``value`` if it is a real number (not a bool), else :class:`RequestError`.
+
+    A string or list would raise ``TypeError`` from a range check.
+    """
+
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise RequestError(f"{name} must be a real number, got {value!r}")
+
+
+def require_conv_layers(
+    model: str, indices: List[int], name: str, error: Type[ValueError] = RequestError
+) -> None:
+    """Raise ``error`` naming ``name`` unless every index is a conv layer of ``model``.
+
+    Checked against the process-wide zoo network (built once), so a job
+    naming a layer the model lacks is refused before it runs.
+    """
+
+    network = shared_network(model)
+    unknown = sorted(set(indices).difference(network.conv_indices))
+    if unknown:
+        raise error(
+            f"{name} {unknown} are not conv layers of {model}; "
+            f"its conv layer indices are {network.conv_layer_indices}"
+        )
+
+
 @dataclass(frozen=True)
 class PruningRequest:
     """One pruning job: compress ``model`` for ``target`` with ``strategy``.
@@ -88,12 +118,18 @@ class PruningRequest:
     layer_indices: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target", Target.of(self.target))
+        try:
+            object.__setattr__(self, "target", Target.of(self.target))
+        except TargetError as error:
+            raise RequestError(str(error)) from error
         try:
             object.__setattr__(self, "model", MODELS.canonical(self.model))
             object.__setattr__(self, "criterion", CRITERIA.canonical(self.criterion))
         except KeyError as error:
             raise RequestError(str(error.args[0] if error.args else error)) from error
+        for name in ("fraction", "latency_budget_ms"):
+            if getattr(self, name) is not None:
+                require_real(getattr(self, name), name)
         if self.strategy not in STRATEGIES:
             raise RequestError(
                 f"unknown strategy {self.strategy!r}; available: {list(STRATEGIES)}"
@@ -108,14 +144,16 @@ class PruningRequest:
         if self.strategy == "latency-budget":
             if self.latency_budget_ms is None:
                 raise RequestError("strategy 'latency-budget' requires latency_budget_ms")
-            if self.latency_budget_ms <= 0:
+            if not (math.isfinite(self.latency_budget_ms) and self.latency_budget_ms > 0):
                 raise RequestError(
-                    f"latency_budget_ms must be positive, got {self.latency_budget_ms}"
+                    f"latency_budget_ms must be finite and positive, "
+                    f"got {self.latency_budget_ms}"
                 )
         if require_int(self.sweep_step, "sweep_step") < 1:
             raise RequestError(f"sweep_step must be >= 1, got {self.sweep_step}")
         if self.layer_indices is not None:
             indices = require_int_list(self.layer_indices, "layer_indices")
+            require_conv_layers(self.model, indices, "layer_indices")
             object.__setattr__(self, "layer_indices", tuple(indices))
 
     # ------------------------------------------------------------------
@@ -149,7 +187,7 @@ class PruningRequest:
             raise RequestError(f"request payload missing key {error.args[0]!r}") from error
         return cls(
             model=model,
-            target=Target.of(target),
+            target=target,
             strategy=payload.get("strategy", "performance-aware"),
             fraction=payload.get("fraction"),
             latency_budget_ms=payload.get("latency_budget_ms"),

@@ -33,7 +33,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from ..models.layers import ConvLayerSpec, LayerSpecError
 from ..models.zoo import MODELS
-from .pipeline import STRATEGIES, PruningRequest, require_int, require_int_list
+from .pipeline import (
+    STRATEGIES, PruningRequest, require_conv_layers, require_int, require_int_list,
+)
 from .target import Target, TargetLike, coerce_targets
 
 #: Step kinds a plan may contain, in the order they usually appear.
@@ -388,9 +390,9 @@ def _validate_profile(params: Mapping[str, Any]) -> Dict[str, Any]:
         "sweep_step": _coerce_sweep_step(params.get("sweep_step", 1)),
     }
     if params.get("layer_indices") is not None:
-        normalized["layer_indices"] = require_int_list(
-            params["layer_indices"], "profile layer_indices", PlanError
-        )
+        indices = require_int_list(params["layer_indices"], "profile layer_indices", PlanError)
+        require_conv_layers(normalized["model"], indices, "profile layer_indices", PlanError)
+        normalized["layer_indices"] = indices
     return normalized
 
 

@@ -157,6 +157,8 @@ class Registry(Generic[T]):
     def canonical(self, name: str) -> str:
         """Resolve aliases and case to a canonical registered name."""
 
+        if not isinstance(name, str):
+            raise self.error_cls(f"{self.kind} must be a string, got {name!r}")
         key = self._normalise(name)
         key = self._aliases.get(key, key)
         if key not in self._entries:

@@ -28,12 +28,11 @@ checkpoint to disk and re-executing a plan simulates nothing.
 
 from __future__ import annotations
 
-import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.accuracy_model import AccuracyModel
 from ..core.criteria import CRITERIA, ImportanceCriterion
@@ -41,7 +40,7 @@ from ..core.perf_aware import LayerProfile, PerformanceAwarePruner
 from ..core.staircase import StaircaseAnalysis, analyze_table
 from ..models.graph import Network
 from ..models.layers import ConvLayerSpec
-from ..models.zoo import MODELS
+from ..models.zoo import shared_network
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
 from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
@@ -107,17 +106,6 @@ class CacheStats:
 
     def reset(self) -> None:
         self.hits = self.misses = self.evictions = 0
-
-
-@functools.lru_cache(maxsize=None)
-def _zoo_network(builder: Callable[[], Network]) -> Network:
-    """One network per registered zoo builder, shared process-wide.
-
-    Keyed on the builder object rather than the name, so a name
-    re-registered with a new builder is built afresh.
-    """
-
-    return builder()
 
 
 _TargetKey = Tuple[str, str, int]
@@ -332,7 +320,7 @@ class Session:
         returns a copy).
         """
 
-        return _zoo_network(MODELS.get(model))
+        return shared_network(model)
 
     def pruner(
         self,

@@ -29,11 +29,11 @@ from ..gpusim.device import DEVICES, DeviceSpec
 from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.graph import Network
 from ..models.layers import ConvLayerSpec
-from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
+from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts, sweep_grid
 from ..profiling.runner import ProfileRunner
 from .accuracy_model import AccuracyModel, default_accuracy_model
 from .criteria import ImportanceCriterion, SequentialCriterion
-from .pruner import ChannelPruner, PruningPlan
+from .pruner import uniform_keep
 from .staircase import StaircaseAnalysis, analyze_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,9 +81,13 @@ class LayerProfile:
 
 @dataclass(frozen=True)
 class PruningOutcome:
-    """Result of compressing a network for a target."""
+    """Result of compressing a network for a target.
 
-    plan: PruningPlan
+    ``channels`` maps each pruned conv layer index to its kept channel
+    count; ``ChannelPruner(criterion).plan_network(network, channels)``
+    decides which channels those are.
+    """
+
     channels: Dict[int, int]
     latency_ms: float
     baseline_latency_ms: float
@@ -168,7 +172,6 @@ class PerformanceAwarePruner:
         self.runner = runner or ProfileRunner(
             device=self.device, library=self.library, runs=runs
         )
-        self.pruner = ChannelPruner(self.criterion)
         self._profiles: Dict[Tuple[ConvLayerSpec, object], LayerProfile] = {}
 
     # ------------------------------------------------------------------
@@ -245,18 +248,20 @@ class PerformanceAwarePruner:
             raise OptimizationError(
                 f"{spec.name}: target {target_channels} outside [1, {spec.out_channels}]"
             )
-        suffix = [
-            c for c in sweep_counts(spec.out_channels, step=sweep_step) if c >= target_channels
-        ]
+        grid = sweep_grid(spec.out_channels, sweep_step)
+        suffix = grid[np.searchsorted(grid, target_channels):]
         # Not kept in the profile cache: its key would hold one suffix per
         # target count, and the runner already memoises the measurements.
         table = build_latency_table(self.runner, spec, suffix)
         profile = LayerProfile(
             layer_index=-1, spec=spec, table=table, analysis=analyze_table(table)
         )
-        # A coarse sweep may not include the naive target itself; measure
-        # it directly (the runner memoises) instead of a table lookup.
-        target_time = self.runner.measure(spec, target_channels).median_time_ms
+        # A coarse sweep may not include the naive target itself; then
+        # measure it directly (the runner memoises).
+        if suffix[0] == target_channels:
+            target_time = table.sweep.median[0]
+        else:
+            target_time = self.runner.measure(spec, target_channels).median_time_ms
         levels = profile.levels
         fits = (levels >= target_channels) & (profile.level_times_ms <= target_time * 1.001)
         candidates = levels[fits]
@@ -339,9 +344,7 @@ class PerformanceAwarePruner:
             current_latency -= times[index] - candidate_time
             channels[index], times[index] = candidate, candidate_time
 
-        plan = self.pruner.plan_network(network, channels)
         return PruningOutcome(
-            plan=plan,
             channels=dict(channels),
             latency_ms=current_latency,
             baseline_latency_ms=baseline_latency,
@@ -357,18 +360,8 @@ class PerformanceAwarePruner:
     ) -> PruningOutcome:
         """The baseline: uniform pruning with no device/library knowledge."""
 
-        accuracy_model = self.accuracy_model or default_accuracy_model(network)
-        indices = list(layer_indices) if layer_indices is not None else network.conv_layer_indices
-        plan = self.pruner.prune_uniform(network, fraction, indices)
-        channels = plan.channels_after()
-        return PruningOutcome(
-            plan=plan,
-            channels=channels,
-            latency_ms=self.network_latency_ms(network, channels, indices),
-            baseline_latency_ms=self.network_latency_ms(network, None, indices),
-            predicted_accuracy=accuracy_model.predict(network, channels),
-            baseline_accuracy=accuracy_model.predict(network),
-        )
+        channels = uniform_keep(network, fraction, layer_indices)
+        return self._outcome(network, channels)
 
     def prune_performance_aware_fraction(
         self,
@@ -385,19 +378,31 @@ class PerformanceAwarePruner:
         channels it does not get and never lands just past a step.
         """
 
+        channels = {
+            index: self.snap_to_step(network.conv_layer(index).spec, target, sweep_step)
+            for index, target in uniform_keep(network, fraction, layer_indices).items()
+        }
+        return self._outcome(network, channels)
+
+    def _outcome(self, network: Network, channels: Dict[int, int]) -> PruningOutcome:
+        """The outcome of pruning each layer of ``channels`` to its count.
+
+        Both latencies sum the layers in ``channels`` order, each layer's
+        pruned and full time read in one :meth:`ProfileRunner.measure_many`
+        call, so they equal :meth:`network_latency_ms` of the same layers.
+        """
+
         accuracy_model = self.accuracy_model or default_accuracy_model(network)
-        indices = list(layer_indices) if layer_indices is not None else network.conv_layer_indices
-        channels: Dict[int, int] = {}
-        for index in indices:
+        latency = baseline = 0.0
+        for index, count in channels.items():
             spec = network.conv_layer(index).spec
-            naive_target = max(1, round(spec.out_channels * (1.0 - fraction)))
-            channels[index] = self.snap_to_step(spec, naive_target, sweep_step=sweep_step)
-        plan = self.pruner.plan_network(network, channels)
+            pruned, full = self.runner.measure_many(spec, [count, spec.out_channels]).median
+            latency += pruned
+            baseline += full
         return PruningOutcome(
-            plan=plan,
             channels=channels,
-            latency_ms=self.network_latency_ms(network, channels, indices),
-            baseline_latency_ms=self.network_latency_ms(network, None, indices),
+            latency_ms=float(latency),
+            baseline_latency_ms=float(baseline),
             predicted_accuracy=accuracy_model.predict(network, channels),
             baseline_accuracy=accuracy_model.predict(network),
         )

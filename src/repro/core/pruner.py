@@ -13,7 +13,7 @@ weight tensors for functional validation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +78,21 @@ class PruningPlan:
         return "\n".join(lines)
 
 
+def uniform_keep(
+    network: Network, fraction: float, layer_indices: Optional[Sequence[int]] = None
+) -> Dict[int, int]:
+    """Conv layer index -> channels kept after pruning ``fraction`` of each
+    (selected) layer, at least one."""
+
+    if not 0.0 <= fraction < 1.0:
+        raise PruningError(f"fraction must be in [0, 1), got {fraction}")
+    indices = layer_indices if layer_indices is not None else network.conv_layer_indices
+    return {
+        index: max(1, round(network.conv_layer(index).spec.out_channels * (1.0 - fraction)))
+        for index in indices
+    }
+
+
 class ChannelPruner:
     """Prune channels of layers and networks using an importance criterion."""
 
@@ -131,14 +146,7 @@ class ChannelPruner:
         applied uniformly, with no knowledge of the device or library.
         """
 
-        if not 0.0 <= fraction < 1.0:
-            raise PruningError(f"fraction must be in [0, 1), got {fraction}")
-        indices = layer_indices if layer_indices is not None else network.conv_layer_indices
-        keep_per_layer = {}
-        for index in indices:
-            original = network.conv_layer(index).spec.out_channels
-            keep_per_layer[index] = max(1, round(original * (1.0 - fraction)))
-        return self.plan_network(network, keep_per_layer)
+        return self.plan_network(network, uniform_keep(network, fraction, layer_indices))
 
     # ------------------------------------------------------------------
     # Weight-level pruning (functional validation)

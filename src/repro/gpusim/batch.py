@@ -31,7 +31,7 @@ one-plan view: a batch of one, read back as Python objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,8 +82,9 @@ class KernelBatch:
     Kernel ``i`` of configuration ``c`` lives at flat index
     ``offsets[c] + i``: configurations in order, each one's kernels in
     dispatch order.  Instruction counts and work items are int64,
-    efficiencies float64; ``kinds`` indexes ``kind_table``.  ``notes``
-    is each configuration's :attr:`KernelPlan.notes` string.
+    efficiencies float64; ``kinds`` indexes ``kind_table``.  The notes
+    are a table of distinct strings, ``note_table``, and configuration
+    ``c``'s :attr:`KernelPlan.notes` is ``note_table[note_index[c]]``.
     """
 
     offsets: np.ndarray
@@ -96,21 +97,35 @@ class KernelBatch:
     kind_table: Tuple[KernelKind, ...]
     #: GPU jobs dispatched per configuration.
     job_counts: np.ndarray
-    notes: Tuple[str, ...]
+    note_table: Tuple[str, ...]
+    note_index: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.notes)
+        return len(self.note_index)
+
+    @property
+    def notes(self) -> Tuple[str, ...]:
+        """Each configuration's :attr:`KernelPlan.notes` string."""
+
+        return tuple(map(self.note_table.__getitem__, self.note_index.tolist()))
 
     @classmethod
     def assemble(
         cls,
         kind_table: Sequence[KernelKind],
         columns: Sequence[KernelColumn],
-        notes: Sequence[str],
+        note_keys: np.ndarray,
+        note_of: Callable[[np.ndarray], Iterable[str]],
     ) -> "KernelBatch":
-        """Flatten per-count kernel columns into configuration-major arrays."""
+        """Flatten per-count kernel columns into configuration-major arrays.
 
-        count = len(notes)
+        ``note_keys`` holds one integer per configuration, equal exactly
+        where the notes are; ``note_of`` formats the notes of an
+        ascending array of distinct keys, so each note is formatted once.
+        """
+
+        keys, note_index = np.unique(note_keys, return_inverse=True)
+        count = len(note_index)
         present = np.ones((count, len(columns)), dtype=bool)
         for index, column in enumerate(columns):
             if column.present is not None:
@@ -134,7 +149,8 @@ class KernelBatch:
             kinds=kinds[present],
             kind_table=tuple(kind_table),
             job_counts=(dispatches[kinds] & present).sum(axis=1),
-            notes=tuple(notes),
+            note_table=tuple(note_of(keys)),
+            note_index=note_index,
         )
 
     @classmethod
@@ -143,6 +159,8 @@ class KernelBatch:
 
         plans = tuple(plans)
         kernels = [kernel for plan in plans for kernel in plan]
+        notes: Dict[str, int] = {}
+        note_index = [notes.setdefault(plan.notes, len(notes)) for plan in plans]
         table: Dict[KernelKind, int] = {}
         kinds = [
             table.setdefault(
@@ -166,7 +184,8 @@ class KernelBatch:
             kinds=np.array(kinds, dtype=np.intp),
             kind_table=tuple(table),
             job_counts=np.array([plan.job_count for plan in plans], dtype=np.int64),
-            notes=tuple(plan.notes for plan in plans),
+            note_table=tuple(notes),
+            note_index=np.array(note_index, dtype=np.intp),
         )
 
     def plan(self, index: int, library: str, layer_name: str) -> KernelPlan:
@@ -195,7 +214,8 @@ class KernelBatch:
             )
         )
         return KernelPlan(
-            library=library, layer_name=layer_name, kernels=kernels, notes=self.notes[index]
+            library=library, layer_name=layer_name, kernels=kernels,
+            notes=self.note_table[self.note_index[index]],
         )
 
 

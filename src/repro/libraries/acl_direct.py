@@ -25,7 +25,7 @@ only pay a modest penalty.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -144,9 +144,13 @@ class AclDirectLibrary(ConvolutionLibrary):
             vector_efficiency=vector_efficiency,
             memory_locality=locality,
         )
-        note_of = {
-            d: f"workgroup={WORKGROUP_BY_DIVISIBILITY[d]} divisibility={d}"
-            for d in _DIVISIBILITIES
-        }
-        notes = [note_of[d] for d in channel_divisibility(counts).tolist()]
-        return KernelBatch.assemble(kinds, (kernel,), notes)
+        return KernelBatch.assemble(kinds, (kernel,), channel_divisibility(counts), _notes)
+
+
+def _notes(divisibilities: np.ndarray) -> List[str]:
+    """The plan notes of each channel divisibility."""
+
+    return [
+        f"workgroup={WORKGROUP_BY_DIVISIBILITY[d]} divisibility={d}"
+        for d in divisibilities.tolist()
+    ]

@@ -26,7 +26,7 @@ calibration layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -243,12 +243,19 @@ class AclGemmLibrary(ConvolutionLibrary):
                 present=split.is_split,
             ),
         )
-        notes = [
-            f"padded_channels={padded} main_columns={main} remainder_columns={remainder}"
-            for padded, main, remainder in zip(
-                split.padded_channels.tolist(),
-                split.main_columns.tolist(),
-                split.remainder_columns.tolist(),
-            )
-        ]
-        return KernelBatch.assemble(kinds, columns, notes)
+        # The split is a function of the padded count, and so is the note.
+        return KernelBatch.assemble(kinds, columns, split.padded_channels, _notes)
+
+
+def _notes(padded_channels: np.ndarray) -> List[str]:
+    """The plan notes of each padded channel count."""
+
+    split = split_columns(padded_channels)
+    return [
+        f"padded_channels={padded} main_columns={main} remainder_columns={remainder}"
+        for padded, main, remainder in zip(
+            split.padded_channels.tolist(),
+            split.main_columns.tolist(),
+            split.remainder_columns.tolist(),
+        )
+    ]

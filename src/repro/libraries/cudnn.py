@@ -23,7 +23,7 @@ ratios.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -96,8 +96,16 @@ class CudnnLibrary(ConvolutionLibrary):
             memory_instructions=CUDNN_MEM_PER_MAC * padded_macs,
             work_items=np.maximum(1, padded * layer.output_pixels // 4),
         )
-        notes = [
-            f"tile_channels={t} padded_channels={p}"
-            for t, p in zip(tile.tolist(), padded.tolist())
-        ]
-        return KernelBatch.assemble(_KINDS, (setup, conv), notes)
+        # Each tile limit is a multiple of its tile, so a padded count
+        # pads to itself with the same tile: the note is a function of it.
+        return KernelBatch.assemble(_KINDS, (setup, conv), padded, _notes)
+
+
+def _notes(padded_counts: np.ndarray) -> List[str]:
+    """The plan notes of each padded channel count."""
+
+    padded, tile = padded_channels(padded_counts)
+    return [
+        f"tile_channels={t} padded_channels={p}"
+        for t, p in zip(tile.tolist(), padded.tolist())
+    ]

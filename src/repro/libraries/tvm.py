@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
+from typing import List
 
 import numpy as np
 
@@ -141,8 +142,14 @@ class TvmLibrary(ConvolutionLibrary):
             work_items=counts * layer.output_pixels,
             vector_efficiency=_EFFICIENCY[index],
         )
-        notes = [
-            f"schedule={_CLASSES[klass].value} bucket={bucket}"
-            for klass, bucket in zip(index.tolist(), buckets.tolist())
-        ]
-        return KernelBatch.assemble(_KINDS, (kernel,), notes)
+        # The schedule class is a function of the bucket, and so is the note.
+        return KernelBatch.assemble(_KINDS, (kernel,), buckets, _notes)
+
+
+def _notes(buckets: np.ndarray) -> List[str]:
+    """The plan notes of each tuning-log bucket."""
+
+    return [
+        f"schedule={_CLASSES[klass].value} bucket={bucket}"
+        for klass, bucket in zip(_class_index(buckets).tolist(), buckets.tolist())
+    ]

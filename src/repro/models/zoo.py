@@ -2,14 +2,15 @@
 
 Builders are registered in the unified :data:`MODELS` registry (see
 :mod:`repro.api.registry`); ``MODELS.create("resnet50")`` builds a
-network, and :class:`repro.api.Session.network` adds cross-call reuse on
-top.  The zoo also exposes the *profiled layer sets* used throughout the
+network, and :func:`shared_network` builds it once per process (what
+:meth:`repro.api.Session.network` and request validation use).  The zoo also exposes the *profiled layer sets* used throughout the
 experiments — for each network, the convolutional layers with unique
 shapes whose pruning behaviour the paper reports.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Tuple
 
 from . import alexnet, resnet50, vgg16
@@ -56,6 +57,22 @@ def canonical_name(name: str) -> str:
 
     return MODELS.canonical(name)
 
+
+
+def shared_network(name: str) -> Network:
+    """The zoo network of that name, built once per process.
+
+    Every caller shares it: nothing mutates a network (pruning returns
+    a copy).  Keyed on the registered builder, so a name re-registered
+    with a new builder is built afresh.
+    """
+
+    return _shared_network(MODELS.get(name))
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_network(builder: Callable[[], Network]) -> Network:
+    return builder()
 
 
 def profiled_layer_indices(name: str) -> Tuple[int, ...]:

@@ -119,15 +119,27 @@ def sweep_counts(
     always ``out_channels``.  A count outside ``1..out_channels`` is a
     :class:`ValueError`: the layer cannot have it."""
 
-    if step < 1:
-        raise ValueError(f"sweep step must be >= 1, got {step}")
-    counts = range(start, out_channels + 1, step) if channel_counts is None else channel_counts
+    grid = sweep_grid(out_channels, step, start)  # checks the step either way
+    counts = grid.tolist() if channel_counts is None else channel_counts
     result = tuple(sorted({*map(int, counts), out_channels}))
     if result[0] < 1 or result[-1] > out_channels:
         raise ValueError(
             f"channel counts must lie in 1..{out_channels}, got {result[0]}..{result[-1]}"
         )
     return result
+
+
+def sweep_grid(out_channels: int, step: int = 1, start: int = 1) -> np.ndarray:
+    """``start..out_channels`` by ``step``, and always ``out_channels``, as
+    an ascending int64 array: the counts :func:`sweep_counts` measures
+    when it is given none.  A step below 1 is a :class:`ValueError`."""
+
+    if step < 1:
+        raise ValueError(f"sweep step must be >= 1, got {step}")
+    grid = np.arange(start, out_channels + 1, step, dtype=np.int64)
+    if not grid.size or grid[-1] != out_channels:
+        grid = np.append(grid, np.int64(out_channels))
+    return grid
 
 
 def build_latency_table(

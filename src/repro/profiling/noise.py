@@ -9,7 +9,7 @@ III-D) is meaningful and reproducible.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -96,17 +96,27 @@ def _factors_from_seeds(seeds: np.ndarray, runs: int) -> np.ndarray:
     return 1.0 + MEASUREMENT_NOISE_STD * normal
 
 
-def noise_matrix(seed_materials: Iterable[str], runs: int, seed: int = 0) -> np.ndarray:
+def noise_matrix(
+    seed_materials: Iterable[str],
+    runs: int,
+    seed: int = 0,
+    index: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Noise factors for many configurations at once, one row each.
 
     The measurement runner uses this to perturb a whole sweep in one
     array operation.  Each distinct material is hashed once and its row
-    broadcast to every configuration that shares it.
+    broadcast to every configuration that shares it.  With ``index``,
+    ``seed_materials`` is a table of distinct materials and
+    configuration ``i`` has material ``index[i]``; without, one material
+    per configuration.
     """
 
-    rows: Dict[str, int] = {}
-    index = [rows.setdefault(material, len(rows)) for material in seed_materials]
-    if not index:
+    if index is None:
+        rows: Dict[str, int] = {}
+        index = [rows.setdefault(material, len(rows)) for material in seed_materials]
+        seed_materials = rows
+    if not len(index):
         return np.zeros((0, runs))
-    seeds = np.array([_seed_of(material, seed) for material in rows], dtype=np.uint64)
+    seeds = np.array([_seed_of(material, seed) for material in seed_materials], dtype=np.uint64)
     return _factors_from_seeds(seeds, runs)[index]

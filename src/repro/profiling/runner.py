@@ -564,7 +564,8 @@ class ProfileRunner:
         batch = self.library.plan_counts(layer, channel_counts, self.device)
         prefix = noise_prefix(self.device, self.library.name, layer.name)
         noise = noise_matrix(
-            [prefix + notes for notes in batch.notes], self.runs, seed=self.seed
+            [prefix + note for note in batch.note_table], self.runs,
+            seed=self.seed, index=batch.note_index,
         )
         times_ms = simulate_batch(batch, self.device).total_time_ms[:, np.newaxis] * noise
         self.simulations += len(batch)

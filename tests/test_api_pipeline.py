@@ -77,6 +77,58 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="sweep_step must be an integer"):
             PruningRequest("resnet50", TARGET, fraction=0.25, sweep_step=step)
 
+    @pytest.mark.parametrize("field, value", [
+        ("model", 5), ("model", ["resnet50"]), ("criterion", 5),
+    ])
+    def test_non_string_names_rejected(self, field, value):
+        # Regression: the registry called ``value.strip()`` and raised
+        # AttributeError, which the server did not answer.
+        with pytest.raises(RequestError, match=f"{field} must be a string"):
+            PruningRequest(**{"model": "resnet50", "target": TARGET, "fraction": 0.25,
+                              field: value})
+
+    @pytest.mark.parametrize("field", ["device", "library"])
+    def test_non_string_target_names_rejected(self, field):
+        target = {**TARGET.to_dict(), field: 5}
+        with pytest.raises(RequestError, match=f"{field} must be a string"):
+            PruningRequest.from_dict(
+                {"model": "resnet50", "target": target, "fraction": 0.25}
+            )
+
+    @pytest.mark.parametrize("value", ["0.25", [0.25], True])
+    def test_non_number_fraction_rejected(self, value):
+        # Regression: a string or list raised TypeError from the range check.
+        with pytest.raises(RequestError, match="fraction must be a real number"):
+            PruningRequest("resnet50", TARGET, fraction=value)
+
+    @pytest.mark.parametrize("value", ["5", [5.0], False])
+    def test_non_number_budget_rejected(self, value):
+        with pytest.raises(RequestError, match="latency_budget_ms must be a real number"):
+            PruningRequest(
+                "resnet50", TARGET, strategy="latency-budget", latency_budget_ms=value
+            )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_budget_rejected(self, value):
+        # Regression: a NaN budget returned the unpruned network as if it
+        # met the budget.
+        with pytest.raises(RequestError, match="finite and positive"):
+            PruningRequest(
+                "resnet50", TARGET, strategy="latency-budget", latency_budget_ms=value
+            )
+
+    @pytest.mark.parametrize("model, indices", [
+        ("resnet50", (999,)), ("resnet50", (-1,)), ("resnet50", (16, 53)), ("vgg16", (1,)),
+    ])
+    def test_layer_indices_outside_the_model_rejected(self, model, indices):
+        # Regression: accepted here, then the job failed with NetworkError.
+        with pytest.raises(RequestError, match="are not conv layers of"):
+            PruningRequest(model, TARGET, fraction=0.25, layer_indices=indices)
+
+    def test_layer_indices_of_the_model_accepted(self):
+        request = PruningRequest("vgg16", TARGET, fraction=0.25, layer_indices=[0, 28])
+        assert request.layer_indices == (0, 28)
+
     def test_with_strategy(self):
         request = PruningRequest("resnet50", TARGET, fraction=0.25)
         naive = request.with_strategy("uninstructed")

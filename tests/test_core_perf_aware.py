@@ -8,6 +8,7 @@ import pytest
 from repro.api import Plan, PruningRequest, Session, Target
 from repro.core import (
     Candidate,
+    ChannelPruner,
     OptimizationError,
     PerformanceAwarePruner,
     PruningSearch,
@@ -189,11 +190,21 @@ class TestNetworkCompression:
             >= comparison.uninstructed.predicted_accuracy
         )
 
+    @pytest.mark.parametrize("prune", ["prune_performance_aware_fraction", "prune_uninstructed"])
+    def test_fraction_prune_latencies_equal_network_latency(self, gemm_pruner, resnet, prune):
+        # Each layer's pruned and full time come from one runner read;
+        # the sums must still equal the layer-by-layer sums bitwise.
+        outcome = getattr(gemm_pruner, prune)(resnet, 0.25)
+        assert outcome.latency_ms == gemm_pruner.network_latency_ms(resnet, outcome.channels)
+        assert outcome.baseline_latency_ms == gemm_pruner.network_latency_ms(resnet)
+        assert type(outcome.latency_ms) is type(outcome.baseline_latency_ms) is float
+
     def test_outcome_plan_matches_channels(self, gemm_pruner, resnet):
         outcome = gemm_pruner.prune_performance_aware_fraction(
             resnet, 0.2, layer_indices=self.LAYERS
         )
-        assert outcome.plan.channels_after() == outcome.channels
+        plan = ChannelPruner(gemm_pruner.criterion).plan_network(resnet, outcome.channels)
+        assert plan.channels_after() == outcome.channels
 
 
 class TestParetoSearch:

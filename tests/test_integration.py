@@ -21,7 +21,7 @@ class TestTopLevelApi:
     def test_package_exposes_main_entry_points(self):
         import repro
 
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
         assert callable(repro.Session)
         assert callable(repro.Target)
 
@@ -95,7 +95,8 @@ class TestEndToEndProposalFlow:
         assert outcome.predicted_accuracy > 0.4
 
         # 4. The pruned network still executes numerically.
-        pruned_network = ChannelPruner().apply_plan(network, outcome.plan)
+        pruner = ChannelPruner()
+        pruned_network = pruner.apply_plan(network, pruner.plan_network(network, outcome.channels))
         engine = InferenceEngine(method="gemm")
         logits = engine.run_network(pruned_network, stop_after=11).output
         assert logits.shape[0] == 1

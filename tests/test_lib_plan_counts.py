@@ -1,5 +1,7 @@
 """``plan_counts`` (one batch over a vector of counts) against per-count ``plan``."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,3 +95,36 @@ def test_plan_counts_validates_counts_and_device():
     with pytest.raises(LibraryError):
         library.plan_counts(layer, [4], DEVICES.get("jetson-tx2"))
     assert len(library.plan_counts(layer, [], DEVICES.get("hikey-970"))) == 0
+
+
+#: The four targets of the 12-step plan.
+_PLAN_TARGETS = (
+    ("hikey-970", "acl-gemm"),
+    ("hikey-970", "acl-direct"),
+    ("hikey-970", "tvm"),
+    ("jetson-tx2", "cudnn"),
+)
+
+#: One zoo conv layer per shape: a plan depends on the shape, not the name.
+_SHAPES = list({replace(layer, name="shape"): layer for layer in _LAYERS}.values())
+
+
+@pytest.mark.parametrize("device_name, library_name", _PLAN_TARGETS)
+def test_note_table_is_distinct_and_indexes_every_plan_note(device_name, library_name):
+    library, device = LIBRARIES.create(library_name), DEVICES.get(device_name)
+    for layer in _LAYERS:
+        counts = range(1, layer.out_channels + 1)
+        batch = library.plan_counts(layer, counts, device)
+        assert len(set(batch.note_table)) == len(batch.note_table), layer.name
+        assert len(batch.note_index) == len(batch) == layer.out_channels
+        if layer in _SHAPES:
+            assert batch.notes == tuple(
+                library.plan_with_channels(layer, count, device).notes for count in counts
+            ), layer.name
+
+
+@pytest.mark.parametrize("device_name, library_name", _PLAN_TARGETS)
+def test_empty_counts_plan_an_empty_note_table(device_name, library_name):
+    library, device = LIBRARIES.create(library_name), DEVICES.get(device_name)
+    batch = library.plan_counts(_LAYERS[0], [], device)
+    assert (len(batch), batch.note_table, batch.notes) == (0, (), ())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.api import Target
-from repro.gpusim import GpuSimulator
+from repro.gpusim import GpuSimulator, simulate_batch
+from repro.models import MODELS
 from repro.profiling import (
     LatencyTable,
     LatencyTableError,
@@ -17,6 +18,7 @@ from repro.profiling import (
     prune_distances,
     sweep_counts,
 )
+from repro.profiling import runner as runner_module
 from repro.profiling.noise import noise_matrix, noise_prefix
 
 
@@ -83,6 +85,68 @@ class TestProfileRunner:
             noise = noise_matrix([prefix + plan.notes], runner.runs)[0]
             expected = np.median(simulator.simulate(plan).total_time_ms * noise)
             assert median == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+#: The four targets of the 12-step plan.
+PLAN_TARGETS = [
+    ("hikey-970", "acl-gemm"),
+    ("hikey-970", "acl-direct"),
+    ("hikey-970", "tvm"),
+    ("jetson-tx2", "cudnn"),
+]
+
+#: Every conv layer of every zoo model.
+ZOO_LAYERS = [
+    MODELS.create(model).conv_layer(index).spec
+    for model in MODELS.available()
+    for index in MODELS.create(model).conv_layer_indices
+]
+
+
+class TestNoiseTable:
+    @pytest.mark.parametrize("device, library", PLAN_TARGETS)
+    def test_runner_noise_equals_the_list_form(self, device, library):
+        """One seed per distinct note gives the per-configuration noise bitwise."""
+
+        runner = ProfileRunner.for_target(Target(device, library))
+        for layer in ZOO_LAYERS:
+            counts = np.arange(1, layer.out_channels + 1)
+            batch = runner.library.plan_counts(layer, counts, runner.device)
+            prefix = noise_prefix(runner.device, runner.library.name, layer.name)
+            expected = noise_matrix([prefix + note for note in batch.notes], runner.runs)
+            table = noise_matrix(
+                [prefix + note for note in batch.note_table], runner.runs,
+                index=batch.note_index,
+            )
+            assert table.tobytes() == expected.tobytes(), layer.name
+            times = simulate_batch(batch, runner.device).total_time_ms[:, np.newaxis] * expected
+            sweep = runner.measure_many(layer, counts)
+            for got, want in ((sweep.median, np.median(times, axis=1)),
+                              (sweep.minimum, times.min(axis=1)),
+                              (sweep.maximum, times.max(axis=1))):
+                assert got.tobytes() == want.tobytes(), layer.name
+
+    def test_runner_draws_one_noise_row_per_simulated_configuration(
+        self, monkeypatch, layer16
+    ):
+        # The benchmark's tracer counts simulations as the rows of the
+        # module-global noise_matrix the runner calls.
+        rows = []
+
+        def counting(*args, **kwargs):
+            noise = noise_matrix(*args, **kwargs)
+            rows.append(noise.shape[0])
+            return noise
+
+        monkeypatch.setattr(runner_module, "noise_matrix", counting)
+        runner = ProfileRunner.for_target(Target("hikey-970", "acl-direct"))
+        runner.measure_many(layer16, range(1, layer16.out_channels + 1))
+        runner.measure_many(layer16, [7, 300])
+        assert rows == [layer16.out_channels, 1] and runner.simulations == sum(rows)
+
+    def test_empty_materials_give_no_rows(self):
+        assert noise_matrix([], 3).shape == (0, 3)
+        assert noise_matrix([], 3, index=np.zeros(0, dtype=np.intp)).shape == (0, 3)
 
 
 def table_of(pairs):

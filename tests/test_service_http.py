@@ -146,6 +146,56 @@ class TestEndpoints:
         assert "layer_indices must be a list of integers" in str(excinfo.value)
         assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("model", 5, "model must be a string"),
+        ("criterion", 5, "criterion must be a string"),
+        ("target", {"device": 5, "library": "acl-gemm"}, "device must be a string"),
+        ("fraction", "0.25", "fraction must be a real number"),
+        ("fraction", [0.25], "fraction must be a real number"),
+        ("layer_indices", [999], "are not conv layers of resnet50"),
+        ("layer_indices", [-1], "are not conv layers of resnet50"),
+    ], ids=["int-model", "int-criterion", "int-device", "string-fraction",
+            "list-fraction", "layer-999", "layer-minus-1"])
+    def test_prune_request_with_a_mistyped_field_is_400_and_the_client_stays_usable(
+        self, client, field, value, message
+    ):
+        # Regression: these raised AttributeError or TypeError and the
+        # connection dropped without a reply, or (layer indices) got a
+        # 202 and the job failed later.
+        request = PruningRequest("resnet50", TARGETS[0], fraction=0.25).to_dict()
+        request[field] = value
+        payload = {"version": 1, "steps": [
+            {"id": "p", "kind": "prune", "params": {"request": request}},
+        ]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert message in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
+    def test_nan_latency_budget_is_400(self, client):
+        request = PruningRequest(
+            "resnet50", TARGETS[0], strategy="latency-budget", latency_budget_ms=1.0
+        ).to_dict()
+        request["latency_budget_ms"] = float("nan")  # json writes NaN, and reads it
+        payload = {"version": 1, "steps": [
+            {"id": "p", "kind": "prune", "params": {"request": request}},
+        ]}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "latency_budget_ms must be finite and positive" in str(excinfo.value)
+
+    def test_profile_step_with_a_layer_the_model_lacks_is_400(self, client):
+        payload = Plan().to_dict()
+        payload["steps"] = [{"id": "p", "kind": "profile", "params": {
+            "target": TARGETS[0].to_dict(), "model": "alexnet", "layer_indices": [1],
+        }}]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "are not conv layers of alexnet" in str(excinfo.value)
+
     def test_bad_seed_executor_and_body_are_400(self, client, server):
         with pytest.raises(ServiceError, match="seed"):
             client.submit(two_step_plan(), seed=-1)
