@@ -21,6 +21,7 @@ DESIGN.md for the substitution rationale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -45,10 +46,12 @@ class AccuracyModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.baseline_accuracy <= 1.0:
             raise ValueError(f"baseline_accuracy must be in (0, 1], got {self.baseline_accuracy}")
-        if self.sensitivity < 0:
-            raise ValueError(f"sensitivity must be non-negative, got {self.sensitivity}")
-        if self.exponent < 1.0:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
+        # Finite parameters keep a full-size layer's factor exactly 1.0
+        # (nan * 0 is nan), which predict() relies on to skip it.
+        if not (math.isfinite(self.sensitivity) and self.sensitivity >= 0):
+            raise ValueError(f"sensitivity must be finite and non-negative, got {self.sensitivity}")
+        if not (math.isfinite(self.exponent) and self.exponent >= 1.0):
+            raise ValueError(f"exponent must be finite and >= 1, got {self.exponent}")
 
     # ------------------------------------------------------------------
     def layer_retention(self, kept_fraction: float) -> float:
@@ -73,21 +76,28 @@ class AccuracyModel:
         pruning a huge layer costs more than pruning a tiny one.
         """
 
-        channels = dict(channels or {})
-        refs = network.conv_layers()
-        total_params = sum(ref.spec.parameter_count for ref in refs)
-        if total_params == 0:
+        positions = network.conv_indices
+        if not positions:
             return self.baseline_accuracy
+        channels = channels or {}
+        # A layer kept at full size contributes a factor of exactly 1.0,
+        # so only the pruned layers are multiplied, in index order.
+        pruned = sorted(index for index in channels if index in positions)
+        if not pruned:
+            return max(self.minimum_accuracy, self.baseline_accuracy)
+        layers = network.layers
+        total_params = sum(layers[position].parameter_count for position in positions.values())
         retention = 1.0
-        for ref in refs:
-            kept = channels.get(ref.index, ref.spec.out_channels)
-            if not 1 <= kept <= ref.spec.out_channels:
+        for index in pruned:
+            spec = layers[positions[index]]
+            kept = channels[index]
+            if not 1 <= kept <= spec.out_channels:
                 raise ValueError(
-                    f"layer {ref.label}: invalid channel count {kept} "
-                    f"(original {ref.spec.out_channels})"
+                    f"layer {network.layer_label(index)}: invalid channel count {kept} "
+                    f"(original {spec.out_channels})"
                 )
-            weight = ref.spec.parameter_count / total_params
-            layer_retention = self.layer_retention(kept / ref.spec.out_channels)
+            weight = spec.parameter_count / total_params
+            layer_retention = self.layer_retention(kept / spec.out_channels)
             retention *= 1.0 - weight * (1.0 - layer_retention)
         return max(self.minimum_accuracy, self.baseline_accuracy * retention)
 

@@ -143,6 +143,7 @@ catching up on appended lines does not count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -210,11 +211,13 @@ class ProfileStoreError(ValueError):
     """Raised for unusable store paths or malformed store operations."""
 
 
+@functools.lru_cache(maxsize=4096)
 def layer_spec_fingerprint(spec: ConvLayerSpec) -> str:
     """Stable hash of the latency-relevant spec fields, minus ``out_channels``.
 
     ``out_channels`` is the swept quantity — measurements at different
-    channel counts of the same base layer share one group.
+    channel counts of the same base layer share one group.  Memoised on
+    the frozen spec: every store lookup and record asks for it.
     """
 
     payload = spec.as_dict()

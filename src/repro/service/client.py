@@ -2,8 +2,9 @@
 
 Built on nothing but the standard library, mirroring the server's
 stdlib-only constraint.  Each calling thread keeps one HTTP/1.1
-connection alive across requests; the NDJSON event stream opens its own
-short-lived one::
+connection alive across requests, and its own kept-alive connections for
+the chunked NDJSON event stream, so a ``cancel`` sent from inside an
+:meth:`ServiceClient.iter_events` loop never waits on the stream::
 
     client = ServiceClient("http://127.0.0.1:8765")
     job = client.submit(plan, seed=1)
@@ -28,6 +29,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..api.plan import Plan
 from ..obs.trace import TRACE_HEADER, SpanContext
+from .jobs import TERMINAL_STATUSES
 
 
 #: A reused connection failing with one of these got no response byte:
@@ -35,6 +37,20 @@ from ..obs.trace import TRACE_HEADER, SpanContext
 _STALE_CONNECTION_ERRORS = (
     http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
 )
+
+#: How long a stream stopped at ``job-finished`` may take to deliver its
+#: terminating chunk (sent in the same write) before its connection is
+#: closed rather than reused.
+_DRAIN_SECONDS = 1.0
+
+
+class _ThreadConnections(threading.local):
+    """One calling thread's kept-alive connections."""
+
+    def __init__(self) -> None:
+        self.connection: Optional[http.client.HTTPConnection] = None
+        #: Stream connections not streaming now, ready for the next one.
+        self.streams: List[http.client.HTTPConnection] = []
 
 
 class ServiceError(RuntimeError):
@@ -59,9 +75,9 @@ class ServiceClient:
         parts = urllib.parse.urlsplit(self.url)
         self._netloc = parts.netloc
         self._prefix = parts.path
-        # One kept-alive connection per calling thread, so threads
-        # sharing a client never interleave requests on one socket.
-        self._local = threading.local()
+        # Kept-alive connections per calling thread, so threads sharing
+        # a client never interleave requests on one socket.
+        self._local = _ThreadConnections()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -99,6 +115,28 @@ class ServiceClient:
             )
         return response
 
+    def _exchange_or_retry(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        payload: Any,
+        timeout: Optional[float],
+        headers: Optional[Dict[str, str]],
+    ) -> http.client.HTTPResponse:
+        """:meth:`_exchange`, resent once if a reused connection was stale."""
+
+        reused = connection.sock is not None
+        try:
+            return self._exchange(connection, method, path, payload, timeout, headers)
+        except _STALE_CONNECTION_ERRORS:
+            # The server closed the idle connection before reading
+            # this request: retry once on a fresh one.
+            if not reused:
+                raise
+            connection.close()
+            return self._exchange(connection, method, path, payload, timeout, headers)
+
     def _send(
         self,
         method: str,
@@ -108,20 +146,11 @@ class ServiceClient:
     ) -> Tuple[int, bytes]:
         """One request on this thread's kept-alive connection: (status, body)."""
 
-        connection = getattr(self._local, "connection", None)
+        connection = self._local.connection
         if connection is None:
             connection = self._local.connection = http.client.HTTPConnection(self._netloc)
-        reused = connection.sock is not None
         try:
-            try:
-                response = self._exchange(connection, method, path, payload, None, headers)
-            except _STALE_CONNECTION_ERRORS:
-                # The server closed the idle connection before reading
-                # this request: retry once on a fresh one.
-                if not reused:
-                    raise
-                connection.close()
-                response = self._exchange(connection, method, path, payload, None, headers)
+            response = self._exchange_or_retry(connection, method, path, payload, None, headers)
             return response.status, response.read()
         except (OSError, http.client.HTTPException) as error:
             connection.close()
@@ -196,18 +225,31 @@ class ServiceClient:
         The server interleaves ``{"event": "keepalive"}`` lines while a
         job is idle; they are filtered out unless ``keepalives=True``
         (they carry no job progress, only connection liveness).
+
+        The stream runs on one of this thread's kept-alive stream
+        connections.  It goes back to them when the stream was read to
+        its end, or stopped at ``job-finished`` and drained at once;
+        a stream abandoned earlier closes its connection.
         """
 
         read_timeout = 3600.0 if timeout is None else timeout
         deadline = None if timeout is None else time.monotonic() + timeout
-        # The stream is read to EOF, so it gets its own short-lived
-        # connection instead of this thread's kept-alive one.
-        connection = http.client.HTTPConnection(self._netloc)
+        idle = self._local.streams
+        connection = idle.pop() if idle else http.client.HTTPConnection(self._netloc)
+        reusable = finished = False
         try:
-            with self._exchange(
+            response = self._exchange_or_retry(
                 connection, "GET", f"/v1/jobs/{job_id}/events", None, read_timeout, None
-            ) as response:
-                for line in response:
+            )
+            # Chunk by chunk, not readline(): a connection lost mid-chunk
+            # raises IncompleteRead here instead of reading as the end.
+            pending = b""
+            while True:
+                chunk = response.read1()
+                if not chunk:
+                    break  # the terminating chunk
+                *lines, pending = (pending + chunk).split(b"\n")
+                for line in lines:
                     if deadline is not None and time.monotonic() > deadline:
                         raise ServiceError(
                             f"timed out streaming events of job {job_id} after {timeout}s"
@@ -218,7 +260,14 @@ class ServiceClient:
                     event = json.loads(line.decode("utf-8"))
                     if event.get("event") == "keepalive" and not keepalives:
                         continue
+                    finished = event.get("event") == "job-finished"
                     yield event
+            reusable = True
+        except GeneratorExit:
+            # The caller stopped early.  At job-finished the terminating
+            # chunk came in the same write, so draining it is immediate.
+            reusable = finished and _drained(connection, response)
+            raise
         except TimeoutError as error:
             raise ServiceError(
                 f"no event from job {job_id} for {read_timeout}s"
@@ -226,24 +275,36 @@ class ServiceClient:
         except (OSError, http.client.HTTPException) as error:
             raise ServiceError(f"cannot reach {self.url}: {error}") from error
         finally:
-            connection.close()
+            if reusable:
+                idle.append(connection)
+            else:
+                connection.close()
 
-    def wait(
-        self, job_id: str, timeout: Optional[float] = None, poll: float = 0.1
-    ) -> Dict[str, Any]:
-        """Block until a job reaches a terminal status; returns its record."""
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> Dict[str, Any]:
+        """Block until a job reaches a terminal status; returns its record.
+
+        Follows the job's event stream to ``job-finished``, then fetches
+        the record once.
+        """
 
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["status"] in ("succeeded", "failed", "cancelled"):
-                return job
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"timed out waiting for job {job_id} (still {job['status']}) "
-                    f"after {timeout}s"
-                )
-            time.sleep(poll)
+        try:
+            for _ in self.iter_events(job_id, timeout=timeout):
+                pass
+        except ServiceError:
+            if deadline is None or time.monotonic() < deadline:
+                raise
+        job = self.job(job_id)
+        if job["status"] in TERMINAL_STATUSES:
+            return job
+        if deadline is not None and time.monotonic() >= deadline:
+            raise ServiceError(
+                f"timed out waiting for job {job_id} (still {job['status']}) "
+                f"after {timeout}s"
+            )
+        raise ServiceError(
+            f"the event stream of job {job_id} ended while it was still {job['status']}"
+        )
 
     # ------------------------------------------------------------------
     # Observability surface
@@ -269,6 +330,20 @@ class ServiceClient:
         """
 
         return self._request("GET", "/v1/store")
+
+
+def _drained(
+    connection: http.client.HTTPConnection, response: http.client.HTTPResponse
+) -> bool:
+    """Read the rest of a stream at once; True if it ended cleanly."""
+
+    try:
+        if connection.sock is not None:
+            connection.sock.settimeout(_DRAIN_SECONDS)
+        response.read()
+    except (OSError, http.client.HTTPException):
+        return False
+    return response.isclosed()
 
 
 __all__ = ["ServiceClient", "ServiceError"]

@@ -242,6 +242,7 @@ class JobQueue:
         # step span.
         tracer = Tracer(writer=self.trace_writer)
         session = Session(store=self._profiles, seed=job.seed, tracer=tracer)
+        status, error = "succeeded", None
         with tracer.adopt(SpanContext.parse(job.trace)):
             with tracer.span("job", job=job_id, seed=job.seed):
                 for step in plan:
@@ -250,14 +251,12 @@ class JobQueue:
                     else:
                         status, error = self._run_step(session, job, step)
                     if status in ("cancelled", "failed"):
-                        self._finish_job(
-                            job_id, status, error=error,
-                            simulations=session.simulation_count(),
-                        )
-                        return
-                self._finish_job(
-                    job_id, "succeeded", simulations=session.simulation_count()
-                )
+                        break
+        # Finished only once the span is written: a client that sees
+        # job-finished finds the job's span in the trace file.
+        self._finish_job(
+            job_id, status, error=error, simulations=session.simulation_count()
+        )
 
     def _run_step(
         self,

@@ -21,8 +21,8 @@ and exposes the versioned API::
 Validation failures (:class:`~repro.api.plan.PlanError`, a bad seed,
 any other envelope field) map to HTTP 400 with the error message in
 the body; unknown job ids map to 404.  The event stream replays a
-job's whole event log from the start and keeps the connection open
-until the ``job-finished`` event — streaming a finished job terminates
+job's whole event log from the start and ends after the
+``job-finished`` event — streaming a finished job terminates
 immediately, which is what lets clients ``wait`` on replayed jobs.
 While a watched job is idle the event stream emits a periodic
 ``{"event": "keepalive"}`` line so buffering proxies and client read
@@ -30,11 +30,14 @@ timeouts never starve a long watch; clients skip them
 (:meth:`~repro.service.client.ServiceClient.iter_events` filters them
 out by default).
 
-The handler speaks HTTP/1.1: every reply but the event stream carries
-``Content-Length``, so one client connection serves request after
-request.  The NDJSON stream is sent with ``Connection: close`` and needs
-no chunked encoding: readers consume lines until EOF.  Error replies
-also close the connection, because a request body may be left unread.
+The handler speaks HTTP/1.1, so one client connection serves request
+after request: every reply but the event stream carries
+``Content-Length``, and the NDJSON stream is sent with
+``Transfer-Encoding: chunked`` on the same kept-alive connection.  Once
+the job is terminal its last events and the terminating chunk go out in
+one write, so a reader stopping at ``job-finished`` can drain the
+stream at once and reuse the connection.  Error replies close the
+connection, because a request body may be left unread.
 A kept-alive connection idle for :data:`_IDLE_CONNECTION_SECONDS` is
 closed by the server, and :meth:`ReproServer.close` shuts every open
 connection down.  Nagle's algorithm is off on accepted sockets: with
@@ -78,6 +81,20 @@ _IDLE_CONNECTION_SECONDS = 60.0
 #: How often ``serve_forever`` checks for ``shutdown()``; ``close()``
 #: waits up to one tick (``socketserver``'s default is 0.5 s).
 _SERVE_POLL_SECONDS = 0.05
+
+
+def _ndjson_line(event: Dict[str, Any]) -> bytes:
+    return (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _chunk(data: bytes) -> bytes:
+    """``data`` as one chunk of a ``Transfer-Encoding: chunked`` body."""
+
+    return b"%x\r\n%s\r\n" % (len(data), data)
+
+
+#: The zero-length chunk that ends a chunked body (no trailers).
+_LAST_CHUNK = b"0\r\n\r\n"
 
 
 class _ApiError(Exception):
@@ -317,7 +334,14 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")  # read to EOF
+        # HTTP/1.0 has no chunked encoding: such a reader reads to EOF.
+        chunked = self.request_version != "HTTP/1.0"
+        if chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        else:
+            self.send_header("Connection", "close")
+            self.close_connection = True
+        frame = _chunk if chunked else bytes
         self.end_headers()
         index = 0
         last_write = time.monotonic()
@@ -326,29 +350,31 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 events, done = self._store.wait_for_events(
                     job_id, index, timeout=_STREAM_POLL_SECONDS
                 )
-                for event in events:
-                    self.wfile.write((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
                 index += len(events)
-                if events:
-                    self.wfile.flush()
-                    last_write = time.monotonic()
-                if done and not events:
-                    return  # terminal and fully replayed
-                if self.server.closing:
+                body = b"".join(_ndjson_line(event) for event in events)
+                if done or self.server.closing:
+                    # The job's last events and the terminating chunk in
+                    # one write: a reader that stops at job-finished
+                    # drains the stream without waiting.
+                    if chunked:
+                        body = (_chunk(body) if body else b"") + _LAST_CHUNK
+                    self.wfile.write(body)
+                    if not done:
+                        self.close_connection = True
                     return
-                if time.monotonic() - last_write >= self.server.events_keepalive:
+                idle = time.monotonic() - last_write
+                if not body and idle >= self.server.events_keepalive:
                     # Nothing happened for a while: emit a keepalive line
                     # so idle watches (figure steps can run for minutes)
                     # are never starved by proxies or read timeouts.
-                    line = json.dumps(
-                        {"event": "keepalive", "job": job_id, "time": time.time()},
-                        sort_keys=True,
+                    body = _ndjson_line(
+                        {"event": "keepalive", "job": job_id, "time": time.time()}
                     )
-                    self.wfile.write((line + "\n").encode("utf-8"))
-                    self.wfile.flush()
+                if body:
+                    self.wfile.write(frame(body))
                     last_write = time.monotonic()
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover - client hangup
-            return
+            self.close_connection = True
 
 
 class ReproServer:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import AccuracyModel, DEFAULT_BASELINES, default_accuracy_model
-from repro.models import build_resnet50, build_vgg16
+from repro.models import build_alexnet, build_resnet50, build_vgg16
 
 
 @pytest.fixture
@@ -25,6 +25,22 @@ class TestValidation:
     def test_exponent_at_least_one(self):
         with pytest.raises(ValueError):
             AccuracyModel(exponent=0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sensitivity_rejected(self, value):
+        # max(0.0, nan) is 0.0: a NaN sensitivity used to predict 0.2354
+        # for an unpruned AlexNet instead of its baseline.
+        with pytest.raises(ValueError, match="sensitivity must be finite"):
+            AccuracyModel(sensitivity=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, value):
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            AccuracyModel(exponent=value)
+
+    def test_unpruned_alexnet_keeps_its_baseline(self, model):
+        assert model.predict(build_alexnet()) == 0.76
+        assert model.predict(build_alexnet(), {}) == 0.76
 
     def test_layer_retention_bounds(self, model):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ class TestTopLevelApi:
     def test_package_exposes_main_entry_points(self):
         import repro
 
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
         assert callable(repro.Session)
         assert callable(repro.Target)
 

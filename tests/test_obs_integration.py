@@ -114,6 +114,23 @@ class TestTracingIsInert:
         assert [span["attrs"]["step"] for span in steps] == [step.id for step in plan]
         assert {span["parent"] for span in steps} == {job_span["span"]}
 
+    def test_a_finished_job_has_its_span_in_the_trace_file(self, server, client):
+        # The job span closes before job-finished is published, so a
+        # client never sees a finished job whose span is still unwritten.
+        trace_path = server.queue.trace_writer.path
+        plan = Plan()
+        plan.sweep(TARGET, LAYER, sweep_step=8)
+        for _ in range(20):
+            job = client.submit(plan)
+            for event in client.iter_events(job["id"], timeout=60.0):
+                if event["event"] == "job-finished":
+                    break
+            spans = [json.loads(line) for line in trace_path.read_text().splitlines()]
+            assert any(
+                span["name"] == "job" and span["attrs"]["job"] == job["id"]
+                for span in spans
+            ), job["id"]
+
 
 # ----------------------------------------------------------------------
 # Exposure: /v1/metrics, /v1/metrics.json, the client

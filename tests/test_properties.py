@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,9 @@ from repro.core.accuracy_model import AccuracyModel
 from repro.gpusim import GpuSimulator, HIKEY_970, JETSON_TX2
 from repro.libraries import LIBRARIES, pad_channels, split_columns
 from repro.libraries.cudnn import padded_channels
-from repro.models import ConvLayerSpec, build_resnet50
+from repro.models import MODELS, ConvLayerSpec, build_resnet50
 from repro.nn import direct_conv2d, gemm_conv2d, im2col
+from repro.profiling.store import layer_spec_fingerprint
 
 _RESNET = build_resnet50()
 _LAYER16 = _RESNET.conv_layer(16).spec
@@ -191,3 +193,107 @@ def test_accuracy_retention_bounded(kept_fraction, sensitivity, exponent):
     model = AccuracyModel(sensitivity=sensitivity, exponent=exponent)
     retention = model.layer_retention(kept_fraction)
     assert 0.0 <= retention <= 1.0
+
+
+_ZOO = {name: MODELS.create(name) for name in MODELS.available()}
+
+
+def _predict_all_layers(model, network, channels):
+    """``AccuracyModel.predict`` as it was: a factor for every conv layer."""
+
+    channels = dict(channels or {})
+    refs = network.conv_layers()
+    total_params = sum(ref.spec.parameter_count for ref in refs)
+    if total_params == 0:
+        return model.baseline_accuracy
+    retention = 1.0
+    for ref in refs:
+        kept = channels.get(ref.index, ref.spec.out_channels)
+        if not 1 <= kept <= ref.spec.out_channels:
+            raise ValueError(
+                f"layer {ref.label}: invalid channel count {kept} "
+                f"(original {ref.spec.out_channels})"
+            )
+        weight = ref.spec.parameter_count / total_params
+        layer_retention = model.layer_retention(kept / ref.spec.out_channels)
+        retention *= 1.0 - weight * (1.0 - layer_retention)
+    return max(model.minimum_accuracy, model.baseline_accuracy * retention)
+
+
+@st.composite
+def _channel_maps(draw):
+    network = _ZOO[draw(st.sampled_from(sorted(_ZOO)))]
+    channels = {}
+    for ref in network.conv_layers():
+        out = ref.spec.out_channels
+        choice = draw(st.sampled_from(["keep", "full", "pruned"]))
+        if choice == "full":
+            channels[ref.index] = out
+        elif choice == "pruned":
+            channels[ref.index] = draw(st.integers(1, out))
+    # Keys naming no conv layer are ignored.
+    for key in draw(st.lists(st.integers(-5, 500), max_size=4)):
+        if key not in network.conv_indices:
+            channels[key] = draw(st.integers(-3, 5000))
+    if draw(st.booleans()) and network.conv_indices:
+        index = draw(st.sampled_from(sorted(network.conv_indices)))
+        out = network.conv_layer(index).spec.out_channels
+        channels[index] = draw(st.sampled_from([0, -1, out + 1]))
+    return network, channels
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=_channel_maps(),
+    baseline=st.floats(0.05, 1.0),
+    sensitivity=st.floats(0.0, 3.0),
+    exponent=st.floats(1.0, 4.0),
+    minimum=st.floats(0.0, 0.5),
+)
+def test_pruned_layers_only_prediction_is_bitwise_the_all_layers_loop(
+    case, baseline, sensitivity, exponent, minimum
+):
+    network, channels = case
+    model = AccuracyModel(
+        baseline_accuracy=baseline, sensitivity=sensitivity,
+        exponent=exponent, minimum_accuracy=minimum,
+    )
+    try:
+        expected = _predict_all_layers(model, network, channels)
+    except ValueError as error:
+        with pytest.raises(ValueError) as excinfo:
+            model.predict(network, channels)
+        assert str(excinfo.value) == str(error)
+    else:
+        assert model.predict(network, channels) == expected
+    assert model.predict(network) == _predict_all_layers(model, network, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    in_channels=st.integers(1, 512),
+    out_channels=st.integers(1, 512),
+    kernel_size=st.integers(1, 7),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 3),
+    input_hw=st.integers(7, 64),
+    bias=st.booleans(),
+)
+def test_memoised_layer_fingerprint_is_the_hash(
+    in_channels, out_channels, kernel_size, stride, padding, input_hw, bias
+):
+    spec = ConvLayerSpec(
+        name="prop.conv", in_channels=in_channels, out_channels=out_channels,
+        kernel_size=kernel_size, stride=stride, padding=padding,
+        input_hw=input_hw, bias=bias,
+    )
+    assert layer_spec_fingerprint(spec) == layer_spec_fingerprint.__wrapped__(spec)
+    assert layer_spec_fingerprint(spec) == layer_spec_fingerprint.__wrapped__(spec)
+
+
+def test_memoised_layer_fingerprint_matches_on_every_zoo_layer():
+    for network in _ZOO.values():
+        for ref in network.conv_layers():
+            assert layer_spec_fingerprint(ref.spec) == (
+                layer_spec_fingerprint.__wrapped__(ref.spec)
+            )

@@ -429,19 +429,26 @@ class TestStoreEndpoint:
             assert excinfo.value.status == 404
 
 
+def gate_steps(monkeypatch):
+    """Stall every job inside its step until ``release`` is set."""
+
+    entered, release = threading.Event(), threading.Event()
+    original = Session._run_step
+
+    def gated(session, step):
+        entered.set()
+        assert release.wait(timeout=30.0), "gate never released"
+        return original(session, step)
+
+    monkeypatch.setattr(Session, "_run_step", gated)
+    return entered, release
+
+
 class TestEventKeepalive:
     def test_idle_stream_emits_keepalives(self, tmp_path, monkeypatch):
         # Stall the worker inside its step: an idle running job is
         # exactly when watchers need keepalives.
-        entered, release = threading.Event(), threading.Event()
-        original = Session._run_step
-
-        def gated(session, step):
-            entered.set()
-            assert release.wait(timeout=30.0), "gate never released"
-            return original(session, step)
-
-        monkeypatch.setattr(Session, "_run_step", gated)
+        entered, release = gate_steps(monkeypatch)
         with ReproServer(
             profile_store=tmp_path / "p.jsonl",
             job_store=tmp_path / "j.jsonl",
@@ -501,15 +508,7 @@ class TestConcurrencyAndCancel:
     def test_cancel_endpoint_on_a_queued_job(self, server, monkeypatch):
         # Stall the single worker inside its step so the second
         # submission stays queued.
-        entered, release = threading.Event(), threading.Event()
-        original = Session._run_step
-
-        def gated(session, step):
-            entered.set()
-            assert release.wait(timeout=30.0), "gate never released"
-            return original(session, step)
-
-        monkeypatch.setattr(Session, "_run_step", gated)
+        entered, release = gate_steps(monkeypatch)
         client = ServiceClient(server.url)
         try:
             plan = Plan()
@@ -632,3 +631,166 @@ class TestKeepAlive:
         assert client.version()["version"] == repro.__version__
         assert client._local.connection.sock is not stale
         assert len(accepted) == 2
+
+
+def small_sweep(step: int = 8) -> Plan:
+    plan = Plan()
+    plan.sweep(TARGETS[0], LAYER, sweep_step=step)
+    return plan
+
+
+class TestChunkedEventStream:
+    def test_a_thread_running_many_jobs_opens_two_connections(
+        self, client, server, monkeypatch
+    ):
+        accepted = count_connections(monkeypatch, server)
+        for step in (4, 6, 8, 4, 6):
+            job = client.submit(small_sweep(step))
+            for event in client.iter_events(job["id"]):
+                if event["event"] == "job-finished":
+                    break
+            assert client.job(job["id"])["status"] == "succeeded"
+            assert client.wait(job["id"], timeout=30.0)["status"] == "succeeded"
+        # One request connection and one stream connection.
+        assert len(accepted) == 2
+        assert len(client._local.streams) == 1
+
+    def test_the_stream_is_chunked_and_ends_with_the_job(self, client):
+        job = client.wait(client.submit(small_sweep())["id"], timeout=30.0)
+        host, port = client._netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            sock.sendall(
+                f"GET /v1/jobs/{job['id']}/events HTTP/1.1\r\nHost: x\r\n\r\n".encode()
+            )
+            received = b""
+            while not received.endswith(b"\r\n0\r\n\r\n"):
+                data = sock.recv(65536)
+                assert data, received
+                received += data
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert b"Transfer-Encoding: chunked" in head
+        assert b"Connection: close" not in head
+        assert body.count(b"job-finished") == 1
+
+    def test_an_http_1_0_stream_is_read_to_eof(self, client):
+        job = client.wait(client.submit(small_sweep())["id"], timeout=30.0)
+        host, port = client._netloc.split(":")
+        with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+            sock.sendall(f"GET /v1/jobs/{job['id']}/events HTTP/1.0\r\n\r\n".encode())
+            received = b""
+            while data := sock.recv(65536):
+                received += data
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert b"Transfer-Encoding" not in head
+        lines = [json.loads(line) for line in body.splitlines()]
+        assert lines[0]["event"] == "job-queued"
+        assert lines[-1]["event"] == "job-finished"
+
+    def test_a_stream_abandoned_mid_job_closes_its_connection(
+        self, client, server, monkeypatch
+    ):
+        entered, release = gate_steps(monkeypatch)
+        accepted = count_connections(monkeypatch, server)
+        try:
+            job = client.submit(small_sweep())
+            assert entered.wait(timeout=30.0)
+            events = client.iter_events(job["id"])
+            for event in events:
+                if event["event"] == "step-started":
+                    break
+            connection = events.gi_frame.f_locals["connection"]
+            assert connection.sock is not None
+            events.close()
+            assert connection.sock is None
+            assert client._local.streams == []
+        finally:
+            release.set()
+        names = [event["event"] for event in client.iter_events(job["id"])]
+        assert names[0] == "job-queued" and names[-1] == "job-finished"
+        # request, abandoned stream, fresh stream
+        assert len(accepted) == 3
+
+    def test_cancel_inside_an_event_loop(self, client, monkeypatch):
+        entered, release = gate_steps(monkeypatch)
+        try:
+            blocker = client.submit(small_sweep())
+            assert entered.wait(timeout=30.0)
+            queued = client.submit(two_step_plan())
+            seen = []
+            for event in client.iter_events(queued["id"], timeout=30.0):
+                seen.append(event)
+                if event["event"] == "job-queued":
+                    assert client.cancel(queued["id"])["status"] == "cancelled"
+            assert seen[-1]["event"] == "job-finished"
+            assert seen[-1]["status"] == "cancelled"
+        finally:
+            release.set()
+        assert client.wait(blocker["id"], timeout=60.0)["status"] == "succeeded"
+
+    def test_a_stream_connection_the_server_timed_out_is_replaced(
+        self, client, server, monkeypatch
+    ):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module._ServiceHandler, "timeout", 0.2)
+        job = client.wait(client.submit(small_sweep())["id"], timeout=30.0)
+        (stale,) = [connection.sock for connection in client._local.streams]
+        deadline = time.monotonic() + 10.0
+        while handler_threads() and time.monotonic() < deadline:
+            time.sleep(0.05)  # the server times the idle connections out
+        assert handler_threads() == []
+        accepted = count_connections(monkeypatch, server)
+        names = [event["event"] for event in client.iter_events(job["id"])]
+        assert names[-1] == "job-finished"
+        (fresh,) = client._local.streams
+        assert fresh.sock is not stale
+        assert len(accepted) == 1  # the stale stream's replacement
+
+    def test_close_ends_a_running_stream(self, tmp_path, monkeypatch):
+        entered, release = gate_steps(monkeypatch)
+        running = ReproServer(job_store=tmp_path / "jobs.jsonl").start()
+        client = ServiceClient(running.url, timeout=10.0)
+        seen, ended = [], threading.Event()
+
+        def watch():
+            try:
+                for event in client.iter_events(job["id"]):
+                    seen.append(event["event"])
+            except ServiceError:
+                pass
+            ended.set()
+
+        closer = threading.Thread(target=running.close)
+        try:
+            job = client.submit(small_sweep())
+            assert entered.wait(timeout=30.0)
+            watcher = threading.Thread(target=watch)
+            watcher.start()
+            deadline = time.monotonic() + 10.0
+            while "step-started" not in seen and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert "step-started" in seen
+            closer.start()
+            assert ended.wait(timeout=5.0)
+            assert "job-finished" not in seen
+        finally:
+            release.set()
+            if closer.ident is not None:
+                closer.join(timeout=30.0)
+            running.close()
+        watcher.join(timeout=5.0)
+
+    def test_wait_keeps_its_timeout_error(self, client, monkeypatch):
+        entered, release = gate_steps(monkeypatch)
+        try:
+            job = client.submit(small_sweep())
+            assert entered.wait(timeout=30.0)
+            started = time.monotonic()
+            with pytest.raises(
+                ServiceError, match=r"timed out waiting for job .* \(still running\)"
+            ):
+                client.wait(job["id"], timeout=0.3)
+            assert time.monotonic() - started < 5.0
+        finally:
+            release.set()
+        assert client.wait(job["id"], timeout=30.0)["status"] == "succeeded"
