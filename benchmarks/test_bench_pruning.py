@@ -2,6 +2,7 @@
 
 from conftest import run_benchmarked
 
+from repro.api import Target
 from repro.core import PerformanceAwarePruner
 from repro.models import MODELS
 
@@ -30,7 +31,7 @@ def test_latency_budget_compression(benchmark):
     layer_indices = [15, 16, 24]
 
     def compress():
-        pruner = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=1)
+        pruner = PerformanceAwarePruner(Target("hikey-970", "acl-gemm", runs=1))
         baseline = pruner.network_latency_ms(network, layer_indices=layer_indices)
         return pruner.prune_for_latency(
             network, baseline * 0.75, layer_indices=layer_indices
@@ -48,7 +49,7 @@ def test_layer_profile_sweep(benchmark):
     layer = network.conv_layer(14).spec
 
     def sweep():
-        pruner = PerformanceAwarePruner("jetson-tx2", "cudnn", runs=3)
+        pruner = PerformanceAwarePruner(Target("jetson-tx2", "cudnn", runs=3))
         return pruner.profile_layer(layer, 14)
 
     profile = benchmark.pedantic(sweep, rounds=1, iterations=1)

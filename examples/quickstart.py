@@ -6,8 +6,8 @@ layer (the paper's layer 16) using the canonical ``repro.api`` facade:
 
 1. open a :class:`Session` and pick a :class:`Target` — here the Arm
    Compute Library GEMM path on a HiKey 970,
-2. profile the layer's latency across channel counts (the session
-   caches the profile, so repeating it is free),
+2. profile the layer's latency across channel counts (the session's
+   runner memoises the measurements, so repeating it simulates nothing),
 3. analyse the staircase and find the step-optimal channel counts,
 4. submit a serializable :class:`PruningRequest` and compare the
    performance-aware strategy with the uninstructed baseline,
@@ -36,11 +36,13 @@ def main() -> None:
     print(f"Layer: {layer.name}  ({layer.out_channels} filters, "
           f"{layer.kernel_size}x{layer.kernel_size}, {layer.input_hw}x{layer.input_hw} input)")
 
-    # 2. Profile it.  The second call is a cache hit — check the stats.
+    # 2. Profile it.  The runner memoises measurements, so the second call
+    #    simulates nothing — check the simulation count.
     profile = session.profile_layer(target, layer, layer_index=16)
+    simulated = session.simulation_count()
     session.profile_layer(target, layer, layer_index=16)
-    stats = session.cache_stats
-    print(f"\nProfile cache: {stats.hits} hit(s), {stats.misses} miss(es)")
+    print(f"\nSimulated configurations: {simulated} after the first profile, "
+          f"{session.simulation_count()} after the second")
 
     print("\nLatency vs channel count (every 8th point):")
     counts, times = profile.table.as_series()

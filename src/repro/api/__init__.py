@@ -9,7 +9,7 @@ Most users need exactly four names::
     report = session.prune(PruningRequest("resnet50", target, fraction=0.25))
 
 * :class:`Target` — a validated, hashable (device, library) pair.
-* :class:`Session` — cross-call profile caching plus ``prune``/``compare``.
+* :class:`Session` — per-target memoising runners plus ``prune``/``compare``.
 * :class:`PruningRequest` / :class:`PruningReport` — JSON-serializable
   job and result objects a service can ship verbatim.
 * :class:`Registry` — the one plugin-registry idiom backing the device,
@@ -39,8 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
     from .plan import PLAN_VERSION, STEP_KINDS, Plan, PlanError, Step
     from .session import (
-        DEFAULT_MAX_CACHE_ENTRIES,
-        CacheStats,
         ExecutionError,
         Session,
         SweepTable,
@@ -65,9 +63,7 @@ _LAZY_ATTRS = {
     "default_targets": "target",
     "iter_all_targets": "target",
     "Session": "session",
-    "CacheStats": "session",
     "SweepTable": "session",
-    "DEFAULT_MAX_CACHE_ENTRIES": "session",
     "PruningRequest": "pipeline",
     "PruningReport": "pipeline",
     "ComparisonReport": "pipeline",
@@ -83,9 +79,7 @@ _LAZY_ATTRS = {
 }
 
 __all__ = [
-    "CacheStats",
     "ComparisonReport",
-    "DEFAULT_MAX_CACHE_ENTRIES",
     "DEFAULT_TARGET_RUNS",
     "ExecutionError",
     "PLAN_VERSION",

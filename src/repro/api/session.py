@@ -1,20 +1,17 @@
-"""The ``Session``: cross-call caching and the high-level pruning entry point.
+"""The ``Session``: shared runners and the high-level pruning entry point.
 
-Every sweep in the experiment suite used to re-profile layers from
-scratch — twenty figures times dozens of (layer, channel count)
-configurations.  A :class:`Session` owns one
+A :class:`Session` owns one memoising
 :class:`~repro.profiling.runner.ProfileRunner` per
-:class:`~repro.api.target.Target` plus an LRU cache of latency tables
-and staircase analyses keyed by ``(target, layer spec, sweep)``, so the
-same layer profiled twice costs one measurement pass and one dictionary
-lookup.  Cache effectiveness is observable through
-:attr:`Session.cache_stats` (``hits``/``misses``/``evictions``).
+:class:`~repro.api.target.Target`.  The runner's measurement memo is
+the only cache: a layer profile (latency table plus staircase
+analysis) is rebuilt from it on every call, so the same layer profiled
+twice simulates once.  :meth:`Session.simulation_count` shows it.
 
 ``Session`` is also the front door for pruning jobs: feed it a
 serializable :class:`~repro.api.pipeline.PruningRequest` and get a
 :class:`~repro.api.pipeline.PruningReport` back, byte-for-byte
-reproducing what the legacy :class:`~repro.core.perf_aware.PerformanceAwarePruner`
-would compute for the same parameters.
+reproducing what a :class:`~repro.core.perf_aware.PerformanceAwarePruner`
+computes for the same parameters.
 
 Execution is plan-based: ``sweep``/``prune``/``compare``/
 ``profile_network`` each build a one-step
@@ -29,21 +26,22 @@ checkpoint to disk and re-executing a plan simulates nothing.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.accuracy_model import AccuracyModel
-from ..core.criteria import CRITERIA, ImportanceCriterion
+from ..core.criteria import CRITERIA
 from ..core.perf_aware import LayerProfile, PerformanceAwarePruner
-from ..core.staircase import StaircaseAnalysis, analyze_table
+# analyze_table is not called here; perfbench's tracer wraps it by name
+# in this module.
+from ..core.staircase import StaircaseAnalysis, analyze_table  # noqa: F401
 from ..models.graph import Network
 from ..models.layers import ConvLayerSpec
 from ..models.zoo import shared_network
 from ..obs.metrics import default_registry
 from ..obs.trace import Tracer
-from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts
+from ..profiling.latency_table import LatencyTable, sweep_counts
 from ..profiling.noise import check_seed
 from ..profiling.runner import ProfileRunner
 from ..profiling.store import ProfileStore
@@ -52,15 +50,6 @@ from .plan import Plan, Step
 from .registry import UnknownPluginError
 from .target import Target, TargetLike
 
-_CACHE_HITS = default_registry().counter(
-    "repro_session_cache_hits_total", "Session profile-cache hits."
-)
-_CACHE_MISSES = default_registry().counter(
-    "repro_session_cache_misses_total", "Session profile-cache misses."
-)
-_CACHE_EVICTIONS = default_registry().counter(
-    "repro_session_cache_evictions_total", "Session profile-cache LRU evictions."
-)
 _STEPS_TOTAL = default_registry().counter(
     "repro_executor_steps_total",
     "Plan steps executed, by step kind.",
@@ -75,41 +64,14 @@ class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed."""
 
 
-#: Default bound on cached layer profiles.  Profiling the full model zoo
-#: on the paper's four targets needs well under a thousand entries, so
-#: the default keeps every realistic workload fully cached while
-#: guaranteeing that a long-lived service cannot grow without limit.
-DEFAULT_MAX_CACHE_ENTRIES = 1024
-
 #: Anything :class:`Session` accepts as a profile store.
 StoreLike = Union[ProfileStore, str, Path, None]
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters of a :class:`Session` profile cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-
-
 _TargetKey = Tuple[str, str, int]
-_ProfileKey = Tuple[_TargetKey, ConvLayerSpec, Tuple[int, ...]]
+
+#: ``Session(max_cache_entries=)``'s default: the keyword was not passed.
+_UNSET: Any = object()
 
 
 @dataclass(frozen=True)
@@ -134,7 +96,7 @@ class SweepTable:
         return len(self.rows)
 
     def profile(self, target: TargetLike, layer_name: str) -> LayerProfile:
-        """The cached profile of one layer on one target."""
+        """The profile of one layer on one target."""
 
         return self.profiles[(Target.of(target), layer_name)]
 
@@ -168,23 +130,15 @@ class SweepTable:
 
 
 class Session:
-    """Shared profiling cache plus the request/report pruning pipeline.
+    """Shared per-target runners plus the request/report pruning pipeline.
 
-    Sessions are thread-safe: the profile/runner/pruner caches
-    are guarded by an internal lock (simulation never happens under it),
-    so several threads may execute plans against one session and the
-    service's job queue can run figure steps from several workers in
-    parallel.
+    Sessions are thread-safe: the runner map is guarded by an internal
+    lock and each runner serializes its own measurements, so several
+    threads may execute plans against one session and simulate each
+    configuration once.
 
     Parameters
     ----------
-    max_cache_entries:
-        Upper bound on cached layer profiles, ``1024``
-        (:data:`DEFAULT_MAX_CACHE_ENTRIES`) by default.  When the bound
-        is exceeded the least recently used profile is evicted (and
-        counted in :attr:`CacheStats.evictions`); recently used profiles
-        are refreshed on every hit.  Pass ``None`` to opt in to an
-        unbounded cache explicitly.
     store:
         Optional persistent profile store — a
         :class:`~repro.profiling.store.ProfileStore` or the path of its
@@ -207,30 +161,33 @@ class Session:
         opens one ``executor.step`` span per step against.  Defaults to
         a writerless tracer (no recording, near-zero cost).  Tracing is
         inert: traced and untraced executions are bitwise identical.
+    max_cache_entries:
+        Deprecated and ignored: the session keeps no profile cache of
+        its own.  Passing it warns; the keyword goes in a later major
+        version.
     """
 
     def __init__(
         self,
-        max_cache_entries: Optional[int] = DEFAULT_MAX_CACHE_ENTRIES,
         store: StoreLike = None,
         seed: int = 0,
         tracer: Optional[Tracer] = None,
+        *,
+        max_cache_entries: Optional[int] = _UNSET,
     ) -> None:
-        if max_cache_entries is not None and max_cache_entries < 1:
-            raise ValueError(
-                f"max_cache_entries must be None or >= 1, got {max_cache_entries}"
+        if max_cache_entries is not _UNSET:
+            warnings.warn(
+                "Session(max_cache_entries=) has no effect: the runners' "
+                "measurement memo is the only cache",
+                DeprecationWarning,
+                stacklevel=2,
             )
-        self.max_cache_entries = max_cache_entries
         self.seed = check_seed(seed)
         self.tracer = tracer if tracer is not None else Tracer()
         self._store = self._coerce_store(store)
-        self._profiles: "OrderedDict[_ProfileKey, LayerProfile]" = OrderedDict()
         self._runners: Dict[_TargetKey, ProfileRunner] = {}
-        self._pruners: Dict[Tuple[_TargetKey, str], PerformanceAwarePruner] = {}
-        self._stats = CacheStats()
-        # Guards the caches above: plans may run on concurrent threads
-        # against one session.  Expensive work (simulation) never
-        # happens under this lock.
+        # Guards the runner map: plans may run on concurrent threads
+        # against one session.  Simulation never happens under it.
         self._lock = threading.RLock()
 
     @staticmethod
@@ -240,17 +197,8 @@ class Session:
         return ProfileStore(store)
 
     # ------------------------------------------------------------------
-    # Cache bookkeeping
+    # Runners and the store
     # ------------------------------------------------------------------
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Live hit/miss/eviction counters of the profile cache."""
-
-        # repro-lint: ignore[RL001] -- hands out the CacheStats object itself
-        # (one attribute load, atomic under the GIL); counters keep mutating
-        # under the lock after the reference escapes, by design.
-        return self._stats
-
     @property
     def store(self) -> Optional[ProfileStore]:
         """The persistent profile store backing this session, if any."""
@@ -274,25 +222,12 @@ class Session:
     def simulation_count(self) -> int:
         """Configurations actually simulated by this session's runners.
 
-        Cache and profile-store hits do not count; a fully store-served
-        session reports zero.
+        Runner-memo and profile-store hits do not count; a fully
+        store-served session reports zero.
         """
 
         with self._lock:
             return sum(runner.simulations for runner in self._runners.values())
-
-    def cache_size(self) -> int:
-        with self._lock:
-            return len(self._profiles)
-
-    def clear_cache(self) -> None:
-        """Drop cached profiles, runners and pruners; reset the counters."""
-
-        with self._lock:
-            self._profiles.clear()
-            self._runners.clear()
-            self._pruners.clear()
-            self._stats.reset()
 
     @staticmethod
     def _target_key(target: Target) -> _TargetKey:
@@ -323,36 +258,14 @@ class Session:
         return shared_network(model)
 
     def pruner(
-        self,
-        target: TargetLike,
-        criterion: Union[str, ImportanceCriterion] = "sequential",
-        accuracy_model: Optional[AccuracyModel] = None,
+        self, target: TargetLike, criterion: str = "sequential"
     ) -> PerformanceAwarePruner:
-        """A :class:`PerformanceAwarePruner` wired to this session's cache.
-
-        Pruners are memoised per (target, criterion name) so repeated
-        requests reuse their layer profiles; passing an explicit
-        ``accuracy_model`` or criterion *instance* builds a fresh,
-        uncached pruner (it may carry request-specific state).
-        """
+        """A fresh :class:`PerformanceAwarePruner` on this session's runner."""
 
         target = Target.of(target)
-        shared_runner = self.runner(target)
-        if accuracy_model is not None or not isinstance(criterion, str):
-            criterion_obj = (
-                CRITERIA.create(criterion) if isinstance(criterion, str) else criterion
-            )
-            return PerformanceAwarePruner(
-                target, criterion=criterion_obj,
-                accuracy_model=accuracy_model, runner=shared_runner,
-            )
-        key = (self._target_key(target), CRITERIA.canonical(criterion))
-        with self._lock:
-            if key not in self._pruners:
-                self._pruners[key] = PerformanceAwarePruner(
-                    target, criterion=CRITERIA.create(criterion), runner=shared_runner
-                )
-            return self._pruners[key]
+        return PerformanceAwarePruner(
+            target, criterion=CRITERIA.create(criterion), runner=self.runner(target)
+        )
 
     # ------------------------------------------------------------------
     # Profiling
@@ -367,48 +280,12 @@ class Session:
     ) -> LayerProfile:
         """Latency table + staircase analysis of one layer on one target.
 
-        The result is cached on ``(target, layer spec, sweep)``;
-        profiling the same layer twice for the same target is one miss
-        followed by hits.
+        Built from the target's runner, whose memo makes a repeated
+        profile simulate nothing.
         """
 
-        target = Target.of(target)
         counts = sweep_counts(spec.out_channels, channel_counts, sweep_step)
-        key: _ProfileKey = (self._target_key(target), spec, counts)
-        with self._lock:
-            cached = self._profiles.get(key)
-            if cached is not None:
-                self._stats.hits += 1
-                _CACHE_HITS.inc()
-                self._profiles.move_to_end(key)
-                return cached
-            self._stats.misses += 1
-            _CACHE_MISSES.inc()
-
-        # Built outside the lock: two threads racing the same key both
-        # reach the runner, whose own lock serializes the measurement —
-        # the loser is a pure runner-cache hit, and both build identical
-        # profiles (counter-based noise), so last-write-wins is safe.
-        table = build_latency_table(self.runner(target), spec, counts)
-        profile = LayerProfile(
-            layer_index=layer_index,
-            spec=spec,
-            table=table,
-            analysis=analyze_table(table),
-        )
-        with self._lock:
-            existing = self._profiles.get(key)
-            if existing is not None:
-                return existing
-            self._profiles[key] = profile
-            if (
-                self.max_cache_entries is not None
-                and len(self._profiles) > self.max_cache_entries
-            ):
-                self._profiles.popitem(last=False)
-                self._stats.evictions += 1
-                _CACHE_EVICTIONS.inc()
-        return profile
+        return LayerProfile.build(self.runner(target), spec, counts, layer_index)
 
     def latency_table(
         self,
@@ -417,7 +294,7 @@ class Session:
         channel_counts: Optional[Iterable[int]] = None,
         sweep_step: int = 1,
     ) -> LatencyTable:
-        """Cached latency-vs-channels table of a layer on a target."""
+        """Latency-vs-channels table of a layer on a target."""
 
         return self.profile_layer(
             target, spec, channel_counts=channel_counts, sweep_step=sweep_step
@@ -430,7 +307,7 @@ class Session:
         channel_counts: Optional[Iterable[int]] = None,
         sweep_step: int = 1,
     ) -> StaircaseAnalysis:
-        """Cached staircase analysis of a layer on a target."""
+        """Staircase analysis of a layer on a target."""
 
         return self.profile_layer(
             target, spec, channel_counts=channel_counts, sweep_step=sweep_step
@@ -488,9 +365,9 @@ class Session:
     ) -> SweepTable:
         """Fan one layer set across several targets (the figure-comparison scenario).
 
-        Every (target, layer) pair is profiled — through the profile
-        cache, the batched runner and the profile store, so repeats are
-        free — and the result comes back as a tidy :class:`SweepTable`:
+        Every (target, layer) pair is profiled — through the batched,
+        memoising runner and the profile store, so repeats simulate
+        nothing — and the result comes back as a tidy :class:`SweepTable`:
         one row per measured (target, layer, channel count) point, plus
         the full per-pair profiles for staircase analysis.  The sweep is
         expressed as a one-step :class:`Plan` and run by :meth:`execute`.
@@ -544,7 +421,7 @@ class Session:
     def prune(self, request: PruningRequest) -> PruningReport:
         """Execute one pruning job and report the outcome.
 
-        Matches the legacy :class:`PerformanceAwarePruner` output for
+        Matches the :class:`PerformanceAwarePruner` output for
         the same (model, device, library, strategy, parameters).  The
         job travels as a one-step :class:`Plan` through :meth:`execute`.
         """
@@ -620,7 +497,7 @@ class Session:
         untraced executions stay bitwise identical.  A ``figure`` step
         hands this session to the experiment generator (every generator
         accepts ``session=``), so its measurements use this session's
-        seed, store and caches and touch no process-global state.
+        seed, store and runners and touch no process-global state.
         """
 
         _STEPS_TOTAL.inc(kind=step.kind)
@@ -655,16 +532,10 @@ class Session:
         raise ExecutionError(f"no handler for step kind {step.kind!r}")  # pragma: no cover
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        stats = self._stats
-        return (
-            f"<Session profiles={len(self._profiles)} runners={len(self._runners)} "
-            f"hits={stats.hits} misses={stats.misses} evictions={stats.evictions}>"
-        )
+        return f"<Session runners={len(self._runners)} seed={self.seed}>"
 
 
 __all__ = [
-    "DEFAULT_MAX_CACHE_ENTRIES",
-    "CacheStats",
     "ExecutionError",
     "Session",
     "SweepTable",

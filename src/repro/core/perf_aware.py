@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gpusim.device import DEVICES, DeviceSpec
-from ..libraries.base import LIBRARIES, ConvolutionLibrary
 from ..models.graph import Network
 from ..models.layers import ConvLayerSpec
 from ..profiling.latency_table import LatencyTable, build_latency_table, sweep_counts, sweep_grid
@@ -52,6 +50,25 @@ class LayerProfile:
     spec: ConvLayerSpec
     table: LatencyTable
     analysis: StaircaseAnalysis
+
+    @classmethod
+    def build(
+        cls,
+        runner: ProfileRunner,
+        spec: ConvLayerSpec,
+        counts: Iterable[int],
+        layer_index: int = -1,
+    ) -> "LayerProfile":
+        """Measure ``spec`` at ``counts`` through ``runner`` and analyse the table.
+
+        Only the runner memoises: a profile is rebuilt on every call,
+        and a repeated one simulates nothing.
+        """
+
+        table = build_latency_table(runner, spec, counts)
+        return cls(
+            layer_index=layer_index, spec=spec, table=table, analysis=analyze_table(table)
+        )
 
     @property
     def original_time_ms(self) -> float:
@@ -118,61 +135,31 @@ class StrategyComparison:
 
 
 class PerformanceAwarePruner:
-    """Profile-in-the-loop channel pruning for one (device, library) target.
-
-    The target can be given either as a single :class:`repro.api.Target`
-    (the canonical form) or as the legacy (device, library) pair of
-    names/objects::
+    """Profile-in-the-loop channel pruning for one :class:`repro.api.Target`::
 
         PerformanceAwarePruner(Target("hikey-970", "acl-gemm", runs=5))
-        PerformanceAwarePruner("hikey-970", "acl-gemm", runs=5)   # legacy
 
     ``runner`` lets a :class:`repro.api.Session` share one memoising
-    :class:`ProfileRunner` across pruners and experiments.
+    :class:`ProfileRunner` across pruners and experiments; the default is
+    a fresh ``ProfileRunner.for_target(target)``.
     """
 
     def __init__(
         self,
-        device: "Union[Target, DeviceSpec, str, None]" = None,
-        library: Optional[ConvolutionLibrary | str] = None,
+        target: "Target",
         criterion: Optional[ImportanceCriterion] = None,
         accuracy_model: Optional[AccuracyModel] = None,
-        runs: Optional[int] = None,
         *,
         runner: Optional[ProfileRunner] = None,
     ) -> None:
         from ..api.target import Target  # local import: api sits above core
 
-        if isinstance(device, Target):
-            if library is not None:
-                raise TypeError(
-                    "pass either a Target or a (device, library) pair, not both"
-                )
-            target = device if runs is None else device.with_runs(runs)
-            self.target: Optional[Target] = target
-            self.device = target.device_spec
-            self.library = target.create_library()
-            runs = target.runs
-        else:
-            if device is None or library is None:
-                raise TypeError("a Target or a (device, library) pair is required")
-            self.device = DEVICES.get(device) if isinstance(device, str) else device
-            self.library = (
-                LIBRARIES.create(library) if isinstance(library, str) else library
-            )
-            runs = 3 if runs is None else runs
-            try:
-                self.target = Target(self.device.name, self.library.name, runs)
-            except ValueError:
-                # Mismatched (device, library) APIs never made it past
-                # planning before; keep that legacy failure mode.
-                self.target = None
+        if not isinstance(target, Target):
+            raise TypeError(f"PerformanceAwarePruner takes a Target, got {target!r}")
+        self.target = target
         self.criterion = criterion or SequentialCriterion()
         self.accuracy_model = accuracy_model
-        self.runner = runner or ProfileRunner(
-            device=self.device, library=self.library, runs=runs
-        )
-        self._profiles: Dict[Tuple[ConvLayerSpec, object], LayerProfile] = {}
+        self.runner = runner or ProfileRunner.for_target(target)
 
     # ------------------------------------------------------------------
     # Profiling
@@ -186,8 +173,7 @@ class PerformanceAwarePruner:
     ) -> LayerProfile:
         """Measure a layer across channel counts and analyse its staircase.
 
-        The result is cached on the whole layer spec and the counts
-        (given, or the sweep step that determines them).
+        The counts are ``channel_counts``, or the grid of ``sweep_step``.
         """
 
         if channel_counts is not None:
@@ -196,19 +182,8 @@ class PerformanceAwarePruner:
                 raise OptimizationError(
                     f"{spec.name}: cannot profile an empty channel sweep"
                 )
-        key = (spec, sweep_step if channel_counts is None else channel_counts)
-        profile = self._profiles.get(key)
-        if profile is None:
-            table = build_latency_table(
-                self.runner, spec, sweep_counts(spec.out_channels, channel_counts, sweep_step)
-            )
-            profile = self._profiles[key] = LayerProfile(
-                layer_index=layer_index,
-                spec=spec,
-                table=table,
-                analysis=analyze_table(table),
-            )
-        return profile
+        counts = sweep_counts(spec.out_channels, channel_counts, sweep_step)
+        return LayerProfile.build(self.runner, spec, counts, layer_index)
 
     def profile_network(
         self,
@@ -250,16 +225,11 @@ class PerformanceAwarePruner:
             )
         grid = sweep_grid(spec.out_channels, sweep_step)
         suffix = grid[np.searchsorted(grid, target_channels):]
-        # Not kept in the profile cache: its key would hold one suffix per
-        # target count, and the runner already memoises the measurements.
-        table = build_latency_table(self.runner, spec, suffix)
-        profile = LayerProfile(
-            layer_index=-1, spec=spec, table=table, analysis=analyze_table(table)
-        )
+        profile = LayerProfile.build(self.runner, spec, suffix)
         # A coarse sweep may not include the naive target itself; then
         # measure it directly (the runner memoises).
         if suffix[0] == target_channels:
-            target_time = table.sweep.median[0]
+            target_time = profile.table.sweep.median[0]
         else:
             target_time = self.runner.measure(spec, target_channels).median_time_ms
         levels = profile.levels

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..models.graph import Network
 from .accuracy_model import AccuracyModel, default_accuracy_model
-from .perf_aware import LayerProfile, PerformanceAwarePruner
+from .perf_aware import PerformanceAwarePruner
 
 
 @dataclass(frozen=True)
@@ -70,25 +70,21 @@ class PruningSearch:
         if self.max_levels_per_layer < 1:
             raise ValueError("max_levels_per_layer must be >= 1")
         self._accuracy = self.accuracy_model or default_accuracy_model(self.network)
+        # Built once: every candidate reads the same layer profiles.
+        self._profile_of = self.pruner.profile_network(self.network, self.layer_indices)
 
     # ------------------------------------------------------------------
-    def _profile(self, index: int) -> LayerProfile:
-        """The layer's profile, cached by the pruner."""
-
-        spec = self.network.conv_layer(index).spec
-        return self.pruner.profile_layer(spec, layer_index=index)
-
     def layer_options(self, index: int) -> List[int]:
         """Step-optimal channel counts of a layer, largest first, truncated."""
 
-        return self._profile(index).levels[::-1][: self.max_levels_per_layer].tolist()
+        return self._profile_of[index].levels[::-1][: self.max_levels_per_layer].tolist()
 
     def evaluate(self, channels: Mapping[int, int]) -> Candidate:
         """Latency and predicted accuracy of one configuration."""
 
         latency = 0.0
         for index in self.layer_indices:
-            profile = self._profile(index)
+            profile = self._profile_of[index]
             count = channels.get(index, profile.spec.out_channels)
             latency += profile.time_at(count)
         accuracy = self._accuracy.predict(self.network, channels)

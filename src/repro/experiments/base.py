@@ -48,13 +48,12 @@ class ExperimentResult:
 
 
 #: One session shared by experiment generators that are not handed an
-#: explicit ``session=``: sweeps over twenty figures reuse layer
-#: measurements instead of re-profiling per figure.  Unbounded cache: a
-#: full ``all`` run profiles every figure's layers and must keep them
-#: hot for the later figures.  This is a *convenience default only* —
-#: plan ``figure`` steps and the CLI pass their own session, so nothing
-#: in the execution path depends on process-global state.
-_SESSION = Session(max_cache_entries=None)
+#: explicit ``session=``: sweeps over twenty figures reuse its runners'
+#: layer measurements instead of re-profiling per figure.  This is a
+#: *convenience default only* — plan ``figure`` steps and the CLI pass
+#: their own session, so nothing in the execution path depends on
+#: process-global state.
+_SESSION = Session()
 
 
 def default_session() -> Session:

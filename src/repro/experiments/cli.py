@@ -266,14 +266,14 @@ def _load_plan(path: Path):
 def experiments_command(args: argparse.Namespace) -> int:
     """Run experiment generators against one session and print their reports."""
 
-    # One session per invocation: experiments share its caches (a layer
-    # configuration profiled by one figure is a cache hit for the next)
+    # One session per invocation: experiments share its runners (a layer
+    # configuration measured by one figure is a memo hit for the next)
     # and nothing leaks into later programmatic calls through the
     # process-global convenience session.
     from ..api.session import Session
 
     try:
-        session = Session(max_cache_entries=None, store=args.profile_store or None)
+        session = Session(store=args.profile_store or None)
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -54,7 +54,7 @@ def run_experiment(experiment_id: str, session=None, **kwargs) -> ExperimentResu
 
     ``session`` scopes the experiment's measurements to an explicit
     :class:`repro.api.Session` (its noise seed, profile store and
-    caches); every registered generator must accept it.  When omitted,
+    runners); every registered generator must accept it.  When omitted,
     the generator falls back to the shared convenience session
     (:func:`repro.experiments.base.default_session`).
     """

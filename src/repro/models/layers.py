@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -32,6 +33,27 @@ class LayerSpecError(ValueError):
 def _require_positive(name: str, value: int) -> None:
     if value <= 0:
         raise LayerSpecError(f"{name} must be positive, got {value}")
+
+
+def _store_ints(spec: "LayerSpec", *names: str) -> None:
+    """Replace each named field of a frozen spec with a plain ``int``.
+
+    Accepts what :func:`operator.index` accepts (``int``, NumPy
+    integers) except ``bool``.  ``3.0`` equals and hashes like ``3`` but
+    serializes differently, so it is refused rather than rounded.
+    """
+
+    for name in names:
+        value = getattr(spec, name)
+        if type(value) is int:  # the common case, without the operator.index call
+            continue
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            number = int(operator.index(value))
+        except TypeError:
+            raise LayerSpecError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(spec, name, number)
 
 
 @dataclass(frozen=True)
@@ -73,6 +95,10 @@ class ConvLayerSpec(LayerSpec):
     bias: bool = True
 
     def __post_init__(self) -> None:
+        _store_ints(
+            self, "in_channels", "out_channels", "kernel_size", "stride", "padding",
+            "input_hw", "groups",
+        )
         _require_positive("in_channels", self.in_channels)
         _require_positive("out_channels", self.out_channels)
         _require_positive("kernel_size", self.kernel_size)
@@ -231,6 +257,7 @@ class PoolLayerSpec(LayerSpec):
     mode: str = "max"
 
     def __post_init__(self) -> None:
+        _store_ints(self, "kernel_size", "stride", "padding")
         _require_positive("kernel_size", self.kernel_size)
         _require_positive("stride", self.stride)
         if self.mode not in ("max", "avg"):

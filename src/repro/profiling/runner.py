@@ -431,7 +431,7 @@ class ProfileRunner:
     #: Two runners with the same seed produce bitwise-identical
     #: measurements without sharing a store.
     seed: int = 0
-    _cache: "OrderedDict[str, Sweep]" = field(default_factory=OrderedDict, repr=False)
+    _cache: "OrderedDict[Tuple[object, ...], Sweep]" = field(default_factory=OrderedDict, repr=False)
     #: Configurations across the cached sweeps.
     _cached: int = field(default=0, repr=False)
     #: Serializes cache mutation, simulation and store traffic; RLock so
@@ -472,12 +472,16 @@ class ProfileRunner:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _layer_key(layer: ConvLayerSpec) -> str:
-        """The cache key of a layer's sweep."""
+    def _layer_key(layer: ConvLayerSpec) -> Tuple[object, ...]:
+        """The cache key of a layer's sweep: every spec field but ``out_channels``.
+
+        ``out_channels`` is the swept quantity: a 64-filter spec measured
+        at 32 filters is the 32-filter spec.
+        """
 
         return (
-            f"{layer.name}|{layer.in_channels}|{layer.kernel_size}|{layer.stride}|"
-            f"{layer.padding}|{layer.input_hw}"
+            layer.name, layer.in_channels, layer.kernel_size, layer.stride,
+            layer.padding, layer.input_hw, layer.groups, layer.bias,
         )
 
     def measure(self, layer: ConvLayerSpec, out_channels: Optional[int] = None) -> Measurement:

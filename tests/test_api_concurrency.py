@@ -66,17 +66,14 @@ class TestSessionThreadSafety:
             assert len(series) == 1, f"{name} produced divergent profiles"
 
         # Exactly-once simulation and persistence despite the races: the
-        # runner lock makes the losing thread a pure cache hit.
+        # runner lock makes the losing thread a pure memo hit, so the
+        # simulations equal the distinct configurations.
         assert session.simulation_count() == len(specs) * COUNTS_PER_SPEC
         assert session.store.writes == len(specs) * COUNTS_PER_SPEC
         assert len(session.store) == len(specs) * COUNTS_PER_SPEC
-        assert session.cache_size() == len(specs)
-
-        # Counter consistency: every lookup is either a hit or a miss.
-        stats = session.cache_stats
-        assert stats.lookups == len(specs) * repeats
-        assert stats.hits + stats.misses == stats.lookups
-        assert stats.misses >= len(specs)
+        # Every thread analysed its own table to the same levels.
+        for name, group in by_spec.items():
+            assert len({tuple(p.levels.tolist()) for p in group}) == 1, name
 
         # A fresh session replays everything from the store.
         replay = Session(store=session.store)

@@ -1,9 +1,11 @@
 """Tests for the Session: cache behaviour and the pruning pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import PruningRequest, Session, Target
-from repro.core import PerformanceAwarePruner
+from repro.core import L1NormCriterion, PerformanceAwarePruner, SequentialCriterion
 from repro.models import ConvLayerSpec, MODELS
 
 TARGET = Target("hikey-970", "acl-gemm")
@@ -21,36 +23,47 @@ def session():
 
 
 class TestProfileCache:
-    def test_same_layer_twice_is_one_miss_one_hit(self, session):
-        first = session.profile_layer(TARGET, SMALL_LAYER)
-        second = session.profile_layer(TARGET, SMALL_LAYER)
-        assert second is first
-        stats = session.cache_stats
-        assert (stats.misses, stats.hits, stats.evictions) == (1, 1, 0)
+    """The runner's measurement memo is the only cache: a profile is
+    rebuilt on every call, and a repeat simulates nothing."""
 
-    def test_different_targets_do_not_share_entries(self, session):
+    def test_same_layer_twice_simulates_once(self, session):
+        first = session.profile_layer(TARGET, SMALL_LAYER)
+        assert session.simulation_count() == SMALL_LAYER.out_channels
+        second = session.profile_layer(TARGET, SMALL_LAYER)
+        assert session.simulation_count() == SMALL_LAYER.out_channels
+        assert second.table.as_series() == first.table.as_series()
+        assert second.levels.tolist() == first.levels.tolist()
+
+    def test_different_targets_do_not_share_runners(self, session):
+        other = Target("odroid-xu4", "acl-gemm")
+        assert session.runner(TARGET) is not session.runner(other)
         session.profile_layer(TARGET, SMALL_LAYER)
-        session.profile_layer(Target("odroid-xu4", "acl-gemm"), SMALL_LAYER)
-        assert session.cache_stats.misses == 2
-        assert session.cache_stats.hits == 0
+        session.profile_layer(other, SMALL_LAYER)
+        assert session.runner(other).simulations == SMALL_LAYER.out_channels
+        assert session.simulation_count() == 2 * SMALL_LAYER.out_channels
 
     def test_different_runs_are_different_targets(self, session):
+        assert session.runner(TARGET) is not session.runner(TARGET.with_runs(5))
         session.profile_layer(TARGET, SMALL_LAYER)
         session.profile_layer(TARGET.with_runs(5), SMALL_LAYER)
-        assert session.cache_stats.misses == 2
+        assert session.simulation_count() == 2 * SMALL_LAYER.out_channels
 
-    def test_different_sweeps_are_different_entries(self, session):
-        session.profile_layer(TARGET, SMALL_LAYER, sweep_step=1)
-        session.profile_layer(TARGET, SMALL_LAYER, sweep_step=4)
-        session.profile_layer(TARGET, SMALL_LAYER, channel_counts=[8, 16, 24])
-        assert session.cache_stats.misses == 3
+    def test_different_sweeps_measure_their_own_counts(self, session):
+        full = session.profile_layer(TARGET, SMALL_LAYER, sweep_step=1)
+        coarse = session.profile_layer(TARGET, SMALL_LAYER, sweep_step=4)
+        given = session.profile_layer(TARGET, SMALL_LAYER, channel_counts=[8, 16, 24])
+        assert full.table.as_series()[0] == list(range(1, 25))
+        assert coarse.table.as_series()[0] == [1, 5, 9, 13, 17, 21, 24]
+        assert given.table.as_series()[0] == [8, 16, 24]
+        # The coarser sweeps are subsets of the full one: memo hits.
+        assert session.simulation_count() == SMALL_LAYER.out_channels
 
     @pytest.mark.parametrize("step", [0, -4])
     def test_sweep_step_below_one_is_rejected(self, session, step):
         layer16 = MODELS.create("resnet50").conv_layer(16).spec
         with pytest.raises(ValueError, match="sweep step must be >= 1"):
             session.profile_layer(TARGET, layer16, sweep_step=step)
-        assert session.cache_stats.misses == 0
+        assert session.simulation_count() == 0
 
     def test_counts_outside_the_layer_are_rejected(self, session):
         """Regression: counts above a 128-channel layer used to be swept."""
@@ -59,42 +72,22 @@ class TestProfileCache:
         for counts in ([64, 500], [0, 64]):
             with pytest.raises(ValueError, match=r"must lie in 1\.\.128"):
                 session.profile_layer(TARGET, layer16, channel_counts=counts)
-        assert session.cache_stats.misses == 0
+        assert session.simulation_count() == 0
 
-    def test_lru_eviction_counts(self):
-        session = Session(max_cache_entries=1)
-        other = ConvLayerSpec(
-            name="test.session.conv2", in_channels=16, out_channels=24,
-            kernel_size=1, stride=1, padding=0, input_hw=14,
-        )
+    @pytest.mark.parametrize("bound", [None, 1])
+    def test_max_cache_entries_warns_and_has_no_effect(self, bound):
+        with pytest.warns(DeprecationWarning, match="max_cache_entries"):
+            session = Session(max_cache_entries=bound)
+        other = replace(SMALL_LAYER, name="test.session.conv2", kernel_size=1, padding=0)
         session.profile_layer(TARGET, SMALL_LAYER)
-        session.profile_layer(TARGET, other)        # evicts SMALL_LAYER
-        session.profile_layer(TARGET, SMALL_LAYER)  # miss again
-        stats = session.cache_stats
-        assert stats.evictions == 2
-        assert stats.misses == 3
-
-    def test_invalid_max_cache_entries(self):
-        with pytest.raises(ValueError):
-            Session(max_cache_entries=0)
-
-    def test_clear_cache_resets_everything(self, session):
+        session.profile_layer(TARGET, other)
         session.profile_layer(TARGET, SMALL_LAYER)
-        session.clear_cache()
-        assert session.cache_size() == 0
-        assert session.cache_stats.as_dict() == {"hits": 0, "misses": 0, "evictions": 0}
+        assert session.simulation_count() == 2 * SMALL_LAYER.out_channels
 
-    def test_hit_rate(self, session):
-        assert session.cache_stats.hit_rate == 0.0
-        session.profile_layer(TARGET, SMALL_LAYER)
-        session.profile_layer(TARGET, SMALL_LAYER)
-        assert session.cache_stats.hit_rate == 0.5
-
-    def test_latency_table_and_staircase_share_the_profile(self, session):
+    def test_latency_table_and_staircase_read_one_measurement(self, session):
         table = session.latency_table(TARGET, SMALL_LAYER)
         analysis = session.staircase(TARGET, SMALL_LAYER)
-        assert session.cache_stats.misses == 1
-        assert session.cache_stats.hits == 1
+        assert session.simulation_count() == SMALL_LAYER.out_channels
         assert table.max_channels == SMALL_LAYER.out_channels
         assert analysis.level_count >= 1
 
@@ -146,9 +139,11 @@ class TestResolution:
         second = Session().network("test-shared-net")
         assert second is not first and second == first
 
-    def test_pruner_is_cached_per_target_and_criterion(self, session):
-        assert session.pruner(TARGET) is session.pruner(TARGET)
-        assert session.pruner(TARGET) is not session.pruner(TARGET, criterion="l1")
+    def test_pruner_is_built_per_call_with_its_criterion(self, session):
+        assert session.pruner(TARGET) is not session.pruner(TARGET)
+        assert isinstance(session.pruner(TARGET).criterion, SequentialCriterion)
+        assert isinstance(session.pruner(TARGET, criterion="l1").criterion, L1NormCriterion)
+        assert session.pruner(TARGET).target == TARGET
 
     def test_pruner_shares_session_runner(self, session):
         assert session.pruner(TARGET).runner is session.runner(TARGET)
@@ -161,8 +156,8 @@ class TestPruningPipeline:
         )
         report = session.prune(request)
 
-        legacy = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=3)
-        outcome = legacy.prune_performance_aware_fraction(
+        direct = PerformanceAwarePruner(TARGET)
+        outcome = direct.prune_performance_aware_fraction(
             MODELS.create("resnet50"), 0.28, [15, 16]
         )
         assert report.channels == outcome.channels
@@ -180,8 +175,8 @@ class TestPruningPipeline:
             fraction=0.28, layer_indices=(15, 16),
         )
         report = session.prune(request)
-        legacy = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=3)
-        outcome = legacy.prune_uninstructed(MODELS.create("resnet50"), 0.28, [15, 16])
+        direct = PerformanceAwarePruner(TARGET)
+        outcome = direct.prune_uninstructed(MODELS.create("resnet50"), 0.28, [15, 16])
         assert report.channels == outcome.channels
         assert report.latency_ms == pytest.approx(outcome.latency_ms, rel=1e-12)
 
@@ -222,8 +217,8 @@ class TestPruningPipeline:
         )
         session.prune(coarse)
         report = session.prune(fine)
-        legacy = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=3)
-        outcome = legacy.prune_performance_aware_fraction(
+        direct = PerformanceAwarePruner(TARGET)
+        outcome = direct.prune_performance_aware_fraction(
             MODELS.create("resnet50"), 0.4, [16]
         )
         assert report.channels == outcome.channels
@@ -237,11 +232,13 @@ class TestPruningPipeline:
         report = session.prune(request)
         assert 1 <= report.channels[16] <= 128
 
-    def test_repeated_requests_reuse_the_pruner_cache(self, session):
+    def test_repeated_requests_simulate_once(self, session):
         request = PruningRequest(
             "resnet50", TARGET, fraction=0.28, layer_indices=(16,)
         )
         first = session.prune(request)
+        simulated = session.simulation_count()
         second = session.prune(request)
+        assert session.simulation_count() == simulated
         assert first.channels == second.channels
         assert first.latency_ms == second.latency_ms

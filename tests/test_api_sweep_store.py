@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import DEFAULT_MAX_CACHE_ENTRIES, Session, Target
+from repro.api import Session, Target
 from repro.models import ConvLayerSpec
 from repro.profiling import ProfileRunner
 
@@ -92,22 +92,6 @@ class TestSessionStore:
         assert cold.simulation_count() == 0
 
 
-class TestSessionDefaults:
-    def test_default_cache_is_bounded(self):
-        assert Session().max_cache_entries == DEFAULT_MAX_CACHE_ENTRIES
-
-    def test_none_opts_into_unbounded(self):
-        assert Session(max_cache_entries=None).max_cache_entries is None
-
-    def test_bounded_default_evicts_and_counts(self):
-        session = Session(max_cache_entries=1)
-        session.profile_layer(TARGET, LAYER, sweep_step=4)
-        session.profile_layer(TARGET, OTHER_LAYER, sweep_step=4)
-        session.profile_layer(TARGET, LAYER, sweep_step=4)
-        assert session.cache_stats.evictions == 2
-        assert session.cache_size() == 1
-
-
 class TestSessionSweep:
     TARGETS = (Target("hikey-970", "acl-gemm"), Target("jetson-tx2", "cudnn"))
 
@@ -141,12 +125,13 @@ class TestSessionSweep:
         assert len(counts) == len(times)
         assert table.profile(self.TARGETS[1], OTHER_LAYER.name).spec == OTHER_LAYER
 
-    def test_sweep_reuses_the_profile_cache(self):
+    def test_a_repeated_sweep_simulates_nothing(self):
         session = Session()
-        session.sweep(self.TARGETS, LAYER, sweep_step=4)
-        session.sweep(self.TARGETS, LAYER, sweep_step=4)
-        assert session.cache_stats.hits == 2
-        assert session.cache_stats.misses == 2
+        first = session.sweep(self.TARGETS, LAYER, sweep_step=4)
+        simulated = session.simulation_count()
+        second = session.sweep(self.TARGETS, LAYER, sweep_step=4)
+        assert session.simulation_count() == simulated == 2 * 7
+        assert second.rows == first.rows
 
     def test_baseline_times_and_format(self):
         table = Session().sweep(self.TARGETS, [LAYER, OTHER_LAYER], sweep_step=8)

@@ -23,12 +23,12 @@ from repro.profiling import ProfileRunner, sweep_counts
 def gemm_pruner():
     """ACL GEMM on the HiKey 970: the target with parallel staircases."""
 
-    return PerformanceAwarePruner("hikey-970", "acl-gemm", runs=2)
+    return PerformanceAwarePruner(Target("hikey-970", "acl-gemm", runs=2))
 
 
 @pytest.fixture(scope="module")
 def cudnn_pruner():
-    return PerformanceAwarePruner("jetson-tx2", "cudnn", runs=2)
+    return PerformanceAwarePruner(Target("jetson-tx2", "cudnn", runs=2))
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +37,16 @@ def resnet():
 
 
 class TestConstruction:
-    def test_accepts_names_or_objects(self, hikey, acl_gemm):
-        by_name = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=1)
-        by_object = PerformanceAwarePruner(hikey, acl_gemm, runs=1)
-        assert by_name.device.name == by_object.device.name
-        assert by_name.library.name == by_object.library.name
+    def test_takes_a_target_only(self):
+        with pytest.raises(TypeError, match="takes a Target"):
+            PerformanceAwarePruner("hikey-970", "acl-gemm")
+
+    def test_default_runner_is_the_targets(self):
+        target = Target("jetson-tx2", "cudnn", runs=4)
+        runner = PerformanceAwarePruner(target).runner
+        assert (runner.device.name, runner.library.name, runner.runs) == (
+            "jetson-tx2", "cudnn", 4
+        )
 
 
 class TestLayerProfiles:
@@ -50,10 +55,12 @@ class TestLayerProfiles:
         assert len(profile.table) == 128
         assert profile.original_time_ms > 0
 
-    def test_profiles_are_cached(self, gemm_pruner, layer16):
+    def test_a_repeated_profile_is_served_by_the_runner(self, gemm_pruner, layer16):
         first = gemm_pruner.profile_layer(layer16, 16)
+        simulated = gemm_pruner.runner.simulations
         second = gemm_pruner.profile_layer(layer16, 16)
-        assert first is second
+        assert gemm_pruner.runner.simulations == simulated
+        assert second.table.as_series() == first.table.as_series()
 
     def test_the_cache_keys_on_the_whole_spec(self, layer16):
         """A spec differing only in ``in_channels`` gets its own profile."""
@@ -65,7 +72,11 @@ class TestLayerProfiles:
         truth = Session().profile_layer(Target("hikey-970", "acl-gemm"), narrow)
         assert narrow_profile.original_time_ms == truth.original_time_ms
         assert narrow_profile.original_time_ms < wide_profile.original_time_ms
-        assert pruner.profile_layer(narrow, sweep_step=1) is narrow_profile
+        simulated = pruner.runner.simulations
+        assert pruner.profile_layer(narrow, sweep_step=1).table.as_series() == (
+            narrow_profile.table.as_series()
+        )
+        assert pruner.runner.simulations == simulated
 
     def test_empty_sweep_rejected_up_front(self, gemm_pruner, layer16):
         with pytest.raises(OptimizationError, match="empty channel sweep"):
@@ -406,12 +417,35 @@ class TestSnapFromTheSuffix:
         # An off-grid target (91 at step 16) filters the 1-based grid;
         # restarting the grid at the target moves the snap on this
         # layer at step 7.
-        pruner = PerformanceAwarePruner("hikey-970", "acl-gemm", runs=2)
+        pruner = PerformanceAwarePruner(Target("hikey-970", "acl-gemm", runs=2))
         reference = ProfileRunner.create("hikey-970", "acl-gemm", runs=2)
         for naive in range(1, layer16.out_channels + 1):
             assert pruner.snap_to_step(layer16, naive, sweep_step=sweep_step) == (
                 full_sweep_snap(reference, layer16, naive, sweep_step)
             ), naive
+
+
+class TestOneProfileConstructor:
+    """``Session.profile_layer`` and ``PerformanceAwarePruner.profile_layer``
+    both build through ``LayerProfile.build`` on a memoising runner."""
+
+    @pytest.mark.parametrize("target", PLAN_TARGETS, ids=str)
+    def test_session_and_pruner_agree_on_every_zoo_layer(self, target):
+        session = Session()
+        pruner = PerformanceAwarePruner(target)
+        for model in PLAN_MODELS:
+            network = MODELS.create(model)
+            for index in network.conv_layer_indices:
+                spec = network.conv_layer(index).spec
+                ours = session.profile_layer(target, spec, layer_index=index)
+                theirs = pruner.profile_layer(spec, layer_index=index)
+                assert ours.table.as_series() == theirs.table.as_series(), (model, index)
+                assert ours.levels.tolist() == theirs.levels.tolist(), (model, index)
+                assert ours.level_times_ms.tolist() == theirs.level_times_ms.tolist()
+                simulated = (session.simulation_count(), pruner.runner.simulations)
+                session.profile_layer(target, spec, layer_index=index)
+                pruner.profile_layer(spec, layer_index=index)
+                assert (session.simulation_count(), pruner.runner.simulations) == simulated
 
 
 class TestSnapWork:

@@ -6,6 +6,7 @@ from repro import (
     GpuSimulator,
     PerformanceAwarePruner,
     ProfileRunner,
+    Target,
 )
 from repro.gpusim import DEVICES
 from repro.libraries import LIBRARIES
@@ -21,7 +22,7 @@ class TestTopLevelApi:
     def test_package_exposes_main_entry_points(self):
         import repro
 
-        assert repro.__version__ == "9.0.0"
+        assert repro.__version__ == "10.0.0"
         assert callable(repro.Session)
         assert callable(repro.Target)
 
@@ -73,7 +74,7 @@ class TestEndToEndProposalFlow:
         """Full workflow: profile -> staircase -> prune -> run the pruned net."""
 
         network = MODELS.create("alexnet")
-        pruner = PerformanceAwarePruner("jetson-tx2", "cudnn", runs=1)
+        pruner = PerformanceAwarePruner(Target("jetson-tx2", "cudnn", runs=1))
         layer_indices = [6, 8]
 
         # 1. Profile and analyse.

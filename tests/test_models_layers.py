@@ -1,7 +1,9 @@
 """Unit tests for layer specifications."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 from repro.models import (
@@ -129,6 +131,23 @@ class TestConvLayerSpec:
         assert make_conv().is_convolution
         assert not PoolLayerSpec(name="p").is_convolution
 
+    @pytest.mark.parametrize("value", [3.0, 2.5, True, "3", None], ids=repr)
+    @pytest.mark.parametrize("field", [
+        "in_channels", "out_channels", "kernel_size", "stride", "padding",
+        "input_hw", "groups",
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        # Regression: 3.0 was accepted; it equals and hashes like 3 but
+        # serializes as 3.0, so it keyed a different store group.
+        with pytest.raises(LayerSpecError, match=f"{field} must be an integer"):
+            make_conv(**{field: value})
+
+    def test_numpy_integers_are_stored_as_plain_ints(self):
+        spec = make_conv(in_channels=np.int64(16), kernel_size=np.int32(3))
+        assert type(spec.in_channels) is int and type(spec.kernel_size) is int
+        assert spec == make_conv()
+        assert json.dumps(spec.as_dict()) == json.dumps(make_conv().as_dict())
+
 
 class TestPoolLayerSpec:
     def test_output_shape_halves(self):
@@ -142,6 +161,16 @@ class TestPoolLayerSpec:
     def test_invalid_mode_rejected(self):
         with pytest.raises(LayerSpecError):
             PoolLayerSpec(name="p", mode="median")
+
+    @pytest.mark.parametrize("field", ["kernel_size", "stride", "padding"])
+    @pytest.mark.parametrize("value", [2.0, 1.5, True], ids=repr)
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(LayerSpecError, match=f"{field} must be an integer"):
+            PoolLayerSpec(name="p", **{field: value})
+
+    def test_numpy_integers_are_stored_as_plain_ints(self):
+        pool = PoolLayerSpec(name="p", kernel_size=np.int64(3), padding=np.int8(1))
+        assert type(pool.kernel_size) is int and type(pool.padding) is int
 
     def test_empty_output_rejected(self):
         pool = PoolLayerSpec(name="p", kernel_size=9, stride=1)

@@ -147,7 +147,6 @@ class TestMetricsExposure:
             "repro_jobs_submitted_total",
             "repro_jobs_finished_total",
             "repro_job_steps_total",
-            "repro_session_cache_misses_total",
             "repro_profile_simulations_total",
             "repro_store_appends_total",
             "repro_executor_steps_total",

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import Target
 from repro.gpusim import GpuSimulator, simulate_batch
-from repro.models import MODELS
+from repro.models import MODELS, ConvLayerSpec
 from repro.profiling import (
     LatencyTable,
     LatencyTableError,
@@ -41,6 +41,27 @@ class TestProfileRunner:
         after_first = gemm_runner.cache_size()
         gemm_runner.measure(layer16, 50)
         assert gemm_runner.cache_size() == after_first == before + 1
+
+    @pytest.mark.parametrize("change", [{"groups": 4}, {"bias": False}], ids=str)
+    def test_the_memo_keys_on_every_field_but_out_channels(self, change):
+        """Regression: the memo key left out ``groups`` and ``bias``, so a
+        grouped layer was served its dense twin's times (1.25 vs 0.74 ms)."""
+
+        spec = ConvLayerSpec("test.runner.key", 64, 64, 3, 1, 1, 14)
+        variant = replace(spec, **change)
+        runner = ProfileRunner.create("jetson-tx2", "cudnn")
+        runner.measure(spec)
+        fresh = ProfileRunner.create("jetson-tx2", "cudnn")
+        assert runner.measure(variant) == fresh.measure(variant)
+        assert runner.simulations == 2
+
+    def test_the_memo_serves_a_wider_spec_at_a_narrower_count(self, gemm_runner):
+        wide = ConvLayerSpec("test.runner.width", 16, 64, 3, 1, 1, 14)
+        narrow = replace(wide, out_channels=32)
+        measured = gemm_runner.measure(wide, 32)
+        simulated = gemm_runner.simulations
+        assert gemm_runner.measure(narrow) == measured
+        assert gemm_runner.simulations == simulated
 
     def test_invalid_channels_rejected(self, gemm_runner, layer16):
         with pytest.raises(ValueError):

@@ -134,6 +134,23 @@ class TestEndpoints:
         assert message in str(excinfo.value)
         assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
+    @pytest.mark.parametrize("kernel_size", [3.0, 2.5, True], ids=repr)
+    def test_non_integer_layer_field_is_400_and_nothing_is_stored(
+        self, client, kernel_size
+    ):
+        # Regression: kernel_size 3.0 was accepted and measured under a
+        # store group of its own.
+        payload = Plan().to_dict()
+        layer = dict(LAYER.as_dict(), kernel_size=kernel_size)
+        payload["steps"] = [{"id": "s", "kind": "sweep", "params": {
+            "targets": [TARGETS[0].to_dict()], "layers": [layer],
+        }}]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "kernel_size must be an integer" in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
     def test_prune_request_with_string_layer_indices_is_400(self, client):
         request = PruningRequest("resnet50", TARGETS[0], fraction=0.25).to_dict()
         request["layer_indices"] = "16"
