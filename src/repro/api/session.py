@@ -343,18 +343,7 @@ class Session:
         sweep_step: int,
     ) -> Dict[int, LayerProfile]:
         network = self.network(model) if isinstance(model, str) else model
-        indices = (
-            list(layer_indices) if layer_indices is not None else network.conv_layer_indices
-        )
-        return {
-            index: self.profile_layer(
-                target,
-                network.conv_layer(index).spec,
-                layer_index=index,
-                sweep_step=sweep_step,
-            )
-            for index in indices
-        }
+        return self.pruner(target).profile_network(network, layer_indices, sweep_step)
 
     def sweep(
         self,

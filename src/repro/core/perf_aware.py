@@ -5,7 +5,9 @@ the target device and library *inside* the pruning loop.  Instead of
 assuming that removing channels always reduces latency, the optimiser
 
 1. profiles each layer's latency across channel counts on the target
-   (device, library) pair,
+   (device, library) pair — every layer of a network in one
+   :meth:`~repro.profiling.runner.ProfileRunner.measure_layers` batch,
+   which later per-layer steps read back from the runner's memo,
 2. analyses the staircase to find the *optimal* channel counts — the
    right edge of every latency plateau,
 3. restricts pruning decisions to those counts, and
@@ -40,6 +42,25 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class OptimizationError(ValueError):
     """Raised when an optimisation target cannot be met."""
+
+
+def _snap_counts(spec: ConvLayerSpec, target_channels: int, sweep_step: int = 1) -> np.ndarray:
+    """The counts :meth:`PerformanceAwarePruner.snap_to_step` measures.
+
+    Only the sweep grid's counts at or above the target: a right edge
+    depends on the times at its own count and the next, so the edges
+    the snap rule can pick all come from that suffix.  The grid stays
+    ``1..C`` by ``sweep_step``; the suffix filters it, and never
+    restarts it at the target.  A target outside ``1..C`` is an
+    :class:`OptimizationError`.
+    """
+
+    if not 1 <= target_channels <= spec.out_channels:
+        raise OptimizationError(
+            f"{spec.name}: target {target_channels} outside [1, {spec.out_channels}]"
+        )
+    grid = sweep_grid(spec.out_channels, sweep_step)
+    return grid[np.searchsorted(grid, target_channels):]
 
 
 @dataclass
@@ -194,11 +215,13 @@ class PerformanceAwarePruner:
         """Profile every (selected) convolutional layer of a network."""
 
         indices = list(layer_indices) if layer_indices is not None else network.conv_layer_indices
+        specs = {index: network.conv_layer(index).spec for index in indices}
+        self.runner.measure_layers(
+            (spec, sweep_counts(spec.out_channels, step=sweep_step)) for spec in specs.values()
+        )
         return {
-            index: self.profile_layer(
-                network.conv_layer(index).spec, layer_index=index, sweep_step=sweep_step
-            )
-            for index in indices
+            index: self.profile_layer(spec, layer_index=index, sweep_step=sweep_step)
+            for index, spec in specs.items()
         }
 
     # ------------------------------------------------------------------
@@ -212,19 +235,13 @@ class PerformanceAwarePruner:
         the target sits on (more channels for the same latency), never
         onto a slower plateau.
 
-        Only the sweep grid's counts at or above the target are measured:
-        a right edge depends on the times at its own count and the next,
-        so the edges this rule can pick all come from that suffix.  The
-        grid stays ``1..C`` by ``sweep_step``; the suffix filters it, and
-        never restarts it at the target.
+        Only the counts of :func:`_snap_counts` are measured, and the
+        target itself when a coarse grid lacks it.  The runner memoises,
+        so counts measured ahead (as
+        :meth:`prune_performance_aware_fraction` does) are read back.
         """
 
-        if not 1 <= target_channels <= spec.out_channels:
-            raise OptimizationError(
-                f"{spec.name}: target {target_channels} outside [1, {spec.out_channels}]"
-            )
-        grid = sweep_grid(spec.out_channels, sweep_step)
-        suffix = grid[np.searchsorted(grid, target_channels):]
+        suffix = _snap_counts(spec, target_channels, sweep_step)
         profile = LayerProfile.build(self.runner, spec, suffix)
         # A coarse sweep may not include the naive target itself; then
         # measure it directly (the runner memoises).
@@ -348,25 +365,38 @@ class PerformanceAwarePruner:
         channels it does not get and never lands just past a step.
         """
 
-        channels = {
-            index: self.snap_to_step(network.conv_layer(index).spec, target, sweep_step)
+        targets = {
+            index: (network.conv_layer(index).spec, target)
             for index, target in uniform_keep(network, fraction, layer_indices).items()
+        }
+        # Every count a snap reads, the target too (a coarse grid may lack
+        # it), in one runner batch; each snap then reads the runner's memo.
+        self.runner.measure_layers(
+            (spec, np.append(_snap_counts(spec, target, sweep_step), target))
+            for spec, target in targets.values()
+        )
+        channels = {
+            index: self.snap_to_step(spec, target, sweep_step)
+            for index, (spec, target) in targets.items()
         }
         return self._outcome(network, channels)
 
     def _outcome(self, network: Network, channels: Dict[int, int]) -> PruningOutcome:
         """The outcome of pruning each layer of ``channels`` to its count.
 
-        Both latencies sum the layers in ``channels`` order, each layer's
-        pruned and full time read in one :meth:`ProfileRunner.measure_many`
+        Both latencies sum the layers in ``channels`` order, every layer's
+        pruned and full time read in one :meth:`ProfileRunner.measure_layers`
         call, so they equal :meth:`network_latency_ms` of the same layers.
         """
 
         accuracy_model = self.accuracy_model or default_accuracy_model(network)
+        specs = [network.conv_layer(index).spec for index in channels]
+        sweeps = self.runner.measure_layers(
+            (spec, [count, spec.out_channels]) for spec, count in zip(specs, channels.values())
+        )
         latency = baseline = 0.0
-        for index, count in channels.items():
-            spec = network.conv_layer(index).spec
-            pruned, full = self.runner.measure_many(spec, [count, spec.out_channels]).median
+        for sweep in sweeps:
+            pruned, full = sweep.median
             latency += pruned
             baseline += full
         return PruningOutcome(

@@ -99,6 +99,11 @@ class ConvLayerSpec(LayerSpec):
             self, "in_channels", "out_channels", "kernel_size", "stride", "padding",
             "input_hw", "groups",
         )
+        if type(self.bias) is not bool:
+            # ``1`` equals and hashes like ``True`` but fingerprints
+            # differently, so a store would key apart what the runner's
+            # memo treats as one layer.
+            raise LayerSpecError(f"bias must be a bool, got {self.bias!r}")
         _require_positive("in_channels", self.in_channels)
         _require_positive("out_channels", self.out_channels)
         _require_positive("kernel_size", self.kernel_size)

@@ -4,9 +4,10 @@ For cached cross-call profiling, prefer :meth:`repro.api.Session.profile_layer`
 (the canonical entry point) over driving :class:`ProfileRunner` directly;
 ``ProfileRunner.for_target`` builds a runner from a :class:`repro.api.Target`.
 Sweeps go through the vectorized batch path
-(:meth:`ProfileRunner.measure_many`) and come back as one columnar
-:class:`Sweep`; a :class:`ProfileStore` makes them persistent across
-processes.
+(:meth:`ProfileRunner.measure_layers`, several layers at once;
+:meth:`ProfileRunner.measure_many` for one) and come back as one
+columnar :class:`Sweep` per layer; a :class:`ProfileStore` makes them
+persistent across processes.
 """
 
 from .latency_table import (

@@ -57,13 +57,15 @@ def check_seed(seed: object) -> int:
     return seed
 
 
-def _seed_of(seed_material: str, seed: int = 0) -> np.uint64:
+def _seed_of(seed_material: str, seed: int = 0) -> int:
     """Per-configuration splitmix64 seed, optionally forked by a stream seed.
 
     ``seed == 0`` (the default) reproduces the historical stream exactly;
     any other value splits off an independent but equally deterministic
     stream, so two sessions built with the same seed see identical
-    measurements without sharing a profile store.
+    measurements without sharing a profile store.  A plain ``int`` in
+    ``[0, 2**64)``: :func:`noise_matrix` builds one ``uint64`` array from
+    them, with no NumPy scalar per material.
     """
 
     digest = hashlib.sha256(seed_material.encode("utf-8")).digest()
@@ -76,7 +78,7 @@ def _seed_of(seed_material: str, seed: int = 0) -> np.uint64:
         z = ((z ^ (z >> 30)) * int(_SPLITMIX_MUL1)) & mask
         z = ((z ^ (z >> 27)) * int(_SPLITMIX_MUL2)) & mask
         value = z ^ (z >> 31)
-    return np.uint64(value)
+    return value
 
 
 def _factors_from_seeds(seeds: np.ndarray, runs: int) -> np.ndarray:

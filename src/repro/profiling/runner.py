@@ -6,15 +6,17 @@ count) configuration, run the layer several times and report the median.
 
 A layer's channel sweep is one :class:`Sweep`: the constants (layer,
 device, library, runs) once and parallel NumPy columns of counts,
-median/min/max times and job counts.  :meth:`ProfileRunner.measure_many`
-plans every requested channel count with one ``plan_counts`` call (a
-:class:`~repro.gpusim.batch.KernelBatch` of flat arrays), costs all of
-them in one vectorized :func:`~repro.gpusim.batch.simulate_batch` call,
-applies the repetition noise as a single array operation and returns
-the columns as they are, so a full staircase sweep is one NumPy pass
-with no per-configuration object.  :class:`Measurement` is the view of
-one configuration (``sweep[i]``, :meth:`ProfileRunner.measure`).
-Sweeps are memoised in-process, one per layer, and — when a
+median/min/max times and job counts.  :meth:`ProfileRunner.measure_layers`
+is the one measurement path: it takes several layers, each with its
+channel counts, plans each layer's missing counts with one
+``plan_counts`` call (a :class:`~repro.gpusim.batch.KernelBatch` of flat
+arrays) and costs them with one vectorized
+:func:`~repro.gpusim.batch.simulate_batch` call, then draws the
+repetition noise, reduces the runs and checks the times once over every
+layer's configurations, so no per-configuration object is built.  :meth:`ProfileRunner.measure_many`
+is its one-layer case, and :class:`Measurement` is the view of one
+configuration (``sweep[i]``, :meth:`ProfileRunner.measure`).  Sweeps are
+memoised in-process, one per layer, and — when a
 :class:`~repro.profiling.store.ProfileStore` is attached — persisted
 across processes.
 """
@@ -45,7 +47,7 @@ _SIMULATIONS = default_registry().counter(
 )
 _BATCH_SIZE = default_registry().histogram(
     "repro_profile_batch_size",
-    "Configurations per vectorized simulate_batch call.",
+    "Configurations simulated per runner measurement batch (all its layers).",
     buckets=COUNT_BUCKETS,
 )
 
@@ -179,6 +181,12 @@ def distinct_counts(channel_counts: Iterable[int]) -> np.ndarray:
     return np.concatenate((counts[:1], counts[1:][counts[1:] != counts[:-1]]))
 
 
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; the array itself when there is one."""
+
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _column_arrays(counts, median, minimum, maximum, job_count) -> Tuple[np.ndarray, ...]:
     """A sweep's columns from sequences: int64 counts and job counts, float64 times."""
 
@@ -260,6 +268,13 @@ class Sweep:
 
         return Sweep(*self.constants, *(column[positions] for column in self.columns))
 
+    def _positions(self, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(where each count's entry is; whether it is held), for a
+        non-empty sweep in ascending count order with one entry per count."""
+
+        positions = np.searchsorted(self.counts, counts)
+        return positions, self.counts[np.minimum(positions, len(self) - 1)] == counts
+
     def select(self, counts: np.ndarray) -> Tuple["Sweep", np.ndarray]:
         """(the entries at ``counts``, in their order; the counts not held).
 
@@ -268,13 +283,22 @@ class Sweep:
 
         if not len(self):
             return self, counts
-        positions = np.searchsorted(self.counts, counts)
-        held = self.counts[np.minimum(positions, len(self) - 1)] == counts
+        positions, held = self._positions(counts)
         return self.take(positions[held]), counts[~held]
 
-    def sorted(self) -> "Sweep":
-        """The entries in ascending count order, one per count (the last)."""
+    def lacks(self, counts: np.ndarray) -> np.ndarray:
+        """The ``counts`` not held, as :meth:`select` finds them, with no copy of the entries."""
 
+        return counts[~self._positions(counts)[1]] if len(self) else counts
+
+    def sorted(self) -> "Sweep":
+        """The entries in ascending count order, one per count (the last).
+
+        A sweep already in that order is returned as it is.
+        """
+
+        if (self.counts[1:] > self.counts[:-1]).all():
+            return self
         order = np.argsort(self.counts, kind="stable")
         counts = self.counts[order]
         last = np.ones(len(counts), dtype=bool)
@@ -377,6 +401,12 @@ def _check_types(layer: Any, names: Iterable[Any], ints: Iterable[Any], floats: 
 _EMPTY = Sweep.of(())
 
 
+def _valid_times(median: np.ndarray, minimum: np.ndarray, maximum: np.ndarray) -> np.ndarray:
+    """Per entry: positive minimum and ``minimum <= median <= maximum`` (NaN fails)."""
+
+    return (minimum > 0) & (minimum <= median) & (median <= maximum)
+
+
 def check_sweep(sweep: Sweep) -> None:
     """Raise :class:`MeasurementError` unless every entry is a valid measurement.
 
@@ -391,7 +421,7 @@ def check_sweep(sweep: Sweep) -> None:
             f"{sweep.layer_name}: a measurement needs at least one run, got {sweep.runs}"
         )
     minimum, median, maximum = sweep.minimum, sweep.median, sweep.maximum
-    valid = (minimum > 0) & (minimum <= median) & (median <= maximum)
+    valid = _valid_times(median, minimum, maximum)
     if not valid.all():
         bad = np.flatnonzero(~valid)[0]
         raise MeasurementError(
@@ -498,27 +528,60 @@ class ProfileRunner:
         """Measure the layer at each channel count in one batched pass.
 
         The returned sweep is aligned with ``channel_counts`` (duplicates
-        included).  Counts already in the in-memory cache or the
-        attached profile store are served from there; only the rest is
-        simulated — in a single vectorized
-        :func:`~repro.gpusim.batch.simulate_batch` call.
+        included): :meth:`measure_layers` for one layer.
         """
 
-        requested = count_array(channel_counts)
-        if not requested.size:
-            return Sweep.of(())
-        if requested.min() < 1:
-            raise ValueError(f"out_channels must be >= 1, got {requested[requested < 1][0]}")
+        return self.measure_layers([(layer, channel_counts)])[0]
+
+    def measure_layers(
+        self, requests: Iterable[Tuple[ConvLayerSpec, Iterable[int]]]
+    ) -> List[Sweep]:
+        """Measure several layers, each at its channel counts, as one batch.
+
+        Returns one sweep per ``(layer, channel_counts)`` request, each
+        aligned with its counts (duplicates included).  Counts already
+        in the in-memory cache or the attached profile store are served
+        from there; the rest of every layer is simulated in one pass: a
+        ``plan_counts`` and :func:`~repro.gpusim.batch.simulate_batch`
+        call per layer, then one noise draw, one median/min/max and one
+        check over all their configurations.  A layer requested twice is
+        measured once, at the union of its counts.  The results are
+        bitwise those of measuring each layer alone, and the store gets
+        the fresh sweeps in layer order, as separate calls would record
+        them.
+        """
+
+        keyed = []
+        for layer, counts in requests:
+            counts = count_array(counts)
+            if counts.size and counts.min() < 1:
+                raise ValueError(f"out_channels must be >= 1, got {counts[counts < 1][0]}")
+            keyed.append((self._layer_key(layer), layer, counts))
         with self._lock:
-            sweep = self._cache.get(self._layer_key(layer), _EMPTY)
-            found, missing = sweep.select(requested)
-            if not missing.size:
-                return found
-            stored, missing = self._stored(layer, distinct_counts(missing))
-            fresh = self._measure_batch(layer, missing) if missing.size else _EMPTY
-            # Local, so the result survives its own eviction.
-            sweep = self._remember(layer, [sweep, stored], fresh)
-            return sweep.take(np.searchsorted(sweep.counts, requested))
+            wanted: Dict[Tuple[object, ...], Tuple[ConvLayerSpec, List[np.ndarray]]] = {}
+            for key, layer, counts in keyed:
+                if counts.size:
+                    wanted.setdefault(key, (layer, []))[1].append(counts)
+            sweeps: Dict[Tuple[object, ...], Sweep] = {}
+            pending = []
+            for key, (layer, parts) in wanted.items():
+                cached = self._cache.get(key, _EMPTY)
+                missing = cached.lacks(_joined(parts))
+                if missing.size:
+                    stored, missing = self._stored(layer, distinct_counts(missing))
+                    pending.append((key, layer, [cached, stored], missing))
+                else:
+                    sweeps[key] = cached
+            work = [(layer, missing) for _, layer, _, missing in pending if missing.size]
+            fresh = iter(self._simulate(work) if work else ())
+            for key, layer, known, missing in pending:
+                # Kept here, so each result survives the others' evictions.
+                sweeps[key] = self._remember(layer, known, next(fresh) if missing.size else _EMPTY)
+            return [
+                sweeps[key].take(np.searchsorted(sweeps[key].counts, counts))
+                if counts.size else _EMPTY
+                for key, _, counts in keyed
+            ]
 
     def _stored(
         self, layer: ConvLayerSpec, counts: np.ndarray
@@ -557,31 +620,47 @@ class ProfileRunner:
                 self._cached -= len(evicted)
         return sweep
 
-    def _measure_batch(self, layer: ConvLayerSpec, channel_counts: np.ndarray) -> Sweep:
-        """Simulate the given channel counts of one layer in one vectorized pass.
+    def _simulate(self, work: List[Tuple[ConvLayerSpec, np.ndarray]]) -> List[Sweep]:
+        """One fresh sweep per ``(layer, distinct counts)`` pair (at least one
+        pair, none empty), simulated together.
 
+        Each layer is planned and costed on its own; the noise is one
+        draw over every layer's note table (its indices offset per
+        layer) and the times are reduced and checked once.
         Per-configuration times are bitwise identical however counts are
         grouped into batches: the cost model is elementwise over kernels
         and the noise stream is counter-based per configuration.
         """
 
-        batch = self.library.plan_counts(layer, channel_counts, self.device)
-        prefix = noise_prefix(self.device, self.library.name, layer.name)
-        noise = noise_matrix(
-            [prefix + note for note in batch.note_table], self.runs,
-            seed=self.seed, index=batch.note_index,
+        totals, jobs, materials, index = [], [], [], []
+        for layer, counts in work:
+            batch = self.library.plan_counts(layer, counts, self.device)
+            prefix = noise_prefix(self.device, self.library.name, layer.name)
+            index.append(batch.note_index + len(materials))
+            materials += [prefix + note for note in batch.note_table]
+            totals.append(simulate_batch(batch, self.device).total_time_ms)
+            jobs.append(batch.job_counts)
+        noise = noise_matrix(materials, self.runs, seed=self.seed, index=_joined(index))
+        times_ms = _joined(totals)[:, np.newaxis] * noise
+        columns = (
+            _joined([counts for _, counts in work]), np.median(times_ms, axis=1),
+            times_ms.min(axis=1), times_ms.max(axis=1),
+            _joined(jobs).astype(np.int64, copy=False),
         )
-        times_ms = simulate_batch(batch, self.device).total_time_ms[:, np.newaxis] * noise
-        self.simulations += len(batch)
-        _SIMULATIONS.inc(len(batch), device=self.device.name, library=self.library.name)
-        _BATCH_SIZE.observe(len(batch))
-        sweep = Sweep(
-            layer.name, self.device.name, self.library.name, self.runs, channel_counts,
-            np.median(times_ms, axis=1), times_ms.min(axis=1), times_ms.max(axis=1),
-            np.asarray(batch.job_counts, dtype=np.int64),
-        )
-        check_sweep(sweep)
-        return sweep
+        self.simulations += len(times_ms)
+        _SIMULATIONS.inc(len(times_ms), device=self.device.name, library=self.library.name)
+        _BATCH_SIZE.observe(len(times_ms))
+        sweeps, stop = [], 0
+        for layer, counts in work:
+            start, stop = stop, stop + len(counts)
+            sweeps.append(Sweep(
+                layer.name, self.device.name, self.library.name, self.runs,
+                *(column[start:stop] for column in columns),
+            ))
+        if not _valid_times(*columns[1:4]).all():
+            for sweep in sweeps:
+                check_sweep(sweep)  # raises, naming the first bad layer
+        return sweeps
 
     # ------------------------------------------------------------------
     def sweep(

@@ -142,6 +142,17 @@ class TestConvLayerSpec:
         with pytest.raises(LayerSpecError, match=f"{field} must be an integer"):
             make_conv(**{field: value})
 
+    @pytest.mark.parametrize("value", [1, 0, "no", None, np.bool_(True)], ids=repr)
+    def test_bias_rejects_non_bools(self, value):
+        # Regression: bias=1 equals and hashes like True, but fingerprints
+        # differently, so the store keyed apart what the runner's memo
+        # held as one layer.
+        with pytest.raises(LayerSpecError, match="bias must be a bool"):
+            make_conv(bias=value)
+
+    def test_bias_accepts_bools(self):
+        assert make_conv(bias=False).bias is False and make_conv(bias=True).bias is True
+
     def test_numpy_integers_are_stored_as_plain_ints(self):
         spec = make_conv(in_channels=np.int64(16), kernel_size=np.int32(3))
         assert type(spec.in_channels) is int and type(spec.kernel_size) is int

@@ -151,6 +151,21 @@ class TestEndpoints:
         assert "kernel_size must be an integer" in str(excinfo.value)
         assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
+    @pytest.mark.parametrize("bias", [1, "no"], ids=repr)
+    def test_non_bool_layer_bias_is_400_and_nothing_is_stored(self, client, bias):
+        # Regression: "bias": 1 was accepted and measured under a store
+        # group apart from "bias": true's.
+        payload = Plan().to_dict()
+        layer = dict(LAYER.as_dict(), bias=bias)
+        payload["steps"] = [{"id": "s", "kind": "sweep", "params": {
+            "targets": [TARGETS[0].to_dict()], "layers": [layer],
+        }}]
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(payload)
+        assert excinfo.value.status == 400
+        assert "bias must be a bool" in str(excinfo.value)
+        assert sum(client.health()["jobs"].values()) == 0  # nothing stored
+
     def test_prune_request_with_string_layer_indices_is_400(self, client):
         request = PruningRequest("resnet50", TARGETS[0], fraction=0.25).to_dict()
         request["layer_indices"] = "16"
