@@ -3,10 +3,9 @@
 A store is one JSONL shard per ``(device, library)`` pair, so a cold
 lookup parses one shard and each target appends to its own file.  This
 benchmark builds a ~1M-entry store across 64 targets, checks that a cold
-single-target lookup loads exactly one shard and serves what the import
-of the equivalent single-file store serves, and times the operations
-the service performs — cold load + single-target lookup, cold append —
-plus the one-time ``import_flat_store``.  The figures are written to
+single-target lookup loads exactly one shard and serves the records the
+store was built from, and times the operations the service performs —
+cold load + single-target lookup, cold append.  The figures are written to
 ``BENCH_store.json`` in the test's temporary directory, or to the path
 named by ``REPRO_BENCH_STORE_OUT`` (CI sets it to upload them as an
 artifact), so a test run writes no tracked file.
@@ -20,13 +19,11 @@ import os
 import time
 from pathlib import Path
 
-from repro.api import Plan, Session, Target
 from repro.models import ConvLayerSpec
 from repro.profiling import Measurement, ProfileStore, Sweep, layer_spec_fingerprint
 from repro.profiling.store import (
     STORE_VERSION,
     _STORE_RELOADS,
-    import_flat_store,
     shard_id_for,
 )
 
@@ -98,15 +95,6 @@ def _build_store(path, entries):
     return written
 
 
-def _flat_copy(store_path, flat_path):
-    """The single-file form of a store: its shards, concatenated."""
-
-    with flat_path.open("wb") as out:
-        for shard in sorted(store_path.glob("*.jsonl")):
-            out.write(shard.read_bytes())
-    return flat_path
-
-
 def _shard_loads(path):
     """Full shard parses (``repro_store_reloads_total``) of one store path."""
 
@@ -146,7 +134,7 @@ def _cold_append_seconds(path, device, library):
 
 
 def test_store_cold_lookup_loads_one_shard_at_scale(benchmark, tmp_path):
-    """A cold lookup parses 1 shard of 64 and matches the imported flat file."""
+    """A cold lookup parses 1 shard of 64 and serves the records written."""
 
     env_entries = os.environ.get("REPRO_BENCH_STORE_ENTRIES")
     target_entries = int(env_entries) if env_entries is not None else 20_000
@@ -163,18 +151,9 @@ def test_store_cold_lookup_loads_one_shard_at_scale(benchmark, tmp_path):
         store_path, probe_device, probe_library, probe_spec
     )
     assert _shard_loads(store_path) == before + 1  # one shard of 64
+    assert found.median.tolist() == [1.0] * len(COUNTS)  # group 0's record
+    assert len(ProfileStore(store_path)) == entries
     append_seconds = _cold_append_seconds(store_path, *TARGETS[0])
-
-    # The same records as one file, imported: the lookup serves the same.
-    flat_path = _flat_copy(store_path, tmp_path / "profiles.jsonl")
-    start = time.perf_counter()
-    assert import_flat_store(flat_path) == 0
-    import_seconds = time.perf_counter() - start
-    _, imported = _cold_lookup_seconds(
-        flat_path, probe_device, probe_library, probe_spec
-    )
-    assert imported == found
-    assert len(ProfileStore(flat_path)) == len(ProfileStore(store_path))
 
     def cold_lookup():
         return _cold_lookup_seconds(
@@ -190,8 +169,6 @@ def test_store_cold_lookup_loads_one_shard_at_scale(benchmark, tmp_path):
         "build_entries_per_second": round(entries / build_seconds, 1),
         "cold_load_seconds": round(cold_seconds, 4),
         "cold_append_seconds": round(append_seconds, 4),
-        "import_seconds": round(import_seconds, 4),
-        "import_entries_per_second": round(entries / import_seconds, 1),
         "timing_enabled": not benchmark.disabled,
     }
     benchmark.extra_info.update(figures)
@@ -200,19 +177,3 @@ def test_store_cold_lookup_loads_one_shard_at_scale(benchmark, tmp_path):
         json.dumps(figures, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-
-def test_migrated_store_replays_a_plan_with_zero_simulations(tmp_path):
-    """A plan replayed against an imported flat store simulates nothing."""
-
-    layer = BASE_LAYER.with_in_channels(16)
-    plan = Plan()
-    step = plan.sweep(Target("hikey-970", "acl-gemm"), layer, sweep_step=4)
-    first = Session(store=str(tmp_path / "source")).execute(plan)
-
-    flat_path = _flat_copy(tmp_path / "source", tmp_path / "profiles.jsonl")
-    import_flat_store(flat_path)
-
-    replay = Session(store=str(flat_path))
-    replayed = replay.execute(plan)
-    assert replay.simulation_count() == 0
-    assert first[step.id] == replayed[step.id]

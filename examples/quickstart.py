@@ -78,7 +78,7 @@ def main() -> None:
           "more channels *and* runs faster.")
 
     # 5. Declarative plans and resumability.  A Plan is a
-    #    JSON-serializable job graph (Plan.from_json(plan.to_json()) ==
+    #    JSON-serializable list of steps (Plan.from_json(plan.to_json()) ==
     #    plan, so it can travel to `repro-experiments run-plan` or a
     #    service queue); Session.execute runs its steps in plan order,
     #    here or inside a service, with bitwise-identical results

@@ -30,11 +30,10 @@ def build_plan() -> Plan:
         kernel_size=3, stride=1, padding=1, input_hw=14,
     )
     plan = Plan()
-    sweep = plan.sweep(targets, layer, sweep_step=4)
+    plan.sweep(targets, layer, sweep_step=4)
     plan.prune(
         PruningRequest("resnet50", targets[0], fraction=0.25,
                        layer_indices=(16,), sweep_step=8),
-        depends_on=[sweep.id],
     )
     return plan
 

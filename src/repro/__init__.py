@@ -50,7 +50,7 @@ from .core import PerformanceAwarePruner
 from .gpusim import GpuSimulator
 from .profiling import ProfileRunner
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "GpuSimulator",

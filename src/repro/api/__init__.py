@@ -14,7 +14,7 @@ Most users need exactly four names::
   job and result objects a service can ship verbatim.
 * :class:`Registry` — the one plugin-registry idiom backing the device,
   library, criterion, model and experiment registries.
-* :class:`Plan` — declarative, JSON-serializable job graphs that
+* :class:`Plan` — declarative, JSON-serializable lists of steps that
   :meth:`Session.execute` runs in plan order, with store-checkpointed
   results.
 

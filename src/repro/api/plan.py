@@ -1,35 +1,34 @@
 """Declarative, JSON-serializable experiment plans.
 
-A :class:`Plan` is a small job graph: :class:`Step` nodes — ``profile``,
-``sweep``, ``prune``, ``compare`` and ``figure`` jobs — connected by
-explicit dependencies.  :meth:`~repro.api.Session.execute` runs the
-steps in plan order, in the calling process or inside the service's
-job queue.  Like
+A :class:`Plan` is an ordered list of :class:`Step` jobs — ``profile``,
+``sweep``, ``prune``, ``compare`` and ``figure`` — that
+:meth:`~repro.api.Session.execute` runs in plan order, in the calling
+process or inside the service's job queue.  Steps share data only
+through the session that runs them (its measurement memo, noise stream
+and store), so a later step reuses what an earlier one measured.  Like
 :class:`~repro.api.pipeline.PruningRequest`, a plan round-trips through
 plain JSON (``to_json``/``from_json``) so jobs can be shipped to the
 ``repro-experiments run-plan`` CLI, a queue or another machine
 verbatim::
 
     plan = Plan()
-    sweep = plan.sweep(["acl-gemm@hikey-970", "cudnn@jetson-tx2"], layer)
-    plan.prune(PruningRequest("resnet50", target, fraction=0.25),
-               depends_on=[sweep.id])
+    plan.sweep(["acl-gemm@hikey-970", "cudnn@jetson-tx2"], layer)
+    plan.prune(PruningRequest("resnet50", target, fraction=0.25))
     Plan.from_json(plan.to_json())  # == plan
 
 Validation happens *up front*, at build/parse time: unknown targets,
-models, experiments, strategies, malformed dependencies and duplicate
-step ids all raise :class:`PlanError` before anything is simulated.
-Because a step may only depend on steps already added, every plan is
-acyclic by construction and its insertion order is a valid execution
-order.
+models, experiments, strategies, figure options, step fields and
+duplicate step ids all raise :class:`PlanError` before anything is
+simulated.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from ..models.layers import ConvLayerSpec, LayerSpecError
 from ..models.zoo import MODELS
@@ -51,7 +50,7 @@ class PlanError(ValueError):
 
 @dataclass(frozen=True)
 class Step:
-    """One node of a plan: a job kind, its parameters and dependencies.
+    """One job of a plan: its id, kind and parameters.
 
     ``params`` is the normalized, JSON-ready form produced by the plan
     builders (targets as dicts, layer specs as dicts); treat it as
@@ -61,13 +60,9 @@ class Step:
     id: str
     kind: str
     params: Dict[str, Any] = field(default_factory=dict)
-    depends_on: Tuple[str, ...] = ()
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"id": self.id, "kind": self.kind, "params": self.params}
-        if self.depends_on:
-            payload["depends_on"] = list(self.depends_on)
-        return payload
+        return {"id": self.id, "kind": self.kind, "params": self.params}
 
 
 def _spec_from(value: Union[ConvLayerSpec, Mapping[str, Any]]) -> ConvLayerSpec:
@@ -88,14 +83,17 @@ def _canonical_model(model: str) -> str:
         raise PlanError(str(error.args[0] if error.args else error)) from error
 
 
-def _canonical_experiment(experiment_id: str) -> str:
+def _experiment(experiment_id: str) -> Tuple[str, Any]:
+    """An experiment's canonical id and its registered generator."""
+
     # Imported lazily: repro.experiments sits above repro.api.
     from ..experiments.registry import EXPERIMENTS
 
     try:
-        return EXPERIMENTS.canonical(experiment_id)
+        canonical = EXPERIMENTS.canonical(experiment_id)
     except KeyError as error:
         raise PlanError(str(error.args[0] if error.args else error)) from error
+    return canonical, EXPERIMENTS.get(canonical)
 
 
 def _coerce_sweep_step(value: Any) -> int:
@@ -106,7 +104,7 @@ def _coerce_sweep_step(value: Any) -> int:
 
 
 class Plan:
-    """An ordered, validated collection of :class:`Step` jobs.
+    """An ordered, validated list of :class:`Step` jobs.
 
     Steps are added through the builder helpers (:meth:`profile`,
     :meth:`sweep`, :meth:`prune`, :meth:`compare`, :meth:`figure`) or
@@ -121,11 +119,11 @@ class Plan:
             self.add(step)
 
     # ------------------------------------------------------------------
-    # Graph access
+    # Step access
     # ------------------------------------------------------------------
     @property
     def steps(self) -> Tuple[Step, ...]:
-        """The steps in insertion (= a valid execution) order."""
+        """The steps in insertion (= execution) order."""
 
         return tuple(self._steps.values())
 
@@ -166,41 +164,18 @@ class Plan:
                 return candidate
 
     def add(self, step: Step) -> Step:
-        """Validate a step and append it to the plan.
-
-        Dependencies must be a list or tuple naming steps already in the
-        plan, which keeps every plan acyclic by construction and its
-        insertion order a valid execution order.
-        """
+        """Validate a step and append it to the plan."""
 
         if not isinstance(step.id, str) or not step.id:
             raise PlanError(f"step ids must be non-empty strings, got {step.id!r}")
-        if not isinstance(step.depends_on, (list, tuple)) or not all(
-            isinstance(dependency, str) for dependency in step.depends_on
-        ):
-            raise PlanError(
-                f"step {step.id!r} depends_on must be a list of step ids, "
-                f"got {step.depends_on!r}"
-            )
         if step.id in self._steps:
             raise PlanError(f"duplicate step id {step.id!r}")
         if step.kind not in STEP_KINDS:
             raise PlanError(
                 f"unknown step kind {step.kind!r}; available: {list(STEP_KINDS)}"
             )
-        for dependency in step.depends_on:
-            if dependency not in self._steps:
-                raise PlanError(
-                    f"step {step.id!r} depends on unknown step {dependency!r} "
-                    "(dependencies must be added first)"
-                )
         validator = _STEP_VALIDATORS[step.kind]
-        normalized = Step(
-            id=step.id,
-            kind=step.kind,
-            params=validator(step.params),
-            depends_on=tuple(step.depends_on),
-        )
+        normalized = Step(id=step.id, kind=step.kind, params=validator(step.params))
         self._steps[normalized.id] = normalized
         return normalized
 
@@ -218,7 +193,6 @@ class Plan:
         sweep_step: int = 1,
         *,
         step_id: Optional[str] = None,
-        depends_on: Sequence[str] = (),
     ) -> Step:
         """Add a step profiling every (selected) conv layer of a model."""
 
@@ -228,8 +202,7 @@ class Plan:
         if layer_indices is not None:
             params["layer_indices"] = list(layer_indices)
         return self.add(Step(
-            id=step_id or self._next_id("profile"), kind="profile",
-            params=params, depends_on=depends_on,
+            id=step_id or self._next_id("profile"), kind="profile", params=params,
         ))
 
     def sweep(
@@ -240,7 +213,6 @@ class Plan:
         sweep_step: int = 1,
         *,
         step_id: Optional[str] = None,
-        depends_on: Sequence[str] = (),
     ) -> Step:
         """Add a step fanning one layer set across several targets."""
 
@@ -254,8 +226,7 @@ class Plan:
         if channel_counts is not None:
             params["channel_counts"] = list(channel_counts)
         return self.add(Step(
-            id=step_id or self._next_id("sweep"), kind="sweep",
-            params=params, depends_on=depends_on,
+            id=step_id or self._next_id("sweep"), kind="sweep", params=params,
         ))
 
     def prune(
@@ -263,14 +234,12 @@ class Plan:
         request: Union[PruningRequest, Mapping[str, Any]],
         *,
         step_id: Optional[str] = None,
-        depends_on: Sequence[str] = (),
     ) -> Step:
         """Add a step executing one serializable pruning job."""
 
         return self.add(Step(
             id=step_id or self._next_id("prune"), kind="prune",
             params={"request": request},
-            depends_on=depends_on,
         ))
 
     def compare(
@@ -279,14 +248,12 @@ class Plan:
         strategies: Sequence[str] = ("performance-aware", "uninstructed"),
         *,
         step_id: Optional[str] = None,
-        depends_on: Sequence[str] = (),
     ) -> Step:
         """Add a step running one job under several strategies."""
 
         return self.add(Step(
             id=step_id or self._next_id("compare"), kind="compare",
             params={"request": request, "strategies": list(strategies)},
-            depends_on=depends_on,
         ))
 
     def figure(
@@ -294,21 +261,20 @@ class Plan:
         experiment_id: str,
         *,
         step_id: Optional[str] = None,
-        depends_on: Sequence[str] = (),
         **options: Any,
     ) -> Step:
         """Add a step regenerating one registered paper figure or table.
 
         ``options`` are forwarded to the experiment generator (for
-        example ``runs=3, step=4`` to coarsen a sweep figure).
+        example ``runs=3, step=4`` to coarsen a sweep figure); a name
+        the generator does not take raises :class:`PlanError`.
         """
 
         params: Dict[str, Any] = {"experiment": experiment_id}
         if options:
             params["options"] = dict(options)
         return self.add(Step(
-            id=step_id or self._next_id("figure"), kind="figure",
-            params=params, depends_on=depends_on,
+            id=step_id or self._next_id("figure"), kind="figure", params=params,
         ))
 
     # ------------------------------------------------------------------
@@ -339,7 +305,7 @@ class Plan:
         for entry in steps:
             if not isinstance(entry, Mapping):
                 raise PlanError(f"plan steps must be mappings, got {entry!r}")
-            unknown = set(entry) - {"id", "kind", "params", "depends_on"}
+            unknown = set(entry) - {"id", "kind", "params"}
             if unknown:
                 raise PlanError(f"unknown step fields: {sorted(unknown)}")
             try:
@@ -349,12 +315,7 @@ class Plan:
                 raise PlanError(
                     f"step payload missing key {error.args[0]!r}"
                 ) from error
-            plan.add(Step(
-                id=step_id,
-                kind=kind,
-                params=entry.get("params", {}),
-                depends_on=entry.get("depends_on", ()),
-            ))
+            plan.add(Step(id=step_id, kind=kind, params=entry.get("params", {})))
         return plan
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -450,13 +411,16 @@ def _validate_compare(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 def _validate_figure(params: Mapping[str, Any]) -> Dict[str, Any]:
     _require_keys("figure", params, {"experiment"}, {"options"})
-    normalized: Dict[str, Any] = {
-        "experiment": _canonical_experiment(params["experiment"])
-    }
+    experiment, generator = _experiment(params["experiment"])
+    normalized: Dict[str, Any] = {"experiment": experiment}
     options = params.get("options")
     if options:
         if not isinstance(options, Mapping):
             raise PlanError(f"figure options must be a mapping, got {options!r}")
+        try:
+            inspect.signature(generator).bind_partial(session=None, **options)
+        except TypeError as error:
+            raise PlanError(f"figure {experiment!r} options: {error}") from error
         normalized["options"] = dict(options)
     return normalized
 

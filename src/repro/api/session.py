@@ -142,8 +142,7 @@ class Session:
     store:
         Optional persistent profile store — a
         :class:`~repro.profiling.store.ProfileStore` or the path of its
-        directory (created if missing; a single-file store is imported
-        once with ``repro-experiments store compact PATH``).
+        directory (created if missing; a regular file is refused).
         Measurements are read from the store before touching the
         simulator and written back after fresh sweeps, so repeated
         processes (e.g. CLI invocations with ``--profile-store``) reuse
@@ -465,9 +464,9 @@ class Session:
     def execute(self, plan: Plan, executor: str = "serial") -> Dict[str, Any]:
         """Run a :class:`Plan`'s steps in plan order; return ``{step id: result}``.
 
-        Plan order is a dependency order: :meth:`Plan.add` accepts only
-        dependencies on steps already added.  ``executor`` must be
-        ``"serial"``, the only executor; any other value raises
+        A later step reads what an earlier one measured through this
+        session's memo and store.  ``executor`` must be ``"serial"``,
+        the only executor; any other value raises
         :class:`UnknownExecutorError`.  With a profile store attached,
         measurements are checkpointed, so re-executing the same plan
         simulates nothing.

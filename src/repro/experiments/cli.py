@@ -66,8 +66,7 @@ _SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
         metavar="PATH",
         help=(
             "profile store directory (created if missing): measurements are "
-            "read from it before simulating and recorded to it after; a "
-            "single-file store is imported once with 'store compact PATH'"
+            "read from it before simulating and recorded to it after"
         ),
     ),
     "--seed": dict(
@@ -182,8 +181,15 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argume
     )
 
     store = verb("store", store_command, "Profile-store maintenance.")
-    store.add_argument("action", choices=("compact", "stats", "init"))
-    store.add_argument("path", metavar="PATH", type=Path)
+    store.add_argument(
+        "action", choices=("compact", "stats", "init"),
+        help=(
+            "compact: rewrite each shard with one line per group, dropping "
+            "superseded and unreadable lines; stats: on-disk figures; "
+            "init: create an empty store"
+        ),
+    )
+    store.add_argument("path", metavar="PATH", type=Path, help="the store directory")
 
     lint = verb("lint", lint_command, "Run the AST invariant checkers.")
     lint.add_argument(
@@ -585,11 +591,10 @@ def trace_command(args: argparse.Namespace) -> int:
 def store_command(args: argparse.Namespace) -> int:
     """Profile-store maintenance: ``store {compact|stats|init} PATH``.
 
-    ``compact`` on a single-file store (the format before store
-    directories) imports it into a store directory at the same path.
+    ``PATH`` must be a store directory; a regular file is refused (exit 2).
     """
 
-    from ..profiling.store import ProfileStore, ProfileStoreError, import_flat_store
+    from ..profiling.store import ProfileStore, ProfileStoreError
 
     action, path = args.action, args.path
     if action == "init":
@@ -604,10 +609,6 @@ def store_command(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"profile store not found: {path}", file=sys.stderr)
         return 2
-    imported = action == "compact" and path.is_file()
-    if imported:
-        size, dropped = path.stat().st_size, import_flat_store(path)
-        print(f"imported {path} into a profile store directory")
     try:
         store = ProfileStore(path)
     except ProfileStoreError as error:
@@ -636,8 +637,7 @@ def store_command(args: argparse.Namespace) -> int:
             )
         return 0
 
-    if not imported:
-        size, dropped = store.file_stats()["bytes"], store.compact()
+    size, dropped = store.file_stats()["bytes"], store.compact()
     after = store.file_stats()
     print(
         f"compacted {path}: dropped {dropped} duplicate/unreadable entr(y/ies), "

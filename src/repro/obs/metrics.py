@@ -168,51 +168,21 @@ class Counter(_ScalarMetric):
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         with self._lock:
-            self._add_locked(self._label_key(labels), amount)
-
-    def labels(self, **labels: object) -> "_BoundCounter":
-        with self._lock:
-            return _BoundCounter(self, self._label_key(labels))
-
-    def _add_locked(self, key: Tuple[str, ...], amount: float) -> None:
-        amount = float(amount)
-        if amount < 0:
-            raise MetricsError(f"counter {self.name!r} cannot decrease")
-        self._series[key] = self._series.get(key, 0.0) + amount
-
-    def _inc_key(self, key: Tuple[str, ...], amount: float) -> None:
-        with self._lock:
-            self._add_locked(key, amount)
+            key = self._label_key(labels)
+            amount = float(amount)
+            if amount < 0:
+                raise MetricsError(f"counter {self.name!r} cannot decrease")
+            self._series[key] = self._series.get(key, 0.0) + amount
 
 
 class Gauge(_ScalarMetric):
-    """A value that can go up and down."""
+    """A value that is set, not accumulated (a queue depth, a file size)."""
 
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
         with self._lock:
             self._series[self._label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        with self._lock:
-            key = self._label_key(labels)
-            self._series[key] = self._series.get(key, 0.0) + float(amount)
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-float(amount), **labels)
-
-    def labels(self, **labels: object) -> "_BoundGauge":
-        with self._lock:
-            return _BoundGauge(self, self._label_key(labels))
-
-    def _set_key(self, key: Tuple[str, ...], value: float) -> None:
-        with self._lock:
-            self._series[key] = float(value)
-
-    def _inc_key(self, key: Tuple[str, ...], amount: float) -> None:
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + float(amount)
 
 
 class _HistogramState:
@@ -268,35 +238,19 @@ class Histogram(_Metric):
 
             exemplar = current_trace_id()
         with self._lock:
-            self._observe_locked(self._label_key(labels), value, exemplar)
-
-    def labels(self, **labels: object) -> "_BoundHistogram":
-        with self._lock:
-            return _BoundHistogram(self, self._label_key(labels))
-
-    def _observe_locked(self, key: Tuple[str, ...], value: float,
-                        exemplar: Optional[str] = None) -> None:
-        number = float(value)
-        state = self._series.get(key)
-        if state is None:
-            state = self._series[key] = _HistogramState(len(self.buckets) + 1)
-        index = bisect.bisect_left(self.buckets, number)
-        state.bucket_counts[index] += 1
-        state.sum += number
-        state.count += 1
-        if exemplar and self.exemplars_per_bucket:
-            kept = state.exemplars.setdefault(index, [])
-            kept.append([str(exemplar), number])
-            del kept[:-self.exemplars_per_bucket]
-
-    def _observe_key(self, key: Tuple[str, ...], value: float,
-                     exemplar: Optional[str] = None) -> None:
-        if exemplar is None and self.exemplars_per_bucket:
-            from .trace import current_trace_id
-
-            exemplar = current_trace_id()
-        with self._lock:
-            self._observe_locked(key, value, exemplar)
+            key = self._label_key(labels)
+            number = float(value)
+            state = self._series.get(key)
+            if state is None:
+                state = self._series[key] = _HistogramState(len(self.buckets) + 1)
+            index = bisect.bisect_left(self.buckets, number)
+            state.bucket_counts[index] += 1
+            state.sum += number
+            state.count += 1
+            if exemplar and self.exemplars_per_bucket:
+                kept = state.exemplars.setdefault(index, [])
+                kept.append([str(exemplar), number])
+                del kept[:-self.exemplars_per_bucket]
 
     def describe(self) -> dict:
         payload = super().describe()
@@ -322,41 +276,6 @@ class Histogram(_Metric):
                 for trace_id, value in state.exemplars[index]
             ]
         return payload
-
-
-class _BoundCounter:
-    """One labeled counter series; pre-resolved key, no per-call lookup."""
-
-    def __init__(self, metric: Counter, key: Tuple[str, ...]) -> None:
-        self._metric = metric
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._metric._inc_key(self._key, amount)
-
-
-class _BoundGauge:
-    def __init__(self, metric: Gauge, key: Tuple[str, ...]) -> None:
-        self._metric = metric
-        self._key = key
-
-    def set(self, value: float) -> None:
-        self._metric._set_key(self._key, value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._metric._inc_key(self._key, amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._metric._inc_key(self._key, -float(amount))
-
-
-class _BoundHistogram:
-    def __init__(self, metric: Histogram, key: Tuple[str, ...]) -> None:
-        self._metric = metric
-        self._key = key
-
-    def observe(self, value: float, exemplar: Optional[str] = None) -> None:
-        self._metric._observe_key(self._key, value, exemplar)
 
 
 class MetricsRegistry:

@@ -132,29 +132,6 @@ class Measurement:
 
         return self.max_time_ms / self.min_time_ms
 
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready payload, one key per field.
-
-        Sweeps travel as columns (:meth:`Sweep.as_columns`); this row form
-        is what version-1 store lines hold.
-        """
-
-        return {
-            "layer_name": self.layer_name,
-            "out_channels": self.out_channels,
-            "device_name": self.device_name,
-            "library_name": self.library_name,
-            "median_time_ms": self.median_time_ms,
-            "min_time_ms": self.min_time_ms,
-            "max_time_ms": self.max_time_ms,
-            "runs": self.runs,
-            "job_count": self.job_count,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Measurement":
-        return cls(**payload)
-
 
 #: The varying fields of a sweep, as :meth:`Sweep.as_columns` names them.
 _COLUMNS = ("out_channels", "median_time_ms", "min_time_ms", "max_time_ms", "job_count")

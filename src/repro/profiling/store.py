@@ -58,18 +58,11 @@ per entry.  A group is one layer on one target: a line whose
 measurements name another layer, target or run count than its key is
 skipped and counted like any other bad line.
 
-Importing a flat file
----------------------
-Stores written before the directory layout are one JSONL file.  Opening
-one raises :class:`ProfileStoreError` naming the one-time import,
-``repro-experiments store compact PATH``, which calls
-:func:`import_flat_store`: it reads every record under the file's
-advisory lock, deduplicates with last-writer-wins semantics, writes the
-shards into a temporary directory next to the file and swaps it into
-place, so ``PATH`` atomically *becomes* the store directory.  (The swap
-is two adjacent renames; if the second fails the file is put back, and
-a crash exactly between them leaves the data intact in the temporary
-directory.)
+A profile store is a cache: every measurement is the median of
+repeated runs of a deterministic configuration, so a line this build
+cannot read is re-measured to the same value.  A path that is a regular
+file (the layout before store directories) is refused with a
+:class:`ProfileStoreError`; move it aside and the store re-measures.
 
 File format
 -----------
@@ -91,15 +84,11 @@ sweep under its grouping key, in columns::
   ``name``, ``device``, ``library`` and ``runs``.  ``strays`` is always
   written empty (older builds kept measurements that did not fit the
   columns there); a line with a non-empty ``strays`` list is skipped.
-* ``v`` is :data:`STORE_VERSION`.  Version-1 lines hold the same sweep
-  in row form (``"measurements": [{...as_dict...}, ...]``); they are
-  still read, under the same rules (one layer on one target, ``int``
-  counts, ``float`` times), and :meth:`compact` rewrites them as
-  columns.  :meth:`ProfileStore.record` writes only
-  columnar lines.  Lines of any other version (a build with a
-  different measurement model bumps it) are skipped on load — stale
-  entries invalidate themselves and are simply re-measured and
-  re-appended.
+* ``v`` is :data:`STORE_VERSION`.  Lines of any other version (the
+  row-form version 1 included, or a build with a different
+  measurement model) are skipped and counted on load — stale entries
+  invalidate themselves and are simply re-measured and re-appended;
+  :meth:`ProfileStore.compact` drops them.
 * The grouping key is ``(device, library, runs, seed, spec_hash)``
   where ``spec_hash`` fingerprints every latency-relevant layer-spec
   field *except* ``out_channels`` (the swept quantity) and ``seed`` is
@@ -148,7 +137,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import tempfile
 import threading
 from pathlib import Path
@@ -161,7 +149,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..models.layers import ConvLayerSpec
 from ..obs.metrics import default_registry
-from .runner import Measurement, Sweep, count_array
+from .runner import Sweep, count_array
 
 _STORE_APPENDS = default_registry().counter(
     "repro_store_appends_total",
@@ -191,12 +179,8 @@ _STORE_FILE_BYTES = default_registry().gauge(
 
 #: Bump whenever the measurement model changes (simulator cost formulas,
 #: noise model, Measurement schema): old lines are skipped on load.
-#: Version 2 is the columnar line; version-1 lines are the same
-#: measurements in row form and are still read.
+#: Version 2 is the columnar line.
 STORE_VERSION = 2
-
-#: The row-form line version: read, never written.
-_ROW_VERSION = 1
 
 #: Marker file distinguishing a store directory from an arbitrary
 #: directory (which is still rejected).
@@ -249,16 +233,15 @@ def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, Sweep]:
     """One store line as (payload, group key, its checked sweep).
 
     Raises one of :data:`_UNREADABLE` for a line to skip: not JSON, not
-    a record, a version other than :data:`STORE_VERSION` (columnar,
-    :meth:`Sweep.from_columns`) or ``v`` 1 (row form, one
-    :class:`Measurement` per entry), a missing or malformed column, any
-    entry ``Measurement(**entry)`` or :meth:`Sweep.of` would reject, or
-    measurements of another layer or target than the line's key.  One
-    bad entry skips its whole line.
+    a record, a version other than :data:`STORE_VERSION`, a missing or
+    malformed column, any entry :meth:`Sweep.from_columns` would reject,
+    or measurements of another layer or target than the line's key.
+    One bad entry skips its whole line.
     """
 
     payload = json.loads(line)
-    version = payload.get("v")
+    if payload.get("v") != STORE_VERSION:
+        raise ValueError("incompatible store version")
     key = (
         payload["device"],
         payload["library"],
@@ -266,12 +249,7 @@ def _parse_line(line: bytes) -> Tuple[dict, _GroupKey, Sweep]:
         int(payload.get("seed", 0)),
         payload["spec_hash"],
     )
-    if version == STORE_VERSION:
-        sweep = Sweep.from_columns(payload["measurements"])
-    elif version == _ROW_VERSION:
-        sweep = Sweep.of(Measurement.from_dict(entry) for entry in payload["measurements"])
-    else:
-        raise ValueError("incompatible store version")
+    sweep = Sweep.from_columns(payload["measurements"])
     sweep.expect(payload["spec"]["name"], *key[:3])
     return payload, key, sweep
 
@@ -369,8 +347,7 @@ class ProfileStore:
 
     ``path`` is a store directory, created with its ``_store.json``
     marker if missing.  An empty directory is adopted; a non-empty one
-    without the marker, or a regular file (a store written before the
-    directory layout, see :func:`import_flat_store`), is refused with a
+    without the marker, or a regular file, is refused with a
     :class:`ProfileStoreError`.  ``layout`` only accepts ``"sharded"``,
     the one layout there is.
 
@@ -416,8 +393,8 @@ class ProfileStore:
 
         if self.path.is_file():
             raise ProfileStoreError(
-                f"profile store path {self.path} is a flat file; import it "
-                f"once with 'repro-experiments store compact {self.path}'"
+                f"profile store path {self.path} is a file, not a store "
+                "directory; pass a directory (created if missing)"
             )
         if (self.path / STORE_MARKER).exists():
             return
@@ -792,58 +769,11 @@ def _write_groups(
     return written.st_dev, written.st_ino, written.st_size
 
 
-def import_flat_store(path: Union[str, Path]) -> int:
-    """Turn a single-file store at ``path`` into a store directory, in place.
-
-    Every record is read under the file's advisory lock (row-form v1
-    lines included) and deduplicated with last-writer-wins semantics;
-    the shards are written into a temporary directory next to the file,
-    which is then swapped in: the file is parked inside the temporary
-    directory and the directory renamed over ``path``.  If that second
-    rename fails the file is put back.  The lock stays held on the old
-    inode throughout, so a writer blocked on it never appends into the
-    orphan.  Returns the number of superseded or unreadable entries
-    dropped.
-    """
-
-    path = Path(path)
-    if not path.is_file():
-        raise ProfileStoreError(f"no single-file profile store at {path}")
-    lock_handle = _open_locked(path, lambda target: target.open("ab+"))
-    try:
-        index, specs, total_entries, _ = _read_groups(path)
-        by_shard: Dict[str, _Index] = {}
-        for key, group in index.items():
-            by_shard.setdefault(shard_id_for(key[0], key[1]), {})[key] = group
-        tmp_dir = Path(tempfile.mkdtemp(
-            prefix=path.name + ".", suffix=".import", dir=str(path.parent),
-        ))
-        parked = tmp_dir / "_flat.imported"
-        moved = False
-        try:
-            _write_marker(tmp_dir)
-            for shard, groups in by_shard.items():
-                with (tmp_dir / (shard + ".jsonl")).open("w", encoding="utf-8") as out:
-                    _write_groups(out, groups, specs)
-            os.replace(path, parked)
-            moved = True
-            os.rename(tmp_dir, path)
-        except BaseException:
-            if moved and not path.exists():
-                os.replace(parked, path)  # roll back
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            raise
-        (path / parked.name).unlink()
-    finally:
-        _unlock_and_close(lock_handle)
-    return total_entries - sum(len(group) for group in index.values())
-
 __all__ = [
     "STORE_MARKER",
     "STORE_VERSION",
     "ProfileStore",
     "ProfileStoreError",
-    "import_flat_store",
     "layer_spec_fingerprint",
     "shard_id_for",
 ]

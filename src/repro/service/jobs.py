@@ -218,6 +218,7 @@ class JobStore:
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
+        self._released = False
         self._appends_since_compact = 0
         self._handle: Optional[TextIO] = None
         self.skipped_lines = 0
@@ -532,9 +533,9 @@ class JobStore:
     ) -> Tuple[List[Dict[str, Any]], bool]:
         """Block until the job has events past ``index`` (or is done).
 
-        Returns ``(new events, job is terminal)``; on timeout the event
-        list is empty.  Streaming a finished job replays its whole log
-        immediately.
+        Returns ``(new events, job is terminal)``; on timeout, or after
+        :meth:`release_waiters`, the event list may be empty.  Streaming
+        a finished job replays its whole log immediately.
         """
 
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -542,12 +543,23 @@ class JobStore:
             while True:
                 job = self.get(job_id)
                 fresh = job.events[index:]
-                if fresh or job.done:
+                if fresh or job.done or self._released:
                     return list(fresh), job.done
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return [], job.done
                 self._changed.wait(remaining if remaining is not None else 1.0)
+
+    def release_waiters(self) -> None:
+        """Make every :meth:`wait_for_events` call return at once, from now on.
+
+        A closing server calls this so its event streams end without
+        waiting out a poll.
+        """
+
+        with self._lock:
+            self._released = True
+            self._changed.notify_all()
 
 
 __all__ = [

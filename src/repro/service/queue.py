@@ -4,10 +4,10 @@ Each worker pulls a queued job id, builds a **fresh**
 :class:`~repro.api.Session` for it (sharing with every other job only
 the queue's resident profile store and the process-wide zoo networks,
 which nothing mutates) and executes the plan one step at a time, in
-plan order, through :meth:`Session.execute` — the same in-process path
-``run-plan`` takes.  Per step granularity is what gives the service its
-live ``step-started`` / ``step-finished`` event stream and
-step-boundary cancellation; results stay bitwise identical to executing
+plan order, each as a one-step plan through :meth:`Session.execute` —
+the same in-process path ``run-plan`` takes.  Per step granularity is
+what gives the service its live ``step-started`` / ``step-finished``
+event stream and step-boundary cancellation; results stay bitwise identical to executing
 the whole plan at once because the session (and its caches, noise
 stream and store) persists across the steps of a job.  Since every step
 kind — including ``figure`` steps, which receive the job's session
@@ -269,13 +269,7 @@ class JobQueue:
         self.store.mark_step_running(job.id, step.id)
         started = time.monotonic()
         try:
-            # Dependencies only order steps (data flows through the
-            # session caches), so a single-step plan with deps stripped
-            # is semantically identical here: every dependency already
-            # ran in this job, against this session.
-            single = Plan()
-            single.add(Step(id=step.id, kind=step.kind, params=step.params))
-            payload = step_result_payload(session.execute(single)[step.id])
+            payload = step_result_payload(session.execute(Plan([step]))[step.id])
         except Exception:
             error = traceback.format_exc()
             duration_ms = (time.monotonic() - started) * 1000.0

@@ -82,6 +82,10 @@ _IDLE_CONNECTION_SECONDS = 60.0
 #: waits up to one tick (``socketserver``'s default is 0.5 s).
 _SERVE_POLL_SECONDS = 0.05
 
+#: How long ``close()`` lets handlers end on their own (a running event
+#: stream writes its terminating chunk) before it cuts their connections.
+_CLOSE_SECONDS = 2.0
+
 
 def _ndjson_line(event: Dict[str, Any]) -> bytes:
     return (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
@@ -146,17 +150,29 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def close_connections(self) -> None:
-        """Shut down every open connection and join its handler thread."""
+        """End every open connection and join its handler thread.
+
+        Reads are shut down first: an idle kept-alive connection sees end
+        of file and ends, while a running event stream (which checks
+        ``closing`` and reads nothing) still sends its terminating chunk,
+        so a watcher sees a complete stream rather than a connection cut
+        mid-body.  A handler still running after :data:`_CLOSE_SECONDS`,
+        say one writing to a client that stopped reading, has its
+        connection shut down both ways.
+        """
 
         with self._connections_lock:
             connections = dict(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for thread in connections.values():
-            thread.join(timeout=5.0)
+        for how in (socket.SHUT_RD, socket.SHUT_RDWR):
+            deadline = time.monotonic() + _CLOSE_SECONDS
+            for connection, thread in connections.items():
+                if thread.is_alive():
+                    try:
+                        connection.shutdown(how)
+                    except OSError:
+                        pass
+            for thread in connections.values():
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
@@ -473,6 +489,8 @@ class ReproServer:
             return
         self._closed = True
         self._http.closing = True
+        # Running event streams see ``closing`` now, not at their next poll.
+        self.store.release_waiters()
         if self._served:
             # shutdown() would block forever if serve_forever never ran.
             self._http.shutdown()

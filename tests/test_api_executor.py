@@ -38,8 +38,8 @@ def run(backend, plan, run_queued, seed=0):
 
 def two_step_plan() -> Plan:
     plan = Plan()
-    sweep = plan.sweep(TARGETS, LAYER, sweep_step=4)
-    plan.prune(REQUEST, depends_on=[sweep.id])
+    plan.sweep(TARGETS, LAYER, sweep_step=4)
+    plan.prune(REQUEST)
     return plan
 
 

@@ -1,4 +1,6 @@
-"""Tests for the declarative Plan job graph and its JSON wire format."""
+"""Tests for the declarative Plan (steps in order) and its JSON wire format."""
+
+import re
 
 import pytest
 
@@ -20,10 +22,10 @@ REQUEST = PruningRequest(
 
 def build_plan() -> Plan:
     plan = Plan()
-    sweep = plan.sweep([TARGET, OTHER_TARGET], LAYER, sweep_step=4)
-    profile = plan.profile(TARGET, "resnet50", layer_indices=[16], sweep_step=8)
-    plan.prune(REQUEST, depends_on=[sweep.id])
-    plan.compare(REQUEST, depends_on=[sweep.id, profile.id])
+    plan.sweep([TARGET, OTHER_TARGET], LAYER, sweep_step=4)
+    plan.profile(TARGET, "resnet50", layer_indices=[16], sweep_step=8)
+    plan.prune(REQUEST)
+    plan.compare(REQUEST)
     plan.figure("fig04", runs=3, step=3)
     return plan
 
@@ -76,11 +78,6 @@ class TestValidation:
         with pytest.raises(PlanError, match="duplicate step id"):
             plan.sweep(TARGET, LAYER, step_id="dup")
 
-    def test_forward_dependency_rejected(self):
-        plan = Plan()
-        with pytest.raises(PlanError, match="unknown step"):
-            plan.sweep(TARGET, LAYER, depends_on=["later"])
-
     def test_unknown_model_rejected_up_front(self):
         with pytest.raises(PlanError, match="unknown model"):
             Plan().profile(TARGET, "resnet-9000")
@@ -118,16 +115,32 @@ class TestValidation:
         with pytest.raises(PlanError, match="missing required params"):
             Plan().add(Step(id="x", kind="sweep", params={}))
 
-    @pytest.mark.parametrize(
-        "depends_on", ["a", 5, [1], ("a", None)],
-        ids=["string", "int", "int-list", "none-in-tuple"],
-    )
-    def test_depends_on_must_be_a_list_of_step_ids(self, depends_on):
+    @pytest.mark.parametrize("options", [
+        {"depends_on": ["a"]}, {"surprise": 1}, {"session": None},
+    ], ids=["depends-on", "unknown", "session"])
+    def test_figure_options_the_generator_does_not_take_are_rejected(self, options):
+        # Regression: any option was accepted and the generator raised
+        # TypeError only when the step ran.
+        with pytest.raises(PlanError, match=f"figure 'fig04' options: .*{next(iter(options))}"):
+            Plan().figure("fig04", **options)
+        payload = {"version": 1, "steps": [{
+            "id": "a", "kind": "figure",
+            "params": {"experiment": "fig04", "options": options},
+        }]}
+        with pytest.raises(PlanError, match=next(iter(options))):
+            Plan.from_dict(payload)
+
+    @pytest.mark.parametrize("build", [
+        lambda plan: plan.profile(TARGET, "resnet50", depends_on=[]),
+        lambda plan: plan.sweep(TARGET, LAYER, depends_on=[]),
+        lambda plan: plan.prune(REQUEST, depends_on=[]),
+        lambda plan: plan.compare(REQUEST, depends_on=[]),
+    ], ids=["profile", "sweep", "prune", "compare"])
+    def test_builders_take_no_depends_on(self, build):
         plan = Plan()
-        plan.figure("table1", step_id="a")
-        with pytest.raises(PlanError, match="depends_on must be a list of step ids"):
-            plan.figure("table1", step_id="b", depends_on=depends_on)
-        assert "b" not in plan
+        with pytest.raises(TypeError, match="depends_on"):
+            build(plan)
+        assert len(plan) == 0
 
 
 class TestSerialization:
@@ -137,10 +150,9 @@ class TestSerialization:
         assert clone == plan
         assert clone.to_dict() == plan.to_dict()
 
-    def test_round_trip_preserves_dependencies(self):
-        plan = build_plan()
-        clone = Plan.from_json(plan.to_json(indent=2))
-        assert clone.step("compare-1").depends_on == ("sweep-1", "profile-1")
+    def test_step_payloads_carry_id_kind_and_params_only(self):
+        for entry in build_plan().to_dict()["steps"]:
+            assert set(entry) == {"id", "kind", "params"}
 
     def test_invalid_json_rejected(self):
         with pytest.raises(PlanError, match="not valid JSON"):
@@ -157,33 +169,34 @@ class TestSerialization:
                 "steps": [{"id": "x", "kind": "nope", "params": {}}],
             })
 
-    def test_step_payload_with_bad_dependency_rejected(self):
-        payload = {
-            "version": 1,
-            "steps": [{
-                "id": "x", "kind": "prune",
-                "params": {"request": REQUEST.to_dict()},
-                "depends_on": ["ghost"],
-            }],
-        }
-        with pytest.raises(PlanError, match="unknown step"):
+    @pytest.mark.parametrize(
+        "depends_on", [["a"], [], "a", 5], ids=["list", "empty", "string", "int"]
+    )
+    def test_step_payload_carrying_depends_on_is_refused(self, depends_on):
+        payload = {"version": 1, "steps": [
+            {"id": "a", "kind": "figure", "params": {"experiment": "table1"}},
+            {"id": "b", "kind": "figure", "params": {"experiment": "table1"},
+             "depends_on": depends_on},
+        ]}
+        with pytest.raises(PlanError, match=r"unknown step fields: \['depends_on'\]"):
             Plan.from_dict(payload)
 
-    @pytest.mark.parametrize("field, message", [
-        # Regression: a string was split into characters, so "aa"
-        # became ["a", "a"] and was accepted.
-        ({"depends_on": "aa"}, "depends_on must be a list of step ids"),
-        # Regression: these raised TypeError, not PlanError.
-        ({"depends_on": 5}, "depends_on must be a list of step ids"),
-        ({"params": 5}, "params must be a mapping"),
-    ], ids=["string-depends-on", "int-depends-on", "int-params"])
-    def test_step_payload_with_malformed_field_rejected(self, field, message):
-        second = {"id": "b", "kind": "figure", "params": {"experiment": "table1"}}
-        second.update(field)
+    @pytest.mark.parametrize("second, message", [
+        # Regression: a non-mapping ``params`` raised TypeError, not PlanError.
+        ({"id": "b", "kind": "figure", "params": 5}, "params must be a mapping"),
+        ({"id": 5, "kind": "figure", "params": {"experiment": "table1"}},
+         "step ids must be non-empty strings, got 5"),
+        ({"id": "", "kind": "figure", "params": {"experiment": "table1"}},
+         "step ids must be non-empty strings, got ''"),
+        ({"id": "b", "params": {"experiment": "table1"}},
+         "step payload missing key 'kind'"),
+        (["b", "figure"], "plan steps must be mappings"),
+    ], ids=["int-params", "int-id", "empty-id", "missing-kind", "non-mapping-step"])
+    def test_step_payload_with_malformed_field_rejected(self, second, message):
         payload = {"version": 1, "steps": [
             {"id": "a", "kind": "figure", "params": {"experiment": "table1"}}, second,
         ]}
-        with pytest.raises(PlanError, match=message):
+        with pytest.raises(PlanError, match=re.escape(message)):
             Plan.from_dict(payload)
 
     @pytest.mark.parametrize("field", ["executor", "jobs", "seed"])

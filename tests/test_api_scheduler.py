@@ -1,12 +1,12 @@
 """Tests for the plan loop: ``Session.execute`` runs every step exactly
-once, in plan order, after its dependencies (property-tested over random
-DAG plans), in-process and as a queued service job, with bitwise-equal
-results."""
+once, in plan order (property-tested over random multi-step plans), in
+process and as a queued service job, with bitwise-equal results."""
 
 import random
 import threading
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from repro.models import ConvLayerSpec
 from repro.service import step_result_payload
 
 TARGET = Target("hikey-970", "acl-gemm")
+TARGETS = [TARGET, Target("jetson-tx2", "cudnn")]
 
 
 def make_spec(index: int) -> ConvLayerSpec:
@@ -24,33 +25,22 @@ def make_spec(index: int) -> ConvLayerSpec:
     )
 
 
-def diamond_plan() -> Plan:
-    """A -> (B, C) -> D: a fan-out and a fan-in."""
+def random_plan(seed: int, n_steps: int) -> Plan:
+    """A random multi-step plan of cheap sweeps.
 
-    plan = Plan()
-    a = plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="a")
-    b = plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="b", depends_on=["a"])
-    c = plan.sweep(TARGET, make_spec(2), sweep_step=4, step_id="c", depends_on=["a"])
-    plan.sweep(
-        TARGET, make_spec(3), sweep_step=4, step_id="d", depends_on=[b.id, c.id]
-    )
-    return plan
-
-
-def random_dag_plan(seed: int, n_steps: int) -> Plan:
-    """A random acyclic plan: each step depends on a random subset of
-    its predecessors, each sweeping its own (cheap) layer."""
+    Layers, targets and sweep steps repeat across steps, so later steps
+    read what earlier ones measured through the session; the step ids
+    are shuffled so plan order is not their sort order.
+    """
 
     rng = random.Random(seed)
     plan = Plan()
-    ids = []
-    for index in range(n_steps):
-        deps = [step_id for step_id in ids if rng.random() < 0.4]
-        step = plan.sweep(
-            TARGET, make_spec(index), sweep_step=rng.choice((3, 4, 5)),
-            step_id=f"s{index}", depends_on=deps,
+    ids = rng.sample(range(100), n_steps)
+    for step_id in ids:
+        plan.sweep(
+            rng.sample(TARGETS, rng.choice((1, 2))), make_spec(rng.randrange(3)),
+            sweep_step=rng.choice((3, 4, 5)), step_id=f"s{step_id}",
         )
-        ids.append(step.id)
     return plan
 
 
@@ -88,37 +78,30 @@ class RunRecorder:
             Session._run_step = original
 
     def assert_ran_in_plan_order(self, plan: Plan) -> None:
-        runs = [event for event in self.events if event[0] in ("start", "end")]
-        assert runs == [
+        assert self.events == [
             (kind, step.id) for step in plan for kind in ("start", "end")
         ], "not exactly once each, in plan order"
-        position = {event: index for index, event in enumerate(runs)}
-        for step in plan:
-            for dependency in step.depends_on:
-                assert position[("end", dependency)] < position[("start", step.id)], (
-                    f"step {step.id!r} started before its dependency "
-                    f"{dependency!r} finished: {self.events}"
-                )
 
 
 def assert_job_matches_serial(job, plan: Plan) -> None:
     """A finished queued job's step results equal an in-process run's."""
 
     assert job.status == "succeeded", job.error
+    assert [record.id for record in job.steps] == [step.id for step in plan]
     serial = Session().execute(plan, executor="serial")
     assert {record.id: record.result for record in job.steps} == {
         step.id: step_result_payload(serial[step.id]) for step in plan
     }
 
 
-class TestExecutorsFollowTheSchedule:
+class TestPlansRunInOrder:
     """Property: both ways of running a plan run every step exactly once,
-    in plan order and never before its dependencies, and agree bitwise."""
+    in plan order, and agree bitwise."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n_steps=st.integers(1, 8))
-    def test_random_dags_run_exactly_once_in_dependency_order(self, seed, n_steps):
-        plan = random_dag_plan(seed, n_steps)
+    def test_random_plans_run_each_step_once_in_plan_order(self, seed, n_steps):
+        plan = random_plan(seed, n_steps)
         with RunRecorder().installed() as recorder:
             results = Session().execute(plan, executor="serial")
         recorder.assert_ran_in_plan_order(plan)
@@ -129,31 +112,48 @@ class TestExecutorsFollowTheSchedule:
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
-    def test_queued_jobs_schedule_random_dags_correctly(self, run_queued, seed):
-        plan = random_dag_plan(seed, 6)
+    def test_queued_jobs_run_random_plans_in_plan_order(self, run_queued, seed):
+        plan = random_plan(seed, 6)
         with RunRecorder().installed() as recorder:
             job = run_queued(plan)
         recorder.assert_ran_in_plan_order(plan)
         assert_job_matches_serial(job, plan)
 
-    def test_diamond_is_bitwise_identical_across_all_backends(self, run_queued):
-        plan = diamond_plan()
+    def test_a_repeated_step_reads_what_the_first_measured(self, run_queued):
+        plan = Plan()
+        plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="first")
+        plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="other")
+        plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="again")
+        session = Session()
+        session.execute(Plan([plan.step("first"), plan.step("other")]))
+        simulated = session.simulation_count()
+        results = session.execute(Plan([plan.step("again")]))
+        assert session.simulation_count() == simulated
+        assert results["again"].rows == Session().execute(plan)["first"].rows
         job = run_queued(plan)
-        assert [record.id for record in job.steps] == ["a", "b", "c", "d"]
+        assert job.simulations == simulated
         assert_job_matches_serial(job, plan)
 
-    def test_plan_order_not_wave_order(self):
-        """D depends only on A, yet runs after C: the loop keeps plan order."""
-
+    def test_plan_order_is_insertion_order(self):
         plan = Plan()
-        a = plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="A")
-        b = plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="B")
-        plan.sweep(TARGET, make_spec(2), sweep_step=4, step_id="C", depends_on=[b.id])
-        plan.sweep(TARGET, make_spec(3), sweep_step=4, step_id="D", depends_on=[a.id])
+        for step_id in ("D", "A", "C", "B"):
+            plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id=step_id)
         with RunRecorder().installed() as recorder:
             Session().execute(plan)
         assert [step_id for kind, step_id in recorder.events if kind == "start"] == [
-            "A", "B", "C", "D",
+            "D", "A", "C", "B",
+        ]
+
+    def test_a_failing_step_stops_the_plan(self):
+        plan = Plan()
+        plan.sweep(TARGET, make_spec(0), sweep_step=4, step_id="before")
+        plan.figure("fig04", step=0, step_id="fails")  # refused only when run
+        plan.sweep(TARGET, make_spec(1), sweep_step=4, step_id="after")
+        with RunRecorder().installed() as recorder:
+            with pytest.raises(ValueError):
+                Session().execute(plan)
+        assert recorder.events == [
+            ("start", "before"), ("end", "before"), ("start", "fails"),
         ]
 
     def test_empty_plan_runs_nothing(self):

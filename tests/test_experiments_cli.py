@@ -143,7 +143,7 @@ class TestRunPlanSubcommand:
         from repro.api import Plan, PruningRequest, Target
 
         plan = Plan()
-        sweep = plan.sweep(
+        plan.sweep(
             [Target("hikey-970", "acl-gemm"), Target("jetson-tx2", "cudnn")],
             layer16,
             sweep_step=16,
@@ -153,7 +153,6 @@ class TestRunPlanSubcommand:
                 "resnet50", Target("hikey-970", "acl-gemm"),
                 fraction=0.25, layer_indices=(16,), sweep_step=8,
             ),
-            depends_on=[sweep.id],
         )
         path = tmp_path / "plan.json"
         path.write_text(plan.to_json(indent=2), encoding="utf-8")
@@ -204,6 +203,17 @@ class TestRunPlanSubcommand:
         path.write_text('{"version": 1, "steps": [{"id": "x", "kind": "nope"}]}')
         assert main(["run-plan", str(path)]) == 2
         assert "invalid plan" in capsys.readouterr().err
+
+    def test_a_step_carrying_depends_on_exits_2_naming_the_field(
+        self, plan_path, tmp_path, capsys
+    ):
+        payload = json.loads(plan_path.read_text(encoding="utf-8"))
+        payload["steps"][1]["depends_on"] = [payload["steps"][0]["id"]]
+        path = tmp_path / "with-deps.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["run-plan", str(path)]) == 2
+        error = capsys.readouterr().err
+        assert "invalid plan" in error and "unknown step fields: ['depends_on']" in error
 
     def test_unknown_executor_exits_2(self, plan_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

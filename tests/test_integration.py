@@ -22,7 +22,7 @@ class TestTopLevelApi:
     def test_package_exposes_main_entry_points(self):
         import repro
 
-        assert repro.__version__ == "10.0.0"
+        assert repro.__version__ == "11.0.0"
         assert callable(repro.Session)
         assert callable(repro.Target)
 

@@ -36,7 +36,7 @@ LAYER = ConvLayerSpec(
 
 def small_plan() -> Plan:
     plan = Plan()
-    base = plan.sweep(TARGET, LAYER, sweep_step=8)
+    plan.sweep(TARGET, LAYER, sweep_step=8)
     plan.sweep(
         TARGET,
         ConvLayerSpec(
@@ -44,7 +44,6 @@ def small_plan() -> Plan:
             kernel_size=1, stride=1, padding=0, input_hw=14,
         ),
         sweep_step=8,
-        depends_on=[base.id],
     )
     return plan
 

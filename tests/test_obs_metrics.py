@@ -81,19 +81,14 @@ class TestCounterAndGauge:
         with pytest.raises(MetricsError):
             counter.inc(backend="serial", extra="nope")
 
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("depth")
-        gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value() == 4
-
-    def test_bound_series_share_state(self):
-        counter = Counter("hits_total", labelnames=("kind",))
-        bound = counter.labels(kind="sweep")
-        bound.inc()
-        bound.inc(4)
-        assert counter.value(kind="sweep") == 5
+    def test_gauge_holds_its_last_set_value_per_series(self):
+        gauge = Gauge("depth", labelnames=("queue",))
+        gauge.set(5, queue="a")
+        gauge.set(2, queue="a")
+        gauge.set(7, queue="b")
+        assert gauge.value(queue="a") == 2
+        assert gauge.value(queue="b") == 7
+        assert gauge.value(queue="c") == 0
 
 
 class TestHistogram:
@@ -219,16 +214,13 @@ class TestConcurrency:
         registry = MetricsRegistry()
         counter = registry.counter("hammer_total", labelnames=("lane",))
         plain = registry.counter("hammer_plain_total")
-        gauge = registry.gauge("hammer_gauge")
         histogram = registry.histogram("hammer_hist", buckets=(0.5, 1.5))
         threads_n, per_thread = 16, 2000
 
         def pound(lane: str) -> None:
-            bound = counter.labels(lane=lane)
             for _ in range(per_thread):
-                bound.inc()
+                counter.inc(lane=lane)
                 plain.inc()
-                gauge.inc()
                 histogram.observe(1.0)
 
         threads = [
@@ -243,7 +235,6 @@ class TestConcurrency:
         total = threads_n * per_thread
         assert sum(entry["value"] for entry in counter.snapshot_series()) == total
         assert plain.value() == total
-        assert gauge.value() == total
         (series,) = histogram.snapshot_series()
         assert series["count"] == total
         assert series["buckets"][-1] == ["+Inf", total]

@@ -1,16 +1,17 @@
-"""Columnar profile-store lines, and the row-form lines still read.
+"""Columnar profile-store lines; row-form lines are re-measured.
 
 A store line holds one sweep of one layer on one target as parallel
 columns under the group's constants; its ``strays`` list is always
 empty.  These tests pin down:
 
 * legacy stores: a sharded store written in row form (``tests/data``)
-  serves every count without simulating, ``store compact`` rewrites it
-  as columns, and columnar appends over it resolve last-writer-wins;
+  is a cache this build cannot read: each of its lines is skipped and
+  counted, its configurations are simulated to the same values as a
+  fresh runner's, and ``store compact`` then leaves only columnar lines;
 * check parity: a columnar line breaking any measurement rule is skipped
-  whole and counted, exactly like a row-form line with the same entry;
-  so is one with a wrong value type, a malformed column or a non-empty
-  ``strays`` list;
+  whole and counted, and so is the row form of a valid line; so is one
+  with a wrong value type, a malformed column or a non-empty ``strays``
+  list;
 * the line bytes of a fixed sweep, and the refusal of measurements of
   another layer or run count, or with an ``int`` time, anywhere a sweep
   is built or recorded.
@@ -19,7 +20,7 @@ empty.  These tests pin down:
 import json
 import math
 import shutil
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,63 +99,45 @@ def write_store(path, *lines):
     return path
 
 
-class TestLegacyStoreKeepsServing:
-    def test_lookups_match_a_fresh_simulation_without_simulating(self, tmp_path):
+class TestLegacyStoreIsRemeasured:
+    def test_row_lines_are_skipped_counted_remeasured_and_compacted_away(
+        self, tmp_path, capsys
+    ):
         path = legacy_copy(tmp_path)
+        row_lines = {
+            shard.stem: len(lines_of(shard)) for shard in path.glob("*.jsonl")
+        }
+        assert {line["v"] for line in lines_of(path / SHARD)} == {1}
+        skipped_before = {
+            shard: _STORE_SKIPPED.value(store=str(path), shard=shard) for shard in row_lines
+        }
+        store = ProfileStore(path)
+        simulations = 0
         for device, library in LEGACY_TARGETS:
             replay = ProfileRunner.create(device, library, runs=3)
-            replay.store = ProfileStore(path)
+            replay.store = store
             served = replay.measure_many(LEGACY_LAYER, COUNTS)
             fresh = ProfileRunner.create(device, library, runs=3).measure_many(
                 LEGACY_LAYER, COUNTS
             )
-            assert replay.simulations == 0
-            assert served == fresh
+            simulations += replay.simulations
+            assert [astuple(m) for m in served] == [astuple(m) for m in fresh]
             assert [field_types(m) for m in served] == [field_types(m) for m in fresh]
-
-    def test_store_compact_rewrites_row_lines_as_columns(self, tmp_path, capsys):
-        path = legacy_copy(tmp_path)
-        assert {line["v"] for line in lines_of(path / SHARD)} == {1}
-        before = ProfileStore(path).file_stats()
-        expected, _ = ProfileStore(path).lookup(
-            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS
-        )
+        assert simulations == 2 * len(COUNTS)
+        assert store.skipped_lines == sum(row_lines.values()) == 4
+        for shard, count in row_lines.items():
+            counted = _STORE_SKIPPED.value(store=str(path), shard=shard)
+            assert counted - skipped_before[shard] == count
 
         assert main(["store", "compact", str(path)]) == 0
-        assert "dropped 0" in capsys.readouterr().out
-        after = ProfileStore(path).file_stats()
-        assert after["entries"] == before["entries"] == 2 * len(COUNTS)
-        assert after["bytes"] < before["bytes"]
+        output = capsys.readouterr().out
+        assert "dropped 4 duplicate/unreadable" in output
+        assert f"{2 * len(COUNTS)} configuration(s) in 2 line(s)" in output
         for shard_file in path.glob("*.jsonl"):
             (line,) = lines_of(shard_file)
             assert line["v"] == STORE_VERSION
             assert line["measurements"]["out_channels"] == list(COUNTS)
-            assert line["measurements"]["strays"] == []
-        served, missing = ProfileStore(path).lookup(
-            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS
-        )
-        assert missing == [] and served == expected
-
-    def test_columnar_appends_over_row_lines_win(self, tmp_path):
-        path = legacy_copy(tmp_path)
-        old, _ = ProfileStore(path).lookup("mali-g72", "acl-gemm", 3, LEGACY_LAYER, COUNTS)
-        old = by_count(old)
-        newer = {
-            count: replace(old.get(count) or old[1], out_channels=count,
-                           median_time_ms=9.0, min_time_ms=8.0, max_time_ms=10.0)
-            for count in range(20, 31)
-        }
-        ProfileStore(path).record(
-            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, Sweep.of(newer.values())
-        )
-        assert [line["v"] for line in lines_of(path / SHARD)] == [1, 1, STORE_VERSION]
-
-        served, missing = ProfileStore(path).lookup(
-            "mali-g72", "acl-gemm", 3, LEGACY_LAYER, range(1, 31)
-        )
-        assert missing == []
-        assert by_count(served) == {**{count: old[count] for count in range(1, 20)}, **newer}
-        assert len(ProfileStore(path)) == 2 * len(COUNTS) + 6
+        assert ProfileStore(path).file_stats()["unreadable"] == 0
 
 
 def columnar_line(tmp_path):
@@ -170,7 +153,7 @@ def columnar_line(tmp_path):
 
 
 def row_line(line):
-    """The same line in the row form, its entries as ``Measurement.as_dict``."""
+    """The same line in the row form a version-1 build wrote."""
 
     columns = line["measurements"]
     constants = {
@@ -178,10 +161,10 @@ def row_line(line):
         for name in ("layer_name", "device_name", "library_name", "runs")
     }
     entries = [
-        Measurement(
+        asdict(Measurement(
             out_channels=count, median_time_ms=mid, min_time_ms=low,
             max_time_ms=high, job_count=jobs, **constants,
-        ).as_dict()
+        ))
         for count, mid, low, high, jobs in zip(
             columns["out_channels"], columns["median_time_ms"],
             columns["min_time_ms"], columns["max_time_ms"], columns["job_count"],
@@ -200,34 +183,30 @@ def set_first(name, value):
         else:  # a constant
             columns[name] = value
 
-    def row(entries):
-        entries[0][name] = value
-
-    return columnar, row
+    return columnar
 
 
 def drop_last(name):
     def columnar(columns):
         columns[name].pop()
 
-    return columnar, None
+    return columnar
 
 
 def drop_column(name):
     def columnar(columns):
         del columns[name]
 
-    return columnar, None
+    return columnar
 
 
 def add_stray(columns):
     """A measurement that fits the columns, written as a stray row."""
 
-    columns["strays"].append(measurement(20, median=3.0).as_dict())
+    columns["strays"].append(asdict(measurement(20, median=3.0)))
 
 
-#: Each rule a line can break: (columnar mutation, same break in row form
-#: or None where the row form has no such entry).
+#: Each rule a line can break, as a mutation of the line's columns.
 RULES = {
     "zero-min": set_first("min_time_ms", 0.0),
     "negative-min": set_first("min_time_ms", -1.0),
@@ -246,7 +225,7 @@ RULES = {
     "unequal-lengths": drop_last("job_count"),
     "missing-column": drop_column("max_time_ms"),
     "missing-strays": drop_column("strays"),
-    "non-empty-strays": (add_stray, None),
+    "non-empty-strays": add_stray,
 }
 
 
@@ -261,25 +240,36 @@ def read_back(tmp_path, name, line):
 
 
 class TestCheckParity:
-    def test_the_unbroken_lines_are_served(self, tmp_path):
+    def test_the_unbroken_line_is_served_and_its_row_form_skipped(self, tmp_path):
         line = columnar_line(tmp_path)
-        columnar = read_back(tmp_path, "columnar", line)
+        found, missing, skipped_lines, counted = read_back(tmp_path, "columnar", line)
+        assert (missing, skipped_lines, counted) == ([], 0, 0) and len(found) == 4
         row = read_back(tmp_path, "row", row_line(line))
-        assert columnar[1:] == row[1:] == ([], 0, 0)
-        assert columnar[0] == row[0] and len(columnar[0]) == 4
+        assert row == ({}, [4, 8, 12, 16], 1, 1)
+
+    @pytest.mark.parametrize("row_last", [True, False], ids=["row-last", "row-first"])
+    def test_a_row_line_never_shadows_a_columnar_line(self, tmp_path, row_last):
+        line = columnar_line(tmp_path)
+        stale = json.loads(json.dumps(line))
+        stale["measurements"]["median_time_ms"] = [
+            median + 0.5 for median in stale["measurements"]["median_time_ms"]
+        ]
+        stale["measurements"]["max_time_ms"] = [
+            high + 1.0 for high in stale["measurements"]["max_time_ms"]
+        ]
+        lines = [line, row_line(stale)] if row_last else [row_line(stale), line]
+        store = ProfileStore(write_store(tmp_path / "store", *lines))
+        found, missing = store.lookup("mali-g72", "acl-gemm", 3, LAYER, [4, 8, 12, 16])
+        assert missing == [] and store.skipped_lines == 1
+        assert found.median.tolist() == line["measurements"]["median_time_ms"]
 
     @pytest.mark.parametrize("rule", sorted(RULES))
     def test_a_line_breaking_a_rule_is_skipped_whole(self, tmp_path, rule):
-        break_columns, break_rows = RULES[rule]
         line = columnar_line(tmp_path)
-        row = row_line(line)
-        break_columns(line["measurements"])
+        RULES[rule](line["measurements"])
         found, missing, skipped_lines, counted = read_back(tmp_path, "columnar", line)
         assert found == {} and missing == [4, 8, 12, 16]
         assert skipped_lines == counted == 1
-        if break_rows is not None:
-            break_rows(row["measurements"])
-            assert read_back(tmp_path, "row", row) == (found, missing, 1, 1)
 
     def test_a_skipped_line_is_not_counted_as_an_entry(self, tmp_path):
         line = columnar_line(tmp_path)

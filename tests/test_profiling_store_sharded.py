@@ -1,18 +1,13 @@
-"""The profile-store directory: lazy shards, the flat-file import, concurrency.
+"""The profile-store directory: lazy shards, path resolution, concurrency.
 
 A single flocked JSONL file goes superlinear at millions of entries —
 every load parses the whole file and every writer contends on one
 inode — so a store is a directory of shards.  These tests pin down:
 
 * path resolution (missing path or empty directory = a new store,
-  marker directory = a store, flat file = refused with the import
-  command, arbitrary directory = loud rejection);
+  marker directory = a store, a regular file = refused, arbitrary
+  directory = loud rejection);
 * per-``(device, library)`` shard files with lazy one-shard loads;
-* ``import_flat_store`` (``store compact`` on a file): every entry
-  preserved under last-writer-wins semantics, row-form lines converted,
-  the file left intact when the swap fails;
-* a hypothesis property test that an imported flat file serves
-  bitwise-identical lookups to the store it was concatenated from;
 * a multi-process append-vs-compact stress test asserting zero lost
   records;
 * the store-labeled metrics (no cross-store clobbering) and the
@@ -29,13 +24,14 @@ inode — so a store is a directory of shards.  These tests pin down:
 import json
 import multiprocessing
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Plan, Session, Target
+from repro.api import Session
 from repro.models import ConvLayerSpec
 from repro.profiling import Measurement, ProfileStore, ProfileStoreError, Sweep
 from repro.profiling.store import (
@@ -44,7 +40,6 @@ from repro.profiling.store import (
     _STORE_FILE_BYTES,
     _STORE_RELOADS,
     _STORE_SKIPPED,
-    import_flat_store,
     shard_id_for,
 )
 
@@ -123,7 +118,7 @@ class TestLayoutResolution:
         assert (tmp_path / "empty" / STORE_MARKER).exists()
         assert (tmp_path / "plain" / STORE_MARKER).exists()
 
-    def test_flat_file_with_sharded_layout_requires_migration(self, tmp_path):
+    def test_a_file_path_is_refused_and_left_alone(self, tmp_path):
         path = flat_copy(sharded_store(tmp_path / "source").path, tmp_path / "flat.jsonl")
         before = path.read_bytes()
         for open_store in (
@@ -131,8 +126,9 @@ class TestLayoutResolution:
             lambda flat: ProfileStore(flat, layout="sharded"),
             lambda flat: Session(store=flat),
         ):
-            with pytest.raises(ProfileStoreError, match=f"store compact {path}"):
+            with pytest.raises(ProfileStoreError, match="is a file, not a store") as caught:
                 open_store(path)
+            assert "compact" not in str(caught.value)
         assert path.read_bytes() == before  # untouched
 
     def test_unknown_layout_rejected(self, tmp_path):
@@ -210,137 +206,6 @@ class TestShardedRecordAndLookup:
         fresh = ProfileStore(tmp_path / "store")
         found, _ = fresh.lookup("mali-g72", "acl-gemm", 3, LAYER, [8])
         assert found.at(8).median_time_ms == 9.0  # last writer won
-
-
-class TestMigration:
-    """``import_flat_store``: a single-file store becomes a directory."""
-
-    def seed_flat_store(self, tmp_path):
-        source = sharded_store(tmp_path / "source")
-        # Supersede one configuration so last-writer-wins is observable.
-        record_counts(source, "mali-g72", "acl-gemm", [8], median=7.5)
-        return source, flat_copy(source.path, tmp_path / "profiles.jsonl")
-
-    def test_migration_preserves_every_entry(self, tmp_path):
-        source, path = self.seed_flat_store(tmp_path)
-        before = {
-            target: _served(ProfileStore(source.path), *target, counts=[4, 8, 12])
-            for target in TARGETS
-        }
-
-        assert import_flat_store(path) == 1  # the superseded count-8 duplicate
-        assert path.is_dir() and (path / STORE_MARKER).exists()
-        assert sorted(entry.name for entry in path.iterdir()) == sorted(
-            [STORE_MARKER] + [shard_id_for(*target) + ".jsonl" for target in TARGETS]
-        )
-        assert not list(tmp_path.glob("*.import"))
-
-        fresh = ProfileStore(path)
-        for target in TARGETS:
-            assert _served(fresh, *target, counts=[4, 8, 12]) == before[target]
-        assert _served(fresh, counts=[8])[0][8]["median_time_ms"] == 7.5
-
-    def test_migration_of_missing_path_adopts_sharded_layout(self, tmp_path):
-        with pytest.raises(ProfileStoreError, match="no single-file profile store"):
-            import_flat_store(tmp_path / "absent.jsonl")
-        ProfileStore(tmp_path / "absent.jsonl")
-        assert (tmp_path / "absent.jsonl" / STORE_MARKER).exists()
-        with pytest.raises(ProfileStoreError):
-            import_flat_store(tmp_path / "absent.jsonl")  # already a directory
-
-    def test_a_failed_second_rename_leaves_the_flat_file_intact(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.profiling import store as store_module
-
-        _, path = self.seed_flat_store(tmp_path)
-        before = path.read_bytes()
-
-        def refuse(source, target):
-            raise OSError("rename refused")
-
-        monkeypatch.setattr(store_module.os, "rename", refuse)
-        with pytest.raises(OSError, match="rename refused"):
-            import_flat_store(path)
-        monkeypatch.undo()
-        assert path.is_file() and path.read_bytes() == before
-        assert not list(tmp_path.glob("*.import"))
-        assert import_flat_store(path) == 1  # and the import still works
-
-    def test_import_converts_row_form_lines(self, tmp_path):
-        legacy = Path(__file__).parent / "data" / "legacy_v1_store"
-        path = flat_copy(legacy, tmp_path / "legacy.jsonl")
-        assert {json.loads(line)["v"] for line in path.read_text().splitlines()} == {1}
-        assert import_flat_store(path) == 0
-        shards = sorted(path.glob("*.jsonl"))
-        assert [entry.name for entry in shards] == sorted(
-            entry.name for entry in legacy.glob("*.jsonl")
-        )
-        for shard in shards:
-            assert {json.loads(line)["v"] for line in shard.read_text().splitlines()} == {
-                STORE_VERSION
-            }
-
-    def test_replay_against_migrated_store_simulates_nothing(self, tmp_path):
-        plan = Plan()
-        step = plan.sweep(Target("hikey-970", "acl-gemm"), LAYER, sweep_step=4)
-        first = Session(store=str(tmp_path / "source")).execute(plan)
-
-        path = flat_copy(tmp_path / "source", tmp_path / "profiles.jsonl")
-        import_flat_store(path)
-
-        replay_session = Session(store=str(path))
-        replayed = replay_session.execute(plan)
-        assert replay_session.simulation_count() == 0
-        assert first[step.id] == replayed[step.id]
-
-
-class TestFlatShardedEquivalence:
-    """An imported flat file serves exactly what its sharded source does."""
-
-    record_streams = st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=len(TARGETS) - 1),  # target
-            st.sampled_from([1, 3]),                               # runs
-            st.sampled_from([0, 7]),                               # seed
-            st.lists(st.integers(min_value=1, max_value=24),       # counts
-                     min_size=1, max_size=4, unique=True),
-            st.floats(min_value=0.5, max_value=50.0,               # median
-                      allow_nan=False, allow_infinity=False),
-        ),
-        min_size=1, max_size=12,
-    )
-
-    @given(stream=record_streams)
-    @settings(max_examples=25, deadline=None)
-    def test_lookups_are_bitwise_identical(self, tmp_path_factory, stream):
-        base = tmp_path_factory.mktemp("equiv")
-        sharded = ProfileStore(base / "sharded", layout="sharded")
-        for target_index, runs, seed, counts, median in stream:
-            device, library = TARGETS[target_index]
-            record_counts(sharded, device, library, counts,
-                          runs=runs, seed=seed, median=median)
-        imported = flat_copy(sharded.path, base / "flat.jsonl")
-        import_flat_store(imported)
-
-        def observe(path):
-            store = ProfileStore(path)
-            state = {}
-            for target_index, runs, seed, counts, _ in stream:
-                device, library = TARGETS[target_index]
-                found, missing = store.lookup(
-                    device, library, runs, LAYER, range(1, 25), seed=seed
-                )
-                state[(device, library, runs, seed)] = (
-                    {m.out_channels: m.as_dict() for m in found}, missing
-                )
-            return len(store), state
-
-        assert observe(imported) == observe(sharded.path)
-        # The equivalence survives compaction of both stores.
-        ProfileStore(imported).compact()
-        ProfileStore(sharded.path).compact()
-        assert observe(imported) == observe(sharded.path)
 
 
 def _hammer_appends(path, device, library, counts, barrier):
@@ -470,7 +335,7 @@ def _append_counts(path, device, library, counts):
 def _served(store, device="mali-g72", library="acl-gemm", counts=range(1, 25),
             runs=3, seed=0):
     found, missing = store.lookup(device, library, runs, LAYER, counts, seed=seed)
-    return {m.out_channels: m.as_dict() for m in found}, missing
+    return {m.out_channels: asdict(m) for m in found}, missing
 
 
 def _reloads(store, shard):

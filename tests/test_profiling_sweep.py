@@ -15,9 +15,7 @@
 
 import errno
 import json
-import shutil
 from dataclasses import astuple, fields, replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,12 +33,6 @@ LAYER = ConvLayerSpec(
 OTHER = ConvLayerSpec(
     name="test.sweep.other", in_channels=16, out_channels=24,
     kernel_size=1, stride=1, padding=0, input_hw=14,
-)
-
-LEGACY_STORE = Path(__file__).parent / "data" / "legacy_v1_store"
-LEGACY_LAYER = ConvLayerSpec(
-    name="test.legacy.conv", in_channels=16, out_channels=24,
-    kernel_size=3, stride=1, padding=1, input_hw=14,
 )
 
 #: The Python type of each Measurement field, in field order.
@@ -154,18 +146,14 @@ class TestCacheBound:
         assert measuring.simulations == simulated + 24
         assert exact(again) == exact(first)
 
-    @pytest.mark.parametrize("form", ["v1 rows", "v2 columns"])
-    def test_a_store_serves_a_sweep_without_simulating(self, tmp_path, form):
+    def test_a_store_serves_a_sweep_without_simulating(self, tmp_path):
         path = tmp_path / "store"
-        if form == "v1 rows":
-            shutil.copytree(LEGACY_STORE, path)
-        else:
-            runner(ProfileStore(path)).measure_many(LEGACY_LAYER, range(1, 25))
+        runner(ProfileStore(path)).measure_many(LAYER, range(1, 25))
         replay = runner(ProfileStore(path))
-        served = replay.measure_many(LEGACY_LAYER, range(1, 25))
+        served = replay.measure_many(LAYER, range(1, 25))
         assert replay.simulations == 0
         assert isinstance(served, Sweep)
-        assert exact(served) == exact(alone(LEGACY_LAYER, count) for count in range(1, 25))
+        assert exact(served) == exact(alone(LAYER, count) for count in range(1, 25))
 
 
 class TestFailedAppend:

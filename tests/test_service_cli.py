@@ -28,12 +28,6 @@ def flat_copy(store_path, flat_path):
     return flat_path
 
 
-def step_output(output):
-    """run-plan's printed step results, without the accounting line."""
-
-    return output.split("simulated ")[0]
-
-
 def write_plan(tmp_path, sweep_step: int = 8):
     plan = Plan()
     plan.sweep(TARGET, LAYER, sweep_step=sweep_step)
@@ -81,7 +75,7 @@ class TestSubmitCommand:
 
     def test_failed_job_exits_1(self, tmp_path, capsys):
         plan = Plan()
-        plan.figure("table1", bogus_option=True)  # explodes at run time
+        plan.figure("fig04", step=0)  # explodes at run time
         plan_path = tmp_path / "bad-figure.json"
         plan_path.write_text(plan.to_json(), encoding="utf-8")
         with ReproServer() as server:
@@ -172,34 +166,20 @@ class TestStoreCommand:
         capsys.readouterr()
         flat = flat_copy(self.make_store_with_duplicates(tmp_path), tmp_path / "flat.jsonl")
         assert main(["store", "init", str(flat)]) == 2
-        assert f"store compact {flat}" in capsys.readouterr().err
+        assert f"{flat} is a file, not a store directory" in capsys.readouterr().err
 
-    def test_compact_imports_a_flat_store(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["store", "compact"], ["store", "stats"], ["run-plan", "PLAN", "--profile-store"],
+    ], ids=["store-compact", "store-stats", "run-plan"])
+    def test_a_single_file_store_is_refused_and_left_alone(self, tmp_path, capsys, argv):
         flat = flat_copy(self.make_store_with_duplicates(tmp_path), tmp_path / "flat.jsonl")
-        size = flat.stat().st_size
-        assert main(["store", "compact", str(flat)]) == 0
-        output = capsys.readouterr().out
-        assert f"imported {flat}" in output
-        assert "dropped 1" in output and f"{size} ->" in output
-        assert (flat / STORE_MARKER).exists()
-        assert len(ProfileStore(flat)) == 3
-
-    def test_an_imported_store_replays_a_plan_with_zero_simulations(
-        self, tmp_path, capsys
-    ):
-        plan_path = write_plan(tmp_path)
-        source = tmp_path / "source"
-        assert main(["run-plan", str(plan_path), "--profile-store", str(source)]) == 0
-        first = capsys.readouterr().out
-        assert "simulated 0 " not in first
-
-        flat = flat_copy(source, tmp_path / "flat.jsonl")
-        assert main(["store", "compact", str(flat)]) == 0
-        capsys.readouterr()
-        assert main(["run-plan", str(plan_path), "--profile-store", str(flat)]) == 0
-        replay = capsys.readouterr().out
-        assert "simulated 0 configuration(s) in-process" in replay
-        assert step_output(replay) == step_output(first)
+        before = flat.read_bytes()
+        plan_path = str(write_plan(tmp_path))
+        assert main([plan_path if arg == "PLAN" else arg for arg in argv] + [str(flat)]) == 2
+        error = capsys.readouterr().err
+        assert f"{flat} is a file, not a store directory" in error
+        assert "compact" not in error
+        assert flat.read_bytes() == before
 
     def test_stats_on_a_sharded_store_breaks_figures_down_per_shard(
         self, tmp_path, capsys
@@ -219,7 +199,7 @@ class TestServeCommand:
         flat.write_text("", encoding="utf-8")
         assert main(["serve", "--port", "0", "--profile-store", str(flat)]) == 2
         error = capsys.readouterr().err
-        assert "cannot start service" in error and f"store compact {flat}" in error
+        assert "cannot start service" in error and f"{flat} is a file" in error
 
     def test_occupied_port_exits_2(self, capsys):
         import socket

@@ -26,11 +26,10 @@ LAYER = ConvLayerSpec(
 
 def two_step_plan() -> Plan:
     plan = Plan()
-    sweep = plan.sweep(TARGETS, LAYER, sweep_step=4)
+    plan.sweep(TARGETS, LAYER, sweep_step=4)
     plan.prune(
         PruningRequest("resnet50", TARGETS[0], fraction=0.25,
                        layer_indices=(16,), sweep_step=8),
-        depends_on=[sweep.id],
     )
     return plan
 
@@ -87,15 +86,22 @@ class TestEndpoints:
         assert excinfo.value.status == 400
         assert "unknown step kind" in str(excinfo.value)
 
-    @pytest.mark.parametrize("field", [
-        {"depends_on": "a"}, {"depends_on": 5}, {"params": 5},
-    ], ids=["string-depends-on", "int-depends-on", "int-params"])
+    @pytest.mark.parametrize("field, message", [
+        ({"depends_on": ["a"]}, "unknown step fields: ['depends_on']"),
+        # Regression: a string was split into characters and stored.
+        ({"depends_on": "a"}, "unknown step fields: ['depends_on']"),
+        ({"depends_on": 5}, "unknown step fields: ['depends_on']"),
+        ({"params": 5}, "params must be a mapping"),
+        ({"params": {"experiment": "table1", "options": {"runs": 3}}},
+         "unexpected keyword argument 'runs'"),
+    ], ids=["list-depends-on", "string-depends-on", "int-depends-on", "int-params",
+            "figure-option"])
     def test_malformed_step_fields_are_400_and_the_client_stays_usable(
-        self, client, field
+        self, client, field, message
     ):
-        # Regression: a string ``depends_on`` was split into characters
-        # and stored; a number raised TypeError, the handler thread
-        # died and the client saw the connection drop.
+        # Regression: a non-mapping ``params`` raised TypeError, the
+        # handler thread died and the client saw the connection drop.
+        # ``depends_on`` is no step field: it is refused by name.
         second = {"id": "b", "kind": "figure", "params": {"experiment": "table1"}}
         second.update(field)
         payload = {"version": 1, "steps": [
@@ -104,11 +110,7 @@ class TestEndpoints:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(payload)
         assert excinfo.value.status == 400
-        expected = (
-            "depends_on must be a list" if "depends_on" in field
-            else "params must be a mapping"
-        )
-        assert expected in str(excinfo.value)
+        assert message in str(excinfo.value)
         assert sum(client.health()["jobs"].values()) == 0  # nothing stored
 
     @pytest.mark.parametrize("counts, message", [
@@ -782,14 +784,14 @@ class TestChunkedEventStream:
         entered, release = gate_steps(monkeypatch)
         running = ReproServer(job_store=tmp_path / "jobs.jsonl").start()
         client = ServiceClient(running.url, timeout=10.0)
-        seen, ended = [], threading.Event()
+        seen, errors, ended = [], [], threading.Event()
 
         def watch():
             try:
                 for event in client.iter_events(job["id"]):
                     seen.append(event["event"])
-            except ServiceError:
-                pass
+            except ServiceError as error:
+                errors.append(error)  # the stream was cut, not ended
             ended.set()
 
         closer = threading.Thread(target=running.close)
@@ -804,6 +806,7 @@ class TestChunkedEventStream:
             assert "step-started" in seen
             closer.start()
             assert ended.wait(timeout=5.0)
+            assert errors == []
             assert "job-finished" not in seen
         finally:
             release.set()

@@ -107,11 +107,10 @@ class TestExecution:
 
     def test_result_matches_in_process_execution(self):
         plan = Plan()
-        sweep = plan.sweep(TARGET, LAYER, sweep_step=4)
+        plan.sweep(TARGET, LAYER, sweep_step=4)
         plan.prune(
             PruningRequest("resnet50", TARGET, fraction=0.25,
                            layer_indices=(16,), sweep_step=8),
-            depends_on=[sweep.id],
         )
         expected = Session().execute(plan)
         with JobQueue() as queue:
@@ -182,15 +181,15 @@ class TestFailureIsolation:
         """Regression: a crashing step must not take the worker down."""
 
         bad = Plan()
-        # Valid at build time, explodes at run time: the generator does
-        # not accept this option.
-        bad.figure("table1", bogus_option=True)
+        # Valid at build time, explodes at run time: the generator
+        # refuses a sweep step of 0.
+        bad.figure("fig04", step=0)
         with JobQueue() as queue:
             failed = wait_done(queue, queue.submit(bad).id)
             assert failed.status == "failed"
             assert failed.steps[0].status == "failed"
             assert "Traceback" in failed.error
-            assert "bogus_option" in failed.error
+            assert "sweep step must be >= 1" in failed.error
             assert failed.steps[0].error == failed.error
 
             # The same worker thread still serves the next job.
@@ -199,7 +198,7 @@ class TestFailureIsolation:
 
     def test_failure_skips_the_remaining_steps(self):
         plan = Plan()
-        plan.figure("table1", bogus_option=True)
+        plan.figure("fig04", step=0)
         plan.sweep(TARGET, LAYER, sweep_step=8)
         with JobQueue() as queue:
             final = wait_done(queue, queue.submit(plan).id)
